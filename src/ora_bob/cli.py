@@ -99,7 +99,9 @@ def _resolve_source(args):
 def _load_source(source_desc):
     if "path" in source_desc:
         return load_instance(source_desc["path"])
-    return build_generator(source_desc["generator"], source_desc["params"])
+    if "generator" in source_desc and "params" in source_desc:
+        return build_generator(source_desc["generator"], source_desc["params"])
+    raise CliError(f"source {source_desc!r} names neither a path nor a generator")
 
 
 def _cell_instance(obj, T: int | None, seed: int) -> tuple[Instance, int]:
@@ -115,6 +117,7 @@ def _cell_instance(obj, T: int | None, seed: int) -> tuple[Instance, int]:
 
 def execute_cell(
     source_desc: dict,
+    source,
     T: int | None,
     delta: float,
     eta_override: float | None,
@@ -125,11 +128,12 @@ def execute_cell(
 ) -> str:
     """Run one (config, seed) cell and write its trace CSV and summary JSON.
 
-    Returns the summary JSON path.  Pure function of its arguments, so cells
-    can run in parallel processes and reruns are byte-identical.
+    ``source`` is the instance or model that ``source_desc`` names, loaded
+    once by the command for all its cells.  Returns the summary JSON path.
+    Pure function of its arguments, so cells can run in parallel processes
+    and reruns are byte-identical.
     """
-    obj = _load_source(source_desc)
-    instance, horizon = _cell_instance(obj, T, seed)
+    instance, horizon = _cell_instance(source, T, seed)
     M = instance.num_constraints
     eta = eta_override if eta_override is not None else learning_rate(horizon, M, delta)
     trajectory = run_allocator(instance, OgdConfig(eta=eta, delta=delta))
@@ -206,12 +210,13 @@ def _run_cells(payloads: list[dict], jobs: int) -> list[str]:
 def cmd_run(args) -> int:
     if args.eta is not None and not args.eta > 0.0:
         raise CliError(f"--eta must be > 0, got {args.eta}")
-    source_desc, _ = _resolve_source(args)
+    source_desc, obj = _resolve_source(args)
     seeds = _parse_int_list(args.seeds)
     os.makedirs(args.out, exist_ok=True)
     payloads = [
         dict(
             source_desc=source_desc,
+            source=obj,
             T=args.T,
             delta=args.delta,
             eta_override=args.eta,
@@ -281,6 +286,25 @@ def _fit_loglog_slope(ts: list[int], means: list[float]) -> float | None:
     return float(slope)
 
 
+def _stale_fields(cell_config, sweep_config: dict, T: int, seed: int) -> list[str]:
+    """The config fields in which a cell differs from the sweep cell (T, seed)."""
+    eta = sweep_config["eta"]
+    want = {
+        "schema_version": sweep_config["schema_version"],
+        "source": sweep_config["source"],
+        "T": T,
+        "seed": seed,
+        "delta": sweep_config["delta"],
+        "eta_override": eta is not None,
+        "benchmark": sweep_config["benchmark"],
+    }
+    if eta is not None:
+        want["eta"] = eta
+    if not isinstance(cell_config, dict):
+        return list(want)
+    return [key for key, value in want.items() if cell_config.get(key) != value]
+
+
 def aggregate_sweep(
     out_dir: str,
     name: str,
@@ -289,7 +313,8 @@ def aggregate_sweep(
     sweep_config: dict | None = None,
 ) -> dict:
     """Aggregate per-cell JSONs (read back from disk) into the sweep CSV and
-    log-log fits.  Refuses to aggregate while any cell file is missing."""
+    log-log fits.  Refuses to aggregate while any cell file is missing, or,
+    given ``sweep_config``, any cell was computed under another config."""
     rows = []
     cell_hashes = []
     for T in t_values:
@@ -299,6 +324,16 @@ def aggregate_sweep(
                 raise CliError(f"sweep incomplete: missing cell output {path}", path=path)
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
+            if sweep_config is not None:
+                config = payload.get("config") if isinstance(payload, dict) else None
+                stale = _stale_fields(config, sweep_config, T, seed)
+                if stale:
+                    raise CliError(
+                        f"stale sweep cell {path}: {', '.join(stale)} differ from "
+                        "the requested sweep; rerun it without --aggregate-only",
+                        path=path,
+                        fields=stale,
+                    )
             rows.append(_sweep_row(T, seed, payload))
             cell_hashes.append(payload["instance_hash"])
 
@@ -363,6 +398,7 @@ def cmd_sweep(args) -> int:
         payloads = [
             dict(
                 source_desc=source_desc,
+                source=obj,
                 T=T,
                 delta=args.delta,
                 eta_override=args.eta,
@@ -551,6 +587,8 @@ def audit_trace(path, instance_override, pairs: int, audit_seed: int | None) -> 
             f"does not match {traceio.SCHEMA_VERSION}"
         )
     config = json.loads(header["config"])
+    if not isinstance(config, dict) or not isinstance(config.get("source"), dict):
+        raise traceio.TraceFormatError(f"{path}: the config header names no source")
     seed = int(header["seed"])
     T = int(header["T"])
     eta = float(header["eta"])

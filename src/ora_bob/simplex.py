@@ -9,7 +9,9 @@ variable index.  Reduced costs are compared against an absolute tolerance
 (default 1e-9).
 
 This is deliberately a small, auditable solver: the LPs it sees have at most
-a few thousand columns and a few hundred rows.
+a few thousand columns and a few hundred rows.  A pivot updates only the rows
+with a nonzero entry in the pivot column, which on the sparse LP relaxation
+of ``oracles.opt_lp_relax`` is a small share of them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,10 @@ def _pivot(tab, red, basis, r, q):
     tab[r] /= tab[r, q]
     col = tab[:, q].copy()
     col[r] = 0.0
-    tab -= np.outer(col, tab[r])
+    # A row with a zero in the pivot column would only have zeros subtracted,
+    # so skipping it leaves every value bit for bit as a full update would.
+    rows = np.flatnonzero(col)
+    tab[rows] -= np.outer(col[rows], tab[r])
     red -= red[q] * tab[r, :-1]
     red[q] = 0.0
     basis[r] = q

@@ -17,6 +17,11 @@ from .core import Trajectory
 
 SCHEMA_VERSION = 1
 
+#: Header keys the audit needs to re-derive a run.
+REQUIRED_HEADER_KEYS = (
+    "schema_version", "T", "seed", "eta", "delta", "instance_hash", "config",
+)
+
 FIXED_COLUMNS = (
     "t",
     "action",
@@ -27,6 +32,11 @@ FIXED_COLUMNS = (
     "lambda_l1",
     "max_general_violation_cum",
 )
+
+
+class TraceFormatError(ValueError):
+    """A damaged trace file: a required header key is missing or a row does
+    not have one field per column."""
 
 
 def trace_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
@@ -74,7 +84,11 @@ def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:
 
 
 def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """Parse a trace file into its header dict and typed column arrays."""
+    """Parse a trace file into its header dict and typed column arrays.
+
+    Raises TraceFormatError when a REQUIRED_HEADER_KEYS entry is missing or a
+    data row's width differs from the column row's.
+    """
     header: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -84,10 +98,18 @@ def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         key, _, value = body.partition("=")
         header[key.strip()] = value
         i += 1
+    missing = [key for key in REQUIRED_HEADER_KEYS if key not in header]
+    if missing:
+        raise TraceFormatError(f"{path}: trace header lacks {', '.join(missing)}")
     if i >= len(lines):
-        raise ValueError(f"{path}: no column header row found")
+        raise TraceFormatError(f"{path}: no column header row found")
     names = lines[i].split(",")
     rows = [line.split(",") for line in lines[i + 1 :] if line]
+    for k, row in enumerate(rows, start=1):
+        if len(row) != len(names):
+            raise TraceFormatError(
+                f"{path}: data row {k} has {len(row)} fields, expected {len(names)}"
+            )
     columns: dict[str, np.ndarray] = {}
     for c, name in enumerate(names):
         raw = [row[c] for row in rows]

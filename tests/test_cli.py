@@ -187,6 +187,29 @@ class TestSweep:
         assert code == 2
         assert "missing cell output" in json.loads(out)["error"]["message"]
 
+    def test_stale_cell_refused(self, tmp_path, capsys):
+        code, _ = run_cli(capsys, *self.sweep_args(tmp_path))
+        assert code == 0
+        code, out = run_cli(
+            capsys, *self.sweep_args(tmp_path, extra=("--aggregate-only", "--delta", "0.2"))
+        )
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "CliError"
+        assert "stale sweep cell" in err["message"]
+        assert err["fields"] == ["delta"]
+
+    def test_model_file_loaded_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "pacing.json"
+        ob.save_instance(ob.make_pacing_model(), path)
+        loads = []
+        real = cli.load_instance
+        monkeypatch.setattr(cli, "load_instance", lambda p: loads.append(p) or real(p))
+        args = ["--instance", str(path), "--seeds", "0:2", "--out", str(tmp_path)]
+        assert run_cli(capsys, "sweep", "--T", "30,60", *args, "--benchmark", "lp")[0] == 0
+        assert run_cli(capsys, "run", "--T", "30", *args)[0] == 0
+        assert len(loads) == 2  # one per command, not one per cell
+
 
 class TestOracleCommand:
     def test_instance_reports(self, tmp_path, capsys):
@@ -335,6 +358,38 @@ class TestAudit:
         )
         assert code == 2
         assert "hash mismatch" in json.loads(out)["error"]["message"]
+
+    def test_short_row_exits_2(self, tmp_path, capsys):
+        trace = self.make_trace(tmp_path, capsys)
+        lines = trace.read_text().splitlines()
+        first_row = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1
+        lines[first_row] = ",".join(lines[first_row].split(",")[:3])
+        trace.write_text("\n".join(lines) + "\n")
+        code, out = run_cli(capsys, "audit", str(trace))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "TraceFormatError"
+        assert "data row 1 has 3 fields" in err["message"]
+
+    @pytest.mark.parametrize(
+        "config, error, message",
+        [
+            (None, "TraceFormatError", "lacks config"),
+            ("[]", "TraceFormatError", "names no source"),
+            ('{"source": {}}', "CliError", "neither a path nor a generator"),
+        ],
+    )
+    def test_damaged_config_header_exits_2(self, tmp_path, capsys, config, error, message):
+        trace = self.make_trace(tmp_path, capsys)
+        lines = [l for l in trace.read_text().splitlines() if not l.startswith("# config=")]
+        if config is not None:
+            lines.insert(0, f"# config={config}")
+        trace.write_text("\n".join(lines) + "\n")
+        code, out = run_cli(capsys, "audit", str(trace))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == error
+        assert message in err["message"]
 
     def test_audit_output_file(self, tmp_path, capsys):
         trace = self.make_trace(tmp_path, capsys)

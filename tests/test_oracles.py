@@ -105,6 +105,24 @@ class TestOptLpRelax:
             oracles._grouped_rounds = original
         assert grouped == pytest.approx(ungrouped, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_highs(self, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        model = random_model(Seed(seed), S=30, K=4, m=2, n=2, feasibility_margin=0.1)
+        inst = ob.sample_instance(model, 150, Seed(seed))
+        T, K = inst.horizon, inst.num_actions
+        coupling = np.concatenate([inst.general_stack, inst.consumption_stack], axis=1)
+        res = optimize.linprog(
+            -inst.rewards_stack.reshape(-1),
+            A_ub=coupling.transpose(1, 0, 2).reshape(-1, T * K),
+            b_ub=np.concatenate([np.zeros(inst.num_general), inst.budget.limits]),
+            A_eq=np.kron(np.eye(T), np.ones(K)),
+            b_eq=np.ones(T),
+            method="highs",
+        )
+        assert res.status == 0
+        assert opt_lp_relax(inst).opt_value == pytest.approx(-res.fun, rel=1e-9)
+
 
 class TestOptStocEstimate:
     def test_degenerate_model_zero_stderr(self):

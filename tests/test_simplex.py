@@ -88,3 +88,51 @@ def test_iteration_cap_raises_with_count():
             b_ub=[1.0, 1.0, 1.0],
             max_iterations=0,
         )
+
+
+def _full_update_pivot(tab, red, basis, r, q):
+    # the textbook pivot: every row is updated, zeros in the pivot column too
+    tab[r] /= tab[r, q]
+    col = tab[:, q].copy()
+    col[r] = 0.0
+    tab -= np.outer(col, tab[r])
+    red -= red[q] * tab[r, :-1]
+    red[q] = 0.0
+    basis[r] = q
+    rhs = tab[:, -1]
+    np.clip(rhs, 0.0, None, out=rhs)
+
+
+def _sparse_lps(count):
+    gen = np.random.default_rng(7)
+    for k in range(count):
+        n, mu, me = gen.integers(2, 20), gen.integers(0, 8), gen.integers(0, 4)
+
+        def mat(rows):
+            # integer entries half the time, for ties and degenerate vertices
+            a = gen.integers(-3, 4, (rows, n)).astype(float) if k % 2 else gen.normal(size=(rows, n))
+            a[gen.random((rows, n)) < 0.5] = 0.0
+            return a
+
+        A_ub = np.vstack([mat(mu), np.ones((1, n))])
+        b_ub = np.append(gen.normal(size=mu), 10.0)
+        A_eq = mat(me)
+        b_eq = A_eq @ np.abs(gen.normal(size=n))
+        yield mat(1)[0], A_ub, b_ub, A_eq, b_eq
+
+
+def _outcome(c, A_ub, b_ub, A_eq, b_eq):
+    try:
+        res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    except SimplexError as e:
+        return str(e), e.iterations
+    return res.value.hex(), (res.x + 0.0).tobytes(), res.iterations
+
+
+def test_row_skipping_pivot_is_bitwise_the_full_update(monkeypatch):
+    from ora_bob import simplex
+
+    lps = list(_sparse_lps(300))
+    skipping = [_outcome(*lp) for lp in lps]
+    monkeypatch.setattr(simplex, "_pivot", _full_update_pivot)
+    assert skipping == [_outcome(*lp) for lp in lps]
