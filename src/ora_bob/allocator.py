@@ -14,8 +14,10 @@ real arithmetic, not merely up to float rounding: otherwise a budget like
 1/3 whose cap beta*T rounds upward could admit one play too many.  Recorded
 consumptions stay ordinary floats.
 
-A run is strictly sequential (the dual state is a chain); distinct runs are
-independent and may execute in parallel.
+One round loop serves both entry points: :func:`run` plays the whole
+horizon as one block and :func:`step` plays a one-round block from a given
+state.  A run is strictly sequential (the dual state is a chain); distinct
+runs are independent and may execute in parallel.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .core import (
     Trajectory,
     unify_constraints,
 )
-from .dual_ogd import OgdConfig, learning_rate, ogd_step
-from .lagrangian import best_response, penalties
+from .dual_ogd import OgdConfig, learning_rate
+from .lagrangian import penalties
 
 
 def gate_thresholds(budget: BudgetSpec) -> tuple[Fraction, ...]:
@@ -99,6 +101,83 @@ def default_config(instance: Instance, delta: float = 0.05) -> OgdConfig:
     )
 
 
+def _last_open_round(gate: np.ndarray) -> int:
+    open_rounds = np.nonzero(gate)[0]
+    return int(open_rounds[-1] + 1) if open_rounds.size else 0
+
+
+def _play(rewards, unified, cons, budget, void, eta, lam, cum, exact, is_open):
+    """Play the stacked rounds ``rewards`` (B, K), ``unified`` (B, M, K) and
+    ``cons`` (B, n, K) from duals ``lam``, float consumption totals ``cum``,
+    their exact values ``exact`` and the gate state ``is_open``.
+
+    ``exact=None`` means the totals so far are this block's own plays (a run
+    from zero): they are summed exactly only once a resource nears its
+    cutoff.  Returns the per-round arrays, keyed by their Trajectory field
+    names (``duals`` holds lambda_1..lambda_{B+1}), and the end state
+    (lam, cum, exact, is_open).
+    """
+    B, M, _ = unified.shape
+    n = cons.shape[1]
+    thresholds = gate_thresholds(budget)
+    # Float pre-filter for the gate: below thr_fast the exact comparison is
+    # guaranteed to pass (band dominates the worst-case accumulation drift
+    # of up to T float additions plus the threshold's own rounding), so the
+    # exact rational comparison only runs once a resource nears its cutoff.
+    T = budget.horizon
+    band = (4.0 * T + 8.0) * np.spacing(budget.limits + T)
+    thr_fast = np.array([float(thr) for thr in thresholds]) - band
+
+    out_actions = np.empty(B, dtype=np.int64)
+    out_candidates = np.empty(B, dtype=np.int64)
+    out_duals = np.empty((B + 1, M))
+    out_duals[0] = lam
+    out_gate = np.empty(B, dtype=bool)
+    out_cum = np.empty((B, n))
+
+    for t in range(B):
+        g_t = unified[t]
+        values = rewards[t] - penalties(g_t, lam)
+        candidate = int(np.argmax(values))
+        if is_open and n and not np.all(cum <= thr_fast):
+            if exact is None:
+                played = cons[np.arange(t), :, out_actions[:t]]  # (t, n)
+                exact = [
+                    sum((Fraction(float(h)) for h in played[:, j] if h), Fraction(0))
+                    for j in range(n)
+                ]
+            if any(c > thr for c, thr in zip(exact, thresholds)):
+                is_open = False
+        action = candidate if is_open else void
+        gvec = g_t[:, action]
+        out_actions[t] = action
+        out_candidates[t] = candidate
+        out_gate[t] = is_open
+        lam = np.maximum(0.0, lam + eta * gvec)
+        out_duals[t + 1] = lam
+        if n:
+            col = cons[t, :, action]
+            cum = cum + col
+            if exact is not None:
+                for j in range(n):
+                    h = col[j]
+                    if h:
+                        exact[j] += Fraction(float(h))
+        out_cum[t] = cum
+
+    idx = np.arange(B)
+    rounds = dict(
+        actions=out_actions,
+        candidates=out_candidates,
+        rewards=rewards[idx, out_actions],
+        unified_values=unified[idx, :, out_actions],
+        duals=out_duals,
+        gate_open=out_gate,
+        cumulative_consumption=out_cum,
+    )
+    return rounds, (lam, cum, exact, is_open)
+
+
 def step(
     state: AllocatorState,
     inp: InputTuple,
@@ -111,33 +190,29 @@ def step(
     The dual update uses the unified vector of the action actually played
     (the void action when the gate is closed), not the candidate's.
     """
-    unified = unify_constraints(inp, budget)
-    candidate, _ = best_response(inp, unified, state.dual)
-    is_open = gate_open(state, budget)
-    action = candidate if is_open else actions.void_index
-    gvec = unified.matrix[:, action].copy()
-    new_dual = ogd_step(state.dual, gvec, config.eta)
-    new_cum = state.cumulative_consumption + inp.consumptions[:, action]
-    new_exact = tuple(
-        c + Fraction(float(h)) if h else c
-        for c, h in zip(state.exact_totals(), inp.consumptions[:, action])
+    unified = unify_constraints(inp, budget).matrix
+    rounds, (lam, cum, exact, is_open) = _play(
+        inp.rewards[None], unified[None], inp.consumptions[None], budget,
+        actions.void_index, config.eta, state.dual.values,
+        state.cumulative_consumption, list(state.exact_totals()),
+        not state.gate_forced_closed,
     )
     record = RoundRecord(
         round=state.round,
-        action=action,
-        candidate_action=candidate,
-        reward=float(inp.rewards[action]),
-        unified_values=gvec,
+        action=int(rounds["actions"][0]),
+        candidate_action=int(rounds["candidates"][0]),
+        reward=float(rounds["rewards"][0]),
+        unified_values=rounds["unified_values"][0],
         dual_before=state.dual,
-        gate_open=is_open,
-        cumulative_consumption=new_cum.copy(),
+        gate_open=bool(rounds["gate_open"][0]),
+        cumulative_consumption=rounds["cumulative_consumption"][0],
     )
     new_state = AllocatorState(
         round=state.round + 1,
-        dual=new_dual,
-        cumulative_consumption=new_cum,
-        gate_forced_closed=state.gate_forced_closed or not is_open,
-        exact_consumption=new_exact,
+        dual=DualVector(lam),
+        cumulative_consumption=cum,
+        gate_forced_closed=not is_open,
+        exact_consumption=tuple(exact),
     )
     return record, new_state
 
@@ -145,96 +220,23 @@ def step(
 def run(instance: Instance, config: OgdConfig) -> Trajectory:
     """Execute the full horizon from lambda_1 = 0.
 
-    Validates the instance first and aborts before round 1 on any issue.
-    The loop is an inlined equivalent of repeated :func:`step` (same helper
-    functions, same arithmetic), kept flat for speed; the two paths are held
-    bit-identical by tests.
+    Validates the instance first and aborts before round 1 on any issue,
+    then plays every round in one :func:`_play` block, the same round loop
+    :func:`step` runs on a one-round block.
     """
     instance.validate().raise_if_invalid()
-
-    T = instance.horizon
-    K = instance.num_actions
-    m = instance.num_general
-    n = instance.num_resources
-    M = m + n
-    void = instance.actions.void_index
-    eta = config.eta
-
-    rewards = instance.rewards_stack
-    unified = instance.unified_stack
-    cons = instance.consumption_stack
-    thresholds = gate_thresholds(instance.budget)
-    # Float pre-filter for the gate: below thr_fast the exact comparison is
-    # guaranteed to pass (band dominates the worst-case accumulation drift
-    # of the float totals plus the threshold's own rounding), so the exact
-    # rational bookkeeping only starts once a resource nears its cutoff.
-    caps = instance.budget.limits
-    band = (4.0 * T + 8.0) * np.spacing(caps + T)
-    thr_fast = np.array([float(thr) for thr in thresholds]) - band
-
-    out_actions = np.empty(T, dtype=np.int64)
-    out_candidates = np.empty(T, dtype=np.int64)
-    out_rewards = np.empty(T)
-    out_gvals = np.empty((T, M))
-    out_duals = np.zeros((T + 1, M))
-    out_gate = np.empty(T, dtype=bool)
-    out_cum = np.empty((T, n))
-
-    lam = np.zeros(M)
-    cum = np.zeros(n)
-    exact_cum: list[Fraction] | None = None
-    is_open = True
-
-    for t in range(T):
-        g_t = unified[t]
-        values = rewards[t] - penalties(g_t, lam)
-        candidate = int(np.argmax(values))
-        if is_open and n and not np.all(cum <= thr_fast):
-            if exact_cum is None:
-                past = np.arange(t)
-                exact_cum = [
-                    sum(
-                        (Fraction(float(h)) for h in cons[past, j, out_actions[:t]] if h),
-                        Fraction(0),
-                    )
-                    for j in range(n)
-                ]
-            if any(c > thr for c, thr in zip(exact_cum, thresholds)):
-                is_open = False
-        action = candidate if is_open else void
-        gvec = g_t[:, action]
-        out_actions[t] = action
-        out_candidates[t] = candidate
-        out_rewards[t] = rewards[t, action]
-        out_gvals[t] = gvec
-        out_gate[t] = is_open
-        lam = np.maximum(0.0, lam + eta * gvec)
-        out_duals[t + 1] = lam
-        if n:
-            col = cons[t, :, action]
-            cum = cum + col
-            if exact_cum is not None and is_open:
-                for j in range(n):
-                    h = col[j]
-                    if h:
-                        exact_cum[j] += Fraction(float(h))
-        out_cum[t] = cum
-
-    open_rounds = np.nonzero(out_gate)[0]
-    tau = int(open_rounds[-1] + 1) if open_rounds.size else 0
-
+    rounds, _ = _play(
+        instance.rewards_stack, instance.unified_stack, instance.consumption_stack,
+        instance.budget, instance.actions.void_index, config.eta,
+        np.zeros(instance.num_constraints), np.zeros(instance.num_resources),
+        None, True,
+    )
     return Trajectory(
-        actions=out_actions,
-        candidates=out_candidates,
-        rewards=out_rewards,
-        unified_values=out_gvals,
-        duals=out_duals,
-        gate_open=out_gate,
-        cumulative_consumption=out_cum,
-        stopping_time=tau,
-        num_general=m,
-        num_resources=n,
-        eta=eta,
+        **rounds,
+        stopping_time=_last_open_round(rounds["gate_open"]),
+        num_general=instance.num_general,
+        num_resources=instance.num_resources,
+        eta=config.eta,
         delta=config.delta,
     )
 
@@ -242,5 +244,4 @@ def run(instance: Instance, config: OgdConfig) -> Trajectory:
 def stopping_time(trajectory: Trajectory) -> int:
     """The last gate-open round; 0 if the gate was never open, T if it never
     closed.  Every round after it plays the void action."""
-    open_rounds = np.nonzero(trajectory.gate_open)[0]
-    return int(open_rounds[-1] + 1) if open_rounds.size else 0
+    return _last_open_round(trajectory.gate_open)

@@ -313,8 +313,9 @@ def aggregate_sweep(
     sweep_config: dict | None = None,
 ) -> dict:
     """Aggregate per-cell JSONs (read back from disk) into the sweep CSV and
-    log-log fits.  Refuses to aggregate while any cell file is missing, or,
-    given ``sweep_config``, any cell was computed under another config."""
+    log-log fits.  Refuses to aggregate while any cell file is missing or
+    lacks a field the sweep row needs, or, given ``sweep_config``, any cell
+    was computed under another config."""
     rows = []
     cell_hashes = []
     for T in t_values:
@@ -334,8 +335,15 @@ def aggregate_sweep(
                         path=path,
                         fields=stale,
                     )
-            rows.append(_sweep_row(T, seed, payload))
-            cell_hashes.append(payload["instance_hash"])
+            try:
+                rows.append(_sweep_row(T, seed, payload))
+                cell_hashes.append(payload["instance_hash"])
+            except (KeyError, TypeError) as exc:
+                field = exc.args[0] if isinstance(exc, KeyError) else None
+                problem = f"missing field {field!r}" if field else str(exc)
+                raise CliError(
+                    f"damaged sweep cell {path}: {problem}", path=path, field=field
+                ) from None
 
     lines = [f"# schema_version={traceio.SCHEMA_VERSION}"]
     if sweep_config is not None:
@@ -356,10 +364,7 @@ def aggregate_sweep(
                 cells.append(str(v))
         lines.append(",".join(cells))
     csv_path = os.path.join(out_dir, f"{name}_sweep.csv")
-    tmp = f"{csv_path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, csv_path)
+    traceio.write_text_atomic(csv_path, "\n".join(lines) + "\n")
 
     mean_violation_pos = []
     mean_regret = []
@@ -444,7 +449,7 @@ def cmd_oracle(args) -> int:
         if which in ("all", "opt_bruteforce"):
             attempt("opt_bruteforce", lambda: opt_bruteforce(obj, args.guard))
         if which in ("all", "opt_lp"):
-            reports["opt_lp"] = opt_lp_relax(obj).to_dict()
+            attempt("opt_lp", lambda: opt_lp_relax(obj))
         if which in ("all", "slater_adv"):
             rho = slater_adv(obj)
             reports["slater_adv"] = {"rho": rho, "alpha": alpha(max(rho, 0.0))}
@@ -554,16 +559,12 @@ def _deterministic_audits(trajectory, instance) -> dict:
     else:
         audits["telescoped_violation"] = {"ok": None, "status": "not_applicable"}
 
-    bad_rounds = []
-    unified = instance.unified_stack
-    rewards = instance.rewards_stack
-    for t in range(trajectory.horizon):
-        if not trajectory.gate_open[t]:
-            continue
-        values = rewards[t] - penalties(unified[t], trajectory.duals[t])
-        if values[trajectory.candidates[t]] < values.max():
-            bad_rounds.append(t + 1)
-    audits["dominance"] = {"ok": not bad_rounds, "failing_rounds": bad_rounds[:10]}
+    values = instance.rewards_stack - penalties(
+        instance.unified_stack.transpose(1, 0, 2), trajectory.duals[:-1].T[:, :, None]
+    )
+    chosen = values[np.arange(trajectory.horizon), trajectory.candidates]
+    bad = np.flatnonzero(trajectory.gate_open & (chosen < values.max(axis=1)))
+    audits["dominance"] = {"ok": not bad.size, "failing_rounds": (bad[:10] + 1).tolist()}
 
     post = slice(tau, trajectory.horizon)
     void = instance.actions.void_index
@@ -649,10 +650,7 @@ def cmd_audit(args) -> int:
     }
     text = json.dumps(payload, indent=1)
     if args.out:
-        tmp = f"{args.out}.tmp{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, args.out)
+        traceio.write_text_atomic(args.out, text + "\n")
         print(json.dumps({"written": str(args.out), "ok": payload["ok"]}, indent=1))
     else:
         print(text)

@@ -350,12 +350,16 @@ class Instance:
         return UnifiedConstraints(self.unified_stack[t - 1])
 
     def validate(self) -> "ValidationReport":
-        return validate_instance(
-            self.rounds,
-            self.budget,
-            self.actions,
-            _stacks=(self.rewards_stack, self.general_stack, self.consumption_stack),
-        )
+        """validate_instance on these rounds, reusing the cached stacks once
+        the round shapes are known to agree."""
+        report = ValidationReport()
+        budget_gate_issues(report, self.budget)
+        if _shape_ok(report, self.rounds, self.actions, self.num_resources):
+            _value_issues(
+                report, self.rewards_stack, self.general_stack,
+                self.consumption_stack, self.actions.void_index,
+            )
+        return report
 
 
 @dataclass(frozen=True)
@@ -390,10 +394,7 @@ class ValidationReport:
 
 
 def validate_instance(
-    rounds: Sequence[InputTuple],
-    budget: BudgetSpec,
-    actions: ActionSet,
-    _stacks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    rounds: Sequence[InputTuple], budget: BudgetSpec, actions: ActionSet
 ) -> ValidationReport:
     """Check every range, shape and void-column invariant; never aborts.
 
@@ -409,7 +410,7 @@ def validate_instance(
     if t_count == 0:
         return report
     budget_gate_issues(report, budget)
-    rounds_issues(report, rounds, actions, budget.num_resources, _stacks)
+    rounds_issues(report, rounds, actions, budget.num_resources)
     return report
 
 
@@ -437,10 +438,18 @@ def rounds_issues(
     rounds: Sequence[InputTuple],
     actions: ActionSet,
     expected_resources: int,
-    _stacks=None,
 ):
     """Range, void-column and cross-round consistency checks on input tuples."""
-    k, v = actions.count, actions.void_index
+    if _shape_ok(report, rounds, actions, expected_resources):
+        f = np.stack([r.rewards for r in rounds])
+        g = np.stack([r.general_costs for r in rounds])
+        h = np.stack([r.consumptions for r in rounds])
+        _value_issues(report, f, g, h, actions.void_index)
+
+
+def _shape_ok(report, rounds, actions, expected_resources) -> bool:
+    """Report rounds whose (K, m, n) differ; True iff all agree with K."""
+    k = actions.count
     m0, n0 = rounds[0].num_general, rounds[0].num_resources
     if n0 != expected_resources:
         report.add(
@@ -457,23 +466,19 @@ def rounds_issues(
                 f"(K={r.num_actions}, m={r.num_general}, n={r.num_resources}) "
                 f"inconsistent with (K={k}, m={m0}, n={n0})",
             )
-    if not consistent:
-        return
+    return consistent
 
-    if _stacks is None:
-        f = np.stack([r.rewards for r in rounds])
-        g = np.stack([r.general_costs for r in rounds])
-        h = np.stack([r.consumptions for r in rounds])
-    else:
-        f, g, h = _stacks
 
+def _value_issues(report, f, g, h, v):
+    """Range and void-column checks on the stacked (T, K), (T, m, K) and
+    (T, n, K) blocks; v is the void index."""
     _range_issues(report, "reward", f, 0.0, 1.0)
     _range_issues(report, "general_cost", g, -1.0, 1.0)
     _range_issues(report, "consumption", h, 0.0, 1.0)
     _void_issues(report, "reward", f[:, v], v, axis_coords=False)
-    if m0:
+    if g.shape[1]:
         _void_issues(report, "general_cost", g[:, :, v], v)
-    if n0:
+    if h.shape[1]:
         _void_issues(report, "consumption", h[:, :, v], v)
 
 

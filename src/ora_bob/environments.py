@@ -10,12 +10,11 @@ reproduce identical sequences on any platform.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, serialization
+from . import rng, serialization, traceio
 from .core import (
     ActionSet,
     BudgetSpec,
@@ -434,10 +433,7 @@ def save_instance(obj: Instance | StochasticModel, path) -> None:
         payload = model_to_dict(obj)
     else:
         raise TypeError(f"cannot save object of type {type(obj).__name__}")
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(serialization.dumps(payload))
-    os.replace(tmp, path)
+    traceio.write_text_atomic(path, serialization.dumps(payload))
 
 
 def _param(params: dict, key: str, cast, default=None):

@@ -1,10 +1,11 @@
 """Instantaneous Lagrangian evaluation and exact best response.
 
-The penalty inner products are accumulated in constraint-index order with no
-reassociation, so evaluating the same (input, dual) pair twice is
-bit-identical on a platform; the dominance audit relies on that exact
-equality.  Ties in the best response break toward the lowest action index,
-which keeps traces reproducible.
+Every Lagrangian value comes from :func:`penalties`, whose inner products
+are accumulated in constraint-index order with no reassociation, so
+evaluating the same (input, dual) pair twice, one round or a whole stack at
+a time, is bit-identical on a platform; the dominance audit relies on that
+exact equality.  Ties in the best response break toward the lowest action
+index, which keeps traces reproducible.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from .core import DualVector, InputTuple, UnifiedConstraints, ValidationError
 def penalties(unified: np.ndarray, dual_values: np.ndarray) -> np.ndarray:
     """<lambda, g~(x)> for every action x, accumulated in index order.
 
-    ``unified`` is the (M, K) unified constraint matrix; returns a (K,)
-    vector.  Each output element is the running sum lambda_1*g~_1 + ... in
-    constraint order, matching the scalar path in :func:`lagrangian_value`
-    term for term.
+    ``unified`` is the (M, K) unified constraint matrix, or any (M, ...)
+    stack of them, and ``dual_values[i]`` broadcasts against ``unified[i]``;
+    returns ``unified.shape[1:]``.  Each output element is the running sum
+    lambda_1*g~_1 + ... in constraint order.
     """
-    out = np.zeros(unified.shape[1])
+    out = np.zeros(unified.shape[1:])
     for i in range(unified.shape[0]):
         out += dual_values[i] * unified[i]
     return out
@@ -39,11 +40,7 @@ def lagrangian_value(
             f"dual has {dual.num_constraints} components, "
             f"unified matrix has {unified.num_constraints} rows"
         )
-    col = unified.matrix[:, action]
-    penalty = np.float64(0.0)
-    for i in range(col.shape[0]):
-        penalty += dual.values[i] * col[i]
-    return float(inp.rewards[action] - penalty)
+    return float(inp.rewards[action] - penalties(unified.matrix, dual.values)[action])
 
 
 def best_response(

@@ -19,6 +19,9 @@ from .environments import StochasticModel, sample_instance
 from .simplex import solve_lp
 
 ENUMERATION_GUARD = 10_000_000
+#: Largest dense simplex tableau opt_lp_relax may allocate, in MiB.  Its
+#: equality block and the solver's working copies are of the same size.
+LP_TABLEAU_GUARD_MIB = 256
 _CHUNK = 1 << 15
 
 #: Stream id for deriving per-sample seeds in Monte Carlo estimation.
@@ -26,7 +29,8 @@ _MC_STREAM_SALT = 0x5EED
 
 
 class SizeGuardError(ValueError):
-    """Enumeration would exceed the configured node guard."""
+    """Enumeration would exceed the configured node guard, or a dense LP its
+    memory guard."""
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,10 @@ class OracleReport:
 
 
 def _guard(count: int, guard: int, what: str):
+    # count may be K**T with far more digits than int-to-str conversion allows
     if count > guard:
         raise SizeGuardError(
-            f"{what} needs {count} nodes, above the guard of {guard}; "
+            f"{what} exceeds the guard of {guard} nodes; "
             "refusing rather than silently approximating"
         )
 
@@ -150,13 +155,24 @@ def opt_lp_relax(instance: Instance) -> OracleReport:
               sum_{t,x} h_{t,j}(x) z_{t,x} <= beta_j T.
 
     Always at least the brute-force optimum.  Identical rounds are merged
-    exactly before solving (see _grouped_rounds).
+    exactly before solving (see _grouped_rounds).  Raises SizeGuardError
+    before allocating when the dense tableau would exceed
+    LP_TABLEAU_GUARD_MIB.
     """
     K = instance.num_actions
     m, n = instance.num_general, instance.num_resources
     reps, counts = _grouped_rounds(instance)
     G = reps.shape[0]
     nvars = G * K
+    M = m + n
+    # (M + G) rows x (variables, M slacks, G artificials, rhs) float64
+    tableau_mib = 8 * (M + G) * (nvars + M + G + 1) / 2**20
+    if tableau_mib > LP_TABLEAU_GUARD_MIB:
+        raise SizeGuardError(
+            f"LP relaxation over {G} distinct rounds x {K} actions needs a "
+            f"{tableau_mib:.0f} MiB dense tableau, above the guard of "
+            f"{LP_TABLEAU_GUARD_MIB} MiB; refusing to allocate it"
+        )
 
     c = (instance.rewards_stack[reps]).reshape(-1)
     A_eq = np.zeros((G, nvars))
@@ -164,7 +180,6 @@ def opt_lp_relax(instance: Instance) -> OracleReport:
         A_eq[g, g * K : (g + 1) * K] = 1.0
     b_eq = counts
 
-    M = m + n
     A_ub = np.zeros((M, nvars))
     for i in range(m):
         A_ub[i] = instance.general_stack[reps][:, i, :].reshape(-1)

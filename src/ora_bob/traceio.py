@@ -8,12 +8,12 @@ against the deterministic re-run.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
 from .core import Trajectory
+from .serialization import dumps
 
 SCHEMA_VERSION = 1
 
@@ -68,8 +68,17 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``, so readers never see a partly written file."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:
-    """Write the trace atomically (temp file + rename)."""
+    """Write the trace atomically."""
     cols = trace_columns(trajectory)
     names = list(cols)
     lines = [f"# {key}={value}" for key, value in header.items()]
@@ -77,10 +86,7 @@ def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:
     arrays = [cols[name] for name in names]
     for i in range(trajectory.horizon):
         lines.append(",".join(_format_cell(a[i]) for a in arrays))
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
@@ -121,7 +127,4 @@ def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
 
 
 def write_json_atomic(path, payload) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=1, allow_nan=False) + "\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, dumps(payload))

@@ -136,10 +136,23 @@ class TestRun:
         assert np.array_equal(a.unified_values, b.unified_values)
         assert np.array_equal(a.cumulative_consumption, b.cumulative_consumption)
 
-    def test_run_equals_repeated_step(self):
-        inst = ob.random_instance(ob.Seed(5), T=60, K=3, m=1, n=2, feasibility_margin=0.25)
+    @pytest.mark.parametrize(
+        "make, closes",
+        [
+            (lambda: ob.random_instance(
+                ob.Seed(5), T=60, K=3, m=1, n=2, feasibility_margin=0.25), False),
+            # beta = 1/3: the gate is decided on the exact-Fraction path
+            (lambda: draining_instance(30, 1.0 / 3.0), True),
+            (lambda: ob.random_instance(
+                ob.Seed(13), T=60, K=3, m=1, n=2, feasibility_margin=0.25), True),
+        ],
+        ids=["random", "nondyadic_draining", "random_gate_closes"],
+    )
+    def test_run_equals_repeated_step(self, make, closes):
+        inst = make()
         config = default_config(inst, delta=0.05)
         tr = run(inst, config)
+        assert (tr.stopping_time < inst.horizon) == closes
         state = initial_state(inst.num_constraints, inst.num_resources)
         for t in range(1, inst.horizon + 1):
             record, state = step(

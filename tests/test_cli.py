@@ -199,6 +199,26 @@ class TestSweep:
         assert "stale sweep cell" in err["message"]
         assert err["fields"] == ["delta"]
 
+    @pytest.mark.parametrize(
+        "drop", [("summary",), ("instance_hash",), ("summary", "tau")]
+    )
+    def test_cell_missing_field_refused(self, tmp_path, capsys, drop):
+        code, _ = run_cli(capsys, *self.sweep_args(tmp_path))
+        assert code == 0
+        path = tmp_path / "sw_T60_1.json"
+        payload = json.loads(path.read_text())
+        holder = payload
+        for key in drop[:-1]:
+            holder = holder[key]
+        del holder[drop[-1]]
+        path.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, *self.sweep_args(tmp_path, extra=("--aggregate-only",)))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "CliError"
+        assert err["path"] == str(path)
+        assert err["field"] == drop[-1]
+
     def test_model_file_loaded_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "pacing.json"
         ob.save_instance(ob.make_pacing_model(), path)
@@ -252,6 +272,26 @@ class TestOracleCommand:
         )
         assert code == 2
         assert "guard" in json.loads(out)["error"]["message"]
+
+
+class TestLpSizeGuard:
+    ARGS = ("--generator", "random", "--param", "T=8000")
+
+    def test_run_benchmark_lp_refused(self, tmp_path, capsys):
+        code, out = run_cli(
+            capsys, "run", *self.ARGS, "--benchmark", "lp", "--out", str(tmp_path)
+        )
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "SizeGuardError"
+        assert "guard" in err["message"]
+
+    def test_oracle_all_reports_lp_skipped(self, capsys):
+        code, out = run_cli(capsys, "oracle", *self.ARGS)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert "guard" in reports["opt_lp"]["skipped"]
+        assert reports["slater_adv"]["rho"] >= 0.2
 
 
 class TestGen:

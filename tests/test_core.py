@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ora_bob.allocator import run
 from ora_bob.core import (
     ActionSet,
     BudgetSpec,
     DualVector,
     InputTuple,
     Instance,
+    InstanceValidationError,
     ValidationError,
     unify_constraints,
     validate_instance,
 )
+from ora_bob.dual_ogd import OgdConfig
 
 
 def make_round(f, g, h):
@@ -136,6 +139,10 @@ class TestValidateInstance:
         b = make_round([0.0, 1.0, 0.2], np.zeros((0, 3)), np.zeros((0, 3)))
         report = validate_instance([a, b], BudgetSpec(2, []), ActionSet(2, 0))
         assert any(i.field == "shape" and i.round == 2 for i in report.issues)
+        inst = Instance(ActionSet(2, 0), BudgetSpec(2, []), (a, b))
+        assert inst.validate().issues == report.issues
+        with pytest.raises(InstanceValidationError):
+            run(inst, OgdConfig(0.1, 0.05))
 
     def test_nan_is_flagged(self):
         bad = make_round([0.0, float("nan")], np.zeros((0, 2)), np.zeros((0, 2)))

@@ -158,3 +158,14 @@ def test_penalties_accumulate_in_index_order():
     expected0 = ((0.0 + 0.1 * 1.0) + 0.2 * 0.25) + 0.3 * 2.0
     expected1 = ((0.0 + 0.1 * 0.5) + 0.2 * -0.5) + 0.3 * 1.0
     assert out[0] == expected0 and out[1] == expected1
+
+
+def test_stacked_penalties_bitwise_equal_per_round_calls():
+    rng = np.random.default_rng(7)
+    M, T, K = 4, 50, 5
+    unified = rng.uniform(-1.0, 1.0, size=(T, M, K))
+    duals = rng.exponential(size=(T, M))
+    stacked = penalties(unified.transpose(1, 0, 2), duals.T[:, :, None])
+    per_round = np.stack([penalties(unified[t], duals[t]) for t in range(T)])
+    assert stacked.shape == (T, K)
+    assert np.array_equal(stacked, per_round)

@@ -105,6 +105,12 @@ class TestOptLpRelax:
             oracles._grouped_rounds = original
         assert grouped == pytest.approx(ungrouped, rel=1e-9, abs=1e-9)
 
+    def test_size_guard_refuses_dense_tableau(self):
+        # every round distinct: the dense tableau would take ~2.4 GiB
+        inst = tiny_instance(0, T=8000, K=4, m=1, n=1)
+        with pytest.raises(SizeGuardError, match="MiB"):
+            opt_lp_relax(inst)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_highs(self, seed):
         optimize = pytest.importorskip("scipy.optimize")
