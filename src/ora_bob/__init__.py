@@ -7,7 +7,15 @@ metrics with closed-form bound checks, and an audit layer that re-derives the
 run's invariants from recorded traces.
 """
 
-from .allocator import AllocatorState, default_config, gate_open, run, step, stopping_time
+from .allocator import (
+    AllocatorState,
+    default_config,
+    gate_open,
+    run,
+    run_batch,
+    step,
+    stopping_time,
+)
 from .core import (
     ActionSet,
     BudgetSpec,

@@ -14,16 +14,22 @@ real arithmetic, not merely up to float rounding: otherwise a budget like
 1/3 whose cap beta*T rounds upward could admit one play too many.  Recorded
 consumptions stay ordinary floats.
 
-One round loop serves both entry points: :func:`run` plays the whole
-horizon as one block and :func:`step` plays a one-round block from a given
-state.  A run is strictly sequential (the dual state is a chain); distinct
-runs are independent and may execute in parallel.
+One round loop, :func:`_play`, plays R independent runs ("lanes") in
+lockstep.  It reads each round's inputs by index from a row table
+(F (S, K), U (S, M, K), H (S, n, K)) through an (R, B) index of rows, and
+every operation in it is elementwise per lane, so each lane is bit for bit
+the run it would be on its own.  :func:`run` plays one lane over the
+instance's own stacks, :func:`step` one lane for one round from a given
+state, and :func:`run_batch` one lane per seed of a source, over a model's
+support rows indexed by each seed's draws.  Within a lane the dual state is
+a chain; lanes share only the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -35,10 +41,18 @@ from .core import (
     Instance,
     RoundRecord,
     Trajectory,
+    ValidationError,
+    ValidationReport,
+    budget_gate_issues,
+    rounds_issues,
     unify_constraints,
 )
 from .dual_ogd import OgdConfig, learning_rate
+from .environments import StochasticModel, sample_instance, sample_support_indices
 from .lagrangian import penalties
+
+#: Rounds gathered from the row table at a time when lanes read it by index.
+_BLOCK = 256
 
 
 def gate_thresholds(budget: BudgetSpec) -> tuple[Fraction, ...]:
@@ -106,19 +120,30 @@ def _last_open_round(gate: np.ndarray) -> int:
     return int(open_rounds[-1] + 1) if open_rounds.size else 0
 
 
-def _play(rewards, unified, cons, budget, void, eta, lam, cum, exact, is_open):
-    """Play the stacked rounds ``rewards`` (B, K), ``unified`` (B, M, K) and
-    ``cons`` (B, n, K) from duals ``lam``, float consumption totals ``cum``,
-    their exact values ``exact`` and the gate state ``is_open``.
+def _exact_sum(values: np.ndarray) -> Fraction:
+    """The exact rational sum of float ``values``: every float is an integer
+    over a power of two, so the sum is one integer over the largest of them."""
+    ratios = [h.as_integer_ratio() for h in values.tolist() if h]
+    den = max((d for _, d in ratios), default=1)
+    return Fraction(sum(num * (den // d) for num, d in ratios), den)
 
-    ``exact=None`` means the totals so far are this block's own plays (a run
-    from zero): they are summed exactly only once a resource nears its
-    cutoff.  Returns the per-round arrays, keyed by their Trajectory field
-    names (``duals`` holds lambda_1..lambda_{B+1}), and the end state
-    (lam, cum, exact, is_open).
+
+def _play(table, index, budget, void, eta, lam_start, cum_start, exact, is_open):
+    """Play R lanes in lockstep: lane r plays the rows ``index[r]`` of the
+    (R, B) index from ``table`` = (F (S, K), U (S, M, K), H (S, n, K)),
+    starting from duals ``lam_start`` (R, M), float consumption totals
+    ``cum_start`` (R, n), their exact values ``exact`` (one list per lane)
+    and the gate states ``is_open`` (R,).
+
+    A lane whose ``exact`` is None has played only this block so far (a run
+    from zero): its totals are summed exactly only once a resource nears its
+    cutoff.  Returns the per-round arrays with a leading lane axis, keyed by
+    their Trajectory field names (``duals`` holds lambda_1..lambda_{B+1}),
+    and the end state (lam, cum, exact, is_open) in the same layout.
     """
-    B, M, _ = unified.shape
-    n = cons.shape[1]
+    F, U, H = table
+    R, B = index.shape
+    M, n = U.shape[1], H.shape[1]
     thresholds = gate_thresholds(budget)
     # Float pre-filter for the gate: below thr_fast the exact comparison is
     # guaranteed to pass (band dominates the worst-case accumulation drift
@@ -126,56 +151,106 @@ def _play(rewards, unified, cons, budget, void, eta, lam, cum, exact, is_open):
     # exact rational comparison only runs once a resource nears its cutoff.
     T = budget.horizon
     band = (4.0 * T + 8.0) * np.spacing(budget.limits + T)
-    thr_fast = np.array([float(thr) for thr in thresholds]) - band
+    thr_fast = (np.array([float(thr) for thr in thresholds]) - band)[:, None]
 
-    out_actions = np.empty(B, dtype=np.int64)
-    out_candidates = np.empty(B, dtype=np.int64)
-    out_duals = np.empty((B + 1, M))
-    out_duals[0] = lam
-    out_gate = np.empty(B, dtype=bool)
-    out_cum = np.empty((B, n))
+    lanes = np.arange(R)
+    exact = list(exact)
+    exact_lanes = [r for r in range(R) if exact[r] is not None]
+    is_open = np.array(is_open, dtype=bool)
+    all_open = bool(is_open.all())
+    # A closed lane never reopens, so it is held to an infinite threshold and
+    # the pre-filter stays one comparison while no open lane nears a cutoff.
+    thr_lane = np.where(is_open, thr_fast, np.inf)
 
-    for t in range(B):
-        g_t = unified[t]
-        values = rewards[t] - penalties(g_t, lam)
-        candidate = int(np.argmax(values))
-        if is_open and n and not np.all(cum <= thr_fast):
-            if exact is None:
-                played = cons[np.arange(t), :, out_actions[:t]]  # (t, n)
-                exact = [
-                    sum((Fraction(float(h)) for h in played[:, j] if h), Fraction(0))
-                    for j in range(n)
-                ]
-            if any(c > thr for c, thr in zip(exact, thresholds)):
-                is_open = False
-        action = candidate if is_open else void
-        gvec = g_t[:, action]
-        out_actions[t] = action
-        out_candidates[t] = candidate
-        out_gate[t] = is_open
-        lam = np.maximum(0.0, lam + eta * gvec)
-        out_duals[t + 1] = lam
-        if n:
-            col = cons[t, :, action]
-            cum = cum + col
-            if exact is not None:
-                for j in range(n):
-                    h = col[j]
-                    if h:
-                        exact[j] += Fraction(float(h))
-        out_cum[t] = cum
+    # Round-major buffers with lanes last; lam (M, R) and cum (n, R) are
+    # views of the current round's rows.
+    out_actions = np.empty((B, R), dtype=np.int64)
+    out_candidates = np.empty((B, R), dtype=np.int64)
+    out_gate = np.empty((B, R), dtype=bool)
+    out_duals = np.empty((B + 1, M, R))
+    out_cum = np.empty((B + 1, n, R))
+    out_rewards = np.empty((R, B))
+    out_unified = np.empty((R, B, M))
+    lam = out_duals[0]
+    lam[:] = np.asarray(lam_start).T
+    cum = out_cum[0]
+    cum[:] = np.asarray(cum_start).T
 
-    idx = np.arange(B)
+    identity = R == 1 and B == F.shape[0] and np.array_equal(index[0], np.arange(B))
+    for t0 in range(0, B, _BLOCK):
+        t1 = min(t0 + _BLOCK, B)
+        if identity:  # views of the table, no gather
+            Fb, Ub, Hb = F[t0:t1, None], U[t0:t1, :, None], H[t0:t1, :, None]
+        else:
+            rows = index[:, t0:t1].T  # (b, R)
+            Fb = F[rows]  # (b, R, K)
+            Ub = U[rows].transpose(0, 2, 1, 3)  # (b, M, R, K)
+            Hb = H[rows].transpose(0, 2, 1, 3)  # (b, n, R, K)
+        dual_steps = eta * Ub  # eta * g~ of every action, the products the update adds
+        for i in range(t1 - t0):
+            t = t0 + i
+            g_t = Ub[i]
+            values = Fb[i] - penalties(g_t, lam)
+            candidate = values.argmax(axis=1)
+            if n and not (cum <= thr_lane).all():
+                near = is_open & ~(cum <= thr_fast).all(axis=0)
+                for r in np.flatnonzero(near):
+                    if exact[r] is None:
+                        played = H[index[r, :t], :, out_actions[:t, r]]  # (t, n)
+                        exact[r] = [_exact_sum(played[:, j]) for j in range(n)]
+                        exact_lanes.append(r)
+                    if any(c > thr for c, thr in zip(exact[r], thresholds)):
+                        is_open[r] = False
+                        thr_lane[:, r] = np.inf
+                        all_open = False
+            action = candidate if all_open else np.where(is_open, candidate, void)
+            out_actions[t] = action
+            out_candidates[t] = candidate
+            out_gate[t] = is_open
+            lam = np.maximum(0.0, lam + dual_steps[i][:, lanes, action], out=out_duals[t + 1])
+            if n:
+                col = Hb[i][:, lanes, action]  # (n, R)
+                cum = np.add(cum, col, out=out_cum[t + 1])
+                if exact_lanes:
+                    by_lane = col.T.tolist()
+                    for r in exact_lanes:
+                        for j, h in enumerate(by_lane[r]):
+                            if h:
+                                exact[r][j] += Fraction(h)
+        acts = out_actions[t0:t1]  # (b, R)
+        steps = np.arange(t1 - t0)[:, None]
+        out_rewards[:, t0:t1] = Fb[steps, lanes, acts].T
+        out_unified[:, t0:t1] = Ub[steps, :, lanes, acts].transpose(1, 0, 2)
+
     rounds = dict(
-        actions=out_actions,
-        candidates=out_candidates,
-        rewards=rewards[idx, out_actions],
-        unified_values=unified[idx, :, out_actions],
-        duals=out_duals,
-        gate_open=out_gate,
-        cumulative_consumption=out_cum,
+        actions=np.ascontiguousarray(out_actions.T),
+        candidates=np.ascontiguousarray(out_candidates.T),
+        rewards=out_rewards,
+        unified_values=out_unified,
+        duals=out_duals.transpose(2, 0, 1),
+        gate_open=np.ascontiguousarray(out_gate.T),
+        cumulative_consumption=out_cum[1:].transpose(2, 0, 1),
     )
-    return rounds, (lam, cum, exact, is_open)
+    return rounds, (lam.T, cum.T, exact, is_open)
+
+
+def _table(instance: Instance):
+    """The (F, U, H) row table of an instance's own stacks."""
+    return instance.rewards_stack, instance.unified_stack, instance.consumption_stack
+
+
+def _trajectory(rounds: dict, lane: int, instance, config: OgdConfig) -> Trajectory:
+    """Lane ``lane`` of a :func:`_play` result as a Trajectory; ``instance``
+    supplies the shape (an Instance or a StochasticModel)."""
+    fields = {key: value[lane] for key, value in rounds.items()}
+    return Trajectory(
+        **fields,
+        stopping_time=_last_open_round(fields["gate_open"]),
+        num_general=instance.num_general,
+        num_resources=instance.num_resources,
+        eta=config.eta,
+        delta=config.delta,
+    )
 
 
 def step(
@@ -192,27 +267,27 @@ def step(
     """
     unified = unify_constraints(inp, budget).matrix
     rounds, (lam, cum, exact, is_open) = _play(
-        inp.rewards[None], unified[None], inp.consumptions[None], budget,
-        actions.void_index, config.eta, state.dual.values,
-        state.cumulative_consumption, list(state.exact_totals()),
-        not state.gate_forced_closed,
+        (inp.rewards[None], unified[None], inp.consumptions[None]),
+        np.zeros((1, 1), dtype=np.int64), budget, actions.void_index, config.eta,
+        state.dual.values[None], state.cumulative_consumption[None],
+        [list(state.exact_totals())], [not state.gate_forced_closed],
     )
     record = RoundRecord(
         round=state.round,
-        action=int(rounds["actions"][0]),
-        candidate_action=int(rounds["candidates"][0]),
-        reward=float(rounds["rewards"][0]),
-        unified_values=rounds["unified_values"][0],
+        action=int(rounds["actions"][0, 0]),
+        candidate_action=int(rounds["candidates"][0, 0]),
+        reward=float(rounds["rewards"][0, 0]),
+        unified_values=rounds["unified_values"][0, 0],
         dual_before=state.dual,
-        gate_open=bool(rounds["gate_open"][0]),
-        cumulative_consumption=rounds["cumulative_consumption"][0],
+        gate_open=bool(rounds["gate_open"][0, 0]),
+        cumulative_consumption=rounds["cumulative_consumption"][0, 0],
     )
     new_state = AllocatorState(
         round=state.round + 1,
-        dual=DualVector(lam),
-        cumulative_consumption=cum,
-        gate_forced_closed=not is_open,
-        exact_consumption=tuple(exact),
+        dual=DualVector(lam[0]),
+        cumulative_consumption=cum[0],
+        gate_forced_closed=not is_open[0],
+        exact_consumption=tuple(exact[0]),
     )
     return record, new_state
 
@@ -221,24 +296,68 @@ def run(instance: Instance, config: OgdConfig) -> Trajectory:
     """Execute the full horizon from lambda_1 = 0.
 
     Validates the instance first and aborts before round 1 on any issue,
-    then plays every round in one :func:`_play` block, the same round loop
-    :func:`step` runs on a one-round block.
+    then plays the horizon as one lane of :func:`_play` over the instance's
+    own stacks, the same round loop :func:`step` and :func:`run_batch` run.
     """
     instance.validate().raise_if_invalid()
+    T, M, n = instance.horizon, instance.num_constraints, instance.num_resources
     rounds, _ = _play(
-        instance.rewards_stack, instance.unified_stack, instance.consumption_stack,
-        instance.budget, instance.actions.void_index, config.eta,
-        np.zeros(instance.num_constraints), np.zeros(instance.num_resources),
-        None, True,
+        _table(instance), np.arange(T)[None], instance.budget,
+        instance.actions.void_index, config.eta,
+        np.zeros((1, M)), np.zeros((1, n)), [None], [True],
     )
-    return Trajectory(
-        **rounds,
-        stopping_time=_last_open_round(rounds["gate_open"]),
-        num_general=instance.num_general,
-        num_resources=instance.num_resources,
-        eta=config.eta,
-        delta=config.delta,
+    return _trajectory(rounds, 0, instance, config)
+
+
+def run_batch(
+    source: Instance | StochasticModel, horizon: int, seeds, config: OgdConfig
+) -> Iterator[Trajectory]:
+    """One run per seed, played in lockstep: lane r is bit for bit
+    ``run(instance_r, config)``, where instance_r is
+    ``sample_instance(source, horizon, seeds[r])`` for a model and the
+    instance itself (of horizon ``horizon``) for a fixed instance.
+
+    Lanes read a model's support rows by each seed's draws, so no lane's
+    T-round stacks are built.  Validation fails as the sequential runs
+    would: the drawn support rows (or the fixed instance) are checked once,
+    and when they are not clean the lanes are checked in seed order and the
+    first invalid one raises.  Returns the lanes' Trajectories lazily, in
+    seed order, so a caller can handle one at a time.
+    """
+    seeds = list(seeds)
+    if isinstance(source, Instance):
+        if horizon != source.horizon:
+            raise ValidationError(
+                f"horizon {horizon} differs from the instance horizon {source.horizon}"
+            )
+        source.validate().raise_if_invalid()
+        table = _table(source)
+        index = np.broadcast_to(np.arange(horizon), (len(seeds), horizon))
+        budget = source.budget
+    else:
+        budget = BudgetSpec(horizon, source.budget.per_round_budget)
+        drawn = np.stack([sample_support_indices(source, horizon, s) for s in seeds])
+        rows, index = np.unique(drawn, return_inverse=True)
+        index = index.reshape(drawn.shape)
+        tuples = tuple(source.support[s] for s in rows)
+        # Every lane is valid iff the budget and the rows the lanes draw are;
+        # otherwise the lanes are checked in seed order.
+        report = ValidationReport()
+        budget_gate_issues(report, budget)
+        rounds_issues(report, tuples, source.actions, source.num_resources)
+        if not report.ok:
+            for seed in seeds:
+                sample_instance(source, horizon, seed).validate().raise_if_invalid()
+        rows_instance = Instance(
+            source.actions, BudgetSpec(len(rows), budget.per_round_budget), tuples
+        )
+        table = _table(rows_instance)
+    R, M, n = len(seeds), source.num_constraints, source.num_resources
+    rounds, _ = _play(
+        table, index, budget, source.actions.void_index, config.eta,
+        np.zeros((R, M)), np.zeros((R, n)), [None] * R, [True] * R,
     )
+    return (_trajectory(rounds, r, source, config) for r in range(R))
 
 
 def stopping_time(trajectory: Trajectory) -> int:

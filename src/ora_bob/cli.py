@@ -17,8 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import environments, rng, serialization, traceio
-from .allocator import run as run_allocator
-from .core import Instance, InstanceValidationError, ValidationError
+from .allocator import run as run_allocator, run_batch
+from .core import Instance, InstanceValidationError, Trajectory, ValidationError
 from .dual_ogd import (
     AUDIT_SLACK,
     DRIFT_SLACK,
@@ -50,6 +50,13 @@ EXIT_USAGE = 2
 
 _AUDIT_SEED_SALT = 0xAD17
 
+#: Most integers one --seeds or --T list may name; each one is a cell.
+MAX_LIST_LENGTH = 100_000
+#: Most lane-rounds one allocator batch plays in lockstep: cells of horizon T
+#: are batched max(1, BATCH_LANE_ROUNDS // T) at a time (16 at T=2000), so a
+#: batch's memory is bounded whatever the seed count and horizon.
+BATCH_LANE_ROUNDS = 32_768
+
 
 class CliError(Exception):
     def __init__(self, message: str, **extra):
@@ -58,20 +65,32 @@ class CliError(Exception):
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Comma lists ("1,2,3") and ranges ("0:30", end exclusive)."""
-    out: list[int] = []
+    """Comma lists ("1,2,3") and ranges ("0:30", end exclusive).
+
+    The length is counted before anything is expanded, and a list longer
+    than MAX_LIST_LENGTH is refused.
+    """
+    spans: list[tuple[int, int]] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if ":" in part:
             lo, hi = part.split(":", 1)
-            out.extend(range(int(lo), int(hi)))
+            spans.append((int(lo), int(hi)))
         else:
-            out.append(int(part))
-    if not out:
+            spans.append((int(part), int(part) + 1))
+    length = sum(max(0, hi - lo) for lo, hi in spans)
+    if length > MAX_LIST_LENGTH:
+        raise CliError(
+            f"integer list {text!r} names {length} values, above the limit of "
+            f"{MAX_LIST_LENGTH}",
+            length=length,
+            limit=MAX_LIST_LENGTH,
+        )
+    if not length:
         raise CliError(f"empty integer list: {text!r}")
-    return out
+    return [v for lo, hi in spans for v in range(lo, hi)]
 
 
 def _parse_params(pairs) -> dict:
@@ -104,15 +123,21 @@ def _load_source(source_desc):
     raise CliError(f"source {source_desc!r} names neither a path nor a generator")
 
 
-def _cell_instance(obj, T: int | None, seed: int) -> tuple[Instance, int]:
+def _horizon(obj, T: int | None) -> int:
     if isinstance(obj, StochasticModel):
-        horizon = T if T is not None else obj.budget.horizon
-        return environments.sample_instance(obj, horizon, seed), horizon
+        return T if T is not None else obj.budget.horizon
     if T is not None and T != obj.horizon:
         raise CliError(
             f"--T {T} conflicts with the fixed instance horizon {obj.horizon}"
         )
-    return obj, obj.horizon
+    return obj.horizon
+
+
+def _cell_instance(obj, T: int | None, seed: int) -> tuple[Instance, int]:
+    horizon = _horizon(obj, T)
+    if isinstance(obj, StochasticModel):
+        return environments.sample_instance(obj, horizon, seed), horizon
+    return obj, horizon
 
 
 def execute_cell(
@@ -125,18 +150,19 @@ def execute_cell(
     benchmark: str,
     out_dir: str,
     name: str,
+    trajectory: Trajectory,
 ) -> str:
-    """Run one (config, seed) cell and write its trace CSV and summary JSON.
+    """Write one (config, seed) cell's trace CSV and summary JSON.
 
     ``source`` is the instance or model that ``source_desc`` names, loaded
-    once by the command for all its cells.  Returns the summary JSON path.
-    Pure function of its arguments, so cells can run in parallel processes
-    and reruns are byte-identical.
+    once by the command for all its cells, and ``trajectory`` is the cell's
+    allocator run (see :func:`execute_cells`).  Returns the summary JSON
+    path.  Pure function of its arguments, so cells can run in parallel
+    processes and reruns are byte-identical.
     """
     instance, horizon = _cell_instance(source, T, seed)
     M = instance.num_constraints
-    eta = eta_override if eta_override is not None else learning_rate(horizon, M, delta)
-    trajectory = run_allocator(instance, OgdConfig(eta=eta, delta=delta))
+    eta = trajectory.eta
 
     rho = slater_adv(instance) if M else None
     opt_val = None
@@ -196,15 +222,58 @@ def execute_cell(
     return f"{base}.json"
 
 
-def _execute_cell_task(payload: dict) -> str:
-    return execute_cell(**payload)
+def execute_cells(
+    source_desc: dict,
+    source,
+    T: int | None,
+    delta: float,
+    eta_override: float | None,
+    seeds: list[int],
+    benchmark: str,
+    out_dir: str,
+    name: str,
+) -> list[str]:
+    """The cells of ``seeds`` on one source and T: the allocator plays them
+    in lockstep batches (:func:`~ora_bob.allocator.run_batch`, at most
+    BATCH_LANE_ROUNDS lane-rounds each), then :func:`execute_cell` writes
+    each, one at a time.  Returns the summary JSON paths in seed order."""
+    horizon = _horizon(source, T)
+    M = source.num_constraints
+    eta = eta_override if eta_override is not None else learning_rate(horizon, M, delta)
+    config = OgdConfig(eta=eta, delta=delta)
+    lanes = max(1, BATCH_LANE_ROUNDS // horizon)
+    written = []
+    for lo in range(0, len(seeds), lanes):
+        batch = seeds[lo : lo + lanes]
+        for seed, trajectory in zip(batch, run_batch(source, horizon, batch, config)):
+            written.append(
+                execute_cell(
+                    source_desc, source, T, delta, eta_override, seed, benchmark,
+                    out_dir, name, trajectory,
+                )
+            )
+    return written
+
+
+def _execute_cells_task(payload: dict) -> list[str]:
+    return execute_cells(**payload)
+
+
+def _chunk_payloads(group: dict, seeds: list[int], jobs: int) -> list[dict]:
+    """The cells of one (source, T) group as ``jobs`` contiguous chunks of
+    seeds, one :func:`execute_cells` payload each."""
+    k = max(1, min(jobs, len(seeds)))
+    bounds = [len(seeds) * i // k for i in range(k + 1)]
+    return [dict(group, seeds=seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _run_cells(payloads: list[dict], jobs: int) -> list[str]:
     if jobs <= 1 or len(payloads) <= 1:
-        return [_execute_cell_task(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_execute_cell_task, payloads))
+        chunks = [_execute_cells_task(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_execute_cells_task, payloads))
+    return [path for chunk in chunks for path in chunk]
 
 
 def cmd_run(args) -> int:
@@ -213,21 +282,17 @@ def cmd_run(args) -> int:
     source_desc, obj = _resolve_source(args)
     seeds = _parse_int_list(args.seeds)
     os.makedirs(args.out, exist_ok=True)
-    payloads = [
-        dict(
-            source_desc=source_desc,
-            source=obj,
-            T=args.T,
-            delta=args.delta,
-            eta_override=args.eta,
-            seed=seed,
-            benchmark=args.benchmark,
-            out_dir=args.out,
-            name=args.name,
-        )
-        for seed in seeds
-    ]
-    written = _run_cells(payloads, args.jobs)
+    group = dict(
+        source_desc=source_desc,
+        source=obj,
+        T=args.T,
+        delta=args.delta,
+        eta_override=args.eta,
+        benchmark=args.benchmark,
+        out_dir=args.out,
+        name=args.name,
+    )
+    written = _run_cells(_chunk_payloads(group, seeds, args.jobs), args.jobs)
     print(json.dumps({"written": written}, indent=1))
     return EXIT_OK
 
@@ -401,19 +466,22 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if not args.aggregate_only:
         payloads = [
-            dict(
-                source_desc=source_desc,
-                source=obj,
-                T=T,
-                delta=args.delta,
-                eta_override=args.eta,
-                seed=seed,
-                benchmark=args.benchmark,
-                out_dir=args.out,
-                name=f"{args.name}_T{T}",
-            )
+            payload
             for T in t_values
-            for seed in seeds
+            for payload in _chunk_payloads(
+                dict(
+                    source_desc=source_desc,
+                    source=obj,
+                    T=T,
+                    delta=args.delta,
+                    eta_override=args.eta,
+                    benchmark=args.benchmark,
+                    out_dir=args.out,
+                    name=f"{args.name}_T{T}",
+                ),
+                seeds,
+                args.jobs,
+            )
         ]
         _run_cells(payloads, args.jobs)
     sweep_config = {

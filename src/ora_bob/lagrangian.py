@@ -19,13 +19,16 @@ def penalties(unified: np.ndarray, dual_values: np.ndarray) -> np.ndarray:
     """<lambda, g~(x)> for every action x, accumulated in index order.
 
     ``unified`` is the (M, K) unified constraint matrix, or any (M, ...)
-    stack of them, and ``dual_values[i]`` broadcasts against ``unified[i]``;
-    returns ``unified.shape[1:]``.  Each output element is the running sum
-    lambda_1*g~_1 + ... in constraint order.
+    stack of them, and ``dual_values`` (M, ...) matches its leading axes
+    (``dual_values[i]`` broadcasts against ``unified[i]``); returns
+    ``unified.shape[1:]``.  Each output element is the running sum
+    0 + lambda_1*g~_1 + ... in constraint order.
     """
+    dual_values = np.asarray(dual_values)
+    extra = (1,) * (unified.ndim - dual_values.ndim)
     out = np.zeros(unified.shape[1:])
-    for i in range(unified.shape[0]):
-        out += dual_values[i] * unified[i]
+    for product in dual_values.reshape(dual_values.shape + extra) * unified:
+        out += product
     return out
 
 

@@ -288,11 +288,7 @@ def slater_stoc(model: StochasticModel, guard: int = ENUMERATION_GUARD) -> float
     flat = weighted.reshape(S * K, M)
     offsets = (np.arange(S, dtype=np.int64) * K)[None, :]
     best = np.inf
-    place = K ** np.arange(S - 1, -1, -1, dtype=np.int64)
-    total = K**S
-    for lo in range(0, total, _CHUNK):
-        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        digits = (codes[:, None] // place[None, :]) % K
+    for _, digits in _sequence_chunks(S, K):
         expect = flat[digits + offsets].sum(axis=1)  # (chunk, M)
         scores = expect.max(axis=1)
         best = min(best, float(scores.min()))

@@ -150,14 +150,30 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _text_hash(text: str) -> str:
+    return f"sha256:{hashlib.sha256(text.encode('utf-8')).hexdigest()}"
+
+
 def content_hash(obj: Any) -> str:
     """Stable content hash of a JSON-serializable object."""
-    digest = hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
-    return f"sha256:{digest}"
+    return _text_hash(canonical_json(obj))
 
 
 def instance_hash(instance: Instance) -> str:
-    return content_hash(instance_to_dict(instance))
+    """``content_hash(instance_to_dict(instance))``, encoding each distinct
+    round object once: a sampled instance's rounds are references to its
+    model's few support tuples.  The canonical text is spliced from those
+    parts, so the hash is the same."""
+    encoded: dict[int, str] = {}
+    parts = []
+    for r in instance.rounds:
+        part = encoded.get(id(r))
+        if part is None:
+            part = encoded[id(r)] = canonical_json(round_to_dict(r))
+        parts.append(part)
+    header = canonical_json({**_header_to_dict(instance), "rounds": None})
+    head, tail = header.split('"rounds":null')
+    return _text_hash(f'{head}"rounds":[{",".join(parts)}]{tail}')
 
 
 def dumps(obj: Any) -> str:

@@ -11,17 +11,22 @@ variable index.  Reduced costs are compared against an absolute tolerance
 This is deliberately a small, auditable solver: the LPs it sees have at most
 a few thousand columns and a few hundred rows.  A pivot updates only the rows
 with a nonzero entry in the pivot column, which on the sparse LP relaxation
-of ``oracles.opt_lp_relax`` is a small share of them.
+of ``oracles.opt_lp_relax`` is a small share of them, through a work buffer
+allocated once per solve.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
 PHASE1_FEASIBILITY_TOL = 1e-7
+
+#: Per-thread pivot work buffer, (2, rows, width), alive during one solve_lp.
+_scratch = threading.local()
 
 
 class SimplexError(RuntimeError):
@@ -44,7 +49,12 @@ def _pivot(tab, red, basis, r, q):
     # A row with a zero in the pivot column would only have zeros subtracted,
     # so skipping it leaves every value bit for bit as a full update would.
     rows = np.flatnonzero(col)
-    tab[rows] -= np.outer(col[rows], tab[r])
+    # Work rows from the buffer solve_lp holds for this solve, so pivots do
+    # not allocate and free tableau-sized temporaries.
+    taken, products = _scratch.work[:, : rows.size]
+    np.take(tab, rows, axis=0, out=taken, mode="clip")  # mode "raise" copies via a temporary
+    np.multiply(col[rows, None], tab[r], out=products)
+    tab[rows] = np.subtract(taken, products, out=taken)
     red -= red[q] * tab[r, :-1]
     red[q] = 0.0
     basis[r] = q
@@ -126,10 +136,8 @@ def solve_lp(
     # Row order: inequality rows first, then equalities.  Rows with negative
     # rhs are flipped so every rhs is nonnegative; a flipped inequality row
     # gets a surplus (-1) slack and, like every equality row, an artificial.
-    A = np.concatenate([A_ub, A_eq], axis=0) if rows else np.zeros((0, n))
     b = np.concatenate([b_ub, b_eq])
     flip = b < 0.0
-    A[flip] *= -1.0
     b[flip] *= -1.0
 
     slack_sign = np.where(flip[:mu], -1.0, 1.0)
@@ -140,7 +148,9 @@ def solve_lp(
 
     width = n + mu + n_art + 1
     tab = np.zeros((rows, width))
-    tab[:, :n] = A
+    tab[:mu, :n] = A_ub
+    tab[mu:, :n] = A_eq
+    tab[flip, :n] *= -1.0
     tab[np.arange(mu), n + np.arange(mu)] = slack_sign
     tab[art_rows, n + mu + np.arange(n_art)] = 1.0
     tab[:, -1] = b
@@ -149,11 +159,22 @@ def solve_lp(
     basis[:mu] = n + np.arange(mu)
     basis[art_rows] = n + mu + np.arange(n_art)
 
+    if max_iterations is None:
+        max_iterations = max(5000, 50 * (rows + width - 1))
+
+    # Pages of the pivot work buffer are touched only as pivots use them.
+    _scratch.work = np.empty((2, rows, width))
+    try:
+        return _solve(tab, basis, c, n, mu, n_art, tol, max_iterations)
+    finally:
+        del _scratch.work
+
+
+def _solve(tab, basis, c, n, mu, n_art, tol, max_iterations) -> SimplexResult:
+    """Phases 1 and 2 on the initial tableau built by solve_lp."""
+    rows = tab.shape[0]
     total_vars = n + mu + n_art
     art_cols = np.arange(n + mu, total_vars)
-    if max_iterations is None:
-        max_iterations = max(5000, 50 * (rows + total_vars))
-
     iterations = 0
     if n_art:
         cost1 = np.zeros(total_vars)

@@ -62,12 +62,6 @@ def trace_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
     return cols
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_text_atomic(path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then rename it over
     ``path``, so readers never see a partly written file."""
@@ -78,14 +72,16 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:
-    """Write the trace atomically."""
+    """Write the trace atomically, one whole column formatted at a time:
+    integers as ``str``, floats as their shortest round-trip ``repr``."""
     cols = trace_columns(trajectory)
-    names = list(cols)
     lines = [f"# {key}={value}" for key, value in header.items()]
-    lines.append(",".join(names))
-    arrays = [cols[name] for name in names]
-    for i in range(trajectory.horizon):
-        lines.append(",".join(_format_cell(a[i]) for a in arrays))
+    lines.append(",".join(cols))
+    cells = [
+        list(map(str if a.dtype.kind in "iu" else repr, a.tolist()))
+        for a in cols.values()
+    ]
+    lines.extend(map(",".join, zip(*cells)))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

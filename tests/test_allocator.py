@@ -9,6 +9,7 @@ from ora_bob.allocator import (
     gate_open,
     initial_state,
     run,
+    run_batch,
     step,
     stopping_time,
 )
@@ -21,6 +22,7 @@ from ora_bob.core import (
     InstanceValidationError,
 )
 from ora_bob.dual_ogd import OgdConfig, learning_rate
+from ora_bob.environments import StochasticModel, sample_instance
 
 
 def draining_instance(T: int, beta: float = 0.5) -> Instance:
@@ -308,3 +310,87 @@ class TestRunInvariants:
         for t in range(inst.horizon - 1):
             if remaining[t, 0] < 1.0:
                 assert not tr.gate_open[t + 1]
+
+
+TRAJECTORY_ARRAYS = (
+    "actions", "candidates", "rewards", "unified_values", "duals", "gate_open",
+    "cumulative_consumption",
+)
+
+
+def assert_same_trajectory(a, b):
+    for name in TRAJECTORY_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    for name in ("stopping_time", "num_general", "num_resources", "eta", "delta"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def draining_model(beta: float = 1.0 / 3.0, horizon: int = 30) -> StochasticModel:
+    """The draining tuple or an all-zero one, each with probability 1/2."""
+    drain = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
+    idle = InputTuple([0.0, 0.0], np.zeros((0, 2)), [[0.0, 0.0]])
+    return StochasticModel(ActionSet(2, 0), BudgetSpec(horizon, [beta]), (drain, idle), [0.5, 0.5])
+
+
+class TestRunBatch:
+    """Every lane of run_batch is bit for bit the sequential run()."""
+
+    def check(self, source, horizon, seeds, config):
+        lanes = list(run_batch(source, horizon, seeds, config))
+        assert len(lanes) == len(seeds)
+        for seed, lane in zip(seeds, lanes):
+            inst = source if isinstance(source, Instance) else sample_instance(source, horizon, seed)
+            assert_same_trajectory(lane, run(inst, config))
+        return lanes
+
+    def test_model_lanes_close_at_different_rounds(self):
+        model = ob.random_model(ob.Seed(11), S=40, K=4, m=2, n=2, feasibility_margin=0.2,
+                                horizon=2000)
+        config = OgdConfig(eta=learning_rate(2000, 4, 0.05), delta=0.05)
+        lanes = self.check(model, 2000, list(range(3000, 3008)), config)
+        taus = [lane.stopping_time for lane in lanes]
+        assert max(taus) < 2000 and len(set(taus)) > 1
+
+    def test_nondyadic_draining_lanes(self):
+        # beta = 1/3: the gate is decided on the exact-Fraction path, at a
+        # different round in each lane
+        config = OgdConfig(eta=1e-5, delta=0.05)
+        lanes = self.check(draining_model(), 30, list(range(6)), config)
+        assert all(int(lane.actions.sum()) == 9 for lane in lanes)
+        assert len({lane.stopping_time for lane in lanes}) > 1
+
+    def test_fixed_instance_source(self):
+        config = OgdConfig(eta=1e-5, delta=0.05)
+        lanes = self.check(draining_instance(30, 1.0 / 3.0), 30, [0, 1, 2], config)
+        assert int(lanes[0].actions.sum()) == 9
+
+    @pytest.mark.parametrize("m, n", [(0, 2), (2, 0)], ids=["m0", "n0"])
+    def test_empty_constraint_blocks(self, m, n):
+        model = ob.random_model(ob.Seed(8), S=6, K=3, m=m, n=n, feasibility_margin=0.2,
+                                horizon=300)
+        config = OgdConfig(eta=0.05, delta=0.05)
+        self.check(model, 300, [4, 5, 6], config)
+
+    def test_single_lane(self):
+        model = ob.random_model(ob.Seed(9), S=7, K=4, m=1, n=2, feasibility_margin=0.2,
+                                horizon=400)
+        self.check(model, 400, [11], OgdConfig(eta=0.02, delta=0.05))
+
+    def test_invalid_lane_raises_as_run_does(self):
+        good = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])
+        bad = InputTuple([0.0, 1.5], np.zeros((0, 2)), [[0.0, 0.5]])
+        config = OgdConfig(eta=0.01, delta=0.05)
+        model = StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, bad), [0.5, 0.5])
+        with pytest.raises(InstanceValidationError) as sequential:
+            run(sample_instance(model, 20, 3), config)
+        with pytest.raises(InstanceValidationError) as batched:
+            list(run_batch(model, 20, [3, 4], config))
+        assert str(batched.value) == str(sequential.value)
+        # a support tuple no lane draws cannot fail a lane, not even one of
+        # another shape
+        odd = InputTuple([0.0, 1.0, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]])
+        never = StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, odd), [1.0, 0.0])
+        assert not never.validate().ok
+        self.check(never, 20, [3, 4], config)

@@ -101,6 +101,44 @@ class TestRun:
             assert (a / f"exp_{s}.json").read_bytes() == (b / f"exp_{s}.json").read_bytes()
 
 
+    def test_chunked_jobs_byte_identical(self, tmp_path, capsys, monkeypatch):
+        # five model cells in one lockstep batch, in two contiguous chunks
+        # (--jobs 2), and in batches of two lanes
+        model = tmp_path / "model.json"
+        run_cli(capsys, "gen", "--generator", "random_model", "--param", "S=6",
+                "--param", "seed=3", "--out", str(model))
+        outs = []
+        for jobs, lane_rounds in (("1", cli.BATCH_LANE_ROUNDS), ("2", cli.BATCH_LANE_ROUNDS),
+                                  ("1", 300)):
+            monkeypatch.setattr(cli, "BATCH_LANE_ROUNDS", lane_rounds)
+            out = tmp_path / f"jobs{jobs}_{lane_rounds}"
+            code, text = run_cli(capsys, "run", "--instance", str(model), "--T", "150",
+                                 "--seeds", "0:5", "--jobs", jobs, "--out", str(out))
+            assert code == 0
+            outs.append(out)
+            assert [os.path.basename(p) for p in json.loads(text)["written"]] == [
+                f"run_{s}.json" for s in range(5)
+            ]
+        names = sorted(os.listdir(outs[0]))
+        assert len(names) == 10
+        for out in outs[1:]:
+            assert sorted(os.listdir(out)) == names
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
+    def test_seed_list_over_the_limit_refused(self, tmp_path, capsys):
+        limit = cli.MAX_LIST_LENGTH
+        assert len(cli._parse_int_list(f"5:{5 + limit}")) == limit
+        for text in (f"0:{limit + 1}", f"1:{limit + 1},7", "0:1000000000000"):
+            with pytest.raises(cli.CliError, match="above the limit"):
+                cli._parse_int_list(text)
+        code, out = run_cli(capsys, *cli_run_args(tmp_path, seeds=f"0:{limit + 1}"))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "CliError" and err["length"] == limit + 1
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestSweep:
     def sweep_args(self, out_dir, extra=()):
         return [

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ora_bob as ob
 from ora_bob import serialization as ser
+from ora_bob import traceio
 from ora_bob.environments import Seed, random_instance
 from ora_bob.serialization import SchemaError
 
@@ -71,3 +72,59 @@ def test_json_roundtrip_bit_identical(seed):
     assert np.array_equal(back.consumption_stack, inst.consumption_stack)
     assert np.array_equal(back.budget.per_round_budget, inst.budget.per_round_budget)
     assert ser.instance_hash(back) == ser.instance_hash(inst)
+
+
+def _sampled_instance():
+    model = ob.random_model(Seed(3), S=5, K=3, m=1, n=2, feasibility_margin=0.2, horizon=50)
+    return ob.sample_instance(model, 50, 9)
+
+
+def test_instance_hash_is_content_hash_of_dict(tmp_path):
+    sampled = _sampled_instance()
+    path = tmp_path / "inst.json"
+    ob.save_instance(sampled, path)
+    loaded = ob.load_instance(path)  # distinct round objects, equal content
+    for inst in (sampled, loaded, random_instance(Seed(4), T=30, K=3, m=0, n=2,
+                                                  feasibility_margin=0.2)):
+        assert ser.instance_hash(inst) == ser.content_hash(ser.instance_to_dict(inst))
+    assert ser.instance_hash(loaded) == ser.instance_hash(sampled)
+
+
+def test_instance_hash_golden():
+    # Pinned: the canonical-JSON hash must not change without a schema bump.
+    assert ser.instance_hash(_sampled_instance()) == (
+        "sha256:f22c3b1b54b2088b8964f6e0fb6e64eec47b3780829d16ed7c2789f9794c0dde"
+    )
+
+
+def _per_cell_trace_text(trajectory, header):
+    """The trace text formatted one value at a time: integers as str, all
+    else as repr(float)."""
+    cols = traceio.trace_columns(trajectory)
+    lines = [f"# {key}={value}" for key, value in header.items()]
+    lines.append(",".join(cols))
+    for i in range(trajectory.horizon):
+        cells = []
+        for a in cols.values():
+            v = a[i]
+            cells.append(str(int(v)) if isinstance(v, np.integer) else repr(float(v)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_writer_matches_per_cell_formatting(tmp_path):
+    inst = random_instance(Seed(6), T=40, K=3, m=1, n=2, feasibility_margin=0.2)
+    tr = ob.run(inst, ob.default_config(inst))
+    rewards = tr.rewards.copy()
+    rewards[:2] = -0.0  # the reward and cum_reward cells of rounds 1 and 2
+    tr = ob.Trajectory(
+        tr.actions, tr.candidates, rewards, tr.unified_values, tr.duals,
+        tr.gate_open, tr.cumulative_consumption, tr.stopping_time,
+        tr.num_general, tr.num_resources, tr.eta, tr.delta,
+    )
+    header = {"schema_version": 1, "T": 40, "config": "{}"}
+    path = tmp_path / "t.csv"
+    traceio.write_trace_csv(path, tr, header)
+    text = path.read_bytes().decode("utf-8")
+    assert text == _per_cell_trace_text(tr, header)
+    assert text.splitlines()[4].split(",")[4:6] == ["-0.0", "-0.0"]
