@@ -18,11 +18,12 @@ One round loop, :func:`_play`, plays R independent runs ("lanes") in
 lockstep.  It reads each round's inputs by index from a row table
 (F (S, K), U (S, M, K), H (S, n, K)) through an (R, B) index of rows, and
 every operation in it is elementwise per lane, so each lane is bit for bit
-the run it would be on its own.  :func:`run` plays one lane over the
-instance's own stacks, :func:`step` one lane for one round from a given
-state, and :func:`run_batch` one lane per seed of a source, over a model's
-support rows indexed by each seed's draws.  Within a lane the dual state is
-a chain; lanes share only the loop.
+the run it would be on its own.  :func:`run_lanes` plays one lane per
+instance over one table of the pool rows the instances use (an instance
+is a pool of distinct input tuples plus a row index per round); :func:`run`
+is its one-lane case, :func:`run_batch` its lanes for the seeds of a
+source, and :func:`step` one lane for one round from a given state.
+Within a lane the dual state is a chain; lanes share only the loop.
 """
 
 from __future__ import annotations
@@ -42,13 +43,10 @@ from .core import (
     RoundRecord,
     Trajectory,
     ValidationError,
-    ValidationReport,
-    budget_gate_issues,
-    rounds_issues,
     unify_constraints,
 )
 from .dual_ogd import OgdConfig, learning_rate
-from .environments import StochasticModel, sample_instance, sample_support_indices
+from .environments import StochasticModel, sample_instance
 from .lagrangian import penalties
 
 #: Rounds gathered from the row table at a time when lanes read it by index.
@@ -176,16 +174,12 @@ def _play(table, index, budget, void, eta, lam_start, cum_start, exact, is_open)
     cum = out_cum[0]
     cum[:] = np.asarray(cum_start).T
 
-    identity = R == 1 and B == F.shape[0] and np.array_equal(index[0], np.arange(B))
     for t0 in range(0, B, _BLOCK):
         t1 = min(t0 + _BLOCK, B)
-        if identity:  # views of the table, no gather
-            Fb, Ub, Hb = F[t0:t1, None], U[t0:t1, :, None], H[t0:t1, :, None]
-        else:
-            rows = index[:, t0:t1].T  # (b, R)
-            Fb = F[rows]  # (b, R, K)
-            Ub = U[rows].transpose(0, 2, 1, 3)  # (b, M, R, K)
-            Hb = H[rows].transpose(0, 2, 1, 3)  # (b, n, R, K)
+        rows = index[:, t0:t1].T  # (b, R)
+        Fb = F[rows]  # (b, R, K)
+        Ub = U[rows].transpose(0, 2, 1, 3)  # (b, M, R, K)
+        Hb = H[rows].transpose(0, 2, 1, 3)  # (b, n, R, K)
         dual_steps = eta * Ub  # eta * g~ of every action, the products the update adds
         for i in range(t1 - t0):
             t = t0 + i
@@ -234,14 +228,9 @@ def _play(table, index, budget, void, eta, lam_start, cum_start, exact, is_open)
     return rounds, (lam.T, cum.T, exact, is_open)
 
 
-def _table(instance: Instance):
-    """The (F, U, H) row table of an instance's own stacks."""
-    return instance.rewards_stack, instance.unified_stack, instance.consumption_stack
-
-
 def _trajectory(rounds: dict, lane: int, instance, config: OgdConfig) -> Trajectory:
     """Lane ``lane`` of a :func:`_play` result as a Trajectory; ``instance``
-    supplies the shape (an Instance or a StochasticModel)."""
+    supplies the shape."""
     fields = {key: value[lane] for key, value in rounds.items()}
     return Trajectory(
         **fields,
@@ -293,71 +282,54 @@ def step(
 
 
 def run(instance: Instance, config: OgdConfig) -> Trajectory:
-    """Execute the full horizon from lambda_1 = 0.
+    """Execute the full horizon from lambda_1 = 0: the one-lane case of
+    :func:`run_lanes`, so it validates the instance first and aborts before
+    round 1 on any issue."""
+    return next(run_lanes([instance], config))
 
-    Validates the instance first and aborts before round 1 on any issue,
-    then plays the horizon as one lane of :func:`_play` over the instance's
-    own stacks, the same round loop :func:`step` and :func:`run_batch` run.
+
+def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajectory]:
+    """``run(instance, config)`` for each of ``instances``, played in
+    lockstep as one lane each; the instances share their horizon, budget
+    and action set (the cells of one source).
+
+    Each distinct instance validates itself, in order, and the first
+    invalid one raises before any round is played.  The lanes read one
+    table, the row stacks of the pool rows their indices use, so no lane's
+    T-round stacks are built.  Returns the lanes' Trajectories lazily, in
+    order, so a caller can handle one at a time.
     """
-    instance.validate().raise_if_invalid()
-    T, M, n = instance.horizon, instance.num_constraints, instance.num_resources
+    distinct = list({id(inst): inst for inst in instances}.values())
+    for inst in distinct:
+        inst.validate().raise_if_invalid()
+    start = np.cumsum([0] + [inst.used.size for inst in distinct]).tolist()
+    offset = dict(zip(map(id, distinct), start))
+    parts = [(i.row_stacks[0], i.unified_rows, i.row_stacks[2]) for i in distinct]
+    table = tuple(map(np.concatenate, zip(*parts)))  # (F, U, H)
+    index = np.stack([offset[id(inst)] + inst.round_rows() for inst in instances])
+    first = instances[0]
+    R, M, n = len(instances), first.num_constraints, first.num_resources
     rounds, _ = _play(
-        _table(instance), np.arange(T)[None], instance.budget,
-        instance.actions.void_index, config.eta,
-        np.zeros((1, M)), np.zeros((1, n)), [None], [True],
+        table, index, first.budget, first.actions.void_index, config.eta,
+        np.zeros((R, M)), np.zeros((R, n)), [None] * R, [True] * R,
     )
-    return _trajectory(rounds, 0, instance, config)
+    return (_trajectory(rounds, r, first, config) for r in range(R))
 
 
 def run_batch(
     source: Instance | StochasticModel, horizon: int, seeds, config: OgdConfig
 ) -> Iterator[Trajectory]:
-    """One run per seed, played in lockstep: lane r is bit for bit
-    ``run(instance_r, config)``, where instance_r is
+    """One run per seed, played in lockstep by :func:`run_lanes`: lane r is
+    bit for bit ``run(instance_r, config)``, where instance_r is
     ``sample_instance(source, horizon, seeds[r])`` for a model and the
-    instance itself (of horizon ``horizon``) for a fixed instance.
-
-    Lanes read a model's support rows by each seed's draws, so no lane's
-    T-round stacks are built.  Validation fails as the sequential runs
-    would: the drawn support rows (or the fixed instance) are checked once,
-    and when they are not clean the lanes are checked in seed order and the
-    first invalid one raises.  Returns the lanes' Trajectories lazily, in
-    seed order, so a caller can handle one at a time.
-    """
-    seeds = list(seeds)
+    instance itself (of horizon ``horizon``) for a fixed instance."""
     if isinstance(source, Instance):
         if horizon != source.horizon:
             raise ValidationError(
                 f"horizon {horizon} differs from the instance horizon {source.horizon}"
             )
-        source.validate().raise_if_invalid()
-        table = _table(source)
-        index = np.broadcast_to(np.arange(horizon), (len(seeds), horizon))
-        budget = source.budget
-    else:
-        budget = BudgetSpec(horizon, source.budget.per_round_budget)
-        drawn = np.stack([sample_support_indices(source, horizon, s) for s in seeds])
-        rows, index = np.unique(drawn, return_inverse=True)
-        index = index.reshape(drawn.shape)
-        tuples = tuple(source.support[s] for s in rows)
-        # Every lane is valid iff the budget and the rows the lanes draw are;
-        # otherwise the lanes are checked in seed order.
-        report = ValidationReport()
-        budget_gate_issues(report, budget)
-        rounds_issues(report, tuples, source.actions, source.num_resources)
-        if not report.ok:
-            for seed in seeds:
-                sample_instance(source, horizon, seed).validate().raise_if_invalid()
-        rows_instance = Instance(
-            source.actions, BudgetSpec(len(rows), budget.per_round_budget), tuples
-        )
-        table = _table(rows_instance)
-    R, M, n = len(seeds), source.num_constraints, source.num_resources
-    rounds, _ = _play(
-        table, index, budget, source.actions.void_index, config.eta,
-        np.zeros((R, M)), np.zeros((R, n)), [None] * R, [True] * R,
-    )
-    return (_trajectory(rounds, r, source, config) for r in range(R))
+        return run_lanes([source] * len(seeds), config)
+    return run_lanes([sample_instance(source, horizon, s) for s in seeds], config)
 
 
 def stopping_time(trajectory: Trajectory) -> int:

@@ -17,8 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import environments, rng, serialization, traceio
-from .allocator import run as run_allocator, run_batch
-from .core import Instance, InstanceValidationError, Trajectory, ValidationError
+from .allocator import run as run_allocator, run_lanes
+from .core import Instance, Trajectory
 from .dual_ogd import (
     AUDIT_SLACK,
     DRIFT_SLACK,
@@ -41,7 +41,6 @@ from .oracles import (
     slater_adv,
     slater_stoc,
 )
-from .serialization import SchemaError
 from .simplex import SimplexError
 
 EXIT_OK = 0
@@ -133,17 +132,16 @@ def _horizon(obj, T: int | None) -> int:
     return obj.horizon
 
 
-def _cell_instance(obj, T: int | None, seed: int) -> tuple[Instance, int]:
+def _cell_instance(obj, T: int | None, seed: int) -> Instance:
     horizon = _horizon(obj, T)
     if isinstance(obj, StochasticModel):
-        return environments.sample_instance(obj, horizon, seed), horizon
-    return obj, horizon
+        return environments.sample_instance(obj, horizon, seed)
+    return obj
 
 
 def execute_cell(
     source_desc: dict,
-    source,
-    T: int | None,
+    instance: Instance,
     delta: float,
     eta_override: float | None,
     seed: int,
@@ -154,13 +152,13 @@ def execute_cell(
 ) -> str:
     """Write one (config, seed) cell's trace CSV and summary JSON.
 
-    ``source`` is the instance or model that ``source_desc`` names, loaded
-    once by the command for all its cells, and ``trajectory`` is the cell's
-    allocator run (see :func:`execute_cells`).  Returns the summary JSON
-    path.  Pure function of its arguments, so cells can run in parallel
-    processes and reruns are byte-identical.
+    ``instance`` is the cell's instance on the source ``source_desc``
+    names, and ``trajectory`` its allocator run (see
+    :func:`execute_cells`).  Returns the summary JSON path.  Pure function
+    of its arguments, so cells can run in parallel processes and reruns are
+    byte-identical.
     """
-    instance, horizon = _cell_instance(source, T, seed)
+    horizon = instance.horizon
     M = instance.num_constraints
     eta = trajectory.eta
 
@@ -233,10 +231,11 @@ def execute_cells(
     out_dir: str,
     name: str,
 ) -> list[str]:
-    """The cells of ``seeds`` on one source and T: the allocator plays them
-    in lockstep batches (:func:`~ora_bob.allocator.run_batch`, at most
-    BATCH_LANE_ROUNDS lane-rounds each), then :func:`execute_cell` writes
-    each, one at a time.  Returns the summary JSON paths in seed order."""
+    """The cells of ``seeds`` on one source and T: the allocator plays their
+    instances in lockstep batches (:func:`~ora_bob.allocator.run_lanes`, at
+    most BATCH_LANE_ROUNDS lane-rounds each), then :func:`execute_cell`
+    writes each, one at a time.  Returns the summary JSON paths in seed
+    order."""
     horizon = _horizon(source, T)
     M = source.num_constraints
     eta = eta_override if eta_override is not None else learning_rate(horizon, M, delta)
@@ -245,10 +244,11 @@ def execute_cells(
     written = []
     for lo in range(0, len(seeds), lanes):
         batch = seeds[lo : lo + lanes]
-        for seed, trajectory in zip(batch, run_batch(source, horizon, batch, config)):
+        instances = [_cell_instance(source, horizon, seed) for seed in batch]
+        for seed, instance, trajectory in zip(batch, instances, run_lanes(instances, config)):
             written.append(
                 execute_cell(
-                    source_desc, source, T, delta, eta_override, seed, benchmark,
+                    source_desc, instance, delta, eta_override, seed, benchmark,
                     out_dir, name, trajectory,
                 )
             )
@@ -259,10 +259,14 @@ def _execute_cells_task(payload: dict) -> list[str]:
     return execute_cells(**payload)
 
 
-def _chunk_payloads(group: dict, seeds: list[int], jobs: int) -> list[dict]:
-    """The cells of one (source, T) group as ``jobs`` contiguous chunks of
-    seeds, one :func:`execute_cells` payload each."""
-    k = max(1, min(jobs, len(seeds)))
+def _cell_payloads(args, source_desc: dict, source, T, name: str, seeds: list[int]) -> list[dict]:
+    """The cells of ``seeds`` on one (source, T) as ``args.jobs`` contiguous
+    chunks of seeds, one :func:`execute_cells` payload each."""
+    group = dict(
+        source_desc=source_desc, source=source, T=T, delta=args.delta, eta_override=args.eta,
+        benchmark=args.benchmark, out_dir=args.out, name=name,
+    )
+    k = max(1, min(args.jobs, len(seeds)))
     bounds = [len(seeds) * i // k for i in range(k + 1)]
     return [dict(group, seeds=seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -276,23 +280,17 @@ def _run_cells(payloads: list[dict], jobs: int) -> list[str]:
     return [path for chunk in chunks for path in chunk]
 
 
-def cmd_run(args) -> int:
+def _check_eta(args):
     if args.eta is not None and not args.eta > 0.0:
         raise CliError(f"--eta must be > 0, got {args.eta}")
+
+
+def cmd_run(args) -> int:
+    _check_eta(args)
     source_desc, obj = _resolve_source(args)
     seeds = _parse_int_list(args.seeds)
     os.makedirs(args.out, exist_ok=True)
-    group = dict(
-        source_desc=source_desc,
-        source=obj,
-        T=args.T,
-        delta=args.delta,
-        eta_override=args.eta,
-        benchmark=args.benchmark,
-        out_dir=args.out,
-        name=args.name,
-    )
-    written = _run_cells(_chunk_payloads(group, seeds, args.jobs), args.jobs)
+    written = _run_cells(_cell_payloads(args, source_desc, obj, args.T, args.name, seeds), args.jobs)
     print(json.dumps({"written": written}, indent=1))
     return EXIT_OK
 
@@ -340,6 +338,10 @@ def _sweep_row(T: int, seed: int, payload: dict) -> dict:
         "bound_dual": bound_value("dual_norm"),
         "pass_flags": ";".join(flags),
     }
+
+
+def _csv_cell(v) -> str:
+    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
 
 
 def _fit_loglog_slope(ts: list[int], means: list[float]) -> float | None:
@@ -417,17 +419,7 @@ def aggregate_sweep(
         f"# cells_hash={serialization.content_hash(cell_hashes)}"
     )
     lines.append(",".join(SWEEP_COLUMNS))
-    for row in rows:
-        cells = []
-        for col in SWEEP_COLUMNS:
-            v = row[col]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines += [",".join(_csv_cell(row[col]) for col in SWEEP_COLUMNS) for row in rows]
     csv_path = os.path.join(out_dir, f"{name}_sweep.csv")
     traceio.write_text_atomic(csv_path, "\n".join(lines) + "\n")
 
@@ -454,8 +446,7 @@ def aggregate_sweep(
 
 
 def cmd_sweep(args) -> int:
-    if args.eta is not None and not args.eta > 0.0:
-        raise CliError(f"--eta must be > 0, got {args.eta}")
+    _check_eta(args)
     source_desc, obj = _resolve_source(args)
     t_values = _parse_int_list(args.T) if args.T else None
     if not t_values:
@@ -465,24 +456,9 @@ def cmd_sweep(args) -> int:
     seeds = _parse_int_list(args.seeds)
     os.makedirs(args.out, exist_ok=True)
     if not args.aggregate_only:
-        payloads = [
-            payload
-            for T in t_values
-            for payload in _chunk_payloads(
-                dict(
-                    source_desc=source_desc,
-                    source=obj,
-                    T=T,
-                    delta=args.delta,
-                    eta_override=args.eta,
-                    benchmark=args.benchmark,
-                    out_dir=args.out,
-                    name=f"{args.name}_T{T}",
-                ),
-                seeds,
-                args.jobs,
-            )
-        ]
+        payloads = []
+        for T in t_values:
+            payloads += _cell_payloads(args, source_desc, obj, T, f"{args.name}_T{T}", seeds)
         _run_cells(payloads, args.jobs)
     sweep_config = {
         "schema_version": traceio.SCHEMA_VERSION,
@@ -499,6 +475,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _slater_report(rho: float) -> dict:
+    return {"rho": rho, "alpha": alpha(max(rho, 0.0))}
+
+
 def cmd_oracle(args) -> int:
     _, obj = _resolve_source(args)
     which = args.which
@@ -506,7 +486,7 @@ def cmd_oracle(args) -> int:
 
     def attempt(key, fn):
         try:
-            reports[key] = fn().to_dict()
+            reports[key] = fn()
         except SizeGuardError as exc:
             if which == "all":
                 reports[key] = {"skipped": str(exc)}
@@ -515,22 +495,14 @@ def cmd_oracle(args) -> int:
 
     if isinstance(obj, Instance):
         if which in ("all", "opt_bruteforce"):
-            attempt("opt_bruteforce", lambda: opt_bruteforce(obj, args.guard))
+            attempt("opt_bruteforce", lambda: opt_bruteforce(obj, args.guard).to_dict())
         if which in ("all", "opt_lp"):
-            attempt("opt_lp", lambda: opt_lp_relax(obj))
+            attempt("opt_lp", lambda: opt_lp_relax(obj).to_dict())
         if which in ("all", "slater_adv"):
-            rho = slater_adv(obj)
-            reports["slater_adv"] = {"rho": rho, "alpha": alpha(max(rho, 0.0))}
+            reports["slater_adv"] = _slater_report(slater_adv(obj))
     else:
         if which in ("all", "slater_stoc"):
-            try:
-                rho = slater_stoc(obj, args.guard)
-                reports["slater_stoc"] = {"rho": rho, "alpha": alpha(max(rho, 0.0))}
-            except SizeGuardError as exc:
-                if which == "all":
-                    reports["slater_stoc"] = {"skipped": str(exc)}
-                else:
-                    raise
+            attempt("slater_stoc", lambda: _slater_report(slater_stoc(obj, args.guard)))
         if which in ("all", "opt_stoc"):
             if args.T is None:
                 if which != "all":
@@ -541,7 +513,7 @@ def cmd_oracle(args) -> int:
                     "opt_stoc",
                     lambda: opt_stoc_estimate(
                         obj, args.T, args.num_samples, args.seed, args.guard
-                    ),
+                    ).to_dict(),
                 )
     print(json.dumps({"reports": reports}, indent=1))
     return EXIT_OK
@@ -648,7 +620,10 @@ def _deterministic_audits(trajectory, instance) -> dict:
     return audits
 
 
-def audit_trace(path, instance_override, pairs: int, audit_seed: int | None) -> dict:
+def audit_trace(path, instance_override, pairs: int, audit_seed: int | None, loaded: dict) -> dict:
+    """Audit one trace against its config's source, or ``instance_override``
+    in its place; ``loaded`` keeps the sources loaded so far, so a command
+    loads each distinct one once."""
     header, columns = traceio.read_trace_csv(path)
     if int(header.get("schema_version", -1)) != traceio.SCHEMA_VERSION:
         raise CliError(
@@ -663,11 +638,11 @@ def audit_trace(path, instance_override, pairs: int, audit_seed: int | None) -> 
     eta = float(header["eta"])
     delta = float(header["delta"])
 
-    if instance_override is not None:
-        obj = load_instance(instance_override)
-    else:
-        obj = _load_source(config["source"])
-    instance, _ = _cell_instance(obj, T, seed)
+    source = config["source"] if instance_override is None else {"path": str(instance_override)}
+    key = serialization.canonical_json(source)
+    if key not in loaded:
+        loaded[key] = _load_source(source)
+    instance = _cell_instance(loaded[key], T, seed)
     ihash = serialization.instance_hash(instance)
     if ihash != header["instance_hash"]:
         raise CliError(
@@ -708,9 +683,11 @@ def audit_trace(path, instance_override, pairs: int, audit_seed: int | None) -> 
 
 
 def cmd_audit(args) -> int:
-    results = []
-    for path in args.traces:
-        results.append(audit_trace(path, args.instance, args.pairs, args.audit_seed))
+    loaded: dict = {}
+    results = [
+        audit_trace(path, args.instance, args.pairs, args.audit_seed, loaded)
+        for path in args.traces
+    ]
     payload = {
         "schema_version": traceio.SCHEMA_VERSION,
         "traces": results,
@@ -803,16 +780,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (
-        CliError,
-        ValidationError,
-        InstanceValidationError,
-        SchemaError,
-        SizeGuardError,
-        SimplexError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (CliError, SimplexError, OSError, ValueError) as exc:
+        # ValueError covers the validation, schema, size-guard and trace errors
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, CliError):
             payload["error"].update(exc.extra)

@@ -6,6 +6,11 @@ safe to share across threads.  Constructors enforce structural invariants
 and the void-column property are checked by :func:`validate_instance`, which
 reports every violation instead of aborting, so malformed files can be loaded
 and diagnosed.
+
+An :class:`Instance` stores its rounds once, as a pool of distinct
+:class:`InputTuple` objects plus a (T,) row index; its per-round stacks are
+gathers over the pool rows the index uses.  Validation checks each pool row
+once and reports its issues at every round that uses it.
 """
 
 from __future__ import annotations
@@ -32,9 +37,12 @@ class InstanceValidationError(ValueError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True, order="C")
-    out.setflags(write=False)
-    return out
+    return _frozen(np.array(a, dtype=np.float64, copy=True, order="C"))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -189,8 +197,8 @@ def unify_constraints(inp: InputTuple, budget: BudgetSpec) -> UnifiedConstraints
             f"consumption axis mismatch: input has n={inp.num_resources} resource "
             f"rows, budget has n={budget.num_resources}"
         )
-    shifted = inp.consumptions - budget.per_round_budget[:, None]
-    return UnifiedConstraints(np.concatenate([inp.general_costs, shifted], axis=0))
+    beta = budget.per_round_budget
+    return UnifiedConstraints(unified_rows(inp.general_costs[None], inp.consumptions[None], beta)[0])
 
 
 @dataclass(frozen=True)
@@ -288,21 +296,52 @@ class Trajectory:
         return [self.record(t) for t in range(1, self.horizon + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Instance:
     """A fully specified adversarial run: action set, budget, and one input
-    tuple per round."""
+    tuple per round.
+
+    The rounds are stored once: ``pool`` holds distinct InputTuple objects
+    and ``index`` (read-only, (T,) int64) each round's pool row, so round t
+    is ``pool[index[t]]``.  ``Instance(actions, budget, rounds)`` pools
+    ``rounds`` by object identity in order of first occurrence;
+    :meth:`from_pool` takes a pool and an index as they are (a sampled
+    instance is its model's support plus the draws).  The per-round stacks
+    are gathers over the pool rows the index uses; only those rows' stacks
+    are cached, never a (T, ...) array.
+    """
 
     actions: ActionSet
     budget: BudgetSpec
-    rounds: tuple[InputTuple, ...]
+    pool: tuple[InputTuple, ...]
+    index: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "rounds", tuple(self.rounds))
-        if len(self.rounds) != self.budget.horizon:
+    def __init__(self, actions: ActionSet, budget: BudgetSpec, rounds):
+        self._set(actions, budget, *_pooled(rounds))
+
+    @classmethod
+    def from_pool(cls, actions: ActionSet, budget: BudgetSpec, pool, index) -> "Instance":
+        """The instance whose round t is ``pool[index[t]]``."""
+        self = object.__new__(cls)
+        self._set(actions, budget, tuple(pool), index)
+        return self
+
+    def _set(self, actions, budget, pool, index):
+        index = _frozen(np.array(index, dtype=np.int64))
+        if index.shape != (budget.horizon,):
             raise ValidationError(
-                f"{len(self.rounds)} rounds provided for horizon T={self.budget.horizon}"
+                f"{index.size} rounds provided for horizon T={budget.horizon}"
             )
+        if index.min() < 0 or index.max() >= len(pool):
+            raise ValidationError(f"round index outside the pool of {len(pool)} tuples")
+        for name, value in (("actions", actions), ("budget", budget), ("pool", pool),
+                            ("index", index)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def rounds(self) -> tuple[InputTuple, ...]:
+        """Each round's input tuple, the pool objects themselves."""
+        return tuple(map(self.pool.__getitem__, self.index.tolist()))
 
     @property
     def horizon(self) -> int:
@@ -314,7 +353,7 @@ class Instance:
 
     @property
     def num_general(self) -> int:
-        return self.rounds[0].num_general if self.rounds else 0
+        return self.pool[self.index[0]].num_general
 
     @property
     def num_resources(self) -> int:
@@ -325,41 +364,88 @@ class Instance:
         return self.num_general + self.num_resources
 
     @cached_property
-    def rewards_stack(self) -> np.ndarray:
-        """(T, K) rewards."""
-        return _readonly(np.stack([r.rewards for r in self.rounds]))
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return used_rows(self.index, len(self.pool))
+
+    @property
+    def used(self) -> np.ndarray:
+        """The pool rows the index uses, ascending."""
+        return self._rows[0]
+
+    def round_rows(self) -> np.ndarray:
+        """(T,) each round's row in the stacks of the used pool rows."""
+        return self._rows[1][self.index]
 
     @cached_property
-    def general_stack(self) -> np.ndarray:
-        """(T, m, K) general costs."""
-        return _readonly(np.stack([r.general_costs for r in self.rounds]))
+    def row_stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, K) rewards, (U, m, K) costs and (U, n, K) consumptions of the
+        U used pool rows."""
+        return tuple(map(_frozen, stack_rows([self.pool[i] for i in self.used])))
 
     @cached_property
-    def consumption_stack(self) -> np.ndarray:
-        """(T, n, K) consumptions."""
-        return _readonly(np.stack([r.consumptions for r in self.rounds]))
+    def unified_rows(self) -> np.ndarray:
+        """(U, M, K) unified constraint matrices of the used pool rows."""
+        return _frozen(unified_rows(*self.row_stacks[1:], self.budget.per_round_budget))
 
-    @cached_property
-    def unified_stack(self) -> np.ndarray:
-        """(T, M, K) unified constraint matrices."""
-        shifted = self.consumption_stack - self.budget.per_round_budget[None, :, None]
-        return _readonly(np.concatenate([self.general_stack, shifted], axis=1))
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        return _frozen(rows[self.round_rows()])
+
+    rewards_stack = property(lambda self: self._gather(self.row_stacks[0]), doc="(T, K) rewards.")
+    general_stack = property(
+        lambda self: self._gather(self.row_stacks[1]), doc="(T, m, K) general costs."
+    )
+    consumption_stack = property(
+        lambda self: self._gather(self.row_stacks[2]), doc="(T, n, K) consumptions."
+    )
+    unified_stack = property(
+        lambda self: self._gather(self.unified_rows), doc="(T, M, K) unified matrices."
+    )
 
     def unified(self, t: int) -> UnifiedConstraints:
         """Unified constraints for round t (1-based)."""
-        return UnifiedConstraints(self.unified_stack[t - 1])
+        return unify_constraints(self.pool[self.index[t - 1]], self.budget)
 
     def validate(self) -> "ValidationReport":
-        """validate_instance on these rounds, reusing the cached stacks once
-        the round shapes are known to agree."""
-        report = ValidationReport()
-        budget_gate_issues(report, self.budget)
-        if _shape_ok(report, self.rounds, self.actions, self.num_resources):
-            _value_issues(
-                report, self.rewards_stack, self.general_stack,
-                self.consumption_stack, self.actions.void_index,
-            )
-        return report
+        """validate_instance on these rounds: each used pool row is checked
+        once, over the cached row stacks once their shapes agree."""
+        return pool_issues(
+            ValidationReport(), self.budget, [self.pool[i] for i in self.used],
+            self.round_rows(), self.actions, lambda _: self.row_stacks,
+        )
+
+
+def _pooled(rounds) -> tuple[tuple[InputTuple, ...], list[int]]:
+    """The distinct objects of ``rounds`` in order of first occurrence, and
+    each round's position among them."""
+    rounds = tuple(rounds)  # alive while pooled: ids stay unique
+    first = {id(r): r for r in rounds}
+    slot = {key: i for i, key in enumerate(first)}
+    return tuple(first.values()), [slot[id(r)] for r in rounds]
+
+
+def used_rows(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a pool of ``size`` tuples that ``index`` uses, ascending,
+    and each pool row's position among them (0 for an unused row)."""
+    used = np.flatnonzero(np.bincount(index, minlength=size))
+    pos = np.zeros(size, dtype=np.int64)
+    pos[used] = np.arange(used.size)
+    return used, pos
+
+
+def stack_rows(tuples: Sequence[InputTuple]):
+    """The (U, K) rewards, (U, m, K) costs and (U, n, K) consumptions of U
+    input tuples of one shape."""
+    return (
+        np.stack([r.rewards for r in tuples]),
+        np.stack([r.general_costs for r in tuples]),
+        np.stack([r.consumptions for r in tuples]),
+    )
+
+
+def unified_rows(general: np.ndarray, consumption: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """(U, M, K) unified matrices: the (U, m, K) costs over the (U, n, K)
+    consumptions shifted down by beta."""
+    return np.concatenate([general, consumption - beta[None, :, None]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -399,19 +485,17 @@ def validate_instance(
     """Check every range, shape and void-column invariant; never aborts.
 
     Issues carry (round, field, coordinate) so callers can locate each
-    offending entry; budget-level problems are reported with round 0.
+    offending entry; budget-level problems are reported with round 0.  Each
+    distinct round object is checked once.
     """
     report = ValidationReport()
     t_count = len(rounds)
     if t_count != budget.horizon:
-        report.add(
-            0, "shape", (), f"{t_count} rounds provided for horizon T={budget.horizon}"
-        )
+        report.add(0, "shape", (), f"{t_count} rounds provided for horizon T={budget.horizon}")
     if t_count == 0:
         return report
-    budget_gate_issues(report, budget)
-    rounds_issues(report, rounds, actions, budget.num_resources)
-    return report
+    pool, index = _pooled(rounds)
+    return pool_issues(report, budget, pool, np.array(index), actions)
 
 
 def budget_gate_issues(report: ValidationReport, budget: BudgetSpec):
@@ -433,72 +517,68 @@ def budget_gate_issues(report: ValidationReport, budget: BudgetSpec):
         )
 
 
-def rounds_issues(
-    report: ValidationReport,
-    rounds: Sequence[InputTuple],
-    actions: ActionSet,
-    expected_resources: int,
-):
-    """Range, void-column and cross-round consistency checks on input tuples."""
-    if _shape_ok(report, rounds, actions, expected_resources):
-        f = np.stack([r.rewards for r in rounds])
-        g = np.stack([r.general_costs for r in rounds])
-        h = np.stack([r.consumptions for r in rounds])
-        _value_issues(report, f, g, h, actions.void_index)
+def pool_issues(report, budget, tuples, rows, actions, stacks=stack_rows) -> ValidationReport:
+    """``report`` with the budget-gate issues, then the shape, range and
+    void-column checks of the rounds whose input tuples are
+    ``tuples[rows[t]]``, each tuple used by some round.  Every tuple is
+    checked once and its issues are reported at each round that uses it, in
+    the order a round-by-round check finds them.  ``stacks(tuples)`` gives
+    their (F, G, H) stacks once their shapes agree."""
+    budget_gate_issues(report, budget)
+    if _shape_ok(report, tuples, rows, actions, budget.num_resources):
+        f, g, h = stacks(tuples)
+        v = actions.void_index
+        _range_issues(report, rows, "reward", f, 0.0, 1.0)
+        _range_issues(report, rows, "general_cost", g, -1.0, 1.0)
+        _range_issues(report, rows, "consumption", h, 0.0, 1.0)
+        _void_issues(report, rows, "reward", f[:, v], v)
+        _void_issues(report, rows, "general_cost", g[:, :, v], v)
+        _void_issues(report, rows, "consumption", h[:, :, v], v)
+    return report
 
 
-def _shape_ok(report, rounds, actions, expected_resources) -> bool:
-    """Report rounds whose (K, m, n) differ; True iff all agree with K."""
+def _shape_ok(report, tuples, rows, actions, expected_resources) -> bool:
+    """Report rounds whose (K, m, n) differ from round 1's (m, n) and the
+    action count K; True iff none do."""
     k = actions.count
-    m0, n0 = rounds[0].num_general, rounds[0].num_resources
+    first = tuples[rows[0]]
+    m0, n0 = first.num_general, first.num_resources
     if n0 != expected_resources:
         report.add(
             0, "shape", (), f"rounds have n={n0} resources, budget has n={expected_resources}"
         )
-    consistent = rounds[0].num_actions == k
-    for idx, r in enumerate(rounds):
-        if r.num_actions != k or r.num_general != m0 or r.num_resources != n0:
-            consistent = False
-            report.add(
-                idx + 1,
-                "shape",
-                (),
-                f"(K={r.num_actions}, m={r.num_general}, n={r.num_resources}) "
-                f"inconsistent with (K={k}, m={m0}, n={n0})",
-            )
-    return consistent
+    odd = np.array(
+        [(r.num_actions, r.num_general, r.num_resources) != (k, m0, n0) for r in tuples]
+    )
+    for t in np.flatnonzero(odd[rows]):
+        r = tuples[rows[t]]
+        report.add(int(t) + 1, "shape", (), f"(K={r.num_actions}, m={r.num_general}, "
+                   f"n={r.num_resources}) inconsistent with (K={k}, m={m0}, n={n0})")
+    return not odd.any()
 
 
-def _value_issues(report, f, g, h, v):
-    """Range and void-column checks on the stacked (T, K), (T, m, K) and
-    (T, n, K) blocks; v is the void index."""
-    _range_issues(report, "reward", f, 0.0, 1.0)
-    _range_issues(report, "general_cost", g, -1.0, 1.0)
-    _range_issues(report, "consumption", h, 0.0, 1.0)
-    _void_issues(report, "reward", f[:, v], v, axis_coords=False)
-    if g.shape[1]:
-        _void_issues(report, "general_cost", g[:, :, v], v)
-    if h.shape[1]:
-        _void_issues(report, "consumption", h[:, :, v], v)
-
-
-def _range_issues(report, name, stacked, lo, hi):
-    ok = (stacked >= lo) & (stacked <= hi)  # NaN compares false and is flagged
-    if ok.all():
-        return
-    for coord in np.argwhere(~ok):
-        c = tuple(int(x) for x in coord)
-        report.add(c[0] + 1, name, c[1:], f"value {stacked[c]!r} outside [{lo}, {hi}]")
-
-
-def _void_issues(report, name, void_values, void_index, axis_coords=True):
-    bad = void_values != 0.0
+def _bad_entries(rows, bad):
+    """(round, coordinate, tuple row) of every True entry of the per-tuple
+    mask ``bad`` at every round, in the order np.argwhere visits the
+    per-round stack ``bad[rows]``."""
     if not bad.any():
         return
-    for coord in np.argwhere(bad):
-        c = tuple(int(x) for x in coord)
-        where = c[1:] + (void_index,) if axis_coords else (void_index,)
+    hit = bad.reshape(bad.shape[0], -1).any(axis=1)
+    for t in np.flatnonzero(hit[rows]):
+        row = rows[t]
+        for coord in np.argwhere(bad[row]):
+            yield int(t) + 1, tuple(int(x) for x in coord), row
+
+
+def _range_issues(report, rows, name, stacked, lo, hi):
+    ok = (stacked >= lo) & (stacked <= hi)  # NaN compares false and is flagged
+    for t, c, row in _bad_entries(rows, ~ok):
+        report.add(t, name, c, f"value {stacked[row][c]!r} outside [{lo}, {hi}]")
+
+
+def _void_issues(report, rows, name, void_values, void_index):
+    for t, c, row in _bad_entries(rows, void_values != 0.0):
         report.add(
-            c[0] + 1, "void_column", where,
-            f"void-column {name} is {void_values[c]!r}, expected 0",
+            t, "void_column", c + (void_index,),
+            f"void-column {name} is {void_values[row][c]!r}, expected 0",
         )

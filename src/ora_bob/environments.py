@@ -22,8 +22,7 @@ from .core import (
     Instance,
     ValidationError,
     ValidationReport,
-    budget_gate_issues,
-    rounds_issues,
+    pool_issues,
 )
 from .serialization import SchemaError
 
@@ -92,13 +91,12 @@ class StochasticModel:
     def validate(self, horizon: int | None = None) -> ValidationReport:
         """Range/void checks on the support plus the budget-gate check at the
         given (default: stored) sampling horizon."""
-        report = ValidationReport()
         budget = self.budget
         if horizon is not None and horizon != budget.horizon:
             budget = BudgetSpec(horizon, self.budget.per_round_budget)
-        budget_gate_issues(report, budget)
-        rounds_issues(report, self.support, self.actions, self.num_resources)
-        return report
+        return pool_issues(
+            ValidationReport(), budget, self.support, np.arange(self.support_size), self.actions
+        )
 
 
 def sample_support_indices(model: StochasticModel, T: int, seed) -> np.ndarray:
@@ -120,10 +118,12 @@ def sample_sequence(model: StochasticModel, T: int, seed) -> list[InputTuple]:
 
 
 def sample_instance(model: StochasticModel, T: int, seed) -> Instance:
-    return Instance(
-        actions=model.actions,
-        budget=BudgetSpec(T, model.budget.per_round_budget),
-        rounds=tuple(sample_sequence(model, T, seed)),
+    """T i.i.d. draws as an instance: the model's support plus the draws."""
+    return Instance.from_pool(
+        model.actions,
+        BudgetSpec(T, model.budget.per_round_budget),
+        model.support,
+        sample_support_indices(model, T, seed),
     )
 
 
@@ -134,10 +134,11 @@ def constant_instance(model: StochasticModel, T: int | None = None) -> Instance:
             f"constant_instance requires a single-support model, got S={model.support_size}"
         )
     horizon = model.budget.horizon if T is None else T
-    return Instance(
-        actions=model.actions,
-        budget=BudgetSpec(horizon, model.budget.per_round_budget),
-        rounds=(model.support[0],) * horizon,
+    return Instance.from_pool(
+        model.actions,
+        BudgetSpec(horizon, model.budget.per_round_budget),
+        model.support,
+        np.zeros(horizon, dtype=np.int64),
     )
 
 
@@ -446,20 +447,13 @@ def _param(params: dict, key: str, cast, default=None):
 
 def build_generator(name: str, params: dict):
     """Instantiate a named generator from CLI-style string parameters."""
-    if name == "example1_budget":
+    if name in ("example1_budget", "example1_general"):
         fx = make_example1_instance(
             _param(params, "rho", float, 0.1),
             _param(params, "epsilon", float, 0.2),
             _param(params, "T", int, 1000),
         )
-        return fx.budget_only
-    if name == "example1_general":
-        fx = make_example1_instance(
-            _param(params, "rho", float, 0.1),
-            _param(params, "epsilon", float, 0.2),
-            _param(params, "T", int, 1000),
-        )
-        return fx.general
+        return fx.budget_only if name == "example1_budget" else fx.general
     if name == "random":
         return random_instance(
             Seed(_param(params, "seed", int, 0)),

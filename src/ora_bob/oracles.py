@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import Instance, ValidationError
+from .core import Instance, ValidationError, stack_rows, unified_rows
 from .environments import StochasticModel, sample_instance
 from .simplex import solve_lp
 
@@ -97,6 +97,7 @@ def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> Oracle
     _guard(K**T, guard, f"brute-force optimum over {K}^{T} sequences")
     m, n = instance.num_general, instance.num_resources
     rewards = instance.rewards_stack
+    general, consumption = instance.general_stack, instance.consumption_stack
     limits = instance.budget.limits
 
     best_value = -np.inf
@@ -105,9 +106,9 @@ def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> Oracle
         values = _gather_sum(rewards, digits)
         feasible = np.ones(codes.shape[0], dtype=bool)
         for i in range(m):
-            feasible &= _gather_sum(instance.general_stack[:, i, :], digits) <= 0.0
+            feasible &= _gather_sum(general[:, i, :], digits) <= 0.0
         for j in range(n):
-            feasible &= _gather_sum(instance.consumption_stack[:, j, :], digits) <= limits[j]
+            feasible &= _gather_sum(consumption[:, j, :], digits) <= limits[j]
         if not feasible.any():
             continue
         masked = np.where(feasible, values, -np.inf)
@@ -125,24 +126,28 @@ def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> Oracle
 
 
 def _grouped_rounds(instance: Instance):
-    """Group identical rounds (bitwise-equal tuples) for the LP.
+    """Group identical rounds (bitwise-equal tuples) for the LP: each used
+    pool row is keyed once, and a group's representative is its first
+    round.
 
     By symmetry the LP has an optimum that puts the same per-round
     distribution on identical rounds, so aggregating them into one convexity
     row with the group count as mass is exact, not an approximation.
     """
+    rows, first, uses = np.unique(instance.index, return_index=True, return_counts=True)
     groups: dict[bytes, int] = {}
     counts: list[int] = []
     reps: list[int] = []
-    for t, r in enumerate(instance.rounds):
+    for k in np.argsort(first).tolist():
+        r = instance.pool[rows[k]]
         key = r.rewards.tobytes() + r.general_costs.tobytes() + r.consumptions.tobytes()
         g = groups.get(key)
         if g is None:
             groups[key] = len(counts)
-            counts.append(1)
-            reps.append(t)
+            counts.append(int(uses[k]))
+            reps.append(int(first[k]))
         else:
-            counts[g] += 1
+            counts[g] += int(uses[k])
     return np.asarray(reps, dtype=np.int64), np.asarray(counts, dtype=np.float64)
 
 
@@ -174,17 +179,15 @@ def opt_lp_relax(instance: Instance) -> OracleReport:
             f"{LP_TABLEAU_GUARD_MIB} MiB; refusing to allocate it"
         )
 
-    c = (instance.rewards_stack[reps]).reshape(-1)
+    rows = instance.round_rows()[reps]
+    f, g, h = (stack[rows] for stack in instance.row_stacks)
+    c = f.reshape(-1)
     A_eq = np.zeros((G, nvars))
-    for g in range(G):
-        A_eq[g, g * K : (g + 1) * K] = 1.0
+    for k in range(G):
+        A_eq[k, k * K : (k + 1) * K] = 1.0
     b_eq = counts
 
-    A_ub = np.zeros((M, nvars))
-    for i in range(m):
-        A_ub[i] = instance.general_stack[reps][:, i, :].reshape(-1)
-    for j in range(n):
-        A_ub[m + j] = instance.consumption_stack[reps][:, j, :].reshape(-1)
+    A_ub = np.concatenate([g, h], axis=1).transpose(1, 0, 2).reshape(M, nvars)
     b_ub = np.concatenate([np.zeros(m), instance.budget.limits])
 
     result = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
@@ -229,24 +232,19 @@ def opt_stoc_estimate(
     )
 
 
-def _per_round_minmax(instance: Instance) -> np.ndarray:
-    """min over actions of max over constraints of the unified matrix, per
-    round: the round-t contribution to the adversarial Slater parameter."""
-    return instance.unified_stack.max(axis=1).min(axis=1)
-
-
 def slater_adv(instance: Instance) -> float:
     """Adversarial Slater parameter by per-round decomposition.
 
     The minimum over action sequences of the max over rounds separates
     across rounds, so rho_adv = -max_t min_x max_i g~_{t,i}(x).
     """
-    return float(-_per_round_minmax(instance).max())
+    per_row = instance.unified_rows.max(axis=1).min(axis=1)
+    return float(-per_row[instance.round_rows()].max())
 
 
 def slater_safe_sequence(instance: Instance) -> np.ndarray:
     """Per-round argmin actions certifying slater_adv (lowest index on ties)."""
-    return instance.unified_stack.max(axis=1).argmin(axis=1)
+    return instance.unified_rows.max(axis=1).argmin(axis=1)[instance.round_rows()]
 
 
 def slater_adv_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> float:
@@ -257,7 +255,7 @@ def slater_adv_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) ->
     """
     T, K = instance.horizon, instance.num_actions
     _guard(K**T, guard, f"brute-force Slater over {K}^{T} sequences")
-    colmax = instance.unified_stack.max(axis=1)  # (T, K)
+    colmax = instance.unified_rows.max(axis=1)[instance.round_rows()]  # (T, K)
     flat = colmax.reshape(-1)
     offsets = (np.arange(T, dtype=np.int64) * K)[None, :]
     worst = np.inf
@@ -277,14 +275,10 @@ def slater_stoc(model: StochasticModel, guard: int = ENUMERATION_GUARD) -> float
     S, K = model.support_size, model.actions.count
     _guard(K**S, guard, f"policy enumeration over {K}^{S} policies")
     M = model.num_constraints
-    beta = model.budget.per_round_budget
+    _, g, h = stack_rows(model.support)
+    unified = unified_rows(g, h, model.budget.per_round_budget)
     # weighted[s, x, i] = p_s * g~_i(x) under support tuple s
-    weighted = np.empty((S, K, M))
-    for s, tup in enumerate(model.support):
-        shifted = tup.consumptions - beta[:, None]
-        unified = np.concatenate([tup.general_costs, shifted], axis=0)
-        weighted[s] = model.probs[s] * unified.T
-
+    weighted = model.probs[:, None, None] * unified.transpose(0, 2, 1)
     flat = weighted.reshape(S * K, M)
     offsets = (np.arange(S, dtype=np.int64) * K)[None, :]
     best = np.inf

@@ -101,9 +101,15 @@ def _header_to_dict(instance_like) -> dict:
     }
 
 
+def _per_round(instance: Instance, encode) -> list:
+    """``encode`` of each round's tuple, called once per used pool row."""
+    parts = [encode(instance.pool[i]) for i in instance.used.tolist()]
+    return [parts[k] for k in instance.round_rows().tolist()]
+
+
 def instance_to_dict(instance: Instance) -> dict:
     d = _header_to_dict(instance)
-    d["rounds"] = [round_to_dict(r) for r in instance.rounds]
+    d["rounds"] = _per_round(instance, round_to_dict)
     return d
 
 
@@ -160,17 +166,11 @@ def content_hash(obj: Any) -> str:
 
 
 def instance_hash(instance: Instance) -> str:
-    """``content_hash(instance_to_dict(instance))``, encoding each distinct
-    round object once: a sampled instance's rounds are references to its
-    model's few support tuples.  The canonical text is spliced from those
-    parts, so the hash is the same."""
-    encoded: dict[int, str] = {}
-    parts = []
-    for r in instance.rounds:
-        part = encoded.get(id(r))
-        if part is None:
-            part = encoded[id(r)] = canonical_json(round_to_dict(r))
-        parts.append(part)
+    """``content_hash(instance_to_dict(instance))``, encoding each used pool
+    row once: a sampled instance's rounds are its model's few support
+    tuples.  The canonical text is spliced from those parts, so the hash is
+    the same."""
+    parts = _per_round(instance, lambda r: canonical_json(round_to_dict(r)))
     header = canonical_json({**_header_to_dict(instance), "rounds": None})
     head, tail = header.split('"rounds":null')
     return _text_hash(f'{head}"rounds":[{",".join(parts)}]{tail}')

@@ -22,18 +22,6 @@ REQUIRED_HEADER_KEYS = (
     "schema_version", "T", "seed", "eta", "delta", "instance_hash", "config",
 )
 
-FIXED_COLUMNS = (
-    "t",
-    "action",
-    "candidate",
-    "gate_open",
-    "reward",
-    "cum_reward",
-    "lambda_l1",
-    "max_general_violation_cum",
-)
-
-
 class TraceFormatError(ValueError):
     """A damaged trace file: a required header key is missing or a row does
     not have one field per column."""

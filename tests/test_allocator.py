@@ -373,6 +373,23 @@ class TestRunBatch:
         config = OgdConfig(eta=0.05, delta=0.05)
         self.check(model, 300, [4, 5, 6], config)
 
+    def test_random_instance_source(self):
+        # a fixed instance whose pool has one row per round, over several
+        # gather blocks, with a gate that closes
+        inst = ob.random_instance(ob.Seed(13), T=600, K=3, m=1, n=2, feasibility_margin=0.25)
+        assert len(inst.pool) == inst.horizon
+        lanes = self.check(inst, 600, [0, 1], default_config(inst, delta=0.05))
+        assert lanes[0].stopping_time == 574
+
+    def test_lanes_drawing_different_rows(self):
+        # short lanes over a large support each read their own set of rows
+        model = ob.random_model(ob.Seed(10), S=30, K=4, m=1, n=1, feasibility_margin=0.2,
+                                horizon=20)
+        seeds = list(range(5))
+        used = {tuple(sample_instance(model, 20, s).used.tolist()) for s in seeds}
+        assert len(used) == len(seeds)
+        self.check(model, 20, seeds, OgdConfig(eta=0.05, delta=0.05))
+
     def test_single_lane(self):
         model = ob.random_model(ob.Seed(9), S=7, K=4, m=1, n=2, feasibility_margin=0.2,
                                 horizon=400)

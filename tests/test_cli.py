@@ -372,6 +372,22 @@ class TestAudit:
         first = result["interval_regret"]["pairs"][0]
         assert set(first) == {"t1", "t2", "mu", "lhs", "rhs", "holds"}
 
+    def test_source_loaded_once_per_command(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "pacing.json"
+        ob.save_instance(ob.make_pacing_model(), path)
+        run_args = ["--instance", str(path), "--T", "60", "--seeds", "0:2"]
+        assert run_cli(capsys, "run", *run_args, "--out", str(tmp_path), "--name", "tr")[0] == 0
+        traces = [str(tmp_path / f"tr_{seed}.csv") for seed in (0, 1)]
+        loads = []
+        real = cli.load_instance
+        monkeypatch.setattr(cli, "load_instance", lambda p: loads.append(p) or real(p))
+        for override in ((), ("--instance", str(path))):
+            loads.clear()
+            code, out = run_cli(capsys, "audit", *traces, "--pairs", "5", *override)
+            assert code == 0
+            assert len(json.loads(out)["traces"]) == 2
+            assert loads == [str(path)]  # one load for both traces of the model
+
     def test_corrupted_lambda_cell_detected(self, tmp_path, capsys):
         trace = self.make_trace(tmp_path, capsys)
         lines = trace.read_text().splitlines()

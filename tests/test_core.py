@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ora_bob import environments as env
 from ora_bob.allocator import run
 from ora_bob.core import (
     ActionSet,
@@ -200,3 +201,91 @@ def test_random_valid_instances_pass_validation(k_extra, m, n, seed):
     budget = BudgetSpec(T, np.full(n, 0.5))
     report = validate_instance(rounds, budget, ActionSet(K, 0))
     assert report.ok, report.issues[:3]
+
+
+def _store_instances(tmp_path):
+    """Instances of every construction route, by name."""
+    model = env.random_model(env.Seed(4), S=5, K=3, m=1, n=2, feasibility_margin=0.2,
+                             horizon=40)
+    path = tmp_path / "inst.json"
+    env.save_instance(env.random_instance(env.Seed(5), 12, 3, 2, 1, 0.2), path)
+    return {
+        "random": env.random_instance(env.Seed(3), 30, 4, 2, 2, 0.2),
+        # support rows 1 and 3 are never drawn
+        "sampled": env.sample_instance(env.StochasticModel(
+            model.actions, model.budget, model.support, [0.4, 0.0, 0.3, 0.0, 0.3]), 60, 9),
+        "constant": env.constant_instance(
+            env.StochasticModel(model.actions, model.budget, model.support[:1], [1.0]), 25),
+        "file_loaded": env.load_instance(path),
+        "m0": env.sample_instance(
+            env.random_model(env.Seed(6), S=4, K=3, m=0, n=2, feasibility_margin=0.2), 50, 1),
+        "n0": env.sample_instance(
+            env.random_model(env.Seed(7), S=4, K=3, m=2, n=0, feasibility_margin=0.2), 50, 2),
+    }
+
+
+class TestRoundStore:
+    @pytest.mark.parametrize(
+        "name", ["random", "sampled", "constant", "file_loaded", "m0", "n0"]
+    )
+    def test_stacks_are_bitwise_stacks_of_rounds(self, tmp_path, name):
+        inst = _store_instances(tmp_path)[name]
+        rounds = inst.rounds
+        assert len(rounds) == inst.horizon
+        assert all(r is inst.pool[i] for r, i in zip(rounds, inst.index))
+        expected = {
+            "rewards_stack": np.stack([r.rewards for r in rounds]),
+            "general_stack": np.stack([r.general_costs for r in rounds]),
+            "consumption_stack": np.stack([r.consumptions for r in rounds]),
+            "unified_stack": np.stack(
+                [unify_constraints(r, inst.budget).matrix for r in rounds]
+            ),
+        }
+        for attr, want in expected.items():
+            got = getattr(inst, attr)
+            assert got.shape == want.shape and got.dtype == want.dtype, attr
+            assert got.tobytes() == want.tobytes(), attr
+            assert not got.flags.writeable
+
+    def test_rounds_are_the_original_objects(self):
+        a = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))
+        b = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))  # equal bytes
+        rounds = (a, b, a, a, b)
+        inst = Instance(ActionSet(2, 0), BudgetSpec(5, []), rounds)
+        assert inst.pool == (a, b)  # by identity, first occurrence first
+        assert inst.index.tolist() == [0, 1, 0, 0, 1]
+        assert not inst.index.flags.writeable
+        assert all(x is y for x, y in zip(inst.rounds, rounds))
+        model = env.random_model(env.Seed(2), S=6, K=3, m=1, n=1, feasibility_margin=0.2)
+        sampled = env.sample_instance(model, 50, 4)
+        draws = env.sample_support_indices(model, 50, 4)
+        assert sampled.pool is model.support
+        assert all(r is model.support[d] for r, d in zip(sampled.rounds, draws))
+
+    @pytest.mark.parametrize("kind", ["range_and_void", "odd_shape"])
+    def test_sampled_bad_row_issues_match_round_by_round(self, kind):
+        good = make_round([0.0, 0.5], np.zeros((0, 2)), [[0.0, 0.5]])
+        if kind == "range_and_void":
+            bad = make_round([0.0, 1.5], np.zeros((0, 2)), [[0.25, 0.5]])
+        else:
+            bad = make_round([0.0, 0.5, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]])
+        model = env.StochasticModel(
+            ActionSet(2, 0), BudgetSpec(30, [0.5]), (good, bad), [0.7, 0.3]
+        )
+        inst = env.sample_instance(model, 30, 5)
+        drawn = [t + 1 for t, r in enumerate(inst.rounds) if r is bad]
+        assert len(drawn) >= 3
+        issues = inst.validate().issues
+        assert issues == validate_instance(inst.rounds, inst.budget, inst.actions).issues
+        where = [(i.round, i.field, i.coordinate) for i in issues]
+        if kind == "range_and_void":
+            assert where == [(t, "reward", (1,)) for t in drawn] + [
+                (t, "void_column", (0, 0)) for t in drawn
+            ]
+        else:
+            assert where == [(t, "shape", ()) for t in drawn]
+
+    def test_index_outside_pool_refused(self):
+        r = make_round([0.0], np.zeros((0, 1)), np.zeros((0, 1)))
+        with pytest.raises(ValidationError):
+            Instance.from_pool(ActionSet(1, 0), BudgetSpec(2, []), (r,), [0, 1])

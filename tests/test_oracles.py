@@ -275,3 +275,21 @@ class TestCrossProperties:
             star = inst.unified_stack[t, :, best[t]]
             circ = inst.unified_stack[t, :, safe[t]]
             assert np.all(a * star + (1.0 - a) * circ <= 1e-12)
+
+
+def test_equal_bytes_pool_rows_merge_in_lp():
+    """Two distinct tuple objects with equal bytes are one LP group, so the
+    LP value is bitwise the one over a single shared object."""
+    def tup():
+        return InputTuple([0.0, 0.7, 0.4], [[0.0, 0.5, -0.25]], [[0.0, 0.9, 0.3]])
+
+    a, b, c = tup(), tup(), InputTuple([0.0, 0.2, 0.9], [[0.0, -0.5, 0.5]], [[0.0, 0.1, 0.8]])
+    budget = BudgetSpec(6, [0.4])
+    split = Instance(ActionSet(3, 0), budget, (a, b, c, b, a, c))
+    shared = Instance(ActionSet(3, 0), budget, (a, a, c, a, a, c))
+    assert len(split.pool) == 3 and len(shared.pool) == 2
+    from ora_bob import oracles
+
+    reps, counts = oracles._grouped_rounds(split)
+    assert reps.tolist() == [0, 2] and counts.tolist() == [4.0, 2.0]
+    assert opt_lp_relax(split).opt_value == opt_lp_relax(shared).opt_value
