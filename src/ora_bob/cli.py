@@ -104,21 +104,30 @@ def _parse_params(pairs) -> dict:
 
 def _resolve_source(args):
     if getattr(args, "instance", None):
-        return {"path": str(args.instance)}, load_instance(args.instance)
-    if getattr(args, "generator", None):
+        source_desc = {"path": str(args.instance)}
+    elif getattr(args, "generator", None):
         params = _parse_params(getattr(args, "param", None))
-        return (
-            {"generator": args.generator, "params": dict(sorted(params.items()))},
-            build_generator(args.generator, params),
-        )
-    raise CliError("either --instance or --generator is required")
+        source_desc = {"generator": args.generator, "params": dict(sorted(params.items()))}
+    else:
+        raise CliError("either --instance or --generator is required")
+    return source_desc, _load_source(source_desc)
 
 
 def _load_source(source_desc):
+    """The instance or model a source description names: a file path
+    string, or a generator name with an object of string parameters."""
     if "path" in source_desc:
-        return load_instance(source_desc["path"])
+        path = source_desc["path"]
+        if not isinstance(path, str):
+            raise CliError(f"source path {path!r} is not a string")
+        return load_instance(path)
     if "generator" in source_desc and "params" in source_desc:
-        return build_generator(source_desc["generator"], source_desc["params"])
+        generator, params = source_desc["generator"], source_desc["params"]
+        if not isinstance(generator, str):
+            raise CliError(f"source generator {generator!r} is not a string")
+        if not isinstance(params, dict) or not all(isinstance(v, str) for v in params.values()):
+            raise CliError(f"source params {params!r} are not an object of strings")
+        return build_generator(generator, params)
     raise CliError(f"source {source_desc!r} names neither a path nor a generator")
 
 
@@ -164,22 +173,11 @@ def execute_cell(
 
     rho = slater_adv(instance) if M else None
     opt_val = None
-    alpha_fraction = None
     if benchmark == "lp":
         opt_val = opt_lp_relax(instance).opt_value
     elif benchmark == "bruteforce":
         opt_val = opt_bruteforce(instance).opt_value
-    if opt_val is not None and rho is not None and rho > 0.0:
-        alpha_fraction = alpha(rho)
-
-    summary = run_summary(
-        trajectory,
-        instance,
-        rho=rho if rho is not None and rho > 0.0 else None,
-        opt_stoc=opt_val,
-        opt_adv=opt_val,
-        alpha_fraction=alpha_fraction,
-    )
+    summary = run_summary(trajectory, instance, rho=rho, benchmark=opt_val)
 
     resolved = {
         "schema_version": traceio.SCHEMA_VERSION,
@@ -377,12 +375,12 @@ def aggregate_sweep(
     name: str,
     t_values: list[int],
     seeds: list[int],
-    sweep_config: dict | None = None,
+    sweep_config: dict,
 ) -> dict:
     """Aggregate per-cell JSONs (read back from disk) into the sweep CSV and
     log-log fits.  Refuses to aggregate while any cell file is missing or
-    lacks a field the sweep row needs, or, given ``sweep_config``, any cell
-    was computed under another config."""
+    lacks a field the sweep row needs, or any cell was computed under
+    another config than ``sweep_config``."""
     rows = []
     cell_hashes = []
     for T in t_values:
@@ -392,16 +390,15 @@ def aggregate_sweep(
                 raise CliError(f"sweep incomplete: missing cell output {path}", path=path)
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            if sweep_config is not None:
-                config = payload.get("config") if isinstance(payload, dict) else None
-                stale = _stale_fields(config, sweep_config, T, seed)
-                if stale:
-                    raise CliError(
-                        f"stale sweep cell {path}: {', '.join(stale)} differ from "
-                        "the requested sweep; rerun it without --aggregate-only",
-                        path=path,
-                        fields=stale,
-                    )
+            config = payload.get("config") if isinstance(payload, dict) else None
+            stale = _stale_fields(config, sweep_config, T, seed)
+            if stale:
+                raise CliError(
+                    f"stale sweep cell {path}: {', '.join(stale)} differ from "
+                    "the requested sweep; rerun it without --aggregate-only",
+                    path=path,
+                    fields=stale,
+                )
             try:
                 rows.append(_sweep_row(T, seed, payload))
                 cell_hashes.append(payload["instance_hash"])
@@ -412,13 +409,12 @@ def aggregate_sweep(
                     f"damaged sweep cell {path}: {problem}", path=path, field=field
                 ) from None
 
-    lines = [f"# schema_version={traceio.SCHEMA_VERSION}"]
-    if sweep_config is not None:
-        lines.append(f"# config={serialization.canonical_json(sweep_config)}")
-    lines.append(
-        f"# cells_hash={serialization.content_hash(cell_hashes)}"
-    )
-    lines.append(",".join(SWEEP_COLUMNS))
+    lines = [
+        f"# schema_version={traceio.SCHEMA_VERSION}",
+        f"# config={serialization.canonical_json(sweep_config)}",
+        f"# cells_hash={serialization.content_hash(cell_hashes)}",
+        ",".join(SWEEP_COLUMNS),
+    ]
     lines += [",".join(_csv_cell(row[col]) for col in SWEEP_COLUMNS) for row in rows]
     csv_path = os.path.join(out_dir, f"{name}_sweep.csv")
     traceio.write_text_atomic(csv_path, "\n".join(lines) + "\n")
@@ -475,7 +471,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _slater_report(rho: float) -> dict:
+def _slater_report(source, oracle, *args) -> dict:
+    """rho = ``oracle(source, *args)`` and alpha(rho); not applicable to a
+    source with no constraints."""
+    if not source.num_constraints:
+        return {"status": "not_applicable"}
+    rho = oracle(source, *args)
     return {"rho": rho, "alpha": alpha(max(rho, 0.0))}
 
 
@@ -499,10 +500,10 @@ def cmd_oracle(args) -> int:
         if which in ("all", "opt_lp"):
             attempt("opt_lp", lambda: opt_lp_relax(obj).to_dict())
         if which in ("all", "slater_adv"):
-            reports["slater_adv"] = _slater_report(slater_adv(obj))
+            reports["slater_adv"] = _slater_report(obj, slater_adv)
     else:
         if which in ("all", "slater_stoc"):
-            attempt("slater_stoc", lambda: _slater_report(slater_stoc(obj, args.guard)))
+            attempt("slater_stoc", lambda: _slater_report(obj, slater_stoc, args.guard))
         if which in ("all", "opt_stoc"):
             if args.T is None:
                 if which != "all":
@@ -683,6 +684,8 @@ def audit_trace(path, instance_override, pairs: int, audit_seed: int | None, loa
 
 
 def cmd_audit(args) -> int:
+    if args.pairs < 0:
+        raise CliError(f"--pairs must be >= 0, got {args.pairs}")
     loaded: dict = {}
     results = [
         audit_trace(path, args.instance, args.pairs, args.audit_seed, loaded)

@@ -8,9 +8,10 @@ reports every violation instead of aborting, so malformed files can be loaded
 and diagnosed.
 
 An :class:`Instance` stores its rounds once, as a pool of distinct
-:class:`InputTuple` objects plus a (T,) row index; its per-round stacks are
-gathers over the pool rows the index uses.  Validation checks each pool row
-once and reports its issues at every round that uses it.
+:class:`InputTuple` objects plus a (T,) row index; the pool is exactly the
+rows the index uses, and its per-round stacks are gathers over the pool.
+Validation checks each pool row once and reports its issues at every round
+that uses it.
 """
 
 from __future__ import annotations
@@ -271,43 +272,20 @@ class Trajectory:
     def num_constraints(self) -> int:
         return self.num_general + self.num_resources
 
-    @property
-    def final_dual(self) -> DualVector:
-        return DualVector(self.duals[-1])
-
-    def record(self, t: int) -> RoundRecord:
-        """The RoundRecord for round t (1-based)."""
-        if not 1 <= t <= self.horizon:
-            raise IndexError(f"round {t} outside [1, {self.horizon}]")
-        i = t - 1
-        return RoundRecord(
-            round=t,
-            action=int(self.actions[i]),
-            candidate_action=int(self.candidates[i]),
-            reward=float(self.rewards[i]),
-            unified_values=self.unified_values[i],
-            dual_before=DualVector(self.duals[i]),
-            gate_open=bool(self.gate_open[i]),
-            cumulative_consumption=self.cumulative_consumption[i],
-        )
-
-    @property
-    def records(self) -> list[RoundRecord]:
-        return [self.record(t) for t in range(1, self.horizon + 1)]
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class Instance:
     """A fully specified adversarial run: action set, budget, and one input
     tuple per round.
 
-    The rounds are stored once: ``pool`` holds distinct InputTuple objects
-    and ``index`` (read-only, (T,) int64) each round's pool row, so round t
-    is ``pool[index[t]]``.  ``Instance(actions, budget, rounds)`` pools
-    ``rounds`` by object identity in order of first occurrence;
-    :meth:`from_pool` takes a pool and an index as they are (a sampled
-    instance is its model's support plus the draws).  The per-round stacks
-    are gathers over the pool rows the index uses; only those rows' stacks
+    The rounds are stored once: ``pool`` holds distinct InputTuple objects,
+    exactly those some round uses, and ``index`` (read-only, (T,) int64)
+    each round's pool row, so round t is ``pool[index[t]]``.
+    ``Instance(actions, budget, rounds)`` pools ``rounds`` by object
+    identity in order of first occurrence; :meth:`from_pool` keeps the rows
+    of a given pool that a given index uses, in pool order (a sampled
+    instance is its model's drawn support tuples plus the draws).  The
+    per-round stacks are gathers over the pool rows; only the pool's stacks
     are cached, never a (T, ...) array.
     """
 
@@ -327,15 +305,19 @@ class Instance:
         return self
 
     def _set(self, actions, budget, pool, index):
-        index = _frozen(np.array(index, dtype=np.int64))
+        index = np.array(index, dtype=np.int64)
         if index.shape != (budget.horizon,):
             raise ValidationError(
                 f"{index.size} rounds provided for horizon T={budget.horizon}"
             )
         if index.min() < 0 or index.max() >= len(pool):
             raise ValidationError(f"round index outside the pool of {len(pool)} tuples")
-        for name, value in (("actions", actions), ("budget", budget), ("pool", pool),
-                            ("index", index)):
+        used = np.flatnonzero(np.bincount(index, minlength=len(pool)))
+        position = np.zeros(len(pool), dtype=np.int64)
+        position[used] = np.arange(used.size)
+        for name, value in (("actions", actions), ("budget", budget),
+                            ("pool", tuple(pool[i] for i in used.tolist())),
+                            ("index", _frozen(position[index]))):
             object.__setattr__(self, name, value)
 
     @property
@@ -353,7 +335,7 @@ class Instance:
 
     @property
     def num_general(self) -> int:
-        return self.pool[self.index[0]].num_general
+        return self.pool[0].num_general
 
     @property
     def num_resources(self) -> int:
@@ -364,31 +346,18 @@ class Instance:
         return self.num_general + self.num_resources
 
     @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        return used_rows(self.index, len(self.pool))
-
-    @property
-    def used(self) -> np.ndarray:
-        """The pool rows the index uses, ascending."""
-        return self._rows[0]
-
-    def round_rows(self) -> np.ndarray:
-        """(T,) each round's row in the stacks of the used pool rows."""
-        return self._rows[1][self.index]
-
-    @cached_property
     def row_stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U, K) rewards, (U, m, K) costs and (U, n, K) consumptions of the
-        U used pool rows."""
-        return tuple(map(_frozen, stack_rows([self.pool[i] for i in self.used])))
+        """(S, K) rewards, (S, m, K) costs and (S, n, K) consumptions of the
+        S pool rows."""
+        return tuple(map(_frozen, stack_rows(self.pool)))
 
     @cached_property
     def unified_rows(self) -> np.ndarray:
-        """(U, M, K) unified constraint matrices of the used pool rows."""
+        """(S, M, K) unified constraint matrices of the pool rows."""
         return _frozen(unified_rows(*self.row_stacks[1:], self.budget.per_round_budget))
 
     def _gather(self, rows: np.ndarray) -> np.ndarray:
-        return _frozen(rows[self.round_rows()])
+        return _frozen(rows[self.index])
 
     rewards_stack = property(lambda self: self._gather(self.row_stacks[0]), doc="(T, K) rewards.")
     general_stack = property(
@@ -406,11 +375,11 @@ class Instance:
         return unify_constraints(self.pool[self.index[t - 1]], self.budget)
 
     def validate(self) -> "ValidationReport":
-        """validate_instance on these rounds: each used pool row is checked
-        once, over the cached row stacks once their shapes agree."""
+        """validate_instance on these rounds: each pool row is checked once,
+        over the cached row stacks once their shapes agree."""
         return pool_issues(
-            ValidationReport(), self.budget, [self.pool[i] for i in self.used],
-            self.round_rows(), self.actions, lambda _: self.row_stacks,
+            ValidationReport(), self.budget, self.pool, self.index, self.actions,
+            lambda _: self.row_stacks,
         )
 
 
@@ -421,15 +390,6 @@ def _pooled(rounds) -> tuple[tuple[InputTuple, ...], list[int]]:
     first = {id(r): r for r in rounds}
     slot = {key: i for i, key in enumerate(first)}
     return tuple(first.values()), [slot[id(r)] for r in rounds]
-
-
-def used_rows(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a pool of ``size`` tuples that ``index`` uses, ascending,
-    and each pool row's position among them (0 for an unused row)."""
-    used = np.flatnonzero(np.bincount(index, minlength=size))
-    pos = np.zeros(size, dtype=np.int64)
-    pos[used] = np.arange(used.size)
-    return used, pos
 
 
 def stack_rows(tuples: Sequence[InputTuple]):

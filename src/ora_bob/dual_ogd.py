@@ -80,7 +80,6 @@ def interval_regret_audit(
     comparator,
     t1: int,
     t2: int,
-    eta: float | None = None,
 ) -> IntervalRegretResult:
     """Check the interval guarantee of OGD against a fixed comparator.
 
@@ -102,8 +101,7 @@ def interval_regret_audit(
         raise ValidationError(f"comparator has {mu.shape[0]} components, M={M}")
     if np.any(mu < 0.0):
         raise ValidationError("comparator must be componentwise >= 0")
-    if eta is None:
-        eta = trajectory.eta
+    eta = trajectory.eta
 
     grads = trajectory.unified_values[t1 - 1 : t2]
     lams = trajectory.duals[t1 - 1 : t2]

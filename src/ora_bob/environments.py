@@ -88,14 +88,12 @@ class StochasticModel:
     def num_constraints(self) -> int:
         return self.num_general + self.num_resources
 
-    def validate(self, horizon: int | None = None) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Range/void checks on the support plus the budget-gate check at the
-        given (default: stored) sampling horizon."""
-        budget = self.budget
-        if horizon is not None and horizon != budget.horizon:
-            budget = BudgetSpec(horizon, self.budget.per_round_budget)
+        stored sampling horizon."""
         return pool_issues(
-            ValidationReport(), budget, self.support, np.arange(self.support_size), self.actions
+            ValidationReport(), self.budget, self.support, np.arange(self.support_size),
+            self.actions,
         )
 
 
@@ -118,7 +116,8 @@ def sample_sequence(model: StochasticModel, T: int, seed) -> list[InputTuple]:
 
 
 def sample_instance(model: StochasticModel, T: int, seed) -> Instance:
-    """T i.i.d. draws as an instance: the model's support plus the draws."""
+    """T i.i.d. draws as an instance: the support tuples drawn plus the
+    draws."""
     return Instance.from_pool(
         model.actions,
         BudgetSpec(T, model.budget.per_round_budget),
@@ -373,16 +372,9 @@ def make_pacing_model(
 
 
 def model_to_dict(model: StochasticModel) -> dict:
-    d = {
-        "T": model.budget.horizon,
-        "K": model.actions.count,
-        "m": model.num_general,
-        "n": model.num_resources,
-        "void_index": model.actions.void_index,
-        "beta": model.budget.per_round_budget.tolist(),
-        "support": [serialization.round_to_dict(r) for r in model.support],
-        "probs": model.probs.tolist(),
-    }
+    d = serialization._header_to_dict(model)
+    d["support"] = [serialization.round_to_dict(r) for r in model.support]
+    d["probs"] = model.probs.tolist()
     return d
 
 

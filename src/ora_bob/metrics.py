@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import Instance, Trajectory, ValidationError
 from .dual_ogd import DRIFT_SLACK, AUDIT_SLACK, dual_drift_audit
+from .oracles import alpha
 
 
 class BoundCheck(NamedTuple):
@@ -145,16 +146,17 @@ def run_summary(
     trajectory: Trajectory,
     instance: Instance,
     rho: float | None = None,
-    opt_stoc: float | None = None,
-    opt_adv: float | None = None,
-    alpha_fraction: float | None = None,
+    benchmark: float | None = None,
 ) -> RunSummary:
-    """Assemble the per-run report, including bound checks when rho is given."""
+    """Assemble the per-run report.  Given the Slater parameter ``rho`` > 0
+    it includes the bound checks; given the offline ``benchmark`` value it
+    includes the regret against it, and with both the alpha(rho)-regret."""
     v = violation(trajectory)
-    summary_regret = regret(opt_stoc, trajectory) if opt_stoc is not None else None
+    has_rho = rho is not None and rho > 0.0
+    summary_regret = regret(benchmark, trajectory) if benchmark is not None else None
     summary_alpha_regret = (
-        alpha_regret(alpha_fraction, opt_adv, trajectory)
-        if opt_adv is not None and alpha_fraction is not None
+        alpha_regret(alpha(rho), benchmark, trajectory)
+        if benchmark is not None and has_rho
         else None
     )
     dual_l1 = max_dual_l1(trajectory)
@@ -165,7 +167,7 @@ def run_summary(
             trajectory.eta * M, bool(drift <= trajectory.eta * M + DRIFT_SLACK)
         ),
     }
-    if rho is not None and rho > 0.0:
+    if has_rho:
         beta = instance.budget.per_round_budget
         beta_min = float(beta.min()) if beta.size else None
         bounds = theorem_bounds(

@@ -77,12 +77,19 @@ def _sequence_chunks(T: int, K: int):
         yield codes, digits
 
 
-def _gather_sum(stacked: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """Sum stacked[t, digits[:, t]] over rounds; stacked is (T, K)."""
-    T, K = stacked.shape
-    flat = stacked.reshape(-1)
-    offsets = (np.arange(T, dtype=np.int64) * K)[None, :]
-    return flat[digits + offsets].sum(axis=1)
+def _along(stacked: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """(chunk, T, ...) entries stacked[t, digits[:, t]] of a (T, K, ...)
+    stack at every sequence of a digits block."""
+    return stacked[np.arange(stacked.shape[0]), digits]
+
+
+def _require_constraints(source):
+    """Refuse a Slater parameter of a source with no constraints (m = n = 0):
+    a minimum over an empty constraint set has no value."""
+    if not source.num_constraints:
+        raise ValidationError(
+            "the constraint set is empty (m = n = 0): no Slater parameter to compute"
+        )
 
 
 def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> OracleReport:
@@ -103,12 +110,12 @@ def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> Oracle
     best_value = -np.inf
     best_code = -1
     for codes, digits in _sequence_chunks(T, K):
-        values = _gather_sum(rewards, digits)
+        values = _along(rewards, digits).sum(axis=1)
         feasible = np.ones(codes.shape[0], dtype=bool)
         for i in range(m):
-            feasible &= _gather_sum(general[:, i, :], digits) <= 0.0
+            feasible &= _along(general[:, i, :], digits).sum(axis=1) <= 0.0
         for j in range(n):
-            feasible &= _gather_sum(consumption[:, j, :], digits) <= limits[j]
+            feasible &= _along(consumption[:, j, :], digits).sum(axis=1) <= limits[j]
         if not feasible.any():
             continue
         masked = np.where(feasible, values, -np.inf)
@@ -179,7 +186,7 @@ def opt_lp_relax(instance: Instance) -> OracleReport:
             f"{LP_TABLEAU_GUARD_MIB} MiB; refusing to allocate it"
         )
 
-    rows = instance.round_rows()[reps]
+    rows = instance.index[reps]
     f, g, h = (stack[rows] for stack in instance.row_stacks)
     c = f.reshape(-1)
     A_eq = np.zeros((G, nvars))
@@ -238,13 +245,15 @@ def slater_adv(instance: Instance) -> float:
     The minimum over action sequences of the max over rounds separates
     across rounds, so rho_adv = -max_t min_x max_i g~_{t,i}(x).
     """
+    _require_constraints(instance)
     per_row = instance.unified_rows.max(axis=1).min(axis=1)
-    return float(-per_row[instance.round_rows()].max())
+    return float(-per_row[instance.index].max())
 
 
 def slater_safe_sequence(instance: Instance) -> np.ndarray:
     """Per-round argmin actions certifying slater_adv (lowest index on ties)."""
-    return instance.unified_rows.max(axis=1).argmin(axis=1)[instance.round_rows()]
+    _require_constraints(instance)
+    return instance.unified_rows.max(axis=1).argmin(axis=1)[instance.index]
 
 
 def slater_adv_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> float:
@@ -254,13 +263,12 @@ def slater_adv_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) ->
     rho_adv = -min over sequences of max over t of max_i g~_{t,i}(x_t).
     """
     T, K = instance.horizon, instance.num_actions
+    _require_constraints(instance)
     _guard(K**T, guard, f"brute-force Slater over {K}^{T} sequences")
-    colmax = instance.unified_rows.max(axis=1)[instance.round_rows()]  # (T, K)
-    flat = colmax.reshape(-1)
-    offsets = (np.arange(T, dtype=np.int64) * K)[None, :]
+    colmax = instance.unified_rows.max(axis=1)[instance.index]  # (T, K)
     worst = np.inf
     for _, digits in _sequence_chunks(T, K):
-        seq_scores = flat[digits + offsets].max(axis=1)
+        seq_scores = _along(colmax, digits).max(axis=1)
         worst = min(worst, float(seq_scores.min()))
     return -worst
 
@@ -273,17 +281,15 @@ def slater_stoc(model: StochasticModel, guard: int = ENUMERATION_GUARD) -> float
     probability-weighted expected unified constraint value.
     """
     S, K = model.support_size, model.actions.count
+    _require_constraints(model)
     _guard(K**S, guard, f"policy enumeration over {K}^{S} policies")
-    M = model.num_constraints
     _, g, h = stack_rows(model.support)
     unified = unified_rows(g, h, model.budget.per_round_budget)
     # weighted[s, x, i] = p_s * g~_i(x) under support tuple s
     weighted = model.probs[:, None, None] * unified.transpose(0, 2, 1)
-    flat = weighted.reshape(S * K, M)
-    offsets = (np.arange(S, dtype=np.int64) * K)[None, :]
     best = np.inf
     for _, digits in _sequence_chunks(S, K):
-        expect = flat[digits + offsets].sum(axis=1)  # (chunk, M)
+        expect = _along(weighted, digits).sum(axis=1)  # (chunk, M)
         scores = expect.max(axis=1)
         best = min(best, float(scores.min()))
     return -best

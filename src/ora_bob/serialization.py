@@ -102,9 +102,9 @@ def _header_to_dict(instance_like) -> dict:
 
 
 def _per_round(instance: Instance, encode) -> list:
-    """``encode`` of each round's tuple, called once per used pool row."""
-    parts = [encode(instance.pool[i]) for i in instance.used.tolist()]
-    return [parts[k] for k in instance.round_rows().tolist()]
+    """``encode`` of each round's tuple, called once per pool row."""
+    parts = [encode(r) for r in instance.pool]
+    return [parts[k] for k in instance.index.tolist()]
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -116,18 +116,18 @@ def instance_to_dict(instance: Instance) -> dict:
 HEADER_KEYS = ("T", "K", "m", "n", "void_index", "beta")
 
 
-def _header_from_dict(d: dict, pointer: str = ""):
-    t = _as_int(d["T"], f"{pointer}/T")
-    k = _as_int(d["K"], f"{pointer}/K")
-    m = _as_int(d["m"], f"{pointer}/m")
-    n = _as_int(d["n"], f"{pointer}/n")
-    void = _as_int(d["void_index"], f"{pointer}/void_index")
-    beta = _as_real_list(d["beta"], n, f"{pointer}/beta")
+def _header_from_dict(d: dict):
+    t = _as_int(d["T"], "/T")
+    k = _as_int(d["K"], "/K")
+    m = _as_int(d["m"], "/m")
+    n = _as_int(d["n"], "/n")
+    void = _as_int(d["void_index"], "/void_index")
+    beta = _as_real_list(d["beta"], n, "/beta")
     try:
         actions = ActionSet(count=k, void_index=void)
         budget = BudgetSpec(horizon=t, per_round_budget=beta)
     except ValueError as exc:
-        raise SchemaError(str(exc), pointer) from exc
+        raise SchemaError(str(exc)) from exc
     return actions, budget, k, m, n
 
 
@@ -166,10 +166,10 @@ def content_hash(obj: Any) -> str:
 
 
 def instance_hash(instance: Instance) -> str:
-    """``content_hash(instance_to_dict(instance))``, encoding each used pool
-    row once: a sampled instance's rounds are its model's few support
-    tuples.  The canonical text is spliced from those parts, so the hash is
-    the same."""
+    """``content_hash(instance_to_dict(instance))``, encoding each pool row
+    once: a sampled instance's rounds are its model's few support tuples.
+    The canonical text is spliced from those parts, so the hash is the
+    same."""
     parts = _per_round(instance, lambda r: canonical_json(round_to_dict(r)))
     header = canonical_json({**_header_to_dict(instance), "rounds": None})
     head, tail = header.split('"rounds":null')

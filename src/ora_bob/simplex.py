@@ -5,8 +5,8 @@ tableau with an explicit reduced-cost row.  Pivoting uses Dantzig's rule
 (most negative reduced cost) and switches permanently to Bland's smallest-
 index rule after a stretch of pivots without objective improvement, which
 rules out cycling; the ratio test breaks ties toward the smallest basic
-variable index.  Reduced costs are compared against an absolute tolerance
-(default 1e-9).
+variable index.  Reduced costs are compared against an absolute tolerance,
+TOL.
 
 This is deliberately a small, auditable solver: the LPs it sees have at most
 a few thousand columns and a few hundred rows.  A pivot updates only the rows
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9
 PHASE1_FEASIBILITY_TOL = 1e-7
 
 #: Per-thread pivot work buffer, (2, rows, width), alive during one solve_lp.
@@ -63,7 +63,7 @@ def _pivot(tab, red, basis, r, q):
     np.clip(rhs, 0.0, None, out=rhs)
 
 
-def _iterate(tab, basis, cost, barred, tol, max_iterations, iterations_used):
+def _iterate(tab, basis, cost, barred, max_iterations, iterations_used):
     rows = tab.shape[0]
     red = cost - cost[basis] @ tab[:, :-1]
     stall_limit = 3 * rows + 20
@@ -73,7 +73,7 @@ def _iterate(tab, basis, cost, barred, tol, max_iterations, iterations_used):
     it = iterations_used
 
     while True:
-        eligible = red < -tol
+        eligible = red < -TOL
         eligible[barred] = False
         idx = np.nonzero(eligible)[0]
         if idx.size == 0:
@@ -88,7 +88,7 @@ def _iterate(tab, basis, cost, barred, tol, max_iterations, iterations_used):
         else:
             q = int(idx[np.argmin(red[idx])])
         col = tab[:, q]
-        pos = np.nonzero(col > tol)[0]
+        pos = np.nonzero(col > TOL)[0]
         if pos.size == 0:
             raise SimplexError("linear program is unbounded", it)
         ratios = tab[pos, -1] / col[pos]
@@ -97,7 +97,7 @@ def _iterate(tab, basis, cost, barred, tol, max_iterations, iterations_used):
         r = int(ties[np.argmin(basis[ties])])
         _pivot(tab, red, basis, r, q)
         obj = float(cost[basis] @ tab[:, -1])
-        if obj < best_obj - tol * max(1.0, abs(best_obj)):
+        if obj < best_obj - TOL * max(1.0, abs(best_obj)):
             best_obj = obj
             stall = 0
         else:
@@ -112,7 +112,6 @@ def solve_lp(
     b_ub=None,
     A_eq=None,
     b_eq=None,
-    tol: float = DEFAULT_TOL,
     max_iterations: int | None = None,
 ) -> SimplexResult:
     """Maximize c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
@@ -165,12 +164,12 @@ def solve_lp(
     # Pages of the pivot work buffer are touched only as pivots use them.
     _scratch.work = np.empty((2, rows, width))
     try:
-        return _solve(tab, basis, c, n, mu, n_art, tol, max_iterations)
+        return _solve(tab, basis, c, n, mu, n_art, max_iterations)
     finally:
         del _scratch.work
 
 
-def _solve(tab, basis, c, n, mu, n_art, tol, max_iterations) -> SimplexResult:
+def _solve(tab, basis, c, n, mu, n_art, max_iterations) -> SimplexResult:
     """Phases 1 and 2 on the initial tableau built by solve_lp."""
     rows = tab.shape[0]
     total_vars = n + mu + n_art
@@ -180,8 +179,7 @@ def _solve(tab, basis, c, n, mu, n_art, tol, max_iterations) -> SimplexResult:
         cost1 = np.zeros(total_vars)
         cost1[art_cols] = 1.0
         iterations = _iterate(
-            tab, basis, cost1, np.zeros(total_vars, dtype=bool), tol,
-            max_iterations, iterations,
+            tab, basis, cost1, np.zeros(total_vars, dtype=bool), max_iterations, iterations,
         )
         infeas = float(cost1[basis] @ tab[:, -1])
         if infeas > PHASE1_FEASIBILITY_TOL:
@@ -196,7 +194,7 @@ def _solve(tab, basis, c, n, mu, n_art, tol, max_iterations) -> SimplexResult:
         red_dummy = np.zeros(total_vars)
         for r in range(rows):
             if basis[r] >= n + mu:
-                candidates = np.nonzero(np.abs(tab[r, : n + mu]) > tol)[0]
+                candidates = np.nonzero(np.abs(tab[r, : n + mu]) > TOL)[0]
                 if candidates.size:
                     _pivot(tab, red_dummy, basis, r, int(candidates[0]))
     else:
@@ -204,7 +202,7 @@ def _solve(tab, basis, c, n, mu, n_art, tol, max_iterations) -> SimplexResult:
 
     cost2 = np.zeros(total_vars)
     cost2[:n] = -c  # maximize c.x == minimize -c.x
-    iterations = _iterate(tab, basis, cost2, barred, tol, max_iterations, iterations)
+    iterations = _iterate(tab, basis, cost2, barred, max_iterations, iterations)
 
     x_full = np.zeros(total_vars)
     x_full[basis] = tab[:, -1]

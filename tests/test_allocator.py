@@ -10,6 +10,7 @@ from ora_bob.allocator import (
     initial_state,
     run,
     run_batch,
+    run_lanes,
     step,
     stopping_time,
 )
@@ -20,6 +21,7 @@ from ora_bob.core import (
     InputTuple,
     Instance,
     InstanceValidationError,
+    ValidationError,
 )
 from ora_bob.dual_ogd import OgdConfig, learning_rate
 from ora_bob.environments import StochasticModel, sample_instance
@@ -386,9 +388,19 @@ class TestRunBatch:
         model = ob.random_model(ob.Seed(10), S=30, K=4, m=1, n=1, feasibility_margin=0.2,
                                 horizon=20)
         seeds = list(range(5))
-        used = {tuple(sample_instance(model, 20, s).used.tolist()) for s in seeds}
+        used = {tuple(map(id, sample_instance(model, 20, s).pool)) for s in seeds}
         assert len(used) == len(seeds)
         self.check(model, 20, seeds, OgdConfig(eta=0.05, delta=0.05))
+
+    def test_lanes_of_another_budget_or_horizon_refused(self):
+        # played on lane 0's budget, the beta = 0.05 lane would consume 11.9
+        # against its hard cap of 10
+        config = OgdConfig(eta=0.01, delta=0.05)
+        paced = sample_instance(ob.make_pacing_model(beta=0.25), 200, 0)
+        for other in (sample_instance(ob.make_pacing_model(beta=0.05), 200, 0),
+                      sample_instance(ob.make_pacing_model(beta=0.25), 100, 0)):
+            with pytest.raises(ValidationError, match="lane 1 differs from lane 0"):
+                run_lanes([paced, other], config)
 
     def test_single_lane(self):
         model = ob.random_model(ob.Seed(9), S=7, K=4, m=1, n=2, feasibility_margin=0.2,

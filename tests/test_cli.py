@@ -301,6 +301,21 @@ class TestOracleCommand:
         assert reports["slater_stoc"]["rho"] >= 0.25
         assert reports["opt_stoc"]["method"] == "monte_carlo"
 
+    @pytest.mark.parametrize(
+        "source, slater, kept",
+        [
+            (("--generator", "random"), "slater_adv", ("opt_bruteforce", "opt_lp")),
+            (("--generator", "random_model", "--T", "4"), "slater_stoc", ("opt_stoc",)),
+        ],
+    )
+    def test_no_constraints_slater_not_applicable(self, capsys, source, slater, kept):
+        params = ("--param", "T=5", "--param", "m=0", "--param", "n=0", "--param", "K=3")
+        code, out = run_cli(capsys, "oracle", *source, *params)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert reports[slater] == {"status": "not_applicable"}
+        assert all("opt_value" in reports[key] for key in kept)
+
     def test_guard_failure_is_loud_when_explicit(self, tmp_path, capsys):
         inst = ob.random_instance(ob.Seed(2), T=40, K=4, m=1, n=1, feasibility_margin=0.25)
         path = tmp_path / "big.json"
@@ -471,6 +486,13 @@ class TestAudit:
             (None, "TraceFormatError", "lacks config"),
             ("[]", "TraceFormatError", "names no source"),
             ('{"source": {}}', "CliError", "neither a path nor a generator"),
+            ('{"source": {"path": ["x"]}}', "CliError", "is not a string"),
+            ('{"source": {"generator": 1, "params": {}}}', "CliError", "is not a string"),
+            (
+                '{"source": {"generator": "example1_general", "params": ["T"]}}',
+                "CliError",
+                "not an object of strings",
+            ),
         ],
     )
     def test_damaged_config_header_exits_2(self, tmp_path, capsys, config, error, message):
@@ -484,6 +506,12 @@ class TestAudit:
         err = json.loads(out)["error"]
         assert err["type"] == error
         assert message in err["message"]
+
+    def test_negative_pairs_exit_2(self, tmp_path, capsys):
+        trace = self.make_trace(tmp_path, capsys)
+        code, out = run_cli(capsys, "audit", str(trace), "--pairs", "-1")
+        assert code == 2
+        assert "--pairs must be >= 0" in json.loads(out)["error"]["message"]
 
     def test_audit_output_file(self, tmp_path, capsys):
         trace = self.make_trace(tmp_path, capsys)

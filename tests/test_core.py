@@ -259,7 +259,7 @@ class TestRoundStore:
         model = env.random_model(env.Seed(2), S=6, K=3, m=1, n=1, feasibility_margin=0.2)
         sampled = env.sample_instance(model, 50, 4)
         draws = env.sample_support_indices(model, 50, 4)
-        assert sampled.pool is model.support
+        assert sampled.pool == model.support
         assert all(r is model.support[d] for r, d in zip(sampled.rounds, draws))
 
     @pytest.mark.parametrize("kind", ["range_and_void", "odd_shape"])
@@ -284,6 +284,16 @@ class TestRoundStore:
             ]
         else:
             assert where == [(t, "shape", ()) for t in drawn]
+
+    def test_pool_is_the_rows_the_index_uses(self, tmp_path):
+        sampled = _store_instances(tmp_path)["sampled"]
+        assert len(sampled.pool) == 3  # support rows 1 and 3 are never drawn
+        assert sorted(set(sampled.index.tolist())) == [0, 1, 2]
+        r = [make_round([0.0, x], np.zeros((0, 2)), np.zeros((0, 2))) for x in (0.1, 0.2, 0.3)]
+        inst = Instance.from_pool(ActionSet(2, 0), BudgetSpec(3, []), r, [2, 0, 2])
+        assert inst.pool == (r[0], r[2])  # in pool order
+        assert inst.index.tolist() == [1, 0, 1]
+        assert all(x is y for x, y in zip(inst.rounds, (r[2], r[0], r[2])))
 
     def test_index_outside_pool_refused(self):
         r = make_round([0.0], np.zeros((0, 1)), np.zeros((0, 1)))

@@ -229,6 +229,15 @@ class TestSlaterStoc:
             slater_stoc(model, guard=1000)
 
 
+def test_slater_oracles_refuse_an_empty_constraint_set():
+    inst = tiny_instance(3, m=0, n=0)
+    model = random_model(Seed(3), S=3, K=3, m=0, n=0, feasibility_margin=0.2)
+    for oracle, source in ((slater_adv, inst), (slater_safe_sequence, inst),
+                           (slater_adv_bruteforce, inst), (slater_stoc, model)):
+        with pytest.raises(ValidationError, match="constraint set is empty"):
+            oracle(source)
+
+
 class TestAlpha:
     def test_values(self):
         assert alpha(0.25) == 0.2
