@@ -19,8 +19,8 @@ lockstep.  It reads each round's inputs by index from a row table
 (F (S, K), U (S, M, K), H (S, n, K)) through an (R, B) index of rows, and
 every operation in it is elementwise per lane, so each lane is bit for bit
 the run it would be on its own.  :func:`run_lanes` plays one lane per
-instance over one table of the instances' pools (an instance is a pool of
-distinct input tuples plus a row index per round); :func:`run`
+instance over one table of the instances' rows (an instance is (F, G, H)
+stacks of input rows plus a row index per round); :func:`run`
 is its one-lane case, :func:`run_batch` its lanes for the seeds of a
 source, and :func:`step` one lane for one round from a given state.
 Within a lane the dual state is a chain; lanes share only the loop.
@@ -296,7 +296,7 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
     invalid one raises before any round is played; so does any lane whose
     horizon, per-round budget (bitwise), action set or (m, n) differs from
     the first lane's (the cells of one source share them).  The lanes read
-    one table, the row stacks of their pools, so no lane's T-round stacks
+    one table, the row stacks of the instances, so no lane's T-round stacks
     are built.  Returns the lanes' Trajectories lazily, in order, so a
     caller can handle one at a time.
     """
@@ -317,9 +317,9 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
                 f"lane {r} differs from lane 0 in its horizon, budget, action set "
                 "or (m, n); lanes must share them"
             )
-    start = np.cumsum([0] + [len(inst.pool) for inst in distinct]).tolist()
+    start = np.cumsum([0] + [len(inst.rows[0]) for inst in distinct]).tolist()
     offset = dict(zip(map(id, distinct), start))
-    parts = [(i.row_stacks[0], i.unified_rows, i.row_stacks[2]) for i in distinct]
+    parts = [(i.rows[0], i.unified_rows, i.rows[2]) for i in distinct]
     table = tuple(map(np.concatenate, zip(*parts)))  # (F, U, H)
     index = np.stack([offset[id(inst)] + inst.index for inst in instances])
     R, M, n = len(instances), first.num_constraints, first.num_resources

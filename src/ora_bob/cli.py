@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -273,6 +272,9 @@ def _run_cells(payloads: list[dict], jobs: int) -> list[str]:
     if jobs <= 1 or len(payloads) <= 1:
         chunks = [_execute_cells_task(p) for p in payloads]
     else:
+        # imported only here: --jobs > 1 alone needs it, and it slows start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_execute_cells_task, payloads))
     return [path for chunk in chunks for path in chunk]
@@ -343,7 +345,9 @@ def _csv_cell(v) -> str:
 
 
 def _fit_loglog_slope(ts: list[int], means: list[float]) -> float | None:
-    if any(not v > 0.0 for v in means):
+    """Least-squares slope of log(mean) on log(T); None unless every mean is
+    positive and there are at least 2 distinct horizons."""
+    if len(set(ts)) < 2 or any(not v > 0.0 for v in means):
         return None
     x = np.log(np.asarray(ts, dtype=np.float64))
     y = np.log(np.asarray(means, dtype=np.float64))

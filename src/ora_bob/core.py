@@ -7,11 +7,12 @@ and the void-column property are checked by :func:`validate_instance`, which
 reports every violation instead of aborting, so malformed files can be loaded
 and diagnosed.
 
-An :class:`Instance` stores its rounds once, as a pool of distinct
-:class:`InputTuple` objects plus a (T,) row index; the pool is exactly the
-rows the index uses, and its per-round stacks are gathers over the pool.
-Validation checks each pool row once and reports its issues at every round
-that uses it.
+An :class:`Instance` stores its rounds once, as read-only (F, G, H) stacks
+of input rows plus a (T,) row index; the rows are exactly those the index
+uses, and its per-round stacks are gathers over the rows.  Its
+:class:`InputTuple` objects are built only when read.  Input rows of
+different shapes are refused at construction.  Validation checks each row
+once and reports its issues at every round that uses it.
 """
 
 from __future__ import annotations
@@ -193,11 +194,6 @@ def unify_constraints(inp: InputTuple, budget: BudgetSpec) -> UnifiedConstraints
     Rows 1..m copy the cost matrix; row m+j is consumption row j minus
     beta_j in every column.
     """
-    if inp.num_resources != budget.num_resources:
-        raise ValidationError(
-            f"consumption axis mismatch: input has n={inp.num_resources} resource "
-            f"rows, budget has n={budget.num_resources}"
-        )
     beta = budget.per_round_budget
     return UnifiedConstraints(unified_rows(inp.general_costs[None], inp.consumptions[None], beta)[0])
 
@@ -273,69 +269,24 @@ class Trajectory:
         return self.num_general + self.num_resources
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Instance:
-    """A fully specified adversarial run: action set, budget, and one input
-    tuple per round.
-
-    The rounds are stored once: ``pool`` holds distinct InputTuple objects,
-    exactly those some round uses, and ``index`` (read-only, (T,) int64)
-    each round's pool row, so round t is ``pool[index[t]]``.
-    ``Instance(actions, budget, rounds)`` pools ``rounds`` by object
-    identity in order of first occurrence; :meth:`from_pool` keeps the rows
-    of a given pool that a given index uses, in pool order (a sampled
-    instance is its model's drawn support tuples plus the draws).  The
-    per-round stacks are gathers over the pool rows; only the pool's stacks
-    are cached, never a (T, ...) array.
-    """
-
-    actions: ActionSet
-    budget: BudgetSpec
-    pool: tuple[InputTuple, ...]
-    index: np.ndarray
-
-    def __init__(self, actions: ActionSet, budget: BudgetSpec, rounds):
-        self._set(actions, budget, *_pooled(rounds))
+class RowStore:
+    """Input rows stored as ``rows``: the read-only (F (S, K), G (S, m, K),
+    H (S, n, K)) stacks of S rows of one shape, under a ``budget``.
+    :class:`InputTuple` objects of the rows are built only when read."""
 
     @classmethod
-    def from_pool(cls, actions: ActionSet, budget: BudgetSpec, pool, index) -> "Instance":
-        """The instance whose round t is ``pool[index[t]]``."""
+    def _new(cls, actions, budget, rows, *rest):
         self = object.__new__(cls)
-        self._set(actions, budget, tuple(pool), index)
+        self._set(actions, budget, tuple(map(_readonly, rows)), *rest)
         return self
 
-    def _set(self, actions, budget, pool, index):
-        index = np.array(index, dtype=np.int64)
-        if index.shape != (budget.horizon,):
-            raise ValidationError(
-                f"{index.size} rounds provided for horizon T={budget.horizon}"
-            )
-        if index.min() < 0 or index.max() >= len(pool):
-            raise ValidationError(f"round index outside the pool of {len(pool)} tuples")
-        used = np.flatnonzero(np.bincount(index, minlength=len(pool)))
-        position = np.zeros(len(pool), dtype=np.int64)
-        position[used] = np.arange(used.size)
-        for name, value in (("actions", actions), ("budget", budget),
-                            ("pool", tuple(pool[i] for i in used.tolist())),
-                            ("index", _frozen(position[index]))):
+    def _store(self, **fields):
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     @property
-    def rounds(self) -> tuple[InputTuple, ...]:
-        """Each round's input tuple, the pool objects themselves."""
-        return tuple(map(self.pool.__getitem__, self.index.tolist()))
-
-    @property
-    def horizon(self) -> int:
-        return self.budget.horizon
-
-    @property
-    def num_actions(self) -> int:
-        return self.actions.count
-
-    @property
     def num_general(self) -> int:
-        return self.pool[0].num_general
+        return self.rows[1].shape[1]
 
     @property
     def num_resources(self) -> int:
@@ -346,25 +297,82 @@ class Instance:
         return self.num_general + self.num_resources
 
     @cached_property
-    def row_stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S, K) rewards, (S, m, K) costs and (S, n, K) consumptions of the
-        S pool rows."""
-        return tuple(map(_frozen, stack_rows(self.pool)))
+    def unified_rows(self) -> np.ndarray:
+        """(S, M, K) unified constraint matrices of the rows."""
+        return _frozen(unified_rows(*self.rows[1:], self.budget.per_round_budget))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Instance(RowStore):
+    """A fully specified adversarial run: action set, budget, and one input
+    tuple per round.
+
+    The rounds are stored once: ``rows`` holds the input rows some round
+    uses and ``index`` (read-only, (T,) int64) each round's row.
+    ``Instance(actions, budget, rounds)`` stacks one row per round;
+    :meth:`from_rows` keeps the rows a given index uses, in row order (a
+    sampled instance is its model's drawn support rows plus the draws).
+    The per-round stacks are gathers over the rows, never cached.
+    """
+
+    actions: ActionSet
+    budget: BudgetSpec
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    index: np.ndarray
+
+    def __init__(self, actions: ActionSet, budget: BudgetSpec, rounds):
+        rounds = tuple(rounds)
+        self._set(actions, budget, stack_rows(rounds), np.arange(len(rounds)))
+
+    @classmethod
+    def from_rows(cls, actions: ActionSet, budget: BudgetSpec, rows, index) -> "Instance":
+        """The instance whose round t is row ``index[t]`` of the (F, G, H)
+        stacks ``rows``."""
+        return cls._new(actions, budget, rows, index)
+
+    def _set(self, actions, budget, rows, index):
+        index = np.array(index, dtype=np.int64)
+        if index.shape != (budget.horizon,):
+            raise ValidationError(
+                f"{index.size} rounds provided for horizon T={budget.horizon}"
+            )
+        size = rows[0].shape[0]
+        if index.min() < 0 or index.max() >= size:
+            raise ValidationError(f"round index outside the {size} rows")
+        used = np.flatnonzero(np.bincount(index, minlength=size))
+        if used.size < size:
+            position = np.zeros(size, dtype=np.int64)
+            position[used] = np.arange(used.size)
+            rows, index = tuple(_frozen(r[used]) for r in rows), position[index]
+        self._store(actions=actions, budget=budget, rows=rows, index=_frozen(index))
 
     @cached_property
-    def unified_rows(self) -> np.ndarray:
-        """(S, M, K) unified constraint matrices of the pool rows."""
-        return _frozen(unified_rows(*self.row_stacks[1:], self.budget.per_round_budget))
+    def pool(self) -> tuple[InputTuple, ...]:
+        """One input tuple per row."""
+        return tuple(map(InputTuple, *self.rows))
+
+    @cached_property
+    def rounds(self) -> tuple[InputTuple, ...]:
+        """Each round's input tuple, the ``pool`` objects themselves."""
+        return tuple(map(self.pool.__getitem__, self.index.tolist()))
+
+    @property
+    def horizon(self) -> int:
+        return self.budget.horizon
+
+    @property
+    def num_actions(self) -> int:
+        return self.actions.count
 
     def _gather(self, rows: np.ndarray) -> np.ndarray:
         return _frozen(rows[self.index])
 
-    rewards_stack = property(lambda self: self._gather(self.row_stacks[0]), doc="(T, K) rewards.")
+    rewards_stack = property(lambda self: self._gather(self.rows[0]), doc="(T, K) rewards.")
     general_stack = property(
-        lambda self: self._gather(self.row_stacks[1]), doc="(T, m, K) general costs."
+        lambda self: self._gather(self.rows[1]), doc="(T, m, K) general costs."
     )
     consumption_stack = property(
-        lambda self: self._gather(self.row_stacks[2]), doc="(T, n, K) consumptions."
+        lambda self: self._gather(self.rows[2]), doc="(T, n, K) consumptions."
     )
     unified_stack = property(
         lambda self: self._gather(self.unified_rows), doc="(T, M, K) unified matrices."
@@ -372,39 +380,36 @@ class Instance:
 
     def unified(self, t: int) -> UnifiedConstraints:
         """Unified constraints for round t (1-based)."""
-        return unify_constraints(self.pool[self.index[t - 1]], self.budget)
+        return UnifiedConstraints(self.unified_rows[self.index[t - 1]])
 
     def validate(self) -> "ValidationReport":
-        """validate_instance on these rounds: each pool row is checked once,
-        over the cached row stacks once their shapes agree."""
-        return pool_issues(
-            ValidationReport(), self.budget, self.pool, self.index, self.actions,
-            lambda _: self.row_stacks,
-        )
-
-
-def _pooled(rounds) -> tuple[tuple[InputTuple, ...], list[int]]:
-    """The distinct objects of ``rounds`` in order of first occurrence, and
-    each round's position among them."""
-    rounds = tuple(rounds)  # alive while pooled: ids stay unique
-    first = {id(r): r for r in rounds}
-    slot = {key: i for i, key in enumerate(first)}
-    return tuple(first.values()), [slot[id(r)] for r in rounds]
+        """validate_instance on these rounds: each row is checked once."""
+        return pool_issues(ValidationReport(), self.budget, self.rows, self.index, self.actions)
 
 
 def stack_rows(tuples: Sequence[InputTuple]):
-    """The (U, K) rewards, (U, m, K) costs and (U, n, K) consumptions of U
-    input tuples of one shape."""
-    return (
-        np.stack([r.rewards for r in tuples]),
-        np.stack([r.general_costs for r in tuples]),
-        np.stack([r.consumptions for r in tuples]),
-    )
+    """The read-only (U, K) rewards, (U, m, K) costs and (U, n, K)
+    consumptions of U >= 1 input tuples; ValidationError unless they share
+    one (K, m, n)."""
+    shapes = sorted({_shape(r) for r in tuples})
+    if len(shapes) != 1:
+        raise ValidationError(f"input tuples must share one shape (K, m, n), got {shapes}")
+    arrays = zip(*((r.rewards, r.general_costs, r.consumptions) for r in tuples))
+    return tuple(_frozen(np.stack(a)) for a in arrays)
+
+
+def _shape(r: InputTuple) -> tuple[int, int, int]:
+    return r.num_actions, r.num_general, r.num_resources
 
 
 def unified_rows(general: np.ndarray, consumption: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """(U, M, K) unified matrices: the (U, m, K) costs over the (U, n, K)
     consumptions shifted down by beta."""
+    if consumption.shape[1] != beta.shape[0]:
+        raise ValidationError(
+            f"consumption axis mismatch: input has n={consumption.shape[1]} resource "
+            f"rows, budget has n={beta.shape[0]}"
+        )
     return np.concatenate([general, consumption - beta[None, :, None]], axis=1)
 
 
@@ -445,8 +450,8 @@ def validate_instance(
     """Check every range, shape and void-column invariant; never aborts.
 
     Issues carry (round, field, coordinate) so callers can locate each
-    offending entry; budget-level problems are reported with round 0.  Each
-    distinct round object is checked once.
+    offending entry; budget-level problems are reported with round 0.
+    Rounds of different shapes are reported round by round.
     """
     report = ValidationReport()
     t_count = len(rounds)
@@ -454,8 +459,12 @@ def validate_instance(
         report.add(0, "shape", (), f"{t_count} rounds provided for horizon T={budget.horizon}")
     if t_count == 0:
         return report
-    pool, index = _pooled(rounds)
-    return pool_issues(report, budget, pool, np.array(index), actions)
+    shapes = [_shape(r) for r in rounds]
+    if len(set(shapes)) == 1:
+        return pool_issues(report, budget, stack_rows(rounds), np.arange(t_count), actions)
+    budget_gate_issues(report, budget)
+    _shape_ok(report, shapes, np.arange(t_count), actions.count, budget.num_resources)
+    return report
 
 
 def budget_gate_issues(report: ValidationReport, budget: BudgetSpec):
@@ -477,67 +486,63 @@ def budget_gate_issues(report: ValidationReport, budget: BudgetSpec):
         )
 
 
-def pool_issues(report, budget, tuples, rows, actions, stacks=stack_rows) -> ValidationReport:
+def pool_issues(report, budget, rows, index, actions) -> ValidationReport:
     """``report`` with the budget-gate issues, then the shape, range and
-    void-column checks of the rounds whose input tuples are
-    ``tuples[rows[t]]``, each tuple used by some round.  Every tuple is
-    checked once and its issues are reported at each round that uses it, in
-    the order a round-by-round check finds them.  ``stacks(tuples)`` gives
-    their (F, G, H) stacks once their shapes agree."""
+    void-column checks of the rounds whose inputs are row ``index[t]`` of
+    the (F, G, H) stacks ``rows``, each row used by some round.  Every row
+    is checked once and its issues are reported at each round that uses it,
+    in the order a round-by-round check finds them."""
     budget_gate_issues(report, budget)
-    if _shape_ok(report, tuples, rows, actions, budget.num_resources):
-        f, g, h = stacks(tuples)
+    f, g, h = rows
+    shape = (f.shape[1], g.shape[1], h.shape[1])
+    if _shape_ok(report, [shape], np.zeros_like(index), actions.count, budget.num_resources):
         v = actions.void_index
-        _range_issues(report, rows, "reward", f, 0.0, 1.0)
-        _range_issues(report, rows, "general_cost", g, -1.0, 1.0)
-        _range_issues(report, rows, "consumption", h, 0.0, 1.0)
-        _void_issues(report, rows, "reward", f[:, v], v)
-        _void_issues(report, rows, "general_cost", g[:, :, v], v)
-        _void_issues(report, rows, "consumption", h[:, :, v], v)
+        _range_issues(report, index, "reward", f, 0.0, 1.0)
+        _range_issues(report, index, "general_cost", g, -1.0, 1.0)
+        _range_issues(report, index, "consumption", h, 0.0, 1.0)
+        _void_issues(report, index, "reward", f[:, v], v)
+        _void_issues(report, index, "general_cost", g[:, :, v], v)
+        _void_issues(report, index, "consumption", h[:, :, v], v)
     return report
 
 
-def _shape_ok(report, tuples, rows, actions, expected_resources) -> bool:
-    """Report rounds whose (K, m, n) differ from round 1's (m, n) and the
-    action count K; True iff none do."""
-    k = actions.count
-    first = tuples[rows[0]]
-    m0, n0 = first.num_general, first.num_resources
+def _shape_ok(report, shapes, rows, k, expected_resources) -> bool:
+    """Report rounds whose (K, m, n) ``shapes[rows[t]]`` differ from round
+    1's (m, n) and the action count k; True iff none do."""
+    m0, n0 = shapes[rows[0]][1:]
     if n0 != expected_resources:
         report.add(
             0, "shape", (), f"rounds have n={n0} resources, budget has n={expected_resources}"
         )
-    odd = np.array(
-        [(r.num_actions, r.num_general, r.num_resources) != (k, m0, n0) for r in tuples]
-    )
+    odd = np.array([s != (k, m0, n0) for s in shapes])
     for t in np.flatnonzero(odd[rows]):
-        r = tuples[rows[t]]
-        report.add(int(t) + 1, "shape", (), f"(K={r.num_actions}, m={r.num_general}, "
-                   f"n={r.num_resources}) inconsistent with (K={k}, m={m0}, n={n0})")
+        kt, mt, nt = shapes[rows[t]]
+        report.add(int(t) + 1, "shape", (), f"(K={kt}, m={mt}, n={nt}) "
+                   f"inconsistent with (K={k}, m={m0}, n={n0})")
     return not odd.any()
 
 
-def _bad_entries(rows, bad):
-    """(round, coordinate, tuple row) of every True entry of the per-tuple
-    mask ``bad`` at every round, in the order np.argwhere visits the
-    per-round stack ``bad[rows]``."""
+def _bad_entries(index, bad):
+    """(round, coordinate, row) of every True entry of the per-row mask
+    ``bad`` at every round, in the order np.argwhere visits the
+    per-round stack ``bad[index]``."""
     if not bad.any():
         return
     hit = bad.reshape(bad.shape[0], -1).any(axis=1)
-    for t in np.flatnonzero(hit[rows]):
-        row = rows[t]
+    for t in np.flatnonzero(hit[index]):
+        row = index[t]
         for coord in np.argwhere(bad[row]):
             yield int(t) + 1, tuple(int(x) for x in coord), row
 
 
-def _range_issues(report, rows, name, stacked, lo, hi):
+def _range_issues(report, index, name, stacked, lo, hi):
     ok = (stacked >= lo) & (stacked <= hi)  # NaN compares false and is flagged
-    for t, c, row in _bad_entries(rows, ~ok):
+    for t, c, row in _bad_entries(index, ~ok):
         report.add(t, name, c, f"value {stacked[row][c]!r} outside [{lo}, {hi}]")
 
 
-def _void_issues(report, rows, name, void_values, void_index):
-    for t, c, row in _bad_entries(rows, void_values != 0.0):
+def _void_issues(report, index, name, void_values, void_index):
+    for t, c, row in _bad_entries(index, void_values != 0.0):
         report.add(
             t, "void_column", c + (void_index,),
             f"void-column {name} is {void_values[row][c]!r}, expected 0",

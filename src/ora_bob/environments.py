@@ -2,7 +2,11 @@
 generators.
 
 Stochastic models are finite-support distributions over input tuples; that
-restriction is what makes the offline optimum and Slater oracles exact.
+restriction is what makes the offline optimum and Slater oracles exact.  A
+model keeps its support, like an instance its rounds, as (F, G, H) row
+stacks: the generators and the file loader build the stacks directly, and
+InputTuple objects are made only when ``support``, ``pool`` or ``rounds``
+is read.
 Sampling uses inverse-CDF over the counter generator in :mod:`ora_bob.rng`
 (stream 0 for instance-level draws, stream t for round t), so identical seeds
 reproduce identical sequences on any platform.
@@ -11,6 +15,7 @@ reproduce identical sequences on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,9 +25,11 @@ from .core import (
     BudgetSpec,
     InputTuple,
     Instance,
+    RowStore,
     ValidationError,
     ValidationReport,
     pool_issues,
+    stack_rows,
 )
 from .serialization import SchemaError
 
@@ -43,56 +50,59 @@ def _as_seed(seed) -> int:
     return seed.value if isinstance(seed, Seed) else Seed(seed).value
 
 
-@dataclass(frozen=True)
-class StochasticModel:
+@dataclass(frozen=True, init=False, eq=False)
+class StochasticModel(RowStore):
     """Finite-support i.i.d. input distribution with a default budget.
 
     ``budget.horizon`` is the default sampling horizon; sampling at another T
     keeps the per-round budget vector and rescales the caps B_j = beta_j * T.
+    The S support tuples are stored as the (F, G, H) stacks ``rows``;
+    ``support`` builds their InputTuple objects when first read.
     """
 
     actions: ActionSet
     budget: BudgetSpec
-    support: tuple[InputTuple, ...]
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     probs: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(self.support))
-        p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        if len(self.support) == 0:
+    def __init__(self, actions: ActionSet, budget: BudgetSpec, support, probs):
+        support = tuple(support)
+        if not support:
             raise ValidationError("support must be nonempty")
-        if p.shape[0] != len(self.support):
+        self._set(actions, budget, stack_rows(support), probs)
+
+    @classmethod
+    def from_rows(cls, actions: ActionSet, budget: BudgetSpec, rows, probs) -> "StochasticModel":
+        """The model drawing row s of the (F, G, H) stacks ``rows`` with
+        probability ``probs[s]``."""
+        return cls._new(actions, budget, rows, probs)
+
+    def _set(self, actions, budget, rows, probs):
+        p = np.array(probs, dtype=np.float64).reshape(-1)
+        if p.shape[0] != rows[0].shape[0]:
             raise ValidationError(
-                f"{p.shape[0]} probabilities for {len(self.support)} support tuples"
+                f"{p.shape[0]} probabilities for {rows[0].shape[0]} support tuples"
             )
         if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
             raise ValidationError(
                 f"probabilities must be >= 0 and sum to 1 +/- {PROB_SUM_TOL}"
             )
         p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        self._store(actions=actions, budget=budget, rows=rows, probs=p)
+
+    @cached_property
+    def support(self) -> tuple[InputTuple, ...]:
+        return tuple(map(InputTuple, *self.rows))
 
     @property
     def support_size(self) -> int:
-        return len(self.support)
-
-    @property
-    def num_general(self) -> int:
-        return self.support[0].num_general
-
-    @property
-    def num_resources(self) -> int:
-        return self.budget.num_resources
-
-    @property
-    def num_constraints(self) -> int:
-        return self.num_general + self.num_resources
+        return self.rows[0].shape[0]
 
     def validate(self) -> ValidationReport:
         """Range/void checks on the support plus the budget-gate check at the
         stored sampling horizon."""
         return pool_issues(
-            ValidationReport(), self.budget, self.support, np.arange(self.support_size),
+            ValidationReport(), self.budget, self.rows, np.arange(self.support_size),
             self.actions,
         )
 
@@ -116,12 +126,12 @@ def sample_sequence(model: StochasticModel, T: int, seed) -> list[InputTuple]:
 
 
 def sample_instance(model: StochasticModel, T: int, seed) -> Instance:
-    """T i.i.d. draws as an instance: the support tuples drawn plus the
+    """T i.i.d. draws as an instance: the support rows drawn plus the
     draws."""
-    return Instance.from_pool(
+    return Instance.from_rows(
         model.actions,
         BudgetSpec(T, model.budget.per_round_budget),
-        model.support,
+        model.rows,
         sample_support_indices(model, T, seed),
     )
 
@@ -133,10 +143,10 @@ def constant_instance(model: StochasticModel, T: int | None = None) -> Instance:
             f"constant_instance requires a single-support model, got S={model.support_size}"
         )
     horizon = model.budget.horizon if T is None else T
-    return Instance.from_pool(
+    return Instance.from_rows(
         model.actions,
         BudgetSpec(horizon, model.budget.per_round_budget),
-        model.support,
+        model.rows,
         np.zeros(horizon, dtype=np.int64),
     )
 
@@ -215,12 +225,13 @@ def _random_beta(sd: int, n: int, margin: float, horizon: int) -> np.ndarray:
 
 def _random_rounds(
     sd: int, count: int, K: int, m: int, n: int, margin: float, beta: np.ndarray
-) -> tuple[InputTuple, ...]:
-    """Uniform tuples with a planted strictly-safe action at index 1.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, G, H) stacks of uniform rows with a planted strictly-safe action
+    at index 1.
 
     The safe action's general costs lie in [-1, -margin] and its consumptions
     in [0, beta_j - margin], so every unified entry of its column is at most
-    -margin.  Tuple t draws from stream t+1.
+    -margin.  Row t draws from stream t+1.
     """
     entries = K * (1 + m + n) + m + n
     streams = np.arange(1, count + 1, dtype=np.uint64)[:, None]
@@ -244,7 +255,7 @@ def _random_rounds(
     if n:
         h[:, :, 0] = 0.0
         h[:, :, 1] = safe_h
-    return tuple(InputTuple(f[t], g[t], h[t]) for t in range(count))
+    return f, g, h
 
 
 def _check_random_params(K: int, m: int, n: int, margin: float, count: int):
@@ -272,8 +283,8 @@ def random_instance(
     sd = _as_seed(seed)
     _check_random_params(K, m, n, feasibility_margin, T)
     beta = _random_beta(sd, n, feasibility_margin, T)
-    rounds = _random_rounds(sd, T, K, m, n, feasibility_margin, beta)
-    return Instance(actions=ActionSet(K, 0), budget=BudgetSpec(T, beta), rounds=rounds)
+    rows = _random_rounds(sd, T, K, m, n, feasibility_margin, beta)
+    return Instance.from_rows(ActionSet(K, 0), BudgetSpec(T, beta), rows, np.arange(T))
 
 
 def random_model(
@@ -288,12 +299,9 @@ def random_model(
     sd = _as_seed(seed)
     _check_random_params(K, m, n, feasibility_margin, S)
     beta = _random_beta(sd, n, feasibility_margin, horizon)
-    support = _random_rounds(sd, S, K, m, n, feasibility_margin, beta)
-    return StochasticModel(
-        actions=ActionSet(K, 0),
-        budget=BudgetSpec(horizon, beta),
-        support=support,
-        probs=np.full(S, 1.0 / S),
+    rows = _random_rounds(sd, S, K, m, n, feasibility_margin, beta)
+    return StochasticModel.from_rows(
+        ActionSet(K, 0), BudgetSpec(horizon, beta), rows, np.full(S, 1.0 / S)
     )
 
 
@@ -373,7 +381,7 @@ def make_pacing_model(
 
 def model_to_dict(model: StochasticModel) -> dict:
     d = serialization._header_to_dict(model)
-    d["support"] = [serialization.round_to_dict(r) for r in model.support]
+    d["support"] = serialization.rows_to_dicts(model.rows)
     d["probs"] = model.probs.tolist()
     return d
 
@@ -386,13 +394,10 @@ def dict_to_model(d: dict) -> StochasticModel:
     support_raw = d["support"]
     if not isinstance(support_raw, list) or not support_raw:
         raise SchemaError("expected nonempty list of support tuples", "/support")
-    support = tuple(
-        serialization.round_from_dict(rd, k, m, n, f"/support/{i}")
-        for i, rd in enumerate(support_raw)
-    )
-    probs = serialization._as_real_list(d["probs"], len(support), "/probs")
+    rows = serialization.rows_from_dicts(support_raw, k, m, n, "/support")
+    probs = serialization._as_real_list(d["probs"], len(support_raw), "/probs")
     try:
-        return StochasticModel(actions=actions, budget=budget, support=support, probs=probs)
+        return StochasticModel.from_rows(actions, budget, rows, probs)
     except ValidationError as exc:
         raise SchemaError(str(exc), "/probs") from exc
 
@@ -437,8 +442,28 @@ def _param(params: dict, key: str, cast, default=None):
     return default
 
 
+#: Each named generator and the parameters it accepts.
+GENERATORS = {
+    "example1_budget": ("T", "epsilon", "rho"),
+    "example1_general": ("T", "epsilon", "rho"),
+    "random": ("K", "T", "m", "margin", "n", "seed"),
+    "random_model": ("K", "S", "T", "m", "margin", "n", "seed"),
+    "push_pull": ("T",),
+    "pacing": ("T", "beta"),
+}
+
+
 def build_generator(name: str, params: dict):
-    """Instantiate a named generator from CLI-style string parameters."""
+    """Instantiate a named generator from CLI-style string parameters;
+    ValidationError on an unknown name or parameter."""
+    if name not in GENERATORS:
+        raise ValidationError(f"unknown generator {name!r}; available: {sorted(GENERATORS)}")
+    unknown = sorted(set(params) - set(GENERATORS[name]))
+    if unknown:
+        raise ValidationError(
+            f"unknown parameter(s) {unknown} for generator {name!r}; "
+            f"accepted: {list(GENERATORS[name])}"
+        )
     if name in ("example1_budget", "example1_general"):
         fx = make_example1_instance(
             _param(params, "rho", float, 0.1),
@@ -467,21 +492,7 @@ def build_generator(name: str, params: dict):
         )
     if name == "push_pull":
         return make_push_pull_model(horizon=_param(params, "T", int, 2000))
-    if name == "pacing":
-        return make_pacing_model(
-            beta=_param(params, "beta", float, 0.25),
-            horizon=_param(params, "T", int, 2000),
-        )
-    raise ValidationError(
-        f"unknown generator {name!r}; available: {sorted(GENERATORS)}"
+    return make_pacing_model(
+        beta=_param(params, "beta", float, 0.25),
+        horizon=_param(params, "T", int, 2000),
     )
-
-
-GENERATORS = (
-    "example1_budget",
-    "example1_general",
-    "random",
-    "random_model",
-    "push_pull",
-    "pacing",
-)

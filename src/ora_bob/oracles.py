@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import Instance, ValidationError, stack_rows, unified_rows
+from .core import Instance, ValidationError
 from .environments import StochasticModel, sample_instance
 from .simplex import solve_lp
 
@@ -133,9 +133,8 @@ def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> Oracle
 
 
 def _grouped_rounds(instance: Instance):
-    """Group identical rounds (bitwise-equal tuples) for the LP: each used
-    pool row is keyed once, and a group's representative is its first
-    round.
+    """Group identical rounds (bitwise-equal rows) for the LP: each row is
+    keyed once, and a group's representative is its first round.
 
     By symmetry the LP has an optimum that puts the same per-round
     distribution on identical rounds, so aggregating them into one convexity
@@ -146,8 +145,7 @@ def _grouped_rounds(instance: Instance):
     counts: list[int] = []
     reps: list[int] = []
     for k in np.argsort(first).tolist():
-        r = instance.pool[rows[k]]
-        key = r.rewards.tobytes() + r.general_costs.tobytes() + r.consumptions.tobytes()
+        key = b"".join(stack[rows[k]].tobytes() for stack in instance.rows)
         g = groups.get(key)
         if g is None:
             groups[key] = len(counts)
@@ -187,7 +185,7 @@ def opt_lp_relax(instance: Instance) -> OracleReport:
         )
 
     rows = instance.index[reps]
-    f, g, h = (stack[rows] for stack in instance.row_stacks)
+    f, g, h = (stack[rows] for stack in instance.rows)
     c = f.reshape(-1)
     A_eq = np.zeros((G, nvars))
     for k in range(G):
@@ -283,10 +281,8 @@ def slater_stoc(model: StochasticModel, guard: int = ENUMERATION_GUARD) -> float
     S, K = model.support_size, model.actions.count
     _require_constraints(model)
     _guard(K**S, guard, f"policy enumeration over {K}^{S} policies")
-    _, g, h = stack_rows(model.support)
-    unified = unified_rows(g, h, model.budget.per_round_budget)
     # weighted[s, x, i] = p_s * g~_i(x) under support tuple s
-    weighted = model.probs[:, None, None] * unified.transpose(0, 2, 1)
+    weighted = model.probs[:, None, None] * model.unified_rows.transpose(0, 2, 1)
     best = np.inf
     for _, digits in _sequence_chunks(S, K):
         expect = _along(weighted, digits).sum(axis=1)  # (chunk, M)

@@ -20,7 +20,9 @@ import json
 import os
 from typing import Any
 
-from .core import ActionSet, BudgetSpec, InputTuple, Instance
+import numpy as np
+
+from .core import ActionSet, BudgetSpec, Instance
 
 ENV_STRICT = "ORA_BOB_SCHEMA_STRICT"
 SCHEMA_VERSION = 1
@@ -68,26 +70,25 @@ def _as_real_list(value, length: int, pointer: str) -> list[float]:
     return out
 
 
-def _as_matrix(value, rows: int, cols: int, pointer: str) -> list[list[float]]:
-    if not isinstance(value, list) or len(value) != rows:
-        raise SchemaError(f"expected {rows} rows", pointer)
-    return [_as_real_list(row, cols, f"{pointer}/{i}") for i, row in enumerate(value)]
+def rows_to_dicts(rows) -> list[dict]:
+    """One ``{"f", "g", "h"}`` object per row of the (F, G, H) stacks."""
+    return [{"f": f.tolist(), "g": g.tolist(), "h": h.tolist()} for f, g, h in zip(*rows)]
 
 
-def round_to_dict(r: InputTuple) -> dict:
-    return {
-        "f": r.rewards.tolist(),
-        "g": r.general_costs.tolist(),
-        "h": r.consumptions.tolist(),
-    }
-
-
-def round_from_dict(d: dict, k: int, m: int, n: int, pointer: str) -> InputTuple:
-    _check_keys(d, ("f", "g", "h"), (), pointer)
-    f = _as_real_list(d["f"], k, f"{pointer}/f")
-    g = _as_matrix(d["g"], m, k, f"{pointer}/g")
-    h = _as_matrix(d["h"], n, k, f"{pointer}/h")
-    return InputTuple(f, g, h)
+def rows_from_dicts(items: list, k: int, m: int, n: int, pointer: str):
+    """The (F, G, H) stacks of the ``{"f", "g", "h"}`` objects ``items``,
+    each checked against (k, m, n) and located as ``pointer/i``."""
+    f, g, h = np.empty((len(items), k)), np.empty((len(items), m, k)), np.empty((len(items), n, k))
+    for i, d in enumerate(items):
+        at = f"{pointer}/{i}"
+        _check_keys(d, ("f", "g", "h"), (), at)
+        f[i] = _as_real_list(d["f"], k, f"{at}/f")
+        for key, out in (("g", g[i]), ("h", h[i])):
+            if not isinstance(d[key], list) or len(d[key]) != len(out):
+                raise SchemaError(f"expected {len(out)} rows", f"{at}/{key}")
+            for j, row in enumerate(d[key]):
+                out[j] = _as_real_list(row, k, f"{at}/{key}/{j}")
+    return f, g, h
 
 
 def _header_to_dict(instance_like) -> dict:
@@ -101,15 +102,10 @@ def _header_to_dict(instance_like) -> dict:
     }
 
 
-def _per_round(instance: Instance, encode) -> list:
-    """``encode`` of each round's tuple, called once per pool row."""
-    parts = [encode(r) for r in instance.pool]
-    return [parts[k] for k in instance.index.tolist()]
-
-
 def instance_to_dict(instance: Instance) -> dict:
     d = _header_to_dict(instance)
-    d["rounds"] = _per_round(instance, round_to_dict)
+    parts = rows_to_dicts(instance.rows)
+    d["rounds"] = [parts[k] for k in instance.index.tolist()]
     return d
 
 
@@ -137,10 +133,8 @@ def dict_to_instance(d: dict) -> Instance:
     rounds_raw = d["rounds"]
     if not isinstance(rounds_raw, list) or len(rounds_raw) != budget.horizon:
         raise SchemaError(f"expected {budget.horizon} rounds", "/rounds")
-    rounds = tuple(
-        round_from_dict(rd, k, m, n, f"/rounds/{i}") for i, rd in enumerate(rounds_raw)
-    )
-    return Instance(actions=actions, budget=budget, rounds=rounds)
+    rows = rows_from_dicts(rounds_raw, k, m, n, "/rounds")
+    return Instance.from_rows(actions, budget, rows, np.arange(budget.horizon))
 
 
 def parse_json(text: str) -> Any:
@@ -166,11 +160,11 @@ def content_hash(obj: Any) -> str:
 
 
 def instance_hash(instance: Instance) -> str:
-    """``content_hash(instance_to_dict(instance))``, encoding each pool row
-    once: a sampled instance's rounds are its model's few support tuples.
-    The canonical text is spliced from those parts, so the hash is the
-    same."""
-    parts = _per_round(instance, lambda r: canonical_json(round_to_dict(r)))
+    """``content_hash(instance_to_dict(instance))``, encoding each row once:
+    a sampled instance's rounds are its model's few support rows.  The
+    canonical text is spliced from those parts, so the hash is the same."""
+    parts = [canonical_json(d) for d in rows_to_dicts(instance.rows)]
+    parts = [parts[k] for k in instance.index.tolist()]
     header = canonical_json({**_header_to_dict(instance), "rounds": None})
     head, tail = header.split('"rounds":null')
     return _text_hash(f'{head}"rounds":[{",".join(parts)}]{tail}')

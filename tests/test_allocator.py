@@ -388,7 +388,7 @@ class TestRunBatch:
         model = ob.random_model(ob.Seed(10), S=30, K=4, m=1, n=1, feasibility_margin=0.2,
                                 horizon=20)
         seeds = list(range(5))
-        used = {tuple(map(id, sample_instance(model, 20, s).pool)) for s in seeds}
+        used = {sample_instance(model, 20, s).rows[0].tobytes() for s in seeds}
         assert len(used) == len(seeds)
         self.check(model, 20, seeds, OgdConfig(eta=0.05, delta=0.05))
 
@@ -417,9 +417,11 @@ class TestRunBatch:
         with pytest.raises(InstanceValidationError) as batched:
             list(run_batch(model, 20, [3, 4], config))
         assert str(batched.value) == str(sequential.value)
-        # a support tuple no lane draws cannot fail a lane, not even one of
-        # another shape
-        odd = InputTuple([0.0, 1.0, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]])
-        never = StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, odd), [1.0, 0.0])
+        # a support tuple no lane draws cannot fail a lane
+        never = StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, bad), [1.0, 0.0])
         assert not never.validate().ok
         self.check(never, 20, [3, 4], config)
+        # a support tuple of another shape is refused when the model is built
+        odd = InputTuple([0.0, 1.0, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]])
+        with pytest.raises(ValidationError, match="one shape"):
+            StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, odd), [1.0, 0.0])

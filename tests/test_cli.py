@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +219,16 @@ class TestSweep:
                 sum(regs) / len(regs), rel=1e-12
             )
 
+    def test_one_horizon_fit_has_no_slope(self, tmp_path, capsys):
+        code, _ = run_cli(capsys, "sweep", "--generator", "push_pull", "--T", "200",
+                          "--seeds", "0:2", "--out", str(tmp_path), "--name", "one")
+        assert code == 0
+        fit = json.loads((tmp_path / "one_sweep_fit.json").read_text())
+        assert fit["T"] == [200] and fit["mean_violation_positive_part"][0] > 0.0
+        assert fit["slope_violation"] is None and fit["slope_regret"] is None
+        assert cli._fit_loglog_slope([200, 200], [0.5, 0.25]) is None
+        assert cli._fit_loglog_slope([100, 400], [1.0, 0.5]) == pytest.approx(-0.5)
+
     def test_incomplete_sweep_refuses_aggregation(self, tmp_path, capsys):
         code, _ = run_cli(capsys, *self.sweep_args(tmp_path))
         assert code == 0
@@ -364,6 +376,27 @@ class TestGen:
         obj = ob.load_instance(path)
         assert isinstance(obj, ob.StochasticModel)
         assert obj.validate().ok
+
+
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    def test_unknown_generator_parameter_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code, text = run_cli(capsys, command, "--generator", "push_pull", "--param", "t=500",
+                             "--param", "betta=0.1", "--out", str(out))
+        assert code == 2
+        err = json.loads(text)["error"]
+        assert err["type"] == "ValidationError"
+        assert "['betta', 't']" in err["message"] and "accepted: ['T']" in err["message"]
+        assert not out.exists()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    src = os.path.dirname(os.path.dirname(ob.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, ora_bob.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestAudit:

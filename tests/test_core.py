@@ -16,6 +16,8 @@ from ora_bob.core import (
     validate_instance,
 )
 from ora_bob.dual_ogd import OgdConfig
+from ora_bob.oracles import opt_lp_relax
+from ora_bob.serialization import instance_hash
 
 
 def make_round(f, g, h):
@@ -140,8 +142,12 @@ class TestValidateInstance:
         b = make_round([0.0, 1.0, 0.2], np.zeros((0, 3)), np.zeros((0, 3)))
         report = validate_instance([a, b], BudgetSpec(2, []), ActionSet(2, 0))
         assert any(i.field == "shape" and i.round == 2 for i in report.issues)
-        inst = Instance(ActionSet(2, 0), BudgetSpec(2, []), (a, b))
-        assert inst.validate().issues == report.issues
+        # an instance stores one (K, m, n): rounds of two shapes are refused
+        with pytest.raises(ValidationError, match="one shape"):
+            Instance(ActionSet(2, 0), BudgetSpec(2, []), (a, b))
+        # rounds of one shape that is not the action set's fail validation
+        inst = Instance(ActionSet(2, 0), BudgetSpec(2, []), (b, b))
+        assert [(i.round, i.field) for i in inst.validate().issues] == [(1, "shape"), (2, "shape")]
         with pytest.raises(InstanceValidationError):
             run(inst, OgdConfig(0.1, 0.05))
 
@@ -248,32 +254,39 @@ class TestRoundStore:
             assert not got.flags.writeable
 
     def test_rounds_are_the_original_objects(self):
+        """``rounds`` are the ``pool`` objects, built from the rows once, when
+        first read; ``Instance(...)`` stacks one row per round."""
         a = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))
         b = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))  # equal bytes
         rounds = (a, b, a, a, b)
         inst = Instance(ActionSet(2, 0), BudgetSpec(5, []), rounds)
-        assert inst.pool == (a, b)  # by identity, first occurrence first
-        assert inst.index.tolist() == [0, 1, 0, 0, 1]
+        assert inst.index.tolist() == [0, 1, 2, 3, 4]
         assert not inst.index.flags.writeable
-        assert all(x is y for x, y in zip(inst.rounds, rounds))
+        assert not any(r.flags.writeable for r in inst.rows)
+        assert inst.pool is inst.pool and inst.rounds is inst.rounds
+        assert all(x is inst.pool[i] for x, i in zip(inst.rounds, inst.index.tolist()))
+        assert all(x.rewards.tobytes() == y.rewards.tobytes() for x, y in zip(inst.rounds, rounds))
         model = env.random_model(env.Seed(2), S=6, K=3, m=1, n=1, feasibility_margin=0.2)
         sampled = env.sample_instance(model, 50, 4)
         draws = env.sample_support_indices(model, 50, 4)
-        assert sampled.pool == model.support
-        assert all(r is model.support[d] for r, d in zip(sampled.rounds, draws))
+        assert all(
+            np.array_equal(r.consumptions, model.support[d].consumptions)
+            for r, d in zip(sampled.rounds, draws)
+        )
 
     @pytest.mark.parametrize("kind", ["range_and_void", "odd_shape"])
     def test_sampled_bad_row_issues_match_round_by_round(self, kind):
-        good = make_round([0.0, 0.5], np.zeros((0, 2)), [[0.0, 0.5]])
         if kind == "range_and_void":
+            good = make_round([0.0, 0.5], np.zeros((0, 2)), [[0.0, 0.5]])
             bad = make_round([0.0, 1.5], np.zeros((0, 2)), [[0.25, 0.5]])
-        else:
-            bad = make_round([0.0, 0.5, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]])
+        else:  # both rows have 3 actions, the action set 2
+            good = make_round([0.0, 0.5, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]])
+            bad = make_round([0.0, 0.25, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.25]])
         model = env.StochasticModel(
             ActionSet(2, 0), BudgetSpec(30, [0.5]), (good, bad), [0.7, 0.3]
         )
         inst = env.sample_instance(model, 30, 5)
-        drawn = [t + 1 for t, r in enumerate(inst.rounds) if r is bad]
+        drawn = [t + 1 for t, d in enumerate(env.sample_support_indices(model, 30, 5)) if d]
         assert len(drawn) >= 3
         issues = inst.validate().issues
         assert issues == validate_instance(inst.rounds, inst.budget, inst.actions).issues
@@ -283,19 +296,63 @@ class TestRoundStore:
                 (t, "void_column", (0, 0)) for t in drawn
             ]
         else:
-            assert where == [(t, "shape", ()) for t in drawn]
+            assert where == [(t, "shape", ()) for t in range(1, 31)]
 
     def test_pool_is_the_rows_the_index_uses(self, tmp_path):
         sampled = _store_instances(tmp_path)["sampled"]
-        assert len(sampled.pool) == 3  # support rows 1 and 3 are never drawn
+        assert len(sampled.pool) == sampled.rows[0].shape[0] == 3  # rows 1, 3 never drawn
         assert sorted(set(sampled.index.tolist())) == [0, 1, 2]
-        r = [make_round([0.0, x], np.zeros((0, 2)), np.zeros((0, 2))) for x in (0.1, 0.2, 0.3)]
-        inst = Instance.from_pool(ActionSet(2, 0), BudgetSpec(3, []), r, [2, 0, 2])
-        assert inst.pool == (r[0], r[2])  # in pool order
+        rows = ([[0.0, 0.1], [0.0, 0.2], [0.0, 0.3]], np.zeros((3, 0, 2)), np.zeros((3, 0, 2)))
+        inst = Instance.from_rows(ActionSet(2, 0), BudgetSpec(3, []), rows, [2, 0, 2])
+        assert inst.rows[0].tolist() == [[0.0, 0.1], [0.0, 0.3]]  # in row order
         assert inst.index.tolist() == [1, 0, 1]
-        assert all(x is y for x, y in zip(inst.rounds, (r[2], r[0], r[2])))
+        assert [r.rewards[1] for r in inst.rounds] == [0.3, 0.1, 0.3]
 
     def test_index_outside_pool_refused(self):
-        r = make_round([0.0], np.zeros((0, 1)), np.zeros((0, 1)))
-        with pytest.raises(ValidationError):
-            Instance.from_pool(ActionSet(1, 0), BudgetSpec(2, []), (r,), [0, 1])
+        rows = (np.zeros((1, 1)), np.zeros((1, 0, 1)), np.zeros((1, 0, 1)))
+        for index in ([0, 1], [-1, 0]):
+            with pytest.raises(ValidationError, match="outside the 1 rows"):
+                Instance.from_rows(ActionSet(1, 0), BudgetSpec(2, []), rows, index)
+
+    @pytest.mark.parametrize(
+        "name", ["random", "sampled", "constant", "file_loaded", "m0", "n0"]
+    )
+    def test_rebuilt_from_rounds_is_bitwise_the_same(self, tmp_path, name):
+        inst = _store_instances(tmp_path)[name]
+        rebuilt = Instance(inst.actions, inst.budget, inst.rounds)
+        assert rebuilt.rows[0].shape[0] == inst.horizon  # one row per round
+        for attr in ("rewards_stack", "general_stack", "consumption_stack", "unified_stack"):
+            assert getattr(rebuilt, attr).tobytes() == getattr(inst, attr).tobytes(), attr
+        assert instance_hash(rebuilt) == instance_hash(inst)
+        assert opt_lp_relax(rebuilt).opt_value == opt_lp_relax(inst).opt_value
+
+    def test_no_input_tuple_built(self, tmp_path, monkeypatch):
+        model = env.random_model(env.Seed(4), S=5, K=3, m=1, n=2, feasibility_margin=0.2)
+        env.save_instance(model, tmp_path / "model.json")
+        env.save_instance(env.random_instance(env.Seed(5), 12, 3, 2, 1, 0.2),
+                          tmp_path / "inst.json")
+        built = []
+        post_init = InputTuple.__post_init__
+
+        def counted(r):
+            built.append(r)
+            post_init(r)
+
+        monkeypatch.setattr(InputTuple, "__post_init__", counted)
+        config = OgdConfig(eta=0.05, delta=0.05)
+        run(env.random_instance(env.Seed(3), 40, 4, 2, 2, 0.2), config)
+        run(env.sample_instance(env.random_model(env.Seed(6), 4, 3, 1, 1, 0.2), 40, 1), config)
+        run(env.sample_instance(env.load_instance(tmp_path / "model.json"), 40, 2), config)
+        run(env.load_instance(tmp_path / "inst.json"), config)
+        assert built == []
+        assert len(model.support) == len(built) == 5  # built when read, once per row
+
+    def test_mixed_shapes_refused(self):
+        a = make_round([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])
+        for b in (make_round([0.0, 1.0, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]]),  # K
+                  make_round([0.0, 1.0], [[0.0, 0.5]], [[0.0, 0.5]]),  # m
+                  make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((2, 2)))):  # n
+            with pytest.raises(ValidationError, match="one shape"):
+                Instance(ActionSet(2, 0), BudgetSpec(2, [0.5]), (a, b))
+            with pytest.raises(ValidationError, match="one shape"):
+                env.StochasticModel(ActionSet(2, 0), BudgetSpec(2, [0.5]), (a, b), [0.5, 0.5])
