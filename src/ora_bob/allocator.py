@@ -288,31 +288,32 @@ def run(instance: Instance, config: OgdConfig) -> Trajectory:
     return next(run_lanes([instance], config))
 
 
+def lane_key(instance: Instance) -> tuple:
+    """What the lanes of one :func:`run_lanes` call must share: the horizon,
+    the per-round budget (bitwise), the action set and (m, n)."""
+    budget = instance.budget
+    return (budget.horizon, budget.per_round_budget.tobytes(), instance.actions,
+            instance.num_general, instance.num_resources)
+
+
 def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajectory]:
     """``run(instance, config)`` for each of ``instances``, played in
     lockstep as one lane each.
 
     Each distinct instance validates itself, in order, and the first
     invalid one raises before any round is played; so does any lane whose
-    horizon, per-round budget (bitwise), action set or (m, n) differs from
-    the first lane's (the cells of one source share them).  The lanes read
-    one table, the row stacks of the instances, so no lane's T-round stacks
-    are built.  Returns the lanes' Trajectories lazily, in order, so a
-    caller can handle one at a time.
+    :func:`lane_key` differs from the first lane's (the cells of one source
+    share it).  The lanes read one table, the row stacks of the instances,
+    so no lane's T-round stacks are built.  Returns the lanes' Trajectories
+    lazily, in order, so a caller can handle one at a time.
     """
     distinct = list({id(inst): inst for inst in instances}.values())
     for inst in distinct:
         inst.validate().raise_if_invalid()
-
-    def shared(inst):
-        budget = inst.budget
-        return (budget.horizon, budget.per_round_budget.tobytes(), inst.actions,
-                inst.num_general, inst.num_resources)
-
     first = instances[0]
-    want = shared(first)
+    want = lane_key(first)
     for r, inst in enumerate(instances):
-        if shared(inst) != want:
+        if lane_key(inst) != want:
             raise ValidationError(
                 f"lane {r} differs from lane 0 in its horizon, budget, action set "
                 "or (m, n); lanes must share them"

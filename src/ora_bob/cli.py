@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import environments, rng, serialization, traceio
-from .allocator import run as run_allocator, run_lanes
+# run_allocator is the name perfbench/tracer.py times the one-lane run under.
+from .allocator import lane_key, run as run_allocator, run_lanes
 from .core import Instance, Trajectory
 from .dual_ogd import (
     AUDIT_SLACK,
@@ -625,10 +626,12 @@ def _deterministic_audits(trajectory, instance) -> dict:
     return audits
 
 
-def audit_trace(path, instance_override, pairs: int, audit_seed: int | None, loaded: dict) -> dict:
-    """Audit one trace against its config's source, or ``instance_override``
-    in its place; ``loaded`` keeps the sources loaded so far, so a command
-    loads each distinct one once."""
+def _read_trace(path, instance_override, loaded: dict) -> tuple:
+    """Read the trace at ``path`` and resolve the instance it ran on from its
+    config's source, or ``instance_override`` in its place; ``loaded`` keeps
+    the sources loaded so far, so a command loads each distinct one once.
+    Returns (seed, instance, config, columns); raises unless the instance
+    has the hash the trace records."""
     header, columns = traceio.read_trace_csv(path)
     if int(header.get("schema_version", -1)) != traceio.SCHEMA_VERSION:
         raise CliError(
@@ -642,6 +645,10 @@ def audit_trace(path, instance_override, pairs: int, audit_seed: int | None, loa
     T = int(header["T"])
     eta = float(header["eta"])
     delta = float(header["delta"])
+    # T sizes the instance sampled below, so it must match the file first.
+    rows = len(next(iter(columns.values())))
+    if rows != T:
+        raise traceio.TraceFormatError(f"{path}: {rows} data rows, but the header says T={T}")
 
     source = config["source"] if instance_override is None else {"path": str(instance_override)}
     key = serialization.canonical_json(source)
@@ -654,8 +661,13 @@ def audit_trace(path, instance_override, pairs: int, audit_seed: int | None, loa
             f"{path}: instance hash mismatch (trace {header['instance_hash']}, "
             f"resolved {ihash}); refusing to audit"
         )
+    return seed, instance, OgdConfig(eta=eta, delta=delta), columns
 
-    trajectory = run_allocator(instance, OgdConfig(eta=eta, delta=delta))
+
+def audit_trace(path, seed: int, instance, columns, trajectory, pairs: int,
+                audit_seed: int | None) -> dict:
+    """Audit the trace at ``path``, read as ``columns``, against
+    ``trajectory``, the re-run of its ``instance`` under its config."""
     audits = _deterministic_audits(trajectory, instance)
     exactness = _exactness_audit(trajectory, columns)
 
@@ -688,13 +700,32 @@ def audit_trace(path, instance_override, pairs: int, audit_seed: int | None, loa
 
 
 def cmd_audit(args) -> int:
+    """Read every trace, in argument order, then replay them: traces whose
+    instances share a :func:`~ora_bob.allocator.lane_key` and whose configs
+    are equal play as lanes of one run_lanes call (at most
+    BATCH_LANE_ROUNDS lane-rounds each), and each lane is audited as it
+    comes.  The reports keep the argument order."""
     if args.pairs < 0:
         raise CliError(f"--pairs must be >= 0, got {args.pairs}")
     loaded: dict = {}
-    results = [
-        audit_trace(path, args.instance, args.pairs, args.audit_seed, loaded)
-        for path in args.traces
-    ]
+    traces = [_read_trace(path, args.instance, loaded) for path in args.traces]
+    seeds, instances, configs, columns = zip(*traces)
+    # eta > 0 and delta in (0, 1) are finite and nonzero, so equal configs
+    # are bitwise equal.
+    groups: dict = {}
+    for i, (instance, config) in enumerate(zip(instances, configs)):
+        groups.setdefault((lane_key(instance), config), []).append(i)
+    results: list = [None] * len(traces)
+    for (_, config), members in groups.items():
+        lanes = max(1, BATCH_LANE_ROUNDS // instances[members[0]].horizon)
+        for lo in range(0, len(members), lanes):
+            batch = members[lo : lo + lanes]
+            replays = run_lanes([instances[i] for i in batch], config)
+            for i, trajectory in zip(batch, replays):
+                results[i] = audit_trace(
+                    args.traces[i], seeds[i], instances[i], columns[i], trajectory,
+                    args.pairs, args.audit_seed,
+                )
     payload = {
         "schema_version": traceio.SCHEMA_VERSION,
         "traces": results,

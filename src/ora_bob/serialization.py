@@ -66,7 +66,10 @@ def _as_real_list(value, length: int, pointer: str) -> list[float]:
     for i, v in enumerate(value):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"expected real, got {v!r}", f"{pointer}/{i}")
-        out.append(float(v))
+        try:
+            out.append(float(v))
+        except OverflowError:  # an integer literal beyond the float range
+            raise SchemaError("integer too large for a float", f"{pointer}/{i}") from None
     return out
 
 

@@ -9,6 +9,7 @@ against the deterministic re-run.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -22,9 +23,10 @@ REQUIRED_HEADER_KEYS = (
     "schema_version", "T", "seed", "eta", "delta", "instance_hash", "config",
 )
 
+
 class TraceFormatError(ValueError):
-    """A damaged trace file: a required header key is missing or a row does
-    not have one field per column."""
+    """A damaged trace file: a required header key is missing, a row does
+    not have one field per column, or a cell does not parse."""
 
 
 def trace_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
@@ -76,8 +78,10 @@ def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:
 def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """Parse a trace file into its header dict and typed column arrays.
 
-    Raises TraceFormatError when a REQUIRED_HEADER_KEYS entry is missing or a
-    data row's width differs from the column row's.
+    Raises TraceFormatError when a REQUIRED_HEADER_KEYS entry is missing, a
+    data row's width differs from the column row's, or a cell does not parse
+    as its column's type: int64 (strictly, as a base-10 integer) for the
+    t/action/candidate/gate_open columns, float64 for the others.
     """
     header: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -94,19 +98,27 @@ def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     if i >= len(lines):
         raise TraceFormatError(f"{path}: no column header row found")
     names = lines[i].split(",")
-    rows = [line.split(",") for line in lines[i + 1 :] if line]
+    rows = [line for line in lines[i + 1 :] if line]
     for k, row in enumerate(rows, start=1):
-        if len(row) != len(names):
+        if row.count(",") != len(names) - 1:
             raise TraceFormatError(
-                f"{path}: data row {k} has {len(row)} fields, expected {len(names)}"
+                f"{path}: data row {k} has {row.count(',') + 1} fields, expected {len(names)}"
             )
-    columns: dict[str, np.ndarray] = {}
-    for c, name in enumerate(names):
-        raw = [row[c] for row in rows]
-        if name in ("t", "action", "candidate", "gate_open"):
-            columns[name] = np.array([int(v) for v in raw], dtype=np.int64)
-        else:
-            columns[name] = np.array([float(v) for v in raw])
+    int_columns = ("t", "action", "candidate", "gate_open")
+    dtype = [(f"c{c}", np.int64 if name in int_columns else np.float64)
+             for c, name in enumerate(names)]
+    if rows:
+        # numpy < 2 parses an int cell such as "1.0" through float, with only
+        # a DeprecationWarning; as an error it leaves every int cell strict.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            except (ValueError, OverflowError, DeprecationWarning) as exc:
+                raise TraceFormatError(f"{path}: {exc}") from None
+    else:
+        table = np.empty(0, dtype=dtype)
+    columns = {name: np.ascontiguousarray(table[f"c{c}"]) for c, name in enumerate(names)}
     return header, columns
 
 

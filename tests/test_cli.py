@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ora_bob as ob
-from ora_bob import cli
+from ora_bob import cli, environments, serialization
 from ora_bob.traceio import read_trace_csv
 
 
@@ -359,6 +359,36 @@ class TestLpSizeGuard:
         assert reports["slater_adv"]["rho"] >= 0.2
 
 
+@pytest.mark.parametrize(
+    "kind, pointer",
+    [
+        ("instance", "/rounds/0/f/1"),
+        ("instance", "/beta/0"),
+        ("model", "/support/0/f/1"),
+        ("model", "/probs/0"),
+    ],
+)
+def test_number_beyond_float_range_exits_2(tmp_path, capsys, kind, pointer):
+    if kind == "instance":
+        inst = ob.random_instance(ob.Seed(5), T=20, K=3, m=1, n=1, feasibility_margin=0.2)
+        payload = serialization.instance_to_dict(inst)
+    else:
+        payload = environments.model_to_dict(ob.make_pacing_model())
+    *path, last = [int(k) if k.isdigit() else k for k in pointer[1:].split("/")]
+    node = payload
+    for key in path:
+        node = node[key]
+    node[last] = 10**400  # json writes it as a 401-digit integer literal
+    source = tmp_path / "big.json"
+    source.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "run", "--instance", str(source), "--T", "20",
+                        "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "SchemaError"
+    assert err["message"].startswith(f"{pointer}: ")
+
+
 class TestGen:
     def test_gen_writes_loadable_file(self, tmp_path, capsys):
         path = tmp_path / "ex1.json"
@@ -436,6 +466,49 @@ class TestAudit:
             assert len(json.loads(out)["traces"]) == 2
             assert loads == [str(path)]  # one load for both traces of the model
 
+    def test_lockstep_reports_match_single_audits(self, tmp_path, capsys, monkeypatch):
+        path, fixed = tmp_path / "pacing.json", tmp_path / "fixed.json"
+        ob.save_instance(ob.make_pacing_model(), path)
+        inst = ob.random_instance(ob.Seed(5), T=60, K=3, m=1, n=2, feasibility_margin=0.2)
+        ob.save_instance(inst, fixed)
+        for source, T, seeds, name in (
+            (path, "60", "0:3", "a"),
+            (path, "90", "0:2", "b"),
+            (fixed, "60", "0:2", "c"),
+        ):
+            run_args = ("--instance", str(source), "--T", T, "--seeds", seeds)
+            assert run_cli(capsys, "run", *run_args, "--out", str(tmp_path), "--name", name)[0] == 0
+        # five traces of (pacing, T=60), one given twice, in lanes of 2 at a time
+        monkeypatch.setattr(cli, "BATCH_LANE_ROUNDS", 120)
+        names = ["a_0", "c_0", "b_0", "a_1", "a_0", "c_1", "a_2", "b_1", "a_1"]
+        traces = [str(tmp_path / f"{n}.csv") for n in names]
+        code, out = run_cli(capsys, "audit", *traces, "--pairs", "5")
+        assert code == 0
+        reports = json.loads(out)["traces"]
+        assert [r["trace"] for r in reports] == traces
+        for trace, report in zip(traces, reports):
+            code, alone = run_cli(capsys, "audit", trace, "--pairs", "5")
+            assert code == 0
+            assert json.dumps(report, indent=1) == json.dumps(
+                json.loads(alone)["traces"][0], indent=1
+            )
+
+    def test_traces_of_one_model_and_horizon_replay_in_one_call(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "pacing.json"
+        ob.save_instance(ob.make_pacing_model(), path)
+        run_args = ["--instance", str(path), "--T", "60", "--seeds", "0:2"]
+        assert run_cli(capsys, "run", *run_args, "--out", str(tmp_path), "--name", "tr")[0] == 0
+        calls = []
+        real = cli.run_lanes
+        monkeypatch.setattr(cli, "run_lanes", lambda inst, config: calls.append(len(inst))
+                            or real(inst, config))
+        traces = [str(tmp_path / f"tr_{seed}.csv") for seed in (0, 1)]
+        code, out = run_cli(capsys, "audit", *traces, "--pairs", "5")
+        assert code == 0
+        assert calls == [2]
+
     def test_corrupted_lambda_cell_detected(self, tmp_path, capsys):
         trace = self.make_trace(tmp_path, capsys)
         lines = trace.read_text().splitlines()
@@ -512,6 +585,45 @@ class TestAudit:
         err = json.loads(out)["error"]
         assert err["type"] == "TraceFormatError"
         assert "data row 1 has 3 fields" in err["message"]
+
+    @pytest.mark.parametrize("edit", ["drop_last_row", "forge_T"])
+    def test_row_count_differing_from_T_exits_2(self, tmp_path, capsys, edit):
+        trace = self.make_trace(tmp_path, capsys)
+        lines = trace.read_text().splitlines()
+        if edit == "drop_last_row":
+            lines.pop()
+        else:  # a horizon no instance of that many rounds could be sampled for
+            lines = [("# T=10000000000000" if l.startswith("# T=") else l) for l in lines]
+        trace.write_text("\n".join(lines) + "\n")
+        code, out = run_cli(capsys, "audit", str(trace))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "TraceFormatError"
+        assert "data rows, but the header says T=" in err["message"]
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            ("action", "99999999999999999999"),
+            ("action", "1.0"),
+            ("action", "1e0"),
+            ("action", "1_0"),
+            ("reward", "abc"),
+        ],
+    )
+    def test_unparsable_cell_exits_2(self, tmp_path, capsys, column, cell):
+        trace = self.make_trace(tmp_path, capsys)
+        lines = trace.read_text().splitlines()
+        names_row = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        cells = lines[names_row + 1].split(",")
+        cells[lines[names_row].split(",").index(column)] = cell
+        lines[names_row + 1] = ",".join(cells)
+        trace.write_text("\n".join(lines) + "\n")
+        code, out = run_cli(capsys, "audit", str(trace))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "TraceFormatError"
+        assert repr(cell) in err["message"]
 
     @pytest.mark.parametrize(
         "config, error, message",
