@@ -8,12 +8,9 @@ run's invariants from recorded traces.
 """
 
 from .allocator import (
-    AllocatorState,
     default_config,
-    gate_open,
     run,
     run_batch,
-    step,
     stopping_time,
 )
 from .core import (
@@ -23,7 +20,6 @@ from .core import (
     InputTuple,
     Instance,
     InstanceValidationError,
-    RoundRecord,
     Trajectory,
     UnifiedConstraints,
     ValidationError,

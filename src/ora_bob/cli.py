@@ -31,7 +31,7 @@ from .dual_ogd import (
 )
 from .environments import StochasticModel, build_generator, load_instance, save_instance
 from .lagrangian import penalties
-from .metrics import run_summary
+from .metrics import budget_feasible, run_summary
 from .oracles import (
     SizeGuardError,
     alpha,
@@ -276,7 +276,7 @@ def _run_cells(payloads: list[dict], jobs: int) -> list[str]:
         # imported only here: --jobs > 1 alone needs it, and it slows start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             chunks = list(pool.map(_execute_cells_task, payloads))
     return [path for chunk in chunks for path in chunk]
 
@@ -572,7 +572,7 @@ def _deterministic_audits(trajectory, instance) -> dict:
     if n:
         final = trajectory.cumulative_consumption[-1]
         audits["budget_exactness"] = {
-            "ok": bool(np.all(final <= instance.budget.limits)),
+            "ok": budget_feasible(trajectory, instance),
             "final": final.tolist(),
             "limits": instance.budget.limits.tolist(),
         }
@@ -818,8 +818,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, SimplexError, OSError, ValueError) as exc:
-        # ValueError covers the validation, schema, size-guard and trace errors
+    except (CliError, SimplexError, OSError, ValueError, MemoryError) as exc:
+        # ValueError covers the validation, schema, size-guard and trace
+        # errors; MemoryError an input too large to hold (say, a huge --T)
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, CliError):
             payload["error"].update(exc.extra)

@@ -199,26 +199,6 @@ def unify_constraints(inp: InputTuple, budget: BudgetSpec) -> UnifiedConstraints
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """Everything the allocator touched in one round."""
-
-    round: int
-    action: int
-    candidate_action: int
-    reward: float
-    unified_values: np.ndarray
-    dual_before: DualVector
-    gate_open: bool
-    cumulative_consumption: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "unified_values", _readonly(self.unified_values))
-        object.__setattr__(
-            self, "cumulative_consumption", _readonly(self.cumulative_consumption)
-        )
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Column-oriented record of a full run.
 

@@ -4,14 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 import ora_bob as ob
 from ora_bob.allocator import (
-    AllocatorState,
     default_config,
-    gate_open,
-    initial_state,
     run,
     run_batch,
     run_lanes,
-    step,
     stopping_time,
 )
 from ora_bob.core import (
@@ -23,13 +19,14 @@ from ora_bob.core import (
     InstanceValidationError,
     ValidationError,
 )
-from ora_bob.dual_ogd import OgdConfig, learning_rate
+from ora_bob.dual_ogd import OgdConfig, learning_rate, ogd_step
 from ora_bob.environments import StochasticModel, sample_instance
+from ora_bob.lagrangian import best_response
 
 
-def draining_instance(T: int, beta: float = 0.5) -> Instance:
-    """One non-void action that earns 1 and consumes a full unit."""
-    r = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
+def draining_instance(T: int, beta: float = 0.5, consumption: float = 1.0) -> Instance:
+    """One non-void action that earns 1 and consumes ``consumption``."""
+    r = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, consumption]])
     return Instance(ActionSet(2, 0), BudgetSpec(T, [beta]), (r,) * T)
 
 
@@ -38,67 +35,28 @@ def void_only_instance(T: int) -> Instance:
     return Instance(ActionSet(1, 0), BudgetSpec(T, []), (r,) * T)
 
 
-class TestGateOpen:
-    def test_boundary_open(self):
-        state = AllocatorState(5, DualVector.zeros(1), np.array([4.0]), False)
-        assert gate_open(state, BudgetSpec(10, [0.5]))
+class TestExample1Update:
+    """The round's candidate and dual update at given duals on Example 1."""
 
-    def test_beyond_boundary_closed(self):
-        state = AllocatorState(5, DualVector.zeros(1), np.array([4.2]), False)
-        assert not gate_open(state, BudgetSpec(10, [0.5]))
+    def update(self, duals, eta=0.01):
+        inst = ob.constant_instance(ob.make_example1_instance(0.1, 0.2, horizon=20).general)
+        unified = inst.unified(1)
+        dual = DualVector(duals)
+        action, _ = best_response(inst.rounds[0], unified, dual)
+        return action, ogd_step(dual, unified.matrix[:, action], eta).values
 
-    def test_no_resources_always_open(self):
-        state = AllocatorState(5, DualVector.zeros(2), np.zeros(0), False)
-        assert gate_open(state, BudgetSpec(10, []))
-
-
-class TestStep:
-    def test_gate_closed_plays_void_and_decays_budget_rows(self):
-        inst = draining_instance(10)
-        config = OgdConfig(eta=0.01, delta=0.05)
-        state = AllocatorState(6, DualVector([0.3]), np.array([4.5]), True)
-        record, new_state = step(
-            state, inst.rounds[5], inst.budget, inst.actions, config
-        )
-        assert not record.gate_open
-        assert record.action == 0 and record.reward == 0.0
-        assert np.array_equal(new_state.cumulative_consumption, [4.5])
-        # void unified column is -beta: the multiplier decays by eta*beta
-        assert new_state.dual.values[0] == max(0.0, 0.3 + 0.01 * -0.5)
-        assert new_state.gate_forced_closed
-
-    def test_zero_dual_plays_reward_argmax(self):
-        r = InputTuple([0.0, 0.4, 0.9], [[0.0, 0.5, 0.9]], np.zeros((0, 3)))
-        inst = Instance(ActionSet(3, 0), BudgetSpec(1, []), (r,))
-        record, _ = step(
-            initial_state(1, 0), r, inst.budget, inst.actions, OgdConfig(0.1, 0.05)
-        )
-        assert record.candidate_action == 2 == record.action
-
-    def test_example1_fixture_update_amounts(self):
-        fx = ob.make_example1_instance(0.1, 0.2, horizon=20)
-        inst = ob.constant_instance(fx.general)
-        eta = 0.01
-        state = AllocatorState(1, DualVector([20.0, 20.0]), np.zeros(0), False)
-        record, new_state = step(
-            state, inst.rounds[0], inst.budget, inst.actions, OgdConfig(eta, 0.05)
-        )
-        assert record.action == 2  # keeps violating through compensation
-        assert new_state.dual.values[0] == 20.0 + eta * (0.1 + 0.2)
-        assert new_state.dual.values[1] == 20.0 - eta * 1.0
+    def test_compensation_update_amounts(self):
+        action, new = self.update([20.0, 20.0])
+        assert action == 2  # keeps violating through compensation
+        assert new[0] == 20.0 + 0.01 * (0.1 + 0.2)
+        assert new[1] == 20.0 - 0.01 * 1.0
 
     def test_dual_floor_at_zero(self):
         # at lambda ~ [20, ~0] the candidate is the safe action with unified
         # column [-0.1, -0.1]; a tiny second multiplier clamps to zero
-        fx = ob.make_example1_instance(0.1, 0.2, horizon=20)
-        inst = ob.constant_instance(fx.general)
-        eta = 0.01
-        state = AllocatorState(1, DualVector([20.0, 0.0005]), np.zeros(0), False)
-        record, new_state = step(
-            state, inst.rounds[0], inst.budget, inst.actions, OgdConfig(eta, 0.05)
-        )
-        assert record.action == 1
-        assert new_state.dual.values[1] == 0.0
+        action, new = self.update([20.0, 0.0005])
+        assert action == 1
+        assert new[1] == 0.0
 
 
 class TestRun:
@@ -140,38 +98,18 @@ class TestRun:
         assert np.array_equal(a.unified_values, b.unified_values)
         assert np.array_equal(a.cumulative_consumption, b.cumulative_consumption)
 
-    @pytest.mark.parametrize(
-        "make, closes",
-        [
-            (lambda: ob.random_instance(
-                ob.Seed(5), T=60, K=3, m=1, n=2, feasibility_margin=0.25), False),
-            # beta = 1/3: the gate is decided on the exact-Fraction path
-            (lambda: draining_instance(30, 1.0 / 3.0), True),
-            (lambda: ob.random_instance(
-                ob.Seed(13), T=60, K=3, m=1, n=2, feasibility_margin=0.25), True),
-        ],
-        ids=["random", "nondyadic_draining", "random_gate_closes"],
-    )
-    def test_run_equals_repeated_step(self, make, closes):
-        inst = make()
-        config = default_config(inst, delta=0.05)
-        tr = run(inst, config)
-        assert (tr.stopping_time < inst.horizon) == closes
-        state = initial_state(inst.num_constraints, inst.num_resources)
-        for t in range(1, inst.horizon + 1):
-            record, state = step(
-                state, inst.rounds[t - 1], inst.budget, inst.actions, config
-            )
-            assert record.action == tr.actions[t - 1]
-            assert record.candidate_action == tr.candidates[t - 1]
-            assert record.reward == tr.rewards[t - 1]
-            assert record.gate_open == tr.gate_open[t - 1]
-            assert np.array_equal(record.unified_values, tr.unified_values[t - 1])
-            assert np.array_equal(record.dual_before.values, tr.duals[t - 1])
-            assert np.array_equal(
-                record.cumulative_consumption, tr.cumulative_consumption[t - 1]
-            )
-        assert np.array_equal(state.dual.values, tr.duals[-1])
+    def test_gate_closes_just_above_cutoff(self):
+        # each play consumes 0.7 against the cutoff beta*T - 1 = 4: five plays
+        # (3.5) leave the gate open, the sixth (4.2) crosses it by a
+        # non-integer amount and shuts it
+        eta = 1e-4
+        tr = run(draining_instance(10, consumption=0.7), OgdConfig(eta=eta, delta=0.05))
+        assert np.array_equal(tr.actions, [1] * 6 + [0] * 4)
+        assert tr.stopping_time == 6
+        assert 4.0 < tr.cumulative_consumption[5, 0] < 5.0
+        # the void action's unified column is -beta: the multiplier decays
+        for t in range(6, 10):
+            assert tr.duals[t + 1, 0] == max(0.0, tr.duals[t, 0] + eta * -0.5)
 
     def test_invalid_instance_aborts_before_round_one(self):
         r = InputTuple([0.0, 1.5], np.zeros((0, 2)), np.zeros((0, 2)))
@@ -244,6 +182,27 @@ class TestReferenceEquivalence:
         eta = 1e-3
         tr = run(inst, OgdConfig(eta=eta, delta=0.05))
         ref_actions, ref_duals = reference_run(inst, eta)
+        assert list(tr.actions) == ref_actions
+        assert np.array_equal(tr.duals, np.asarray(ref_duals))
+
+    @pytest.mark.parametrize(
+        "make, closes",
+        [
+            (lambda: ob.random_instance(
+                ob.Seed(5), T=60, K=3, m=1, n=2, feasibility_margin=0.25), False),
+            # beta = 1/3: the gate is decided on the exact-Fraction path
+            (lambda: draining_instance(30, 1.0 / 3.0), True),
+            (lambda: ob.random_instance(
+                ob.Seed(13), T=60, K=3, m=1, n=2, feasibility_margin=0.25), True),
+        ],
+        ids=["random", "nondyadic_draining", "random_gate_closes"],
+    )
+    def test_matches_on_fixed_instances(self, make, closes):
+        inst = make()
+        config = default_config(inst, delta=0.05)
+        tr = run(inst, config)
+        assert (tr.stopping_time < inst.horizon) == closes
+        ref_actions, ref_duals = reference_run(inst, config.eta)
         assert list(tr.actions) == ref_actions
         assert np.array_equal(tr.duals, np.asarray(ref_duals))
 

@@ -140,6 +140,42 @@ class TestRun:
         assert err["type"] == "CliError" and err["length"] == limit + 1
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_jobs_start_no_more_workers_than_payloads(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class InlinePool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        code, _ = run_cli(capsys, *cli_run_args(tmp_path, seeds="0:2", extra=("--jobs", "4")))
+        assert code == 0
+        assert started == [2]
+        assert len(list(tmp_path.glob("exp_*.csv"))) == 2
+
+    def test_horizon_too_large_to_hold_exits_2(self, tmp_path, capsys):
+        # 10**15 rounds ask for ~7 PiB of row indices, a request that fails
+        # before anything is allocated
+        out = tmp_path / "d"
+        code, text = run_cli(capsys, "run", "--generator", "pacing", "--T", str(10**15),
+                             "--out", str(out))
+        assert code == 2
+        assert "MemoryError" in json.loads(text)["error"]["type"]
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestSweep:
     def sweep_args(self, out_dir, extra=()):
