@@ -10,22 +10,17 @@ run's invariants from recorded traces.
 from .allocator import (
     default_config,
     run,
-    run_batch,
-    stopping_time,
+    run_lanes,
 )
 from .core import (
     ActionSet,
     BudgetSpec,
-    DualVector,
     InputTuple,
     Instance,
     InstanceValidationError,
     Trajectory,
-    UnifiedConstraints,
     ValidationError,
     ValidationReport,
-    unify_constraints,
-    validate_instance,
 )
 from .dual_ogd import (
     OgdConfig,
@@ -33,7 +28,6 @@ from .dual_ogd import (
     dual_penalty_audit,
     interval_regret_audit,
     learning_rate,
-    ogd_step,
 )
 from .environments import (
     Example1Fixture,
@@ -47,10 +41,9 @@ from .environments import (
     random_instance,
     random_model,
     sample_instance,
-    sample_sequence,
     save_instance,
 )
-from .lagrangian import best_response, lagrangian_value
+from .lagrangian import penalties
 from .metrics import (
     RunSummary,
     alpha_regret,

@@ -21,9 +21,9 @@ H (S, n, K)) through an (R, B) index of rows, and every operation in it is
 elementwise per lane, so each lane is bit for bit the run it would be on
 its own.  :func:`run_lanes` plays one lane per instance over one table of
 the instances' rows (an instance is (F, G, H) stacks of input rows plus a
-row index per round); :func:`run` is its one-lane case and
-:func:`run_batch` its lanes for the seeds of a source.  Within a lane the
-dual state is a chain; lanes share only the loop.
+row index per round); :func:`run` is its one-lane case.  Within a lane the
+dual state is a chain; lanes share only the loop.  A run's stopping time,
+its last gate-open round, is the Trajectory's ``stopping_time`` field.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 
 from .core import Instance, Trajectory, ValidationError
 from .dual_ogd import OgdConfig, learning_rate
-from .environments import StochasticModel, sample_instance
 from .lagrangian import penalties
 
 #: Rounds gathered from the row table at a time when lanes read it by index.
@@ -48,11 +47,6 @@ def default_config(instance: Instance, delta: float = 0.05) -> OgdConfig:
         eta=learning_rate(instance.horizon, instance.num_constraints, delta),
         delta=delta,
     )
-
-
-def _last_open_round(gate: np.ndarray) -> int:
-    open_rounds = np.nonzero(gate)[0]
-    return int(open_rounds[-1] + 1) if open_rounds.size else 0
 
 
 def _exact_sum(values: np.ndarray) -> Fraction:
@@ -163,9 +157,10 @@ def _trajectory(rounds: dict, lane: int, instance, config: OgdConfig) -> Traject
     """Lane ``lane`` of a :func:`_play` result as a Trajectory; ``instance``
     supplies the shape."""
     fields = {key: value[lane] for key, value in rounds.items()}
+    open_rounds = np.flatnonzero(fields["gate_open"])
     return Trajectory(
         **fields,
-        stopping_time=_last_open_round(fields["gate_open"]),
+        stopping_time=int(open_rounds[-1] + 1) if open_rounds.size else 0,
         num_general=instance.num_general,
         num_resources=instance.num_resources,
         eta=config.eta,
@@ -217,25 +212,3 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
     index = np.stack([offset[id(inst)] + inst.index for inst in instances])
     rounds = _play(table, index, first.budget, first.actions.void_index, config.eta)
     return (_trajectory(rounds, r, first, config) for r in range(len(instances)))
-
-
-def run_batch(
-    source: Instance | StochasticModel, horizon: int, seeds, config: OgdConfig
-) -> Iterator[Trajectory]:
-    """One run per seed, played in lockstep by :func:`run_lanes`: lane r is
-    bit for bit ``run(instance_r, config)``, where instance_r is
-    ``sample_instance(source, horizon, seeds[r])`` for a model and the
-    instance itself (of horizon ``horizon``) for a fixed instance."""
-    if isinstance(source, Instance):
-        if horizon != source.horizon:
-            raise ValidationError(
-                f"horizon {horizon} differs from the instance horizon {source.horizon}"
-            )
-        return run_lanes([source] * len(seeds), config)
-    return run_lanes([sample_instance(source, horizon, s) for s in seeds], config)
-
-
-def stopping_time(trajectory: Trajectory) -> int:
-    """The last gate-open round; 0 if the gate was never open, T if it never
-    closed.  Every round after it plays the void action."""
-    return _last_open_round(trajectory.gate_open)

@@ -41,6 +41,7 @@ from .oracles import (
     slater_adv,
     slater_stoc,
 )
+from .serialization import SchemaError
 from .simplex import SimplexError
 
 EXIT_OK = 0
@@ -312,9 +313,20 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_row(T: int, seed: int, payload: dict) -> dict:
+def _sweep_row(path: str, T: int, seed: int, payload: dict) -> dict:
+    """The sweep CSV row of the cell at ``path``; raises CliError unless the
+    fields the fit reads are real numbers (regret may be null)."""
     s = payload["summary"]
     bounds = s["bounds"]
+    for key in ("violation", "regret"):
+        value = s[key]
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (real or (value is None and key == "regret")):
+            raise CliError(
+                f"damaged sweep cell {path}: field {key!r} is {value!r}, not a number",
+                path=path,
+                field=key,
+            )
 
     def bound_value(key):
         return bounds[key]["value"] if key in bounds else None
@@ -394,7 +406,11 @@ def aggregate_sweep(
             if not os.path.exists(path):
                 raise CliError(f"sweep incomplete: missing cell output {path}", path=path)
             with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+                text = fh.read()
+            try:
+                payload = serialization.parse_json(text)
+            except SchemaError as exc:
+                raise CliError(f"damaged sweep cell {path}: {exc}", path=path) from None
             config = payload.get("config") if isinstance(payload, dict) else None
             stale = _stale_fields(config, sweep_config, T, seed)
             if stale:
@@ -405,7 +421,7 @@ def aggregate_sweep(
                     fields=stale,
                 )
             try:
-                rows.append(_sweep_row(T, seed, payload))
+                rows.append(_sweep_row(path, T, seed, payload))
                 cell_hashes.append(payload["instance_hash"])
             except (KeyError, TypeError) as exc:
                 field = exc.args[0] if isinstance(exc, KeyError) else None
@@ -638,7 +654,10 @@ def _read_trace(path, instance_override, loaded: dict) -> tuple:
             f"{path}: trace schema_version {header.get('schema_version')!r} "
             f"does not match {traceio.SCHEMA_VERSION}"
         )
-    config = json.loads(header["config"])
+    try:
+        config = serialization.parse_json(header["config"])
+    except SchemaError as exc:
+        raise traceio.TraceFormatError(f"{path}: config header: {exc}") from None
     if not isinstance(config, dict) or not isinstance(config.get("source"), dict):
         raise traceio.TraceFormatError(f"{path}: the config header names no source")
     seed = int(header["seed"])

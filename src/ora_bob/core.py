@@ -3,9 +3,9 @@
 All types are immutable after construction (arrays are marked read-only) and
 safe to share across threads.  Constructors enforce structural invariants
 (shapes, positivity of budgets); value-level invariants such as entry ranges
-and the void-column property are checked by :func:`validate_instance`, which
-reports every violation instead of aborting, so malformed files can be loaded
-and diagnosed.
+and the void-column property are checked by ``validate()``, which reports
+every violation instead of aborting, so malformed files can be loaded and
+diagnosed.
 
 An :class:`Instance` stores its rounds once, as read-only (F, G, H) stacks
 of input rows plus a (T,) row index; the rows are exactly those the index
@@ -13,6 +13,11 @@ uses, and its per-round stacks are gathers over the rows.  Its
 :class:`InputTuple` objects are built only when read.  Input rows of
 different shapes are refused at construction.  Validation checks each row
 once and reports its issues at every round that uses it.
+
+Unified constraints and duals exist only as arrays: the unified matrices
+are :func:`unified_rows` of the rows (cost rows over consumption rows
+shifted down by the per-round budget), and a :class:`Trajectory` holds a
+run's duals as one (T+1, M) array.
 """
 
 from __future__ import annotations
@@ -140,62 +145,6 @@ class BudgetSpec:
     def limits(self) -> np.ndarray:
         """Total budgets B_j = beta_j * T."""
         return self.per_round_budget * self.horizon
-
-
-@dataclass(frozen=True)
-class UnifiedConstraints:
-    """The M x K stacked constraint matrix: cost rows verbatim, consumption
-    rows shifted down by the per-round budget."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise ValidationError(f"unified matrix must be 2-D, got shape {m.shape}")
-        object.__setattr__(self, "matrix", _readonly(m))
-
-    @property
-    def num_constraints(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_actions(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class DualVector:
-    """Nonnegative Lagrange multipliers over the M unified constraints."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if v.size and np.any(v < 0.0):
-            raise ValidationError("dual multipliers must be componentwise >= 0")
-        object.__setattr__(self, "values", _readonly(v))
-
-    @classmethod
-    def zeros(cls, m: int) -> "DualVector":
-        return cls(np.zeros(m))
-
-    @property
-    def num_constraints(self) -> int:
-        return self.values.shape[0]
-
-    def l1(self) -> float:
-        return float(np.sum(self.values))
-
-
-def unify_constraints(inp: InputTuple, budget: BudgetSpec) -> UnifiedConstraints:
-    """Stack general costs over budget-shifted consumptions.
-
-    Rows 1..m copy the cost matrix; row m+j is consumption row j minus
-    beta_j in every column.
-    """
-    beta = budget.per_round_budget
-    return UnifiedConstraints(unified_rows(inp.general_costs[None], inp.consumptions[None], beta)[0])
 
 
 @dataclass(frozen=True)
@@ -358,12 +307,9 @@ class Instance(RowStore):
         lambda self: self._gather(self.unified_rows), doc="(T, M, K) unified matrices."
     )
 
-    def unified(self, t: int) -> UnifiedConstraints:
-        """Unified constraints for round t (1-based)."""
-        return UnifiedConstraints(self.unified_rows[self.index[t - 1]])
-
     def validate(self) -> "ValidationReport":
-        """validate_instance on these rounds: each row is checked once."""
+        """Every range, shape and void-column issue of the rounds; each row is
+        checked once."""
         return pool_issues(ValidationReport(), self.budget, self.rows, self.index, self.actions)
 
 
@@ -371,15 +317,11 @@ def stack_rows(tuples: Sequence[InputTuple]):
     """The read-only (U, K) rewards, (U, m, K) costs and (U, n, K)
     consumptions of U >= 1 input tuples; ValidationError unless they share
     one (K, m, n)."""
-    shapes = sorted({_shape(r) for r in tuples})
+    shapes = sorted({(r.num_actions, r.num_general, r.num_resources) for r in tuples})
     if len(shapes) != 1:
         raise ValidationError(f"input tuples must share one shape (K, m, n), got {shapes}")
     arrays = zip(*((r.rewards, r.general_costs, r.consumptions) for r in tuples))
     return tuple(_frozen(np.stack(a)) for a in arrays)
-
-
-def _shape(r: InputTuple) -> tuple[int, int, int]:
-    return r.num_actions, r.num_general, r.num_resources
 
 
 def unified_rows(general: np.ndarray, consumption: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -424,29 +366,6 @@ class ValidationReport:
             raise InstanceValidationError(self)
 
 
-def validate_instance(
-    rounds: Sequence[InputTuple], budget: BudgetSpec, actions: ActionSet
-) -> ValidationReport:
-    """Check every range, shape and void-column invariant; never aborts.
-
-    Issues carry (round, field, coordinate) so callers can locate each
-    offending entry; budget-level problems are reported with round 0.
-    Rounds of different shapes are reported round by round.
-    """
-    report = ValidationReport()
-    t_count = len(rounds)
-    if t_count != budget.horizon:
-        report.add(0, "shape", (), f"{t_count} rounds provided for horizon T={budget.horizon}")
-    if t_count == 0:
-        return report
-    shapes = [_shape(r) for r in rounds]
-    if len(set(shapes)) == 1:
-        return pool_issues(report, budget, stack_rows(rounds), np.arange(t_count), actions)
-    budget_gate_issues(report, budget)
-    _shape_ok(report, shapes, np.arange(t_count), actions.count, budget.num_resources)
-    return report
-
-
 def budget_gate_issues(report: ValidationReport, budget: BudgetSpec):
     """Flag budgets whose gate is closed from round 1 (beta_j*T < 1) and warn
     about budgets that can never bind (beta_j > 1)."""
@@ -475,7 +394,7 @@ def pool_issues(report, budget, rows, index, actions) -> ValidationReport:
     budget_gate_issues(report, budget)
     f, g, h = rows
     shape = (f.shape[1], g.shape[1], h.shape[1])
-    if _shape_ok(report, [shape], np.zeros_like(index), actions.count, budget.num_resources):
+    if _shape_ok(report, shape, index.size, actions.count, budget.num_resources):
         v = actions.void_index
         _range_issues(report, index, "reward", f, 0.0, 1.0)
         _range_issues(report, index, "general_cost", g, -1.0, 1.0)
@@ -486,20 +405,20 @@ def pool_issues(report, budget, rows, index, actions) -> ValidationReport:
     return report
 
 
-def _shape_ok(report, shapes, rows, k, expected_resources) -> bool:
-    """Report rounds whose (K, m, n) ``shapes[rows[t]]`` differ from round
-    1's (m, n) and the action count k; True iff none do."""
-    m0, n0 = shapes[rows[0]][1:]
-    if n0 != expected_resources:
+def _shape_ok(report, shape, rounds, k, expected_resources) -> bool:
+    """Report the rows' (K, m, n) ``shape`` if its n is not the budget's,
+    and at each of the ``rounds`` rounds if its K is not the action count
+    k; True iff K is k."""
+    kt, m, n = shape
+    if n != expected_resources:
         report.add(
-            0, "shape", (), f"rounds have n={n0} resources, budget has n={expected_resources}"
+            0, "shape", (), f"rounds have n={n} resources, budget has n={expected_resources}"
         )
-    odd = np.array([s != (k, m0, n0) for s in shapes])
-    for t in np.flatnonzero(odd[rows]):
-        kt, mt, nt = shapes[rows[t]]
-        report.add(int(t) + 1, "shape", (), f"(K={kt}, m={mt}, n={nt}) "
-                   f"inconsistent with (K={k}, m={m0}, n={n0})")
-    return not odd.any()
+    if kt != k:
+        for t in range(1, rounds + 1):
+            report.add(t, "shape", (), f"(K={kt}, m={m}, n={n}) "
+                       f"inconsistent with (K={k}, m={m}, n={n})")
+    return kt == k
 
 
 def _bad_entries(index, bad):

@@ -1,10 +1,11 @@
 """Projected online gradient descent for the dual multipliers, plus the
 trajectory audits that check its weak-adaptivity guarantees.
 
-The dual update is lambda_{t+1} = max(0, lambda_t + eta * g~_t(x_t)),
-componentwise.  The audits re-derive both sides of the interval-regret and
-drift inequalities from the raw recorded duals and gradients rather than any
-cached partial sums.
+The dual update lambda_{t+1} = max(0, lambda_t + eta * g~_t(x_t)),
+componentwise, is taken inline by the allocator's round loop; this module
+holds its learning-rate schedule.  The audits re-derive both sides of the
+interval-regret and drift inequalities from the raw recorded duals and
+gradients rather than any cached partial sums.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DualVector, Trajectory, ValidationError
+from .core import Trajectory, ValidationError
 
 #: Absolute slack for audit inequalities, sized against double-precision
 #: accumulation over T <= 1e5 terms of magnitude <= 1.
@@ -55,16 +56,6 @@ def learning_rate(T: int, M: int, delta: float) -> float:
     if arg <= 0.0:  # unreachable under the preconditions above
         raise ArithmeticError(f"learning-rate radicand {arg} not positive")
     return 1.0 / (60.0 * M * math.sqrt(arg))
-
-
-def ogd_step(dual: DualVector, gradient, eta: float) -> DualVector:
-    """One projected ascent step; never mutates its input."""
-    g = np.asarray(gradient, dtype=np.float64).reshape(-1)
-    if g.shape[0] != dual.num_constraints:
-        raise ValidationError(
-            f"gradient has {g.shape[0]} components, dual has {dual.num_constraints}"
-        )
-    return DualVector(np.maximum(0.0, dual.values + eta * g))
 
 
 class IntervalRegretResult(NamedTuple):

@@ -119,12 +119,6 @@ def sample_support_indices(model: StochasticModel, T: int, seed) -> np.ndarray:
     return np.minimum(idx, model.support_size - 1)
 
 
-def sample_sequence(model: StochasticModel, T: int, seed) -> list[InputTuple]:
-    """T i.i.d. draws from the support; identical seed, identical sequence."""
-    indices = sample_support_indices(model, T, seed)
-    return [model.support[i] for i in indices]
-
-
 def sample_instance(model: StochasticModel, T: int, seed) -> Instance:
     """T i.i.d. draws as an instance: the support rows drawn plus the
     draws."""

@@ -147,6 +147,8 @@ def parse_json(text: str) -> Any:
         raise SchemaError(
             f"parse error at byte offset {exc.pos}: {exc.msg}", ""
         ) from exc
+    except RecursionError:
+        raise SchemaError("parse error: nested too deeply", "") from None
 
 
 def canonical_json(obj: Any) -> str:

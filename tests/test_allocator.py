@@ -6,22 +6,19 @@ import ora_bob as ob
 from ora_bob.allocator import (
     default_config,
     run,
-    run_batch,
     run_lanes,
-    stopping_time,
 )
 from ora_bob.core import (
     ActionSet,
     BudgetSpec,
-    DualVector,
     InputTuple,
     Instance,
     InstanceValidationError,
     ValidationError,
 )
-from ora_bob.dual_ogd import OgdConfig, learning_rate, ogd_step
+from ora_bob.dual_ogd import OgdConfig, learning_rate
 from ora_bob.environments import StochasticModel, sample_instance
-from ora_bob.lagrangian import best_response
+from ora_bob.lagrangian import penalties
 
 
 def draining_instance(T: int, beta: float = 0.5, consumption: float = 1.0) -> Instance:
@@ -40,10 +37,9 @@ class TestExample1Update:
 
     def update(self, duals, eta=0.01):
         inst = ob.constant_instance(ob.make_example1_instance(0.1, 0.2, horizon=20).general)
-        unified = inst.unified(1)
-        dual = DualVector(duals)
-        action, _ = best_response(inst.rounds[0], unified, dual)
-        return action, ogd_step(dual, unified.matrix[:, action], eta).values
+        unified, dual = inst.unified_stack[0], np.array(duals)
+        action = int(np.argmax(inst.rewards_stack[0] - penalties(unified, dual)))
+        return action, np.maximum(0.0, dual + eta * unified[:, action])
 
     def test_compensation_update_amounts(self):
         action, new = self.update([20.0, 20.0])
@@ -78,7 +74,7 @@ class TestRun:
 
     def test_stopping_time_definition(self):
         tr = run(draining_instance(74), OgdConfig(eta=1e-5, delta=0.05))
-        assert tr.stopping_time == 37 == stopping_time(tr)
+        assert tr.stopping_time == 37
         assert np.all(tr.actions[37:] == 0)
         assert np.all(tr.gate_open[:37])
         assert not np.any(tr.gate_open[37:])
@@ -295,11 +291,19 @@ def draining_model(beta: float = 1.0 / 3.0, horizon: int = 30) -> StochasticMode
     return StochasticModel(ActionSet(2, 0), BudgetSpec(horizon, [beta]), (drain, idle), [0.5, 0.5])
 
 
+def batch(source, horizon, seeds, config):
+    """run_lanes over one instance per seed: the model's sample at each seed,
+    or the fixed instance itself in every lane."""
+    if isinstance(source, Instance):
+        return run_lanes([source] * len(seeds), config)
+    return run_lanes([sample_instance(source, horizon, s) for s in seeds], config)
+
+
 class TestRunBatch:
-    """Every lane of run_batch is bit for bit the sequential run()."""
+    """Every lane of a run_lanes batch is bit for bit the sequential run()."""
 
     def check(self, source, horizon, seeds, config):
-        lanes = list(run_batch(source, horizon, seeds, config))
+        lanes = list(batch(source, horizon, seeds, config))
         assert len(lanes) == len(seeds)
         for seed, lane in zip(seeds, lanes):
             inst = source if isinstance(source, Instance) else sample_instance(source, horizon, seed)
@@ -374,7 +378,7 @@ class TestRunBatch:
         with pytest.raises(InstanceValidationError) as sequential:
             run(sample_instance(model, 20, 3), config)
         with pytest.raises(InstanceValidationError) as batched:
-            list(run_batch(model, 20, [3, 4], config))
+            list(batch(model, 20, [3, 4], config))
         assert str(batched.value) == str(sequential.value)
         # a support tuple no lane draws cannot fail a lane
         never = StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, bad), [1.0, 0.0])

@@ -286,24 +286,37 @@ class TestSweep:
         assert err["fields"] == ["delta"]
 
     @pytest.mark.parametrize(
-        "drop", [("summary",), ("instance_hash",), ("summary", "tau")]
+        "drop",
+        [
+            ("summary",),
+            ("instance_hash",),
+            ("summary", "tau"),
+            # (key, key, value): a field the fit reads set to a non-number
+            ("summary", "violation", "x"),
+            ("summary", "violation", None),
+            ("summary", "regret", "x"),
+        ],
     )
     def test_cell_missing_field_refused(self, tmp_path, capsys, drop):
         code, _ = run_cli(capsys, *self.sweep_args(tmp_path))
         assert code == 0
         path = tmp_path / "sw_T60_1.json"
         payload = json.loads(path.read_text())
+        keys = drop[:2]
         holder = payload
-        for key in drop[:-1]:
+        for key in keys[:-1]:
             holder = holder[key]
-        del holder[drop[-1]]
+        if len(drop) == 3:
+            holder[keys[-1]] = drop[-1]
+        else:
+            del holder[keys[-1]]
         path.write_text(json.dumps(payload))
         code, out = run_cli(capsys, *self.sweep_args(tmp_path, extra=("--aggregate-only",)))
         assert code == 2
         err = json.loads(out)["error"]
         assert err["type"] == "CliError"
         assert err["path"] == str(path)
-        assert err["field"] == drop[-1]
+        assert err["field"] == keys[-1]
 
     def test_model_file_loaded_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "pacing.json"
@@ -423,6 +436,33 @@ def test_number_beyond_float_range_exits_2(tmp_path, capsys, kind, pointer):
     err = json.loads(out)["error"]
     assert err["type"] == "SchemaError"
     assert err["message"].startswith(f"{pointer}: ")
+
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("entry", ["run", "audit", "sweep"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, entry):
+    if entry == "run":
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        argv = ["run", "--instance", str(path), "--out", str(tmp_path / "out")]
+    elif entry == "audit":
+        assert run_cli(capsys, *cli_run_args(tmp_path))[0] == 0
+        path = tmp_path / "exp_7.csv"
+        lines = path.read_text().splitlines()
+        lines = [f"# config={DEEP_JSON}" if l.startswith("# config=") else l for l in lines]
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["audit", str(path)]
+    else:
+        argv = ["sweep", "--generator", "pacing", "--T", "30", "--seeds", "0",
+                "--out", str(tmp_path), "--name", "sw"]
+        assert run_cli(capsys, *argv)[0] == 0
+        (tmp_path / "sw_T30_0.json").write_text(DEEP_JSON)
+        argv.append("--aggregate-only")
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert "nested too deeply" in json.loads(out)["error"]["message"]
 
 
 class TestGen:

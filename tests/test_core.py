@@ -7,13 +7,11 @@ from ora_bob.allocator import run
 from ora_bob.core import (
     ActionSet,
     BudgetSpec,
-    DualVector,
     InputTuple,
     Instance,
     InstanceValidationError,
     ValidationError,
-    unify_constraints,
-    validate_instance,
+    unified_rows,
 )
 from ora_bob.dual_ogd import OgdConfig
 from ora_bob.oracles import opt_lp_relax
@@ -22,6 +20,15 @@ from ora_bob.serialization import instance_hash
 
 def make_round(f, g, h):
     return InputTuple(rewards=f, general_costs=g, consumptions=h)
+
+
+def unify(r, budget):
+    """The (M, K) unified matrix of one input tuple under ``budget``."""
+    return unified_rows(r.general_costs[None], r.consumptions[None], budget.per_round_budget)[0]
+
+
+def validate(rounds, budget, actions):
+    return Instance(actions, budget, rounds).validate()
 
 
 class TestActionSet:
@@ -56,28 +63,28 @@ class TestUnify:
     def test_single_budget_row(self):
         # m=0, n=1, beta=0.5, consumption row [0, 1] -> unified [-0.5, 0.5]
         r = make_round([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
-        u = unify_constraints(r, BudgetSpec(10, [0.5]))
-        assert np.array_equal(u.matrix, [[-0.5, 0.5]])
+        u = unify(r, BudgetSpec(10, [0.5]))
+        assert np.array_equal(u, [[-0.5, 0.5]])
 
     def test_void_column(self):
         r = make_round(
             [0.0, 0.5], [[0.0, 0.3]], [[0.0, 0.2], [0.0, 0.9]]
         )
-        u = unify_constraints(r, BudgetSpec(10, [0.4, 0.7]))
-        assert np.array_equal(u.matrix[:, 0], [0.0, -0.4, -0.7])
+        u = unify(r, BudgetSpec(10, [0.4, 0.7]))
+        assert np.array_equal(u[:, 0], [0.0, -0.4, -0.7])
 
     def test_example1_general_rows_pass_through(self):
         # m=2, n=0: the x_B column [rho+eps, -1] is copied verbatim
         rho, eps = 0.1, 0.2
         g = [[0.0, -rho, rho + eps], [0.0, -rho, -1.0]]
         r = make_round([0.0, 1.0, 1.0], g, np.zeros((0, 3)))
-        u = unify_constraints(r, BudgetSpec(5, []))
-        assert np.array_equal(u.matrix, np.asarray(g))
+        u = unify(r, BudgetSpec(5, []))
+        assert np.array_equal(u, np.asarray(g))
 
     def test_dimension_mismatch_names_axis(self):
         r = make_round([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
         with pytest.raises(ValidationError, match="n=1.*n=2"):
-            unify_constraints(r, BudgetSpec(10, [0.5, 0.5]))
+            unify(r, BudgetSpec(10, [0.5, 0.5]))
 
     def test_linearity_in_consumption(self):
         # doubling a consumption entry doubles the shifted entry plus the
@@ -85,8 +92,8 @@ class TestUnify:
         beta = BudgetSpec(20, [0.25])
         r1 = make_round([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.25]])
         r2 = make_round([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])
-        u1 = unify_constraints(r1, beta).matrix[0, 1]
-        u2 = unify_constraints(r2, beta).matrix[0, 1]
+        u1 = unify(r1, beta)[0, 1]
+        u2 = unify(r2, beta)[0, 1]
         assert u2 == 2.0 * (u1 + 0.25) - 0.25
 
 
@@ -106,13 +113,13 @@ class TestInputTuple:
 class TestValidateInstance:
     def test_all_void_single_action_valid(self):
         rounds = [make_round([0.0], np.zeros((0, 1)), np.zeros((0, 1)))] * 4
-        report = validate_instance(rounds, BudgetSpec(4, []), ActionSet(1, 0))
+        report = validate(rounds, BudgetSpec(4, []), ActionSet(1, 0))
         assert report.ok
 
     def test_reward_out_of_range_cites_location(self):
         good = make_round([0.0, 0.5, 0.5], np.zeros((0, 3)), np.zeros((0, 3)))
         bad = make_round([0.0, 0.5, 1.2], np.zeros((0, 3)), np.zeros((0, 3)))
-        report = validate_instance(
+        report = validate(
             [good, good, bad, good], BudgetSpec(4, []), ActionSet(3, 0)
         )
         assert not report.ok
@@ -121,49 +128,46 @@ class TestValidateInstance:
 
     def test_budget_gate_closed_at_round_one(self):
         rounds = [make_round([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])] * 5
-        report = validate_instance(rounds, BudgetSpec(5, [0.1]), ActionSet(2, 0))
+        report = validate(rounds, BudgetSpec(5, [0.1]), ActionSet(2, 0))
         assert not report.ok
         assert any("budget gate closed at round 1" in i.message for i in report.issues)
 
     def test_large_budget_warns(self):
         rounds = [make_round([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])] * 5
-        report = validate_instance(rounds, BudgetSpec(5, [1.5]), ActionSet(2, 0))
+        report = validate(rounds, BudgetSpec(5, [1.5]), ActionSet(2, 0))
         assert report.ok
         assert any("never binding" in w for w in report.warnings)
 
     def test_void_column_violation(self):
         bad = make_round([0.0, 1.0], [[0.25, 0.3]], np.zeros((0, 2)))
-        report = validate_instance([bad], BudgetSpec(1, []), ActionSet(2, 0))
+        report = validate([bad], BudgetSpec(1, []), ActionSet(2, 0))
         assert not report.ok
         assert report.issues[0].field == "void_column"
 
     def test_inconsistent_shapes_reported(self):
         a = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))
         b = make_round([0.0, 1.0, 0.2], np.zeros((0, 3)), np.zeros((0, 3)))
-        report = validate_instance([a, b], BudgetSpec(2, []), ActionSet(2, 0))
-        assert any(i.field == "shape" and i.round == 2 for i in report.issues)
         # an instance stores one (K, m, n): rounds of two shapes are refused
         with pytest.raises(ValidationError, match="one shape"):
             Instance(ActionSet(2, 0), BudgetSpec(2, []), (a, b))
         # rounds of one shape that is not the action set's fail validation
         inst = Instance(ActionSet(2, 0), BudgetSpec(2, []), (b, b))
-        assert [(i.round, i.field) for i in inst.validate().issues] == [(1, "shape"), (2, "shape")]
+        assert [str(i) for i in inst.validate().issues] == [
+            f"round {t}: shape[]: (K=3, m=0, n=0) inconsistent with (K=2, m=0, n=0)"
+            for t in (1, 2)
+        ]
+        # rounds whose n is not the budget's are reported once
+        report = validate([a, a], BudgetSpec(2, [0.5]), ActionSet(2, 0))
+        assert [str(i) for i in report.issues] == [
+            "instance: shape[]: rounds have n=0 resources, budget has n=1"
+        ]
         with pytest.raises(InstanceValidationError):
             run(inst, OgdConfig(0.1, 0.05))
 
     def test_nan_is_flagged(self):
         bad = make_round([0.0, float("nan")], np.zeros((0, 2)), np.zeros((0, 2)))
-        report = validate_instance([bad], BudgetSpec(1, []), ActionSet(2, 0))
+        report = validate([bad], BudgetSpec(1, []), ActionSet(2, 0))
         assert not report.ok
-
-
-class TestDualVector:
-    def test_nonnegative(self):
-        with pytest.raises(ValidationError):
-            DualVector([0.1, -0.2])
-
-    def test_l1(self):
-        assert DualVector([0.25, 0.5]).l1() == 0.75
 
 
 class TestInstance:
@@ -177,8 +181,8 @@ class TestInstance:
         r2 = make_round([0.0, 0.3], [[0.0, -0.9]], [[0.0, 0.1]])
         inst = Instance(ActionSet(2, 0), BudgetSpec(2, [0.5]), (r1, r2))
         for t in (1, 2):
-            expected = unify_constraints(inst.rounds[t - 1], inst.budget).matrix
-            assert np.array_equal(inst.unified(t).matrix, expected)
+            expected = unify(inst.rounds[t - 1], inst.budget)
+            assert np.array_equal(inst.unified_stack[t - 1], expected)
 
 
 @given(
@@ -205,7 +209,7 @@ def test_random_valid_instances_pass_validation(k_extra, m, n, seed):
             h[:, 0] = 0.0
         rounds.append(make_round(f, g, h))
     budget = BudgetSpec(T, np.full(n, 0.5))
-    report = validate_instance(rounds, budget, ActionSet(K, 0))
+    report = validate(rounds, budget, ActionSet(K, 0))
     assert report.ok, report.issues[:3]
 
 
@@ -244,7 +248,7 @@ class TestRoundStore:
             "general_stack": np.stack([r.general_costs for r in rounds]),
             "consumption_stack": np.stack([r.consumptions for r in rounds]),
             "unified_stack": np.stack(
-                [unify_constraints(r, inst.budget).matrix for r in rounds]
+                [unify(r, inst.budget) for r in rounds]
             ),
         }
         for attr, want in expected.items():
@@ -289,7 +293,8 @@ class TestRoundStore:
         drawn = [t + 1 for t, d in enumerate(env.sample_support_indices(model, 30, 5)) if d]
         assert len(drawn) >= 3
         issues = inst.validate().issues
-        assert issues == validate_instance(inst.rounds, inst.budget, inst.actions).issues
+        # one row per round: the rows checked round by round
+        assert issues == validate(inst.rounds, inst.budget, inst.actions).issues
         where = [(i.round, i.field, i.coordinate) for i in issues]
         if kind == "range_and_void":
             assert where == [(t, "reward", (1,)) for t in drawn] + [

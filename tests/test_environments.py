@@ -21,7 +21,6 @@ from ora_bob.environments import (
     random_instance,
     random_model,
     sample_instance,
-    sample_sequence,
     sample_support_indices,
     save_instance,
 )
@@ -58,9 +57,9 @@ class TestStochasticModel:
 class TestSampling:
     def test_degenerate_support_repeats(self):
         fx = make_example1_instance(0.1, 0.2, horizon=20)
-        seq = sample_sequence(fx.general, 7, Seed(123))
-        assert len(seq) == 7
-        assert all(r is fx.general.support[0] for r in seq)
+        inst = sample_instance(fx.general, 7, Seed(123))
+        assert inst.horizon == 7 and inst.index.tolist() == [0] * 7
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(inst.rows, fx.general.rows))
 
     def test_law_of_large_numbers(self):
         model = random_model(Seed(8), S=2, K=3, m=1, n=0, feasibility_margin=0.2)
@@ -90,7 +89,7 @@ class TestExample1:
     def test_swing_column(self):
         fx = make_example1_instance(0.1, 0.2, horizon=20)
         inst = constant_instance(fx.general, 3)
-        col = inst.unified(1).matrix[:, 2]
+        col = inst.unified_stack[0][:, 2]
         assert col[0] == pytest.approx(0.3, abs=1e-15)
         assert col[1] == -1.0
 

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ora_bob.core import (
-    ActionSet,
-    BudgetSpec,
-    DualVector,
-    InputTuple,
-    ValidationError,
-    unify_constraints,
-)
+from ora_bob.allocator import run
+from ora_bob.core import ActionSet, BudgetSpec, InputTuple, Instance, unified_rows
+from ora_bob.dual_ogd import OgdConfig
 from ora_bob.environments import constant_instance, make_example1_instance
-from ora_bob.lagrangian import best_response, lagrangian_value, penalties
+from ora_bob.lagrangian import penalties
 
-LAMBDA_2020 = DualVector([20.0, 20.0])
+LAMBDA_2020 = np.array([20.0, 20.0])
 
 
 @pytest.fixture(scope="module")
@@ -21,67 +16,59 @@ def example1():
     return make_example1_instance(0.1, 0.2, horizon=20)
 
 
+def first_round_values(model, dual):
+    """f_1(x) - <lambda, g~_1(x)> for every action x of a constant instance."""
+    inst = constant_instance(model)
+    return inst.rewards_stack[0] - penalties(inst.unified_stack[0], dual)
+
+
 def test_budget_case_void_value_is_four(example1):
-    inst = constant_instance(example1.budget_only)
-    r, u = inst.rounds[0], inst.unified(1)
+    values = first_round_values(example1.budget_only, LAMBDA_2020)
     # f=0, h=[0,0], beta=[0.1,0.1] so the void unified column is [-0.1,-0.1]
-    assert lagrangian_value(r, u, 0, LAMBDA_2020) == pytest.approx(4.0, abs=1e-12)
+    assert values[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_budget_case_overspender_value(example1):
-    inst = constant_instance(example1.budget_only)
-    r, u = inst.rounds[0], inst.unified(1)
+    values = first_round_values(example1.budget_only, LAMBDA_2020)
     # 3 - 2*eps/rho = -1 at rho=0.1, eps=0.2
-    assert lagrangian_value(r, u, 1, LAMBDA_2020) == pytest.approx(-1.0, abs=1e-12)
+    assert values[1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_general_case_values(example1):
-    inst = constant_instance(example1.general)
-    r, u = inst.rounds[0], inst.unified(1)
-    assert lagrangian_value(r, u, 0, LAMBDA_2020) == pytest.approx(0.0, abs=1e-12)
-    assert lagrangian_value(r, u, 1, LAMBDA_2020) == pytest.approx(5.0, abs=1e-12)
+    values = first_round_values(example1.general, LAMBDA_2020)
+    assert values[0] == pytest.approx(0.0, abs=1e-12)
+    assert values[1] == pytest.approx(5.0, abs=1e-12)
     # 5 + 1/rho = 15
-    assert lagrangian_value(r, u, 2, LAMBDA_2020) == pytest.approx(15.0, abs=1e-12)
+    assert values[2] == pytest.approx(15.0, abs=1e-12)
 
 
 def test_zero_dual_gives_raw_reward(example1):
-    inst = constant_instance(example1.general)
-    r, u = inst.rounds[0], inst.unified(1)
-    zero = DualVector.zeros(2)
-    for a in range(3):
-        assert lagrangian_value(r, u, a, zero) == r.rewards[a]
+    values = first_round_values(example1.general, np.zeros(2))
+    assert np.array_equal(values, example1.general.rows[0][0])
 
 
 def test_best_response_prefers_cross_compensation(example1):
-    inst = constant_instance(example1.general)
-    action, value = best_response(inst.rounds[0], inst.unified(1), LAMBDA_2020)
+    values = first_round_values(example1.general, LAMBDA_2020)
+    action = int(np.argmax(values))
     assert action == 2
-    assert value == pytest.approx(15.0, abs=1e-12)
+    assert values[action] == pytest.approx(15.0, abs=1e-12)
+
+
+def one_round_run(rewards):
+    """The allocator's single round on rewards with no constraints (lambda_1 = 0)."""
+    k = len(rewards)
+    r = InputTuple(rewards, np.zeros((0, k)), np.zeros((0, k)))
+    return run(Instance(ActionSet(k, 0), BudgetSpec(1, []), (r,)), OgdConfig(0.1, 0.05))
 
 
 def test_best_response_tie_breaks_lowest_index():
-    r = InputTuple([0.0, 0.7, 0.7], np.zeros((0, 3)), np.zeros((0, 3)))
-    u = unify_constraints(r, BudgetSpec(1, []))
-    action, value = best_response(r, u, DualVector.zeros(0))
-    assert (action, value) == (1, 0.7)
+    tr = one_round_run([0.0, 0.7, 0.7])
+    assert (int(tr.candidates[0]), int(tr.actions[0]), float(tr.rewards[0])) == (1, 1, 0.7)
 
 
 def test_best_response_single_action():
-    r = InputTuple([0.0], np.zeros((0, 1)), np.zeros((0, 1)))
-    u = unify_constraints(r, BudgetSpec(1, []))
-    assert best_response(r, u, DualVector.zeros(0)) == (0, 0.0)
-
-
-def test_action_index_validated(example1):
-    inst = constant_instance(example1.general)
-    with pytest.raises(ValidationError):
-        lagrangian_value(inst.rounds[0], inst.unified(1), 3, LAMBDA_2020)
-
-
-def test_dual_dimension_validated(example1):
-    inst = constant_instance(example1.general)
-    with pytest.raises(ValidationError):
-        best_response(inst.rounds[0], inst.unified(1), DualVector([1.0]))
+    tr = one_round_run([0.0])
+    assert (int(tr.candidates[0]), int(tr.actions[0]), float(tr.rewards[0])) == (0, 0, 0.0)
 
 
 def _random_problem(seed, K, m, n):
@@ -98,9 +85,12 @@ def _random_problem(seed, K, m, n):
         h[:, 0] = 0.0
     beta = 0.1 + 0.9 * u[K * (1 + m + n) + m :]
     r = InputTuple(f, g, h)
-    budget = BudgetSpec(max(1, int(np.ceil(1.0 / beta.min()))) if n else 1, beta)
-    dual = DualVector(3.0 * u[K * (1 + m + n) : K * (1 + m + n) + m + n])
-    return r, unify_constraints(r, budget), dual
+    dual = 3.0 * u[K * (1 + m + n) : K * (1 + m + n) + m + n]
+    return r, unified_rows(g[None], h[None], beta)[0], dual, beta
+
+
+def values_at(r, u, dual):
+    return r.rewards - penalties(u, dual)
 
 
 @given(
@@ -110,12 +100,16 @@ def _random_problem(seed, K, m, n):
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_dominance_is_exact(K, m, n, seed):
-    r, u, dual = _random_problem(seed, K, m, n)
-    action, value = best_response(r, u, dual)
-    for x in range(K):
-        assert value >= lagrangian_value(r, u, x, dual)
-    # the scalar path agrees bit-for-bit with the vectorized path
-    assert value == lagrangian_value(r, u, action, dual)
+    # the allocator's candidate at each round is the first maximizer of the
+    # Lagrangian at the duals it saw, recomputed for that round alone
+    r, _, _, beta = _random_problem(seed, K, m, n)
+    inst = Instance(ActionSet(K, 0), BudgetSpec(12, beta), (r,) * 12)
+    tr = run(inst, OgdConfig(eta=0.5, delta=0.05))
+    for t in range(inst.horizon):
+        values = inst.rewards_stack[t] - penalties(inst.unified_stack[t], tr.duals[t])
+        action = int(tr.candidates[t])
+        assert np.all(values[action] >= values)
+        assert action == int(np.argmax(values))
 
 
 @given(
@@ -125,16 +119,14 @@ def test_dominance_is_exact(K, m, n, seed):
     st.floats(min_value=0.001, max_value=2.0),
 )
 def test_monotone_penalty(K, m, seed, delta_bump):
-    r, u, dual = _random_problem(seed, K, m, 0)
+    r, u, dual, _ = _random_problem(seed, K, m, 0)
     i = seed % m
-    bumped_values = dual.values.copy()
-    bumped_values[i] += delta_bump
-    bumped = DualVector(bumped_values)
+    bumped = dual.copy()
+    bumped[i] += delta_bump
+    before, after = values_at(r, u, dual), values_at(r, u, bumped)
     for x in range(K):
-        before = lagrangian_value(r, u, x, dual)
-        after = lagrangian_value(r, u, x, bumped)
-        expected_change = -delta_bump * u.matrix[i, x]
-        assert after - before == pytest.approx(expected_change, abs=1e-12)
+        expected_change = -delta_bump * u[i, x]
+        assert after[x] - before[x] == pytest.approx(expected_change, abs=1e-12)
 
 
 @given(
@@ -144,11 +136,9 @@ def test_monotone_penalty(K, m, seed, delta_bump):
     st.floats(min_value=-5.0, max_value=5.0),
 )
 def test_argmax_invariant_under_reward_shift(K, m, seed, shift):
-    r, u, dual = _random_problem(seed, K, m, 0)
+    r, u, dual, _ = _random_problem(seed, K, m, 0)
     shifted = InputTuple(r.rewards + shift, r.general_costs, r.consumptions)
-    a1, _ = best_response(r, u, dual)
-    a2, _ = best_response(shifted, u, dual)
-    assert a1 == a2
+    assert np.argmax(values_at(r, u, dual)) == np.argmax(values_at(shifted, u, dual))
 
 
 def test_penalties_accumulate_in_index_order():
