@@ -15,7 +15,6 @@ from .allocator import (
 from .core import (
     ActionSet,
     BudgetSpec,
-    InputTuple,
     Instance,
     InstanceValidationError,
     Trajectory,

@@ -7,12 +7,13 @@ and the void-column property are checked by ``validate()``, which reports
 every violation instead of aborting, so malformed files can be loaded and
 diagnosed.
 
-An :class:`Instance` stores its rounds once, as read-only (F, G, H) stacks
-of input rows plus a (T,) row index; the rows are exactly those the index
-uses, and its per-round stacks are gathers over the rows.  Its
-:class:`InputTuple` objects are built only when read.  Input rows of
-different shapes are refused at construction.  Validation checks each row
-once and reports its issues at every round that uses it.
+Round inputs exist only as (F, G, H) row stacks: rewards (S, K), general
+costs (S, m, K) and consumptions (S, n, K).  :class:`RowStore` owns them
+and checks their shapes once per stack at construction.  An
+:class:`Instance` is a row store plus a (T,) row index; its rows are
+exactly those the index uses, and its per-round stacks are gathers over
+the rows.  Validation checks each row once and reports its issues at
+every round that uses it.
 
 Unified constraints and duals exist only as arrays: the unified matrices
 are :func:`unified_rows` of the rows (cost rows over consumption rows
@@ -24,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 
 
@@ -66,59 +65,6 @@ class ActionSet:
             raise ValidationError(
                 f"void_index {self.void_index} outside [0, {self.count})"
             )
-
-
-@dataclass(frozen=True)
-class InputTuple:
-    """One round's fully revealed rewards, costs and consumptions.
-
-    rewards: (K,) in [0, 1]; general_costs: (m, K) in [-1, 1];
-    consumptions: (n, K) in [0, 1].  The column at the void index must be
-    identically zero in all three blocks.
-    """
-
-    rewards: np.ndarray
-    general_costs: np.ndarray
-    consumptions: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rewards, dtype=np.float64)
-        g = np.asarray(self.general_costs, dtype=np.float64)
-        h = np.asarray(self.consumptions, dtype=np.float64)
-        if r.ndim != 1:
-            raise ValidationError(f"rewards must be 1-D, got shape {r.shape}")
-        k = r.shape[0]
-        if g.ndim == 1 and g.size == 0:
-            g = g.reshape(0, k)
-        if h.ndim == 1 and h.size == 0:
-            h = h.reshape(0, k)
-        if g.ndim != 2:
-            raise ValidationError(f"general_costs must be 2-D, got shape {g.shape}")
-        if h.ndim != 2:
-            raise ValidationError(f"consumptions must be 2-D, got shape {h.shape}")
-        if g.shape[1] != k:
-            raise ValidationError(
-                f"general_costs has {g.shape[1]} action columns, rewards has {k}"
-            )
-        if h.shape[1] != k:
-            raise ValidationError(
-                f"consumptions has {h.shape[1]} action columns, rewards has {k}"
-            )
-        object.__setattr__(self, "rewards", _readonly(r))
-        object.__setattr__(self, "general_costs", _readonly(g))
-        object.__setattr__(self, "consumptions", _readonly(h))
-
-    @property
-    def num_actions(self) -> int:
-        return self.rewards.shape[0]
-
-    @property
-    def num_general(self) -> int:
-        return self.general_costs.shape[0]
-
-    @property
-    def num_resources(self) -> int:
-        return self.consumptions.shape[0]
 
 
 @dataclass(frozen=True)
@@ -198,20 +144,42 @@ class Trajectory:
         return self.num_general + self.num_resources
 
 
+@dataclass(frozen=True, eq=False)
 class RowStore:
     """Input rows stored as ``rows``: the read-only (F (S, K), G (S, m, K),
-    H (S, n, K)) stacks of S rows of one shape, under a ``budget``.
-    :class:`InputTuple` objects of the rows are built only when read."""
+    H (S, n, K)) stacks of S >= 1 rows of one shape, under a ``budget``.
 
-    @classmethod
-    def _new(cls, actions, budget, rows, *rest):
-        self = object.__new__(cls)
-        self._set(actions, budget, tuple(map(_readonly, rows)), *rest)
-        return self
+    F holds each row's rewards, G its general costs and H its consumptions.
+    The stacks are copied read-only and their shapes checked once, at
+    construction; a breach raises ValidationError naming the stack and
+    the axis.
+    """
 
-    def _store(self, **fields):
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    actions: ActionSet
+    budget: BudgetSpec
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def __post_init__(self):
+        f, g, h = rows = tuple(map(_readonly, self.rows))
+        if f.ndim != 2 or f.shape[0] < 1:
+            raise ValidationError(
+                f"rewards must be a 2-D (S, K) stack with S >= 1, got shape {f.shape}"
+            )
+        for name, a, axis in (("general_costs", g, "m"), ("consumptions", h, "n")):
+            if a.ndim != 3:
+                raise ValidationError(
+                    f"{name} must be a 3-D (S, {axis}, K) stack, got shape {a.shape}"
+                )
+            if a.shape[0] != f.shape[0]:
+                raise ValidationError(
+                    f"{name} has {a.shape[0]} rows (axis 0), rewards has {f.shape[0]}"
+                )
+            if a.shape[2] != f.shape[1]:
+                raise ValidationError(
+                    f"{name} has {a.shape[2]} action columns (axis 2), "
+                    f"rewards has {f.shape[1]}"
+                )
+        object.__setattr__(self, "rows", rows)
 
     @property
     def num_general(self) -> int:
@@ -231,41 +199,28 @@ class RowStore:
         return _frozen(unified_rows(*self.rows[1:], self.budget.per_round_budget))
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class Instance(RowStore):
-    """A fully specified adversarial run: action set, budget, and one input
-    tuple per round.
+    """A fully specified adversarial run: action set, budget, and the input
+    rows of every round.
 
-    The rounds are stored once: ``rows`` holds the input rows some round
-    uses and ``index`` (read-only, (T,) int64) each round's row.
-    ``Instance(actions, budget, rounds)`` stacks one row per round;
-    :meth:`from_rows` keeps the rows a given index uses, in row order (a
-    sampled instance is its model's drawn support rows plus the draws).
-    The per-round stacks are gathers over the rows, never cached.
+    Round t's inputs are row ``index[t]`` of the stacks ``rows``; ``index``
+    is read-only, (T,) int64.  Only the rows some round uses are kept, in
+    row order (a sampled instance is its model's drawn support rows plus
+    the draws).  The per-round stacks are gathers over the rows, never
+    cached.
     """
 
-    actions: ActionSet
-    budget: BudgetSpec
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     index: np.ndarray
 
-    def __init__(self, actions: ActionSet, budget: BudgetSpec, rounds):
-        rounds = tuple(rounds)
-        self._set(actions, budget, stack_rows(rounds), np.arange(len(rounds)))
-
-    @classmethod
-    def from_rows(cls, actions: ActionSet, budget: BudgetSpec, rows, index) -> "Instance":
-        """The instance whose round t is row ``index[t]`` of the (F, G, H)
-        stacks ``rows``."""
-        return cls._new(actions, budget, rows, index)
-
-    def _set(self, actions, budget, rows, index):
-        index = np.array(index, dtype=np.int64)
-        if index.shape != (budget.horizon,):
+    def __post_init__(self):
+        super().__post_init__()
+        index = np.array(self.index, dtype=np.int64)
+        if index.shape != (self.budget.horizon,):
             raise ValidationError(
-                f"{index.size} rounds provided for horizon T={budget.horizon}"
+                f"{index.size} rounds provided for horizon T={self.budget.horizon}"
             )
-        size = rows[0].shape[0]
+        rows, size = self.rows, self.rows[0].shape[0]
         if index.min() < 0 or index.max() >= size:
             raise ValidationError(f"round index outside the {size} rows")
         used = np.flatnonzero(np.bincount(index, minlength=size))
@@ -273,17 +228,8 @@ class Instance(RowStore):
             position = np.zeros(size, dtype=np.int64)
             position[used] = np.arange(used.size)
             rows, index = tuple(_frozen(r[used]) for r in rows), position[index]
-        self._store(actions=actions, budget=budget, rows=rows, index=_frozen(index))
-
-    @cached_property
-    def pool(self) -> tuple[InputTuple, ...]:
-        """One input tuple per row."""
-        return tuple(map(InputTuple, *self.rows))
-
-    @cached_property
-    def rounds(self) -> tuple[InputTuple, ...]:
-        """Each round's input tuple, the ``pool`` objects themselves."""
-        return tuple(map(self.pool.__getitem__, self.index.tolist()))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "index", _frozen(index))
 
     @property
     def horizon(self) -> int:
@@ -311,17 +257,6 @@ class Instance(RowStore):
         """Every range, shape and void-column issue of the rounds; each row is
         checked once."""
         return pool_issues(ValidationReport(), self.budget, self.rows, self.index, self.actions)
-
-
-def stack_rows(tuples: Sequence[InputTuple]):
-    """The read-only (U, K) rewards, (U, m, K) costs and (U, n, K)
-    consumptions of U >= 1 input tuples; ValidationError unless they share
-    one (K, m, n)."""
-    shapes = sorted({(r.num_actions, r.num_general, r.num_resources) for r in tuples})
-    if len(shapes) != 1:
-        raise ValidationError(f"input tuples must share one shape (K, m, n), got {shapes}")
-    arrays = zip(*((r.rewards, r.general_costs, r.consumptions) for r in tuples))
-    return tuple(_frozen(np.stack(a)) for a in arrays)
 
 
 def unified_rows(general: np.ndarray, consumption: np.ndarray, beta: np.ndarray) -> np.ndarray:

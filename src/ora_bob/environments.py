@@ -1,12 +1,11 @@
 """Instance construction: i.i.d. samplers, adversarial loaders, and named
 generators.
 
-Stochastic models are finite-support distributions over input tuples; that
+Stochastic models are finite-support distributions over input rows; that
 restriction is what makes the offline optimum and Slater oracles exact.  A
 model keeps its support, like an instance its rounds, as (F, G, H) row
-stacks: the generators and the file loader build the stacks directly, and
-InputTuple objects are made only when ``support``, ``pool`` or ``rounds``
-is read.
+stacks, and the generators and the file loader build those stacks
+directly.
 Sampling uses inverse-CDF over the counter generator in :mod:`ora_bob.rng`
 (stream 0 for instance-level draws, stream t for round t), so identical seeds
 reproduce identical sequences on any platform.
@@ -15,7 +14,6 @@ reproduce identical sequences on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,13 +21,11 @@ from . import rng, serialization, traceio
 from .core import (
     ActionSet,
     BudgetSpec,
-    InputTuple,
     Instance,
     RowStore,
     ValidationError,
     ValidationReport,
     pool_issues,
-    stack_rows,
 )
 from .serialization import SchemaError
 
@@ -50,49 +46,33 @@ def _as_seed(seed) -> int:
     return seed.value if isinstance(seed, Seed) else Seed(seed).value
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class StochasticModel(RowStore):
     """Finite-support i.i.d. input distribution with a default budget.
 
     ``budget.horizon`` is the default sampling horizon; sampling at another T
     keeps the per-round budget vector and rescales the caps B_j = beta_j * T.
-    The S support tuples are stored as the (F, G, H) stacks ``rows``;
-    ``support`` builds their InputTuple objects when first read.
+    Support row s of the (F, G, H) stacks ``rows`` is drawn with probability
+    ``probs[s]``.
     """
 
-    actions: ActionSet
-    budget: BudgetSpec
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     probs: np.ndarray
 
-    def __init__(self, actions: ActionSet, budget: BudgetSpec, support, probs):
-        support = tuple(support)
-        if not support:
-            raise ValidationError("support must be nonempty")
-        self._set(actions, budget, stack_rows(support), probs)
-
-    @classmethod
-    def from_rows(cls, actions: ActionSet, budget: BudgetSpec, rows, probs) -> "StochasticModel":
-        """The model drawing row s of the (F, G, H) stacks ``rows`` with
-        probability ``probs[s]``."""
-        return cls._new(actions, budget, rows, probs)
-
-    def _set(self, actions, budget, rows, probs):
-        p = np.array(probs, dtype=np.float64).reshape(-1)
-        if p.shape[0] != rows[0].shape[0]:
+    def __post_init__(self):
+        super().__post_init__()
+        p = np.array(self.probs, dtype=np.float64).reshape(-1)
+        if p.shape[0] != self.support_size:
             raise ValidationError(
-                f"{p.shape[0]} probabilities for {rows[0].shape[0]} support tuples"
+                f"{p.shape[0]} probabilities for {self.support_size} support tuples"
             )
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("probabilities must be finite")
         if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
             raise ValidationError(
                 f"probabilities must be >= 0 and sum to 1 +/- {PROB_SUM_TOL}"
             )
         p.setflags(write=False)
-        self._store(actions=actions, budget=budget, rows=rows, probs=p)
-
-    @cached_property
-    def support(self) -> tuple[InputTuple, ...]:
-        return tuple(map(InputTuple, *self.rows))
+        object.__setattr__(self, "probs", p)
 
     @property
     def support_size(self) -> int:
@@ -122,7 +102,7 @@ def sample_support_indices(model: StochasticModel, T: int, seed) -> np.ndarray:
 def sample_instance(model: StochasticModel, T: int, seed) -> Instance:
     """T i.i.d. draws as an instance: the support rows drawn plus the
     draws."""
-    return Instance.from_rows(
+    return Instance(
         model.actions,
         BudgetSpec(T, model.budget.per_round_budget),
         model.rows,
@@ -137,7 +117,7 @@ def constant_instance(model: StochasticModel, T: int | None = None) -> Instance:
             f"constant_instance requires a single-support model, got S={model.support_size}"
         )
     horizon = model.budget.horizon if T is None else T
-    return Instance.from_rows(
+    return Instance(
         model.actions,
         BudgetSpec(horizon, model.budget.per_round_budget),
         model.rows,
@@ -183,28 +163,20 @@ def make_example1_instance(
             f"(needs horizon*rho >= 1)"
         )
     budget_only = StochasticModel(
-        actions=ActionSet(2, 0),
-        budget=BudgetSpec(horizon, [rho, rho]),
-        support=(
-            InputTuple(
-                rewards=[0.0, 1.0],
-                general_costs=np.zeros((0, 2)),
-                consumptions=[[0.0, rho + epsilon], [0.0, 0.0]],
-            ),
-        ),
-        probs=[1.0],
+        ActionSet(2, 0),
+        BudgetSpec(horizon, [rho, rho]),
+        ([[0.0, 1.0]], np.zeros((1, 0, 2)), [[[0.0, rho + epsilon], [0.0, 0.0]]]),
+        [1.0],
     )
     general = StochasticModel(
-        actions=ActionSet(3, 0),
-        budget=BudgetSpec(horizon, []),
-        support=(
-            InputTuple(
-                rewards=[0.0, 1.0, 1.0],
-                general_costs=[[0.0, -rho, rho + epsilon], [0.0, -rho, -1.0]],
-                consumptions=np.zeros((0, 3)),
-            ),
+        ActionSet(3, 0),
+        BudgetSpec(horizon, []),
+        (
+            [[0.0, 1.0, 1.0]],
+            [[[0.0, -rho, rho + epsilon], [0.0, -rho, -1.0]]],
+            np.zeros((1, 0, 3)),
         ),
-        probs=[1.0],
+        [1.0],
     )
     return Example1Fixture(budget_only=budget_only, general=general)
 
@@ -278,7 +250,7 @@ def random_instance(
     _check_random_params(K, m, n, feasibility_margin, T)
     beta = _random_beta(sd, n, feasibility_margin, T)
     rows = _random_rounds(sd, T, K, m, n, feasibility_margin, beta)
-    return Instance.from_rows(ActionSet(K, 0), BudgetSpec(T, beta), rows, np.arange(T))
+    return Instance(ActionSet(K, 0), BudgetSpec(T, beta), rows, np.arange(T))
 
 
 def random_model(
@@ -294,9 +266,7 @@ def random_model(
     _check_random_params(K, m, n, feasibility_margin, S)
     beta = _random_beta(sd, n, feasibility_margin, horizon)
     rows = _random_rounds(sd, S, K, m, n, feasibility_margin, beta)
-    return StochasticModel.from_rows(
-        ActionSet(K, 0), BudgetSpec(horizon, beta), rows, np.full(S, 1.0 / S)
-    )
+    return StochasticModel(ActionSet(K, 0), BudgetSpec(horizon, beta), rows, np.full(S, 1.0 / S))
 
 
 def make_push_pull_model(
@@ -316,23 +286,20 @@ def make_push_pull_model(
     """
     if not 0.0 < unit_cost <= 1.0:
         raise ValidationError(f"unit_cost must lie in (0, 1], got {unit_cost!r}")
-    support = []
+    rewards = []
     for mid, gap in levels:
         hi, lo = mid + gap / 2.0, mid - gap / 2.0
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValidationError(f"level (mid={mid}, gap={gap}) leaves [0, 1]")
-        support.append(
-            InputTuple(
-                rewards=[0.0, hi, lo],
-                general_costs=[[0.0, unit_cost, -unit_cost]],
-                consumptions=np.zeros((0, 3)),
-            )
-        )
+        rewards.append([0.0, hi, lo])
+    s = len(rewards)
+    costs = np.zeros((s, 1, 3))
+    costs[:, 0, 1:] = unit_cost, -unit_cost
     return StochasticModel(
-        actions=ActionSet(3, 0),
-        budget=BudgetSpec(horizon, []),
-        support=tuple(support),
-        probs=np.full(len(support), 1.0 / len(support)),
+        ActionSet(3, 0),
+        BudgetSpec(horizon, []),
+        (rewards, costs, np.zeros((s, 0, 3))),
+        np.full(s, 1.0 / s),
     )
 
 
@@ -351,20 +318,16 @@ def make_pacing_model(
     """
     if not 0.0 < beta < 1.0:
         raise ValidationError(f"beta must lie in (0, 1), got {beta!r}")
-    support = []
-    for burst_reward, steady_reward in reward_levels:
-        support.append(
-            InputTuple(
-                rewards=[0.0, burst_reward, steady_reward],
-                general_costs=np.zeros((0, 3)),
-                consumptions=[[0.0, 1.0, beta]],
-            )
-        )
+    s = len(reward_levels)
+    rewards = np.zeros((s, 3))
+    rewards[:, 1:] = reward_levels
+    consumptions = np.zeros((s, 1, 3))
+    consumptions[:, 0, 1:] = 1.0, beta
     return StochasticModel(
-        actions=ActionSet(3, 0),
-        budget=BudgetSpec(horizon, [beta]),
-        support=tuple(support),
-        probs=np.full(len(support), 1.0 / len(support)),
+        ActionSet(3, 0),
+        BudgetSpec(horizon, [beta]),
+        (rewards, np.zeros((s, 0, 3)), consumptions),
+        np.full(s, 1.0 / s),
     )
 
 
@@ -391,7 +354,7 @@ def dict_to_model(d: dict) -> StochasticModel:
     rows = serialization.rows_from_dicts(support_raw, k, m, n, "/support")
     probs = serialization._as_real_list(d["probs"], len(support_raw), "/probs")
     try:
-        return StochasticModel.from_rows(actions, budget, rows, probs)
+        return StochasticModel(actions, budget, rows, probs)
     except ValidationError as exc:
         raise SchemaError(str(exc), "/probs") from exc
 

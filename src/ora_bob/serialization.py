@@ -137,7 +137,7 @@ def dict_to_instance(d: dict) -> Instance:
     if not isinstance(rounds_raw, list) or len(rounds_raw) != budget.horizon:
         raise SchemaError(f"expected {budget.horizon} rounds", "/rounds")
     rows = rows_from_dicts(rounds_raw, k, m, n, "/rounds")
-    return Instance.from_rows(actions, budget, rows, np.arange(budget.horizon))
+    return Instance(actions, budget, rows, np.arange(budget.horizon))
 
 
 def parse_json(text: str) -> Any:

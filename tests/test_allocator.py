@@ -11,7 +11,6 @@ from ora_bob.allocator import (
 from ora_bob.core import (
     ActionSet,
     BudgetSpec,
-    InputTuple,
     Instance,
     InstanceValidationError,
     ValidationError,
@@ -19,17 +18,18 @@ from ora_bob.core import (
 from ora_bob.dual_ogd import OgdConfig, learning_rate
 from ora_bob.environments import StochasticModel, sample_instance
 from ora_bob.lagrangian import penalties
+from rowstacks import instance_of, model_of, stacks
 
 
 def draining_instance(T: int, beta: float = 0.5, consumption: float = 1.0) -> Instance:
     """One non-void action that earns 1 and consumes ``consumption``."""
-    r = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, consumption]])
-    return Instance(ActionSet(2, 0), BudgetSpec(T, [beta]), (r,) * T)
+    r = ([0.0, 1.0], np.zeros((0, 2)), [[0.0, consumption]])
+    return instance_of(ActionSet(2, 0), BudgetSpec(T, [beta]), (r,) * T)
 
 
 def void_only_instance(T: int) -> Instance:
-    r = InputTuple([0.0], np.zeros((0, 1)), np.zeros((0, 1)))
-    return Instance(ActionSet(1, 0), BudgetSpec(T, []), (r,) * T)
+    r = ([0.0], np.zeros((0, 1)), np.zeros((0, 1)))
+    return instance_of(ActionSet(1, 0), BudgetSpec(T, []), (r,) * T)
 
 
 class TestExample1Update:
@@ -108,8 +108,8 @@ class TestRun:
             assert tr.duals[t + 1, 0] == max(0.0, tr.duals[t, 0] + eta * -0.5)
 
     def test_invalid_instance_aborts_before_round_one(self):
-        r = InputTuple([0.0, 1.5], np.zeros((0, 2)), np.zeros((0, 2)))
-        inst = Instance(ActionSet(2, 0), BudgetSpec(3, []), (r,) * 3)
+        r = ([0.0, 1.5], np.zeros((0, 2)), np.zeros((0, 2)))
+        inst = instance_of(ActionSet(2, 0), BudgetSpec(3, []), (r,) * 3)
         with pytest.raises(InstanceValidationError):
             run(inst, OgdConfig(0.1, 0.05))
 
@@ -131,15 +131,15 @@ def reference_run(inst: Instance, eta: float):
     actions, duals = [], [list(lam)]
     gate_was_open = True
     for t in range(T):
-        r = inst.rounds[t]
+        rewards, costs, consumptions = (rows[inst.index[t]] for rows in inst.rows)
         best_a, best_v = 0, None
         for a in range(K):
             penalty = 0.0
             for i in range(m):
-                penalty += lam[i] * float(r.general_costs[i, a])
+                penalty += lam[i] * float(costs[i, a])
             for j in range(n):
-                penalty += lam[m + j] * (float(r.consumptions[j, a]) - beta[j])
-            v = float(r.rewards[a]) - penalty
+                penalty += lam[m + j] * (float(consumptions[j, a]) - beta[j])
+            v = float(rewards[a]) - penalty
             if best_v is None or v > best_v:
                 best_a, best_v = a, v
         if gate_was_open and any(s > thr for s, thr in zip(spent, thresholds)):
@@ -148,11 +148,11 @@ def reference_run(inst: Instance, eta: float):
         actions.append(a)
         new_lam = []
         for i in range(m):
-            new_lam.append(max(0.0, lam[i] + eta * float(r.general_costs[i, a])))
+            new_lam.append(max(0.0, lam[i] + eta * float(costs[i, a])))
         for j in range(n):
-            g = float(r.consumptions[j, a]) - beta[j]
+            g = float(consumptions[j, a]) - beta[j]
             new_lam.append(max(0.0, lam[m + j] + eta * g))
-            h = float(r.consumptions[j, a])
+            h = float(consumptions[j, a])
             if h:
                 spent[j] += Fraction(h)
         lam = new_lam
@@ -250,8 +250,8 @@ class TestRunInvariants:
         from fractions import Fraction
 
         beta = 1.0 / 3.0
-        r = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
-        inst = Instance(ActionSet(2, 0), BudgetSpec(30, [beta]), (r,) * 30)
+        r = ([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
+        inst = instance_of(ActionSet(2, 0), BudgetSpec(30, [beta]), (r,) * 30)
         tr = run(inst, OgdConfig(eta=1e-5, delta=0.05))
         plays = int(tr.actions.sum())
         assert plays == 9
@@ -286,9 +286,9 @@ def assert_same_trajectory(a, b):
 
 def draining_model(beta: float = 1.0 / 3.0, horizon: int = 30) -> StochasticModel:
     """The draining tuple or an all-zero one, each with probability 1/2."""
-    drain = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
-    idle = InputTuple([0.0, 0.0], np.zeros((0, 2)), [[0.0, 0.0]])
-    return StochasticModel(ActionSet(2, 0), BudgetSpec(horizon, [beta]), (drain, idle), [0.5, 0.5])
+    drain = ([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
+    idle = ([0.0, 0.0], np.zeros((0, 2)), [[0.0, 0.0]])
+    return model_of(ActionSet(2, 0), BudgetSpec(horizon, [beta]), (drain, idle), [0.5, 0.5])
 
 
 def batch(source, horizon, seeds, config):
@@ -342,7 +342,7 @@ class TestRunBatch:
         # a fixed instance whose pool has one row per round, over several
         # gather blocks, with a gate that closes
         inst = ob.random_instance(ob.Seed(13), T=600, K=3, m=1, n=2, feasibility_margin=0.25)
-        assert len(inst.pool) == inst.horizon
+        assert inst.rows[0].shape[0] == inst.horizon
         lanes = self.check(inst, 600, [0, 1], default_config(inst, delta=0.05))
         assert lanes[0].stopping_time == 574
 
@@ -371,20 +371,22 @@ class TestRunBatch:
         self.check(model, 400, [11], OgdConfig(eta=0.02, delta=0.05))
 
     def test_invalid_lane_raises_as_run_does(self):
-        good = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])
-        bad = InputTuple([0.0, 1.5], np.zeros((0, 2)), [[0.0, 0.5]])
+        good = ([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])
+        bad = ([0.0, 1.5], np.zeros((0, 2)), [[0.0, 0.5]])
         config = OgdConfig(eta=0.01, delta=0.05)
-        model = StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, bad), [0.5, 0.5])
+        model = model_of(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, bad), [0.5, 0.5])
         with pytest.raises(InstanceValidationError) as sequential:
             run(sample_instance(model, 20, 3), config)
         with pytest.raises(InstanceValidationError) as batched:
             list(batch(model, 20, [3, 4], config))
         assert str(batched.value) == str(sequential.value)
         # a support tuple no lane draws cannot fail a lane
-        never = StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, bad), [1.0, 0.0])
+        never = model_of(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, bad), [1.0, 0.0])
         assert not never.validate().ok
         self.check(never, 20, [3, 4], config)
-        # a support tuple of another shape is refused when the model is built
-        odd = InputTuple([0.0, 1.0, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]])
-        with pytest.raises(ValidationError, match="one shape"):
-            StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (good, odd), [1.0, 0.0])
+        # consumption rows over another action count are refused when the
+        # model is built
+        f, g, _ = stacks((good, bad))
+        odd = np.zeros((2, 1, 3))
+        with pytest.raises(ValidationError, match="action columns"):
+            StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (f, g, odd), [1.0, 0.0])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -463,6 +464,43 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, entry):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert "nested too deeply" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("probs", [[float("nan")] * 2, [float("nan"), 1.0]],
+                         ids=["nan_nan", "nan_one"])
+def test_non_finite_probabilities_exit_2(tmp_path, capsys, probs):
+    payload = environments.model_to_dict(ob.make_push_pull_model())
+    payload["probs"] = probs
+    source = tmp_path / "nan.json"
+    source.write_text(json.dumps(payload))  # written as NaN, which json reads back
+    out = tmp_path / "out"
+    for argv in (["run", "--instance", str(source), "--T", "50", "--out", str(out)],
+                 ["oracle", "--instance", str(source), "--which", "slater_stoc"]):
+        code, text = run_cli(capsys, *argv)
+        assert code == 2, argv
+        err = json.loads(text)["error"]
+        assert err == {"type": "SchemaError",
+                       "message": "/probs: probabilities must be finite"}, argv
+    assert not out.exists()
+
+
+#: SHA-256 of the files one run cell writes; a change to any of them is a
+#: change to the program's output.
+RUN_CELL_SHA256 = {
+    "pacing_0.csv": "e4d49d459750a8e5fb50f02d86062c6aa235632bb80dfd9caea274e0307345b7",
+    "pacing_0.json": "244e476d0997427febd2eb09a71c7f8d0df8b9a4fae4d2c64e4ea7087f5cdf8c",
+    "random_model_0.csv": "e0aec23f012207c4b6e8176ec8e5f48e40f1e5ef4c5d611f527dba828319c709",
+    "random_model_0.json": "97dc89fdbb9a2d024d31e2d0f411c61fa59f88b20f92ae125e610653f542b1d3",
+}
+
+
+@pytest.mark.parametrize("generator", ["pacing", "random_model"])
+def test_run_cell_bytes_pinned(tmp_path, capsys, generator):
+    code, _ = run_cli(capsys, "run", "--generator", generator, "--seeds", "0",
+                      "--out", str(tmp_path), "--name", generator)
+    assert code == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == {k: v for k, v in RUN_CELL_SHA256.items() if k.startswith(generator)}
 
 
 class TestGen:

@@ -7,7 +7,6 @@ from ora_bob.allocator import run
 from ora_bob.core import (
     ActionSet,
     BudgetSpec,
-    InputTuple,
     Instance,
     InstanceValidationError,
     ValidationError,
@@ -16,19 +15,26 @@ from ora_bob.core import (
 from ora_bob.dual_ogd import OgdConfig
 from ora_bob.oracles import opt_lp_relax
 from ora_bob.serialization import instance_hash
+from rowstacks import instance_of, model_of
 
 
 def make_round(f, g, h):
-    return InputTuple(rewards=f, general_costs=g, consumptions=h)
+    """One round's rewards (K,), general costs (m, K) and consumptions (n, K)."""
+    return tuple(np.asarray(x, dtype=np.float64) for x in (f, g, h))
 
 
 def unify(r, budget):
-    """The (M, K) unified matrix of one input tuple under ``budget``."""
-    return unified_rows(r.general_costs[None], r.consumptions[None], budget.per_round_budget)[0]
+    """The (M, K) unified matrix of one round's inputs under ``budget``."""
+    return unified_rows(r[1][None], r[2][None], budget.per_round_budget)[0]
 
 
 def validate(rounds, budget, actions):
-    return Instance(actions, budget, rounds).validate()
+    return instance_of(actions, budget, rounds).validate()
+
+
+def rounds_of(inst):
+    """Each round's (f, g, h), read row by row through the index."""
+    return [tuple(x[i] for x in inst.rows) for i in inst.index.tolist()]
 
 
 class TestActionSet:
@@ -97,17 +103,44 @@ class TestUnify:
         assert u2 == 2.0 * (u1 + 0.25) - 0.25
 
 
-class TestInputTuple:
-    def test_shape_errors_name_axis(self):
-        with pytest.raises(ValidationError, match="action columns"):
-            make_round([0.0, 1.0], [[0.0, 0.1, 0.2]], np.zeros((0, 2)))
+ROW_SHAPE_BREACHES = {
+    # id: ((F, G, H) shapes, round index, probabilities, message)
+    "action_columns": (((1, 2), (1, 1, 3), (1, 0, 2)), [0, 0, 0], [1.0],
+                       r"general_costs has 3 action columns \(axis 2\), rewards has 2"),
+    "row_count": (((2, 2), (1, 1, 2), (2, 0, 2)), [0, 1, 1], [0.5, 0.5],
+                  r"general_costs has 1 rows \(axis 0\), rewards has 2"),
+    "flat_rewards": (((2,), (1, 0, 2), (1, 0, 2)), [0, 0, 0], [1.0],
+                     r"rewards must be a 2-D \(S, K\) stack with S >= 1, got shape \(2,\)"),
+    "no_rows": (((0, 2), (0, 0, 2), (0, 0, 2)), [0, 0, 0], [],
+                r"rewards must be a 2-D \(S, K\) stack with S >= 1, got shape \(0, 2\)"),
+    "flat_costs": (((1, 2), (1, 2), (1, 0, 2)), [0, 0, 0], [1.0],
+                   r"general_costs must be a 3-D \(S, m, K\) stack, got shape \(1, 2\)"),
+    "consumption_columns": (((1, 2), (1, 0, 2), (1, 0, 3)), [0, 0, 0], [1.0],
+                            r"consumptions has 3 action columns \(axis 2\), rewards has 2"),
+}
+
+
+class TestRowStore:
+    @pytest.mark.parametrize("breach", sorted(ROW_SHAPE_BREACHES))
+    def test_shape_errors_name_axis(self, breach):
+        shapes, index, probs, message = ROW_SHAPE_BREACHES[breach]
+        rows = tuple(np.zeros(shape) for shape in shapes)
+        actions, budget = ActionSet(2, 0), BudgetSpec(3, [])
+        with pytest.raises(ValidationError, match=message):
+            Instance(actions, budget, rows, index)
+        with pytest.raises(ValidationError, match=message):
+            env.StochasticModel(actions, budget, rows, probs)
 
     def test_immutability(self):
-        r = make_round([0.0, 1.0], [[0.0, 0.5]], [[0.0, 0.5]])
-        with pytest.raises(ValueError):
-            r.rewards[0] = 1.0
-        with pytest.raises(ValueError):
-            r.general_costs[0, 0] = 1.0
+        rows = (np.array([[0.0, 1.0]]), np.array([[[0.0, 0.5]]]), np.array([[[0.0, 0.5]]]))
+        actions, budget = ActionSet(2, 0), BudgetSpec(2, [0.5])
+        inst = Instance(actions, budget, rows, [0, 0])
+        model = env.StochasticModel(actions, budget, rows, [1.0])
+        for array in (*inst.rows, inst.index, *model.rows, model.probs):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
+        rows[0][0, 1] = 0.25  # the stores hold copies of the caller's arrays
+        assert inst.rows[0][0, 1] == model.rows[0][0, 1] == 1.0
 
 
 class TestValidateInstance:
@@ -147,11 +180,8 @@ class TestValidateInstance:
     def test_inconsistent_shapes_reported(self):
         a = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))
         b = make_round([0.0, 1.0, 0.2], np.zeros((0, 3)), np.zeros((0, 3)))
-        # an instance stores one (K, m, n): rounds of two shapes are refused
-        with pytest.raises(ValidationError, match="one shape"):
-            Instance(ActionSet(2, 0), BudgetSpec(2, []), (a, b))
         # rounds of one shape that is not the action set's fail validation
-        inst = Instance(ActionSet(2, 0), BudgetSpec(2, []), (b, b))
+        inst = instance_of(ActionSet(2, 0), BudgetSpec(2, []), (b, b))
         assert [str(i) for i in inst.validate().issues] == [
             f"round {t}: shape[]: (K=3, m=0, n=0) inconsistent with (K=2, m=0, n=0)"
             for t in (1, 2)
@@ -174,14 +204,14 @@ class TestInstance:
     def test_horizon_mismatch(self):
         r = make_round([0.0], np.zeros((0, 1)), np.zeros((0, 1)))
         with pytest.raises(ValidationError):
-            Instance(ActionSet(1, 0), BudgetSpec(3, []), (r,))
+            instance_of(ActionSet(1, 0), BudgetSpec(3, []), (r,))
 
     def test_unified_stack_matches_per_round(self):
         r1 = make_round([0.0, 1.0], [[0.0, 0.4]], [[0.0, 0.7]])
         r2 = make_round([0.0, 0.3], [[0.0, -0.9]], [[0.0, 0.1]])
-        inst = Instance(ActionSet(2, 0), BudgetSpec(2, [0.5]), (r1, r2))
+        inst = instance_of(ActionSet(2, 0), BudgetSpec(2, [0.5]), (r1, r2))
         for t in (1, 2):
-            expected = unify(inst.rounds[t - 1], inst.budget)
+            expected = unify((r1, r2)[t - 1], inst.budget)
             assert np.array_equal(inst.unified_stack[t - 1], expected)
 
 
@@ -223,9 +253,9 @@ def _store_instances(tmp_path):
         "random": env.random_instance(env.Seed(3), 30, 4, 2, 2, 0.2),
         # support rows 1 and 3 are never drawn
         "sampled": env.sample_instance(env.StochasticModel(
-            model.actions, model.budget, model.support, [0.4, 0.0, 0.3, 0.0, 0.3]), 60, 9),
-        "constant": env.constant_instance(
-            env.StochasticModel(model.actions, model.budget, model.support[:1], [1.0]), 25),
+            model.actions, model.budget, model.rows, [0.4, 0.0, 0.3, 0.0, 0.3]), 60, 9),
+        "constant": env.constant_instance(env.StochasticModel(
+            model.actions, model.budget, tuple(r[:1] for r in model.rows), [1.0]), 25),
         "file_loaded": env.load_instance(path),
         "m0": env.sample_instance(
             env.random_model(env.Seed(6), S=4, K=3, m=0, n=2, feasibility_margin=0.2), 50, 1),
@@ -240,13 +270,12 @@ class TestRoundStore:
     )
     def test_stacks_are_bitwise_stacks_of_rounds(self, tmp_path, name):
         inst = _store_instances(tmp_path)[name]
-        rounds = inst.rounds
+        rounds = rounds_of(inst)
         assert len(rounds) == inst.horizon
-        assert all(r is inst.pool[i] for r, i in zip(rounds, inst.index))
         expected = {
-            "rewards_stack": np.stack([r.rewards for r in rounds]),
-            "general_stack": np.stack([r.general_costs for r in rounds]),
-            "consumption_stack": np.stack([r.consumptions for r in rounds]),
+            "rewards_stack": np.stack([r[0] for r in rounds]),
+            "general_stack": np.stack([r[1] for r in rounds]),
+            "consumption_stack": np.stack([r[2] for r in rounds]),
             "unified_stack": np.stack(
                 [unify(r, inst.budget) for r in rounds]
             ),
@@ -257,26 +286,22 @@ class TestRoundStore:
             assert got.tobytes() == want.tobytes(), attr
             assert not got.flags.writeable
 
-    def test_rounds_are_the_original_objects(self):
-        """``rounds`` are the ``pool`` objects, built from the rows once, when
-        first read; ``Instance(...)`` stacks one row per round."""
+    def test_rounds_are_the_input_rows(self):
+        """Rows given one per round stay one per round, equal bytes or not,
+        and a sampled round reads the support row it drew."""
         a = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))
         b = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))  # equal bytes
         rounds = (a, b, a, a, b)
-        inst = Instance(ActionSet(2, 0), BudgetSpec(5, []), rounds)
+        inst = instance_of(ActionSet(2, 0), BudgetSpec(5, []), rounds)
         assert inst.index.tolist() == [0, 1, 2, 3, 4]
+        assert inst.rows[0].shape[0] == 5
         assert not inst.index.flags.writeable
         assert not any(r.flags.writeable for r in inst.rows)
-        assert inst.pool is inst.pool and inst.rounds is inst.rounds
-        assert all(x is inst.pool[i] for x, i in zip(inst.rounds, inst.index.tolist()))
-        assert all(x.rewards.tobytes() == y.rewards.tobytes() for x, y in zip(inst.rounds, rounds))
+        assert all(x[0].tobytes() == y[0].tobytes() for x, y in zip(rounds_of(inst), rounds))
         model = env.random_model(env.Seed(2), S=6, K=3, m=1, n=1, feasibility_margin=0.2)
         sampled = env.sample_instance(model, 50, 4)
         draws = env.sample_support_indices(model, 50, 4)
-        assert all(
-            np.array_equal(r.consumptions, model.support[d].consumptions)
-            for r, d in zip(sampled.rounds, draws)
-        )
+        assert sampled.consumption_stack.tobytes() == model.rows[2][draws].tobytes()
 
     @pytest.mark.parametrize("kind", ["range_and_void", "odd_shape"])
     def test_sampled_bad_row_issues_match_round_by_round(self, kind):
@@ -286,15 +311,13 @@ class TestRoundStore:
         else:  # both rows have 3 actions, the action set 2
             good = make_round([0.0, 0.5, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]])
             bad = make_round([0.0, 0.25, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.25]])
-        model = env.StochasticModel(
-            ActionSet(2, 0), BudgetSpec(30, [0.5]), (good, bad), [0.7, 0.3]
-        )
+        model = model_of(ActionSet(2, 0), BudgetSpec(30, [0.5]), (good, bad), [0.7, 0.3])
         inst = env.sample_instance(model, 30, 5)
         drawn = [t + 1 for t, d in enumerate(env.sample_support_indices(model, 30, 5)) if d]
         assert len(drawn) >= 3
         issues = inst.validate().issues
         # one row per round: the rows checked round by round
-        assert issues == validate(inst.rounds, inst.budget, inst.actions).issues
+        assert issues == validate(rounds_of(inst), inst.budget, inst.actions).issues
         where = [(i.round, i.field, i.coordinate) for i in issues]
         if kind == "range_and_void":
             assert where == [(t, "reward", (1,)) for t in drawn] + [
@@ -305,59 +328,28 @@ class TestRoundStore:
 
     def test_pool_is_the_rows_the_index_uses(self, tmp_path):
         sampled = _store_instances(tmp_path)["sampled"]
-        assert len(sampled.pool) == sampled.rows[0].shape[0] == 3  # rows 1, 3 never drawn
+        assert sampled.rows[0].shape[0] == 3  # rows 1, 3 never drawn
         assert sorted(set(sampled.index.tolist())) == [0, 1, 2]
         rows = ([[0.0, 0.1], [0.0, 0.2], [0.0, 0.3]], np.zeros((3, 0, 2)), np.zeros((3, 0, 2)))
-        inst = Instance.from_rows(ActionSet(2, 0), BudgetSpec(3, []), rows, [2, 0, 2])
+        inst = Instance(ActionSet(2, 0), BudgetSpec(3, []), rows, [2, 0, 2])
         assert inst.rows[0].tolist() == [[0.0, 0.1], [0.0, 0.3]]  # in row order
         assert inst.index.tolist() == [1, 0, 1]
-        assert [r.rewards[1] for r in inst.rounds] == [0.3, 0.1, 0.3]
+        assert inst.rewards_stack[:, 1].tolist() == [0.3, 0.1, 0.3]
 
     def test_index_outside_pool_refused(self):
         rows = (np.zeros((1, 1)), np.zeros((1, 0, 1)), np.zeros((1, 0, 1)))
         for index in ([0, 1], [-1, 0]):
             with pytest.raises(ValidationError, match="outside the 1 rows"):
-                Instance.from_rows(ActionSet(1, 0), BudgetSpec(2, []), rows, index)
+                Instance(ActionSet(1, 0), BudgetSpec(2, []), rows, index)
 
     @pytest.mark.parametrize(
         "name", ["random", "sampled", "constant", "file_loaded", "m0", "n0"]
     )
     def test_rebuilt_from_rounds_is_bitwise_the_same(self, tmp_path, name):
         inst = _store_instances(tmp_path)[name]
-        rebuilt = Instance(inst.actions, inst.budget, inst.rounds)
+        rebuilt = instance_of(inst.actions, inst.budget, rounds_of(inst))
         assert rebuilt.rows[0].shape[0] == inst.horizon  # one row per round
         for attr in ("rewards_stack", "general_stack", "consumption_stack", "unified_stack"):
             assert getattr(rebuilt, attr).tobytes() == getattr(inst, attr).tobytes(), attr
         assert instance_hash(rebuilt) == instance_hash(inst)
         assert opt_lp_relax(rebuilt).opt_value == opt_lp_relax(inst).opt_value
-
-    def test_no_input_tuple_built(self, tmp_path, monkeypatch):
-        model = env.random_model(env.Seed(4), S=5, K=3, m=1, n=2, feasibility_margin=0.2)
-        env.save_instance(model, tmp_path / "model.json")
-        env.save_instance(env.random_instance(env.Seed(5), 12, 3, 2, 1, 0.2),
-                          tmp_path / "inst.json")
-        built = []
-        post_init = InputTuple.__post_init__
-
-        def counted(r):
-            built.append(r)
-            post_init(r)
-
-        monkeypatch.setattr(InputTuple, "__post_init__", counted)
-        config = OgdConfig(eta=0.05, delta=0.05)
-        run(env.random_instance(env.Seed(3), 40, 4, 2, 2, 0.2), config)
-        run(env.sample_instance(env.random_model(env.Seed(6), 4, 3, 1, 1, 0.2), 40, 1), config)
-        run(env.sample_instance(env.load_instance(tmp_path / "model.json"), 40, 2), config)
-        run(env.load_instance(tmp_path / "inst.json"), config)
-        assert built == []
-        assert len(model.support) == len(built) == 5  # built when read, once per row
-
-    def test_mixed_shapes_refused(self):
-        a = make_round([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])
-        for b in (make_round([0.0, 1.0, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]]),  # K
-                  make_round([0.0, 1.0], [[0.0, 0.5]], [[0.0, 0.5]]),  # m
-                  make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((2, 2)))):  # n
-            with pytest.raises(ValidationError, match="one shape"):
-                Instance(ActionSet(2, 0), BudgetSpec(2, [0.5]), (a, b))
-            with pytest.raises(ValidationError, match="one shape"):
-                env.StochasticModel(ActionSet(2, 0), BudgetSpec(2, [0.5]), (a, b), [0.5, 0.5])

@@ -15,6 +15,7 @@ from ora_bob.dual_ogd import (
     learning_rate,
     sample_comparator_pairs,
 )
+from rowstacks import instance_of
 
 
 def decimal_learning_rate(T: int, M: int, delta: str) -> float:
@@ -160,8 +161,8 @@ class TestIntervalRegret:
 class TestDualDrift:
     def test_void_only_run_bounded_by_budget_decay(self):
         # void-only action set: gradients are the void column [0.., -beta..]
-        r = ob.InputTuple([0.0], np.zeros((0, 1)), [[0.0], [0.0]])
-        inst = ob.Instance(ob.ActionSet(1, 0), ob.BudgetSpec(8, [0.25, 0.25]), (r,) * 8)
+        r = ([0.0], np.zeros((0, 1)), [[0.0], [0.0]])
+        inst = instance_of(ob.ActionSet(1, 0), ob.BudgetSpec(8, [0.25, 0.25]), (r,) * 8)
         config = OgdConfig(eta=0.5, delta=0.5)
         tr = ob.run(inst, config)
         assert np.array_equal(tr.actions, np.zeros(8, dtype=np.int64))
@@ -172,8 +173,8 @@ class TestDualDrift:
     def test_exact_equality_case(self):
         # single general constraint, gradient +1 while the action stays
         # optimal; eta = 2^-3 keeps every dual step exact in binary
-        r = ob.InputTuple([0.0, 1.0], [[0.0, 1.0]], np.zeros((0, 2)))
-        inst = ob.Instance(ob.ActionSet(2, 0), ob.BudgetSpec(6, []), (r,) * 6)
+        r = ([0.0, 1.0], [[0.0, 1.0]], np.zeros((0, 2)))
+        inst = instance_of(ob.ActionSet(2, 0), ob.BudgetSpec(6, []), (r,) * 6)
         tr = ob.run(inst, OgdConfig(eta=0.125, delta=0.5))
         assert np.array_equal(tr.actions, np.ones(6, dtype=np.int64))
         assert dual_drift_audit(tr) == 0.125
@@ -201,8 +202,8 @@ class TestDualPenalty:
     def test_holds_when_gate_closes(self):
         from ora_bob.dual_ogd import dual_penalty_audit
 
-        r = ob.InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
-        inst = ob.Instance(ob.ActionSet(2, 0), ob.BudgetSpec(20, [0.25]), (r,) * 20)
+        r = ([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
+        inst = instance_of(ob.ActionSet(2, 0), ob.BudgetSpec(20, [0.25]), (r,) * 20)
         tr = ob.run(inst, OgdConfig(eta=1e-3, delta=0.05))
         assert tr.stopping_time < 20  # the budget actually binds
         res = dual_penalty_audit(tr, beta_min=0.25)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import ora_bob as ob
-from ora_bob import rng
+from ora_bob import rng, serialization
 from ora_bob.core import ValidationError
 from ora_bob.environments import (
+    GENERATORS,
     Seed,
     StochasticModel,
     build_generator,
@@ -36,21 +37,11 @@ class TestStochasticModel:
     def test_prob_sum_enforced(self):
         fx = make_example1_instance(0.1, 0.2, horizon=20)
         with pytest.raises(ValidationError):
-            StochasticModel(
-                actions=fx.general.actions,
-                budget=fx.general.budget,
-                support=fx.general.support,
-                probs=[0.9],
-            )
+            StochasticModel(fx.general.actions, fx.general.budget, fx.general.rows, [0.9])
 
     def test_validate_reports_support_issues(self):
-        bad = ob.InputTuple([0.0, 1.5], np.zeros((0, 2)), np.zeros((0, 2)))
-        model = StochasticModel(
-            actions=ob.ActionSet(2, 0),
-            budget=ob.BudgetSpec(10, []),
-            support=(bad,),
-            probs=[1.0],
-        )
+        bad = ([[0.0, 1.5]], np.zeros((1, 0, 2)), np.zeros((1, 0, 2)))
+        model = StochasticModel(ob.ActionSet(2, 0), ob.BudgetSpec(10, []), bad, [1.0])
         assert not model.validate().ok
 
 
@@ -96,10 +87,10 @@ class TestExample1:
     def test_void_columns_zero(self):
         fx = make_example1_instance(0.1, 0.2, horizon=20)
         for model in (fx.budget_only, fx.general):
-            r = model.support[0]
-            assert r.rewards[0] == 0.0
-            assert np.all(r.general_costs[:, 0] == 0.0)
-            assert np.all(r.consumptions[:, 0] == 0.0)
+            f, g, h = model.rows
+            assert f[0, 0] == 0.0
+            assert np.all(g[0, :, 0] == 0.0)
+            assert np.all(h[0, :, 0] == 0.0)
 
     def test_budget_variant_uses_rho_budgets(self):
         fx = make_example1_instance(0.1, 0.2, horizon=20)
@@ -129,8 +120,7 @@ class TestRandomInstance:
 
     def test_safe_action_is_not_void_when_general_constraints_exist(self):
         inst = random_instance(Seed(3), T=10, K=3, m=2, n=0, feasibility_margin=0.3)
-        for r in inst.rounds:
-            assert np.all(r.general_costs[:, 1] <= -0.3)
+        assert np.all(inst.general_stack[:, :, 1] <= -0.3)
 
     def test_deterministic(self):
         a = random_instance(Seed(11), T=30, K=3, m=1, n=1, feasibility_margin=0.2)
@@ -169,15 +159,34 @@ class TestNamedModels:
             constant_instance(model)
 
 
+#: content_hash of each generator's default output, as written by ``gen``.
+GENERATOR_HASHES = {
+    "example1_budget": "sha256:6ae67826c75682c1c9a8297f8c03cf606ec853f9f863d00f49acb682373fc4d5",
+    "example1_general": "sha256:b7a10578e5d2829d4265ee2a5c7242a42f6bb4414fdcbefd541a167ec7952736",
+    "random": "sha256:3d67e7ebaa386e1ad8a5f266ce72f54344cb35c6f7c531786cf3d862081ec186",
+    "random_model": "sha256:994b5a730bf438ba8ed2e09c16fb810ca993b55b05d4500de84764b957544e93",
+    "push_pull": "sha256:b96108633f3df99458b51a6024840a4ad5e68ba7737b0456b358a810f37b77af",
+    "pacing": "sha256:6161078ce89a13e91434fdb41d330394ea619d1aaac95db460d00dcd50fbe575",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generator_default_output_pinned(name):
+    built = build_generator(name, {})
+    if isinstance(built, StochasticModel):
+        payload = model_to_dict(built)
+    else:
+        payload = serialization.instance_to_dict(built)
+    assert serialization.content_hash(payload) == GENERATOR_HASHES[name]
+
+
 class TestIO:
     def test_golden_example1_file_matches_generator(self, tmp_path):
         golden = os.path.join(os.path.dirname(__file__), "data", "example1_general.json")
         loaded = load_instance(golden)
         made = make_example1_instance(0.1, 0.2, horizon=50).general
         assert model_to_dict(loaded) == model_to_dict(made)
-        assert np.array_equal(
-            loaded.support[0].general_costs, made.support[0].general_costs
-        )
+        assert np.array_equal(loaded.rows[1], made.rows[1])
 
     def test_roundtrip_instance_bit_exact(self, tmp_path):
         inst = random_instance(Seed(2), T=8, K=3, m=2, n=1, feasibility_margin=0.2)
@@ -196,10 +205,8 @@ class TestIO:
         back = load_instance(path)
         assert isinstance(back, StochasticModel)
         assert np.array_equal(back.probs, model.probs)
-        for a, b in zip(back.support, model.support):
-            assert np.array_equal(a.rewards, b.rewards)
-            assert np.array_equal(a.general_costs, b.general_costs)
-            assert np.array_equal(a.consumptions, b.consumptions)
+        for a, b in zip(back.rows, model.rows):
+            assert np.array_equal(a, b)
 
     def test_truncated_file_reports_byte_offset(self, tmp_path):
         path = tmp_path / "trunc.json"

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ora_bob.allocator import run
-from ora_bob.core import ActionSet, BudgetSpec, InputTuple, Instance, unified_rows
+from ora_bob.core import ActionSet, BudgetSpec, unified_rows
 from ora_bob.dual_ogd import OgdConfig
 from ora_bob.environments import constant_instance, make_example1_instance
 from ora_bob.lagrangian import penalties
+from rowstacks import instance_of
 
 LAMBDA_2020 = np.array([20.0, 20.0])
 
@@ -57,8 +58,8 @@ def test_best_response_prefers_cross_compensation(example1):
 def one_round_run(rewards):
     """The allocator's single round on rewards with no constraints (lambda_1 = 0)."""
     k = len(rewards)
-    r = InputTuple(rewards, np.zeros((0, k)), np.zeros((0, k)))
-    return run(Instance(ActionSet(k, 0), BudgetSpec(1, []), (r,)), OgdConfig(0.1, 0.05))
+    r = (rewards, np.zeros((0, k)), np.zeros((0, k)))
+    return run(instance_of(ActionSet(k, 0), BudgetSpec(1, []), (r,)), OgdConfig(0.1, 0.05))
 
 
 def test_best_response_tie_breaks_lowest_index():
@@ -84,13 +85,13 @@ def _random_problem(seed, K, m, n):
     if n:
         h[:, 0] = 0.0
     beta = 0.1 + 0.9 * u[K * (1 + m + n) + m :]
-    r = InputTuple(f, g, h)
+    r = (f, g, h)
     dual = 3.0 * u[K * (1 + m + n) : K * (1 + m + n) + m + n]
     return r, unified_rows(g[None], h[None], beta)[0], dual, beta
 
 
 def values_at(r, u, dual):
-    return r.rewards - penalties(u, dual)
+    return r[0] - penalties(u, dual)
 
 
 @given(
@@ -103,7 +104,7 @@ def test_dominance_is_exact(K, m, n, seed):
     # the allocator's candidate at each round is the first maximizer of the
     # Lagrangian at the duals it saw, recomputed for that round alone
     r, _, _, beta = _random_problem(seed, K, m, n)
-    inst = Instance(ActionSet(K, 0), BudgetSpec(12, beta), (r,) * 12)
+    inst = instance_of(ActionSet(K, 0), BudgetSpec(12, beta), (r,) * 12)
     tr = run(inst, OgdConfig(eta=0.5, delta=0.05))
     for t in range(inst.horizon):
         values = inst.rewards_stack[t] - penalties(inst.unified_stack[t], tr.duals[t])
@@ -137,7 +138,7 @@ def test_monotone_penalty(K, m, seed, delta_bump):
 )
 def test_argmax_invariant_under_reward_shift(K, m, seed, shift):
     r, u, dual, _ = _random_problem(seed, K, m, 0)
-    shifted = InputTuple(r.rewards + shift, r.general_costs, r.consumptions)
+    shifted = (r[0] + shift, r[1], r[2])
     assert np.argmax(values_at(r, u, dual)) == np.argmax(values_at(shifted, u, dual))
 
 

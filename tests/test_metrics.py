@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ora_bob as ob
-from ora_bob.core import ActionSet, BudgetSpec, InputTuple, Instance, ValidationError
+from ora_bob.core import ActionSet, BudgetSpec, ValidationError
 from ora_bob.dual_ogd import OgdConfig
 from ora_bob.metrics import (
     alpha_regret,
@@ -16,16 +16,17 @@ from ora_bob.metrics import (
     violation,
 )
 from ora_bob.traceio import trace_columns
+from rowstacks import instance_of
 
 
 def violating_instance(T=12, per_round=0.1):
-    r = InputTuple([0.0, 1.0], [[0.0, per_round]], np.zeros((0, 2)))
-    return Instance(ActionSet(2, 0), BudgetSpec(T, []), (r,) * T)
+    r = ([0.0, 1.0], [[0.0, per_round]], np.zeros((0, 2)))
+    return instance_of(ActionSet(2, 0), BudgetSpec(T, []), (r,) * T)
 
 
 def test_violation_all_void_is_zero():
-    r = InputTuple([0.0], [[0.0]], np.zeros((0, 1)))
-    inst = Instance(ActionSet(1, 0), BudgetSpec(5, []), (r,) * 5)
+    r = ([0.0], [[0.0]], np.zeros((0, 1)))
+    inst = instance_of(ActionSet(1, 0), BudgetSpec(5, []), (r,) * 5)
     tr = ob.run(inst, OgdConfig(0.01, 0.05))
     assert violation(tr) == 0.0
 
@@ -174,16 +175,16 @@ class TestRunSummary:
         assert s.max_dual_l1 == max_dual_l1(tr)
 
     def test_signed_and_clamped_violation(self):
-        r = InputTuple([0.0, 1.0], [[0.0, -0.5]], np.zeros((0, 2)))
-        inst = Instance(ActionSet(2, 0), BudgetSpec(6, []), (r,) * 6)
+        r = ([0.0, 1.0], [[0.0, -0.5]], np.zeros((0, 2)))
+        inst = instance_of(ActionSet(2, 0), BudgetSpec(6, []), (r,) * 6)
         tr = ob.run(inst, OgdConfig(0.01, 0.05))
         s = run_summary(tr, inst)
         assert s.violation_signed < 0.0
         assert s.violation_clamped == 0.0
 
     def test_not_applicable_flag(self):
-        r = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])
-        inst = Instance(ActionSet(2, 0), BudgetSpec(4, [0.5]), (r,) * 4)
+        r = ([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])
+        inst = instance_of(ActionSet(2, 0), BudgetSpec(4, [0.5]), (r,) * 4)
         tr = ob.run(inst, OgdConfig(0.01, 0.05))
         s = run_summary(tr, inst)
         assert not s.violation_applicable

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import ora_bob as ob
 from ora_bob import rng
-from ora_bob.core import ActionSet, BudgetSpec, InputTuple, Instance, ValidationError
+from ora_bob.core import ActionSet, BudgetSpec, Instance, ValidationError
 from ora_bob.environments import Seed, constant_instance, make_example1_instance, random_model
 from ora_bob.oracles import (
     SizeGuardError,
@@ -17,6 +17,7 @@ from ora_bob.oracles import (
     slater_safe_sequence,
     slater_stoc,
 )
+from rowstacks import instance_of, model_of
 
 
 def tiny_instance(seed, T=4, K=3, m=2, n=1, margin=0.25):
@@ -25,15 +26,15 @@ def tiny_instance(seed, T=4, K=3, m=2, n=1, margin=0.25):
 
 class TestOptBruteforce:
     def test_zero_rewards(self):
-        r = InputTuple([0.0, 0.0], [[0.0, 0.5]], np.zeros((0, 2)))
-        inst = Instance(ActionSet(2, 0), BudgetSpec(3, []), (r,) * 3)
+        r = ([0.0, 0.0], [[0.0, 0.5]], np.zeros((0, 2)))
+        inst = instance_of(ActionSet(2, 0), BudgetSpec(3, []), (r,) * 3)
         rep = opt_bruteforce(inst)
         assert rep.opt_value == 0.0
 
     def test_single_round_infeasible_action(self):
         # the only rewarding action violates sum g <= 0, so OPT = 0
-        r = InputTuple([0.0, 1.0], [[0.0, 0.5]], np.zeros((0, 2)))
-        inst = Instance(ActionSet(2, 0), BudgetSpec(1, []), (r,))
+        r = ([0.0, 1.0], [[0.0, 0.5]], np.zeros((0, 2)))
+        inst = instance_of(ActionSet(2, 0), BudgetSpec(1, []), (r,))
         rep = opt_bruteforce(inst)
         assert rep.opt_value == 0.0
         assert rep.opt_actions == (0,)
@@ -47,15 +48,15 @@ class TestOptBruteforce:
 
     def test_budget_cap_respected(self):
         # unit consumption, beta*T = 2: at most 2 plays of the earner
-        r = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
-        inst = Instance(ActionSet(2, 0), BudgetSpec(4, [0.5]), (r,) * 4)
+        r = ([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
+        inst = instance_of(ActionSet(2, 0), BudgetSpec(4, [0.5]), (r,) * 4)
         rep = opt_bruteforce(inst)
         assert rep.opt_value == 2.0
 
     def test_lexicographically_smallest_argmax(self):
         # two actions with equal rewards: the all-first sequence wins ties
-        r = InputTuple([0.0, 0.5, 0.5], np.zeros((0, 3)), np.zeros((0, 3)))
-        inst = Instance(ActionSet(3, 0), BudgetSpec(2, []), (r,) * 2)
+        r = ([0.0, 0.5, 0.5], np.zeros((0, 3)), np.zeros((0, 3)))
+        inst = instance_of(ActionSet(3, 0), BudgetSpec(2, []), (r,) * 2)
         rep = opt_bruteforce(inst)
         assert rep.opt_actions == (1, 1)
 
@@ -68,14 +69,14 @@ class TestOptBruteforce:
 class TestOptLpRelax:
     def test_slack_constraints_hit_per_round_max(self):
         # plenty of budget: LP = sum of per-round best rewards
-        r = InputTuple([0.0, 0.8, 0.3], np.zeros((0, 3)), [[0.0, 0.1, 0.1]])
-        inst = Instance(ActionSet(3, 0), BudgetSpec(5, [0.9]), (r,) * 5)
+        r = ([0.0, 0.8, 0.3], np.zeros((0, 3)), [[0.0, 0.1, 0.1]])
+        inst = instance_of(ActionSet(3, 0), BudgetSpec(5, [0.9]), (r,) * 5)
         rep = opt_lp_relax(inst)
         assert rep.opt_value == pytest.approx(5 * 0.8, abs=1e-9)
 
     def test_void_only(self):
-        r = InputTuple([0.0], np.zeros((0, 1)), np.zeros((0, 1)))
-        inst = Instance(ActionSet(1, 0), BudgetSpec(4, []), (r,) * 4)
+        r = ([0.0], np.zeros((0, 1)), np.zeros((0, 1)))
+        inst = instance_of(ActionSet(1, 0), BudgetSpec(4, []), (r,) * 4)
         assert opt_lp_relax(inst).opt_value == pytest.approx(0.0, abs=1e-12)
 
     def test_sandwich_on_fifty_instances(self):
@@ -169,18 +170,18 @@ class TestOptStocEstimate:
 
 class TestSlaterAdv:
     def test_one_round_two_actions(self):
-        r = InputTuple(
+        r = (
             [0.0, 0.0, 0.0],
             [[0.0, -0.3, 0.5], [0.0, -0.2, -0.9]],
             np.zeros((0, 3)),
         )
-        inst = Instance(ActionSet(3, 0), BudgetSpec(1, []), (r,))
+        inst = instance_of(ActionSet(3, 0), BudgetSpec(1, []), (r,))
         # action columns {[-0.3,-0.2], [0.5,-0.9]}: min over x of max_i = -0.2
         assert slater_adv(inst) == pytest.approx(0.2, abs=1e-15)
 
     def test_void_only_with_general_rows_gives_zero(self):
-        r = InputTuple([0.0], [[0.0], [0.0]], np.zeros((0, 1)))
-        inst = Instance(ActionSet(1, 0), BudgetSpec(3, []), (r,) * 3)
+        r = ([0.0], [[0.0], [0.0]], np.zeros((0, 1)))
+        inst = instance_of(ActionSet(1, 0), BudgetSpec(3, []), (r,) * 3)
         assert slater_adv(inst) == 0.0
 
     def test_generator_margin(self):
@@ -213,14 +214,9 @@ class TestSlaterStoc:
 
     def test_budget_only_equals_min_beta(self):
         # with m=0, the constant void policy is optimal: rho = min_j beta_j
-        r1 = InputTuple([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.6], [0.0, 0.2]])
-        r2 = InputTuple([0.0, 0.5], np.zeros((0, 2)), [[0.0, 0.1], [0.0, 0.9]])
-        model = ob.StochasticModel(
-            actions=ActionSet(2, 0),
-            budget=BudgetSpec(10, [0.5, 0.25]),
-            support=(r1, r2),
-            probs=[0.5, 0.5],
-        )
+        r1 = ([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.6], [0.0, 0.2]])
+        r2 = ([0.0, 0.5], np.zeros((0, 2)), [[0.0, 0.1], [0.0, 0.9]])
+        model = model_of(ActionSet(2, 0), BudgetSpec(10, [0.5, 0.25]), (r1, r2), [0.5, 0.5])
         assert slater_stoc(model) == 0.25
 
     def test_policy_guard(self):
@@ -265,7 +261,8 @@ class TestCrossProperties:
         grown = Instance(
             inst.actions,
             BudgetSpec(inst.horizon, inst.budget.per_round_budget * 1.5),
-            inst.rounds,
+            inst.rows,
+            inst.index,
         )
         assert opt_bruteforce(grown).opt_value >= opt_bruteforce(inst).opt_value
         assert slater_adv(grown) >= slater_adv(inst)
@@ -290,12 +287,12 @@ def test_equal_bytes_pool_rows_merge_in_lp():
     """Distinct rows with equal bytes are one LP group, so the LP value is
     bitwise the one over a single shared row."""
     def tup():
-        return InputTuple([0.0, 0.7, 0.4], [[0.0, 0.5, -0.25]], [[0.0, 0.9, 0.3]])
+        return ([0.0, 0.7, 0.4], [[0.0, 0.5, -0.25]], [[0.0, 0.9, 0.3]])
 
-    a, b, c = tup(), tup(), InputTuple([0.0, 0.2, 0.9], [[0.0, -0.5, 0.5]], [[0.0, 0.1, 0.8]])
+    a, b, c = tup(), tup(), ([0.0, 0.2, 0.9], [[0.0, -0.5, 0.5]], [[0.0, 0.1, 0.8]])
     budget = BudgetSpec(6, [0.4])
-    split = Instance(ActionSet(3, 0), budget, (a, b, c, b, a, c))
-    shared = Instance.from_rows(ActionSet(3, 0), budget, split.rows, [0, 0, 2, 0, 0, 2])
+    split = instance_of(ActionSet(3, 0), budget, (a, b, c, b, a, c))
+    shared = Instance(ActionSet(3, 0), budget, split.rows, [0, 0, 2, 0, 0, 2])
     assert split.rows[0].shape[0] == 6 and shared.rows[0].shape[0] == 2
     from ora_bob import oracles
 
