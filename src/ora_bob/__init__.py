@@ -30,9 +30,7 @@ from .dual_ogd import (
 )
 from .environments import (
     Example1Fixture,
-    Seed,
     StochasticModel,
-    constant_instance,
     load_instance,
     make_example1_instance,
     make_pacing_model,
@@ -61,7 +59,6 @@ from .oracles import (
     opt_stoc_estimate,
     slater_adv,
     slater_adv_bruteforce,
-    slater_safe_sequence,
     slater_stoc,
 )
 

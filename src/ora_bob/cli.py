@@ -501,9 +501,22 @@ def _slater_report(source, oracle, *args) -> dict:
     return {"rho": rho, "alpha": alpha(max(rho, 0.0))}
 
 
+#: The oracles that apply to each source kind, by ``--which`` name.
+ORACLES_BY_KIND = {
+    "instance": ("opt_bruteforce", "opt_lp", "slater_adv"),
+    "stochastic model": ("slater_stoc", "opt_stoc"),
+}
+
+
 def cmd_oracle(args) -> int:
     _, obj = _resolve_source(args)
     which = args.which
+    kind = "instance" if isinstance(obj, Instance) else "stochastic model"
+    if which != "all" and which not in ORACLES_BY_KIND[kind]:
+        raise CliError(
+            f"oracle {which} does not apply to the {kind} source; "
+            f"it takes {', '.join(ORACLES_BY_KIND[kind])} or all"
+        )
     reports: dict[str, dict] = {}
 
     def attempt(key, fn):

@@ -151,8 +151,9 @@ class RowStore:
 
     F holds each row's rewards, G its general costs and H its consumptions.
     The stacks are copied read-only and their shapes checked once, at
-    construction; a breach raises ValidationError naming the stack and
-    the axis.
+    construction, against each other, K against ``actions.count`` and n
+    against ``budget.num_resources``; a breach raises ValidationError
+    naming the stack and the axis.
     """
 
     actions: ActionSet
@@ -179,6 +180,16 @@ class RowStore:
                     f"{name} has {a.shape[2]} action columns (axis 2), "
                     f"rewards has {f.shape[1]}"
                 )
+        if f.shape[1] != self.actions.count:
+            raise ValidationError(
+                f"rewards has K={f.shape[1]} action columns (axis 1), "
+                f"the action set has K={self.actions.count}"
+            )
+        if h.shape[1] != self.budget.num_resources:
+            raise ValidationError(
+                f"consumptions has n={h.shape[1]} resource rows (axis 1), "
+                f"the budget has n={self.budget.num_resources}"
+            )
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -254,19 +265,14 @@ class Instance(RowStore):
     )
 
     def validate(self) -> "ValidationReport":
-        """Every range, shape and void-column issue of the rounds; each row is
-        checked once."""
+        """Every budget-gate, range and void-column issue of the rounds; each
+        row is checked once."""
         return pool_issues(ValidationReport(), self.budget, self.rows, self.index, self.actions)
 
 
 def unified_rows(general: np.ndarray, consumption: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """(U, M, K) unified matrices: the (U, m, K) costs over the (U, n, K)
-    consumptions shifted down by beta."""
-    if consumption.shape[1] != beta.shape[0]:
-        raise ValidationError(
-            f"consumption axis mismatch: input has n={consumption.shape[1]} resource "
-            f"rows, budget has n={beta.shape[0]}"
-        )
+    consumptions shifted down by the (n,) beta."""
     return np.concatenate([general, consumption - beta[None, :, None]], axis=1)
 
 
@@ -311,49 +317,31 @@ def budget_gate_issues(report: ValidationReport, budget: BudgetSpec):
             0,
             "budget",
             (j,),
-            f"beta[{j}]*T = {budget.limits[j]!r} < 1: budget gate closed at round 1",
+            f"beta[{j}]*T = {float(budget.limits[j])!r} < 1: budget gate closed at round 1",
         )
     for j in np.argwhere(budget.per_round_budget > 1.0).reshape(-1):
         j = int(j)
         report.warnings.append(
-            f"beta[{j}] = {budget.per_round_budget[j]!r} > 1: budget never binding"
+            f"beta[{j}] = {float(budget.per_round_budget[j])!r} > 1: budget never binding"
         )
 
 
 def pool_issues(report, budget, rows, index, actions) -> ValidationReport:
-    """``report`` with the budget-gate issues, then the shape, range and
+    """``report`` with the budget-gate issues, then the range and
     void-column checks of the rounds whose inputs are row ``index[t]`` of
     the (F, G, H) stacks ``rows``, each row used by some round.  Every row
     is checked once and its issues are reported at each round that uses it,
     in the order a round-by-round check finds them."""
     budget_gate_issues(report, budget)
     f, g, h = rows
-    shape = (f.shape[1], g.shape[1], h.shape[1])
-    if _shape_ok(report, shape, index.size, actions.count, budget.num_resources):
-        v = actions.void_index
-        _range_issues(report, index, "reward", f, 0.0, 1.0)
-        _range_issues(report, index, "general_cost", g, -1.0, 1.0)
-        _range_issues(report, index, "consumption", h, 0.0, 1.0)
-        _void_issues(report, index, "reward", f[:, v], v)
-        _void_issues(report, index, "general_cost", g[:, :, v], v)
-        _void_issues(report, index, "consumption", h[:, :, v], v)
+    v = actions.void_index
+    _range_issues(report, index, "reward", f, 0.0, 1.0)
+    _range_issues(report, index, "general_cost", g, -1.0, 1.0)
+    _range_issues(report, index, "consumption", h, 0.0, 1.0)
+    _void_issues(report, index, "reward", f[:, v], v)
+    _void_issues(report, index, "general_cost", g[:, :, v], v)
+    _void_issues(report, index, "consumption", h[:, :, v], v)
     return report
-
-
-def _shape_ok(report, shape, rounds, k, expected_resources) -> bool:
-    """Report the rows' (K, m, n) ``shape`` if its n is not the budget's,
-    and at each of the ``rounds`` rounds if its K is not the action count
-    k; True iff K is k."""
-    kt, m, n = shape
-    if n != expected_resources:
-        report.add(
-            0, "shape", (), f"rounds have n={n} resources, budget has n={expected_resources}"
-        )
-    if kt != k:
-        for t in range(1, rounds + 1):
-            report.add(t, "shape", (), f"(K={kt}, m={m}, n={n}) "
-                       f"inconsistent with (K={k}, m={m}, n={n})")
-    return kt == k
 
 
 def _bad_entries(index, bad):
@@ -372,12 +360,12 @@ def _bad_entries(index, bad):
 def _range_issues(report, index, name, stacked, lo, hi):
     ok = (stacked >= lo) & (stacked <= hi)  # NaN compares false and is flagged
     for t, c, row in _bad_entries(index, ~ok):
-        report.add(t, name, c, f"value {stacked[row][c]!r} outside [{lo}, {hi}]")
+        report.add(t, name, c, f"value {float(stacked[row][c])!r} outside [{lo}, {hi}]")
 
 
 def _void_issues(report, index, name, void_values, void_index):
     for t, c, row in _bad_entries(index, void_values != 0.0):
         report.add(
             t, "void_column", c + (void_index,),
-            f"void-column {name} is {void_values[row][c]!r}, expected 0",
+            f"void-column {name} is {float(void_values[row][c])!r}, expected 0",
         )

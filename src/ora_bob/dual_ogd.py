@@ -52,10 +52,7 @@ def learning_rate(T: int, M: int, delta: float) -> float:
         raise ValidationError(f"M must be >= 1, got {M}")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must be in (0, 1), got {delta!r}")
-    arg = 2.0 * T * math.log(T * T / delta)
-    if arg <= 0.0:  # unreachable under the preconditions above
-        raise ArithmeticError(f"learning-rate radicand {arg} not positive")
-    return 1.0 / (60.0 * M * math.sqrt(arg))
+    return 1.0 / (60.0 * M * math.sqrt(2.0 * T * math.log(T * T / delta)))
 
 
 class IntervalRegretResult(NamedTuple):

@@ -32,20 +32,6 @@ from .serialization import SchemaError
 PROB_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Seed:
-    """64-bit seed; larger values are reduced modulo 2**64."""
-
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value) & rng.MASK64)
-
-
-def _as_seed(seed) -> int:
-    return seed.value if isinstance(seed, Seed) else Seed(seed).value
-
-
 @dataclass(frozen=True, eq=False)
 class StochasticModel(RowStore):
     """Finite-support i.i.d. input distribution with a default budget.
@@ -87,19 +73,19 @@ class StochasticModel(RowStore):
         )
 
 
-def sample_support_indices(model: StochasticModel, T: int, seed) -> np.ndarray:
+def sample_support_indices(model: StochasticModel, T: int, seed: int) -> np.ndarray:
     """T i.i.d. support indices by inverse-CDF over stream-0 uniforms.
 
     The cumulative probabilities are accumulated in support order, so the
     draw is reproducible independent of any float reassociation concerns.
     """
-    u = rng.uniforms(_as_seed(seed), 0, np.arange(T))
+    u = rng.uniforms(seed, 0, np.arange(T))
     cum = np.cumsum(model.probs)
     idx = np.searchsorted(cum, u, side="right")
     return np.minimum(idx, model.support_size - 1)
 
 
-def sample_instance(model: StochasticModel, T: int, seed) -> Instance:
+def sample_instance(model: StochasticModel, T: int, seed: int) -> Instance:
     """T i.i.d. draws as an instance: the support rows drawn plus the
     draws."""
     return Instance(
@@ -107,21 +93,6 @@ def sample_instance(model: StochasticModel, T: int, seed) -> Instance:
         BudgetSpec(T, model.budget.per_round_budget),
         model.rows,
         sample_support_indices(model, T, seed),
-    )
-
-
-def constant_instance(model: StochasticModel, T: int | None = None) -> Instance:
-    """Materialize a single-support model as a fixed sequence of length T."""
-    if model.support_size != 1:
-        raise ValidationError(
-            f"constant_instance requires a single-support model, got S={model.support_size}"
-        )
-    horizon = model.budget.horizon if T is None else T
-    return Instance(
-        model.actions,
-        BudgetSpec(horizon, model.budget.per_round_budget),
-        model.rows,
-        np.zeros(horizon, dtype=np.int64),
     )
 
 
@@ -181,16 +152,16 @@ def make_example1_instance(
     return Example1Fixture(budget_only=budget_only, general=general)
 
 
-def _random_beta(sd: int, n: int, margin: float, horizon: int) -> np.ndarray:
+def _random_beta(seed: int, n: int, margin: float, horizon: int) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
     lo = max(margin, 1.0 / horizon)
     hi = min(1.0, lo + 0.6)
-    return lo + rng.uniforms(sd, 0, np.arange(n)) * (hi - lo)
+    return lo + rng.uniforms(seed, 0, np.arange(n)) * (hi - lo)
 
 
 def _random_rounds(
-    sd: int, count: int, K: int, m: int, n: int, margin: float, beta: np.ndarray
+    seed: int, count: int, K: int, m: int, n: int, margin: float, beta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, G, H) stacks of uniform rows with a planted strictly-safe action
     at index 1.
@@ -201,7 +172,7 @@ def _random_rounds(
     """
     entries = K * (1 + m + n) + m + n
     streams = np.arange(1, count + 1, dtype=np.uint64)[:, None]
-    u = rng.uniforms(sd, streams, np.arange(entries)[None, :])
+    u = rng.uniforms(seed, streams, np.arange(entries)[None, :])
 
     pos = 0
     f = u[:, pos : pos + K].copy()
@@ -236,7 +207,7 @@ def _check_random_params(K: int, m: int, n: int, margin: float, count: int):
 
 
 def random_instance(
-    seed, T: int, K: int, m: int, n: int, feasibility_margin: float
+    seed: int, T: int, K: int, m: int, n: int, feasibility_margin: float
 ) -> Instance:
     """A uniform random adversarial instance with a planted safe action.
 
@@ -246,15 +217,15 @@ def random_instance(
     ranges.  Per-round draws come from stream t, instance-level draws from
     stream 0.
     """
-    sd = _as_seed(seed)
     _check_random_params(K, m, n, feasibility_margin, T)
-    beta = _random_beta(sd, n, feasibility_margin, T)
-    rows = _random_rounds(sd, T, K, m, n, feasibility_margin, beta)
+    beta = _random_beta(seed, n, feasibility_margin, T)
+    rows = _random_rounds(seed, T, K, m, n, feasibility_margin, beta)
     return Instance(ActionSet(K, 0), BudgetSpec(T, beta), rows, np.arange(T))
 
 
 def random_model(
-    seed, S: int, K: int, m: int, n: int, feasibility_margin: float, horizon: int = 1000
+    seed: int, S: int, K: int, m: int, n: int, feasibility_margin: float,
+    horizon: int = 1000,
 ) -> StochasticModel:
     """A finite-support model whose tuples follow the random_instance scheme.
 
@@ -262,10 +233,9 @@ def random_model(
     the model's budget vector, so the stochastic Slater parameter is at least
     ``feasibility_margin``.  Probabilities are uniform over the support.
     """
-    sd = _as_seed(seed)
     _check_random_params(K, m, n, feasibility_margin, S)
-    beta = _random_beta(sd, n, feasibility_margin, horizon)
-    rows = _random_rounds(sd, S, K, m, n, feasibility_margin, beta)
+    beta = _random_beta(seed, n, feasibility_margin, horizon)
+    rows = _random_rounds(seed, S, K, m, n, feasibility_margin, beta)
     return StochasticModel(ActionSet(K, 0), BudgetSpec(horizon, beta), rows, np.full(S, 1.0 / S))
 
 
@@ -344,9 +314,7 @@ def model_to_dict(model: StochasticModel) -> dict:
 
 
 def dict_to_model(d: dict) -> StochasticModel:
-    serialization._check_keys(
-        d, serialization.HEADER_KEYS + ("support", "probs"), (), ""
-    )
+    serialization._check_keys(d, serialization.HEADER_KEYS + ("support", "probs"), "")
     actions, budget, k, m, n = serialization._header_from_dict(d)
     support_raw = d["support"]
     if not isinstance(support_raw, list) or not support_raw:
@@ -430,7 +398,7 @@ def build_generator(name: str, params: dict):
         return fx.budget_only if name == "example1_budget" else fx.general
     if name == "random":
         return random_instance(
-            Seed(_param(params, "seed", int, 0)),
+            _param(params, "seed", int, 0),
             _param(params, "T", int, 1000),
             _param(params, "K", int, 4),
             _param(params, "m", int, 1),
@@ -439,7 +407,7 @@ def build_generator(name: str, params: dict):
         )
     if name == "random_model":
         return random_model(
-            Seed(_param(params, "seed", int, 0)),
+            _param(params, "seed", int, 0),
             _param(params, "S", int, 3),
             _param(params, "K", int, 4),
             _param(params, "m", int, 1),

@@ -26,8 +26,6 @@ class BoundCheck(NamedTuple):
 def total_reward(trajectory: Trajectory) -> float:
     """Rew(T): sequential accumulation, bit-identical to the trace's final
     cum_reward cell."""
-    if trajectory.horizon == 0:
-        return 0.0
     return float(np.cumsum(trajectory.rewards)[-1])
 
 

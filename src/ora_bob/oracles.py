@@ -41,8 +41,6 @@ class OracleReport:
     method: str
     opt_actions: tuple[int, ...] | None = None
     stderr: float | None = None
-    rho: float | None = None
-    alpha: float | None = None
     per_draw_method: str | None = None
 
     def to_dict(self) -> dict:
@@ -51,8 +49,6 @@ class OracleReport:
             "method": self.method,
             "opt_actions": list(self.opt_actions) if self.opt_actions is not None else None,
             "stderr": self.stderr,
-            "rho": self.rho,
-            "alpha": self.alpha,
             "per_draw_method": self.per_draw_method,
         }
 
@@ -203,7 +199,7 @@ def opt_stoc_estimate(
     model: StochasticModel,
     T: int,
     num_samples: int,
-    seed,
+    seed: int,
     guard: int = ENUMERATION_GUARD,
 ) -> OracleReport:
     """Monte Carlo estimate of E[OPT(gamma)] over sampled length-T sequences.
@@ -215,12 +211,11 @@ def opt_stoc_estimate(
     """
     if num_samples < 1:
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
-    sd = seed.value if hasattr(seed, "value") else int(seed)
     K = model.actions.count
     use_bruteforce = K**T <= guard
     values = np.empty(num_samples)
     for i in range(num_samples):
-        draw_seed = rng.derive_seed(sd, _MC_STREAM_SALT + i)
+        draw_seed = rng.derive_seed(seed, _MC_STREAM_SALT + i)
         inst = sample_instance(model, T, draw_seed)
         if use_bruteforce:
             values[i] = opt_bruteforce(inst, guard).opt_value
@@ -246,12 +241,6 @@ def slater_adv(instance: Instance) -> float:
     _require_constraints(instance)
     per_row = instance.unified_rows.max(axis=1).min(axis=1)
     return float(-per_row[instance.index].max())
-
-
-def slater_safe_sequence(instance: Instance) -> np.ndarray:
-    """Per-round argmin actions certifying slater_adv (lowest index on ties)."""
-    _require_constraints(instance)
-    return instance.unified_rows.max(axis=1).argmin(axis=1)[instance.index]
 
 
 def slater_adv_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> float:

@@ -47,8 +47,9 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def stream_base(seed: int, stream: int) -> int:
-    """64-bit base state for a (seed, stream) pair."""
-    a = mix64((seed + GOLDEN) & MASK64)
+    """64-bit base state for a (seed, stream) pair; any integer seed,
+    numpy integers included, counts modulo 2**64."""
+    a = mix64((int(seed) + GOLDEN) & MASK64)
     b = mix64((stream * GOLDEN + STREAM_SALT) & MASK64)
     return mix64(a ^ b)
 
@@ -69,7 +70,7 @@ def words(seed: int, stream, indices) -> np.ndarray:
     if st.ndim == 0:
         base = np.uint64(stream_base(seed, int(st)))
     else:
-        a = np.uint64(mix64((seed + GOLDEN) & MASK64))
+        a = np.uint64(mix64((int(seed) + GOLDEN) & MASK64))
         b = _mix64_array(st * np.uint64(GOLDEN) + np.uint64(STREAM_SALT))
         base = _mix64_array(a ^ b)
     state = base + (idx + np.uint64(1)) * np.uint64(GOLDEN)

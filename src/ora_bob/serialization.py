@@ -1,4 +1,4 @@
-"""JSON codec for instances, with strict-by-default schema checking.
+"""JSON codec for instances, with strict schema checking.
 
 Instance schema::
 
@@ -7,24 +7,21 @@ Instance schema::
       "rounds": [ { "f": [K], "g": [m][K], "h": [n][K] } x T ] }
 
 Stochastic-model files replace "rounds" with "support" (same per-round shape)
-plus "probs".  Unknown fields are rejected with a JSON-pointer path unless the
-environment variable ORA_BOB_SCHEMA_STRICT is set to "0".  Floats are written
-with Python's shortest round-trip representation, so save -> load reproduces
-bit-identical matrices.
+plus "probs".  Unknown fields are rejected with a JSON-pointer path.  Floats
+are written with Python's shortest round-trip representation, so save -> load
+reproduces bit-identical matrices.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Any
 
 import numpy as np
 
 from .core import ActionSet, BudgetSpec, Instance
 
-ENV_STRICT = "ORA_BOB_SCHEMA_STRICT"
 SCHEMA_VERSION = 1
 
 
@@ -36,27 +33,28 @@ class SchemaError(ValueError):
         super().__init__(f"{pointer or '/'}: {message}")
 
 
-def strict_mode() -> bool:
-    return os.environ.get(ENV_STRICT, "1") != "0"
-
-
-def _check_keys(d: dict, required: tuple, optional: tuple, pointer: str):
+def _check_keys(d: dict, required: tuple, pointer: str):
     if not isinstance(d, dict):
         raise SchemaError(f"expected object, got {type(d).__name__}", pointer)
     for key in required:
         if key not in d:
             raise SchemaError(f"missing required field {key!r}", pointer)
-    if strict_mode():
-        allowed = set(required) | set(optional)
-        for key in d:
-            if key not in allowed:
-                raise SchemaError("unknown field", f"{pointer}/{key}")
+    for key in d:
+        if key not in required:
+            raise SchemaError("unknown field", f"{pointer}/{key}")
 
 
 def _as_int(value, pointer: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"expected integer, got {value!r}", pointer)
     return value
+
+
+def _as_count(value, pointer: str) -> int:
+    count = _as_int(value, pointer)
+    if count < 0:
+        raise SchemaError(f"expected integer >= 0, got {count}", pointer)
+    return count
 
 
 def _as_real_list(value, length: int, pointer: str) -> list[float]:
@@ -84,7 +82,7 @@ def rows_from_dicts(items: list, k: int, m: int, n: int, pointer: str):
     f, g, h = np.empty((len(items), k)), np.empty((len(items), m, k)), np.empty((len(items), n, k))
     for i, d in enumerate(items):
         at = f"{pointer}/{i}"
-        _check_keys(d, ("f", "g", "h"), (), at)
+        _check_keys(d, ("f", "g", "h"), at)
         f[i] = _as_real_list(d["f"], k, f"{at}/f")
         for key, out in (("g", g[i]), ("h", h[i])):
             if not isinstance(d[key], list) or len(d[key]) != len(out):
@@ -118,8 +116,8 @@ HEADER_KEYS = ("T", "K", "m", "n", "void_index", "beta")
 def _header_from_dict(d: dict):
     t = _as_int(d["T"], "/T")
     k = _as_int(d["K"], "/K")
-    m = _as_int(d["m"], "/m")
-    n = _as_int(d["n"], "/n")
+    m = _as_count(d["m"], "/m")
+    n = _as_count(d["n"], "/n")
     void = _as_int(d["void_index"], "/void_index")
     beta = _as_real_list(d["beta"], n, "/beta")
     try:
@@ -131,7 +129,7 @@ def _header_from_dict(d: dict):
 
 
 def dict_to_instance(d: dict) -> Instance:
-    _check_keys(d, HEADER_KEYS + ("rounds",), (), "")
+    _check_keys(d, HEADER_KEYS + ("rounds",), "")
     actions, budget, k, m, n = _header_from_dict(d)
     rounds_raw = d["rounds"]
     if not isinstance(rounds_raw, list) or len(rounds_raw) != budget.horizon:

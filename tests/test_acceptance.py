@@ -76,7 +76,7 @@ def batch():
         M = m + n
         seed = rng.derive_seed(BATCH_SALT, i)
         inst = ob.random_instance(
-            ob.Seed(seed), T=BATCH_T, K=K, m=m, n=n, feasibility_margin=0.2
+            seed, T=BATCH_T, K=K, m=m, n=n, feasibility_margin=0.2
         )
         config = OgdConfig(learning_rate(BATCH_T, M, BATCH_DELTA), BATCH_DELTA)
         tr = ob.run(inst, config)
@@ -176,7 +176,7 @@ def violation_sweep():
         vs = []
         for s in range(30):
             seed = rng.derive_seed(0x6E60, T * 1000 + s)
-            inst = ob.sample_instance(model, T, ob.Seed(seed))
+            inst = ob.sample_instance(model, T, seed)
             tr = ob.run(inst, OgdConfig(eta, 0.05))
             v = violation(tr)
             vs.append(v)
@@ -208,14 +208,14 @@ def test_c06_violation_scaling(violation_sweep, criterion):
 
 def test_c07_stochastic_regret(criterion):
     # tiny regime: exact OPT by full enumeration per sampled sequence
-    model = ob.random_model(ob.Seed(0x77), S=3, K=3, m=1, n=1, feasibility_margin=0.3, horizon=6)
+    model = ob.random_model(0x77, S=3, K=3, m=1, n=1, feasibility_margin=0.3, horizon=6)
     rho = slater_stoc(model)
     beta_min = float(model.budget.per_round_budget.min())
     T_tiny = 6
     eta = learning_rate(T_tiny, model.num_constraints, 0.05)
     regrets = []
     for s in range(200):
-        inst = ob.sample_instance(model, T_tiny, ob.Seed(rng.derive_seed(0x71, s)))
+        inst = ob.sample_instance(model, T_tiny, rng.derive_seed(0x71, s))
         tr = ob.run(inst, OgdConfig(eta, 0.05))
         regrets.append(opt_bruteforce(inst).opt_value - float(tr.rewards.sum()))
     bound = theorem_bounds(T_tiny, model.num_constraints, rho, 0.05, beta_min)["regret"]
@@ -228,7 +228,7 @@ def test_c07_stochastic_regret(criterion):
         eta = learning_rate(T, pacing.num_constraints, 0.05)
         vals = []
         for s in range(30):
-            inst = ob.sample_instance(pacing, T, ob.Seed(rng.derive_seed(0x72, T * 100 + s)))
+            inst = ob.sample_instance(pacing, T, rng.derive_seed(0x72, T * 100 + s))
             tr = ob.run(inst, OgdConfig(eta, 0.05))
             lp = opt_lp_relax(inst).opt_value
             vals.append((lp - float(tr.rewards.sum())) / T)
@@ -248,7 +248,7 @@ def test_c08_adversarial_alpha_regret(criterion):
     worst_gap = -np.inf
     for s in range(50):
         inst = ob.random_instance(
-            ob.Seed(rng.derive_seed(0x88, s)), T=400, K=3, m=1, n=1, feasibility_margin=0.2
+            rng.derive_seed(0x88, s), T=400, K=3, m=1, n=1, feasibility_margin=0.2
         )
         rho = slater_adv(inst)
         assert rho >= 0.2
@@ -273,14 +273,14 @@ def test_c09_oracle_cross_validation(criterion):
     slater_ok = 0
     for s in range(50):
         inst = ob.random_instance(
-            ob.Seed(rng.derive_seed(0x99, s)), T=7, K=4, m=2, n=1, feasibility_margin=0.2
+            rng.derive_seed(0x99, s), T=7, K=4, m=2, n=1, feasibility_margin=0.2
         )
         if slater_adv(inst) == slater_adv_bruteforce(inst):
             slater_ok += 1
     sandwich_ok = 0
     for s in range(50):
         inst = ob.random_instance(
-            ob.Seed(rng.derive_seed(0x9A, s)), T=4, K=3, m=2, n=1, feasibility_margin=0.25
+            rng.derive_seed(0x9A, s), T=4, K=3, m=2, n=1, feasibility_margin=0.25
         )
         bf = opt_bruteforce(inst).opt_value
         lp = opt_lp_relax(inst).opt_value
@@ -297,8 +297,8 @@ def test_c10_example1_fixture(criterion):
     rho, eps = 0.1, 0.2
     fx = ob.make_example1_instance(rho, eps, horizon=20)
     lam = np.array([20.0, 20.0])
-    bud = ob.constant_instance(fx.budget_only, 20)
-    gen = ob.constant_instance(fx.general, 20)
+    bud = ob.sample_instance(fx.budget_only, 20, 0)
+    gen = ob.sample_instance(fx.general, 20, 0)
     bud_values = bud.rewards_stack[0] - ob.penalties(bud.unified_stack[0], lam)
     gen_values = gen.rewards_stack[0] - ob.penalties(gen.unified_stack[0], lam)
     got = (

@@ -36,7 +36,7 @@ class TestExample1Update:
     """The round's candidate and dual update at given duals on Example 1."""
 
     def update(self, duals, eta=0.01):
-        inst = ob.constant_instance(ob.make_example1_instance(0.1, 0.2, horizon=20).general)
+        inst = ob.sample_instance(ob.make_example1_instance(0.1, 0.2, horizon=20).general, 20, 0)
         unified, dual = inst.unified_stack[0], np.array(duals)
         action = int(np.argmax(inst.rewards_stack[0] - penalties(unified, dual)))
         return action, np.maximum(0.0, dual + eta * unified[:, action])
@@ -81,11 +81,12 @@ class TestRun:
 
     def test_no_resources_stopping_time_is_horizon(self):
         fx = ob.make_example1_instance(0.1, 0.2, horizon=30)
-        tr = run(ob.constant_instance(fx.general), default_config(ob.constant_instance(fx.general)))
+        inst = ob.sample_instance(fx.general, 30, 0)
+        tr = run(inst, default_config(inst))
         assert tr.stopping_time == 30
 
     def test_seeded_rerun_bit_identical(self):
-        inst = ob.random_instance(ob.Seed(99), T=200, K=4, m=2, n=2, feasibility_margin=0.2)
+        inst = ob.random_instance(99, T=200, K=4, m=2, n=2, feasibility_margin=0.2)
         config = default_config(inst, delta=0.05)
         a, b = run(inst, config), run(inst, config)
         assert np.array_equal(a.duals, b.duals)
@@ -165,7 +166,7 @@ class TestReferenceEquivalence:
     @settings(max_examples=10)
     def test_matches_independent_reimplementation(self, seed):
         inst = ob.random_instance(
-            ob.Seed(seed), T=50, K=4, m=2, n=2, feasibility_margin=0.1
+            seed, T=50, K=4, m=2, n=2, feasibility_margin=0.1
         )
         eta = 0.02  # large enough that duals move and the gate can close
         tr = run(inst, OgdConfig(eta=eta, delta=0.05))
@@ -185,11 +186,11 @@ class TestReferenceEquivalence:
         "make, closes",
         [
             (lambda: ob.random_instance(
-                ob.Seed(5), T=60, K=3, m=1, n=2, feasibility_margin=0.25), False),
+                5, T=60, K=3, m=1, n=2, feasibility_margin=0.25), False),
             # beta = 1/3: the gate is decided on the exact-Fraction path
             (lambda: draining_instance(30, 1.0 / 3.0), True),
             (lambda: ob.random_instance(
-                ob.Seed(13), T=60, K=3, m=1, n=2, feasibility_margin=0.25), True),
+                13, T=60, K=3, m=1, n=2, feasibility_margin=0.25), True),
         ],
         ids=["random", "nondyadic_draining", "random_gate_closes"],
     )
@@ -208,7 +209,7 @@ class TestRunInvariants:
     @settings(max_examples=25)
     def test_hard_budget_feasibility_exact(self, seed):
         inst = ob.random_instance(
-            ob.Seed(seed), T=80, K=4, m=2, n=2, feasibility_margin=0.2
+            seed, T=80, K=4, m=2, n=2, feasibility_margin=0.2
         )
         tr = run(inst, default_config(inst, delta=0.05))
         assert np.all(tr.cumulative_consumption[-1] <= inst.budget.limits)
@@ -218,7 +219,7 @@ class TestRunInvariants:
     def test_post_tau_void_and_nonincreasing_duals(self, seed):
         # tight budgets so the gate actually closes
         inst = ob.random_instance(
-            ob.Seed(seed), T=60, K=4, m=1, n=1, feasibility_margin=0.05
+            seed, T=60, K=4, m=1, n=1, feasibility_margin=0.05
         )
         tr = run(inst, OgdConfig(eta=0.01, delta=0.05))
         tau = tr.stopping_time
@@ -229,7 +230,7 @@ class TestRunInvariants:
     @settings(max_examples=15)
     def test_telescoped_violation(self, seed):
         inst = ob.random_instance(
-            ob.Seed(seed), T=100, K=4, m=3, n=1, feasibility_margin=0.2
+            seed, T=100, K=4, m=3, n=1, feasibility_margin=0.2
         )
         tr = run(inst, default_config(inst, delta=0.05))
         tau = tr.stopping_time
@@ -238,7 +239,7 @@ class TestRunInvariants:
         assert np.all(sums <= caps + 1e-9)
 
     def test_cumulative_consumption_nondecreasing(self):
-        inst = ob.random_instance(ob.Seed(3), T=150, K=5, m=1, n=3, feasibility_margin=0.2)
+        inst = ob.random_instance(3, T=150, K=5, m=1, n=3, feasibility_margin=0.2)
         tr = run(inst, default_config(inst))
         diffs = np.diff(tr.cumulative_consumption, axis=0)
         assert np.all(diffs >= -1e-15)
@@ -311,7 +312,7 @@ class TestRunBatch:
         return lanes
 
     def test_model_lanes_close_at_different_rounds(self):
-        model = ob.random_model(ob.Seed(11), S=40, K=4, m=2, n=2, feasibility_margin=0.2,
+        model = ob.random_model(11, S=40, K=4, m=2, n=2, feasibility_margin=0.2,
                                 horizon=2000)
         config = OgdConfig(eta=learning_rate(2000, 4, 0.05), delta=0.05)
         lanes = self.check(model, 2000, list(range(3000, 3008)), config)
@@ -333,7 +334,7 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("m, n", [(0, 2), (2, 0)], ids=["m0", "n0"])
     def test_empty_constraint_blocks(self, m, n):
-        model = ob.random_model(ob.Seed(8), S=6, K=3, m=m, n=n, feasibility_margin=0.2,
+        model = ob.random_model(8, S=6, K=3, m=m, n=n, feasibility_margin=0.2,
                                 horizon=300)
         config = OgdConfig(eta=0.05, delta=0.05)
         self.check(model, 300, [4, 5, 6], config)
@@ -341,14 +342,14 @@ class TestRunBatch:
     def test_random_instance_source(self):
         # a fixed instance whose pool has one row per round, over several
         # gather blocks, with a gate that closes
-        inst = ob.random_instance(ob.Seed(13), T=600, K=3, m=1, n=2, feasibility_margin=0.25)
+        inst = ob.random_instance(13, T=600, K=3, m=1, n=2, feasibility_margin=0.25)
         assert inst.rows[0].shape[0] == inst.horizon
         lanes = self.check(inst, 600, [0, 1], default_config(inst, delta=0.05))
         assert lanes[0].stopping_time == 574
 
     def test_lanes_drawing_different_rows(self):
         # short lanes over a large support each read their own set of rows
-        model = ob.random_model(ob.Seed(10), S=30, K=4, m=1, n=1, feasibility_margin=0.2,
+        model = ob.random_model(10, S=30, K=4, m=1, n=1, feasibility_margin=0.2,
                                 horizon=20)
         seeds = list(range(5))
         used = {sample_instance(model, 20, s).rows[0].tobytes() for s in seeds}
@@ -366,7 +367,7 @@ class TestRunBatch:
                 run_lanes([paced, other], config)
 
     def test_single_lane(self):
-        model = ob.random_model(ob.Seed(9), S=7, K=4, m=1, n=2, feasibility_margin=0.2,
+        model = ob.random_model(9, S=7, K=4, m=1, n=2, feasibility_margin=0.2,
                                 horizon=400)
         self.check(model, 400, [11], OgdConfig(eta=0.02, delta=0.05))
 

@@ -73,7 +73,7 @@ class TestRun:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_adversarial_instance_from_file(self, tmp_path, capsys):
-        inst = ob.random_instance(ob.Seed(5), T=40, K=3, m=1, n=1, feasibility_margin=0.2)
+        inst = ob.random_instance(5, T=40, K=3, m=1, n=1, feasibility_margin=0.2)
         path = tmp_path / "inst.json"
         ob.save_instance(inst, path)
         code, _ = run_cli(
@@ -333,7 +333,7 @@ class TestSweep:
 
 class TestOracleCommand:
     def test_instance_reports(self, tmp_path, capsys):
-        inst = ob.random_instance(ob.Seed(2), T=5, K=3, m=1, n=1, feasibility_margin=0.25)
+        inst = ob.random_instance(2, T=5, K=3, m=1, n=1, feasibility_margin=0.25)
         path = tmp_path / "inst.json"
         ob.save_instance(inst, path)
         code, out = run_cli(capsys, "oracle", "--instance", str(path))
@@ -343,7 +343,7 @@ class TestOracleCommand:
         assert reports["slater_adv"]["rho"] >= 0.25
 
     def test_model_reports(self, tmp_path, capsys):
-        model = ob.random_model(ob.Seed(2), S=2, K=3, m=1, n=1, feasibility_margin=0.25)
+        model = ob.random_model(2, S=2, K=3, m=1, n=1, feasibility_margin=0.25)
         path = tmp_path / "model.json"
         ob.save_instance(model, path)
         code, out = run_cli(
@@ -378,8 +378,25 @@ class TestOracleCommand:
         assert reports[slater] == {"status": "not_applicable"}
         assert all("opt_value" in reports[key] for key in kept)
 
+    @pytest.mark.parametrize(
+        "source, which, kind",
+        [
+            (("--generator", "random", "--param", "T=5"), "slater_stoc", "instance"),
+            (("--generator", "random", "--param", "T=5"), "opt_stoc", "instance"),
+            (("--generator", "pacing"), "opt_bruteforce", "stochastic model"),
+        ],
+    )
+    def test_oracle_not_applicable_to_the_source_exits_2(self, capsys, source, which, kind):
+        code, out = run_cli(capsys, "oracle", *source, "--which", which)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "CliError"
+        assert err["message"].startswith(
+            f"oracle {which} does not apply to the {kind} source; it takes "
+        )
+
     def test_guard_failure_is_loud_when_explicit(self, tmp_path, capsys):
-        inst = ob.random_instance(ob.Seed(2), T=40, K=4, m=1, n=1, feasibility_margin=0.25)
+        inst = ob.random_instance(2, T=40, K=4, m=1, n=1, feasibility_margin=0.25)
         path = tmp_path / "big.json"
         ob.save_instance(inst, path)
         code, out = run_cli(
@@ -420,7 +437,7 @@ class TestLpSizeGuard:
 )
 def test_number_beyond_float_range_exits_2(tmp_path, capsys, kind, pointer):
     if kind == "instance":
-        inst = ob.random_instance(ob.Seed(5), T=20, K=3, m=1, n=1, feasibility_margin=0.2)
+        inst = ob.random_instance(5, T=20, K=3, m=1, n=1, feasibility_margin=0.2)
         payload = serialization.instance_to_dict(inst)
     else:
         payload = environments.model_to_dict(ob.make_pacing_model())
@@ -437,6 +454,48 @@ def test_number_beyond_float_range_exits_2(tmp_path, capsys, kind, pointer):
     err = json.loads(out)["error"]
     assert err["type"] == "SchemaError"
     assert err["message"].startswith(f"{pointer}: ")
+
+
+@pytest.mark.parametrize("kind", ["instance", "model"])
+@pytest.mark.parametrize("field", ["m", "n"])
+def test_negative_dimension_exits_2_with_pointer(tmp_path, capsys, kind, field):
+    if kind == "instance":
+        inst = ob.random_instance(5, T=20, K=3, m=1, n=1, feasibility_margin=0.2)
+        payload = serialization.instance_to_dict(inst)
+    else:
+        payload = environments.model_to_dict(ob.make_pacing_model())
+    payload[field] = -1
+    source = tmp_path / "negative.json"
+    source.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "run", "--instance", str(source), "--T", "20",
+                        "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "SchemaError", "message": f"/{field}: expected integer >= 0, got -1"
+    }
+
+
+def test_validation_texts_print_plain_floats(tmp_path, capsys):
+    """Issue texts format numpy scalars as Python floats, so they read the
+    same under every numpy version."""
+    code, out = run_cli(capsys, "run", "--generator", "pacing", "--T", "3", "--seeds", "0",
+                        "--out", str(tmp_path / "out"), "--benchmark", "bruteforce")
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        "invalid instance: instance: budget[0]: beta[0]*T = 0.75 < 1: "
+        "budget gate closed at round 1"
+    )
+    payload = serialization.instance_to_dict(
+        ob.random_instance(5, T=4, K=3, m=1, n=1, feasibility_margin=0.2)
+    )
+    payload["rounds"][1]["f"][2] = 1.5
+    source = tmp_path / "range.json"
+    source.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "run", "--instance", str(source), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        "invalid instance: round 2: reward[2]: value 1.5 outside [0.0, 1.0]"
+    )
 
 
 DEEP_JSON = "[" * 200_000 + "]" * 200_000
@@ -583,7 +642,7 @@ class TestAudit:
     def test_lockstep_reports_match_single_audits(self, tmp_path, capsys, monkeypatch):
         path, fixed = tmp_path / "pacing.json", tmp_path / "fixed.json"
         ob.save_instance(ob.make_pacing_model(), path)
-        inst = ob.random_instance(ob.Seed(5), T=60, K=3, m=1, n=2, feasibility_margin=0.2)
+        inst = ob.random_instance(5, T=60, K=3, m=1, n=2, feasibility_margin=0.2)
         ob.save_instance(inst, fixed)
         for source, T, seeds, name in (
             (path, "60", "0:3", "a"),
@@ -642,7 +701,7 @@ class TestAudit:
         )
 
     def test_budget_audit_applicable_with_resources(self, tmp_path, capsys):
-        inst = ob.random_instance(ob.Seed(5), T=50, K=3, m=1, n=2, feasibility_margin=0.2)
+        inst = ob.random_instance(5, T=50, K=3, m=1, n=2, feasibility_margin=0.2)
         path = tmp_path / "inst.json"
         ob.save_instance(inst, path)
         run_cli(
@@ -672,8 +731,8 @@ class TestAudit:
         assert "schema_version" in json.loads(out)["error"]["message"]
 
     def test_instance_hash_mismatch_refused(self, tmp_path, capsys):
-        inst = ob.random_instance(ob.Seed(5), T=50, K=3, m=1, n=1, feasibility_margin=0.2)
-        other = ob.random_instance(ob.Seed(6), T=50, K=3, m=1, n=1, feasibility_margin=0.2)
+        inst = ob.random_instance(5, T=50, K=3, m=1, n=1, feasibility_margin=0.2)
+        other = ob.random_instance(6, T=50, K=3, m=1, n=1, feasibility_margin=0.2)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         ob.save_instance(inst, p1)
         ob.save_instance(other, p2)

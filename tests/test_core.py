@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ora_bob import environments as env
-from ora_bob.allocator import run
 from ora_bob.core import (
     ActionSet,
     BudgetSpec,
     Instance,
-    InstanceValidationError,
     ValidationError,
     unified_rows,
 )
-from ora_bob.dual_ogd import OgdConfig
 from ora_bob.oracles import opt_lp_relax
 from ora_bob.serialization import instance_hash
 from rowstacks import instance_of, model_of
@@ -90,7 +87,7 @@ class TestUnify:
     def test_dimension_mismatch_names_axis(self):
         r = make_round([0.0, 1.0], np.zeros((0, 2)), [[0.0, 1.0]])
         with pytest.raises(ValidationError, match="n=1.*n=2"):
-            unify(r, BudgetSpec(10, [0.5, 0.5]))
+            instance_of(ActionSet(2, 0), BudgetSpec(1, [0.5, 0.5]), (r,))
 
     def test_linearity_in_consumption(self):
         # doubling a consumption entry doubles the shifted entry plus the
@@ -178,21 +175,20 @@ class TestValidateInstance:
         assert report.issues[0].field == "void_column"
 
     def test_inconsistent_shapes_reported(self):
+        """Rows whose K is not the action set's, or whose n is not the
+        budget's, are refused at construction with the axis named."""
         a = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))
         b = make_round([0.0, 1.0, 0.2], np.zeros((0, 3)), np.zeros((0, 3)))
-        # rounds of one shape that is not the action set's fail validation
-        inst = instance_of(ActionSet(2, 0), BudgetSpec(2, []), (b, b))
-        assert [str(i) for i in inst.validate().issues] == [
-            f"round {t}: shape[]: (K=3, m=0, n=0) inconsistent with (K=2, m=0, n=0)"
-            for t in (1, 2)
-        ]
-        # rounds whose n is not the budget's are reported once
-        report = validate([a, a], BudgetSpec(2, [0.5]), ActionSet(2, 0))
-        assert [str(i) for i in report.issues] == [
-            "instance: shape[]: rounds have n=0 resources, budget has n=1"
-        ]
-        with pytest.raises(InstanceValidationError):
-            run(inst, OgdConfig(0.1, 0.05))
+        k_axis = r"rewards has K=3 action columns \(axis 1\), the action set has K=2"
+        n_axis = r"consumptions has n=0 resource rows \(axis 1\), the budget has n=1"
+        for budget, rounds, message in (
+            (BudgetSpec(2, []), (b, b), k_axis),
+            (BudgetSpec(2, [0.5]), (a, a), n_axis),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                instance_of(ActionSet(2, 0), budget, rounds)
+            with pytest.raises(ValidationError, match=message):
+                model_of(ActionSet(2, 0), budget, rounds[:1], [1.0])
 
     def test_nan_is_flagged(self):
         bad = make_round([0.0, float("nan")], np.zeros((0, 2)), np.zeros((0, 2)))
@@ -245,22 +241,22 @@ def test_random_valid_instances_pass_validation(k_extra, m, n, seed):
 
 def _store_instances(tmp_path):
     """Instances of every construction route, by name."""
-    model = env.random_model(env.Seed(4), S=5, K=3, m=1, n=2, feasibility_margin=0.2,
+    model = env.random_model(4, S=5, K=3, m=1, n=2, feasibility_margin=0.2,
                              horizon=40)
     path = tmp_path / "inst.json"
-    env.save_instance(env.random_instance(env.Seed(5), 12, 3, 2, 1, 0.2), path)
+    env.save_instance(env.random_instance(5, 12, 3, 2, 1, 0.2), path)
     return {
-        "random": env.random_instance(env.Seed(3), 30, 4, 2, 2, 0.2),
+        "random": env.random_instance(3, 30, 4, 2, 2, 0.2),
         # support rows 1 and 3 are never drawn
         "sampled": env.sample_instance(env.StochasticModel(
             model.actions, model.budget, model.rows, [0.4, 0.0, 0.3, 0.0, 0.3]), 60, 9),
-        "constant": env.constant_instance(env.StochasticModel(
-            model.actions, model.budget, tuple(r[:1] for r in model.rows), [1.0]), 25),
+        "constant": env.sample_instance(env.StochasticModel(
+            model.actions, model.budget, tuple(r[:1] for r in model.rows), [1.0]), 25, 0),
         "file_loaded": env.load_instance(path),
         "m0": env.sample_instance(
-            env.random_model(env.Seed(6), S=4, K=3, m=0, n=2, feasibility_margin=0.2), 50, 1),
+            env.random_model(6, S=4, K=3, m=0, n=2, feasibility_margin=0.2), 50, 1),
         "n0": env.sample_instance(
-            env.random_model(env.Seed(7), S=4, K=3, m=2, n=0, feasibility_margin=0.2), 50, 2),
+            env.random_model(7, S=4, K=3, m=2, n=0, feasibility_margin=0.2), 50, 2),
     }
 
 
@@ -298,19 +294,15 @@ class TestRoundStore:
         assert not inst.index.flags.writeable
         assert not any(r.flags.writeable for r in inst.rows)
         assert all(x[0].tobytes() == y[0].tobytes() for x, y in zip(rounds_of(inst), rounds))
-        model = env.random_model(env.Seed(2), S=6, K=3, m=1, n=1, feasibility_margin=0.2)
+        model = env.random_model(2, S=6, K=3, m=1, n=1, feasibility_margin=0.2)
         sampled = env.sample_instance(model, 50, 4)
         draws = env.sample_support_indices(model, 50, 4)
         assert sampled.consumption_stack.tobytes() == model.rows[2][draws].tobytes()
 
-    @pytest.mark.parametrize("kind", ["range_and_void", "odd_shape"])
+    @pytest.mark.parametrize("kind", ["range_and_void"])
     def test_sampled_bad_row_issues_match_round_by_round(self, kind):
-        if kind == "range_and_void":
-            good = make_round([0.0, 0.5], np.zeros((0, 2)), [[0.0, 0.5]])
-            bad = make_round([0.0, 1.5], np.zeros((0, 2)), [[0.25, 0.5]])
-        else:  # both rows have 3 actions, the action set 2
-            good = make_round([0.0, 0.5, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.5]])
-            bad = make_round([0.0, 0.25, 0.5], np.zeros((0, 3)), [[0.0, 0.5, 0.25]])
+        good = make_round([0.0, 0.5], np.zeros((0, 2)), [[0.0, 0.5]])
+        bad = make_round([0.0, 1.5], np.zeros((0, 2)), [[0.25, 0.5]])
         model = model_of(ActionSet(2, 0), BudgetSpec(30, [0.5]), (good, bad), [0.7, 0.3])
         inst = env.sample_instance(model, 30, 5)
         drawn = [t + 1 for t, d in enumerate(env.sample_support_indices(model, 30, 5)) if d]
@@ -319,12 +311,9 @@ class TestRoundStore:
         # one row per round: the rows checked round by round
         assert issues == validate(rounds_of(inst), inst.budget, inst.actions).issues
         where = [(i.round, i.field, i.coordinate) for i in issues]
-        if kind == "range_and_void":
-            assert where == [(t, "reward", (1,)) for t in drawn] + [
-                (t, "void_column", (0, 0)) for t in drawn
-            ]
-        else:
-            assert where == [(t, "shape", ()) for t in range(1, 31)]
+        assert where == [(t, "reward", (1,)) for t in drawn] + [
+            (t, "void_column", (0, 0)) for t in drawn
+        ]
 
     def test_pool_is_the_rows_the_index_uses(self, tmp_path):
         sampled = _store_instances(tmp_path)["sampled"]

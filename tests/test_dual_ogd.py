@@ -105,7 +105,7 @@ class TestOgdStep:
 
 @pytest.fixture(scope="module")
 def random_trajectory():
-    inst = ob.random_instance(ob.Seed(2024), T=300, K=4, m=2, n=1, feasibility_margin=0.2)
+    inst = ob.random_instance(2024, T=300, K=4, m=2, n=1, feasibility_margin=0.2)
     config = OgdConfig(learning_rate(300, 3, 0.05), 0.05)
     return ob.run(inst, config)
 
@@ -213,7 +213,7 @@ class TestDualPenalty:
         from ora_bob.dual_ogd import dual_penalty_audit
 
         fx = ob.make_example1_instance(0.1, 0.2, horizon=50)
-        inst = ob.constant_instance(fx.general)
+        inst = ob.sample_instance(fx.general, 50, 0)
         tr = ob.run(inst, OgdConfig(eta=0.01, delta=0.05))
         res = dual_penalty_audit(tr)
         assert res.rhs == 0.5 * tr.eta * tr.horizon * tr.num_constraints

@@ -9,10 +9,8 @@ from ora_bob import rng, serialization
 from ora_bob.core import ValidationError
 from ora_bob.environments import (
     GENERATORS,
-    Seed,
     StochasticModel,
     build_generator,
-    constant_instance,
     dict_to_model,
     load_instance,
     make_example1_instance,
@@ -30,7 +28,13 @@ from ora_bob.serialization import SchemaError
 
 class TestSeed:
     def test_reduced_mod_2_64(self):
-        assert Seed(2**64 + 5).value == 5
+        hashes = {
+            serialization.instance_hash(
+                random_instance(seed, T=6, K=3, m=1, n=1, feasibility_margin=0.2)
+            )
+            for seed in (2**64 + 5, 5, np.int64(5))
+        }
+        assert len(hashes) == 1
 
 
 class TestStochasticModel:
@@ -48,38 +52,38 @@ class TestStochasticModel:
 class TestSampling:
     def test_degenerate_support_repeats(self):
         fx = make_example1_instance(0.1, 0.2, horizon=20)
-        inst = sample_instance(fx.general, 7, Seed(123))
+        inst = sample_instance(fx.general, 7, 123)
         assert inst.horizon == 7 and inst.index.tolist() == [0] * 7
         assert all(a.tobytes() == b.tobytes() for a, b in zip(inst.rows, fx.general.rows))
 
     def test_law_of_large_numbers(self):
-        model = random_model(Seed(8), S=2, K=3, m=1, n=0, feasibility_margin=0.2)
-        idx = sample_support_indices(model, 100_000, Seed(42))
+        model = random_model(8, S=2, K=3, m=1, n=0, feasibility_margin=0.2)
+        idx = sample_support_indices(model, 100_000, 42)
         freq = float(np.mean(idx == 0))
         assert abs(freq - 0.5) <= 0.01
 
     def test_distinct_seeds_differ(self):
-        model = random_model(Seed(8), S=2, K=3, m=1, n=0, feasibility_margin=0.2)
-        a = sample_support_indices(model, 20, Seed(1))
-        b = sample_support_indices(model, 20, Seed(2))
+        model = random_model(8, S=2, K=3, m=1, n=0, feasibility_margin=0.2)
+        a = sample_support_indices(model, 20, 1)
+        b = sample_support_indices(model, 20, 2)
         assert not np.array_equal(a, b)
 
     def test_same_seed_identical(self):
-        model = random_model(Seed(8), S=3, K=3, m=1, n=1, feasibility_margin=0.2)
-        a = sample_support_indices(model, 50, Seed(9))
-        b = sample_support_indices(model, 50, Seed(9))
+        model = random_model(8, S=3, K=3, m=1, n=1, feasibility_margin=0.2)
+        a = sample_support_indices(model, 50, 9)
+        b = sample_support_indices(model, 50, 9)
         assert np.array_equal(a, b)
 
     def test_sampled_instance_valid(self):
-        model = random_model(Seed(8), S=3, K=4, m=2, n=1, feasibility_margin=0.2)
-        inst = sample_instance(model, 40, Seed(0))
+        model = random_model(8, S=3, K=4, m=2, n=1, feasibility_margin=0.2)
+        inst = sample_instance(model, 40, 0)
         assert inst.validate().ok
 
 
 class TestExample1:
     def test_swing_column(self):
         fx = make_example1_instance(0.1, 0.2, horizon=20)
-        inst = constant_instance(fx.general, 3)
+        inst = sample_instance(fx.general, 3, 0)
         col = inst.unified_stack[0][:, 2]
         assert col[0] == pytest.approx(0.3, abs=1e-15)
         assert col[1] == -1.0
@@ -115,31 +119,31 @@ class TestExample1:
 class TestRandomInstance:
     def test_margin_contract_via_oracle(self):
         for seed in range(5):
-            inst = random_instance(Seed(seed), T=50, K=4, m=2, n=2, feasibility_margin=0.2)
+            inst = random_instance(seed, T=50, K=4, m=2, n=2, feasibility_margin=0.2)
             assert ob.slater_adv(inst) >= 0.2
 
     def test_safe_action_is_not_void_when_general_constraints_exist(self):
-        inst = random_instance(Seed(3), T=10, K=3, m=2, n=0, feasibility_margin=0.3)
+        inst = random_instance(3, T=10, K=3, m=2, n=0, feasibility_margin=0.3)
         assert np.all(inst.general_stack[:, :, 1] <= -0.3)
 
     def test_deterministic(self):
-        a = random_instance(Seed(11), T=30, K=3, m=1, n=1, feasibility_margin=0.2)
-        b = random_instance(Seed(11), T=30, K=3, m=1, n=1, feasibility_margin=0.2)
+        a = random_instance(11, T=30, K=3, m=1, n=1, feasibility_margin=0.2)
+        b = random_instance(11, T=30, K=3, m=1, n=1, feasibility_margin=0.2)
         assert np.array_equal(a.unified_stack, b.unified_stack)
         assert np.array_equal(a.rewards_stack, b.rewards_stack)
 
     def test_different_seed_differs(self):
-        a = random_instance(Seed(11), T=30, K=3, m=1, n=1, feasibility_margin=0.2)
-        b = random_instance(Seed(12), T=30, K=3, m=1, n=1, feasibility_margin=0.2)
+        a = random_instance(11, T=30, K=3, m=1, n=1, feasibility_margin=0.2)
+        b = random_instance(12, T=30, K=3, m=1, n=1, feasibility_margin=0.2)
         assert not np.array_equal(a.rewards_stack, b.rewards_stack)
 
     def test_validates(self):
-        inst = random_instance(Seed(0), T=25, K=6, m=3, n=3, feasibility_margin=0.2)
+        inst = random_instance(0, T=25, K=6, m=3, n=3, feasibility_margin=0.2)
         assert inst.validate().ok
 
     def test_needs_two_actions(self):
         with pytest.raises(ValidationError):
-            random_instance(Seed(0), T=5, K=1, m=1, n=0, feasibility_margin=0.2)
+            random_instance(0, T=5, K=1, m=1, n=0, feasibility_margin=0.2)
 
 
 class TestNamedModels:
@@ -152,11 +156,6 @@ class TestNamedModels:
         model = make_pacing_model()
         assert model.validate().ok
         assert ob.slater_stoc(model) == 0.25
-
-    def test_constant_instance_requires_single_support(self):
-        model = make_push_pull_model()
-        with pytest.raises(ValidationError):
-            constant_instance(model)
 
 
 #: content_hash of each generator's default output, as written by ``gen``.
@@ -189,7 +188,7 @@ class TestIO:
         assert np.array_equal(loaded.rows[1], made.rows[1])
 
     def test_roundtrip_instance_bit_exact(self, tmp_path):
-        inst = random_instance(Seed(2), T=8, K=3, m=2, n=1, feasibility_margin=0.2)
+        inst = random_instance(2, T=8, K=3, m=2, n=1, feasibility_margin=0.2)
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         back = load_instance(path)
@@ -199,7 +198,7 @@ class TestIO:
         assert np.array_equal(back.budget.per_round_budget, inst.budget.per_round_budget)
 
     def test_roundtrip_model_bit_exact(self, tmp_path):
-        model = random_model(Seed(4), S=3, K=3, m=1, n=2, feasibility_margin=0.25)
+        model = random_model(4, S=3, K=3, m=1, n=2, feasibility_margin=0.25)
         path = tmp_path / "model.json"
         save_instance(model, path)
         back = load_instance(path)
@@ -215,7 +214,7 @@ class TestIO:
             load_instance(path)
 
     def test_unknown_field_rejected_with_pointer(self, tmp_path):
-        inst = random_instance(Seed(2), T=2, K=2, m=0, n=1, feasibility_margin=0.5)
+        inst = random_instance(2, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
         import ora_bob.serialization as ser
 
         payload = ser.instance_to_dict(inst)
@@ -226,17 +225,20 @@ class TestIO:
             load_instance(path)
 
     def test_strictness_env_var(self, tmp_path, monkeypatch):
-        inst = random_instance(Seed(2), T=2, K=2, m=0, n=1, feasibility_margin=0.5)
+        """Unknown fields are always refused; no environment variable
+        loosens the schema."""
+        inst = random_instance(2, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
         import ora_bob.serialization as ser
 
         payload = ser.instance_to_dict(inst)
         payload["comment"] = "ignore me"
         path = tmp_path / "loose.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="/comment: unknown field"):
             load_instance(path)
         monkeypatch.setenv("ORA_BOB_SCHEMA_STRICT", "0")
-        assert load_instance(path).horizon == 2
+        with pytest.raises(SchemaError, match="/comment: unknown field"):
+            load_instance(path)
 
     def test_neither_rounds_nor_support(self, tmp_path):
         path = tmp_path / "neither.json"

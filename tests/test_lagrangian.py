@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from ora_bob.allocator import run
 from ora_bob.core import ActionSet, BudgetSpec, unified_rows
 from ora_bob.dual_ogd import OgdConfig
-from ora_bob.environments import constant_instance, make_example1_instance
+from ora_bob.environments import make_example1_instance, sample_instance
 from ora_bob.lagrangian import penalties
 from rowstacks import instance_of
 
@@ -18,8 +18,8 @@ def example1():
 
 
 def first_round_values(model, dual):
-    """f_1(x) - <lambda, g~_1(x)> for every action x of a constant instance."""
-    inst = constant_instance(model)
+    """f_1(x) - <lambda, g~_1(x)> for every action x of a one-row model."""
+    inst = sample_instance(model, model.budget.horizon, 0)
     return inst.rewards_stack[0] - penalties(inst.unified_stack[0], dual)
 
 

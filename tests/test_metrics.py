@@ -41,7 +41,7 @@ def test_violation_accumulates_then_stops():
 
 
 def test_violation_matches_telescoping_input():
-    inst = ob.random_instance(ob.Seed(31), T=150, K=4, m=2, n=1, feasibility_margin=0.2)
+    inst = ob.random_instance(31, T=150, K=4, m=2, n=1, feasibility_margin=0.2)
     tr = ob.run(inst, ob.default_config(inst))
     v = violation(tr)
     recomputed = max(
@@ -78,7 +78,7 @@ def test_example1_budget_run_within_regret_bound():
     # alpha * OPT_adv - Rew must sit under the closed-form guarantee
     rho = 0.1
     fx = ob.make_example1_instance(rho, 0.2, horizon=100)
-    inst = ob.constant_instance(fx.budget_only)
+    inst = ob.sample_instance(fx.budget_only, 100, 0)
     tr = ob.run(inst, ob.default_config(inst, delta=0.05))
     rho_adv = ob.slater_adv(inst)
     assert rho_adv == pytest.approx(rho, abs=1e-15)
@@ -94,7 +94,7 @@ def test_replication_average_reduces_spread():
     model = ob.make_pacing_model()
     per_seed = []
     for s in range(30):
-        inst = ob.sample_instance(model, 200, ob.Seed(s))
+        inst = ob.sample_instance(model, 200, s)
         tr = ob.run(inst, ob.default_config(inst, delta=0.05))
         per_seed.append(regret(ob.opt_lp_relax(inst).opt_value, tr))
     spread = float(np.std(per_seed, ddof=1))
@@ -149,7 +149,7 @@ class TestTheoremBounds:
 
 class TestRunSummary:
     def test_total_reward_matches_trace_cumulative(self):
-        inst = ob.random_instance(ob.Seed(12), T=80, K=3, m=1, n=1, feasibility_margin=0.2)
+        inst = ob.random_instance(12, T=80, K=3, m=1, n=1, feasibility_margin=0.2)
         tr = ob.run(inst, ob.default_config(inst))
         s = run_summary(tr, inst)
         cols = trace_columns(tr)
@@ -158,7 +158,7 @@ class TestRunSummary:
     def test_violation_capped_by_stopping_time(self):
         for seed in range(5):
             inst = ob.random_instance(
-                ob.Seed(seed), T=100, K=4, m=2, n=1, feasibility_margin=0.2
+                seed, T=100, K=4, m=2, n=1, feasibility_margin=0.2
             )
             tr = ob.run(inst, ob.default_config(inst))
             rho = ob.slater_adv(inst)
@@ -168,7 +168,7 @@ class TestRunSummary:
             )
 
     def test_dual_norm_check_present(self):
-        inst = ob.random_instance(ob.Seed(2), T=60, K=3, m=1, n=1, feasibility_margin=0.2)
+        inst = ob.random_instance(2, T=60, K=3, m=1, n=1, feasibility_margin=0.2)
         tr = ob.run(inst, ob.default_config(inst))
         s = run_summary(tr, inst, rho=ob.slater_adv(inst))
         assert s.bound_report["dual_norm"].satisfied

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import ora_bob as ob
 from ora_bob import rng
 from ora_bob.core import ActionSet, BudgetSpec, Instance, ValidationError
-from ora_bob.environments import Seed, constant_instance, make_example1_instance, random_model
+from ora_bob.environments import make_example1_instance, random_model, sample_instance
 from ora_bob.oracles import (
     SizeGuardError,
     alpha,
@@ -14,14 +14,19 @@ from ora_bob.oracles import (
     opt_stoc_estimate,
     slater_adv,
     slater_adv_bruteforce,
-    slater_safe_sequence,
     slater_stoc,
 )
 from rowstacks import instance_of, model_of
 
 
 def tiny_instance(seed, T=4, K=3, m=2, n=1, margin=0.25):
-    return ob.random_instance(Seed(seed), T=T, K=K, m=m, n=n, feasibility_margin=margin)
+    return ob.random_instance(seed, T=T, K=K, m=m, n=n, feasibility_margin=margin)
+
+
+def safe_sequence(inst):
+    """Per-round actions whose worst unified entry is least (lowest index on
+    ties): the sequence that certifies slater_adv."""
+    return inst.unified_stack.max(axis=1).argmin(axis=1)
 
 
 class TestOptBruteforce:
@@ -41,7 +46,7 @@ class TestOptBruteforce:
 
     def test_example1_general_three_rounds(self):
         fx = make_example1_instance(0.1, 0.2, horizon=20)
-        inst = constant_instance(fx.general, 3)
+        inst = sample_instance(fx.general, 3, 0)
         rep = opt_bruteforce(inst)
         assert rep.opt_value == 3.0
         assert rep.opt_actions == (1, 1, 1)
@@ -90,7 +95,7 @@ class TestOptLpRelax:
         # a sequence with many repeated rounds: grouped LP equals the LP on
         # the same instance with every round forced into its own group
         fx = make_example1_instance(0.1, 0.2, horizon=20)
-        inst = constant_instance(fx.general, 6)
+        inst = sample_instance(fx.general, 6, 0)
         grouped = opt_lp_relax(inst).opt_value
 
         from ora_bob import oracles
@@ -115,8 +120,8 @@ class TestOptLpRelax:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_highs(self, seed):
         optimize = pytest.importorskip("scipy.optimize")
-        model = random_model(Seed(seed), S=30, K=4, m=2, n=2, feasibility_margin=0.1)
-        inst = ob.sample_instance(model, 150, Seed(seed))
+        model = random_model(seed, S=30, K=4, m=2, n=2, feasibility_margin=0.1)
+        inst = ob.sample_instance(model, 150, seed)
         T, K = inst.horizon, inst.num_actions
         coupling = np.concatenate([inst.general_stack, inst.consumption_stack], axis=1)
         res = optimize.linprog(
@@ -134,16 +139,16 @@ class TestOptLpRelax:
 class TestOptStocEstimate:
     def test_degenerate_model_zero_stderr(self):
         fx = make_example1_instance(0.1, 0.2, horizon=20)
-        rep = opt_stoc_estimate(fx.general, T=3, num_samples=5, seed=Seed(1))
+        rep = opt_stoc_estimate(fx.general, T=3, num_samples=5, seed=1)
         assert rep.opt_value == 3.0
         assert rep.stderr == 0.0
         assert rep.method == "monte_carlo"
         assert rep.per_draw_method == "brute_force"
 
     def test_stderr_scales_like_inverse_sqrt(self):
-        model = random_model(Seed(5), S=3, K=3, m=1, n=1, feasibility_margin=0.3)
+        model = random_model(5, S=3, K=3, m=1, n=1, feasibility_margin=0.3)
         reps = {
-            ns: opt_stoc_estimate(model, T=5, num_samples=ns, seed=Seed(9))
+            ns: opt_stoc_estimate(model, T=5, num_samples=ns, seed=9)
             for ns in (25, 100, 400)
         }
         r1 = reps[25].stderr / reps[100].stderr
@@ -154,7 +159,7 @@ class TestOptStocEstimate:
     def test_doubling_samples_extends_the_stream(self):
         from ora_bob.oracles import _MC_STREAM_SALT
 
-        model = random_model(Seed(5), S=3, K=3, m=1, n=1, feasibility_margin=0.3)
+        model = random_model(5, S=3, K=3, m=1, n=1, feasibility_margin=0.3)
         draws = [
             opt_bruteforce(
                 ob.sample_instance(model, 4, rng.derive_seed(7, _MC_STREAM_SALT + i))
@@ -162,8 +167,8 @@ class TestOptStocEstimate:
             for i in range(10)
         ]
         # the estimator at N=5 averages exactly the first five draws of N=10
-        rep5 = opt_stoc_estimate(model, T=4, num_samples=5, seed=Seed(7))
-        rep10 = opt_stoc_estimate(model, T=4, num_samples=10, seed=Seed(7))
+        rep5 = opt_stoc_estimate(model, T=4, num_samples=5, seed=7)
+        rep10 = opt_stoc_estimate(model, T=4, num_samples=10, seed=7)
         assert rep5.opt_value == float(np.mean(draws[:5]))
         assert rep10.opt_value == float(np.mean(draws))
 
@@ -196,7 +201,7 @@ class TestSlaterAdv:
     def test_safe_sequence_certifies_rho(self):
         inst = tiny_instance(7, T=12, K=4, m=2, n=2)
         rho = slater_adv(inst)
-        safe = slater_safe_sequence(inst)
+        safe = safe_sequence(inst)
         for t in range(inst.horizon):
             col = inst.unified_stack[t, :, safe[t]]
             assert np.all(col <= -rho + 1e-15)
@@ -204,12 +209,12 @@ class TestSlaterAdv:
 
 class TestSlaterStoc:
     def test_single_support_reduces_to_adv(self):
-        model = random_model(Seed(2), S=1, K=4, m=2, n=1, feasibility_margin=0.2, horizon=10)
-        inst = ob.sample_instance(model, 1, Seed(0))
+        model = random_model(2, S=1, K=4, m=2, n=1, feasibility_margin=0.2, horizon=10)
+        inst = ob.sample_instance(model, 1, 0)
         assert slater_stoc(model) == slater_adv(inst)
 
     def test_two_safe_tuples(self):
-        model = random_model(Seed(6), S=2, K=3, m=2, n=1, feasibility_margin=0.3)
+        model = random_model(6, S=2, K=3, m=2, n=1, feasibility_margin=0.3)
         assert slater_stoc(model) >= 0.3
 
     def test_budget_only_equals_min_beta(self):
@@ -220,16 +225,16 @@ class TestSlaterStoc:
         assert slater_stoc(model) == 0.25
 
     def test_policy_guard(self):
-        model = random_model(Seed(2), S=20, K=5, m=1, n=1, feasibility_margin=0.2)
+        model = random_model(2, S=20, K=5, m=1, n=1, feasibility_margin=0.2)
         with pytest.raises(SizeGuardError):
             slater_stoc(model, guard=1000)
 
 
 def test_slater_oracles_refuse_an_empty_constraint_set():
     inst = tiny_instance(3, m=0, n=0)
-    model = random_model(Seed(3), S=3, K=3, m=0, n=0, feasibility_margin=0.2)
-    for oracle, source in ((slater_adv, inst), (slater_safe_sequence, inst),
-                           (slater_adv_bruteforce, inst), (slater_stoc, model)):
+    model = random_model(3, S=3, K=3, m=0, n=0, feasibility_margin=0.2)
+    for oracle, source in ((slater_adv, inst), (slater_adv_bruteforce, inst),
+                           (slater_stoc, model)):
         with pytest.raises(ValidationError, match="constraint set is empty"):
             oracle(source)
 
@@ -276,7 +281,7 @@ class TestCrossProperties:
         rho = slater_adv(inst)
         a = alpha(rho)
         best = opt_bruteforce(inst).opt_actions
-        safe = slater_safe_sequence(inst)
+        safe = safe_sequence(inst)
         for t in range(inst.horizon):
             star = inst.unified_stack[t, :, best[t]]
             circ = inst.unified_stack[t, :, safe[t]]

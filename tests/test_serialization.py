@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 import ora_bob as ob
 from ora_bob import serialization as ser
 from ora_bob import traceio
-from ora_bob.environments import Seed, random_instance
+from ora_bob.environments import random_instance
 from ora_bob.serialization import SchemaError
 
 
 def test_instance_dict_schema_shape():
-    inst = random_instance(Seed(1), T=3, K=2, m=1, n=1, feasibility_margin=0.3)
+    inst = random_instance(1, T=3, K=2, m=1, n=1, feasibility_margin=0.3)
     d = ser.instance_to_dict(inst)
     assert set(d) == {"T", "K", "m", "n", "void_index", "beta", "rounds"}
     assert len(d["rounds"]) == 3
@@ -21,16 +21,16 @@ def test_instance_dict_schema_shape():
 
 
 def test_content_hash_stable_and_sensitive():
-    inst = random_instance(Seed(1), T=3, K=2, m=1, n=1, feasibility_margin=0.3)
+    inst = random_instance(1, T=3, K=2, m=1, n=1, feasibility_margin=0.3)
     h1 = ser.instance_hash(inst)
     h2 = ser.instance_hash(inst)
     assert h1 == h2 and h1.startswith("sha256:")
-    other = random_instance(Seed(2), T=3, K=2, m=1, n=1, feasibility_margin=0.3)
+    other = random_instance(2, T=3, K=2, m=1, n=1, feasibility_margin=0.3)
     assert ser.instance_hash(other) != h1
 
 
 def test_missing_field_pointer():
-    inst = random_instance(Seed(1), T=2, K=2, m=0, n=1, feasibility_margin=0.5)
+    inst = random_instance(1, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
     d = ser.instance_to_dict(inst)
     del d["rounds"][1]["g"]
     with pytest.raises(SchemaError, match="/rounds/1"):
@@ -38,7 +38,7 @@ def test_missing_field_pointer():
 
 
 def test_type_error_pointer():
-    inst = random_instance(Seed(1), T=2, K=2, m=0, n=1, feasibility_margin=0.5)
+    inst = random_instance(1, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
     d = ser.instance_to_dict(inst)
     d["rounds"][0]["f"][1] = "high"
     with pytest.raises(SchemaError, match="/rounds/0/f/1"):
@@ -46,7 +46,7 @@ def test_type_error_pointer():
 
 
 def test_wrong_round_count():
-    inst = random_instance(Seed(1), T=2, K=2, m=0, n=1, feasibility_margin=0.5)
+    inst = random_instance(1, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
     d = ser.instance_to_dict(inst)
     d["rounds"].append(d["rounds"][0])
     with pytest.raises(SchemaError, match="/rounds"):
@@ -54,7 +54,7 @@ def test_wrong_round_count():
 
 
 def test_unknown_top_level_field():
-    inst = random_instance(Seed(1), T=2, K=2, m=0, n=1, feasibility_margin=0.5)
+    inst = random_instance(1, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
     d = ser.instance_to_dict(inst)
     d["notes"] = "hello"
     with pytest.raises(SchemaError, match="/notes"):
@@ -64,7 +64,7 @@ def test_unknown_top_level_field():
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=20)
 def test_json_roundtrip_bit_identical(seed):
-    inst = random_instance(Seed(seed), T=4, K=3, m=2, n=2, feasibility_margin=0.2)
+    inst = random_instance(seed, T=4, K=3, m=2, n=2, feasibility_margin=0.2)
     text = json.dumps(ser.instance_to_dict(inst))
     back = ser.dict_to_instance(json.loads(text))
     assert np.array_equal(back.rewards_stack, inst.rewards_stack)
@@ -75,7 +75,7 @@ def test_json_roundtrip_bit_identical(seed):
 
 
 def _sampled_instance():
-    model = ob.random_model(Seed(3), S=5, K=3, m=1, n=2, feasibility_margin=0.2, horizon=50)
+    model = ob.random_model(3, S=5, K=3, m=1, n=2, feasibility_margin=0.2, horizon=50)
     return ob.sample_instance(model, 50, 9)
 
 
@@ -84,7 +84,7 @@ def test_instance_hash_is_content_hash_of_dict(tmp_path):
     path = tmp_path / "inst.json"
     ob.save_instance(sampled, path)
     loaded = ob.load_instance(path)  # distinct round objects, equal content
-    for inst in (sampled, loaded, random_instance(Seed(4), T=30, K=3, m=0, n=2,
+    for inst in (sampled, loaded, random_instance(4, T=30, K=3, m=0, n=2,
                                                   feasibility_margin=0.2)):
         assert ser.instance_hash(inst) == ser.content_hash(ser.instance_to_dict(inst))
     assert ser.instance_hash(loaded) == ser.instance_hash(sampled)
@@ -113,7 +113,7 @@ def _per_cell_trace_text(trajectory, header):
 
 
 def test_trace_writer_matches_per_cell_formatting(tmp_path):
-    inst = random_instance(Seed(6), T=40, K=3, m=1, n=2, feasibility_margin=0.2)
+    inst = random_instance(6, T=40, K=3, m=1, n=2, feasibility_margin=0.2)
     tr = ob.run(inst, ob.default_config(inst))
     rewards = tr.rewards.copy()
     rewards[:2] = -0.0  # the reward and cum_reward cells of rounds 1 and 2
