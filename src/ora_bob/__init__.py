@@ -17,6 +17,7 @@ from .core import (
     BudgetSpec,
     Instance,
     InstanceValidationError,
+    StochasticModel,
     Trajectory,
     ValidationError,
     ValidationReport,
@@ -30,15 +31,12 @@ from .dual_ogd import (
 )
 from .environments import (
     Example1Fixture,
-    StochasticModel,
-    load_instance,
     make_example1_instance,
     make_pacing_model,
     make_push_pull_model,
     random_instance,
     random_model,
     sample_instance,
-    save_instance,
 )
 from .lagrangian import penalties
 from .metrics import (
@@ -61,5 +59,6 @@ from .oracles import (
     slater_adv_bruteforce,
     slater_stoc,
 )
+from .serialization import load_instance, save_instance
 
 __version__ = "0.1.0"

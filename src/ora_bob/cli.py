@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import environments, rng, serialization, traceio
 # run_allocator is the name perfbench/tracer.py times the one-lane run under.
 from .allocator import lane_key, run as run_allocator, run_lanes
-from .core import Instance, Trajectory
+from .core import Instance, StochasticModel, Trajectory
 from .dual_ogd import (
     AUDIT_SLACK,
     DRIFT_SLACK,
@@ -29,7 +30,7 @@ from .dual_ogd import (
     learning_rate,
     sample_comparator_pairs,
 )
-from .environments import StochasticModel, build_generator, load_instance, save_instance
+from .environments import build_generator
 from .lagrangian import penalties
 from .metrics import budget_feasible, run_summary
 from .oracles import (
@@ -41,7 +42,7 @@ from .oracles import (
     slater_adv,
     slater_stoc,
 )
-from .serialization import SchemaError
+from .serialization import SchemaError, load_instance
 from .simplex import SimplexError
 
 EXIT_OK = 0
@@ -315,15 +316,17 @@ SWEEP_COLUMNS = (
 
 def _sweep_row(path: str, T: int, seed: int, payload: dict) -> dict:
     """The sweep CSV row of the cell at ``path``; raises CliError unless the
-    fields the fit reads are real numbers (regret may be null)."""
+    fields the fit reads are finite real numbers (regret may be null).  JSON
+    parsing accepts NaN and +-Infinity literals, so finiteness is checked
+    here."""
     s = payload["summary"]
     bounds = s["bounds"]
     for key in ("violation", "regret"):
         value = s[key]
         real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (real or (value is None and key == "regret")):
+        if not ((real and math.isfinite(value)) or (value is None and key == "regret")):
             raise CliError(
-                f"damaged sweep cell {path}: field {key!r} is {value!r}, not a number",
+                f"damaged sweep cell {path}: field {key!r} is {value!r}, not a finite number",
                 path=path,
                 field=key,
             )
@@ -438,7 +441,7 @@ def aggregate_sweep(
     ]
     lines += [",".join(_csv_cell(row[col]) for col in SWEEP_COLUMNS) for row in rows]
     csv_path = os.path.join(out_dir, f"{name}_sweep.csv")
-    traceio.write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    serialization.write_text_atomic(csv_path, "\n".join(lines) + "\n")
 
     mean_violation_pos = []
     mean_regret = []
@@ -555,16 +558,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = _parse_params(args.param)
-    obj = build_generator(args.generator, params)
-    save_instance(obj, args.out)
-    if isinstance(obj, Instance):
-        kind, payload = "instance", serialization.instance_to_dict(obj)
-    else:
-        kind, payload = "model", environments.model_to_dict(obj)
+    payload = serialization.to_dict(build_generator(args.generator, _parse_params(args.param)))
+    serialization.write_text_atomic(args.out, serialization.dumps(payload))
     print(
         json.dumps(
-            {"written": str(args.out), "kind": kind,
+            {"written": str(args.out), "kind": "instance" if "rounds" in payload else "model",
              "hash": serialization.content_hash(payload)},
             indent=1,
         )
@@ -765,7 +763,7 @@ def cmd_audit(args) -> int:
     }
     text = json.dumps(payload, indent=1)
     if args.out:
-        traceio.write_text_atomic(args.out, text + "\n")
+        serialization.write_text_atomic(args.out, text + "\n")
         print(json.dumps({"written": str(args.out), "ok": payload["ok"]}, indent=1))
     else:
         print(text)
@@ -783,6 +781,16 @@ def _add_source_args(p):
     p.add_argument("--param", action="append", help="generator parameter key=value")
 
 
+def _add_cell_args(p):
+    """The options every run or sweep cell takes."""
+    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--eta", type=float, default=None, help="override the schedule")
+    p.add_argument("--seeds", default="0")
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--out", required=True)
+    p.add_argument("--benchmark", choices=("none", "lp", "bruteforce"), default="none")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ora-bob",
@@ -792,26 +800,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the allocator, one trajectory per seed")
     _add_source_args(p)
+    _add_cell_args(p)
     p.add_argument("--T", type=int, default=None)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=None, help="override the schedule")
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.add_argument("--name", default="run")
-    p.add_argument("--benchmark", choices=("none", "lp", "bruteforce"), default="none")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="cross product of --T and --seeds")
     _add_source_args(p)
+    _add_cell_args(p)
     p.add_argument("--T", default=None, help="comma list of horizons")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
     p.add_argument("--name", default="sweep")
-    p.add_argument("--benchmark", choices=("none", "lp", "bruteforce"), default="none")
     p.add_argument("--aggregate-only", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

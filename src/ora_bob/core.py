@@ -9,11 +9,12 @@ diagnosed.
 
 Round inputs exist only as (F, G, H) row stacks: rewards (S, K), general
 costs (S, m, K) and consumptions (S, n, K).  :class:`RowStore` owns them
-and checks their shapes once per stack at construction.  An
-:class:`Instance` is a row store plus a (T,) row index; its rows are
-exactly those the index uses, and its per-round stacks are gathers over
-the rows.  Validation checks each row once and reports its issues at
-every round that uses it.
+and checks their shapes once per stack at construction.  The two row
+stores are an :class:`Instance`, the rows plus a (T,) row index (its rows
+are exactly those the index uses, and its per-round stacks are gathers
+over the rows), and a :class:`StochasticModel`, the support rows plus
+their probabilities.  Validation checks each row once and reports its
+issues at every round that uses it.
 
 Unified constraints and duals exist only as arrays: the unified matrices
 are :func:`unified_rows` of the rows (cost rows over consumption rows
@@ -268,6 +269,49 @@ class Instance(RowStore):
         """Every budget-gate, range and void-column issue of the rounds; each
         row is checked once."""
         return pool_issues(ValidationReport(), self.budget, self.rows, self.index, self.actions)
+
+
+PROB_SUM_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class StochasticModel(RowStore):
+    """Finite-support i.i.d. input distribution with a default budget.
+
+    ``budget.horizon`` is the default sampling horizon; sampling at another T
+    keeps the per-round budget vector and rescales the caps B_j = beta_j * T.
+    Support row s of the (F, G, H) stacks ``rows`` is drawn with probability
+    ``probs[s]``.
+    """
+
+    probs: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        p = np.array(self.probs, dtype=np.float64).reshape(-1)
+        if p.shape[0] != self.support_size:
+            raise ValidationError(
+                f"{p.shape[0]} probabilities for {self.support_size} support tuples"
+            )
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("probabilities must be finite")
+        if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(
+                f"probabilities must be >= 0 and sum to 1 +/- {PROB_SUM_TOL}"
+            )
+        object.__setattr__(self, "probs", _frozen(p))
+
+    @property
+    def support_size(self) -> int:
+        return self.rows[0].shape[0]
+
+    def validate(self) -> "ValidationReport":
+        """Range/void checks on the support plus the budget-gate check at the
+        stored sampling horizon."""
+        return pool_issues(
+            ValidationReport(), self.budget, self.rows, np.arange(self.support_size),
+            self.actions,
+        )
 
 
 def unified_rows(general: np.ndarray, consumption: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -1,11 +1,10 @@
-"""Instance construction: i.i.d. samplers, adversarial loaders, and named
-generators.
+"""Instance construction: i.i.d. samplers and named generators.
 
-Stochastic models are finite-support distributions over input rows; that
-restriction is what makes the offline optimum and Slater oracles exact.  A
-model keeps its support, like an instance its rounds, as (F, G, H) row
-stacks, and the generators and the file loader build those stacks
-directly.
+Stochastic models (:class:`ora_bob.core.StochasticModel`) are finite-support
+distributions over input rows; that restriction is what makes the offline
+optimum and Slater oracles exact.  The generators build a model's support,
+like an instance's rounds, directly as (F, G, H) row stacks; the file
+format lives in :mod:`ora_bob.serialization`.
 Sampling uses inverse-CDF over the counter generator in :mod:`ora_bob.rng`
 (stream 0 for instance-level draws, stream t for round t), so identical seeds
 reproduce identical sequences on any platform.
@@ -17,60 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, serialization, traceio
-from .core import (
-    ActionSet,
-    BudgetSpec,
-    Instance,
-    RowStore,
-    ValidationError,
-    ValidationReport,
-    pool_issues,
-)
-from .serialization import SchemaError
-
-PROB_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class StochasticModel(RowStore):
-    """Finite-support i.i.d. input distribution with a default budget.
-
-    ``budget.horizon`` is the default sampling horizon; sampling at another T
-    keeps the per-round budget vector and rescales the caps B_j = beta_j * T.
-    Support row s of the (F, G, H) stacks ``rows`` is drawn with probability
-    ``probs[s]``.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        p = np.array(self.probs, dtype=np.float64).reshape(-1)
-        if p.shape[0] != self.support_size:
-            raise ValidationError(
-                f"{p.shape[0]} probabilities for {self.support_size} support tuples"
-            )
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("probabilities must be finite")
-        if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(
-                f"probabilities must be >= 0 and sum to 1 +/- {PROB_SUM_TOL}"
-            )
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def support_size(self) -> int:
-        return self.rows[0].shape[0]
-
-    def validate(self) -> ValidationReport:
-        """Range/void checks on the support plus the budget-gate check at the
-        stored sampling horizon."""
-        return pool_issues(
-            ValidationReport(), self.budget, self.rows, np.arange(self.support_size),
-            self.actions,
-        )
+from . import rng
+from .core import ActionSet, BudgetSpec, Instance, StochasticModel, ValidationError
 
 
 def sample_support_indices(model: StochasticModel, T: int, seed: int) -> np.ndarray:
@@ -299,64 +246,6 @@ def make_pacing_model(
         (rewards, np.zeros((s, 0, 3)), consumptions),
         np.full(s, 1.0 / s),
     )
-
-
-# ---------------------------------------------------------------------------
-# File I/O
-# ---------------------------------------------------------------------------
-
-
-def model_to_dict(model: StochasticModel) -> dict:
-    d = serialization._header_to_dict(model)
-    d["support"] = serialization.rows_to_dicts(model.rows)
-    d["probs"] = model.probs.tolist()
-    return d
-
-
-def dict_to_model(d: dict) -> StochasticModel:
-    serialization._check_keys(d, serialization.HEADER_KEYS + ("support", "probs"), "")
-    actions, budget, k, m, n = serialization._header_from_dict(d)
-    support_raw = d["support"]
-    if not isinstance(support_raw, list) or not support_raw:
-        raise SchemaError("expected nonempty list of support tuples", "/support")
-    rows = serialization.rows_from_dicts(support_raw, k, m, n, "/support")
-    probs = serialization._as_real_list(d["probs"], len(support_raw), "/probs")
-    try:
-        return StochasticModel(actions, budget, rows, probs)
-    except ValidationError as exc:
-        raise SchemaError(str(exc), "/probs") from exc
-
-
-def load_instance(path) -> Instance | StochasticModel:
-    """Load an adversarial instance or a stochastic model from a JSON file.
-
-    The two are distinguished by the presence of "rounds" vs "support";
-    schema violations are reported with JSON pointer paths and parse errors
-    with the byte offset.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = serialization.parse_json(fh.read())
-    if not isinstance(data, dict):
-        raise SchemaError(f"expected object, got {type(data).__name__}", "")
-    has_rounds, has_support = "rounds" in data, "support" in data
-    if has_rounds and has_support:
-        raise SchemaError("file has both 'rounds' and 'support'", "")
-    if has_rounds:
-        return serialization.dict_to_instance(data)
-    if has_support:
-        return dict_to_model(data)
-    raise SchemaError("file has neither 'rounds' nor 'support'", "")
-
-
-def save_instance(obj: Instance | StochasticModel, path) -> None:
-    """Write an instance or model; save -> load round-trips bit-exactly."""
-    if isinstance(obj, Instance):
-        payload = serialization.instance_to_dict(obj)
-    elif isinstance(obj, StochasticModel):
-        payload = model_to_dict(obj)
-    else:
-        raise TypeError(f"cannot save object of type {type(obj).__name__}")
-    traceio.write_text_atomic(path, serialization.dumps(payload))
 
 
 def _param(params: dict, key: str, cast, default=None):

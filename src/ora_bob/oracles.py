@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import Instance, ValidationError
-from .environments import StochasticModel, sample_instance
+from .core import Instance, StochasticModel, ValidationError
+from .environments import sample_instance
 from .simplex import solve_lp
 
 ENUMERATION_GUARD = 10_000_000
@@ -53,9 +53,20 @@ class OracleReport:
         }
 
 
-def _guard(count: int, guard: int, what: str):
-    # count may be K**T with far more digits than int-to-str conversion allows
-    if count > guard:
+def _exceeds_guard(K: int, T: int, guard: int) -> bool:
+    """Whether K**T > guard, without building K**T (which may have millions
+    of digits): the product stops once it passes guard, and for K <= 1,
+    which never grows, one factor decides."""
+    power = 1
+    for _ in range(T if K > 1 else 1):
+        power *= K
+        if power > guard:
+            return True
+    return False
+
+
+def _guard(K: int, T: int, guard: int, what: str):
+    if _exceeds_guard(K, T, guard):
         raise SizeGuardError(
             f"{what} exceeds the guard of {guard} nodes; "
             "refusing rather than silently approximating"
@@ -97,7 +108,7 @@ def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> Oracle
     always feasible, so the value is at least 0.
     """
     T, K = instance.horizon, instance.num_actions
-    _guard(K**T, guard, f"brute-force optimum over {K}^{T} sequences")
+    _guard(K, T, guard, f"brute-force optimum over {K}^{T} sequences")
     m, n = instance.num_general, instance.num_resources
     rewards = instance.rewards_stack
     general, consumption = instance.general_stack, instance.consumption_stack
@@ -212,7 +223,7 @@ def opt_stoc_estimate(
     if num_samples < 1:
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
     K = model.actions.count
-    use_bruteforce = K**T <= guard
+    use_bruteforce = not _exceeds_guard(K, T, guard)
     values = np.empty(num_samples)
     for i in range(num_samples):
         draw_seed = rng.derive_seed(seed, _MC_STREAM_SALT + i)
@@ -251,7 +262,7 @@ def slater_adv_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) ->
     """
     T, K = instance.horizon, instance.num_actions
     _require_constraints(instance)
-    _guard(K**T, guard, f"brute-force Slater over {K}^{T} sequences")
+    _guard(K, T, guard, f"brute-force Slater over {K}^{T} sequences")
     colmax = instance.unified_rows.max(axis=1)[instance.index]  # (T, K)
     worst = np.inf
     for _, digits in _sequence_chunks(T, K):
@@ -269,7 +280,7 @@ def slater_stoc(model: StochasticModel, guard: int = ENUMERATION_GUARD) -> float
     """
     S, K = model.support_size, model.actions.count
     _require_constraints(model)
-    _guard(K**S, guard, f"policy enumeration over {K}^{S} policies")
+    _guard(K, S, guard, f"policy enumeration over {K}^{S} policies")
     # weighted[s, x, i] = p_s * g~_i(x) under support tuple s
     weighted = model.probs[:, None, None] * model.unified_rows.transpose(0, 2, 1)
     best = np.inf

@@ -46,17 +46,13 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def stream_base(seed: int, stream: int) -> int:
-    """64-bit base state for a (seed, stream) pair; any integer seed,
-    numpy integers included, counts modulo 2**64."""
+def derive_seed(seed: int, stream: int) -> int:
+    """A fresh 64-bit seed deterministically derived from (seed, stream): the
+    base state of that pair's stream.  Any integer seed, numpy integers
+    included, counts modulo 2**64."""
     a = mix64((int(seed) + GOLDEN) & MASK64)
     b = mix64((stream * GOLDEN + STREAM_SALT) & MASK64)
     return mix64(a ^ b)
-
-
-def derive_seed(seed: int, stream: int) -> int:
-    """A fresh 64-bit seed deterministically derived from (seed, stream)."""
-    return stream_base(seed, stream)
 
 
 def words(seed: int, stream, indices) -> np.ndarray:
@@ -68,7 +64,7 @@ def words(seed: int, stream, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.uint64)
     st = np.asarray(stream, dtype=np.uint64)
     if st.ndim == 0:
-        base = np.uint64(stream_base(seed, int(st)))
+        base = np.uint64(derive_seed(seed, int(st)))
     else:
         a = np.uint64(mix64((int(seed) + GOLDEN) & MASK64))
         b = _mix64_array(st * np.uint64(GOLDEN) + np.uint64(STREAM_SALT))

@@ -1,4 +1,5 @@
-"""JSON codec for instances, with strict schema checking.
+"""The instance and model file format: one JSON codec with strict schema
+checking, load/save, canonical hashing and atomic writes.
 
 Instance schema::
 
@@ -7,8 +8,9 @@ Instance schema::
       "rounds": [ { "f": [K], "g": [m][K], "h": [n][K] } x T ] }
 
 Stochastic-model files replace "rounds" with "support" (same per-round shape)
-plus "probs".  Unknown fields are rejected with a JSON-pointer path.  Floats
-are written with Python's shortest round-trip representation, so save -> load
+plus "probs"; :func:`to_dict` and :func:`from_dict` are the one codec for
+both.  Unknown fields are rejected with a JSON-pointer path.  Floats are
+written with Python's shortest round-trip representation, so save -> load
 reproduces bit-identical matrices.
 """
 
@@ -16,13 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from typing import Any
 
 import numpy as np
 
-from .core import ActionSet, BudgetSpec, Instance
-
-SCHEMA_VERSION = 1
+from .core import ActionSet, BudgetSpec, Instance, StochasticModel, ValidationError
 
 
 class SchemaError(ValueError):
@@ -92,28 +93,42 @@ def rows_from_dicts(items: list, k: int, m: int, n: int, pointer: str):
     return f, g, h
 
 
-def _header_to_dict(instance_like) -> dict:
+def _header(obj: Instance | StochasticModel) -> dict:
     return {
-        "T": instance_like.budget.horizon,
-        "K": instance_like.actions.count,
-        "m": instance_like.num_general,
-        "n": instance_like.num_resources,
-        "void_index": instance_like.actions.void_index,
-        "beta": instance_like.budget.per_round_budget.tolist(),
+        "T": obj.budget.horizon,
+        "K": obj.actions.count,
+        "m": obj.num_general,
+        "n": obj.num_resources,
+        "void_index": obj.actions.void_index,
+        "beta": obj.budget.per_round_budget.tolist(),
     }
 
 
-def instance_to_dict(instance: Instance) -> dict:
-    d = _header_to_dict(instance)
-    parts = rows_to_dicts(instance.rows)
-    d["rounds"] = [parts[k] for k in instance.index.tolist()]
+def to_dict(obj: Instance | StochasticModel) -> dict:
+    """The file form of an instance ("rounds") or a model ("support" and
+    "probs")."""
+    d = _header(obj)
+    parts = rows_to_dicts(obj.rows)
+    if isinstance(obj, Instance):
+        d["rounds"] = [parts[k] for k in obj.index.tolist()]
+    else:
+        d["support"] = parts
+        d["probs"] = obj.probs.tolist()
     return d
 
 
-HEADER_KEYS = ("T", "K", "m", "n", "void_index", "beta")
-
-
-def _header_from_dict(d: dict):
+def from_dict(d: Any) -> Instance | StochasticModel:
+    """The instance or model of a parsed file, told apart by "rounds" vs
+    "support"; a schema violation raises SchemaError at its JSON pointer."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"expected object, got {type(d).__name__}", "")
+    rounds = "rounds" in d
+    if rounds and "support" in d:
+        raise SchemaError("file has both 'rounds' and 'support'", "")
+    if not rounds and "support" not in d:
+        raise SchemaError("file has neither 'rounds' nor 'support'", "")
+    body = ("rounds",) if rounds else ("support", "probs")
+    _check_keys(d, ("T", "K", "m", "n", "void_index", "beta") + body, "")
     t = _as_int(d["T"], "/T")
     k = _as_int(d["K"], "/K")
     m = _as_count(d["m"], "/m")
@@ -125,17 +140,19 @@ def _header_from_dict(d: dict):
         budget = BudgetSpec(horizon=t, per_round_budget=beta)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    return actions, budget, k, m, n
-
-
-def dict_to_instance(d: dict) -> Instance:
-    _check_keys(d, HEADER_KEYS + ("rounds",), "")
-    actions, budget, k, m, n = _header_from_dict(d)
-    rounds_raw = d["rounds"]
-    if not isinstance(rounds_raw, list) or len(rounds_raw) != budget.horizon:
-        raise SchemaError(f"expected {budget.horizon} rounds", "/rounds")
-    rows = rows_from_dicts(rounds_raw, k, m, n, "/rounds")
-    return Instance(actions, budget, rows, np.arange(budget.horizon))
+    items = d[body[0]]
+    if rounds:
+        if not isinstance(items, list) or len(items) != t:
+            raise SchemaError(f"expected {t} rounds", "/rounds")
+        return Instance(actions, budget, rows_from_dicts(items, k, m, n, "/rounds"), np.arange(t))
+    if not isinstance(items, list) or not items:
+        raise SchemaError("expected nonempty list of support tuples", "/support")
+    rows = rows_from_dicts(items, k, m, n, "/support")
+    probs = _as_real_list(d["probs"], len(items), "/probs")
+    try:
+        return StochasticModel(actions, budget, rows, probs)
+    except ValidationError as exc:
+        raise SchemaError(str(exc), "/probs") from exc
 
 
 def parse_json(text: str) -> Any:
@@ -163,15 +180,36 @@ def content_hash(obj: Any) -> str:
 
 
 def instance_hash(instance: Instance) -> str:
-    """``content_hash(instance_to_dict(instance))``, encoding each row once:
+    """``content_hash(to_dict(instance))``, encoding each row once:
     a sampled instance's rounds are its model's few support rows.  The
     canonical text is spliced from those parts, so the hash is the same."""
     parts = [canonical_json(d) for d in rows_to_dicts(instance.rows)]
     parts = [parts[k] for k in instance.index.tolist()]
-    header = canonical_json({**_header_to_dict(instance), "rounds": None})
+    header = canonical_json({**_header(instance), "rounds": None})
     head, tail = header.split('"rounds":null')
     return _text_hash(f'{head}"rounds":[{",".join(parts)}]{tail}')
 
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, indent=1, allow_nan=False) + "\n"
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``, so readers never see a partly written file."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def load_instance(path) -> Instance | StochasticModel:
+    """The instance or model in the JSON file at ``path`` (see
+    :func:`from_dict`); a parse error is reported with its byte offset."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return from_dict(parse_json(fh.read()))
+
+
+def save_instance(obj: Instance | StochasticModel, path) -> None:
+    """Write an instance or model; save -> load round-trips bit-exactly."""
+    write_text_atomic(path, dumps(to_dict(obj)))

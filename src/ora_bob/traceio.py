@@ -3,18 +3,19 @@
 A trace file is `# key=value` header lines followed by one CSV row per
 round.  The same column computation feeds the writer and the audit's
 exactness check, so any hand-edited cell shows up as a bitwise mismatch
-against the deterministic re-run.
+against the deterministic re-run.  Files are written through
+:func:`ora_bob.serialization.write_text_atomic`, the one write-to-temp-then-
+rename routine.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 
 import numpy as np
 
 from .core import Trajectory
-from .serialization import dumps
+from .serialization import dumps, write_text_atomic
 
 SCHEMA_VERSION = 1
 
@@ -50,15 +51,6 @@ def trace_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
     for j in range(trajectory.num_resources):
         cols[f"cum_consumption_{j + 1}"] = trajectory.cumulative_consumption[:, j]
     return cols
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over
-    ``path``, so readers never see a partly written file."""
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:

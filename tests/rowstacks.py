@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from ora_bob.core import Instance
-from ora_bob.environments import StochasticModel
+from ora_bob.core import Instance, StochasticModel
 
 
 def stacks(rounds):

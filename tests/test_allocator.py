@@ -13,10 +13,11 @@ from ora_bob.core import (
     BudgetSpec,
     Instance,
     InstanceValidationError,
+    StochasticModel,
     ValidationError,
 )
 from ora_bob.dual_ogd import OgdConfig, learning_rate
-from ora_bob.environments import StochasticModel, sample_instance
+from ora_bob.environments import sample_instance
 from ora_bob.lagrangian import penalties
 from rowstacks import instance_of, model_of, stacks
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ora_bob as ob
-from ora_bob import cli, environments, serialization
+from ora_bob import cli, serialization
 from ora_bob.traceio import read_trace_csv
 
 
@@ -319,6 +319,28 @@ class TestSweep:
         assert err["path"] == str(path)
         assert err["field"] == keys[-1]
 
+    @pytest.mark.parametrize("field", ["violation", "regret"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_cell_non_finite_field_refused(self, tmp_path, capsys, field, value):
+        """JSON parsing accepts NaN and +-Infinity; a cell holding one is
+        damaged, and the sweep files are left as they were."""
+        assert run_cli(capsys, *self.sweep_args(tmp_path))[0] == 0
+        outputs = [tmp_path / "sw_sweep.csv", tmp_path / "sw_sweep_fit.json"]
+        before = [p.read_bytes() for p in outputs]
+        path = tmp_path / "sw_T120_0.json"
+        payload = json.loads(path.read_text())
+        payload["summary"][field] = value
+        path.write_text(json.dumps(payload))  # written as NaN / Infinity / -Infinity
+        code, out = run_cli(capsys, *self.sweep_args(tmp_path, extra=("--aggregate-only",)))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "CliError"
+        assert err["message"].startswith(f"damaged sweep cell {path}: field {field!r}")
+        assert err["path"] == str(path)
+        assert err["field"] == field
+        assert [p.read_bytes() for p in outputs] == before
+
     def test_model_file_loaded_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "pacing.json"
         ob.save_instance(ob.make_pacing_model(), path)
@@ -438,9 +460,9 @@ class TestLpSizeGuard:
 def test_number_beyond_float_range_exits_2(tmp_path, capsys, kind, pointer):
     if kind == "instance":
         inst = ob.random_instance(5, T=20, K=3, m=1, n=1, feasibility_margin=0.2)
-        payload = serialization.instance_to_dict(inst)
+        payload = serialization.to_dict(inst)
     else:
-        payload = environments.model_to_dict(ob.make_pacing_model())
+        payload = serialization.to_dict(ob.make_pacing_model())
     *path, last = [int(k) if k.isdigit() else k for k in pointer[1:].split("/")]
     node = payload
     for key in path:
@@ -461,9 +483,9 @@ def test_number_beyond_float_range_exits_2(tmp_path, capsys, kind, pointer):
 def test_negative_dimension_exits_2_with_pointer(tmp_path, capsys, kind, field):
     if kind == "instance":
         inst = ob.random_instance(5, T=20, K=3, m=1, n=1, feasibility_margin=0.2)
-        payload = serialization.instance_to_dict(inst)
+        payload = serialization.to_dict(inst)
     else:
-        payload = environments.model_to_dict(ob.make_pacing_model())
+        payload = serialization.to_dict(ob.make_pacing_model())
     payload[field] = -1
     source = tmp_path / "negative.json"
     source.write_text(json.dumps(payload))
@@ -485,7 +507,7 @@ def test_validation_texts_print_plain_floats(tmp_path, capsys):
         "invalid instance: instance: budget[0]: beta[0]*T = 0.75 < 1: "
         "budget gate closed at round 1"
     )
-    payload = serialization.instance_to_dict(
+    payload = serialization.to_dict(
         ob.random_instance(5, T=4, K=3, m=1, n=1, feasibility_margin=0.2)
     )
     payload["rounds"][1]["f"][2] = 1.5
@@ -528,7 +550,7 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, entry):
 @pytest.mark.parametrize("probs", [[float("nan")] * 2, [float("nan"), 1.0]],
                          ids=["nan_nan", "nan_one"])
 def test_non_finite_probabilities_exit_2(tmp_path, capsys, probs):
-    payload = environments.model_to_dict(ob.make_push_pull_model())
+    payload = serialization.to_dict(ob.make_push_pull_model())
     payload["probs"] = probs
     source = tmp_path / "nan.json"
     source.write_text(json.dumps(payload))  # written as NaN, which json reads back

@@ -7,11 +7,12 @@ from ora_bob.core import (
     ActionSet,
     BudgetSpec,
     Instance,
+    StochasticModel,
     ValidationError,
     unified_rows,
 )
 from ora_bob.oracles import opt_lp_relax
-from ora_bob.serialization import instance_hash
+from ora_bob.serialization import instance_hash, load_instance, save_instance
 from rowstacks import instance_of, model_of
 
 
@@ -126,13 +127,13 @@ class TestRowStore:
         with pytest.raises(ValidationError, match=message):
             Instance(actions, budget, rows, index)
         with pytest.raises(ValidationError, match=message):
-            env.StochasticModel(actions, budget, rows, probs)
+            StochasticModel(actions, budget, rows, probs)
 
     def test_immutability(self):
         rows = (np.array([[0.0, 1.0]]), np.array([[[0.0, 0.5]]]), np.array([[[0.0, 0.5]]]))
         actions, budget = ActionSet(2, 0), BudgetSpec(2, [0.5])
         inst = Instance(actions, budget, rows, [0, 0])
-        model = env.StochasticModel(actions, budget, rows, [1.0])
+        model = StochasticModel(actions, budget, rows, [1.0])
         for array in (*inst.rows, inst.index, *model.rows, model.probs):
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1.0
@@ -244,15 +245,15 @@ def _store_instances(tmp_path):
     model = env.random_model(4, S=5, K=3, m=1, n=2, feasibility_margin=0.2,
                              horizon=40)
     path = tmp_path / "inst.json"
-    env.save_instance(env.random_instance(5, 12, 3, 2, 1, 0.2), path)
+    save_instance(env.random_instance(5, 12, 3, 2, 1, 0.2), path)
     return {
         "random": env.random_instance(3, 30, 4, 2, 2, 0.2),
         # support rows 1 and 3 are never drawn
-        "sampled": env.sample_instance(env.StochasticModel(
+        "sampled": env.sample_instance(StochasticModel(
             model.actions, model.budget, model.rows, [0.4, 0.0, 0.3, 0.0, 0.3]), 60, 9),
-        "constant": env.sample_instance(env.StochasticModel(
+        "constant": env.sample_instance(StochasticModel(
             model.actions, model.budget, tuple(r[:1] for r in model.rows), [1.0]), 25, 0),
-        "file_loaded": env.load_instance(path),
+        "file_loaded": load_instance(path),
         "m0": env.sample_instance(
             env.random_model(6, S=4, K=3, m=0, n=2, feasibility_margin=0.2), 50, 1),
         "n0": env.sample_instance(

@@ -6,24 +6,19 @@ import pytest
 
 import ora_bob as ob
 from ora_bob import rng, serialization
-from ora_bob.core import ValidationError
+from ora_bob.core import StochasticModel, ValidationError
 from ora_bob.environments import (
     GENERATORS,
-    StochasticModel,
     build_generator,
-    dict_to_model,
-    load_instance,
     make_example1_instance,
     make_pacing_model,
     make_push_pull_model,
-    model_to_dict,
     random_instance,
     random_model,
     sample_instance,
     sample_support_indices,
-    save_instance,
 )
-from ora_bob.serialization import SchemaError
+from ora_bob.serialization import SchemaError, load_instance, save_instance, to_dict
 
 
 class TestSeed:
@@ -171,11 +166,7 @@ GENERATOR_HASHES = {
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_generator_default_output_pinned(name):
-    built = build_generator(name, {})
-    if isinstance(built, StochasticModel):
-        payload = model_to_dict(built)
-    else:
-        payload = serialization.instance_to_dict(built)
+    payload = to_dict(build_generator(name, {}))
     assert serialization.content_hash(payload) == GENERATOR_HASHES[name]
 
 
@@ -184,7 +175,7 @@ class TestIO:
         golden = os.path.join(os.path.dirname(__file__), "data", "example1_general.json")
         loaded = load_instance(golden)
         made = make_example1_instance(0.1, 0.2, horizon=50).general
-        assert model_to_dict(loaded) == model_to_dict(made)
+        assert to_dict(loaded) == to_dict(made)
         assert np.array_equal(loaded.rows[1], made.rows[1])
 
     def test_roundtrip_instance_bit_exact(self, tmp_path):
@@ -215,9 +206,7 @@ class TestIO:
 
     def test_unknown_field_rejected_with_pointer(self, tmp_path):
         inst = random_instance(2, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
-        import ora_bob.serialization as ser
-
-        payload = ser.instance_to_dict(inst)
+        payload = to_dict(inst)
         payload["rounds"][1]["extra"] = 1
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
@@ -228,9 +217,7 @@ class TestIO:
         """Unknown fields are always refused; no environment variable
         loosens the schema."""
         inst = random_instance(2, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
-        import ora_bob.serialization as ser
-
-        payload = ser.instance_to_dict(inst)
+        payload = to_dict(inst)
         payload["comment"] = "ignore me"
         path = tmp_path / "loose.json"
         path.write_text(json.dumps(payload))

@@ -8,6 +8,7 @@ from ora_bob.core import ActionSet, BudgetSpec, Instance, ValidationError
 from ora_bob.environments import make_example1_instance, random_model, sample_instance
 from ora_bob.oracles import (
     SizeGuardError,
+    _exceeds_guard,
     alpha,
     opt_bruteforce,
     opt_lp_relax,
@@ -67,8 +68,27 @@ class TestOptBruteforce:
 
     def test_size_guard(self):
         inst = tiny_instance(0, T=30, K=4)
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(SizeGuardError) as info:
             opt_bruteforce(inst, guard=1000)
+        assert str(info.value) == (
+            "brute-force optimum over 4^30 sequences exceeds the guard of 1000 nodes; "
+            "refusing rather than silently approximating"
+        )
+
+
+class TestSizeGuard:
+    """K**T > guard is decided without building K**T."""
+
+    def test_exact_boundary(self):
+        assert not _exceeds_guard(10, 7, 10**7)
+        assert _exceeds_guard(10, 8, 10**7)
+
+    def test_single_action_never_exceeds(self):
+        assert not _exceeds_guard(1, 10**12, 10**7)
+
+    def test_huge_power_refused_at_once(self):
+        # 3**10**12 has about 4.8e11 digits; building it would not finish
+        assert _exceeds_guard(3, 10**12, 10**7)
 
 
 class TestOptLpRelax:

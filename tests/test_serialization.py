@@ -13,7 +13,7 @@ from ora_bob.serialization import SchemaError
 
 def test_instance_dict_schema_shape():
     inst = random_instance(1, T=3, K=2, m=1, n=1, feasibility_margin=0.3)
-    d = ser.instance_to_dict(inst)
+    d = ser.to_dict(inst)
     assert set(d) == {"T", "K", "m", "n", "void_index", "beta", "rounds"}
     assert len(d["rounds"]) == 3
     assert set(d["rounds"][0]) == {"f", "g", "h"}
@@ -31,42 +31,57 @@ def test_content_hash_stable_and_sensitive():
 
 def test_missing_field_pointer():
     inst = random_instance(1, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
-    d = ser.instance_to_dict(inst)
+    d = ser.to_dict(inst)
     del d["rounds"][1]["g"]
     with pytest.raises(SchemaError, match="/rounds/1"):
-        ser.dict_to_instance(d)
+        ser.from_dict(d)
 
 
 def test_type_error_pointer():
     inst = random_instance(1, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
-    d = ser.instance_to_dict(inst)
+    d = ser.to_dict(inst)
     d["rounds"][0]["f"][1] = "high"
     with pytest.raises(SchemaError, match="/rounds/0/f/1"):
-        ser.dict_to_instance(d)
+        ser.from_dict(d)
 
 
 def test_wrong_round_count():
     inst = random_instance(1, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
-    d = ser.instance_to_dict(inst)
+    d = ser.to_dict(inst)
     d["rounds"].append(d["rounds"][0])
     with pytest.raises(SchemaError, match="/rounds"):
-        ser.dict_to_instance(d)
+        ser.from_dict(d)
 
 
 def test_unknown_top_level_field():
     inst = random_instance(1, T=2, K=2, m=0, n=1, feasibility_margin=0.5)
-    d = ser.instance_to_dict(inst)
+    d = ser.to_dict(inst)
     d["notes"] = "hello"
     with pytest.raises(SchemaError, match="/notes"):
-        ser.dict_to_instance(d)
+        ser.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1, 2], "/: expected object, got list"),
+        ({"rounds": [], "support": []}, "/: file has both 'rounds' and 'support'"),
+        ({"T": 1}, "/: file has neither 'rounds' nor 'support'"),
+    ],
+    ids=["not_object", "both", "neither"],
+)
+def test_from_dict_file_level_errors(payload, message):
+    with pytest.raises(SchemaError) as info:
+        ser.from_dict(payload)
+    assert str(info.value) == message and info.value.pointer == ""
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=20)
 def test_json_roundtrip_bit_identical(seed):
     inst = random_instance(seed, T=4, K=3, m=2, n=2, feasibility_margin=0.2)
-    text = json.dumps(ser.instance_to_dict(inst))
-    back = ser.dict_to_instance(json.loads(text))
+    text = json.dumps(ser.to_dict(inst))
+    back = ser.from_dict(json.loads(text))
     assert np.array_equal(back.rewards_stack, inst.rewards_stack)
     assert np.array_equal(back.general_stack, inst.general_stack)
     assert np.array_equal(back.consumption_stack, inst.consumption_stack)
@@ -86,7 +101,7 @@ def test_instance_hash_is_content_hash_of_dict(tmp_path):
     loaded = ob.load_instance(path)  # distinct round objects, equal content
     for inst in (sampled, loaded, random_instance(4, T=30, K=3, m=0, n=2,
                                                   feasibility_margin=0.2)):
-        assert ser.instance_hash(inst) == ser.content_hash(ser.instance_to_dict(inst))
+        assert ser.instance_hash(inst) == ser.content_hash(ser.to_dict(inst))
     assert ser.instance_hash(loaded) == ser.instance_hash(sampled)
 
 
