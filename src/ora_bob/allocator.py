@@ -24,6 +24,12 @@ the instances' rows (an instance is (F, G, H) stacks of input rows plus a
 row index per round); :func:`run` is its one-lane case.  Within a lane the
 dual state is a chain; lanes share only the loop.  A run's stopping time,
 its last gate-open round, is the Trajectory's ``stopping_time`` field.
+
+The gate's exact comparison runs only near a cutoff: below a float
+pre-filter it is guaranteed to pass, and at the start of each block of
+rounds one comparison shows whether any lane can reach the pre-filter
+within the block (each round adds at most 1 to a total, plus rounding);
+where none can, the block plays without per-round gate checks.
 """
 
 from __future__ import annotations
@@ -50,11 +56,29 @@ def default_config(instance: Instance, delta: float = 0.05) -> OgdConfig:
 
 
 def _exact_sum(values: np.ndarray) -> Fraction:
-    """The exact rational sum of float ``values``: every float is an integer
-    over a power of two, so the sum is one integer over the largest of them."""
-    ratios = [h.as_integer_ratio() for h in values.tolist() if h]
-    den = max((d for _, d in ratios), default=1)
-    return Fraction(sum(num * (den // d) for num, d in ratios), den)
+    """The exact rational sum of float ``values``.
+
+    Every finite float is ``mant * 2**(e - 53)`` with ``mant = frac * 2**53``
+    an integer below 2**53 (``frac, e = np.frexp(v)``, subnormals included).
+    The floats are grouped by exponent with one stable sort, and each group's
+    mantissas are summed in two 26-bit int64 halves, so no partial sum can
+    overflow below 2**36 values; the group sums then meet in one Python
+    integer over the smallest power of two.
+    """
+    if not values.size:
+        return Fraction(0)
+    frac, exp = np.frexp(values)
+    mant = (frac * 2.0**53).astype(np.int64)
+    exp = exp.astype(np.int64)
+    order = np.argsort(exp, kind="stable")
+    exp, mant = exp[order], mant[order]
+    starts = np.flatnonzero(np.concatenate(([True], exp[1:] != exp[:-1])))
+    high = np.add.reduceat(mant >> 26, starts).tolist()
+    low = np.add.reduceat(mant & (2**26 - 1), starts).tolist()
+    shifts = (exp[starts] - 53).tolist()
+    base = shifts[0]
+    num = sum(((h << 26) + lo) << (s - base) for h, lo, s in zip(high, low, shifts))
+    return Fraction(num, 1 << -base) if base < 0 else Fraction(num << base)
 
 
 def _play(table, index, budget, void, eta):
@@ -62,13 +86,27 @@ def _play(table, index, budget, void, eta):
     open gate: lane r plays the rows ``index[r]`` of the (R, B) index from
     ``table`` = (F (S, K), U (S, M, K), H (S, n, K)).
 
-    A lane's consumption totals are summed exactly only once a resource
-    nears its cutoff.  Returns the per-round arrays with a leading lane axis,
-    keyed by their Trajectory field names (``duals`` holds
-    lambda_1..lambda_{B+1}).
+    Rows are gathered a block of up to ``_BLOCK`` rounds at a time, with
+    eta*U and H laid out (b, M or n, R*K) so that lane r's action x is flat
+    column r*K + x.  Each round then
+    1. takes every lane's candidate, the argmax of F - penalties(U, lambda);
+    2. checks the gate, unless the block guard shows that no lane can near
+       a cutoff within the block: the float totals are compared with a
+       pre-filter, and only a lane past it has its totals summed exactly
+       (once, by :func:`_exact_sum`, then kept as Fractions) and compared
+       with the exact cutoffs beta_j*T - 1;
+    3. plays the candidate in open lanes and the void action in closed ones,
+       gathering the played column of each lane with one flat index per
+       round for both the dual step lambda <- max(0, lambda + eta*g~) and
+       the consumption totals.
+    Actions, gate flags, rewards and unified values are filled per block.
+
+    Returns the per-round arrays with a leading lane axis, keyed by their
+    Trajectory field names (``duals`` holds lambda_1..lambda_{B+1}).
     """
     F, U, H = table
     R, B = index.shape
+    K = F.shape[1]
     M, n = U.shape[1], H.shape[1]
     T = budget.horizon
     # The exact per-resource gate cutoffs beta_j * T - 1.
@@ -80,9 +118,23 @@ def _play(table, index, budget, void, eta):
     band = (4.0 * T + 8.0) * np.spacing(budget.limits + T)
     thr_fast = (np.array([float(thr) for thr in thresholds]) - band)[:, None]
 
+    # Block guard.  Validation bounds every consumption to [0, 1], so a
+    # lane's float total after k <= T rounds stays below 2T, and each float
+    # addition raises it by at most 1 + s/2, where s = ulp(2T + 2*_BLOCK)
+    # bounds the spacing of every total and guard sum.  If
+    # fl(cum + b + 2) <= thr_lane for every lane at the start of a b-round
+    # block, then cum + b + 2 <= thr_lane + s/2, and each total the block
+    # checks, after at most b - 1 additions, is at most
+    # cum + (b - 1)(1 + s/2) <= thr_lane - 3 + b*s/2 <= thr_lane whenever
+    # b*s <= 6.  No lane can then reach the pre-filter inside the block, so
+    # its per-round check is skipped.  With b <= _BLOCK that holds at every
+    # T below 2**46 - _BLOCK; at larger T every round is checked.
+    guard = _BLOCK * np.spacing(2.0 * T + 2 * _BLOCK) <= 6.0
+
     lanes = np.arange(R)
     exact = {}  # lane -> its exact consumption totals, once it nears a cutoff
     is_open = np.ones(R, dtype=bool)
+    closed_at = np.full(R, B)  # the round each lane's gate closed, B while open
     all_open = True
     # A closed lane never reopens, so it is held to an infinite threshold and
     # the pre-filter stays one comparison while no open lane nears a cutoff.
@@ -100,45 +152,57 @@ def _play(table, index, budget, void, eta):
     out_duals[0] = 0.0
     out_cum[0] = 0.0
     lam, cum = out_duals[0], out_cum[0]
+    # Per-round scratch: the played column of every lane in the flat
+    # (lane, action) axis of a block, and the gathered dual step and
+    # consumptions.
+    lane_base = lanes * K
+    pick = np.empty(R, dtype=np.int64)
+    step = np.empty((M, R))
+    col = np.empty((n, R))
 
     for t0 in range(0, B, _BLOCK):
         t1 = min(t0 + _BLOCK, B)
+        b = t1 - t0
         rows = index[:, t0:t1].T  # (b, R)
         Fb = F[rows]  # (b, R, K)
-        Ub = U[rows].transpose(0, 2, 1, 3)  # (b, M, R, K)
-        Hb = H[rows].transpose(0, 2, 1, 3)  # (b, n, R, K)
-        dual_steps = eta * Ub  # eta * g~ of every action, the products the update adds
-        for i in range(t1 - t0):
+        Ub = np.ascontiguousarray(U[rows].transpose(0, 2, 1, 3))  # (b, M, R, K)
+        # eta * g~ of every action, the products the update adds, and the
+        # consumptions, each with lanes and actions on one flat axis
+        dual_steps = (eta * Ub).reshape(b, M, R * K)
+        Hb = np.ascontiguousarray(H[rows].transpose(0, 2, 1, 3)).reshape(b, n, R * K)
+        check = n and not (guard and (cum + (b + 2) <= thr_lane).all())
+        for i in range(b):
             t = t0 + i
-            g_t = Ub[i]
-            values = Fb[i] - penalties(g_t, lam)
-            candidate = values.argmax(axis=1)
-            if n and not (cum <= thr_lane).all():
+            values = Fb[i] - penalties(Ub[i], lam)
+            candidate = values.argmax(axis=1, out=out_candidates[t])
+            if check and not (cum <= thr_lane).all():
                 near = is_open & ~(cum <= thr_fast).all(axis=0)
                 for r in np.flatnonzero(near):
                     if r not in exact:
-                        played = H[index[r, :t], :, out_actions[:t, r]]  # (t, n)
+                        # an open lane has played its candidates so far
+                        played = H[index[r, :t], :, out_candidates[:t, r]]  # (t, n)
                         exact[r] = [_exact_sum(played[:, j]) for j in range(n)]
                     if any(c > thr for c, thr in zip(exact[r], thresholds)):
                         is_open[r] = False
+                        closed_at[r] = t
                         thr_lane[:, r] = np.inf
                         all_open = False
             action = candidate if all_open else np.where(is_open, candidate, void)
-            out_actions[t] = action
-            out_candidates[t] = candidate
-            out_gate[t] = is_open
-            lam = np.maximum(0.0, lam + dual_steps[i][:, lanes, action], out=out_duals[t + 1])
+            np.add(lane_base, action, out=pick)
+            np.add(lam, dual_steps[i].take(pick, axis=1, out=step), out=step)
+            lam = np.maximum(0.0, step, out=out_duals[t + 1])
             if n:
-                col = Hb[i][:, lanes, action]  # (n, R)
-                cum = np.add(cum, col, out=out_cum[t + 1])
+                cum = np.add(cum, Hb[i].take(pick, axis=1, out=col), out=out_cum[t + 1])
                 if exact:
                     by_lane = col.T.tolist()
                     for r, totals in exact.items():
                         for j, h in enumerate(by_lane[r]):
                             if h:
                                 totals[j] += Fraction(h)
-        acts = out_actions[t0:t1]  # (b, R)
-        steps = np.arange(t1 - t0)[:, None]
+        gate = np.arange(t0, t1)[:, None] < closed_at  # (b, R)
+        out_gate[t0:t1] = gate
+        acts = out_actions[t0:t1] = np.where(gate, out_candidates[t0:t1], void)
+        steps = np.arange(b)[:, None]
         out_rewards[:, t0:t1] = Fb[steps, lanes, acts].T
         out_unified[:, t0:t1] = Ub[steps, :, lanes, acts].transpose(1, 0, 2)
 

@@ -314,33 +314,42 @@ SWEEP_COLUMNS = (
 )
 
 
+#: The numeric sweep-CSV columns a cell supplies: column -> (the cell's
+#: summary field it copies, whether that field may be null).
+_CELL_NUMBERS = {
+    "reward": ("total_reward", False),
+    "violation": ("violation", False),
+    "tau": ("tau", False),
+    "max_dual_l1": ("max_dual_l1", False),
+    "regret": ("regret", True),
+    "alpha_regret": ("alpha_regret", True),
+    "bound_violation": ("bounds.violation.value", True),
+    "bound_regret": ("bounds.regret.value", True),
+    "bound_dual": ("bounds.dual_norm.value", True),
+}
+
+
+def _finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _sweep_row(path: str, T: int, seed: int, payload: dict) -> dict:
-    """The sweep CSV row of the cell at ``path``; raises CliError unless the
-    fields the fit reads are finite real numbers (regret may be null).  JSON
-    parsing accepts NaN and +-Infinity literals, so finiteness is checked
-    here."""
+    """The sweep CSV row of the cell at ``path``; raises CliError unless
+    every number it copies is a finite real number, or null where
+    ``_CELL_NUMBERS`` allows it.  JSON parsing accepts NaN and +-Infinity
+    literals, so finiteness is checked here."""
     s = payload["summary"]
     bounds = s["bounds"]
-    for key in ("violation", "regret"):
-        value = s[key]
-        real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not ((real and math.isfinite(value)) or (value is None and key == "regret")):
-            raise CliError(
-                f"damaged sweep cell {path}: field {key!r} is {value!r}, not a finite number",
-                path=path,
-                field=key,
-            )
 
     def bound_value(key):
         return bounds[key]["value"] if key in bounds else None
 
-    flags = []
-    if s["budget_feasible"] is not None:
-        flags.append(f"budget={'ok' if s['budget_feasible'] else 'FAIL'}")
-    for key in ("drift", "dual_norm", "violation", "regret"):
-        if key in bounds and bounds[key]["satisfied"] is not None:
-            flags.append(f"{key}={'ok' if bounds[key]['satisfied'] else 'FAIL'}")
-    return {
+    row = {
         "T": T,
         "seed": seed,
         "reward": s["total_reward"],
@@ -352,8 +361,24 @@ def _sweep_row(path: str, T: int, seed: int, payload: dict) -> dict:
         "bound_violation": bound_value("violation"),
         "bound_regret": bound_value("regret"),
         "bound_dual": bound_value("dual_norm"),
-        "pass_flags": ";".join(flags),
     }
+    for column, (field, nullable) in _CELL_NUMBERS.items():
+        value = row[column]
+        if not (_finite_real(value) or (value is None and nullable)):
+            raise CliError(
+                f"damaged sweep cell {path}: field {field!r} is {value!r}, not a finite number",
+                path=path,
+                field=field,
+            )
+
+    flags = []
+    if s["budget_feasible"] is not None:
+        flags.append(f"budget={'ok' if s['budget_feasible'] else 'FAIL'}")
+    for key in ("drift", "dual_norm", "violation", "regret"):
+        if key in bounds and bounds[key]["satisfied"] is not None:
+            flags.append(f"{key}={'ok' if bounds[key]['satisfied'] else 'FAIL'}")
+    row["pass_flags"] = ";".join(flags)
+    return row
 
 
 def _csv_cell(v) -> str:

@@ -1,9 +1,13 @@
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ora_bob as ob
 from ora_bob.allocator import (
+    _exact_sum,
     default_config,
     run,
     run_lanes,
@@ -17,7 +21,7 @@ from ora_bob.core import (
     ValidationError,
 )
 from ora_bob.dual_ogd import OgdConfig, learning_rate
-from ora_bob.environments import sample_instance
+from ora_bob.environments import build_generator, sample_instance
 from ora_bob.lagrangian import penalties
 from rowstacks import instance_of, model_of, stacks
 
@@ -392,3 +396,159 @@ class TestRunBatch:
         odd = np.zeros((2, 1, 3))
         with pytest.raises(ValidationError, match="action columns"):
             StochasticModel(ActionSet(2, 0), BudgetSpec(20, [0.5]), (f, g, odd), [1.0, 0.0])
+
+
+
+def _lane_digest(tr) -> str:
+    """sha256 of a lane's per-round arrays as explicit little-endian bytes, so
+    every platform and numpy version hashes the same values alike."""
+    digest = hashlib.sha256()
+    for name, dtype in (("actions", "<i8"), ("candidates", "<i8"), ("gate_open", "|b1"),
+                        ("duals", "<f8"), ("rewards", "<f8"), ("unified_values", "<f8"),
+                        ("cumulative_consumption", "<f8")):
+        digest.update(np.ascontiguousarray(getattr(tr, name), dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+def _generated(name, seeds, **params):
+    """One lane per seed of a named generator: the model's sample at each
+    seed, or the fixed instance itself in every lane."""
+    source = build_generator(name, {k: str(v) for k, v in params.items()})
+    if isinstance(source, Instance):
+        return [source] * len(seeds)
+    return [sample_instance(source, source.budget.horizon, s) for s in seeds]
+
+
+#: name -> (lanes of one run_lanes call, eta).  The cases cover every
+#: generator; R = 1, 2, 3 and 16 lanes; horizons on both sides of the
+#: 256-round gather blocks; m = n = 0, n = 0 and m = 0; draining h = 1.0
+#: lanes with an integer beta*T and with a gate closing on a block's last
+#: round; beta = 1/3; and lanes whose gates close in different blocks.
+ROUND_LOOP_CASES = {
+    "example1_budget": (lambda: _generated("example1_budget", [0, 1], T=255), 0.02),
+    "example1_general": (lambda: _generated("example1_general", [2], T=256), 0.02),
+    "random": (lambda: _generated("random", [0, 1, 2], T=257, m=2, n=2, seed=4), 0.01),
+    "random_model_R16": (lambda: _generated(
+        "random_model", range(16), T=513, S=40, K=4, m=2, n=2, seed=3), 0.004),
+    "push_pull_n0": (lambda: _generated("push_pull", [5, 6], T=513), 0.01),
+    "pacing_m0": (lambda: _generated("pacing", [0, 1, 2], T=257, beta=0.3), 0.001),
+    "random_model_m0": (lambda: _generated(
+        "random_model", [1, 2], T=300, S=6, K=3, m=0, n=2, margin=0.05, seed=8), 0.02),
+    "random_model_m0_n0": (lambda: _generated(
+        "random_model", [0, 1, 2], T=257, S=5, K=3, m=0, n=0, seed=1), 0.05),
+    "draining_integer_cap": (lambda: [draining_instance(256, beta=0.25)] * 2, 1e-4),
+    # beta*T = 511.75: the gate closes at round 511, the last of a block
+    "draining_closes_at_block_end": (lambda: [draining_instance(1024, beta=2047 / 4096)], 1e-4),
+    "draining_third": (lambda: [sample_instance(draining_model(1.0 / 3.0, 513), 513, s)
+                                for s in range(3)], 1e-5),
+    "gates_close_in_different_blocks": (lambda: [
+        sample_instance(draining_model(1.0 / 3.0, 1200), 1200, s) for s in range(16)], 1e-5),
+}
+
+#: Per-lane digests of each case: any rewrite of the round loop must keep
+#: every lane's outputs, so these never change with it.
+ROUND_LOOP_DIGESTS = {
+    "draining_closes_at_block_end": [
+        "0b0afc81bd6791c24704c50e56d7dbc114495e1e38221269773cd4ac05c37103",
+    ],
+    "draining_integer_cap": [
+        "56aaba387fbc2cc88f2d5062e51137f5ba7ca24a3730c94bbd525c02526a6b32",
+        "56aaba387fbc2cc88f2d5062e51137f5ba7ca24a3730c94bbd525c02526a6b32",
+    ],
+    "draining_third": [
+        "b802965fcf63259c493bee5d8c4104a37ddc5f45ea8eb2631e73b0a5f1a236f0",
+        "5f8b2c3d9ff68337a5805b266c4bf0752aaa35dbf00d8dbe7e08a38e14f42ad0",
+        "2947bb7babab8c54be7bad4a6d38b26046a813143419a24e606f3849c8bffd79",
+    ],
+    "example1_budget": [
+        "e5a63c2af6e648ee42b5a692068acafe22276f190aaf5b2738f4c7ac6af9e23e",
+        "e5a63c2af6e648ee42b5a692068acafe22276f190aaf5b2738f4c7ac6af9e23e",
+    ],
+    "example1_general": [
+        "119244a393d156ce8adee68c8f40561a96731da5dc7efda9f3d420ffd1bb5181",
+    ],
+    "gates_close_in_different_blocks": [
+        "f147f19218fd3e3c3cccb4460067d88d337b7f0b36534364c458d4c639d97c4f",
+        "3bd406bf0e3f6b3362773ce19172801635fd8470f07d650ccd4cd6130e7daa44",
+        "ad466e4cc645c75636e34a9ff782225ce14d302fd692178617a10f87b5d89bc6",
+        "aaa06c80cae41192c216952043fc955a26b80a366881e01f21255b20f0a3e748",
+        "cb07ee30537740fbe2b48c6ff98461fa34357b76573b225b6252fc633353643b",
+        "030b435bd0e1097bf787309947dda608584340aad29726b2ef931c3c467c8545",
+        "11c7979c952537afe8ffb581c7d1eea5bb8a794fc06d0b88608707b840ae5213",
+        "333548177451c4c560e8de0c69c3ebf89718da1d064e0ae08f0bcf24edb8c81a",
+        "0c0fe7d6b1b082e09bf24f0953075778ebaaafe57626954da5862bee4994f6a5",
+        "8cd771566a1fcaef171ebe8617d43cee3a6ef69b099f64d8504ab1984a054905",
+        "215cbd75c269ec4bef0bf0475c4db46ba84faad45257256c433b3fe6173baa56",
+        "9c76225db255ad53c95f75dd38d4e0e2baf9075af77ef3f39e98868d37b3cf88",
+        "39739d6311929dfd32a498626976d1ed631f9a3a3e1467d3c5e64bd0c87691ad",
+        "c130f427edd4c37ee24781966db0567770b3776bcf1317101c41586e91658699",
+        "2fd218a7b4f9786496125c701b144aaf81e3b1575e919c9097dfe8a4b44736be",
+        "2fbce60c3c5128acabe61f1fa6d3b61f694abfbf99031c2fce8f9fa50532c711",
+    ],
+    "pacing_m0": [
+        "34c1b08b043c791e5552d1ba8a66a74201a5b4b6b269e5b4efccaabd79281fb1",
+        "6bbbbd1e78783f4f72fd595bf30ff33cee4b4f037106928dabf41e886c5270ae",
+        "a1e3d85e4897d3731844f204788398bcb881404cb2b65546ddc222d7fc71adbc",
+    ],
+    "push_pull_n0": [
+        "d75da714c49d70a0520a3eae7a82d70d0ce5e7baf5b313a1e375fe7eb28dc35b",
+        "e2182c21f0012553e333b71d1aa45cb01f9079445941c0c3b4f43312764ebd3b",
+    ],
+    "random": [
+        "0867d50169c694eb9c77ef4925a7cfa12ed6cee78dae1261e1d96e3711a1a029",
+        "0867d50169c694eb9c77ef4925a7cfa12ed6cee78dae1261e1d96e3711a1a029",
+        "0867d50169c694eb9c77ef4925a7cfa12ed6cee78dae1261e1d96e3711a1a029",
+    ],
+    "random_model_R16": [
+        "9d98054a57224a76eb22d92c70a5fa578a867158ddfe64c881bb9122195e7108",
+        "f6f5faf8b4d434230520b4d6227000b3580fee5b750f94189955fbc7e644a6f0",
+        "02bfd827e59a6ddf706d689a57929d03b8320d2fee804d4237752ba7cb35cdff",
+        "a5c1916a8d0db0e264402261c12138bb4f22ad2a6854327bbb064544a382f31c",
+        "0fabb0fab8bd86aeffb02592cb068c0235de798ab984346d5ca36974aeab9564",
+        "9ddb929f05860d4acd2ff50110d040ce717564ac96a9b3f1f4a3909d90f6fcc3",
+        "a392fcfeb81d89c0bef40e563541d8dce9466f32b953f3713180e1204fc63500",
+        "43bee9bcb38be645a97d84a5a2f61a61db05738e29af9c3986e6e2f315520f39",
+        "e3726627ad3ecc2c12d2b8e2f1964cd2a85074fc4d57617659dfc80669c7ce40",
+        "02d8a899f98811df447e123dd1471edd8ea197949f707a7d80336d7f21e1eb55",
+        "5b3b0d2826e3d62fc050da39e89615271000903b42745478342318dd7c5b7f30",
+        "75e4af8a81b9b1f8a6f10e0f2343bb3108166cfc14d1f72d80379a58fc631946",
+        "8821b9cb25b55d31f99342fe8ef0559dd81304d58cd56c44024a21abf6da6925",
+        "d0502a416e969dbf0b1790a54876cb0ac4b36c3fd52d82a57bdcd1a0eb7c31b2",
+        "33bbd91dff66e5aa8882d9fd4fa8c19fcb66a5786d718787b04ca5c4a1140399",
+        "471df195e37780b4c41ad0fe01411e4bf0c4ffac729fe76e5934028539510c89",
+    ],
+    "random_model_m0": [
+        "5d89cad840dcd0ebc2f77dba2a410b79a78be0cffb105f3e10f24f56b04c2a54",
+        "53df5ce3341f683e55de0d2b4030f8933df8ffec15c180532fbd6d83fec7af6b",
+    ],
+    "random_model_m0_n0": [
+        "174776367fff0f5714b556ac4b9a6eb55ce46e804fbb1a105165811f2aa58a3b",
+        "20392265482f6a95419ab6c56246dfade9543cfa4629e860ed889672acea30d8",
+        "524c8ad969001838f0c4945df4ae3290f813cd2a94163a1e195db8e478a2e49c",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_LOOP_CASES))
+def test_round_loop_digests_frozen(case):
+    make, eta = ROUND_LOOP_CASES[case]
+    lanes = list(run_lanes(make(), OgdConfig(eta=eta, delta=0.05)))
+    if case == "gates_close_in_different_blocks":
+        assert len({lane.stopping_time // 256 for lane in lanes}) > 1
+    assert [_lane_digest(lane) for lane in lanes] == ROUND_LOOP_DIGESTS[case]
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros(0),
+    np.array([5e-324, 1.0]),
+    np.ldexp(1.0, -np.arange(1075)),  # every exponent down to 2**-1074
+    np.ones(10**5),  # the int64 half-sums must not overflow
+    np.where(np.arange(400) % 3 == 0, 0.0, np.random.default_rng(5).random(400)),
+], ids=["empty", "subnormal_and_one", "exponents", "many_ones", "random_with_zeros"])
+def test_exact_sum_is_the_rational_sum(values):
+    assert _exact_sum(values) == sum(map(Fraction, values.tolist()), Fraction(0))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(0.0), max_size=40))
+def test_exact_sum_random(values):
+    assert _exact_sum(np.array(values, dtype=np.float64)) == sum(map(Fraction, values), Fraction(0))

@@ -296,6 +296,8 @@ class TestSweep:
             ("summary", "violation", "x"),
             ("summary", "violation", None),
             ("summary", "regret", "x"),
+            # an integer beyond the float range
+            ("summary", "tau", 10**400),
         ],
     )
     def test_cell_missing_field_refused(self, tmp_path, capsys, drop):
@@ -319,18 +321,26 @@ class TestSweep:
         assert err["path"] == str(path)
         assert err["field"] == keys[-1]
 
-    @pytest.mark.parametrize("field", ["violation", "regret"])
+    @pytest.mark.parametrize("field", [
+        "violation", "regret", "total_reward", "tau", "max_dual_l1", "alpha_regret",
+        "bounds.violation.value", "bounds.regret.value", "bounds.dual_norm.value",
+    ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
                              ids=["nan", "inf", "-inf"])
     def test_cell_non_finite_field_refused(self, tmp_path, capsys, field, value):
-        """JSON parsing accepts NaN and +-Infinity; a cell holding one is
-        damaged, and the sweep files are left as they were."""
+        """JSON parsing accepts NaN and +-Infinity; a cell holding one in any
+        number the sweep CSV copies is damaged, and the sweep files are left
+        as they were."""
         assert run_cli(capsys, *self.sweep_args(tmp_path))[0] == 0
         outputs = [tmp_path / "sw_sweep.csv", tmp_path / "sw_sweep_fit.json"]
         before = [p.read_bytes() for p in outputs]
         path = tmp_path / "sw_T120_0.json"
         payload = json.loads(path.read_text())
-        payload["summary"][field] = value
+        *keys, last = field.split(".")
+        holder = payload["summary"]
+        for key in keys:
+            holder = holder[key]
+        holder[last] = value
         path.write_text(json.dumps(payload))  # written as NaN / Infinity / -Infinity
         code, out = run_cli(capsys, *self.sweep_args(tmp_path, extra=("--aggregate-only",)))
         assert code == 2

@@ -149,6 +149,20 @@ def test_penalties_accumulate_in_index_order():
     expected0 = ((0.0 + 0.1 * 1.0) + 0.2 * 0.25) + 0.3 * 2.0
     expected1 = ((0.0 + 0.1 * 0.5) + 0.2 * -0.5) + 0.3 * 1.0
     assert out[0] == expected0 and out[1] == expected1
+    # integer-valued stacks with zero duals: the running sum starting from the
+    # first product equals the one starting from 0.0 (an all-zero sum may be
+    # -0.0 here, which compares equal)
+    rng = np.random.default_rng(3)
+    u = rng.integers(-3, 4, size=(4, 6, 5)).astype(float)
+    for dual in (np.zeros((4, 6)), rng.integers(0, 3, size=(4, 6)).astype(float)):
+        dual[1] = 0.0
+        loop = np.zeros((6, 5))
+        for product in dual[:, :, None] * u:
+            loop += product
+        assert np.all(penalties(u, dual) == loop)
+    # no constraints, no penalty
+    assert np.array_equal(penalties(np.zeros((0, 3)), np.zeros(0)), np.zeros(3))
+    assert np.array_equal(penalties(np.zeros((0, 2, 3)), np.zeros((0, 2))), np.zeros((2, 3)))
 
 
 def test_stacked_penalties_bitwise_equal_per_round_calls():
