@@ -40,7 +40,6 @@ from .environments import (
 )
 from .lagrangian import penalties
 from .metrics import (
-    RunSummary,
     alpha_regret,
     regret,
     run_summary,

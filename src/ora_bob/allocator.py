@@ -47,10 +47,17 @@ from .lagrangian import penalties
 _BLOCK = 256
 
 
+def default_eta(T: int, M: int, delta: float) -> float:
+    """The closed-form learning-rate schedule at horizon T for M
+    constraints.  With M = 0 the dual vector is empty and eta has no effect
+    on the run, so it is the M = 1 schedule."""
+    return learning_rate(T, max(M, 1), delta)
+
+
 def default_config(instance: Instance, delta: float = 0.05) -> OgdConfig:
     """OgdConfig with the closed-form learning-rate schedule."""
     return OgdConfig(
-        eta=learning_rate(instance.horizon, instance.num_constraints, delta),
+        eta=default_eta(instance.horizon, instance.num_constraints, delta),
         delta=delta,
     )
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import environments, rng, serialization, traceio
 # run_allocator is the name perfbench/tracer.py times the one-lane run under.
-from .allocator import lane_key, run as run_allocator, run_lanes
+from .allocator import default_eta, lane_key, run as run_allocator, run_lanes
 from .core import Instance, StochasticModel, Trajectory
 from .dual_ogd import (
     AUDIT_SLACK,
@@ -27,7 +27,6 @@ from .dual_ogd import (
     dual_drift_audit,
     dual_penalty_audit,
     interval_regret_audit,
-    learning_rate,
     sample_comparator_pairs,
 )
 from .environments import build_generator
@@ -150,108 +149,93 @@ def _cell_instance(obj, T: int | None, seed: int) -> Instance:
     return obj
 
 
-def execute_cell(
-    source_desc: dict,
-    instance: Instance,
-    delta: float,
-    eta_override: float | None,
-    seed: int,
-    benchmark: str,
-    out_dir: str,
-    name: str,
-    trajectory: Trajectory,
-) -> str:
-    """Write one (config, seed) cell's trace CSV and summary JSON.
+def _cell_settings(args, source_desc: dict) -> dict:
+    """What every cell of a run or sweep command shares: the source, delta,
+    the --eta override (None for the schedule) and the benchmark."""
+    return {"source": source_desc, "delta": args.delta, "eta": args.eta,
+            "benchmark": args.benchmark}
 
-    ``instance`` is the cell's instance on the source ``source_desc``
-    names, and ``trajectory`` its allocator run (see
-    :func:`execute_cells`).  Returns the summary JSON path.  Pure function
-    of its arguments, so cells can run in parallel processes and reruns are
-    byte-identical.
+
+def cell_config(settings: dict, source, T: int, seed: int, name: str) -> dict:
+    """The config a cell records in its trace header and summary JSON, and
+    that a sweep's cells must match: the cell ``name`` at horizon ``T`` and
+    ``seed`` under ``settings`` (see :func:`_cell_settings`), whose source
+    is loaded as ``source``.  Its eta is the override, or else the schedule
+    at T and the source's M (:func:`~ora_bob.allocator.default_eta`)."""
+    eta = settings["eta"]
+    return {
+        "schema_version": traceio.SCHEMA_VERSION,
+        "name": name,
+        "source": settings["source"],
+        "T": T,
+        "delta": settings["delta"],
+        "eta": eta if eta is not None else default_eta(T, source.num_constraints, settings["delta"]),
+        "eta_override": eta is not None,
+        "seed": seed,
+        "benchmark": settings["benchmark"],
+    }
+
+
+def execute_cell(config: dict, instance: Instance, out_dir: str, trajectory: Trajectory) -> str:
+    """Write one cell's trace CSV and summary JSON.
+
+    ``config`` is the cell's :func:`cell_config`, ``instance`` its instance
+    and ``trajectory`` its allocator run (see :func:`execute_cells`).
+    Returns the summary JSON path.  Pure function of its arguments, so cells
+    can run in parallel processes and reruns are byte-identical.
     """
-    horizon = instance.horizon
     M = instance.num_constraints
-    eta = trajectory.eta
-
     rho = slater_adv(instance) if M else None
     opt_val = None
-    if benchmark == "lp":
+    if config["benchmark"] == "lp":
         opt_val = opt_lp_relax(instance).opt_value
-    elif benchmark == "bruteforce":
+    elif config["benchmark"] == "bruteforce":
         opt_val = opt_bruteforce(instance).opt_value
     summary = run_summary(trajectory, instance, rho=rho, benchmark=opt_val)
 
-    resolved = {
-        "schema_version": traceio.SCHEMA_VERSION,
-        "name": name,
-        "source": source_desc,
-        "T": horizon,
-        "delta": delta,
-        "eta": eta,
-        "eta_override": eta_override is not None,
-        "seed": seed,
-        "benchmark": benchmark,
-    }
     ihash = serialization.instance_hash(instance)
     header = {
         "schema_version": traceio.SCHEMA_VERSION,
-        "T": horizon,
+        "T": config["T"],
         "K": instance.num_actions,
         "m": instance.num_general,
         "n": instance.num_resources,
-        "eta": repr(eta),
-        "delta": repr(delta),
-        "seed": seed,
+        "eta": repr(config["eta"]),
+        "delta": repr(config["delta"]),
+        "seed": config["seed"],
         "rng": rng.ALGORITHM,
         "instance_hash": ihash,
-        "config": serialization.canonical_json(resolved),
+        "config": serialization.canonical_json(config),
     }
-    base = os.path.join(out_dir, f"{name}_{seed}")
+    base = os.path.join(out_dir, f"{config['name']}_{config['seed']}")
     traceio.write_trace_csv(f"{base}.csv", trajectory, header)
     payload = {
         "schema_version": traceio.SCHEMA_VERSION,
-        "config": resolved,
+        "config": config,
         "instance_hash": ihash,
         "rho_adv": rho,
         "benchmark_value": opt_val,
-        "summary": summary.to_dict(),
+        "summary": summary,
     }
     traceio.write_json_atomic(f"{base}.json", payload)
     return f"{base}.json"
 
 
-def execute_cells(
-    source_desc: dict,
-    source,
-    T: int | None,
-    delta: float,
-    eta_override: float | None,
-    seeds: list[int],
-    benchmark: str,
-    out_dir: str,
-    name: str,
-) -> list[str]:
-    """The cells of ``seeds`` on one source and T: the allocator plays their
-    instances in lockstep batches (:func:`~ora_bob.allocator.run_lanes`, at
-    most BATCH_LANE_ROUNDS lane-rounds each), then :func:`execute_cell`
-    writes each, one at a time.  Returns the summary JSON paths in seed
-    order."""
-    horizon = _horizon(source, T)
-    M = source.num_constraints
-    eta = eta_override if eta_override is not None else learning_rate(horizon, M, delta)
-    config = OgdConfig(eta=eta, delta=delta)
+def execute_cells(configs: list[dict], source, out_dir: str) -> list[str]:
+    """The cells ``configs`` on one source, which share T, eta and delta:
+    the allocator plays their instances in lockstep batches
+    (:func:`~ora_bob.allocator.run_lanes`, at most BATCH_LANE_ROUNDS
+    lane-rounds each), then :func:`execute_cell` writes each, one at a time.
+    Returns the summary JSON paths in the order of ``configs``."""
+    horizon = configs[0]["T"]
+    ogd = OgdConfig(eta=configs[0]["eta"], delta=configs[0]["delta"])
     lanes = max(1, BATCH_LANE_ROUNDS // horizon)
     written = []
-    for lo in range(0, len(seeds), lanes):
-        batch = seeds[lo : lo + lanes]
-        instances = [_cell_instance(source, horizon, seed) for seed in batch]
-        for seed, instance, trajectory in zip(batch, instances, run_lanes(instances, config)):
-            written.append(
-                execute_cell(
-                    source_desc, instance, delta, eta_override, seed, benchmark,
-                    out_dir, name, trajectory,
-                )
-            )
+    for lo in range(0, len(configs), lanes):
+        batch = configs[lo : lo + lanes]
+        instances = [_cell_instance(source, horizon, config["seed"]) for config in batch]
+        for config, instance, trajectory in zip(batch, instances, run_lanes(instances, ogd)):
+            written.append(execute_cell(config, instance, out_dir, trajectory))
     return written
 
 
@@ -262,13 +246,12 @@ def _execute_cells_task(payload: dict) -> list[str]:
 def _cell_payloads(args, source_desc: dict, source, T, name: str, seeds: list[int]) -> list[dict]:
     """The cells of ``seeds`` on one (source, T) as ``args.jobs`` contiguous
     chunks of seeds, one :func:`execute_cells` payload each."""
-    group = dict(
-        source_desc=source_desc, source=source, T=T, delta=args.delta, eta_override=args.eta,
-        benchmark=args.benchmark, out_dir=args.out, name=name,
-    )
+    settings, horizon = _cell_settings(args, source_desc), _horizon(source, T)
+    configs = [cell_config(settings, source, horizon, seed, name) for seed in seeds]
     k = max(1, min(args.jobs, len(seeds)))
     bounds = [len(seeds) * i // k for i in range(k + 1)]
-    return [dict(group, seeds=seeds[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return [dict(configs=configs[lo:hi], source=source, out_dir=args.out)
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _run_cells(payloads: list[dict], jobs: int) -> list[str]:
@@ -298,35 +281,30 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-SWEEP_COLUMNS = (
-    "T",
-    "seed",
-    "reward",
-    "violation",
-    "tau",
-    "max_dual_l1",
-    "regret",
-    "alpha_regret",
-    "bound_violation",
-    "bound_regret",
-    "bound_dual",
-    "pass_flags",
+#: What a sweep row reads from a cell's summary: (sweep-CSV column, or the
+#: label of a pass_flags entry; the summary field; its kind).  A "number" is
+#: a finite real, a "nullable" one may also be null, and a "flag" is true,
+#: false or null (null flags are left out of pass_flags).  A bound the cell
+#: did not check reads as null.
+_CELL_FIELDS = (
+    ("reward", "total_reward", "number"),
+    ("violation", "violation", "number"),
+    ("tau", "tau", "number"),
+    ("max_dual_l1", "max_dual_l1", "number"),
+    ("regret", "regret", "nullable"),
+    ("alpha_regret", "alpha_regret", "nullable"),
+    ("bound_violation", "bounds.violation.value", "nullable"),
+    ("bound_regret", "bounds.regret.value", "nullable"),
+    ("bound_dual", "bounds.dual_norm.value", "nullable"),
+    ("budget", "budget_feasible", "flag"),
+    ("drift", "bounds.drift.satisfied", "flag"),
+    ("dual_norm", "bounds.dual_norm.satisfied", "flag"),
+    ("violation", "bounds.violation.satisfied", "flag"),
+    ("regret", "bounds.regret.satisfied", "flag"),
 )
-
-
-#: The numeric sweep-CSV columns a cell supplies: column -> (the cell's
-#: summary field it copies, whether that field may be null).
-_CELL_NUMBERS = {
-    "reward": ("total_reward", False),
-    "violation": ("violation", False),
-    "tau": ("tau", False),
-    "max_dual_l1": ("max_dual_l1", False),
-    "regret": ("regret", True),
-    "alpha_regret": ("alpha_regret", True),
-    "bound_violation": ("bounds.violation.value", True),
-    "bound_regret": ("bounds.regret.value", True),
-    "bound_dual": ("bounds.dual_norm.value", True),
-}
+SWEEP_COLUMNS = (
+    "T", "seed", *(name for name, _, kind in _CELL_FIELDS if kind != "flag"), "pass_flags"
+)
 
 
 def _finite_real(value) -> bool:
@@ -339,44 +317,34 @@ def _finite_real(value) -> bool:
 
 
 def _sweep_row(path: str, T: int, seed: int, payload: dict) -> dict:
-    """The sweep CSV row of the cell at ``path``; raises CliError unless
-    every number it copies is a finite real number, or null where
-    ``_CELL_NUMBERS`` allows it.  JSON parsing accepts NaN and +-Infinity
-    literals, so finiteness is checked here."""
-    s = payload["summary"]
-    bounds = s["bounds"]
-
-    def bound_value(key):
-        return bounds[key]["value"] if key in bounds else None
-
-    row = {
-        "T": T,
-        "seed": seed,
-        "reward": s["total_reward"],
-        "violation": s["violation"],
-        "tau": s["tau"],
-        "max_dual_l1": s["max_dual_l1"],
-        "regret": s["regret"],
-        "alpha_regret": s["alpha_regret"],
-        "bound_violation": bound_value("violation"),
-        "bound_regret": bound_value("regret"),
-        "bound_dual": bound_value("dual_norm"),
-    }
-    for column, (field, nullable) in _CELL_NUMBERS.items():
-        value = row[column]
-        if not (_finite_real(value) or (value is None and nullable)):
+    """The sweep CSV row of the cell at ``path``, read by ``_CELL_FIELDS``;
+    raises CliError unless every field it reads is of its kind.  JSON
+    parsing accepts NaN and +-Infinity literals, so finiteness is checked
+    here."""
+    summary = payload["summary"]
+    row = {"T": T, "seed": seed}
+    flags = []
+    for name, field, kind in _CELL_FIELDS:
+        key, *bound = field.split(".")
+        value = summary[key]
+        if bound:
+            check, entry = bound
+            value = value[check][entry] if check in value else None
+        if kind == "flag":
+            valid, expected = value is None or isinstance(value, bool), "true, false or null"
+        else:
+            valid = _finite_real(value) or (value is None and kind == "nullable")
+            expected = "a finite number"
+        if not valid:
             raise CliError(
-                f"damaged sweep cell {path}: field {field!r} is {value!r}, not a finite number",
+                f"damaged sweep cell {path}: field {field!r} is {value!r}, not {expected}",
                 path=path,
                 field=field,
             )
-
-    flags = []
-    if s["budget_feasible"] is not None:
-        flags.append(f"budget={'ok' if s['budget_feasible'] else 'FAIL'}")
-    for key in ("drift", "dual_norm", "violation", "regret"):
-        if key in bounds and bounds[key]["satisfied"] is not None:
-            flags.append(f"{key}={'ok' if bounds[key]['satisfied'] else 'FAIL'}")
+        if kind != "flag":
+            row[name] = value
+        elif value is not None:
+            flags.append(f"{name}={'ok' if value else 'FAIL'}")
     row["pass_flags"] = ";".join(flags)
     return row
 
@@ -396,36 +364,19 @@ def _fit_loglog_slope(ts: list[int], means: list[float]) -> float | None:
     return float(slope)
 
 
-def _stale_fields(cell_config, sweep_config: dict, T: int, seed: int) -> list[str]:
-    """The config fields in which a cell differs from the sweep cell (T, seed)."""
-    eta = sweep_config["eta"]
-    want = {
-        "schema_version": sweep_config["schema_version"],
-        "source": sweep_config["source"],
-        "T": T,
-        "seed": seed,
-        "delta": sweep_config["delta"],
-        "eta_override": eta is not None,
-        "benchmark": sweep_config["benchmark"],
-    }
-    if eta is not None:
-        want["eta"] = eta
-    if not isinstance(cell_config, dict):
-        return list(want)
-    return [key for key, value in want.items() if cell_config.get(key) != value]
-
-
 def aggregate_sweep(
     out_dir: str,
     name: str,
     t_values: list[int],
     seeds: list[int],
     sweep_config: dict,
+    source,
 ) -> dict:
     """Aggregate per-cell JSONs (read back from disk) into the sweep CSV and
     log-log fits.  Refuses to aggregate while any cell file is missing or
-    lacks a field the sweep row needs, or any cell was computed under
-    another config than ``sweep_config``."""
+    lacks a field the sweep row needs, or any cell's config differs from
+    the :func:`cell_config` of ``sweep_config`` on ``source`` at its
+    (T, seed)."""
     rows = []
     cell_hashes = []
     for T in t_values:
@@ -440,7 +391,9 @@ def aggregate_sweep(
             except SchemaError as exc:
                 raise CliError(f"damaged sweep cell {path}: {exc}", path=path) from None
             config = payload.get("config") if isinstance(payload, dict) else None
-            stale = _stale_fields(config, sweep_config, T, seed)
+            want = cell_config(sweep_config, source, T, seed, f"{name}_T{T}")
+            stale = [key for key, value in want.items()
+                     if not isinstance(config, dict) or config.get(key) != value]
             if stale:
                 raise CliError(
                     f"stale sweep cell {path}: {', '.join(stale)} differ from "
@@ -505,17 +458,9 @@ def cmd_sweep(args) -> int:
         for T in t_values:
             payloads += _cell_payloads(args, source_desc, obj, T, f"{args.name}_T{T}", seeds)
         _run_cells(payloads, args.jobs)
-    sweep_config = {
-        "schema_version": traceio.SCHEMA_VERSION,
-        "name": args.name,
-        "source": source_desc,
-        "T": t_values,
-        "seeds": seeds,
-        "delta": args.delta,
-        "eta": args.eta,
-        "benchmark": args.benchmark,
-    }
-    result = aggregate_sweep(args.out, args.name, t_values, seeds, sweep_config)
+    sweep_config = {"schema_version": traceio.SCHEMA_VERSION, "name": args.name,
+                    "T": t_values, "seeds": seeds, **_cell_settings(args, source_desc)}
+    result = aggregate_sweep(args.out, args.name, t_values, seeds, sweep_config, obj)
     print(json.dumps({"sweep": result["csv"], "fit": result["fit"]}, indent=1))
     return EXIT_OK
 
@@ -529,55 +474,47 @@ def _slater_report(source, oracle, *args) -> dict:
     return {"rho": rho, "alpha": alpha(max(rho, 0.0))}
 
 
-#: The oracles that apply to each source kind, by ``--which`` name.
-ORACLES_BY_KIND = {
-    "instance": ("opt_bruteforce", "opt_lp", "slater_adv"),
-    "stochastic model": ("slater_stoc", "opt_stoc"),
+def _opt_stoc_report(model, args) -> dict:
+    if args.T is None:
+        if args.which != "all":
+            raise CliError("opt_stoc needs --T")
+        return {"skipped": "needs --T"}
+    return opt_stoc_estimate(model, args.T, args.num_samples, args.seed, args.guard).to_dict()
+
+
+#: Each ``--which`` oracle: the source kind it applies to and its report on
+#: a source under the command's arguments.
+ORACLES = {
+    "opt_bruteforce": ("instance", lambda obj, args: opt_bruteforce(obj, args.guard).to_dict()),
+    "opt_lp": ("instance", lambda obj, args: opt_lp_relax(obj).to_dict()),
+    "slater_adv": ("instance", lambda obj, args: _slater_report(obj, slater_adv)),
+    "slater_stoc": (
+        "stochastic model", lambda obj, args: _slater_report(obj, slater_stoc, args.guard)
+    ),
+    "opt_stoc": ("stochastic model", _opt_stoc_report),
 }
 
 
 def cmd_oracle(args) -> int:
+    """Each oracle ``--which`` names, or with ``all`` each that applies to
+    the source; under ``all`` an oracle refused by its size guard is
+    reported skipped."""
     _, obj = _resolve_source(args)
-    which = args.which
     kind = "instance" if isinstance(obj, Instance) else "stochastic model"
-    if which != "all" and which not in ORACLES_BY_KIND[kind]:
+    applicable = [name for name, (applies_to, _) in ORACLES.items() if applies_to == kind]
+    if args.which != "all" and args.which not in applicable:
         raise CliError(
-            f"oracle {which} does not apply to the {kind} source; "
-            f"it takes {', '.join(ORACLES_BY_KIND[kind])} or all"
+            f"oracle {args.which} does not apply to the {kind} source; "
+            f"it takes {', '.join(applicable)} or all"
         )
     reports: dict[str, dict] = {}
-
-    def attempt(key, fn):
+    for name in applicable if args.which == "all" else [args.which]:
         try:
-            reports[key] = fn()
+            reports[name] = ORACLES[name][1](obj, args)
         except SizeGuardError as exc:
-            if which == "all":
-                reports[key] = {"skipped": str(exc)}
-            else:
+            if args.which != "all":
                 raise
-
-    if isinstance(obj, Instance):
-        if which in ("all", "opt_bruteforce"):
-            attempt("opt_bruteforce", lambda: opt_bruteforce(obj, args.guard).to_dict())
-        if which in ("all", "opt_lp"):
-            attempt("opt_lp", lambda: opt_lp_relax(obj).to_dict())
-        if which in ("all", "slater_adv"):
-            reports["slater_adv"] = _slater_report(obj, slater_adv)
-    else:
-        if which in ("all", "slater_stoc"):
-            attempt("slater_stoc", lambda: _slater_report(obj, slater_stoc, args.guard))
-        if which in ("all", "opt_stoc"):
-            if args.T is None:
-                if which != "all":
-                    raise CliError("opt_stoc needs --T")
-                reports["opt_stoc"] = {"skipped": "needs --T"}
-            else:
-                attempt(
-                    "opt_stoc",
-                    lambda: opt_stoc_estimate(
-                        obj, args.T, args.num_samples, args.seed, args.guard
-                    ).to_dict(),
-                )
+            reports[name] = {"skipped": str(exc)}
     print(json.dumps({"reports": reports}, indent=1))
     return EXIT_OK
 
@@ -842,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument(
         "--which",
-        choices=("all", "opt_bruteforce", "opt_lp", "slater_adv", "slater_stoc", "opt_stoc"),
+        choices=("all", *ORACLES),
         default="all",
     )
     p.add_argument("--T", type=int, default=None)

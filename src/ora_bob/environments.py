@@ -248,65 +248,60 @@ def make_pacing_model(
     )
 
 
-def _param(params: dict, key: str, cast, default=None):
-    if key in params:
-        return cast(params[key])
-    if default is None:
-        raise ValidationError(f"generator parameter {key!r} is required")
-    return default
+_EXAMPLE1_PARAMS = {"T": (int, 1000), "epsilon": (float, 0.2), "rho": (float, 0.1)}
 
-
-#: Each named generator and the parameters it accepts.
+#: Each named generator: its builder, called with keyword arguments, and the
+#: parameters it accepts, each with its type and default.
 GENERATORS = {
-    "example1_budget": ("T", "epsilon", "rho"),
-    "example1_general": ("T", "epsilon", "rho"),
-    "random": ("K", "T", "m", "margin", "n", "seed"),
-    "random_model": ("K", "S", "T", "m", "margin", "n", "seed"),
-    "push_pull": ("T",),
-    "pacing": ("T", "beta"),
+    "example1_budget": (
+        lambda T, epsilon, rho: make_example1_instance(rho, epsilon, T).budget_only,
+        _EXAMPLE1_PARAMS,
+    ),
+    "example1_general": (
+        lambda T, epsilon, rho: make_example1_instance(rho, epsilon, T).general,
+        _EXAMPLE1_PARAMS,
+    ),
+    "random": (
+        lambda K, T, m, margin, n, seed: random_instance(seed, T, K, m, n, margin),
+        {"K": (int, 4), "T": (int, 1000), "m": (int, 1), "margin": (float, 0.2),
+         "n": (int, 1), "seed": (int, 0)},
+    ),
+    "random_model": (
+        lambda K, S, T, m, margin, n, seed: random_model(seed, S, K, m, n, margin, T),
+        {"K": (int, 4), "S": (int, 3), "T": (int, 1000), "m": (int, 1),
+         "margin": (float, 0.2), "n": (int, 1), "seed": (int, 0)},
+    ),
+    "push_pull": (
+        lambda T: make_push_pull_model(horizon=T),
+        {"T": (int, 2000)},
+    ),
+    "pacing": (
+        lambda T, beta: make_pacing_model(beta=beta, horizon=T),
+        {"T": (int, 2000), "beta": (float, 0.25)},
+    ),
 }
 
 
 def build_generator(name: str, params: dict):
     """Instantiate a named generator from CLI-style string parameters;
-    ValidationError on an unknown name or parameter."""
+    ValidationError on an unknown name or parameter, or a value that does
+    not parse as its parameter's type."""
     if name not in GENERATORS:
         raise ValidationError(f"unknown generator {name!r}; available: {sorted(GENERATORS)}")
-    unknown = sorted(set(params) - set(GENERATORS[name]))
+    build, accepted = GENERATORS[name]
+    unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise ValidationError(
             f"unknown parameter(s) {unknown} for generator {name!r}; "
-            f"accepted: {list(GENERATORS[name])}"
+            f"accepted: {list(accepted)}"
         )
-    if name in ("example1_budget", "example1_general"):
-        fx = make_example1_instance(
-            _param(params, "rho", float, 0.1),
-            _param(params, "epsilon", float, 0.2),
-            _param(params, "T", int, 1000),
-        )
-        return fx.budget_only if name == "example1_budget" else fx.general
-    if name == "random":
-        return random_instance(
-            _param(params, "seed", int, 0),
-            _param(params, "T", int, 1000),
-            _param(params, "K", int, 4),
-            _param(params, "m", int, 1),
-            _param(params, "n", int, 1),
-            _param(params, "margin", float, 0.2),
-        )
-    if name == "random_model":
-        return random_model(
-            _param(params, "seed", int, 0),
-            _param(params, "S", int, 3),
-            _param(params, "K", int, 4),
-            _param(params, "m", int, 1),
-            _param(params, "n", int, 1),
-            _param(params, "margin", float, 0.2),
-            _param(params, "T", int, 1000),
-        )
-    if name == "push_pull":
-        return make_push_pull_model(horizon=_param(params, "T", int, 2000))
-    return make_pacing_model(
-        beta=_param(params, "beta", float, 0.25),
-        horizon=_param(params, "T", int, 2000),
-    )
+    values = {}
+    for key, (cast, default) in accepted.items():
+        try:
+            values[key] = cast(params[key]) if key in params else default
+        except ValueError:
+            raise ValidationError(
+                f"generator {name!r} parameter {key!r}: {params[key]!r} is not "
+                f"of type {cast.__name__}"
+            ) from None
+    return build(**values)

@@ -8,19 +8,12 @@ rho and clearly separated from the run configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import Instance, Trajectory, ValidationError
 from .dual_ogd import DRIFT_SLACK, AUDIT_SLACK, dual_drift_audit
 from .oracles import alpha
-
-
-class BoundCheck(NamedTuple):
-    value: float
-    satisfied: bool | None
 
 
 def total_reward(trajectory: Trajectory) -> float:
@@ -32,8 +25,8 @@ def total_reward(trajectory: Trajectory) -> float:
 def violation(trajectory: Trajectory) -> float:
     """V_T: max over general constraints of the cumulative cost, signed.
 
-    With no general constraints returns 0.0; RunSummary flags that case as
-    not applicable.  The unified general rows equal the raw costs, so the
+    With no general constraints returns 0.0; the run summary flags that case
+    as not applicable.  The unified general rows equal the raw costs, so the
     recorded gradients are exactly the g_{t,i}(x_t) values.
     """
     m = trajectory.num_general
@@ -91,41 +84,6 @@ def theorem_bounds(
     return bounds
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """Everything a sweep row needs about one finished run."""
-
-    total_reward: float
-    violation_signed: float
-    violation_clamped: float
-    violation_applicable: bool
-    tau: int
-    max_dual_l1: float
-    max_drift: float
-    budget_feasible: bool | None
-    regret: float | None = None
-    alpha_regret: float | None = None
-    bound_report: dict[str, BoundCheck] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "total_reward": self.total_reward,
-            "violation": self.violation_signed,
-            "violation_clamped": self.violation_clamped,
-            "violation_applicable": self.violation_applicable,
-            "tau": self.tau,
-            "max_dual_l1": self.max_dual_l1,
-            "max_drift": self.max_drift,
-            "budget_feasible": self.budget_feasible,
-            "regret": self.regret,
-            "alpha_regret": self.alpha_regret,
-            "bounds": {
-                name: {"value": check.value, "satisfied": check.satisfied}
-                for name, check in self.bound_report.items()
-            },
-        }
-
-
 def max_dual_l1(trajectory: Trajectory) -> float:
     """max over t in [T] of ||lambda_t||_1 (the quantity the dual-norm bound
     speaks about; lambda_{T+1} is excluded)."""
@@ -140,15 +98,24 @@ def budget_feasible(trajectory: Trajectory, instance: Instance) -> bool | None:
     return bool(np.all(final <= instance.budget.limits))
 
 
+def _check(value: float, satisfied: bool | None) -> dict:
+    return {"value": value, "satisfied": satisfied}
+
+
 def run_summary(
     trajectory: Trajectory,
     instance: Instance,
     rho: float | None = None,
     benchmark: float | None = None,
-) -> RunSummary:
-    """Assemble the per-run report.  Given the Slater parameter ``rho`` > 0
-    it includes the bound checks; given the offline ``benchmark`` value it
-    includes the regret against it, and with both the alpha(rho)-regret."""
+) -> dict:
+    """The per-run report, as a cell's summary JSON stores it.
+
+    ``violation`` is V_T signed and ``violation_clamped`` its positive
+    part; ``bounds`` maps each checked guarantee to its closed-form
+    ``value`` and whether the run ``satisfied`` it (null where it does not
+    apply).  Given the Slater parameter ``rho`` > 0 it includes the bound
+    checks; given the offline ``benchmark`` value it includes the regret
+    against it, and with both the alpha(rho)-regret."""
     v = violation(trajectory)
     has_rho = rho is not None and rho > 0.0
     summary_regret = regret(benchmark, trajectory) if benchmark is not None else None
@@ -160,8 +127,8 @@ def run_summary(
     dual_l1 = max_dual_l1(trajectory)
     drift = dual_drift_audit(trajectory)
     M = trajectory.num_constraints
-    bound_report: dict[str, BoundCheck] = {
-        "drift": BoundCheck(
+    checks = {
+        "drift": _check(
             trajectory.eta * M, bool(drift <= trajectory.eta * M + DRIFT_SLACK)
         ),
     }
@@ -171,17 +138,17 @@ def run_summary(
         bounds = theorem_bounds(
             trajectory.horizon, M, rho, trajectory.delta, beta_min
         )
-        bound_report["dual_norm"] = BoundCheck(
+        checks["dual_norm"] = _check(
             bounds["dual_norm"], bool(dual_l1 <= bounds["dual_norm"])
         )
-        bound_report["violation"] = BoundCheck(
+        checks["violation"] = _check(
             bounds["violation"],
             bool(v <= bounds["violation"] + AUDIT_SLACK)
             if trajectory.num_general
             else None,
         )
         if "regret" in bounds:
-            bound_report["regret"] = BoundCheck(
+            checks["regret"] = _check(
                 bounds["regret"],
                 bool(summary_regret <= bounds["regret"])
                 if summary_regret is not None
@@ -189,20 +156,20 @@ def run_summary(
             )
         # The analysis assumes eta <= 1/(rho M); the allocator cannot enforce
         # it (rho is unknown to it), so report whether the run satisfied it.
-        bound_report["eta_rho_compatible"] = BoundCheck(
+        checks["eta_rho_compatible"] = _check(
             1.0 / (rho * M) if M else math.inf,
             bool(trajectory.eta <= 1.0 / (rho * M)) if M else None,
         )
-    return RunSummary(
-        total_reward=total_reward(trajectory),
-        violation_signed=v,
-        violation_clamped=max(v, 0.0),
-        violation_applicable=trajectory.num_general > 0,
-        tau=trajectory.stopping_time,
-        max_dual_l1=dual_l1,
-        max_drift=drift,
-        budget_feasible=budget_feasible(trajectory, instance),
-        regret=summary_regret,
-        alpha_regret=summary_alpha_regret,
-        bound_report=bound_report,
-    )
+    return {
+        "total_reward": total_reward(trajectory),
+        "violation": v,
+        "violation_clamped": max(v, 0.0),
+        "violation_applicable": trajectory.num_general > 0,
+        "tau": trajectory.stopping_time,
+        "max_dual_l1": dual_l1,
+        "max_drift": drift,
+        "budget_feasible": budget_feasible(trajectory, instance),
+        "regret": summary_regret,
+        "alpha_regret": summary_alpha_regret,
+        "bounds": checks,
+    }

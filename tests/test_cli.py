@@ -167,6 +167,24 @@ class TestRun:
         assert started == [2]
         assert len(list(tmp_path.glob("exp_*.csv"))) == 2
 
+    def test_no_constraints_run_without_eta(self, tmp_path, capsys):
+        """With m = n = 0 the dual vector is empty, so the schedule is the
+        M = 1 one and the run, its audit and a sweep all succeed."""
+        params = ("--generator", "random_model", "--param", "S=6", "--param", "K=3",
+                  "--param", "m=0", "--param", "n=0")
+        out = tmp_path / "r"
+        code, text = run_cli(capsys, "run", *params, "--T", "300", "--seeds", "0:3",
+                             "--out", str(out))
+        assert code == 0, text
+        payload = json.loads((out / "run_0.json").read_text())
+        assert payload["config"]["eta"] == ob.learning_rate(300, 1, 0.05)
+        traces = [str(out / f"run_{s}.csv") for s in range(3)]
+        assert run_cli(capsys, "audit", *traces, "--pairs", "5")[0] == 0
+        assert run_cli(capsys, "sweep", *params, "--T", "100,200", "--out",
+                       str(tmp_path / "s"))[0] == 0
+        inst = ob.random_instance(0, T=50, K=3, m=0, n=0, feasibility_margin=0.2)
+        assert ob.default_config(inst).eta == ob.learning_rate(50, 1, 0.05)
+
     def test_horizon_too_large_to_hold_exits_2(self, tmp_path, capsys):
         # 10**15 rounds ask for ~7 PiB of row indices, a request that fails
         # before anything is allocated
@@ -284,7 +302,8 @@ class TestSweep:
         err = json.loads(out)["error"]
         assert err["type"] == "CliError"
         assert "stale sweep cell" in err["message"]
-        assert err["fields"] == ["delta"]
+        # the cells' scheduled eta was worked out under the old delta too
+        assert err["fields"] == ["delta", "eta"]
 
     @pytest.mark.parametrize(
         "drop",
@@ -292,34 +311,41 @@ class TestSweep:
             ("summary",),
             ("instance_hash",),
             ("summary", "tau"),
-            # (key, key, value): a field the fit reads set to a non-number
+            # (key, ..., key, value): a field the sweep reads set to a wrong type
             ("summary", "violation", "x"),
             ("summary", "violation", None),
             ("summary", "regret", "x"),
             # an integer beyond the float range
             ("summary", "tau", 10**400),
+            # pass/fail flags that are not true, false or null
+            ("summary", "budget_feasible", "no"),
+            ("summary", "bounds", "drift", "satisfied", 0),
         ],
     )
     def test_cell_missing_field_refused(self, tmp_path, capsys, drop):
         code, _ = run_cli(capsys, *self.sweep_args(tmp_path))
         assert code == 0
+        outputs = [tmp_path / "sw_sweep.csv", tmp_path / "sw_sweep_fit.json"]
+        before = [p.read_bytes() for p in outputs]
         path = tmp_path / "sw_T60_1.json"
         payload = json.loads(path.read_text())
-        keys = drop[:2]
+        keys = drop if len(drop) < 3 else drop[:-1]
         holder = payload
         for key in keys[:-1]:
             holder = holder[key]
-        if len(drop) == 3:
-            holder[keys[-1]] = drop[-1]
-        else:
+        if len(drop) < 3:
             del holder[keys[-1]]
+        else:
+            holder[keys[-1]] = drop[-1]
         path.write_text(json.dumps(payload))
         code, out = run_cli(capsys, *self.sweep_args(tmp_path, extra=("--aggregate-only",)))
         assert code == 2
         err = json.loads(out)["error"]
         assert err["type"] == "CliError"
         assert err["path"] == str(path)
-        assert err["field"] == keys[-1]
+        # a missing key is named alone, a wrong value by its path in the summary
+        assert err["field"] == (keys[-1] if len(drop) < 3 else ".".join(keys[1:]))
+        assert [p.read_bytes() for p in outputs] == before
 
     @pytest.mark.parametrize("field", [
         "violation", "regret", "total_reward", "tau", "max_dual_l1", "alpha_regret",
@@ -575,13 +601,34 @@ def test_non_finite_probabilities_exit_2(tmp_path, capsys, probs):
     assert not out.exists()
 
 
-#: SHA-256 of the files one run cell writes; a change to any of them is a
-#: change to the program's output.
+#: SHA-256 of the files one run cell writes and of the other records the CLI
+#: writes (keys "<record>/<file>"); a change to any of them is a change to
+#: the program's output.
 RUN_CELL_SHA256 = {
     "pacing_0.csv": "e4d49d459750a8e5fb50f02d86062c6aa235632bb80dfd9caea274e0307345b7",
     "pacing_0.json": "244e476d0997427febd2eb09a71c7f8d0df8b9a4fae4d2c64e4ea7087f5cdf8c",
     "random_model_0.csv": "e0aec23f012207c4b6e8176ec8e5f48e40f1e5ef4c5d611f527dba828319c709",
     "random_model_0.json": "97dc89fdbb9a2d024d31e2d0f411c61fa59f88b20f92ae125e610653f542b1d3",
+    "sweep/sw_T100_0.csv": "3b9ffef623471d693a4e5e06ca0960c1c8be0656349eded81d8c4e81e3853d24",
+    "sweep/sw_T100_0.json": "f0c4c05197faab2f7f09cf34595c71358492cd556bfd61ad076d8b6687d9cac6",
+    "sweep/sw_T100_1.csv": "85aa8de3a31df40189dbe6559d8663ff4801eb791c80cb8231234f3f3f71cd1e",
+    "sweep/sw_T100_1.json": "67246c7d4e5488afd20b05cf8a7f5b772c847acb7337ef7a38ebabd52de5fc07",
+    "sweep/sw_T200_0.csv": "09963933897bf6f9eeb5198e58626ece8cfca6d71ad0fbb7662bdc9dcfd7be44",
+    "sweep/sw_T200_0.json": "a03710c108a22151010e587316a7db22926147f21be1e6b5e57a5195febef4f9",
+    "sweep/sw_T200_1.csv": "d970069a45fc26550d34733ca1d2c43d83dc7d0117f989410731f46c5ec99e88",
+    "sweep/sw_T200_1.json": "b7732922d2f1c9182a9b05f4dc56d6dcc3b489200c5a3d07f212fcdd6ba8e9aa",
+    "sweep/sw_sweep.csv": "ca71dfa8fa00d7b4eb2318319c812a87d027983699b00d6cb1d6116f689761d1",
+    "sweep/sw_sweep_fit.json": "daaef2a89773c72245cfedeb904446cc9e93e602a8cc0f2c0211dc24d3620177",
+    "oracle/instance": "d7f3f4bbdb37d2919ed608022e781e2f182efe7eaf1b2122adb71d69f24ba0bc",
+    "oracle/model": "ac3d93ebe2aca25fc085ba9a599f48fba0f2b0a0e2c8ea2ecc347154a6a609d2",
+    "oracle/model_no_T": "e0e3cc2ad3ea79ed6c272ca18cf98f6c5d126da55236a44d9a7d057687a3b26b",
+    "gen/example1_budget.json": "d9640451ab46c273fa643d384da99cd4eaa31c7a1a045a90e930b541f570cd75",
+    "gen/example1_general.json": "8259342eee96d7f8c18308ae9729f9b9fb6b2ececb6bfedca584a276382a051c",
+    "gen/pacing.json": "65a88c475d0a1b1e60248a861a869e923df19e27e61a3f28867fd6f43f35d94e",
+    "gen/push_pull.json": "f3926788abb989b4fe4fe9de4d8eb5e7e28299cf74a4393285f972a80765f3de",
+    "gen/random.json": "38e21b93bbdb6d84c760c26dbd0612f61e429f16ac573304fbc78c061219e244",
+    "gen/random_model.json": "a5faf1d202e8b057e63fe5817abc50c9c9e69d0ce2d6f88f913e6c2008f4b353",
+    "audit/audit.json": "7a942f16e8ede2bce5a55f43b45d5bf438d84ac86fab761a66419ea61b4e4526",
 }
 
 
@@ -592,6 +639,46 @@ def test_run_cell_bytes_pinned(tmp_path, capsys, generator):
     assert code == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == {k: v for k, v in RUN_CELL_SHA256.items() if k.startswith(generator)}
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+@pytest.mark.parametrize("record", ["sweep", "oracle", "gen", "audit"])
+def test_record_bytes_pinned(tmp_path, capsys, monkeypatch, record):
+    """The sweep CSV, fit and cells, the oracle reports, every generator's
+    file at default parameters and an audit JSON, byte for byte."""
+    monkeypatch.chdir(tmp_path)  # the audit JSON names its trace's path
+    digests = {}
+    if record == "sweep":
+        code, _ = run_cli(capsys, "sweep", "--generator", "random_model", "--param", "S=40",
+                          "--T", "100,200", "--seeds", "0:2", "--benchmark", "lp",
+                          "--out", "s", "--name", "sw")
+        assert code == 0
+        digests = {p.name: _sha256(p.read_bytes()) for p in (tmp_path / "s").iterdir()}
+    elif record == "oracle":
+        for name, argv in {
+            "instance": ("--generator", "random", "--param", "T=6", "--param", "K=3"),
+            "model": ("--generator", "random_model", "--T", "20", "--num-samples", "10"),
+            "model_no_T": ("--generator", "pacing"),
+        }.items():
+            code, out = run_cli(capsys, "oracle", *argv)
+            assert code == 0
+            digests[name] = _sha256(out)
+    elif record == "gen":
+        for name in sorted(ob.environments.GENERATORS):
+            assert run_cli(capsys, "gen", "--generator", name, "--out", f"{name}.json")[0] == 0
+            digests[f"{name}.json"] = _sha256((tmp_path / f"{name}.json").read_bytes())
+    else:
+        assert run_cli(capsys, *cli_run_args("r", seeds="7"))[0] == 0
+        args = ("audit", os.path.join("r", "exp_7.csv"), "--pairs", "10", "--out", "audit.json")
+        assert run_cli(capsys, *args)[0] == 0
+        digests["audit.json"] = _sha256((tmp_path / "audit.json").read_bytes())
+    prefix = f"{record}/"
+    assert {prefix + k: v for k, v in digests.items()} == {
+        k: v for k, v in RUN_CELL_SHA256.items() if k.startswith(prefix)
+    }
 
 
 class TestGen:
@@ -623,6 +710,44 @@ class TestGen:
         assert err["type"] == "ValidationError"
         assert "['betta', 't']" in err["message"] and "accepted: ['T']" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("generator, key, value, kind", [
+        ("random", "T", "abc", "int"),
+        ("random_model", "S", "2.5", "int"),
+        ("pacing", "beta", "x", "float"),
+    ])
+    def test_unparsable_generator_parameter_named(self, tmp_path, capsys, generator, key,
+                                                  value, kind):
+        out = tmp_path / "x.json"
+        code, text = run_cli(capsys, "gen", "--generator", generator, "--param",
+                             f"{key}={value}", "--out", str(out))
+        assert code == 2
+        assert json.loads(text)["error"] == {
+            "type": "ValidationError",
+            "message": f"generator {generator!r} parameter {key!r}: {value!r} is not of "
+                       f"type {kind}",
+        }
+        assert not out.exists()
+
+
+def test_tracer_layers_resolve():
+    """Every (module, attribute) perfbench/tracer.py wraps exists, so a
+    renamed or deleted hook fails here and not only in the benchmark."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    for owner, attr, _ in tracer.LAYERS:
+        module, _, cls = owner.partition(".")
+        target = importlib.import_module(f"ora_bob.{module}")
+        if cls:
+            target = getattr(target, cls)
+        assert callable(getattr(target, attr, None)), (owner, attr)
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

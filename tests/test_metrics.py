@@ -153,7 +153,7 @@ class TestRunSummary:
         tr = ob.run(inst, ob.default_config(inst))
         s = run_summary(tr, inst)
         cols = trace_columns(tr)
-        assert s.total_reward == cols["cum_reward"][-1]
+        assert s["total_reward"] == cols["cum_reward"][-1]
 
     def test_violation_capped_by_stopping_time(self):
         for seed in range(5):
@@ -163,29 +163,29 @@ class TestRunSummary:
             tr = ob.run(inst, ob.default_config(inst))
             rho = ob.slater_adv(inst)
             s = run_summary(tr, inst, rho=rho)
-            assert s.violation_signed <= min(
-                s.bound_report["violation"].value, float(tr.stopping_time)
+            assert s["violation"] <= min(
+                s["bounds"]["violation"]["value"], float(tr.stopping_time)
             )
 
     def test_dual_norm_check_present(self):
         inst = ob.random_instance(2, T=60, K=3, m=1, n=1, feasibility_margin=0.2)
         tr = ob.run(inst, ob.default_config(inst))
         s = run_summary(tr, inst, rho=ob.slater_adv(inst))
-        assert s.bound_report["dual_norm"].satisfied
-        assert s.max_dual_l1 == max_dual_l1(tr)
+        assert s["bounds"]["dual_norm"]["satisfied"]
+        assert s["max_dual_l1"] == max_dual_l1(tr)
 
     def test_signed_and_clamped_violation(self):
         r = ([0.0, 1.0], [[0.0, -0.5]], np.zeros((0, 2)))
         inst = instance_of(ActionSet(2, 0), BudgetSpec(6, []), (r,) * 6)
         tr = ob.run(inst, OgdConfig(0.01, 0.05))
         s = run_summary(tr, inst)
-        assert s.violation_signed < 0.0
-        assert s.violation_clamped == 0.0
+        assert s["violation"] < 0.0
+        assert s["violation_clamped"] == 0.0
 
     def test_not_applicable_flag(self):
         r = ([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])
         inst = instance_of(ActionSet(2, 0), BudgetSpec(4, [0.5]), (r,) * 4)
         tr = ob.run(inst, OgdConfig(0.01, 0.05))
         s = run_summary(tr, inst)
-        assert not s.violation_applicable
-        assert s.budget_feasible is True
+        assert not s["violation_applicable"]
+        assert s["budget_feasible"] is True
