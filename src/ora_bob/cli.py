@@ -19,7 +19,7 @@ import numpy as np
 from . import environments, rng, serialization, traceio
 # run_allocator is the name perfbench/tracer.py times the one-lane run under.
 from .allocator import default_eta, lane_key, run as run_allocator, run_lanes
-from .core import Instance, StochasticModel, Trajectory
+from .core import ROUND_BLOCK, Instance, StochasticModel, Trajectory
 from .dual_ogd import (
     AUDIT_SLACK,
     DRIFT_SLACK,
@@ -99,7 +99,10 @@ def _parse_params(pairs) -> dict:
         key, sep, value = pair.partition("=")
         if not sep:
             raise CliError(f"--param expects key=value, got {pair!r}")
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise CliError(f"--param {key!r} is given more than once", key=key)
+        params[key] = value.strip()
     return params
 
 
@@ -498,8 +501,10 @@ ORACLES = {
 def cmd_oracle(args) -> int:
     """Each oracle ``--which`` names, or with ``all`` each that applies to
     the source; under ``all`` an oracle refused by its size guard is
-    reported skipped."""
+    reported skipped.  ``--T`` on an instance source must be its horizon,
+    as in ``run``."""
     _, obj = _resolve_source(args)
+    _horizon(obj, args.T)
     kind = "instance" if isinstance(obj, Instance) else "stochastic model"
     applicable = [name for name, (applies_to, _) in ORACLES.items() if applies_to == kind]
     if args.which != "all" and args.which not in applicable:
@@ -551,6 +556,26 @@ def _exactness_audit(trajectory, columns) -> dict:
     return {"ok": not mismatches, "mismatches": mismatches}
 
 
+def _dominance_audit(trajectory, instance) -> dict:
+    """Whether every gate-open round's candidate maximizes its Lagrangian
+    values at the round's duals, by the allocator's own
+    :func:`~ora_bob.lagrangian.penalties`, so a replay compares bit for bit.
+    The rounds are checked one block of ROUND_BLOCK at a time, each block's
+    rows gathered through the instance's row index; ``failing_rounds`` are
+    the first ten failing rounds, 1-based."""
+    F, U = instance.rows[0], instance.unified_rows
+    duals = trajectory.duals[:-1]
+    failing: list[int] = []
+    for lo in range(0, trajectory.horizon, ROUND_BLOCK):
+        rounds = slice(lo, lo + ROUND_BLOCK)
+        rows = instance.index[rounds]
+        values = F[rows] - penalties(U[rows].transpose(1, 0, 2), duals[rounds].T[:, :, None])
+        chosen = values[np.arange(len(rows)), trajectory.candidates[rounds]]
+        bad = np.flatnonzero(trajectory.gate_open[rounds] & (chosen < values.max(axis=1)))
+        failing += (bad[:10] + lo + 1).tolist()
+    return {"ok": not failing, "failing_rounds": failing[:10]}
+
+
 def _deterministic_audits(trajectory, instance) -> dict:
     audits: dict[str, dict] = {}
     tau = trajectory.stopping_time
@@ -594,12 +619,7 @@ def _deterministic_audits(trajectory, instance) -> dict:
     else:
         audits["telescoped_violation"] = {"ok": None, "status": "not_applicable"}
 
-    values = instance.rewards_stack - penalties(
-        instance.unified_stack.transpose(1, 0, 2), trajectory.duals[:-1].T[:, :, None]
-    )
-    chosen = values[np.arange(trajectory.horizon), trajectory.candidates]
-    bad = np.flatnonzero(trajectory.gate_open & (chosen < values.max(axis=1)))
-    audits["dominance"] = {"ok": not bad.size, "failing_rounds": (bad[:10] + 1).tolist()}
+    audits["dominance"] = _dominance_audit(trajectory, instance)
 
     post = slice(tau, trajectory.horizon)
     void = instance.actions.void_index

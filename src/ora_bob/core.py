@@ -26,7 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
+
 import numpy as np
+
+#: Rounds the instance hash, the trace writer and the dominance audit handle
+#: at a time, so their transient memory is bounded whatever the horizon.
+ROUND_BLOCK = 1024
 
 
 class ValidationError(ValueError):
@@ -70,7 +76,8 @@ class ActionSet:
 
 @dataclass(frozen=True)
 class BudgetSpec:
-    """Horizon T and per-round budget vector; the hard caps are beta_j * T."""
+    """Horizon T and per-round budget vector; the hard caps are beta_j * T,
+    which must be finite floats."""
 
     horizon: int
     per_round_budget: np.ndarray
@@ -81,6 +88,8 @@ class BudgetSpec:
         b = np.asarray(self.per_round_budget, dtype=np.float64).reshape(-1)
         if b.size and (not np.all(np.isfinite(b)) or np.any(b <= 0.0)):
             raise ValidationError("per-round budgets must be finite and > 0")
+        if b.size and not math.isfinite(float(b.max()) * int(self.horizon)):
+            raise ValidationError(f"hard caps beta_j * T overflow at T={self.horizon}")
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "per_round_budget", _readonly(b))
 

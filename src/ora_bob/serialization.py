@@ -11,19 +11,25 @@ Stochastic-model files replace "rounds" with "support" (same per-round shape)
 plus "probs"; :func:`to_dict` and :func:`from_dict` are the one codec for
 both.  Unknown fields are rejected with a JSON-pointer path.  Floats are
 written with Python's shortest round-trip representation, so save -> load
-reproduces bit-identical matrices.
+reproduces bit-identical matrices.  An instance's hash streams its canonical
+text to sha256 a block of rounds at a time, and :func:`write_text_atomic`,
+the one write-to-temp-then-rename routine, takes the text as one string or
+as chunks, so neither holds a whole T-round text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
-from .core import ActionSet, BudgetSpec, Instance, StochasticModel, ValidationError
+from .core import (
+    ROUND_BLOCK, ActionSet, BudgetSpec, Instance, StochasticModel, ValidationError,
+)
 
 
 class SchemaError(ValueError):
@@ -170,37 +176,47 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _text_hash(text: str) -> str:
-    return f"sha256:{hashlib.sha256(text.encode('utf-8')).hexdigest()}"
-
-
 def content_hash(obj: Any) -> str:
     """Stable content hash of a JSON-serializable object."""
-    return _text_hash(canonical_json(obj))
+    return f"sha256:{hashlib.sha256(canonical_json(obj).encode('utf-8')).hexdigest()}"
 
 
 def instance_hash(instance: Instance) -> str:
     """``content_hash(to_dict(instance))``, encoding each row once:
     a sampled instance's rounds are its model's few support rows.  The
-    canonical text is spliced from those parts, so the hash is the same."""
-    parts = [canonical_json(d) for d in rows_to_dicts(instance.rows)]
-    parts = [parts[k] for k in instance.index.tolist()]
+    canonical text is fed to sha256 one block of ROUND_BLOCK rounds at a
+    time, so the hash is the same and the text is never held whole."""
+    parts = [canonical_json(d).encode("utf-8") for d in rows_to_dicts(instance.rows)]
     header = canonical_json({**_header(instance), "rounds": None})
     head, tail = header.split('"rounds":null')
-    return _text_hash(f'{head}"rounds":[{",".join(parts)}]{tail}')
+    digest = hashlib.sha256(f'{head}"rounds":['.encode("utf-8"))
+    index = instance.index
+    for lo in range(0, len(index), ROUND_BLOCK):
+        if lo:
+            digest.update(b",")
+        digest.update(b",".join([parts[k] for k in index[lo : lo + ROUND_BLOCK].tolist()]))
+    digest.update(f"]{tail}".encode("utf-8"))
+    return f"sha256:{digest.hexdigest()}"
 
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, indent=1, allow_nan=False) + "\n"
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over
-    ``path``, so readers never see a partly written file."""
+def write_text_atomic(path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string chunks, to a temp
+    file beside ``path``, then rename it over ``path``, so readers never see
+    a partly written file.  If writing fails (say, a chunk raises), the temp
+    file is removed and ``path`` is left as it was."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_instance(path) -> Instance | StochasticModel:

@@ -1,20 +1,22 @@
 """Trace CSV and JSON output: deterministic, shortest round-trip floats.
 
 A trace file is `# key=value` header lines followed by one CSV row per
-round.  The same column computation feeds the writer and the audit's
-exactness check, so any hand-edited cell shows up as a bitwise mismatch
-against the deterministic re-run.  Files are written through
+round.  The same column computation, a block of ROUND_BLOCK rounds at a
+time, feeds the writer and the audit's exactness check, so any hand-edited
+cell shows up as a bitwise mismatch against the deterministic re-run.  The
+writer formats and writes one block of rows at a time, through
 :func:`ora_bob.serialization.write_text_atomic`, the one write-to-temp-then-
-rename routine.
+rename routine, so it never holds the whole file text.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import Iterator
 
 import numpy as np
 
-from .core import Trajectory
+from .core import ROUND_BLOCK, Trajectory
 from .serialization import dumps, write_text_atomic
 
 SCHEMA_VERSION = 1
@@ -30,41 +32,71 @@ class TraceFormatError(ValueError):
     not have one field per column, or a cell does not parse."""
 
 
-def trace_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
-    """The per-round columns of the trace, in file order."""
+def _running(values: np.ndarray, previous: np.ndarray | None) -> np.ndarray:
+    """``np.cumsum(values, axis=0)`` continued from the last row of the
+    previous block's running totals ``previous`` (None for the first
+    block): each row is added in round order, as one cumsum over all
+    rounds adds it, so the blocks join bitwise."""
+    if previous is None:
+        return np.cumsum(values, axis=0)
+    return np.cumsum(np.concatenate((previous[-1:], values)), axis=0)[1:]
+
+
+def trace_column_blocks(trajectory: Trajectory) -> Iterator[dict[str, np.ndarray]]:
+    """The per-round columns of the trace, in file order, one block of
+    ROUND_BLOCK rounds at a time."""
     T = trajectory.horizon
     m = trajectory.num_general
-    cols: dict[str, np.ndarray] = {
-        "t": np.arange(1, T + 1, dtype=np.int64),
-        "action": trajectory.actions,
-        "candidate": trajectory.candidates,
-        "gate_open": trajectory.gate_open.astype(np.int64),
-        "reward": trajectory.rewards,
-        "cum_reward": np.cumsum(trajectory.rewards),
-        "lambda_l1": np.abs(trajectory.duals[:-1]).sum(axis=1),
-    }
-    if m:
-        running = np.cumsum(trajectory.unified_values[:, :m], axis=0)
-        cols["max_general_violation_cum"] = running.max(axis=1)
-    else:
-        cols["max_general_violation_cum"] = np.zeros(T)
-    for j in range(trajectory.num_resources):
-        cols[f"cum_consumption_{j + 1}"] = trajectory.cumulative_consumption[:, j]
-    return cols
+    cum_reward = running = None
+    for lo in range(0, T, ROUND_BLOCK):
+        hi = min(lo + ROUND_BLOCK, T)
+        rounds = slice(lo, hi)
+        cum_reward = _running(trajectory.rewards[rounds], cum_reward)
+        cols: dict[str, np.ndarray] = {
+            "t": np.arange(lo + 1, hi + 1, dtype=np.int64),
+            "action": trajectory.actions[rounds],
+            "candidate": trajectory.candidates[rounds],
+            "gate_open": trajectory.gate_open[rounds].astype(np.int64),
+            "reward": trajectory.rewards[rounds],
+            "cum_reward": cum_reward,
+            "lambda_l1": np.abs(trajectory.duals[rounds]).sum(axis=1),
+        }
+        if m:
+            running = _running(trajectory.unified_values[rounds, :m], running)
+            cols["max_general_violation_cum"] = running.max(axis=1)
+        else:
+            cols["max_general_violation_cum"] = np.zeros(hi - lo)
+        for j in range(trajectory.num_resources):
+            cols[f"cum_consumption_{j + 1}"] = trajectory.cumulative_consumption[rounds, j]
+        yield cols
+
+
+def trace_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
+    """The per-round columns of the trace, in file order: the blocks of
+    :func:`trace_column_blocks` joined."""
+    blocks = list(trace_column_blocks(trajectory))
+    return {name: np.concatenate([cols[name] for cols in blocks]) for name in blocks[0]}
+
+
+def _format_rows(cols: dict[str, np.ndarray]) -> str:
+    """The CSV rows of a block of columns: integers as ``str``, floats as
+    their shortest round-trip ``repr``."""
+    cells = [list(map(str if a.dtype.kind in "iu" else repr, a.tolist())) for a in cols.values()]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:
-    """Write the trace atomically, one whole column formatted at a time:
-    integers as ``str``, floats as their shortest round-trip ``repr``."""
-    cols = trace_columns(trajectory)
-    lines = [f"# {key}={value}" for key, value in header.items()]
-    lines.append(",".join(cols))
-    cells = [
-        list(map(str if a.dtype.kind in "iu" else repr, a.tolist()))
-        for a in cols.values()
-    ]
-    lines.extend(map(",".join, zip(*cells)))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """Write the trace atomically, one block of ROUND_BLOCK rows formatted
+    and written at a time."""
+
+    def chunks():
+        for i, cols in enumerate(trace_column_blocks(trajectory)):
+            if not i:
+                lines = [f"# {key}={value}" for key, value in header.items()]
+                yield "\n".join(lines + [",".join(cols)]) + "\n"
+            yield _format_rows(cols)
+
+    write_text_atomic(path, chunks())
 
 
 def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:

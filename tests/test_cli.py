@@ -463,6 +463,17 @@ class TestOracleCommand:
         assert code == 2
         assert "guard" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["oracle", "run"])
+    def test_horizon_conflicting_with_instance_exits_2(self, tmp_path, capsys, command):
+        extra = ("--which", "slater_adv") if command == "oracle" else ("--out", str(tmp_path))
+        code, out = run_cli(capsys, command, "--generator", "random", "--param", "T=5",
+                            "--T", "99", *extra)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "CliError",
+            "message": "--T 99 conflicts with the fixed instance horizon 5",
+        }
+
 
 class TestLpSizeGuard:
     ARGS = ("--generator", "random", "--param", "T=8000")
@@ -512,6 +523,20 @@ def test_number_beyond_float_range_exits_2(tmp_path, capsys, kind, pointer):
     err = json.loads(out)["error"]
     assert err["type"] == "SchemaError"
     assert err["message"].startswith(f"{pointer}: ")
+
+
+def test_hard_cap_beyond_float_range_exits_2(tmp_path, capsys):
+    payload = serialization.to_dict(
+        ob.random_instance(5, T=20, K=3, m=1, n=1, feasibility_margin=0.2)
+    )
+    payload["beta"][0] = 1e308  # finite, but beta * T is not
+    source = tmp_path / "huge_budget.json"
+    source.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "run", "--instance", str(source), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "SchemaError", "message": "/: hard caps beta_j * T overflow at T=20"
+    }
 
 
 @pytest.mark.parametrize("kind", ["instance", "model"])
@@ -699,6 +724,17 @@ class TestGen:
         assert isinstance(obj, ob.StochasticModel)
         assert obj.validate().ok
 
+
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    def test_repeated_parameter_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code, text = run_cli(capsys, command, "--generator", "random", "--param", "T=5",
+                             "--param", " T=6", "--out", str(out))
+        assert code == 2
+        assert json.loads(text)["error"] == {
+            "type": "CliError", "message": "--param 'T' is given more than once", "key": "T",
+        }
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen", "run"])
     def test_unknown_generator_parameter_refused(self, tmp_path, capsys, command):
