@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import environments, rng, serialization, traceio
-# run_allocator is the name perfbench/tracer.py times the one-lane run under.
+# Nothing here calls run_allocator: the import stays only so the tracer's
+# allocator hook resolves, until that hook moves (ROADMAP item 6).
 from .allocator import default_eta, lane_key, run as run_allocator, run_lanes
 from .core import ROUND_BLOCK, Instance, StochasticModel, Trajectory
 from .dual_ogd import (
@@ -50,7 +51,9 @@ EXIT_USAGE = 2
 
 _AUDIT_SEED_SALT = 0xAD17
 
-#: Most integers one --seeds or --T list may name; each one is a cell.
+#: Most integers one --seeds or --T list may name, each one a cell, and
+#: most comparator pairs (audit --pairs) or Monte Carlo samples (oracle
+#: --num-samples) one command may request.
 MAX_LIST_LENGTH = 100_000
 #: Most lane-rounds one allocator batch plays in lockstep: cells of horizon T
 #: are batched max(1, BATCH_LANE_ROUNDS // T) at a time (16 at T=2000), so a
@@ -503,6 +506,8 @@ def cmd_oracle(args) -> int:
     the source; under ``all`` an oracle refused by its size guard is
     reported skipped.  ``--T`` on an instance source must be its horizon,
     as in ``run``."""
+    if args.num_samples > MAX_LIST_LENGTH:
+        raise CliError(f"--num-samples must be at most {MAX_LIST_LENGTH}, got {args.num_samples}")
     _, obj = _resolve_source(args)
     _horizon(obj, args.T)
     kind = "instance" if isinstance(obj, Instance) else "stochastic model"
@@ -543,16 +548,24 @@ def cmd_gen(args) -> int:
 
 
 def _exactness_audit(trajectory, columns) -> dict:
-    expected = traceio.trace_columns(trajectory)
-    mismatches = []
-    for name, arr in expected.items():
-        rec = columns.get(name)
-        if rec is None or rec.shape != arr.shape:
-            mismatches.append({"column": name, "round": None, "reason": "missing"})
-            continue
-        bad = np.nonzero(rec != arr)[0]
-        for i in bad[:10]:
-            mismatches.append({"column": name, "round": int(i) + 1, "reason": "mismatch"})
+    """Whether the read trace ``columns`` equal the re-run's bit for bit,
+    compared one block of ROUND_BLOCK rounds at a time, as the writer
+    computes them.  Per column, in file order: ``missing`` if it is absent
+    or not T long, else its first ten mismatching rounds, 1-based."""
+    T = trajectory.horizon
+    found: dict[str, list] = {}  # column -> mismatching rounds, or [None] if missing
+    for lo, block in zip(range(0, T, ROUND_BLOCK), traceio.trace_column_blocks(trajectory)):
+        for name, expected in block.items():
+            read = columns.get(name)
+            if read is None or read.shape != (T,):
+                found[name] = [None]
+            elif len(rounds := found.setdefault(name, [])) < 10:
+                bad = np.flatnonzero(read[lo : lo + len(expected)] != expected)
+                rounds += (bad[: 10 - len(rounds)] + lo + 1).tolist()
+    mismatches = [
+        {"column": name, "round": r, "reason": "missing" if r is None else "mismatch"}
+        for name, rounds in found.items() for r in rounds
+    ]
     return {"ok": not mismatches, "mismatches": mismatches}
 
 
@@ -676,14 +689,14 @@ def _read_trace(path, instance_override, loaded: dict) -> tuple:
     return seed, instance, OgdConfig(eta=eta, delta=delta), columns
 
 
-def audit_trace(path, seed: int, instance, columns, trajectory, pairs: int,
-                audit_seed: int | None) -> dict:
+def audit_trace(path, seed: int, instance, columns, trajectory, pairs: int) -> dict:
     """Audit the trace at ``path``, read as ``columns``, against
-    ``trajectory``, the re-run of its ``instance`` under its config."""
+    ``trajectory``, the re-run of its ``instance`` under its config; the
+    ``pairs`` comparator pairs derive from the trace's ``seed``."""
     audits = _deterministic_audits(trajectory, instance)
     exactness = _exactness_audit(trajectory, columns)
 
-    pair_seed = audit_seed if audit_seed is not None else rng.derive_seed(seed, _AUDIT_SEED_SALT)
+    pair_seed = rng.derive_seed(seed, _AUDIT_SEED_SALT)
     records = []
     failures = 0
     for mu, t1, t2 in sample_comparator_pairs(trajectory, pairs, pair_seed):
@@ -717,8 +730,8 @@ def cmd_audit(args) -> int:
     are equal play as lanes of one run_lanes call (at most
     BATCH_LANE_ROUNDS lane-rounds each), and each lane is audited as it
     comes.  The reports keep the argument order."""
-    if args.pairs < 0:
-        raise CliError(f"--pairs must be >= 0, got {args.pairs}")
+    if not 0 <= args.pairs <= MAX_LIST_LENGTH:
+        raise CliError(f"--pairs must be >= 0 and at most {MAX_LIST_LENGTH}, got {args.pairs}")
     loaded: dict = {}
     traces = [_read_trace(path, args.instance, loaded) for path in args.traces]
     seeds, instances, configs, columns = zip(*traces)
@@ -735,8 +748,7 @@ def cmd_audit(args) -> int:
             replays = run_lanes([instances[i] for i in batch], config)
             for i, trajectory in zip(batch, replays):
                 results[i] = audit_trace(
-                    args.traces[i], seeds[i], instances[i], columns[i], trajectory,
-                    args.pairs, args.audit_seed,
+                    args.traces[i], seeds[i], instances[i], columns[i], trajectory, args.pairs
                 )
     payload = {
         "schema_version": traceio.SCHEMA_VERSION,
@@ -812,7 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("traces", nargs="+")
     p.add_argument("--instance", default=None, help="override instance resolution")
     p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--audit-seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_audit)
 

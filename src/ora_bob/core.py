@@ -11,15 +11,15 @@ Round inputs exist only as (F, G, H) row stacks: rewards (S, K), general
 costs (S, m, K) and consumptions (S, n, K).  :class:`RowStore` owns them
 and checks their shapes once per stack at construction.  The two row
 stores are an :class:`Instance`, the rows plus a (T,) row index (its rows
-are exactly those the index uses, and its per-round stacks are gathers
-over the rows), and a :class:`StochasticModel`, the support rows plus
-their probabilities.  Validation checks each row once and reports its
-issues at every round that uses it.
+are exactly those the index uses, and round t reads row ``index[t]``), and
+a :class:`StochasticModel`, the support rows plus their probabilities.
+Validation checks each row once and reports its issues at every round that
+uses it.
 
 Unified constraints and duals exist only as arrays: the unified matrices
-are :func:`unified_rows` of the rows (cost rows over consumption rows
-shifted down by the per-round budget), and a :class:`Trajectory` holds a
-run's duals as one (T+1, M) array.
+are :attr:`RowStore.unified_rows` (cost rows over consumption rows shifted
+down by the per-round budget), and a :class:`Trajectory` holds a run's
+duals as one (T+1, M) array.
 """
 
 from __future__ import annotations
@@ -30,9 +30,13 @@ import math
 
 import numpy as np
 
-#: Rounds the instance hash, the trace writer and the dominance audit handle
-#: at a time, so their transient memory is bounded whatever the horizon.
+#: Rounds the instance hash, the trace writer and the exactness and dominance
+#: audits handle at a time, so their transient memory is bounded whatever the
+#: horizon.
 ROUND_BLOCK = 1024
+
+#: Largest horizon T: beyond 2**53 a float no longer counts rounds exactly.
+MAX_HORIZON = 2**53
 
 
 class ValidationError(ValueError):
@@ -85,6 +89,8 @@ class BudgetSpec:
     def __post_init__(self):
         if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
             raise ValidationError(f"horizon must be a positive integer, got {self.horizon!r}")
+        if self.horizon > MAX_HORIZON:
+            raise ValidationError(f"horizon T={self.horizon} is above MAX_HORIZON = 2**53")
         b = np.asarray(self.per_round_budget, dtype=np.float64).reshape(-1)
         if b.size and (not np.all(np.isfinite(b)) or np.any(b <= 0.0)):
             raise ValidationError("per-round budgets must be finite and > 0")
@@ -216,8 +222,12 @@ class RowStore:
 
     @cached_property
     def unified_rows(self) -> np.ndarray:
-        """(S, M, K) unified constraint matrices of the rows."""
-        return _frozen(unified_rows(*self.rows[1:], self.budget.per_round_budget))
+        """(S, M, K) unified constraint matrices of the rows: the (S, m, K)
+        general costs over the (S, n, K) consumptions shifted down by the
+        (n,) per-round budget."""
+        _, general, consumption = self.rows
+        beta = self.budget.per_round_budget
+        return _frozen(np.concatenate([general, consumption - beta[None, :, None]], axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +238,7 @@ class Instance(RowStore):
     Round t's inputs are row ``index[t]`` of the stacks ``rows``; ``index``
     is read-only, (T,) int64.  Only the rows some round uses are kept, in
     row order (a sampled instance is its model's drawn support rows plus
-    the draws).  The per-round stacks are gathers over the rows, never
-    cached.
+    the draws).
     """
 
     index: np.ndarray
@@ -259,20 +268,6 @@ class Instance(RowStore):
     @property
     def num_actions(self) -> int:
         return self.actions.count
-
-    def _gather(self, rows: np.ndarray) -> np.ndarray:
-        return _frozen(rows[self.index])
-
-    rewards_stack = property(lambda self: self._gather(self.rows[0]), doc="(T, K) rewards.")
-    general_stack = property(
-        lambda self: self._gather(self.rows[1]), doc="(T, m, K) general costs."
-    )
-    consumption_stack = property(
-        lambda self: self._gather(self.rows[2]), doc="(T, n, K) consumptions."
-    )
-    unified_stack = property(
-        lambda self: self._gather(self.unified_rows), doc="(T, M, K) unified matrices."
-    )
 
     def validate(self) -> "ValidationReport":
         """Every budget-gate, range and void-column issue of the rounds; each
@@ -321,12 +316,6 @@ class StochasticModel(RowStore):
             ValidationReport(), self.budget, self.rows, np.arange(self.support_size),
             self.actions,
         )
-
-
-def unified_rows(general: np.ndarray, consumption: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """(U, M, K) unified matrices: the (U, m, K) costs over the (U, n, K)
-    consumptions shifted down by the (n,) beta."""
-    return np.concatenate([general, consumption - beta[None, :, None]], axis=1)
 
 
 @dataclass(frozen=True)

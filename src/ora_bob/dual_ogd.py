@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Trajectory, ValidationError
+from .core import MAX_HORIZON, Trajectory, ValidationError
 
 #: Absolute slack for audit inequalities, sized against double-precision
 #: accumulation over T <= 1e5 terms of magnitude <= 1.
@@ -48,6 +48,8 @@ def learning_rate(T: int, M: int, delta: float) -> float:
     """The schedule eta = 1 / (60 * M * sqrt(2 T ln(T^2 / delta)))."""
     if T < 2:
         raise ValidationError(f"T must be >= 2, got {T}")
+    if T > MAX_HORIZON:
+        raise ValidationError(f"T={T} is above MAX_HORIZON = 2**53")
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
     if not 0.0 < delta < 1.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import ActionSet, BudgetSpec, Instance, StochasticModel, ValidationError
+from .core import MAX_HORIZON, ActionSet, BudgetSpec, Instance, StochasticModel, ValidationError
 
 
 def sample_support_indices(model: StochasticModel, T: int, seed: int) -> np.ndarray:
@@ -75,6 +75,7 @@ def make_example1_instance(
         raise ValidationError(
             f"parameter regime violation: 3*rho + epsilon = {3.0 * rho + epsilon!r} >= 1"
         )
+    budget = BudgetSpec(horizon, [rho, rho])  # refuses a horizon outside [1, MAX_HORIZON]
     if horizon * rho < 1.0:
         raise ValidationError(
             f"horizon {horizon} too short for per-round budget rho={rho!r} "
@@ -82,7 +83,7 @@ def make_example1_instance(
         )
     budget_only = StochasticModel(
         ActionSet(2, 0),
-        BudgetSpec(horizon, [rho, rho]),
+        budget,
         ([[0.0, 1.0]], np.zeros((1, 0, 2)), [[[0.0, rho + epsilon], [0.0, 0.0]]]),
         [1.0],
     )
@@ -142,7 +143,9 @@ def _random_rounds(
     return f, g, h
 
 
-def _check_random_params(K: int, m: int, n: int, margin: float, count: int):
+def _check_random_params(K: int, m: int, n: int, margin: float, count: int, horizon: int):
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValidationError(f"horizon T={horizon} outside [1, MAX_HORIZON = 2**53]")
     if K < 2:
         raise ValidationError(f"K must be >= 2 (void plus safe action), got {K}")
     if not 0.0 < margin <= 0.5:
@@ -164,7 +167,7 @@ def random_instance(
     ranges.  Per-round draws come from stream t, instance-level draws from
     stream 0.
     """
-    _check_random_params(K, m, n, feasibility_margin, T)
+    _check_random_params(K, m, n, feasibility_margin, T, T)
     beta = _random_beta(seed, n, feasibility_margin, T)
     rows = _random_rounds(seed, T, K, m, n, feasibility_margin, beta)
     return Instance(ActionSet(K, 0), BudgetSpec(T, beta), rows, np.arange(T))
@@ -180,7 +183,7 @@ def random_model(
     the model's budget vector, so the stochastic Slater parameter is at least
     ``feasibility_margin``.  Probabilities are uniform over the support.
     """
-    _check_random_params(K, m, n, feasibility_margin, S)
+    _check_random_params(K, m, n, feasibility_margin, S, horizon)
     beta = _random_beta(seed, n, feasibility_margin, horizon)
     rows = _random_rounds(seed, S, K, m, n, feasibility_margin, beta)
     return StochasticModel(ActionSet(K, 0), BudgetSpec(horizon, beta), rows, np.full(S, 1.0 / S))

@@ -84,12 +84,6 @@ def _sequence_chunks(T: int, K: int):
         yield codes, digits
 
 
-def _along(stacked: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """(chunk, T, ...) entries stacked[t, digits[:, t]] of a (T, K, ...)
-    stack at every sequence of a digits block."""
-    return stacked[np.arange(stacked.shape[0]), digits]
-
-
 def _require_constraints(source):
     """Refuse a Slater parameter of a source with no constraints (m = n = 0):
     a minimum over an empty constraint set has no value."""
@@ -110,19 +104,19 @@ def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> Oracle
     T, K = instance.horizon, instance.num_actions
     _guard(K, T, guard, f"brute-force optimum over {K}^{T} sequences")
     m, n = instance.num_general, instance.num_resources
-    rewards = instance.rewards_stack
-    general, consumption = instance.general_stack, instance.consumption_stack
+    F, G, H = instance.rows
+    index = instance.index
     limits = instance.budget.limits
 
     best_value = -np.inf
     best_code = -1
     for codes, digits in _sequence_chunks(T, K):
-        values = _along(rewards, digits).sum(axis=1)
+        values = F[index, digits].sum(axis=1)
         feasible = np.ones(codes.shape[0], dtype=bool)
         for i in range(m):
-            feasible &= _along(general[:, i, :], digits).sum(axis=1) <= 0.0
+            feasible &= G[index, i, digits].sum(axis=1) <= 0.0
         for j in range(n):
-            feasible &= _along(consumption[:, j, :], digits).sum(axis=1) <= limits[j]
+            feasible &= H[index, j, digits].sum(axis=1) <= limits[j]
         if not feasible.any():
             continue
         masked = np.where(feasible, values, -np.inf)
@@ -263,10 +257,10 @@ def slater_adv_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) ->
     T, K = instance.horizon, instance.num_actions
     _require_constraints(instance)
     _guard(K, T, guard, f"brute-force Slater over {K}^{T} sequences")
-    colmax = instance.unified_rows.max(axis=1)[instance.index]  # (T, K)
+    colmax = instance.unified_rows.max(axis=1)  # (S, K)
     worst = np.inf
     for _, digits in _sequence_chunks(T, K):
-        seq_scores = _along(colmax, digits).max(axis=1)
+        seq_scores = colmax[instance.index, digits].max(axis=1)
         worst = min(worst, float(seq_scores.min()))
     return -worst
 
@@ -285,7 +279,7 @@ def slater_stoc(model: StochasticModel, guard: int = ENUMERATION_GUARD) -> float
     weighted = model.probs[:, None, None] * model.unified_rows.transpose(0, 2, 1)
     best = np.inf
     for _, digits in _sequence_chunks(S, K):
-        expect = _along(weighted, digits).sum(axis=1)  # (chunk, M)
+        expect = weighted[np.arange(S), digits].sum(axis=1)  # (chunk, M)
         scores = expect.max(axis=1)
         best = min(best, float(scores.min()))
     return -best

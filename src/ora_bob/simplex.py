@@ -8,11 +8,12 @@ rules out cycling; the ratio test breaks ties toward the smallest basic
 variable index.  Reduced costs are compared against an absolute tolerance,
 TOL.
 
-This is deliberately a small, auditable solver: the LPs it sees have at most
-a few thousand columns and a few hundred rows.  A pivot updates only the rows
-with a nonzero entry in the pivot column, which on the sparse LP relaxation
-of ``oracles.opt_lp_relax`` is a small share of them, through a work buffer
-allocated once per solve.
+This is deliberately a small, auditable solver for the LP relaxation of
+``oracles.opt_lp_relax``, whose tableau that module caps at
+``LP_TABLEAU_GUARD_MIB`` (256 MiB): about 2,600 rows and 13,000 columns at
+K = 4.  A pivot updates only the rows with a nonzero entry in the pivot
+column, which on that sparse LP is a small share of them, through a work
+buffer allocated once per solve.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ def solve_lp(
     b_ub=None,
     A_eq=None,
     b_eq=None,
-    max_iterations: int | None = None,
 ) -> SimplexResult:
-    """Maximize c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
+    """Maximize c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0, within
+    max(5000, 50 * (rows + tableau columns)) pivots."""
     c = np.asarray(c, dtype=np.float64).reshape(-1)
     n = c.shape[0]
 
@@ -158,8 +159,7 @@ def solve_lp(
     basis[:mu] = n + np.arange(mu)
     basis[art_rows] = n + mu + np.arange(n_art)
 
-    if max_iterations is None:
-        max_iterations = max(5000, 50 * (rows + width - 1))
+    max_iterations = max(5000, 50 * (rows + width - 1))
 
     # Pages of the pivot work buffer are touched only as pivots use them.
     _scratch.work = np.empty((2, rows, width))

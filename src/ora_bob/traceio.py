@@ -71,13 +71,6 @@ def trace_column_blocks(trajectory: Trajectory) -> Iterator[dict[str, np.ndarray
         yield cols
 
 
-def trace_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
-    """The per-round columns of the trace, in file order: the blocks of
-    :func:`trace_column_blocks` joined."""
-    blocks = list(trace_column_blocks(trajectory))
-    return {name: np.concatenate([cols[name] for cols in blocks]) for name in blocks[0]}
-
-
 def _format_rows(cols: dict[str, np.ndarray]) -> str:
     """The CSV rows of a block of columns: integers as ``str``, floats as
     their shortest round-trip ``repr``."""

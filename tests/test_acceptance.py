@@ -30,6 +30,7 @@ from ora_bob.oracles import (
     slater_adv_bruteforce,
     slater_stoc,
 )
+from rowstacks import consumption_stack, rewards_stack, unified_stack
 
 BATCH_SALT = 0xACCE97
 BATCH_COUNT = 1000
@@ -52,7 +53,7 @@ def exact_budget_check(inst, tr, exact_all=False) -> bool:
     T = inst.horizon
     for j in check:
         j = int(j)
-        h_seq = inst.consumption_stack[np.arange(T), j, tr.actions]
+        h_seq = consumption_stack(inst)[np.arange(T), j, tr.actions]
         total = sum((Fraction(float(v)) for v in h_seq), Fraction(0))
         if total > Fraction(float(inst.budget.per_round_budget[j])) * T:
             return False
@@ -299,8 +300,8 @@ def test_c10_example1_fixture(criterion):
     lam = np.array([20.0, 20.0])
     bud = ob.sample_instance(fx.budget_only, 20, 0)
     gen = ob.sample_instance(fx.general, 20, 0)
-    bud_values = bud.rewards_stack[0] - ob.penalties(bud.unified_stack[0], lam)
-    gen_values = gen.rewards_stack[0] - ob.penalties(gen.unified_stack[0], lam)
+    bud_values = rewards_stack(bud)[0] - ob.penalties(unified_stack(bud)[0], lam)
+    gen_values = rewards_stack(gen)[0] - ob.penalties(unified_stack(gen)[0], lam)
     got = (
         float(bud_values[0]),
         float(bud_values[1]),

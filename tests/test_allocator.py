@@ -23,7 +23,7 @@ from ora_bob.core import (
 from ora_bob.dual_ogd import OgdConfig, learning_rate
 from ora_bob.environments import build_generator, sample_instance
 from ora_bob.lagrangian import penalties
-from rowstacks import instance_of, model_of, stacks
+from rowstacks import instance_of, model_of, rewards_stack, stacks, unified_stack
 
 
 def draining_instance(T: int, beta: float = 0.5, consumption: float = 1.0) -> Instance:
@@ -42,8 +42,8 @@ class TestExample1Update:
 
     def update(self, duals, eta=0.01):
         inst = ob.sample_instance(ob.make_example1_instance(0.1, 0.2, horizon=20).general, 20, 0)
-        unified, dual = inst.unified_stack[0], np.array(duals)
-        action = int(np.argmax(inst.rewards_stack[0] - penalties(unified, dual)))
+        unified, dual = unified_stack(inst)[0], np.array(duals)
+        action = int(np.argmax(rewards_stack(inst)[0] - penalties(unified, dual)))
         return action, np.maximum(0.0, dual + eta * unified[:, action])
 
     def test_compensation_update_amounts(self):

@@ -539,6 +539,52 @@ def test_hard_cap_beyond_float_range_exits_2(tmp_path, capsys):
     }
 
 
+HUGE_T = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--generator", "random_model", "--T", HUGE_T, "--out", "{out}"),
+        ("sweep", "--generator", "random_model", "--T", HUGE_T, "--out", "{out}"),
+        ("oracle", "--generator", "pacing", "--T", HUGE_T),
+        ("gen", "--generator", "pacing", "--param", f"T={HUGE_T}", "--out", "{out}.json"),
+        ("run", "--generator", "random", "--param", f"T={HUGE_T}", "--out", "{out}"),
+        ("gen", "--generator", "random_model", "--param", "T=0", "--out", "{out}.json"),
+        ("gen", "--generator", "example1_budget", "--param", f"T={HUGE_T}", "--out", "{out}.json"),
+    ],
+)
+def test_horizon_beyond_max_horizon_exits_2(tmp_path, capsys, argv):
+    out = str(tmp_path / "out")
+    code, text = run_cli(capsys, *(arg.format(out=out) for arg in argv))
+    assert code == 2
+    err = json.loads(text)["error"]
+    assert err["type"] == "ValidationError" and "MAX_HORIZON = 2**53" in err["message"]
+    assert os.listdir(tmp_path) in ([], ["out"])
+    limit = ob.core.MAX_HORIZON
+    assert ob.BudgetSpec(limit, [0.5]).horizon == limit
+    for beta in ([0.5], []):
+        with pytest.raises(ob.ValidationError, match="MAX_HORIZON"):
+            ob.BudgetSpec(limit + 1, beta)
+    with pytest.raises(ob.ValidationError, match="MAX_HORIZON"):
+        ob.learning_rate(limit + 1, 1, 0.05)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "absent.csv", "--pairs"),
+        ("oracle", "--generator", "pacing", "--T", "20", "--which", "opt_stoc", "--num-samples"),
+    ],
+)
+def test_count_over_the_limit_exits_2(capsys, argv):
+    code, out = run_cli(capsys, *argv, str(cli.MAX_LIST_LENGTH + 1))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "CliError"
+    assert f"at most {cli.MAX_LIST_LENGTH}, got {cli.MAX_LIST_LENGTH + 1}" in err["message"]
+
+
 @pytest.mark.parametrize("kind", ["instance", "model"])
 @pytest.mark.parametrize("field", ["m", "n"])
 def test_negative_dimension_exits_2_with_pointer(tmp_path, capsys, kind, field):

@@ -9,11 +9,18 @@ from ora_bob.core import (
     Instance,
     StochasticModel,
     ValidationError,
-    unified_rows,
 )
 from ora_bob.oracles import opt_lp_relax
 from ora_bob.serialization import instance_hash, load_instance, save_instance
-from rowstacks import instance_of, model_of
+from rowstacks import (
+    STACKS,
+    consumption_stack,
+    instance_of,
+    model_of,
+    rewards_stack,
+    unified_rows,
+    unified_stack,
+)
 
 
 def make_round(f, g, h):
@@ -209,7 +216,7 @@ class TestInstance:
         inst = instance_of(ActionSet(2, 0), BudgetSpec(2, [0.5]), (r1, r2))
         for t in (1, 2):
             expected = unify((r1, r2)[t - 1], inst.budget)
-            assert np.array_equal(inst.unified_stack[t - 1], expected)
+            assert np.array_equal(unified_stack(inst)[t - 1], expected)
 
 
 @given(
@@ -278,7 +285,7 @@ class TestRoundStore:
             ),
         }
         for attr, want in expected.items():
-            got = getattr(inst, attr)
+            got = STACKS[attr](inst)
             assert got.shape == want.shape and got.dtype == want.dtype, attr
             assert got.tobytes() == want.tobytes(), attr
             assert not got.flags.writeable
@@ -298,7 +305,7 @@ class TestRoundStore:
         model = env.random_model(2, S=6, K=3, m=1, n=1, feasibility_margin=0.2)
         sampled = env.sample_instance(model, 50, 4)
         draws = env.sample_support_indices(model, 50, 4)
-        assert sampled.consumption_stack.tobytes() == model.rows[2][draws].tobytes()
+        assert consumption_stack(sampled).tobytes() == model.rows[2][draws].tobytes()
 
     @pytest.mark.parametrize("kind", ["range_and_void"])
     def test_sampled_bad_row_issues_match_round_by_round(self, kind):
@@ -324,7 +331,7 @@ class TestRoundStore:
         inst = Instance(ActionSet(2, 0), BudgetSpec(3, []), rows, [2, 0, 2])
         assert inst.rows[0].tolist() == [[0.0, 0.1], [0.0, 0.3]]  # in row order
         assert inst.index.tolist() == [1, 0, 1]
-        assert inst.rewards_stack[:, 1].tolist() == [0.3, 0.1, 0.3]
+        assert rewards_stack(inst)[:, 1].tolist() == [0.3, 0.1, 0.3]
 
     def test_index_outside_pool_refused(self):
         rows = (np.zeros((1, 1)), np.zeros((1, 0, 1)), np.zeros((1, 0, 1)))
@@ -340,6 +347,6 @@ class TestRoundStore:
         rebuilt = instance_of(inst.actions, inst.budget, rounds_of(inst))
         assert rebuilt.rows[0].shape[0] == inst.horizon  # one row per round
         for attr in ("rewards_stack", "general_stack", "consumption_stack", "unified_stack"):
-            assert getattr(rebuilt, attr).tobytes() == getattr(inst, attr).tobytes(), attr
+            assert STACKS[attr](rebuilt).tobytes() == STACKS[attr](inst).tobytes(), attr
         assert instance_hash(rebuilt) == instance_hash(inst)
         assert opt_lp_relax(rebuilt).opt_value == opt_lp_relax(inst).opt_value

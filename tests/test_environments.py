@@ -19,6 +19,7 @@ from ora_bob.environments import (
     sample_support_indices,
 )
 from ora_bob.serialization import SchemaError, load_instance, save_instance, to_dict
+from rowstacks import consumption_stack, general_stack, rewards_stack, unified_stack
 
 
 class TestSeed:
@@ -79,7 +80,7 @@ class TestExample1:
     def test_swing_column(self):
         fx = make_example1_instance(0.1, 0.2, horizon=20)
         inst = sample_instance(fx.general, 3, 0)
-        col = inst.unified_stack[0][:, 2]
+        col = unified_stack(inst)[0][:, 2]
         assert col[0] == pytest.approx(0.3, abs=1e-15)
         assert col[1] == -1.0
 
@@ -119,18 +120,18 @@ class TestRandomInstance:
 
     def test_safe_action_is_not_void_when_general_constraints_exist(self):
         inst = random_instance(3, T=10, K=3, m=2, n=0, feasibility_margin=0.3)
-        assert np.all(inst.general_stack[:, :, 1] <= -0.3)
+        assert np.all(general_stack(inst)[:, :, 1] <= -0.3)
 
     def test_deterministic(self):
         a = random_instance(11, T=30, K=3, m=1, n=1, feasibility_margin=0.2)
         b = random_instance(11, T=30, K=3, m=1, n=1, feasibility_margin=0.2)
-        assert np.array_equal(a.unified_stack, b.unified_stack)
-        assert np.array_equal(a.rewards_stack, b.rewards_stack)
+        assert np.array_equal(unified_stack(a), unified_stack(b))
+        assert np.array_equal(rewards_stack(a), rewards_stack(b))
 
     def test_different_seed_differs(self):
         a = random_instance(11, T=30, K=3, m=1, n=1, feasibility_margin=0.2)
         b = random_instance(12, T=30, K=3, m=1, n=1, feasibility_margin=0.2)
-        assert not np.array_equal(a.rewards_stack, b.rewards_stack)
+        assert not np.array_equal(rewards_stack(a), rewards_stack(b))
 
     def test_validates(self):
         inst = random_instance(0, T=25, K=6, m=3, n=3, feasibility_margin=0.2)
@@ -183,9 +184,9 @@ class TestIO:
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         back = load_instance(path)
-        assert np.array_equal(back.rewards_stack, inst.rewards_stack)
-        assert np.array_equal(back.general_stack, inst.general_stack)
-        assert np.array_equal(back.consumption_stack, inst.consumption_stack)
+        assert np.array_equal(rewards_stack(back), rewards_stack(inst))
+        assert np.array_equal(general_stack(back), general_stack(inst))
+        assert np.array_equal(consumption_stack(back), consumption_stack(inst))
         assert np.array_equal(back.budget.per_round_budget, inst.budget.per_round_budget)
 
     def test_roundtrip_model_bit_exact(self, tmp_path):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ora_bob.allocator import run
-from ora_bob.core import ActionSet, BudgetSpec, unified_rows
+from ora_bob.core import ActionSet, BudgetSpec
 from ora_bob.dual_ogd import OgdConfig
 from ora_bob.environments import make_example1_instance, sample_instance
 from ora_bob.lagrangian import penalties
-from rowstacks import instance_of
+from rowstacks import instance_of, rewards_stack, unified_rows, unified_stack
 
 LAMBDA_2020 = np.array([20.0, 20.0])
 
@@ -20,7 +20,7 @@ def example1():
 def first_round_values(model, dual):
     """f_1(x) - <lambda, g~_1(x)> for every action x of a one-row model."""
     inst = sample_instance(model, model.budget.horizon, 0)
-    return inst.rewards_stack[0] - penalties(inst.unified_stack[0], dual)
+    return rewards_stack(inst)[0] - penalties(unified_stack(inst)[0], dual)
 
 
 def test_budget_case_void_value_is_four(example1):
@@ -107,7 +107,7 @@ def test_dominance_is_exact(K, m, n, seed):
     inst = instance_of(ActionSet(K, 0), BudgetSpec(12, beta), (r,) * 12)
     tr = run(inst, OgdConfig(eta=0.5, delta=0.05))
     for t in range(inst.horizon):
-        values = inst.rewards_stack[t] - penalties(inst.unified_stack[t], tr.duals[t])
+        values = rewards_stack(inst)[t] - penalties(unified_stack(inst)[t], tr.duals[t])
         action = int(tr.candidates[t])
         assert np.all(values[action] >= values)
         assert action == int(np.argmax(values))

@@ -15,8 +15,7 @@ from ora_bob.metrics import (
     theorem_bounds,
     violation,
 )
-from ora_bob.traceio import trace_columns
-from rowstacks import instance_of
+from rowstacks import instance_of, trace_columns
 
 
 def violating_instance(T=12, per_round=0.1):

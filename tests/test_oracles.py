@@ -17,7 +17,9 @@ from ora_bob.oracles import (
     slater_adv_bruteforce,
     slater_stoc,
 )
-from rowstacks import instance_of, model_of
+from rowstacks import (
+    consumption_stack, general_stack, instance_of, model_of, rewards_stack, unified_stack,
+)
 
 
 def tiny_instance(seed, T=4, K=3, m=2, n=1, margin=0.25):
@@ -27,7 +29,7 @@ def tiny_instance(seed, T=4, K=3, m=2, n=1, margin=0.25):
 def safe_sequence(inst):
     """Per-round actions whose worst unified entry is least (lowest index on
     ties): the sequence that certifies slater_adv."""
-    return inst.unified_stack.max(axis=1).argmin(axis=1)
+    return unified_stack(inst).max(axis=1).argmin(axis=1)
 
 
 class TestOptBruteforce:
@@ -143,9 +145,9 @@ class TestOptLpRelax:
         model = random_model(seed, S=30, K=4, m=2, n=2, feasibility_margin=0.1)
         inst = ob.sample_instance(model, 150, seed)
         T, K = inst.horizon, inst.num_actions
-        coupling = np.concatenate([inst.general_stack, inst.consumption_stack], axis=1)
+        coupling = np.concatenate([general_stack(inst), consumption_stack(inst)], axis=1)
         res = optimize.linprog(
-            -inst.rewards_stack.reshape(-1),
+            -rewards_stack(inst).reshape(-1),
             A_ub=coupling.transpose(1, 0, 2).reshape(-1, T * K),
             b_ub=np.concatenate([np.zeros(inst.num_general), inst.budget.limits]),
             A_eq=np.kron(np.eye(T), np.ones(K)),
@@ -223,7 +225,7 @@ class TestSlaterAdv:
         rho = slater_adv(inst)
         safe = safe_sequence(inst)
         for t in range(inst.horizon):
-            col = inst.unified_stack[t, :, safe[t]]
+            col = unified_stack(inst)[t, :, safe[t]]
             assert np.all(col <= -rho + 1e-15)
 
 
@@ -303,8 +305,8 @@ class TestCrossProperties:
         best = opt_bruteforce(inst).opt_actions
         safe = safe_sequence(inst)
         for t in range(inst.horizon):
-            star = inst.unified_stack[t, :, best[t]]
-            circ = inst.unified_stack[t, :, safe[t]]
+            star = unified_stack(inst)[t, :, best[t]]
+            circ = unified_stack(inst)[t, :, safe[t]]
             assert np.all(a * star + (1.0 - a) * circ <= 1e-12)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ora_bob import simplex
 from ora_bob.simplex import SimplexError, solve_lp
 
 
@@ -81,13 +82,11 @@ def test_reports_iterations():
 
 
 def test_iteration_cap_raises_with_count():
+    # max c.x s.t. x <= 1 in tableau form: slacks basic, one pivot needed
+    tab = np.hstack([np.eye(3), np.eye(3), np.ones((3, 1))])
+    cost = np.array([-1.0, -2.0, -3.0, 0.0, 0.0, 0.0])
     with pytest.raises(SimplexError, match="iterations"):
-        solve_lp(
-            [1.0, 2.0, 3.0],
-            A_ub=np.eye(3),
-            b_ub=[1.0, 1.0, 1.0],
-            max_iterations=0,
-        )
+        simplex._iterate(tab, np.arange(3, 6), cost, np.zeros(6, dtype=bool), 0, 0)
 
 
 def _full_update_pivot(tab, red, basis, r, q):
@@ -130,8 +129,6 @@ def _outcome(c, A_ub, b_ub, A_eq, b_eq):
 
 
 def test_row_skipping_pivot_is_bitwise_the_full_update(monkeypatch):
-    from ora_bob import simplex
-
     lps = list(_sparse_lps(300))
     skipping = [_outcome(*lp) for lp in lps]
     monkeypatch.setattr(simplex, "_pivot", _full_update_pivot)

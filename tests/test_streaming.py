@@ -1,7 +1,7 @@
 """The routines that work a block of ROUND_BLOCK rounds at a time: the
-instance hash, the trace writer and the dominance audit.  Each must give
-the bytes of its one-shot form, at and around the block edges, and keep
-its transient memory bounded whatever the horizon."""
+instance hash, the trace writer and the exactness and dominance audits.
+Each must give the bytes of its one-shot form, at and around the block
+edges, and keep its transient memory bounded whatever the horizon."""
 
 import os
 import tracemalloc
@@ -14,6 +14,7 @@ from ora_bob import cli, serialization as ser, traceio
 from ora_bob.core import ROUND_BLOCK
 from ora_bob.dual_ogd import OgdConfig
 from ora_bob.lagrangian import penalties
+from rowstacks import rewards_stack, trace_columns, unified_stack
 
 BLOCK_EDGES = (1, ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1)
 
@@ -60,9 +61,23 @@ def _one_shot_trace_text(trajectory, header):
     return "\n".join(lines) + "\n"
 
 
+def _one_shot_exactness(trajectory, columns):
+    """The exactness report of the read ``columns`` against the one-shot
+    columns of ``trajectory``."""
+    mismatches = []
+    for name, expected in _one_shot_columns(trajectory).items():
+        read = columns.get(name)
+        if read is None or read.shape != expected.shape:
+            mismatches.append({"column": name, "round": None, "reason": "missing"})
+            continue
+        for i in np.flatnonzero(read != expected)[:10]:
+            mismatches.append({"column": name, "round": int(i) + 1, "reason": "mismatch"})
+    return {"ok": not mismatches, "mismatches": mismatches}
+
+
 def _one_shot_dominance(trajectory, instance):
-    values = instance.rewards_stack - penalties(
-        instance.unified_stack.transpose(1, 0, 2), trajectory.duals[:-1].T[:, :, None]
+    values = rewards_stack(instance) - penalties(
+        unified_stack(instance).transpose(1, 0, 2), trajectory.duals[:-1].T[:, :, None]
     )
     chosen = values[np.arange(trajectory.horizon), trajectory.candidates]
     bad = np.flatnonzero(trajectory.gate_open & (chosen < values.max(axis=1)))
@@ -71,7 +86,8 @@ def _one_shot_dominance(trajectory, instance):
 
 @pytest.mark.parametrize("T", BLOCK_EDGES)
 def test_streamed_outputs_match_one_shot(tmp_path, T):
-    header = {"schema_version": 1, "T": T, "config": "{}"}
+    header = {"schema_version": 1, "T": T, "seed": 0, "eta": 0.05, "delta": 0.05,
+              "instance_hash": "-", "config": "{}"}
     for k, inst in enumerate(_instances(T)):
         assert ser.instance_hash(inst) == ser.content_hash(ser.to_dict(inst))
         tr = ob.run(inst, OgdConfig(eta=0.05, delta=0.05))  # the schedule needs T >= 2
@@ -79,20 +95,31 @@ def test_streamed_outputs_match_one_shot(tmp_path, T):
         traceio.write_trace_csv(path, tr, header)
         assert path.read_bytes().decode("utf-8") == _one_shot_trace_text(tr, header)
         expected = _one_shot_columns(tr)
-        columns = traceio.trace_columns(tr)
+        columns = trace_columns(tr)
         assert list(columns) == list(expected)
         for name, column in columns.items():
             assert column.dtype == expected[name].dtype
             assert column.tobytes() == expected[name].tobytes(), name
         assert cli._dominance_audit(tr, inst) == _one_shot_dominance(tr, inst)
+        # the last eleven rewards edited (across the block edge at
+        # T = ROUND_BLOCK + 1), the last cum_reward edited and one column deleted
+        _, read = traceio.read_trace_csv(path)
+        assert cli._exactness_audit(tr, read) == {"ok": True, "mismatches": []}
+        edited = {name: column.copy() for name, column in read.items()}
+        edited["reward"][-11:] = np.nextafter(edited["reward"][-11:], np.inf)
+        edited["cum_reward"][-1] += 1.0
+        del edited["lambda_l1"]
+        report = cli._exactness_audit(tr, edited)
+        assert report == _one_shot_exactness(tr, edited)
+        assert len(report["mismatches"]) == min(T, 10) + 2
 
 
 def test_streamed_dominance_reports_the_first_ten_failures():
     inst = _instances(3 * ROUND_BLOCK)[0]
     tr = ob.run(inst, ob.default_config(inst))
     # Every round's candidate replaced by a worst action: all open rounds fail.
-    values = inst.rewards_stack - penalties(
-        inst.unified_stack.transpose(1, 0, 2), tr.duals[:-1].T[:, :, None]
+    values = rewards_stack(inst) - penalties(
+        unified_stack(inst).transpose(1, 0, 2), tr.duals[:-1].T[:, :, None]
     )
     worst = values.argmin(axis=1)
     gate = tr.gate_open.copy()
@@ -113,9 +140,11 @@ def test_streamed_routines_peak_bounded(tmp_path, T):
     inst = ob.sample_instance(model, T, 1)
     tr = ob.run(inst, ob.default_config(inst))  # also caches inst.unified_rows
     header = {"schema_version": 1, "T": T, "config": "{}"}
+    columns = trace_columns(tr)
     routines = {
         "instance_hash": lambda: ser.instance_hash(inst),
         "write_trace_csv": lambda: traceio.write_trace_csv(tmp_path / "t.csv", tr, header),
+        "exactness_audit": lambda: cli._exactness_audit(tr, columns),
         "dominance_audit": lambda: cli._dominance_audit(tr, inst),
     }
     for name, routine in routines.items():
