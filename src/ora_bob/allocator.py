@@ -30,6 +30,17 @@ pre-filter it is guaranteed to pass, and at the start of each block of
 rounds one comparison shows whether any lane can reach the pre-filter
 within the block (each round adds at most 1 to a total, plus rounding);
 where none can, the block plays without per-round gate checks.
+
+The loop plays a block one segment at a time.  A dual step moves each
+multiplier by at most eta*|g~|, so the best response often stays the same
+for many rounds.  At a segment's start the loop evaluates the next rounds'
+Lagrangian values at the current duals in one stacked call, and a round
+whose top-two gap exceeds what the dual steps in between (and float
+rounding) can close is certified: its argmax is its candidate at its own
+duals.  The segment runs to the first uncertified round, so within it the
+actions are known and only the clipped dual recursion runs round by round.
+Near a budget cutoff, or after a segment cut short by a near tie, rounds
+are played one at a time.  Where segments fall changes no output value.
 """
 
 from __future__ import annotations
@@ -88,6 +99,23 @@ def _exact_sum(values: np.ndarray) -> Fraction:
     return Fraction(num, 1 << -base) if base < 0 else Fraction(num << base)
 
 
+def _margins(F, U, eta, B):
+    """(_BLOCK,) certification margins of a B-round run on the row table
+    (F, U): entry k bounds how far two actions' computed Lagrangian values
+    can move against each other between a segment's first round and the
+    k-th round after it (the derivation is in :func:`_play`)."""
+    M = U.shape[1]
+    if not M:
+        return np.full(_BLOCK, -1.0)  # values without duals never move
+    u = 2.0**-53
+    s_max = np.abs(eta * U).max(axis=(0, 2))
+    u_max = np.abs(U).max(axis=(0, 2))
+    delta = float(s_max @ u_max) * (1.0 + u * (2 * B + 1))
+    r = (M + 2) * u * (float(np.abs(F).max()) + 2.0 * B * float(s_max @ u_max))
+    r += M * 2.0**-1074
+    return (2.0 * delta * np.arange(_BLOCK) + 4.0 * r) * (1.0 + 2.0**-20)
+
+
 def _play(table, index, budget, void, eta):
     """Play R lanes in lockstep from lambda_1 = 0, zero consumption and an
     open gate: lane r plays the rows ``index[r]`` of the (R, B) index from
@@ -95,18 +123,34 @@ def _play(table, index, budget, void, eta):
 
     Rows are gathered a block of up to ``_BLOCK`` rounds at a time, with
     eta*U and H laid out (b, M or n, R*K) so that lane r's action x is flat
-    column r*K + x.  Each round then
-    1. takes every lane's candidate, the argmax of F - penalties(U, lambda);
-    2. checks the gate, unless the block guard shows that no lane can near
-       a cutoff within the block: the float totals are compared with a
-       pre-filter, and only a lane past it has its totals summed exactly
-       (once, by :func:`_exact_sum`, then kept as Fractions) and compared
-       with the exact cutoffs beta_j*T - 1;
-    3. plays the candidate in open lanes and the void action in closed ones,
-       gathering the played column of each lane with one flat index per
-       round for both the dual step lambda <- max(0, lambda + eta*g~) and
-       the consumption totals.
+    column r*K + x.  The block is played one segment at a time.  At a
+    segment's first round t the Lagrangian values F - penalties(U, lambda_t)
+    of the next w rounds are taken in one stacked call; round t's argmax is
+    its candidate, and round t+k's argmax is certified to be round t+k's
+    candidate while, in every lane, its top-two gap exceeds margins[k] (see
+    :func:`_margins`).  The segment is round t plus the certified rounds
+    after it, up to the first uncertified one.  Its actions are known, so
+    the played columns of the dual steps and consumptions are gathered once
+    per segment, and the consumption totals are one sequential
+    ``np.add.accumulate`` seeded with the running total; only the clipped
+    dual recursion lambda <- max(0, lambda + eta*g~) runs per round.
+
+    A segment skips the gate check, so it starts only where the block guard
+    below shows that no lane can near a cutoff within it.  Where it cannot
+    start, or after a segment certified fewer than 4 rounds, rounds are
+    played one at a time:
+    1. take every lane's candidate, the argmax of F - penalties(U, lambda);
+    2. check the gate, unless the block guard holds: the float totals are
+       compared with a pre-filter, and only a lane past it has its totals
+       summed exactly (once, by :func:`_exact_sum`, then kept as Fractions
+       until its gate closes) and compared with the exact cutoffs
+       beta_j*T - 1;
+    3. play the candidate in open lanes and the void action in closed ones,
+       gathering the played column of each lane with one flat index for both
+       the dual step and the consumption totals.
     Actions, gate flags, rewards and unified values are filled per block.
+    Every value a segment writes is the one these single rounds would
+    write, so the result does not depend on where segments fall.
 
     Returns the per-round arrays with a leading lane axis, keyed by their
     Trajectory field names (``duals`` holds lambda_1..lambda_{B+1}).
@@ -129,17 +173,49 @@ def _play(table, index, budget, void, eta):
     # lane's float total after k <= T rounds stays below 2T, and each float
     # addition raises it by at most 1 + s/2, where s = ulp(2T + 2*_BLOCK)
     # bounds the spacing of every total and guard sum.  If
-    # fl(cum + b + 2) <= thr_lane for every lane at the start of a b-round
-    # block, then cum + b + 2 <= thr_lane + s/2, and each total the block
-    # checks, after at most b - 1 additions, is at most
+    # fl(cum + b + 2) <= thr_lane for every lane at the start of b rounds,
+    # then cum + b + 2 <= thr_lane + s/2, and each total those rounds check,
+    # after at most b - 1 additions, is at most
     # cum + (b - 1)(1 + s/2) <= thr_lane - 3 + b*s/2 <= thr_lane whenever
-    # b*s <= 6.  No lane can then reach the pre-filter inside the block, so
-    # its per-round check is skipped.  With b <= _BLOCK that holds at every
-    # T below 2**46 - _BLOCK; at larger T every round is checked.
+    # b*s <= 6.  No lane can then reach the pre-filter within them, so their
+    # per-round check is skipped.  It is tested for each block, and where it
+    # fails there, for each segment (b = w): a lane already past the
+    # pre-filter fails it at any b, so near a cutoff the rounds go one at a
+    # time, and only single rounds touch the exact totals.  With
+    # b <= _BLOCK that holds at every T below 2**46 - _BLOCK; at larger T
+    # every round is checked.
     guard = _BLOCK * np.spacing(2.0 * T + 2 * _BLOCK) <= 6.0
 
+    # Certification.  A segment from round t evaluates round t+k's values
+    # v^(x) = fl(F(x) - penalties(U(x), lambda_t)) at lambda_t, while round
+    # t+k's candidate is the argmax of the same computation v(x) at
+    # lambda_{t+k}.  With u = 2**-53, s_i = max|fl(eta*U_i)| (the entries the
+    # dual steps add) and u_i = max|U_i| over the table:
+    # - Drift.  A dual step is lambda' = max(0, fl(lambda + s)).  lambda is
+    #   a float |s| away from lambda + s, so the nearest float is within
+    #   2|s| of lambda and lambda_i <= 2B*s_i all run long; and
+    #   |fl(z) - z| <= u|z|, so one step moves lambda_i by at most
+    #   s_i + u(lambda_i + s_i) <= s_i(1 + u(2B + 1)) (the clip at 0 only
+    #   shortens a move).  Over k steps the exact value F - <lambda, g~> of
+    #   any action moves by at most k*Delta,
+    #   Delta = sum_i s_i(1 + u(2B + 1)) u_i.
+    # - Rounding.  penalties adds its M products in constraint order and the
+    #   value subtracts the sum from F, so a computed value is within
+    #   r = (M + 2) u (max|F| + sum_i 2B s_i u_i) + M 2**-1074 of the exact
+    #   one (the dot-product bound gamma_M < (M + 1) u for M < 2**20, one u
+    #   for the subtraction, and 2**-1075 for each product that underflows).
+    # So if v^(x*) - v^(y) > 2k*Delta + 4r for every y != x*, then
+    # v(x*) - v(y) > 0: x* is the unique argmax at lambda_{t+k} whatever the
+    # k steps between were, and round t+k's candidate is x* in that lane.
+    # _margins scales both terms by 1 + 2**-20, which covers the few
+    # roundings (each at most u relative) in forming the margins and the gap.
+    # Round t itself (k = 0) is evaluated at its own duals, so needs no
+    # margin.  Closed lanes record candidates too, so the gap is the
+    # minimum over every lane.
+    margins = _margins(F, U, eta, B)
+
     lanes = np.arange(R)
-    exact = {}  # lane -> its exact consumption totals, once it nears a cutoff
+    exact = {}  # open lane -> its exact consumption totals, once it nears a cutoff
     is_open = np.ones(R, dtype=bool)
     closed_at = np.full(R, B)  # the round each lane's gate closed, B while open
     all_open = True
@@ -166,6 +242,19 @@ def _play(table, index, budget, void, eta):
     pick = np.empty(R, dtype=np.int64)
     step = np.empty((M, R))
     col = np.empty((n, R))
+    # Per-segment gathers: the flat offset in a block's eta*U and H of
+    # round i's row for constraint j, plus a played column, reads round i's
+    # values of every constraint in one take.
+    row_base = np.arange(_BLOCK)[:, None, None] * (R * K)
+    step_base = row_base * M + np.arange(M)[:, None] * (R * K)
+    cons_base = row_base * n + np.arange(n)[:, None] * (R * K)
+    # Segment schedule: ``window`` is the widest next segment, doubled after
+    # a segment certified to its end and twice the certified length after
+    # one cut short.  A try cut short under 4 rounds costs more than single
+    # rounds, so after one the loop plays ``wait`` single rounds before the
+    # next try, a wait that doubles from 8 to 512 while tries stay short:
+    # near ties at an equilibrium then cost little more than single rounds.
+    window, backoff, wait = 2, 8, 0
 
     for t0 in range(0, B, _BLOCK):
         t1 = min(t0 + _BLOCK, B)
@@ -173,39 +262,81 @@ def _play(table, index, budget, void, eta):
         rows = index[:, t0:t1].T  # (b, R)
         Fb = F[rows]  # (b, R, K)
         Ub = np.ascontiguousarray(U[rows].transpose(0, 2, 1, 3))  # (b, M, R, K)
+        Ut = Ub.transpose(1, 0, 2, 3)  # (M, b, R, K), for stacked penalties
         # eta * g~ of every action, the products the update adds, and the
         # consumptions, each with lanes and actions on one flat axis
         dual_steps = (eta * Ub).reshape(b, M, R * K)
         Hb = np.ascontiguousarray(H[rows].transpose(0, 2, 1, 3)).reshape(b, n, R * K)
         check = n and not (guard and (cum + (b + 2) <= thr_lane).all())
-        for i in range(b):
+        i = 0
+        while i < b:
             t = t0 + i
-            values = Fb[i] - penalties(Ub[i], lam)
-            candidate = values.argmax(axis=1, out=out_candidates[t])
-            if check and not (cum <= thr_lane).all():
-                near = is_open & ~(cum <= thr_fast).all(axis=0)
-                for r in np.flatnonzero(near):
-                    if r not in exact:
-                        # an open lane has played its candidates so far
-                        played = H[index[r, :t], :, out_candidates[:t, r]]  # (t, n)
-                        exact[r] = [_exact_sum(played[:, j]) for j in range(n)]
-                    if any(c > thr for c, thr in zip(exact[r], thresholds)):
-                        is_open[r] = False
-                        closed_at[r] = t
-                        thr_lane[:, r] = np.inf
-                        all_open = False
-            action = candidate if all_open else np.where(is_open, candidate, void)
-            np.add(lane_base, action, out=pick)
-            np.add(lam, dual_steps[i].take(pick, axis=1, out=step), out=step)
-            lam = np.maximum(0.0, step, out=out_duals[t + 1])
-            if n:
-                cum = np.add(cum, Hb[i].take(pick, axis=1, out=col), out=out_cum[t + 1])
-                if exact:
-                    by_lane = col.T.tolist()
-                    for r, totals in exact.items():
-                        for j, h in enumerate(by_lane[r]):
-                            if h:
-                                totals[j] += Fraction(h)
+            w = 0 if wait else min(window, b - i)
+            if w > 1 and check and not (guard and (cum + (w + 2) <= thr_lane).all()):
+                # the widest segment the guard allows, if any
+                w = min(w, int((thr_lane - cum).min()) - 3) if guard else 0
+                if w > 1 and not (cum + (w + 2) <= thr_lane).all():
+                    w = 0
+            if w > 1:
+                values = Fb[i:i + w] - penalties(Ut[:, i:i + w], lam[:, None])  # (w, R, K)
+                cand = values.argmax(axis=2, out=out_candidates[t:t + w])
+                L = w
+                if K > 1:
+                    top = np.partition(values, K - 2, axis=2)
+                    gap = (top[:, :, K - 1] - top[:, :, K - 2]).min(axis=1)
+                    certified = gap[1:] > margins[1:w]
+                    if not certified.all():
+                        L = 1 + int(certified.argmin())
+                window = min(2 * window, _BLOCK) if L == w else 2 * L
+                if L < min(w, 4):
+                    wait, backoff = backoff, min(2 * backoff, 512)
+                else:
+                    backoff = 8
+                acts = cand[:L] if all_open else np.where(is_open, cand[:L], void)
+                picks = (lane_base + acts)[:, None, :]  # (L, 1, R)
+                steps = dual_steps.take(step_base[i:i + L] + picks)  # (L, M, R)
+                for k in range(L):
+                    lam = out_duals[t + k + 1]
+                    np.add(out_duals[t + k], steps[k], out=lam)
+                    np.maximum(0.0, lam, out=lam)
+                if n:
+                    totals = out_cum[t:t + L + 1]
+                    Hb.take(cons_base[i:i + L] + picks, out=totals[1:])
+                    cum = np.add.accumulate(totals, axis=0, out=totals)[-1]
+                i += L
+                continue
+            stop = min(i + max(wait, 1), b)
+            wait -= min(wait, stop - i)
+            for i in range(i, stop):
+                t = t0 + i
+                values = Fb[i] - penalties(Ub[i], lam)
+                candidate = values.argmax(axis=1, out=out_candidates[t])
+                if check and not (cum <= thr_lane).all():
+                    near = is_open & ~(cum <= thr_fast).all(axis=0)
+                    for r in np.flatnonzero(near):
+                        if r not in exact:
+                            # an open lane has played its candidates so far
+                            played = H[index[r, :t], :, out_candidates[:t, r]]  # (t, n)
+                            exact[r] = [_exact_sum(played[:, j]) for j in range(n)]
+                        if any(c > thr for c, thr in zip(exact[r], thresholds)):
+                            is_open[r] = False
+                            closed_at[r] = t
+                            thr_lane[:, r] = np.inf
+                            all_open = False
+                            del exact[r]  # nothing reads a closed lane's totals
+                action = candidate if all_open else np.where(is_open, candidate, void)
+                np.add(lane_base, action, out=pick)
+                np.add(lam, dual_steps[i].take(pick, axis=1, out=step), out=step)
+                lam = np.maximum(0.0, step, out=out_duals[t + 1])
+                if n:
+                    cum = np.add(cum, Hb[i].take(pick, axis=1, out=col), out=out_cum[t + 1])
+                    if exact:
+                        by_lane = col.T.tolist()
+                        for r, totals in exact.items():
+                            for j, h in enumerate(by_lane[r]):
+                                if h:
+                                    totals[j] += Fraction(h)
+            i = stop
         gate = np.arange(t0, t1)[:, None] < closed_at  # (b, R)
         out_gate[t0:t1] = gate
         acts = out_actions[t0:t1] = np.where(gate, out_candidates[t0:t1], void)

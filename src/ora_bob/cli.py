@@ -281,8 +281,9 @@ def cmd_run(args) -> int:
     _check_eta(args)
     source_desc, obj = _resolve_source(args)
     seeds = _parse_int_list(args.seeds)
+    payloads = _cell_payloads(args, source_desc, obj, args.T, args.name, seeds)
     os.makedirs(args.out, exist_ok=True)
-    written = _run_cells(_cell_payloads(args, source_desc, obj, args.T, args.name, seeds), args.jobs)
+    written = _run_cells(payloads, args.jobs)
     print(json.dumps({"written": written}, indent=1))
     return EXIT_OK
 
@@ -458,11 +459,11 @@ def cmd_sweep(args) -> int:
     if isinstance(obj, Instance) and any(t != obj.horizon for t in t_values):
         raise CliError("sweeping T requires a stochastic model source")
     seeds = _parse_int_list(args.seeds)
-    os.makedirs(args.out, exist_ok=True)
+    # every cell's config is built, and so checked, before anything is written
+    payloads = [payload for T in t_values
+                for payload in _cell_payloads(args, source_desc, obj, T, f"{args.name}_T{T}", seeds)]
     if not args.aggregate_only:
-        payloads = []
-        for T in t_values:
-            payloads += _cell_payloads(args, source_desc, obj, T, f"{args.name}_T{T}", seeds)
+        os.makedirs(args.out, exist_ok=True)
         _run_cells(payloads, args.jobs)
     sweep_config = {"schema_version": traceio.SCHEMA_VERSION, "name": args.name,
                     "T": t_values, "seeds": seeds, **_cell_settings(args, source_desc)}

@@ -2,13 +2,16 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
-    "ci",
+    "tier1",
     max_examples=50,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("ci")
+# The same with ten times the examples, for a test that takes no
+# max_examples of its own; select it with --hypothesis-profile=ci.
+settings.register_profile("ci", settings.get_profile("tier1"), max_examples=500)
+settings.load_profile("tier1")
 
 _ACCEPTANCE_LINES: list[str] = []
 

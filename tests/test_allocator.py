@@ -9,6 +9,7 @@ import ora_bob as ob
 from ora_bob.allocator import (
     _exact_sum,
     default_config,
+    default_eta,
     run,
     run_lanes,
 )
@@ -120,21 +121,24 @@ class TestRun:
             run(inst, OgdConfig(0.1, 0.05))
 
 
-def reference_run(inst: Instance, eta: float):
+def reference_run(inst: Instance, eta: float) -> dict:
     """Plain-Python re-derivation of the controller, sharing no helpers with
     the implementation: greedy argmax of f - <lambda, g~> with first-max tie
     break, exact-rational budget gate at beta_j*T - 1, dual update
-    max(0, lambda + eta*g~(played)).  Returns per-round actions and duals.
+    max(0, lambda + eta*g~(played)).  Returns every per-round Trajectory
+    field, as arrays of the Trajectory's shapes and dtypes, and the
+    stopping time.
     """
-    from fractions import Fraction
-
     T, K = inst.horizon, inst.num_actions
     m, n = inst.num_general, inst.num_resources
     beta = [float(b) for b in inst.budget.per_round_budget]
     thresholds = [Fraction(b) * T - 1 for b in beta]
     lam = [0.0] * (m + n)
     spent = [Fraction(0)] * n
-    actions, duals = [], [list(lam)]
+    cum = [0.0] * n
+    out = {key: [] for key in ("actions", "candidates", "rewards", "unified_values",
+                               "gate_open", "cumulative_consumption")}
+    duals = [list(lam)]
     gate_was_open = True
     for t in range(T):
         rewards, costs, consumptions = (rows[inst.index[t]] for rows in inst.rows)
@@ -151,19 +155,25 @@ def reference_run(inst: Instance, eta: float):
         if gate_was_open and any(s > thr for s, thr in zip(spent, thresholds)):
             gate_was_open = False
         a = best_a if gate_was_open else inst.actions.void_index
-        actions.append(a)
-        new_lam = []
-        for i in range(m):
-            new_lam.append(max(0.0, lam[i] + eta * float(costs[i, a])))
+        unified = [float(costs[i, a]) for i in range(m)]
+        unified += [float(consumptions[j, a]) - beta[j] for j in range(n)]
+        lam = [max(0.0, x + eta * g) for x, g in zip(lam, unified)]
         for j in range(n):
-            g = float(consumptions[j, a]) - beta[j]
-            new_lam.append(max(0.0, lam[m + j] + eta * g))
             h = float(consumptions[j, a])
+            cum[j] += h
             if h:
                 spent[j] += Fraction(h)
-        lam = new_lam
         duals.append(list(lam))
-    return actions, duals
+        for key, value in (("actions", a), ("candidates", best_a),
+                           ("rewards", float(rewards[a])), ("unified_values", unified),
+                           ("gate_open", gate_was_open), ("cumulative_consumption", list(cum))):
+            out[key].append(value)
+    out = {key: np.array(value) for key, value in out.items()}
+    out["unified_values"] = out["unified_values"].reshape(T, m + n)
+    out["cumulative_consumption"] = out["cumulative_consumption"].reshape(T, n)
+    out["duals"] = np.array(duals).reshape(T + 1, m + n)
+    out["stopping_time"] = int(out["gate_open"].sum())
+    return out
 
 
 class TestReferenceEquivalence:
@@ -175,17 +185,17 @@ class TestReferenceEquivalence:
         )
         eta = 0.02  # large enough that duals move and the gate can close
         tr = run(inst, OgdConfig(eta=eta, delta=0.05))
-        ref_actions, ref_duals = reference_run(inst, eta)
-        assert list(tr.actions) == ref_actions
-        assert np.array_equal(tr.duals, np.asarray(ref_duals))
+        ref = reference_run(inst, eta)
+        assert list(tr.actions) == list(ref["actions"])
+        assert np.array_equal(tr.duals, ref["duals"])
 
     def test_matches_on_draining_instance(self):
         inst = draining_instance(12, beta=1.0 / 3.0)
         eta = 1e-3
         tr = run(inst, OgdConfig(eta=eta, delta=0.05))
-        ref_actions, ref_duals = reference_run(inst, eta)
-        assert list(tr.actions) == ref_actions
-        assert np.array_equal(tr.duals, np.asarray(ref_duals))
+        ref = reference_run(inst, eta)
+        assert list(tr.actions) == list(ref["actions"])
+        assert np.array_equal(tr.duals, ref["duals"])
 
     @pytest.mark.parametrize(
         "make, closes",
@@ -204,9 +214,9 @@ class TestReferenceEquivalence:
         config = default_config(inst, delta=0.05)
         tr = run(inst, config)
         assert (tr.stopping_time < inst.horizon) == closes
-        ref_actions, ref_duals = reference_run(inst, config.eta)
-        assert list(tr.actions) == ref_actions
-        assert np.array_equal(tr.duals, np.asarray(ref_duals))
+        ref = reference_run(inst, config.eta)
+        assert list(tr.actions) == list(ref["actions"])
+        assert np.array_equal(tr.duals, ref["duals"])
 
 
 class TestRunInvariants:
@@ -420,10 +430,12 @@ def _generated(name, seeds, **params):
 
 
 #: name -> (lanes of one run_lanes call, eta).  The cases cover every
-#: generator; R = 1, 2, 3 and 16 lanes; horizons on both sides of the
-#: 256-round gather blocks; m = n = 0, n = 0 and m = 0; draining h = 1.0
-#: lanes with an integer beta*T and with a gate closing on a block's last
-#: round; beta = 1/3; and lanes whose gates close in different blocks.
+#: generator; R = 1, 2, 3, 8 and 16 lanes; horizons on both sides of the
+#: 256-round gather blocks, and T = 1; m = n = 0, n = 0 and m = 0; draining
+#: h = 1.0 lanes with an integer beta*T and with a gate closing on a block's
+#: last round; beta = 1/3; lanes whose gates close in different blocks, and
+#: eight whose gates close within 22 rounds; the paper's eta at T = 2000 and
+#: 8000, and a large eta, for the round loop's certified segments.
 ROUND_LOOP_CASES = {
     "example1_budget": (lambda: _generated("example1_budget", [0, 1], T=255), 0.02),
     "example1_general": (lambda: _generated("example1_general", [2], T=256), 0.02),
@@ -443,6 +455,21 @@ ROUND_LOOP_CASES = {
                                 for s in range(3)], 1e-5),
     "gates_close_in_different_blocks": (lambda: [
         sample_instance(draining_model(1.0 / 3.0, 1200), 1200, s) for s in range(16)], 1e-5),
+    # the audit benchmark's shape at the paper's eta: long certified
+    # segments, and both gates close late in the run
+    "random_model_T8000": (lambda: _generated(
+        "random_model", [0, 1], T=8000, S=40, K=4, m=2, n=2, seed=2), default_eta(8000, 4, 0.05)),
+    # steady and burst near a tie once the dual settles
+    "pacing_T8000": (lambda: _generated("pacing", [0], T=8000), default_eta(8000, 1, 0.05)),
+    # a large step: the duals cross the candidates' tie boundaries often
+    "random_model_eta_high": (lambda: _generated(
+        "random_model", [0, 1], T=1000, S=12, K=4, m=2, n=2, seed=5), 0.1),
+    # eight lanes whose gates all close within rounds 1403..1424 of one block
+    "gates_close_together_R8": (lambda: _generated(
+        "random_model", [18, 7, 25, 27, 14, 23, 35, 20], T=2000, S=40, K=4, m=2, n=2, seed=2),
+        default_eta(2000, 4, 0.05)),
+    "horizon_1": (lambda: _generated(
+        "random_model", [0, 1, 2], T=1, S=5, K=3, m=1, n=1, seed=2), 0.05),
 }
 
 #: Per-lane digests of each case: any rewrite of the round loop must keep
@@ -485,6 +512,24 @@ ROUND_LOOP_DIGESTS = {
         "2fd218a7b4f9786496125c701b144aaf81e3b1575e919c9097dfe8a4b44736be",
         "2fbce60c3c5128acabe61f1fa6d3b61f694abfbf99031c2fce8f9fa50532c711",
     ],
+    "gates_close_together_R8": [
+        "9d4f9dbc18731379f084bf94c570228d634b5ad85b6edea19387d8ca0fa38172",
+        "cd8112daeffc9df81750ddc63184445cc045819a7067c3fac6a5ea8c95aeb28f",
+        "590af7858f85800d2e22a868e5b03ffeb795f9746cfa367e1315cccaa365bf03",
+        "3c281d6ddb8febd52f5aa0bcff6ebd2b80a8a1b4f82139d68ba022a0aa29af2c",
+        "216ddda601f3e31432a32323219ca1a725e6b63d5938a8f66abe934f7a050672",
+        "d54f556a3f060f2ad53197e845022ba0ed75e9ec9b575f7a2390dde7ffaf3f6a",
+        "e1c273dab24acc1826438b0d866a6488f1c6584e4940a8df5e0cbe6522539391",
+        "302f3e9cc3ea0653236aba8719f1409bd8e44c10459af418bec1e7b00404ac84",
+    ],
+    "horizon_1": [
+        "51b4398684bac9af641fcec3f600230eb349c6ad69b57bb9f8abc8aaddc963c7",
+        "51b4398684bac9af641fcec3f600230eb349c6ad69b57bb9f8abc8aaddc963c7",
+        "b246134b4d6b74ac7b68f25ec55d56b43e16bdf34f4c06ab54acf8538e9bb948",
+    ],
+    "pacing_T8000": [
+        "76df816391c3b805d4d6f3e984c60cbc36e032c9b9d82d233ce721261f7be2d8",
+    ],
     "pacing_m0": [
         "34c1b08b043c791e5552d1ba8a66a74201a5b4b6b269e5b4efccaabd79281fb1",
         "6bbbbd1e78783f4f72fd595bf30ff33cee4b4f037106928dabf41e886c5270ae",
@@ -517,6 +562,14 @@ ROUND_LOOP_DIGESTS = {
         "33bbd91dff66e5aa8882d9fd4fa8c19fcb66a5786d718787b04ca5c4a1140399",
         "471df195e37780b4c41ad0fe01411e4bf0c4ffac729fe76e5934028539510c89",
     ],
+    "random_model_T8000": [
+        "0d61a31f46e0f1128fd5f59ff458973f6bd5a834e2d789bd984c34191af798f3",
+        "bc91dbee15c256c33f46a0494cb6ee4af3963b54fb3f8b9bdd3af49eea9e2f9d",
+    ],
+    "random_model_eta_high": [
+        "686b291871f55fef58ee097655bf1b9f2a7a4406b8655c5cefdfb532b8463a50",
+        "7361a4ca36fa87c234157674c17d6b81b89cfd79ee86f07d7ae0f1393eefb03f",
+    ],
     "random_model_m0": [
         "5d89cad840dcd0ebc2f77dba2a410b79a78be0cffb105f3e10f24f56b04c2a54",
         "53df5ce3341f683e55de0d2b4030f8933df8ffec15c180532fbd6d83fec7af6b",
@@ -535,6 +588,8 @@ def test_round_loop_digests_frozen(case):
     lanes = list(run_lanes(make(), OgdConfig(eta=eta, delta=0.05)))
     if case == "gates_close_in_different_blocks":
         assert len({lane.stopping_time // 256 for lane in lanes}) > 1
+    if case == "gates_close_together_R8":
+        assert {lane.stopping_time for lane in lanes} <= set(range(1403, 1425))
     assert [_lane_digest(lane) for lane in lanes] == ROUND_LOOP_DIGESTS[case]
 
 
@@ -552,3 +607,47 @@ def test_exact_sum_is_the_rational_sum(values):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(0.0), max_size=40))
 def test_exact_sum_random(values):
     assert _exact_sum(np.array(values, dtype=np.float64)) == sum(map(Fraction, values), Fraction(0))
+
+
+_GRID = {"F": [0.0, 0.25, 0.5, 0.75, 1.0], "G": [-1.0, -0.5, 0.0, 0.5, 1.0],
+         "H": [0.0, 0.25, 0.5, 1.0], "beta": [0.05, 0.1, 0.25, 1 / 3, 0.5, 1.0, 1.5]}
+
+
+@st.composite
+def _lanes_on_a_grid(draw):
+    """1-4 lanes sharing T, beta, K and (m, n), each with its own rows drawn
+    from a coarse grid, so exact ties between actions are common."""
+    K = draw(st.integers(1, 4))
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    T = draw(st.integers(1, 600))
+    void = draw(st.integers(0, K - 1))
+    beta = draw(st.lists(st.sampled_from(_GRID["beta"]), min_size=n, max_size=n))
+    budget = BudgetSpec(T, [b if b * T >= 1.0 else 1.0 for b in beta])  # a valid gate
+    instances = []
+    for _ in range(draw(st.integers(1, 3))):
+        S = draw(st.integers(1, 4))
+        grid = {}
+        for name, shape in (("F", (S, K)), ("G", (S, m, K)), ("H", (S, n, K))):
+            flat = draw(st.lists(st.sampled_from(_GRID[name]), min_size=int(np.prod(shape)),
+                                 max_size=int(np.prod(shape))))
+            grid[name] = np.array(flat, dtype=np.float64).reshape(shape)
+            grid[name][..., void] = 0.0
+        index = np.array(draw(st.lists(st.integers(0, S - 1), min_size=T, max_size=T)))
+        instances.append(Instance(ActionSet(K, void), budget, (grid["F"], grid["G"], grid["H"]),
+                                  index))
+    picks = draw(st.lists(st.integers(0, len(instances) - 1), min_size=1, max_size=4))
+    return [instances[p] for p in picks]
+
+
+@given(_lanes_on_a_grid(), st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e))
+def test_run_lanes_matches_the_reference_loop(lanes, eta):
+    config = OgdConfig(eta=eta, delta=0.05)
+    for lane, tr in zip(lanes, run_lanes(lanes, config)):
+        want = reference_run(lane, eta)
+        assert tr.stopping_time == want.pop("stopping_time")
+        assert (tr.num_general, tr.num_resources, tr.eta, tr.delta) == (
+            lane.num_general, lane.num_resources, eta, 0.05)
+        for key, value in want.items():
+            got = getattr(tr, key)
+            assert got.shape == value.shape and got.dtype == value.dtype, key
+            assert got.tobytes() == value.tobytes(), key

@@ -465,10 +465,11 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("command", ["oracle", "run"])
     def test_horizon_conflicting_with_instance_exits_2(self, tmp_path, capsys, command):
-        extra = ("--which", "slater_adv") if command == "oracle" else ("--out", str(tmp_path))
+        extra = ("--which", "slater_adv") if command == "oracle" else ("--out", str(tmp_path / "out"))
         code, out = run_cli(capsys, command, "--generator", "random", "--param", "T=5",
                             "--T", "99", *extra)
         assert code == 2
+        assert os.listdir(tmp_path) == []  # a refused run leaves no --out directory
         assert json.loads(out)["error"] == {
             "type": "CliError",
             "message": "--T 99 conflicts with the fixed instance horizon 5",
@@ -552,6 +553,8 @@ HUGE_T = str(10**400)
         ("run", "--generator", "random", "--param", f"T={HUGE_T}", "--out", "{out}"),
         ("gen", "--generator", "random_model", "--param", "T=0", "--out", "{out}.json"),
         ("gen", "--generator", "example1_budget", "--param", f"T={HUGE_T}", "--out", "{out}.json"),
+        ("sweep", "--generator", "random_model", "--T", f"2,{HUGE_T}", "--out", "{out}"),
+        ("sweep", "--generator", "random_model", "--T", HUGE_T, "--aggregate-only", "--out", "{out}"),
     ],
 )
 def test_horizon_beyond_max_horizon_exits_2(tmp_path, capsys, argv):
@@ -560,7 +563,7 @@ def test_horizon_beyond_max_horizon_exits_2(tmp_path, capsys, argv):
     assert code == 2
     err = json.loads(text)["error"]
     assert err["type"] == "ValidationError" and "MAX_HORIZON = 2**53" in err["message"]
-    assert os.listdir(tmp_path) in ([], ["out"])
+    assert os.listdir(tmp_path) == []
     limit = ob.core.MAX_HORIZON
     assert ob.BudgetSpec(limit, [0.5]).horizon == limit
     for beta in ([0.5], []):
