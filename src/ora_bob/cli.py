@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 audit failures present, 2 usage or validation error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -55,9 +56,9 @@ _AUDIT_SEED_SALT = 0xAD17
 #: most comparator pairs (audit --pairs) or Monte Carlo samples (oracle
 #: --num-samples) one command may request.
 MAX_LIST_LENGTH = 100_000
-#: Most lane-rounds one allocator batch plays in lockstep: cells of horizon T
-#: are batched max(1, BATCH_LANE_ROUNDS // T) at a time (16 at T=2000), so a
-#: batch's memory is bounded whatever the seed count and horizon.
+#: Most lane-rounds one allocator batch plays in lockstep: a batch of horizon
+#: T holds at most max(1, BATCH_LANE_ROUNDS // T) lanes (16 at T=2000), so its
+#: memory is bounded whatever the seed count and horizon.
 BATCH_LANE_ROUNDS = 32_768
 
 
@@ -167,15 +168,18 @@ def cell_config(settings: dict, source, T: int, seed: int, name: str) -> dict:
     that a sweep's cells must match: the cell ``name`` at horizon ``T`` and
     ``seed`` under ``settings`` (see :func:`_cell_settings`), whose source
     is loaded as ``source``.  Its eta is the override, or else the schedule
-    at T and the source's M (:func:`~ora_bob.allocator.default_eta`)."""
-    eta = settings["eta"]
+    at T and the source's M (:func:`~ora_bob.allocator.default_eta`); the
+    (eta, delta) pair is checked by building the allocator's OgdConfig."""
+    eta, delta = settings["eta"], settings["delta"]
+    ogd = OgdConfig(eta=eta if eta is not None else default_eta(T, source.num_constraints, delta),
+                    delta=delta)
     return {
         "schema_version": traceio.SCHEMA_VERSION,
         "name": name,
         "source": settings["source"],
         "T": T,
-        "delta": settings["delta"],
-        "eta": eta if eta is not None else default_eta(T, source.num_constraints, settings["delta"]),
+        "delta": ogd.delta,
+        "eta": ogd.eta,
         "eta_override": eta is not None,
         "seed": seed,
         "benchmark": settings["benchmark"],
@@ -228,62 +232,54 @@ def execute_cell(config: dict, instance: Instance, out_dir: str, trajectory: Tra
 
 
 def execute_cells(configs: list[dict], source, out_dir: str) -> list[str]:
-    """The cells ``configs`` on one source, which share T, eta and delta:
-    the allocator plays their instances in lockstep batches
-    (:func:`~ora_bob.allocator.run_lanes`, at most BATCH_LANE_ROUNDS
-    lane-rounds each), then :func:`execute_cell` writes each, one at a time.
-    Returns the summary JSON paths in the order of ``configs``."""
+    """One lockstep batch of cells on ``source``, which share T, eta and
+    delta: their instances play as the lanes of one run_lanes call, then
+    :func:`execute_cell` writes each.  Returns the summary JSON paths in
+    the order of ``configs``."""
     horizon = configs[0]["T"]
     ogd = OgdConfig(eta=configs[0]["eta"], delta=configs[0]["delta"])
-    lanes = max(1, BATCH_LANE_ROUNDS // horizon)
-    written = []
-    for lo in range(0, len(configs), lanes):
-        batch = configs[lo : lo + lanes]
-        instances = [_cell_instance(source, horizon, config["seed"]) for config in batch]
-        for config, instance, trajectory in zip(batch, instances, run_lanes(instances, ogd)):
-            written.append(execute_cell(config, instance, out_dir, trajectory))
-    return written
+    instances = [_cell_instance(source, horizon, config["seed"]) for config in configs]
+    return [execute_cell(config, instance, out_dir, trajectory)
+            for config, instance, trajectory in zip(configs, instances, run_lanes(instances, ogd))]
 
 
-def _execute_cells_task(payload: dict) -> list[str]:
-    return execute_cells(**payload)
+def _lockstep_batches(items: list, horizon: int, jobs: int = 1) -> list[list]:
+    """``items``, lanes of horizon ``horizon``, cut into contiguous lockstep
+    batches of at most BATCH_LANE_ROUNDS lane-rounds (one lane at least),
+    and into at least ``jobs`` batches when there are that many items."""
+    size = max(1, min(BATCH_LANE_ROUNDS // horizon, len(items) // max(jobs, 1)))
+    return [items[lo : lo + size] for lo in range(0, len(items), size)]
 
 
-def _cell_payloads(args, source_desc: dict, source, T, name: str, seeds: list[int]) -> list[dict]:
-    """The cells of ``seeds`` on one (source, T) as ``args.jobs`` contiguous
-    chunks of seeds, one :func:`execute_cells` payload each."""
+def _cell_batches(args, source_desc: dict, source, T, name: str, seeds: list[int]) -> list:
+    """The :func:`cell_config` of each of ``seeds`` on one (source, T), cut
+    into the lockstep batches :func:`_run_cells` plays."""
     settings, horizon = _cell_settings(args, source_desc), _horizon(source, T)
     configs = [cell_config(settings, source, horizon, seed, name) for seed in seeds]
-    k = max(1, min(args.jobs, len(seeds)))
-    bounds = [len(seeds) * i // k for i in range(k + 1)]
-    return [dict(configs=configs[lo:hi], source=source, out_dir=args.out)
-            for lo, hi in zip(bounds, bounds[1:])]
+    return _lockstep_batches(configs, horizon, args.jobs)
 
 
-def _run_cells(payloads: list[dict], jobs: int) -> list[str]:
-    if jobs <= 1 or len(payloads) <= 1:
-        chunks = [_execute_cells_task(p) for p in payloads]
+def _run_cells(batches: list[list[dict]], source, args) -> list[str]:
+    """Play and write each batch on ``source`` into ``args.out``, each batch
+    one task of ``args.jobs`` worker processes."""
+    os.makedirs(args.out, exist_ok=True)
+    task = functools.partial(execute_cells, source=source, out_dir=args.out)
+    if args.jobs <= 1 or len(batches) <= 1:
+        written = list(map(task, batches))
     else:
         # imported only here: --jobs > 1 alone needs it, and it slows start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            chunks = list(pool.map(_execute_cells_task, payloads))
-    return [path for chunk in chunks for path in chunk]
-
-
-def _check_eta(args):
-    if args.eta is not None and not args.eta > 0.0:
-        raise CliError(f"--eta must be > 0, got {args.eta}")
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(batches))) as pool:
+            written = list(pool.map(task, batches))
+    return [path for paths in written for path in paths]
 
 
 def cmd_run(args) -> int:
-    _check_eta(args)
     source_desc, obj = _resolve_source(args)
     seeds = _parse_int_list(args.seeds)
-    payloads = _cell_payloads(args, source_desc, obj, args.T, args.name, seeds)
-    os.makedirs(args.out, exist_ok=True)
-    written = _run_cells(payloads, args.jobs)
+    written = _run_cells(_cell_batches(args, source_desc, obj, args.T, args.name, seeds),
+                         obj, args)
     print(json.dumps({"written": written}, indent=1))
     return EXIT_OK
 
@@ -451,20 +447,14 @@ def aggregate_sweep(
 
 
 def cmd_sweep(args) -> int:
-    _check_eta(args)
     source_desc, obj = _resolve_source(args)
-    t_values = _parse_int_list(args.T) if args.T else None
-    if not t_values:
-        raise CliError("sweep requires a nonempty --T list")
-    if isinstance(obj, Instance) and any(t != obj.horizon for t in t_values):
-        raise CliError("sweeping T requires a stochastic model source")
+    t_values = _parse_int_list(args.T)
     seeds = _parse_int_list(args.seeds)
     # every cell's config is built, and so checked, before anything is written
-    payloads = [payload for T in t_values
-                for payload in _cell_payloads(args, source_desc, obj, T, f"{args.name}_T{T}", seeds)]
+    batches = [batch for T in t_values
+               for batch in _cell_batches(args, source_desc, obj, T, f"{args.name}_T{T}", seeds)]
     if not args.aggregate_only:
-        os.makedirs(args.out, exist_ok=True)
-        _run_cells(payloads, args.jobs)
+        _run_cells(batches, obj, args)
     sweep_config = {"schema_version": traceio.SCHEMA_VERSION, "name": args.name,
                     "T": t_values, "seeds": seeds, **_cell_settings(args, source_desc)}
     result = aggregate_sweep(args.out, args.name, t_values, seeds, sweep_config, obj)
@@ -728,9 +718,9 @@ def audit_trace(path, seed: int, instance, columns, trajectory, pairs: int) -> d
 def cmd_audit(args) -> int:
     """Read every trace, in argument order, then replay them: traces whose
     instances share a :func:`~ora_bob.allocator.lane_key` and whose configs
-    are equal play as lanes of one run_lanes call (at most
-    BATCH_LANE_ROUNDS lane-rounds each), and each lane is audited as it
-    comes.  The reports keep the argument order."""
+    are equal play as the lanes of one run_lanes call per lockstep batch
+    (:func:`_lockstep_batches`), and each lane is audited as it comes.
+    The reports keep the argument order."""
     if not 0 <= args.pairs <= MAX_LIST_LENGTH:
         raise CliError(f"--pairs must be >= 0 and at most {MAX_LIST_LENGTH}, got {args.pairs}")
     loaded: dict = {}
@@ -743,11 +733,8 @@ def cmd_audit(args) -> int:
         groups.setdefault((lane_key(instance), config), []).append(i)
     results: list = [None] * len(traces)
     for (_, config), members in groups.items():
-        lanes = max(1, BATCH_LANE_ROUNDS // instances[members[0]].horizon)
-        for lo in range(0, len(members), lanes):
-            batch = members[lo : lo + lanes]
-            replays = run_lanes([instances[i] for i in batch], config)
-            for i, trajectory in zip(batch, replays):
+        for batch in _lockstep_batches(members, instances[members[0]].horizon):
+            for i, trajectory in zip(batch, run_lanes([instances[i] for i in batch], config)):
                 results[i] = audit_trace(
                     args.traces[i], seeds[i], instances[i], columns[i], trajectory, args.pairs
                 )
@@ -786,8 +773,15 @@ def _add_cell_args(p):
     p.add_argument("--benchmark", choices=("none", "lp", "bruteforce"), default="none")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with the error JSON; subparsers share the class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ora-bob",
         description="Online resource allocation engine: runs, sweeps, oracles, audits.",
     )
@@ -803,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="cross product of --T and --seeds")
     _add_source_args(p)
     _add_cell_args(p)
-    p.add_argument("--T", default=None, help="comma list of horizons")
+    p.add_argument("--T", required=True, help="comma list of horizons")
     p.add_argument("--name", default="sweep")
     p.add_argument("--aggregate-only", action="store_true")
     p.set_defaults(func=cmd_sweep)

@@ -25,6 +25,10 @@ AUDIT_SLACK = 1e-9
 #: Slack for the per-step dual drift bound, which involves no long sums.
 DRIFT_SLACK = 1e-12
 
+#: Largest learning rate: duals stay below eta * MAX_HORIZON * |u| <= 2**117 |u|,
+#: and the allocator's margins stay finite (an eta near 1e308 overflows them).
+MAX_ETA = 2.0**64
+
 
 @dataclass(frozen=True)
 class OgdConfig:
@@ -38,8 +42,8 @@ class OgdConfig:
     delta: float = 0.05
 
     def __post_init__(self):
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValidationError(f"eta must be > 0, got {self.eta!r}")
+        if not 0.0 < self.eta <= MAX_ETA:
+            raise ValidationError(f"eta must be in (0, 2**64], got {self.eta!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must be in (0, 1), got {self.delta!r}")
 

@@ -66,11 +66,21 @@ class TestRun:
         err = json.loads(out)["error"]
         assert err["path"] == missing
 
-    def test_zero_eta_rejected_before_running(self, tmp_path, capsys):
-        code, out = run_cli(capsys, *cli_run_args(tmp_path, extra=("--eta", "0")))
+    @pytest.mark.parametrize("command, extra, field", [
+        ("run", ("--eta", "0"), "eta"),
+        ("run", ("--eta", "inf"), "eta"),
+        ("run", ("--eta", "0.1", "--delta", "1.5"), "delta"),
+        ("sweep", ("--eta", "inf"), "eta"),
+    ], ids=["eta0", "eta_inf", "delta_above_1", "sweep_eta_inf"])
+    def test_zero_eta_rejected_before_running(self, tmp_path, capsys, command, extra, field):
+        # (eta, delta) is checked before --out is created, which is not left behind
+        argv = cli_run_args(tmp_path / "out", extra=extra)
+        if command == "sweep":
+            argv[0], argv[argv.index("--T") + 1] = "sweep", "5,6"
+        code, out = run_cli(capsys, *argv)
         assert code == 2
-        assert "eta" in json.loads(out)["error"]["message"]
-        assert not list(tmp_path.glob("*.csv"))
+        assert f"{field} must be" in json.loads(out)["error"]["message"]
+        assert os.listdir(tmp_path) == []
 
     def test_adversarial_instance_from_file(self, tmp_path, capsys):
         inst = ob.random_instance(5, T=40, K=3, m=1, n=1, feasibility_margin=0.2)
@@ -586,6 +596,33 @@ def test_count_over_the_limit_exits_2(capsys, argv):
     err = json.loads(out)["error"]
     assert err["type"] == "CliError"
     assert f"at most {cli.MAX_LIST_LENGTH}, got {cli.MAX_LIST_LENGTH + 1}" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--generator", "pacing", "--T", "abc", "--out", "out"),
+    ("run", "--generator", "pacing", "--bogus", "1", "--out", "out"),
+    ("run", "--generator", "pacing"),
+    ("sweep", "--generator", "pacing", "--jobs", "two", "--out", "out"),
+    ("frobnicate",),
+    (),
+], ids=["bad_int", "unknown_option", "missing_out", "sweep_bad_int", "unknown_command",
+        "no_command"])
+def test_usage_error_prints_the_error_json(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "CliError" and err["message"].startswith("ora-bob")
+    assert captured.err == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "-h"])
+    assert exc.value.code == 0
+    assert "--out" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kind", ["instance", "model"])

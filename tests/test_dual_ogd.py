@@ -59,6 +59,13 @@ class TestOgdConfig:
         with pytest.raises(ValidationError):
             OgdConfig(eta=0.0)
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 1e308, 2.0**64 * (1 + 2**-52)])
+    def test_refuses_eta_outside_its_range(self, eta):
+        # 1e308 overflowed the allocator's certification margins
+        with pytest.raises(ValidationError, match="eta must be in"):
+            OgdConfig(eta=eta)
+        assert OgdConfig(eta=2.0**64).eta == 2.0**64
+
     def test_requires_delta_in_unit_interval(self):
         with pytest.raises(ValidationError):
             OgdConfig(eta=0.1, delta=1.0)
