@@ -22,8 +22,11 @@ elementwise per lane, so each lane is bit for bit the run it would be on
 its own.  :func:`run_lanes` plays one lane per instance over one table of
 the instances' rows (an instance is (F, G, H) stacks of input rows plus a
 row index per round); :func:`run` is its one-lane case.  Within a lane the
-dual state is a chain; lanes share only the loop.  A run's stopping time,
-its last gate-open round, is the Trajectory's ``stopping_time`` field.
+dual state is a chain; lanes share only the loop.  A batch holds only the
+loop's own state, each lane's candidates, duals, consumption totals and the
+round its gate closed (its stopping time); the played actions, their
+rewards and unified values are lookups in the lane's instance, made when
+:func:`run_lanes` yields the lane.
 
 The gate's exact comparison runs only near a cutoff: below a float
 pre-filter it is guaranteed to pass, and at the start of each block of
@@ -148,12 +151,13 @@ def _play(table, index, budget, void, eta):
     3. play the candidate in open lanes and the void action in closed ones,
        gathering the played column of each lane with one flat index for both
        the dual step and the consumption totals.
-    Actions, gate flags, rewards and unified values are filled per block.
     Every value a segment writes is the one these single rounds would
     write, so the result does not depend on where segments fall.
 
-    Returns the per-round arrays with a leading lane axis, keyed by their
-    Trajectory field names (``duals`` holds lambda_1..lambda_{B+1}).
+    Returns (candidates (R, B), closed_at (R,), duals (R, B+1, M), totals
+    (R, B, n)): lane r played its candidate before round closed_at[r] (B if
+    its gate never closed) and the void action after; ``duals`` holds
+    lambda_1..lambda_{B+1} and ``totals`` the consumption through each round.
     """
     F, U, H = table
     R, B = index.shape
@@ -214,7 +218,6 @@ def _play(table, index, budget, void, eta):
     # minimum over every lane.
     margins = _margins(F, U, eta, B)
 
-    lanes = np.arange(R)
     exact = {}  # open lane -> its exact consumption totals, once it nears a cutoff
     is_open = np.ones(R, dtype=bool)
     closed_at = np.full(R, B)  # the round each lane's gate closed, B while open
@@ -225,20 +228,16 @@ def _play(table, index, budget, void, eta):
 
     # Round-major buffers with lanes last; lam (M, R) and cum (n, R) are
     # views of the current round's rows.
-    out_actions = np.empty((B, R), dtype=np.int64)
     out_candidates = np.empty((B, R), dtype=np.int64)
-    out_gate = np.empty((B, R), dtype=bool)
     out_duals = np.empty((B + 1, M, R))
     out_cum = np.empty((B + 1, n, R))
-    out_rewards = np.empty((R, B))
-    out_unified = np.empty((R, B, M))
     out_duals[0] = 0.0
     out_cum[0] = 0.0
     lam, cum = out_duals[0], out_cum[0]
     # Per-round scratch: the played column of every lane in the flat
     # (lane, action) axis of a block, and the gathered dual step and
     # consumptions.
-    lane_base = lanes * K
+    lane_base = np.arange(R) * K
     pick = np.empty(R, dtype=np.int64)
     step = np.empty((M, R))
     col = np.empty((n, R))
@@ -337,32 +336,27 @@ def _play(table, index, budget, void, eta):
                                 if h:
                                     totals[j] += Fraction(h)
             i = stop
-        gate = np.arange(t0, t1)[:, None] < closed_at  # (b, R)
-        out_gate[t0:t1] = gate
-        acts = out_actions[t0:t1] = np.where(gate, out_candidates[t0:t1], void)
-        steps = np.arange(b)[:, None]
-        out_rewards[:, t0:t1] = Fb[steps, lanes, acts].T
-        out_unified[:, t0:t1] = Ub[steps, :, lanes, acts].transpose(1, 0, 2)
 
-    return dict(
-        actions=np.ascontiguousarray(out_actions.T),
-        candidates=np.ascontiguousarray(out_candidates.T),
-        rewards=out_rewards,
-        unified_values=out_unified,
-        duals=out_duals.transpose(2, 0, 1),
-        gate_open=np.ascontiguousarray(out_gate.T),
-        cumulative_consumption=out_cum[1:].transpose(2, 0, 1),
-    )
+    return (out_candidates.T, closed_at, out_duals.transpose(2, 0, 1),
+            out_cum[1:].transpose(2, 0, 1))
 
 
-def _trajectory(rounds: dict, lane: int, instance, config: OgdConfig) -> Trajectory:
-    """Lane ``lane`` of a :func:`_play` result as a Trajectory; ``instance``
-    supplies the shape."""
-    fields = {key: value[lane] for key, value in rounds.items()}
-    open_rounds = np.flatnonzero(fields["gate_open"])
+def _trajectory(played: tuple, lane: int, instance, config: OgdConfig) -> Trajectory:
+    """Lane ``lane`` of a :func:`_play` result as a Trajectory on the lane's
+    own ``instance``: the gate is open before the round it closed, and the
+    played actions' rewards and unified values are entries of its rows."""
+    candidates, closed_at, duals, cumulative = (a[lane] for a in played)
+    gate_open = np.arange(instance.horizon) < closed_at
+    actions = np.where(gate_open, candidates, instance.actions.void_index)
     return Trajectory(
-        **fields,
-        stopping_time=int(open_rounds[-1] + 1) if open_rounds.size else 0,
+        actions=actions,
+        candidates=candidates,
+        rewards=instance.rows[0][instance.index, actions],
+        unified_values=instance.unified_rows[instance.index, :, actions],
+        duals=duals,
+        gate_open=gate_open,
+        cumulative_consumption=cumulative,
+        stopping_time=int(closed_at),
         num_general=instance.num_general,
         num_resources=instance.num_resources,
         eta=config.eta,
@@ -393,8 +387,10 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
     invalid one raises before any round is played; so does any lane whose
     :func:`lane_key` differs from the first lane's (the cells of one source
     share it).  The lanes read one table, the row stacks of the instances,
-    so no lane's T-round stacks are built.  Returns the lanes' Trajectories
-    lazily, in order, so a caller can handle one at a time.
+    so no lane's T-round stacks are built.  The batch keeps only what the
+    loop computes (8 + 8M + 8n bytes per lane-round), and returns the lanes'
+    Trajectories lazily, in order, each built from its instance's rows when
+    it is yielded, so a caller can handle one at a time.
     """
     distinct = list({id(inst): inst for inst in instances}.values())
     for inst in distinct:
@@ -412,5 +408,5 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
     parts = [(i.rows[0], i.unified_rows, i.rows[2]) for i in distinct]
     table = tuple(map(np.concatenate, zip(*parts)))  # (F, U, H)
     index = np.stack([offset[id(inst)] + inst.index for inst in instances])
-    rounds = _play(table, index, first.budget, first.actions.void_index, config.eta)
-    return (_trajectory(rounds, r, first, config) for r in range(len(instances)))
+    played = _play(table, index, first.budget, first.actions.void_index, config.eta)
+    return (_trajectory(played, r, inst, config) for r, inst in enumerate(instances))

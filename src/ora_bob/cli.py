@@ -3,7 +3,8 @@
 Every output embeds the fully resolved configuration and a content hash of
 the instance it ran on; reruns of the same (config, seed) are byte-identical.
 Exit codes: 0 success, 1 audit failures present, 2 usage or validation error
-(with a machine-readable error JSON on stdout).
+(with a machine-readable error JSON on stdout), 3 internal error (the
+traceback on stderr).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .simplex import SimplexError
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _AUDIT_SEED_SALT = 0xAD17
 
@@ -495,13 +497,15 @@ ORACLES = {
 def cmd_oracle(args) -> int:
     """Each oracle ``--which`` names, or with ``all`` each that applies to
     the source; under ``all`` an oracle refused by its size guard is
-    reported skipped.  ``--T`` on an instance source must be its horizon,
-    as in ``run``."""
+    reported skipped.  As in ``run``, ``--T`` on an instance source must be
+    its horizon, and the source is validated at the horizon the command
+    uses: an instance's own, or a model's ``--T`` (else its stored one)."""
     if args.num_samples > MAX_LIST_LENGTH:
         raise CliError(f"--num-samples must be at most {MAX_LIST_LENGTH}, got {args.num_samples}")
     _, obj = _resolve_source(args)
-    _horizon(obj, args.T)
+    horizon = _horizon(obj, args.T)
     kind = "instance" if isinstance(obj, Instance) else "stochastic model"
+    (obj.validate() if kind == "instance" else obj.validate(horizon)).raise_if_invalid()
     applicable = [name for name, (applies_to, _) in ORACLES.items() if applies_to == kind]
     if args.which != "all" and args.which not in applicable:
         raise CliError(
@@ -850,7 +854,17 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """The console script: :func:`main`, except that any other exception,
+    an internal error, prints its traceback on stderr and exits 3, so a
+    crash never reads as an audit verdict."""
+    try:
+        code = main()
+    except Exception:
+        import traceback  # imported only here: it enlarges every start-up
+
+        traceback.print_exc()
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-import math
 
 import numpy as np
 
@@ -37,6 +36,10 @@ ROUND_BLOCK = 1024
 
 #: Largest horizon T: beyond 2**53 a float no longer counts rounds exactly.
 MAX_HORIZON = 2**53
+#: Largest per-round budget beta_j (inclusive): the caps beta_j * T stay below
+#: 2**117, and the allocator's margins stay finite (a beta near 1e300
+#: overflows them).
+MAX_BUDGET = 2**64
 
 
 class ValidationError(ValueError):
@@ -81,7 +84,7 @@ class ActionSet:
 @dataclass(frozen=True)
 class BudgetSpec:
     """Horizon T and per-round budget vector; the hard caps are beta_j * T,
-    which must be finite floats."""
+    with 0 < beta_j <= MAX_BUDGET and T <= MAX_HORIZON."""
 
     horizon: int
     per_round_budget: np.ndarray
@@ -94,8 +97,9 @@ class BudgetSpec:
         b = np.asarray(self.per_round_budget, dtype=np.float64).reshape(-1)
         if b.size and (not np.all(np.isfinite(b)) or np.any(b <= 0.0)):
             raise ValidationError("per-round budgets must be finite and > 0")
-        if b.size and not math.isfinite(float(b.max()) * int(self.horizon)):
-            raise ValidationError(f"hard caps beta_j * T overflow at T={self.horizon}")
+        if b.size and float(b.max()) > MAX_BUDGET:
+            j = int(b.argmax())
+            raise ValidationError(f"beta[{j}] = {float(b[j])!r} is above MAX_BUDGET = 2**64")
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "per_round_budget", _readonly(b))
 
@@ -309,12 +313,14 @@ class StochasticModel(RowStore):
     def support_size(self) -> int:
         return self.rows[0].shape[0]
 
-    def validate(self) -> "ValidationReport":
-        """Range/void checks on the support plus the budget-gate check at the
-        stored sampling horizon."""
+    def validate(self, horizon: int | None = None) -> "ValidationReport":
+        """Range/void checks on the support plus the budget-gate check at
+        ``horizon``, by default the stored sampling horizon."""
+        budget = self.budget
+        if horizon is not None:
+            budget = BudgetSpec(horizon, budget.per_round_budget)
         return pool_issues(
-            ValidationReport(), self.budget, self.rows, np.arange(self.support_size),
-            self.actions,
+            ValidationReport(), budget, self.rows, np.arange(self.support_size), self.actions,
         )
 
 

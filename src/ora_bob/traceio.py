@@ -11,6 +11,7 @@ rename routine, so it never holds the whole file text.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from typing import Iterator
 
@@ -92,50 +93,60 @@ def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:
     write_text_atomic(path, chunks())
 
 
+def _data_rows(path, lines, width: int) -> Iterator[str]:
+    """The non-empty ``lines`` of the trace at ``path`` without their
+    newline, each checked to have ``width`` fields."""
+    for k, row in enumerate(filter(None, (line.rstrip("\n") for line in lines)), start=1):
+        if row.count(",") != width - 1:
+            raise TraceFormatError(
+                f"{path}: data row {k} has {row.count(',') + 1} fields, expected {width}"
+            )
+        yield row
+
+
 def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """Parse a trace file into its header dict and typed column arrays.
 
     Raises TraceFormatError when a REQUIRED_HEADER_KEYS entry is missing, a
     data row's width differs from the column row's, or a cell does not parse
     as its column's type: int64 (strictly, as a base-10 integer) for the
-    t/action/candidate/gate_open columns, float64 for the others.
+    t/action/candidate/gate_open columns, float64 for the others.  The data
+    lines stream into one parsed table, and the columns are its views.
     """
     header: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    i = 0
-    while i < len(lines) and lines[i].startswith("#"):
-        body = lines[i][1:].strip()
-        key, _, value = body.partition("=")
-        header[key.strip()] = value
-        i += 1
-    missing = [key for key in REQUIRED_HEADER_KEYS if key not in header]
-    if missing:
-        raise TraceFormatError(f"{path}: trace header lacks {', '.join(missing)}")
-    if i >= len(lines):
-        raise TraceFormatError(f"{path}: no column header row found")
-    names = lines[i].split(",")
-    rows = [line for line in lines[i + 1 :] if line]
-    for k, row in enumerate(rows, start=1):
-        if row.count(",") != len(names) - 1:
-            raise TraceFormatError(
-                f"{path}: data row {k} has {row.count(',') + 1} fields, expected {len(names)}"
-            )
-    int_columns = ("t", "action", "candidate", "gate_open")
-    dtype = [(f"c{c}", np.int64 if name in int_columns else np.float64)
-             for c, name in enumerate(names)]
-    if rows:
-        # numpy < 2 parses an int cell such as "1.0" through float, with only
-        # a DeprecationWarning; as an error it leaves every int cell strict.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            try:
-                table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            except (ValueError, OverflowError, DeprecationWarning) as exc:
-                raise TraceFormatError(f"{path}: {exc}") from None
-    else:
-        table = np.empty(0, dtype=dtype)
-    columns = {name: np.ascontiguousarray(table[f"c{c}"]) for c, name in enumerate(names)}
+        line = fh.readline()
+        while line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            header[key.strip()] = value
+            line = fh.readline()
+        missing = [key for key in REQUIRED_HEADER_KEYS if key not in header]
+        if missing:
+            raise TraceFormatError(f"{path}: trace header lacks {', '.join(missing)}")
+        if not line:
+            raise TraceFormatError(f"{path}: no column header row found")
+        names = line.rstrip("\n").split(",")
+        int_columns = ("t", "action", "candidate", "gate_open")
+        dtype = [(f"c{c}", np.int64 if name in int_columns else np.float64)
+                 for c, name in enumerate(names)]
+        data = _data_rows(path, fh, len(names))
+        first = next(data, None)  # np.loadtxt warns on empty input
+        if first is None:
+            table = np.empty(0, dtype=dtype)
+        else:
+            # numpy < 2 parses an int cell such as "1.0" through float, with
+            # only a DeprecationWarning; as an error it leaves every int cell
+            # strict.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                try:
+                    table = np.loadtxt(itertools.chain([first], data), dtype=dtype,
+                                       delimiter=",", comments=None, ndmin=1)
+                except TraceFormatError:  # a row's width, raised by _data_rows
+                    raise
+                except (ValueError, OverflowError, DeprecationWarning) as exc:
+                    raise TraceFormatError(f"{path}: {exc}") from None
+    columns = {name: table[f"c{c}"] for c, name in enumerate(names)}
     return header, columns
 
 

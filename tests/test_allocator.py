@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -380,6 +381,28 @@ class TestRunBatch:
                       sample_instance(ob.make_pacing_model(beta=0.25), 100, 0)):
             with pytest.raises(ValidationError, match="lane 1 differs from lane 0"):
                 run_lanes([paced, other], config)
+
+    def test_batch_holds_only_the_loop_state(self):
+        """Once run_lanes returns, before a lane is consumed, a batch holds
+        each lane's candidates, duals and consumption totals, 8 + 8M + 8n
+        bytes a lane-round; each lane's record is built as it is yielded,
+        and is run()'s bit for bit."""
+        T, M, n = 2000, 4, 2
+        model = ob.random_model(11, S=40, K=4, m=M - n, n=n, feasibility_margin=0.2,
+                                horizon=T)
+        instances = [sample_instance(model, T, seed) for seed in range(16)]
+        for inst in instances:
+            inst.unified_rows  # cached outside the measurement
+        config = OgdConfig(eta=learning_rate(T, M, 0.05), delta=0.05)
+        tracemalloc.start()
+        try:
+            lanes = run_lanes(instances, config)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= (8 + 8 * M + 8 * n) * len(instances) * T + 64 * 1024
+        for inst, lane in zip(instances, lanes):
+            assert_same_trajectory(lane, run(inst, config))
 
     def test_single_lane(self):
         model = ob.random_model(9, S=7, K=4, m=1, n=2, feasibility_margin=0.2,

@@ -485,6 +485,37 @@ class TestOracleCommand:
             "message": "--T 99 conflicts with the fixed instance horizon 5",
         }
 
+    @pytest.mark.parametrize("kind", ["instance", "model"])
+    def test_invalid_source_exits_2_as_run_does(self, tmp_path, capsys, kind):
+        if kind == "instance":
+            payload = serialization.to_dict(
+                ob.random_instance(5, T=4, K=3, m=1, n=1, feasibility_margin=0.2)
+            )
+            payload["rounds"][0]["f"][1] = 7.5
+            payload["rounds"][1]["h"][0][0] = 0.4  # the void column
+            message = ("invalid instance: round 1: reward[1]: value 7.5 outside [0.0, 1.0]; "
+                       "round 2: void_column[0, 0]: void-column consumption is 0.4, expected 0")
+        else:
+            payload = serialization.to_dict(
+                ob.random_model(2, S=2, K=3, m=1, n=1, feasibility_margin=0.25)
+            )
+            payload["support"][0]["g"][0][1] = 5.0
+            message = "invalid instance: round 1: general_cost[0, 1]: value 5.0 outside [-1.0, 1.0]"
+        source = tmp_path / "bad.json"
+        source.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "oracle", "--instance", str(source), "--T", "4")
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InstanceValidationError", "message": message}
+
+    def test_model_validated_at_the_command_horizon(self, capsys):
+        # pacing's beta = 0.25: the gate is closed from round 1 at T = 3
+        code, out = run_cli(capsys, "oracle", "--generator", "pacing", "--T", "3")
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == (
+            "invalid instance: instance: budget[0]: beta[0]*T = 0.75 < 1: "
+            "budget gate closed at round 1"
+        )
+
 
 class TestLpSizeGuard:
     ARGS = ("--generator", "random", "--param", "T=8000")
@@ -546,8 +577,30 @@ def test_hard_cap_beyond_float_range_exits_2(tmp_path, capsys):
     code, out = run_cli(capsys, "run", "--instance", str(source), "--out", str(tmp_path / "out"))
     assert code == 2
     assert json.loads(out)["error"] == {
-        "type": "SchemaError", "message": "/: hard caps beta_j * T overflow at T=20"
+        "type": "SchemaError", "message": "/: beta[0] = 1e+308 is above MAX_BUDGET = 2**64"
     }
+
+
+def test_budget_above_max_budget_exits_2(tmp_path, capsys):
+    """beta * T = 5e301 is finite, but a budget near 1e300 overflowed the
+    allocator's certification margins."""
+    payload = serialization.to_dict(
+        ob.random_model(4, S=4, K=3, m=1, n=1, feasibility_margin=0.2)
+    )
+    payload["beta"] = [1e300]
+    source = tmp_path / "huge_budget.json"
+    source.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    code, text = run_cli(capsys, "run", "--instance", str(source), "--T", "50", "--out", str(out))
+    assert code == 2
+    assert json.loads(text)["error"] == {
+        "type": "SchemaError", "message": "/: beta[0] = 1e+300 is above MAX_BUDGET = 2**64"
+    }
+    assert not out.exists()
+    limit = ob.core.MAX_BUDGET
+    assert ob.BudgetSpec(ob.core.MAX_HORIZON, [limit]).limits[0] == 2.0**117
+    with pytest.raises(ob.ValidationError, match="MAX_BUDGET"):
+        ob.BudgetSpec(50, [0.5, np.nextafter(limit, np.inf)])
 
 
 HUGE_T = str(10**400)
@@ -850,6 +903,28 @@ class TestGen:
                        f"type {kind}",
         }
         assert not out.exists()
+
+
+def test_internal_error_exits_3_with_the_traceback(capsys, monkeypatch):
+    """main() lets an unexpected exception through; the console script
+    prints its traceback and exits 3, a code no audit verdict uses."""
+
+    def broken(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_gen", broken)
+    monkeypatch.setattr(sys, "argv", ["ora-bob", "gen", "--generator", "pacing", "--out", "x"])
+    with pytest.raises(RuntimeError, match="a bug"):
+        cli.main()
+    with pytest.raises(SystemExit) as exited:
+        cli.entrypoint()
+    assert exited.value.code == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.rstrip().endswith("RuntimeError: a bug")
+    monkeypatch.setattr(sys, "argv", ["ora-bob", "gen"])  # a usage error stays 2
+    with pytest.raises(SystemExit) as exited:
+        cli.entrypoint()
+    assert exited.value.code == 2
 
 
 def test_tracer_layers_resolve():

@@ -24,7 +24,8 @@ from hypothesis import given, strategies as st
 from ora_bob import cli
 
 #: What a JSON value may be replaced with.
-JSON_VALUES = (None, True, False, 2**64, 1e308, -1e308, float("nan"), "x", [], {})
+JSON_VALUES = (None, True, False, 2**64, 1e308, -1e308, 1e300, -1e300, float("nan"), "x",
+               [], {})
 #: What a trace cell, a trace header value or an argv token may become.
 TOKENS = ("", "nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "1e308", "-1e308",
           str(2**64), "abc", "1,2", "null", "[]", "{}")

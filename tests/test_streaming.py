@@ -157,6 +157,26 @@ def test_streamed_routines_peak_bounded(tmp_path, T):
         assert peak < PEAK_BOUND, (name, peak)
 
 
+def test_trace_read_peak_near_the_parsed_table(tmp_path):
+    """The reader streams the data lines into np.loadtxt and returns views
+    of the parsed table, so one read peaks at about the table's size."""
+    T = 16_000
+    model = ob.random_model(3, S=40, K=4, m=2, n=2, feasibility_margin=0.2)
+    inst = ob.sample_instance(model, T, 1)
+    header = {"schema_version": 1, "T": T, "seed": 1, "eta": 0.05, "delta": 0.05,
+              "instance_hash": "-", "config": "{}"}
+    path = tmp_path / "t.csv"
+    traceio.write_trace_csv(path, ob.run(inst, OgdConfig(eta=0.05, delta=0.05)), header)
+    tracemalloc.start()
+    try:
+        _, columns = traceio.read_trace_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 8 * T * len(columns)
+    assert len(columns) == 10 and peak <= 1.5 * table, peak / table
+
+
 def test_failing_chunk_leaves_old_file_and_no_temp(tmp_path):
     path = tmp_path / "out.txt"
     ser.write_text_atomic(path, "old\n")
