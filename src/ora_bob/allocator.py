@@ -24,9 +24,8 @@ the instances' rows (an instance is (F, G, H) stacks of input rows plus a
 row index per round); :func:`run` is its one-lane case.  Within a lane the
 dual state is a chain; lanes share only the loop.  A batch holds only the
 loop's own state, each lane's candidates, duals, consumption totals and the
-round its gate closed (its stopping time); the played actions, their
-rewards and unified values are lookups in the lane's instance, made when
-:func:`run_lanes` yields the lane.
+round its gate closed (its stopping time); each lane's Trajectory looks
+the played actions, their rewards and unified values up in its instance.
 
 The gate's exact comparison runs only near a cutoff: below a float
 pre-filter it is guaranteed to pass, and at the start of each block of
@@ -53,7 +52,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Instance, Trajectory, ValidationError
+from .core import Instance, Trajectory, ValidationError, exact_sum
 from .dual_ogd import OgdConfig, learning_rate
 from .lagrangian import penalties
 
@@ -74,32 +73,6 @@ def default_config(instance: Instance, delta: float = 0.05) -> OgdConfig:
         eta=default_eta(instance.horizon, instance.num_constraints, delta),
         delta=delta,
     )
-
-
-def _exact_sum(values: np.ndarray) -> Fraction:
-    """The exact rational sum of float ``values``.
-
-    Every finite float is ``mant * 2**(e - 53)`` with ``mant = frac * 2**53``
-    an integer below 2**53 (``frac, e = np.frexp(v)``, subnormals included).
-    The floats are grouped by exponent with one stable sort, and each group's
-    mantissas are summed in two 26-bit int64 halves, so no partial sum can
-    overflow below 2**36 values; the group sums then meet in one Python
-    integer over the smallest power of two.
-    """
-    if not values.size:
-        return Fraction(0)
-    frac, exp = np.frexp(values)
-    mant = (frac * 2.0**53).astype(np.int64)
-    exp = exp.astype(np.int64)
-    order = np.argsort(exp, kind="stable")
-    exp, mant = exp[order], mant[order]
-    starts = np.flatnonzero(np.concatenate(([True], exp[1:] != exp[:-1])))
-    high = np.add.reduceat(mant >> 26, starts).tolist()
-    low = np.add.reduceat(mant & (2**26 - 1), starts).tolist()
-    shifts = (exp[starts] - 53).tolist()
-    base = shifts[0]
-    num = sum(((h << 26) + lo) << (s - base) for h, lo, s in zip(high, low, shifts))
-    return Fraction(num, 1 << -base) if base < 0 else Fraction(num << base)
 
 
 def _margins(F, U, eta, B):
@@ -145,8 +118,8 @@ def _play(table, index, budget, void, eta):
     1. take every lane's candidate, the argmax of F - penalties(U, lambda);
     2. check the gate, unless the block guard holds: the float totals are
        compared with a pre-filter, and only a lane past it has its totals
-       summed exactly (once, by :func:`_exact_sum`, then kept as Fractions
-       until its gate closes) and compared with the exact cutoffs
+       summed exactly (once, by :func:`~ora_bob.core.exact_sum`, then kept
+       as Fractions until its gate closes) and compared with the exact cutoffs
        beta_j*T - 1;
     3. play the candidate in open lanes and the void action in closed ones,
        gathering the played column of each lane with one flat index for both
@@ -316,7 +289,7 @@ def _play(table, index, budget, void, eta):
                         if r not in exact:
                             # an open lane has played its candidates so far
                             played = H[index[r, :t], :, out_candidates[:t, r]]  # (t, n)
-                            exact[r] = [_exact_sum(played[:, j]) for j in range(n)]
+                            exact[r] = [exact_sum(played[:, j]) for j in range(n)]
                         if any(c > thr for c, thr in zip(exact[r], thresholds)):
                             is_open[r] = False
                             closed_at[r] = t
@@ -339,29 +312,6 @@ def _play(table, index, budget, void, eta):
 
     return (out_candidates.T, closed_at, out_duals.transpose(2, 0, 1),
             out_cum[1:].transpose(2, 0, 1))
-
-
-def _trajectory(played: tuple, lane: int, instance, config: OgdConfig) -> Trajectory:
-    """Lane ``lane`` of a :func:`_play` result as a Trajectory on the lane's
-    own ``instance``: the gate is open before the round it closed, and the
-    played actions' rewards and unified values are entries of its rows."""
-    candidates, closed_at, duals, cumulative = (a[lane] for a in played)
-    gate_open = np.arange(instance.horizon) < closed_at
-    actions = np.where(gate_open, candidates, instance.actions.void_index)
-    return Trajectory(
-        actions=actions,
-        candidates=candidates,
-        rewards=instance.rows[0][instance.index, actions],
-        unified_values=instance.unified_rows[instance.index, :, actions],
-        duals=duals,
-        gate_open=gate_open,
-        cumulative_consumption=cumulative,
-        stopping_time=int(closed_at),
-        num_general=instance.num_general,
-        num_resources=instance.num_resources,
-        eta=config.eta,
-        delta=config.delta,
-    )
 
 
 def run(instance: Instance, config: OgdConfig) -> Trajectory:
@@ -389,8 +339,8 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
     share it).  The lanes read one table, the row stacks of the instances,
     so no lane's T-round stacks are built.  The batch keeps only what the
     loop computes (8 + 8M + 8n bytes per lane-round), and returns the lanes'
-    Trajectories lazily, in order, each built from its instance's rows when
-    it is yielded, so a caller can handle one at a time.
+    Trajectories lazily, in order, so a caller can handle one at a time;
+    each looks its played rounds up in its own instance.
     """
     distinct = list({id(inst): inst for inst in instances}.values())
     for inst in distinct:
@@ -408,5 +358,7 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
     parts = [(i.rows[0], i.unified_rows, i.rows[2]) for i in distinct]
     table = tuple(map(np.concatenate, zip(*parts)))  # (F, U, H)
     index = np.stack([offset[id(inst)] + inst.index for inst in instances])
-    played = _play(table, index, first.budget, first.actions.void_index, config.eta)
-    return (_trajectory(played, r, inst, config) for r, inst in enumerate(instances))
+    candidates, closed_at, duals, totals = _play(
+        table, index, first.budget, first.actions.void_index, config.eta)
+    return (Trajectory(inst, candidates[r], closed_at[r], duals[r], totals[r],
+                       config.eta, config.delta) for r, inst in enumerate(instances))

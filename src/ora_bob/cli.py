@@ -20,7 +20,7 @@ import numpy as np
 
 from . import environments, rng, serialization, traceio
 # Nothing here calls run_allocator: the import stays only so the tracer's
-# allocator hook resolves, until that hook moves (ROADMAP item 6).
+# allocator hook resolves, until that hook moves (ROADMAP item 10).
 from .allocator import default_eta, lane_key, run as run_allocator, run_lanes
 from .core import ROUND_BLOCK, Instance, StochasticModel, Trajectory
 from .dual_ogd import (
@@ -188,14 +188,15 @@ def cell_config(settings: dict, source, T: int, seed: int, name: str) -> dict:
     }
 
 
-def execute_cell(config: dict, instance: Instance, out_dir: str, trajectory: Trajectory) -> str:
+def execute_cell(config: dict, out_dir: str, trajectory: Trajectory) -> str:
     """Write one cell's trace CSV and summary JSON.
 
-    ``config`` is the cell's :func:`cell_config`, ``instance`` its instance
-    and ``trajectory`` its allocator run (see :func:`execute_cells`).
-    Returns the summary JSON path.  Pure function of its arguments, so cells
-    can run in parallel processes and reruns are byte-identical.
+    ``config`` is the cell's :func:`cell_config` and ``trajectory`` its
+    allocator run on its instance (see :func:`execute_cells`).  Returns the
+    summary JSON path.  Pure function of its arguments, so cells can run in
+    parallel processes and reruns are byte-identical.
     """
+    instance = trajectory.instance
     M = instance.num_constraints
     rho = slater_adv(instance) if M else None
     opt_val = None
@@ -203,7 +204,7 @@ def execute_cell(config: dict, instance: Instance, out_dir: str, trajectory: Tra
         opt_val = opt_lp_relax(instance).opt_value
     elif config["benchmark"] == "bruteforce":
         opt_val = opt_bruteforce(instance).opt_value
-    summary = run_summary(trajectory, instance, rho=rho, benchmark=opt_val)
+    summary = run_summary(trajectory, rho=rho, benchmark=opt_val)
 
     ihash = serialization.instance_hash(instance)
     header = {
@@ -241,8 +242,8 @@ def execute_cells(configs: list[dict], source, out_dir: str) -> list[str]:
     horizon = configs[0]["T"]
     ogd = OgdConfig(eta=configs[0]["eta"], delta=configs[0]["delta"])
     instances = [_cell_instance(source, horizon, config["seed"]) for config in configs]
-    return [execute_cell(config, instance, out_dir, trajectory)
-            for config, instance, trajectory in zip(configs, instances, run_lanes(instances, ogd))]
+    return [execute_cell(config, out_dir, trajectory)
+            for config, trajectory in zip(configs, run_lanes(instances, ogd))]
 
 
 def _lockstep_batches(items: list, horizon: int, jobs: int = 1) -> list[list]:
@@ -564,13 +565,14 @@ def _exactness_audit(trajectory, columns) -> dict:
     return {"ok": not mismatches, "mismatches": mismatches}
 
 
-def _dominance_audit(trajectory, instance) -> dict:
+def _dominance_audit(trajectory) -> dict:
     """Whether every gate-open round's candidate maximizes its Lagrangian
     values at the round's duals, by the allocator's own
     :func:`~ora_bob.lagrangian.penalties`, so a replay compares bit for bit.
     The rounds are checked one block of ROUND_BLOCK at a time, each block's
     rows gathered through the instance's row index; ``failing_rounds`` are
     the first ten failing rounds, 1-based."""
+    instance = trajectory.instance
     F, U = instance.rows[0], instance.unified_rows
     duals = trajectory.duals[:-1]
     failing: list[int] = []
@@ -584,7 +586,7 @@ def _dominance_audit(trajectory, instance) -> dict:
     return {"ok": not failing, "failing_rounds": failing[:10]}
 
 
-def _deterministic_audits(trajectory, instance) -> dict:
+def _deterministic_audits(trajectory) -> dict:
     audits: dict[str, dict] = {}
     tau = trajectory.stopping_time
     eta = trajectory.eta
@@ -594,9 +596,9 @@ def _deterministic_audits(trajectory, instance) -> dict:
     if n:
         final = trajectory.cumulative_consumption[-1]
         audits["budget_exactness"] = {
-            "ok": budget_feasible(trajectory, instance),
+            "ok": budget_feasible(trajectory),
             "final": final.tolist(),
-            "limits": instance.budget.limits.tolist(),
+            "limits": trajectory.instance.budget.limits.tolist(),
         }
     else:
         audits["budget_exactness"] = {"ok": None, "status": "not_applicable"}
@@ -608,7 +610,7 @@ def _deterministic_audits(trajectory, instance) -> dict:
         "bound": eta * M,
     }
 
-    beta = instance.budget.per_round_budget
+    beta = trajectory.instance.budget.per_round_budget
     penalty = dual_penalty_audit(trajectory, float(beta.min()) if n else None)
     audits["dual_penalty"] = {
         "ok": penalty.holds,
@@ -627,10 +629,10 @@ def _deterministic_audits(trajectory, instance) -> dict:
     else:
         audits["telescoped_violation"] = {"ok": None, "status": "not_applicable"}
 
-    audits["dominance"] = _dominance_audit(trajectory, instance)
+    audits["dominance"] = _dominance_audit(trajectory)
 
     post = slice(tau, trajectory.horizon)
-    void = instance.actions.void_index
+    void = trajectory.instance.actions.void_index
     post_void = bool(np.all(trajectory.actions[post] == void))
     post_mono = bool(
         np.all(trajectory.duals[tau + 1 :] <= trajectory.duals[tau:-1] + 0.0)
@@ -684,11 +686,11 @@ def _read_trace(path, instance_override, loaded: dict) -> tuple:
     return seed, instance, OgdConfig(eta=eta, delta=delta), columns
 
 
-def audit_trace(path, seed: int, instance, columns, trajectory, pairs: int) -> dict:
+def audit_trace(path, seed: int, columns, trajectory, pairs: int) -> dict:
     """Audit the trace at ``path``, read as ``columns``, against
-    ``trajectory``, the re-run of its ``instance`` under its config; the
+    ``trajectory``, the re-run of its instance under its config; the
     ``pairs`` comparator pairs derive from the trace's ``seed``."""
-    audits = _deterministic_audits(trajectory, instance)
+    audits = _deterministic_audits(trajectory)
     exactness = _exactness_audit(trajectory, columns)
 
     pair_seed = rng.derive_seed(seed, _AUDIT_SEED_SALT)
@@ -739,9 +741,8 @@ def cmd_audit(args) -> int:
     for (_, config), members in groups.items():
         for batch in _lockstep_batches(members, instances[members[0]].horizon):
             for i, trajectory in zip(batch, run_lanes([instances[i] for i in batch], config)):
-                results[i] = audit_trace(
-                    args.traces[i], seeds[i], instances[i], columns[i], trajectory, args.pairs
-                )
+                results[i] = audit_trace(args.traces[i], seeds[i], columns[i], trajectory,
+                                         args.pairs)
     payload = {
         "schema_version": traceio.SCHEMA_VERSION,
         "traces": results,

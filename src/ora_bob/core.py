@@ -25,6 +25,7 @@ duals as one (T+1, M) array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -47,13 +48,14 @@ class ValidationError(ValueError):
 
 
 class InstanceValidationError(ValueError):
-    """Raised when an operation requires a valid instance and got issues."""
+    """Raised when an operation requires a valid instance (or model) and got
+    issues."""
 
     def __init__(self, report: "ValidationReport"):
         self.report = report
-        head = "; ".join(str(i) for i in report.issues[:3])
+        head = "; ".join(map(report.describe, report.issues[:3]))
         more = "" if len(report.issues) <= 3 else f" (+{len(report.issues) - 3} more)"
-        super().__init__(f"invalid instance: {head}{more}")
+        super().__init__(f"invalid {report.subject}: {head}{more}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -111,57 +113,6 @@ class BudgetSpec:
     def limits(self) -> np.ndarray:
         """Total budgets B_j = beta_j * T."""
         return self.per_round_budget * self.horizon
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Column-oriented record of a full run.
-
-    ``duals`` holds lambda_1 .. lambda_{T+1} (shape (T+1, M)); row t-1 is the
-    dual state the round-t decision saw.  ``unified_values`` row t-1 is the
-    unified constraint vector of the action actually played in round t, i.e.
-    the gradient fed to the dual update.
-    """
-
-    actions: np.ndarray
-    candidates: np.ndarray
-    rewards: np.ndarray
-    unified_values: np.ndarray
-    duals: np.ndarray
-    gate_open: np.ndarray
-    cumulative_consumption: np.ndarray
-    stopping_time: int
-    num_general: int
-    num_resources: int
-    eta: float
-    delta: float
-
-    def __post_init__(self):
-        t = self.actions.shape[0]
-        if self.duals.shape != (t + 1, self.num_general + self.num_resources):
-            raise ValidationError(
-                f"duals shape {self.duals.shape} inconsistent with T={t}, "
-                f"M={self.num_general + self.num_resources}"
-            )
-        if not 0 <= self.stopping_time <= t:
-            raise ValidationError(f"stopping_time {self.stopping_time} outside [0, {t}]")
-        for name in ("rewards", "unified_values", "duals", "cumulative_consumption"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        for name in ("actions", "candidates"):
-            a = np.asarray(getattr(self, name), dtype=np.int64)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        g = np.asarray(self.gate_open, dtype=bool)
-        g.setflags(write=False)
-        object.__setattr__(self, "gate_open", g)
-
-    @property
-    def horizon(self) -> int:
-        return self.actions.shape[0]
-
-    @property
-    def num_constraints(self) -> int:
-        return self.num_general + self.num_resources
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,6 +230,100 @@ class Instance(RowStore):
         return pool_issues(ValidationReport(), self.budget, self.rows, self.index, self.actions)
 
 
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A run on ``instance``: the round loop's own state, with the played
+    rounds looked up in the instance's rows.
+
+    ``candidates`` holds each round's best response, ``stopping_time`` the
+    round the gate closed (T if it never did), ``duals`` lambda_1 ..
+    lambda_{T+1} (shape (T+1, M); row t-1 is the dual state the round-t
+    decision saw) and ``cumulative_consumption`` the (T, n) totals through
+    each round.  ``actions`` are the candidates while the gate was open and
+    the void action after; ``rewards`` and ``unified_values`` are the played
+    actions' entries of the instance's rows, the latter the gradients fed to
+    the dual update.
+    """
+
+    instance: Instance
+    candidates: np.ndarray
+    stopping_time: int
+    duals: np.ndarray
+    cumulative_consumption: np.ndarray
+    eta: float
+    delta: float
+
+    def __post_init__(self):
+        t, M = self.horizon, self.num_constraints
+        if np.shape(self.candidates) != (t,) or self.duals.shape != (t + 1, M):
+            raise ValidationError(f"candidates shape {np.shape(self.candidates)} or duals shape "
+                                  f"{self.duals.shape} inconsistent with T={t}, M={M}")
+        if not 0 <= self.stopping_time <= t:
+            raise ValidationError(f"stopping_time {self.stopping_time} outside [0, {t}]")
+        object.__setattr__(self, "candidates", _frozen(np.asarray(self.candidates, np.int64)))
+        object.__setattr__(self, "stopping_time", int(self.stopping_time))
+        for name in ("duals", "cumulative_consumption"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @cached_property
+    def gate_open(self) -> np.ndarray:
+        return _frozen(np.arange(self.horizon) < self.stopping_time)
+
+    @cached_property
+    def actions(self) -> np.ndarray:
+        return _frozen(np.where(self.gate_open, self.candidates, self.instance.actions.void_index))
+
+    @cached_property
+    def rewards(self) -> np.ndarray:
+        return _readonly(self.instance.rows[0][self.instance.index, self.actions])
+
+    @cached_property
+    def unified_values(self) -> np.ndarray:
+        return _readonly(self.instance.unified_rows[self.instance.index, :, self.actions])
+
+    @property
+    def horizon(self) -> int:
+        return self.instance.horizon
+
+    @property
+    def num_general(self) -> int:
+        return self.instance.num_general
+
+    @property
+    def num_resources(self) -> int:
+        return self.instance.num_resources
+
+    @property
+    def num_constraints(self) -> int:
+        return self.instance.num_constraints
+
+
+def exact_sum(values: np.ndarray) -> Fraction:
+    """The exact rational sum of float ``values``.
+
+    Every finite float is ``mant * 2**(e - 53)`` with ``mant = frac * 2**53``
+    an integer below 2**53 (``frac, e = np.frexp(v)``, subnormals included).
+    The floats are grouped by exponent with one stable sort, and each group's
+    mantissas are summed in two 26-bit int64 halves, so no partial sum can
+    overflow below 2**36 values; the group sums then meet in one Python
+    integer over the smallest power of two.
+    """
+    if not values.size:
+        return Fraction(0)
+    frac, exp = np.frexp(values)
+    mant = (frac * 2.0**53).astype(np.int64)
+    exp = exp.astype(np.int64)
+    order = np.argsort(exp, kind="stable")
+    exp, mant = exp[order], mant[order]
+    starts = np.flatnonzero(np.concatenate(([True], exp[1:] != exp[:-1])))
+    high = np.add.reduceat(mant >> 26, starts).tolist()
+    low = np.add.reduceat(mant & (2**26 - 1), starts).tolist()
+    shifts = (exp[starts] - 53).tolist()
+    base = shifts[0]
+    num = sum(((h << 26) + lo) << (s - base) for h, lo, s in zip(high, low, shifts))
+    return Fraction(num, 1 << -base) if base < 0 else Fraction(num << base)
+
+
 PROB_SUM_TOL = 1e-12
 
 
@@ -320,28 +365,35 @@ class StochasticModel(RowStore):
         if horizon is not None:
             budget = BudgetSpec(horizon, budget.per_round_budget)
         return pool_issues(
-            ValidationReport(), budget, self.rows, np.arange(self.support_size), self.actions,
+            ValidationReport(subject="model"), budget, self.rows, np.arange(self.support_size),
+            self.actions,
         )
 
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    """One violated invariant; ``round`` is 1-based, 0 for instance-level."""
+    """One violated invariant; ``round`` is 1-based (a support row, for a
+    model), 0 for an issue of the whole instance or model."""
 
     round: int
     field: str
     coordinate: tuple
     message: str
 
-    def __str__(self):
-        where = f"round {self.round}" if self.round else "instance"
-        return f"{where}: {self.field}{list(self.coordinate)}: {self.message}"
-
 
 @dataclass
 class ValidationReport:
+    """The issues and warnings of an instance, or of a model (``subject``
+    "model"), whose issues sit at support rows rather than rounds."""
+
     issues: list[ValidationIssue] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    subject: str = "instance"
+
+    def describe(self, issue: ValidationIssue) -> str:
+        unit = "round" if self.subject == "instance" else "support row"
+        where = f"{unit} {issue.round}" if issue.round else self.subject
+        return f"{where}: {issue.field}{list(issue.coordinate)}: {issue.message}"
 
     @property
     def ok(self) -> bool:

@@ -8,10 +8,11 @@ rho and clearly separated from the run configuration.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from .core import Instance, Trajectory, ValidationError
+from .core import Trajectory, ValidationError, exact_sum
 from .dual_ogd import DRIFT_SLACK, AUDIT_SLACK, dual_drift_audit
 from .oracles import alpha
 
@@ -90,12 +91,16 @@ def max_dual_l1(trajectory: Trajectory) -> float:
     return float(np.abs(trajectory.duals[:-1]).sum(axis=1).max())
 
 
-def budget_feasible(trajectory: Trajectory, instance: Instance) -> bool | None:
-    """Hard-cap check: final cumulative consumption <= beta_j * T, exactly."""
+def budget_feasible(trajectory: Trajectory) -> bool | None:
+    """Hard-cap check: each resource's played consumptions sum to at most
+    beta_j * T, both in exact rational arithmetic (the float total and the
+    float cap fl(beta_j * T) can each round across the cap)."""
     if trajectory.num_resources == 0:
         return None
-    final = trajectory.cumulative_consumption[-1]
-    return bool(np.all(final <= instance.budget.limits))
+    instance, T = trajectory.instance, trajectory.horizon
+    h = instance.rows[2]
+    return all(exact_sum(h[instance.index, j, trajectory.actions]) <= Fraction(float(b)) * T
+               for j, b in enumerate(instance.budget.per_round_budget))
 
 
 def _check(value: float, satisfied: bool | None) -> dict:
@@ -104,7 +109,6 @@ def _check(value: float, satisfied: bool | None) -> dict:
 
 def run_summary(
     trajectory: Trajectory,
-    instance: Instance,
     rho: float | None = None,
     benchmark: float | None = None,
 ) -> dict:
@@ -133,7 +137,7 @@ def run_summary(
         ),
     }
     if has_rho:
-        beta = instance.budget.per_round_budget
+        beta = trajectory.instance.budget.per_round_budget
         beta_min = float(beta.min()) if beta.size else None
         bounds = theorem_bounds(
             trajectory.horizon, M, rho, trajectory.delta, beta_min
@@ -168,7 +172,7 @@ def run_summary(
         "tau": trajectory.stopping_time,
         "max_dual_l1": dual_l1,
         "max_drift": drift,
-        "budget_feasible": budget_feasible(trajectory, instance),
+        "budget_feasible": budget_feasible(trajectory),
         "regret": summary_regret,
         "alpha_regret": summary_alpha_regret,
         "bounds": checks,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import ora_bob as ob
 from ora_bob.allocator import (
-    _exact_sum,
     default_config,
     default_eta,
     run,
@@ -21,6 +21,7 @@ from ora_bob.core import (
     InstanceValidationError,
     StochasticModel,
     ValidationError,
+    exact_sum,
 )
 from ora_bob.dual_ogd import OgdConfig, learning_rate
 from ora_bob.environments import build_generator, sample_instance
@@ -284,6 +285,29 @@ class TestRunInvariants:
         for t in range(inst.horizon - 1):
             if remaining[t, 0] < 1.0:
                 assert not tr.gate_open[t + 1]
+
+
+def test_a_run_knows_its_instance():
+    """A Trajectory holds its instance and the loop's state; the played
+    rounds are read-only, cached lookups in the instance, re-derived for
+    other candidates."""
+    inst = ob.random_instance(3, T=40, K=4, m=1, n=2, feasibility_margin=0.2)
+    tr = run(inst, OgdConfig(eta=0.05, delta=0.05))
+    assert tr.instance is inst
+    for name in ("gate_open", "actions", "rewards", "unified_values"):
+        value = getattr(tr, name)
+        assert getattr(tr, name) is value and not value.flags.writeable, name
+    candidates = (tr.candidates + 1) % inst.num_actions
+    other = dataclasses.replace(tr, candidates=candidates)
+    assert other.instance is inst and other.stopping_time == tr.stopping_time
+    actions = np.where(tr.gate_open, candidates, inst.actions.void_index)
+    rounds = np.arange(inst.horizon)
+    assert other.actions.tobytes() == actions.tobytes()
+    assert other.rewards.tobytes() == rewards_stack(inst)[rounds, actions].tobytes()
+    assert other.unified_values.tobytes() == unified_stack(inst)[rounds, :, actions].tobytes()
+    assert tr.actions.tobytes() != other.actions.tobytes()
+    with pytest.raises(ValidationError, match="candidates shape"):
+        dataclasses.replace(tr, candidates=candidates[:-1])
 
 
 TRAJECTORY_ARRAYS = (
@@ -624,12 +648,12 @@ def test_round_loop_digests_frozen(case):
     np.where(np.arange(400) % 3 == 0, 0.0, np.random.default_rng(5).random(400)),
 ], ids=["empty", "subnormal_and_one", "exponents", "many_ones", "random_with_zeros"])
 def test_exact_sum_is_the_rational_sum(values):
-    assert _exact_sum(values) == sum(map(Fraction, values.tolist()), Fraction(0))
+    assert exact_sum(values) == sum(map(Fraction, values.tolist()), Fraction(0))
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(0.0), max_size=40))
 def test_exact_sum_random(values):
-    assert _exact_sum(np.array(values, dtype=np.float64)) == sum(map(Fraction, values), Fraction(0))
+    assert exact_sum(np.array(values, dtype=np.float64)) == sum(map(Fraction, values), Fraction(0))
 
 
 _GRID = {"F": [0.0, 0.25, 0.5, 0.75, 1.0], "G": [-1.0, -0.5, 0.0, 0.5, 1.0],

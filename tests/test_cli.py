@@ -500,7 +500,7 @@ class TestOracleCommand:
                 ob.random_model(2, S=2, K=3, m=1, n=1, feasibility_margin=0.25)
             )
             payload["support"][0]["g"][0][1] = 5.0
-            message = "invalid instance: round 1: general_cost[0, 1]: value 5.0 outside [-1.0, 1.0]"
+            message = "invalid model: support row 1: general_cost[0, 1]: value 5.0 outside [-1.0, 1.0]"
         source = tmp_path / "bad.json"
         source.write_text(json.dumps(payload))
         code, out = run_cli(capsys, "oracle", "--instance", str(source), "--T", "4")
@@ -512,7 +512,7 @@ class TestOracleCommand:
         code, out = run_cli(capsys, "oracle", "--generator", "pacing", "--T", "3")
         assert code == 2
         assert json.loads(out)["error"]["message"] == (
-            "invalid instance: instance: budget[0]: beta[0]*T = 0.75 < 1: "
+            "invalid model: model: budget[0]: beta[0]*T = 0.75 < 1: "
             "budget gate closed at round 1"
         )
 
@@ -1075,6 +1075,26 @@ class TestAudit:
         result = json.loads(out)["traces"][0]
         assert result["audits"]["budget_exactness"]["ok"] is True
         assert result["audits"]["telescoped_violation"]["ok"] is True
+
+    def test_budget_met_exactly_is_feasible(self, tmp_path, capsys):
+        """Twenty plays consuming 0.1 and one consuming 1.0 meet the cap
+        30 * 0.1 exactly, though the float total 3.0000000000000004 is above
+        the float cap fl(30 * 0.1) = 3.0."""
+        h = np.array([0.1] * 20 + [1.0] * 10)
+        rows = (np.tile([0.0, 1.0], (30, 1)), np.zeros((30, 0, 2)),
+                np.stack([np.zeros(30), h], axis=1)[:, None, :])
+        inst = ob.Instance(ob.ActionSet(2, 0), ob.BudgetSpec(30, [0.1]), rows, np.arange(30))
+        ob.save_instance(inst, tmp_path / "cap.json")
+        code, _ = run_cli(capsys, "run", "--instance", str(tmp_path / "cap.json"),
+                          "--eta", "1e-6", "--out", str(tmp_path), "--name", "cap")
+        assert code == 0
+        summary = json.loads((tmp_path / "cap_0.json").read_text())["summary"]
+        assert summary["tau"] == 21 and summary["budget_feasible"] is True
+        code, out = run_cli(capsys, "audit", str(tmp_path / "cap_0.csv"), "--pairs", "5")
+        assert code == 0
+        assert json.loads(out)["traces"][0]["audits"]["budget_exactness"] == {
+            "ok": True, "final": [3.0000000000000004], "limits": [3.0]
+        }
 
     def test_schema_version_mismatch_refused(self, tmp_path, capsys):
         trace = self.make_trace(tmp_path, capsys)

@@ -150,7 +150,7 @@ class TestRunSummary:
     def test_total_reward_matches_trace_cumulative(self):
         inst = ob.random_instance(12, T=80, K=3, m=1, n=1, feasibility_margin=0.2)
         tr = ob.run(inst, ob.default_config(inst))
-        s = run_summary(tr, inst)
+        s = run_summary(tr)
         cols = trace_columns(tr)
         assert s["total_reward"] == cols["cum_reward"][-1]
 
@@ -161,7 +161,7 @@ class TestRunSummary:
             )
             tr = ob.run(inst, ob.default_config(inst))
             rho = ob.slater_adv(inst)
-            s = run_summary(tr, inst, rho=rho)
+            s = run_summary(tr, rho=rho)
             assert s["violation"] <= min(
                 s["bounds"]["violation"]["value"], float(tr.stopping_time)
             )
@@ -169,7 +169,7 @@ class TestRunSummary:
     def test_dual_norm_check_present(self):
         inst = ob.random_instance(2, T=60, K=3, m=1, n=1, feasibility_margin=0.2)
         tr = ob.run(inst, ob.default_config(inst))
-        s = run_summary(tr, inst, rho=ob.slater_adv(inst))
+        s = run_summary(tr, rho=ob.slater_adv(inst))
         assert s["bounds"]["dual_norm"]["satisfied"]
         assert s["max_dual_l1"] == max_dual_l1(tr)
 
@@ -177,7 +177,7 @@ class TestRunSummary:
         r = ([0.0, 1.0], [[0.0, -0.5]], np.zeros((0, 2)))
         inst = instance_of(ActionSet(2, 0), BudgetSpec(6, []), (r,) * 6)
         tr = ob.run(inst, OgdConfig(0.01, 0.05))
-        s = run_summary(tr, inst)
+        s = run_summary(tr)
         assert s["violation"] < 0.0
         assert s["violation_clamped"] == 0.0
 
@@ -185,6 +185,6 @@ class TestRunSummary:
         r = ([0.0, 1.0], np.zeros((0, 2)), [[0.0, 0.5]])
         inst = instance_of(ActionSet(2, 0), BudgetSpec(4, [0.5]), (r,) * 4)
         tr = ob.run(inst, OgdConfig(0.01, 0.05))
-        s = run_summary(tr, inst)
+        s = run_summary(tr)
         assert not s["violation_applicable"]
         assert s["budget_feasible"] is True

@@ -130,14 +130,10 @@ def _per_cell_trace_text(trajectory, header):
 
 def test_trace_writer_matches_per_cell_formatting(tmp_path):
     inst = random_instance(6, T=40, K=3, m=1, n=2, feasibility_margin=0.2)
+    f, g, h = (rows.copy() for rows in inst.rows)
+    f[inst.index[:2]] = -0.0  # the reward and cum_reward cells of rounds 1 and 2
+    inst = ob.Instance(inst.actions, inst.budget, (f, g, h), inst.index)
     tr = ob.run(inst, ob.default_config(inst))
-    rewards = tr.rewards.copy()
-    rewards[:2] = -0.0  # the reward and cum_reward cells of rounds 1 and 2
-    tr = ob.Trajectory(
-        tr.actions, tr.candidates, rewards, tr.unified_values, tr.duals,
-        tr.gate_open, tr.cumulative_consumption, tr.stopping_time,
-        tr.num_general, tr.num_resources, tr.eta, tr.delta,
-    )
     header = {"schema_version": 1, "T": 40, "config": "{}"}
     path = tmp_path / "t.csv"
     traceio.write_trace_csv(path, tr, header)

@@ -3,6 +3,7 @@ instance hash, the trace writer and the exactness and dominance audits.
 Each must give the bytes of its one-shot form, at and around the block
 edges, and keep its transient memory bounded whatever the horizon."""
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -75,7 +76,8 @@ def _one_shot_exactness(trajectory, columns):
     return {"ok": not mismatches, "mismatches": mismatches}
 
 
-def _one_shot_dominance(trajectory, instance):
+def _one_shot_dominance(trajectory):
+    instance = trajectory.instance
     values = rewards_stack(instance) - penalties(
         unified_stack(instance).transpose(1, 0, 2), trajectory.duals[:-1].T[:, :, None]
     )
@@ -100,7 +102,7 @@ def test_streamed_outputs_match_one_shot(tmp_path, T):
         for name, column in columns.items():
             assert column.dtype == expected[name].dtype
             assert column.tobytes() == expected[name].tobytes(), name
-        assert cli._dominance_audit(tr, inst) == _one_shot_dominance(tr, inst)
+        assert cli._dominance_audit(tr) == _one_shot_dominance(tr)
         # the last eleven rewards edited (across the block edge at
         # T = ROUND_BLOCK + 1), the last cum_reward edited and one column deleted
         _, read = traceio.read_trace_csv(path)
@@ -121,16 +123,12 @@ def test_streamed_dominance_reports_the_first_ten_failures():
     values = rewards_stack(inst) - penalties(
         unified_stack(inst).transpose(1, 0, 2), tr.duals[:-1].T[:, :, None]
     )
-    worst = values.argmin(axis=1)
-    gate = tr.gate_open.copy()
-    gate[: ROUND_BLOCK - 3] = False  # the failures straddle the first block edge
-    damaged = ob.Trajectory(
-        tr.actions, worst, tr.rewards, tr.unified_values, tr.duals, gate,
-        tr.cumulative_consumption, tr.stopping_time, tr.num_general, tr.num_resources,
-        tr.eta, tr.delta,
-    )
-    report = cli._dominance_audit(damaged, inst)
-    assert report == _one_shot_dominance(damaged, inst)
+    candidates = tr.candidates.copy()
+    # from round ROUND_BLOCK - 2 on, the failures straddle the first block edge
+    candidates[ROUND_BLOCK - 3 :] = values.argmin(axis=1)[ROUND_BLOCK - 3 :]
+    damaged = dataclasses.replace(tr, candidates=candidates)
+    report = cli._dominance_audit(damaged)
+    assert report == _one_shot_dominance(damaged)
     assert report["failing_rounds"][0] == ROUND_BLOCK - 2 and len(report["failing_rounds"]) == 10
 
 
@@ -145,7 +143,7 @@ def test_streamed_routines_peak_bounded(tmp_path, T):
         "instance_hash": lambda: ser.instance_hash(inst),
         "write_trace_csv": lambda: traceio.write_trace_csv(tmp_path / "t.csv", tr, header),
         "exactness_audit": lambda: cli._exactness_audit(tr, columns),
-        "dominance_audit": lambda: cli._dominance_audit(tr, inst),
+        "dominance_audit": lambda: cli._dominance_audit(tr),
     }
     for name, routine in routines.items():
         tracemalloc.start()
