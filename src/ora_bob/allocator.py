@@ -23,9 +23,9 @@ its own.  :func:`run_lanes` plays one lane per instance over one table of
 the instances' rows (an instance is (F, G, H) stacks of input rows plus a
 row index per round); :func:`run` is its one-lane case.  Within a lane the
 dual state is a chain; lanes share only the loop.  A batch holds only the
-loop's own state, each lane's candidates, duals, consumption totals and the
-round its gate closed (its stopping time); each lane's Trajectory looks
-the played actions, their rewards and unified values up in its instance.
+loop's own state: each lane's candidates, duals, running consumption total
+and the round its gate closed (its stopping time); each lane's Trajectory
+looks the rest of its rounds up in its instance.
 
 The gate's exact comparison runs only near a cutoff: below a float
 pre-filter it is guaranteed to pass, and at the start of each block of
@@ -107,8 +107,8 @@ def _play(table, index, budget, void, eta):
     :func:`_margins`).  The segment is round t plus the certified rounds
     after it, up to the first uncertified one.  Its actions are known, so
     the played columns of the dual steps and consumptions are gathered once
-    per segment, and the consumption totals are one sequential
-    ``np.add.accumulate`` seeded with the running total; only the clipped
+    per segment, and the running consumption totals advance by one
+    sequential ``np.add.accumulate`` seeded with them; only the clipped
     dual recursion lambda <- max(0, lambda + eta*g~) runs per round.
 
     A segment skips the gate check, so it starts only where the block guard
@@ -127,10 +127,9 @@ def _play(table, index, budget, void, eta):
     Every value a segment writes is the one these single rounds would
     write, so the result does not depend on where segments fall.
 
-    Returns (candidates (R, B), closed_at (R,), duals (R, B+1, M), totals
-    (R, B, n)): lane r played its candidate before round closed_at[r] (B if
-    its gate never closed) and the void action after; ``duals`` holds
-    lambda_1..lambda_{B+1} and ``totals`` the consumption through each round.
+    Returns (candidates (R, B), closed_at (R,), duals (R, B+1, M)): lane r
+    played its candidate before round closed_at[r] (B if its gate never
+    closed) and the void action after; duals are lambda_1..lambda_{B+1}.
     """
     F, U, H = table
     R, B = index.shape
@@ -199,14 +198,13 @@ def _play(table, index, budget, void, eta):
     # the pre-filter stays one comparison while no open lane nears a cutoff.
     thr_lane = thr_fast.repeat(R, axis=1)
 
-    # Round-major buffers with lanes last; lam (M, R) and cum (n, R) are
-    # views of the current round's rows.
+    # Round-major buffers with lanes last; lam (M, R) views the current
+    # round's duals, and cum (n, R) is row 0 of a segment's running totals.
     out_candidates = np.empty((B, R), dtype=np.int64)
     out_duals = np.empty((B + 1, M, R))
-    out_cum = np.empty((B + 1, n, R))
     out_duals[0] = 0.0
-    out_cum[0] = 0.0
-    lam, cum = out_duals[0], out_cum[0]
+    acc = np.zeros((_BLOCK + 1, n, R))
+    lam, cum = out_duals[0], acc[0]
     # Per-round scratch: the played column of every lane in the flat
     # (lane, action) axis of a block, and the gathered dual step and
     # consumptions.
@@ -272,9 +270,9 @@ def _play(table, index, budget, void, eta):
                     np.add(out_duals[t + k], steps[k], out=lam)
                     np.maximum(0.0, lam, out=lam)
                 if n:
-                    totals = out_cum[t:t + L + 1]
-                    Hb.take(cons_base[i:i + L] + picks, out=totals[1:])
-                    cum = np.add.accumulate(totals, axis=0, out=totals)[-1]
+                    Hb.take(cons_base[i:i + L] + picks, out=acc[1:L + 1])
+                    np.add.accumulate(acc[:L + 1], axis=0, out=acc[:L + 1])
+                    cum[...] = acc[L]
                 i += L
                 continue
             stop = min(i + max(wait, 1), b)
@@ -301,7 +299,7 @@ def _play(table, index, budget, void, eta):
                 np.add(lam, dual_steps[i].take(pick, axis=1, out=step), out=step)
                 lam = np.maximum(0.0, step, out=out_duals[t + 1])
                 if n:
-                    cum = np.add(cum, Hb[i].take(pick, axis=1, out=col), out=out_cum[t + 1])
+                    np.add(cum, Hb[i].take(pick, axis=1, out=col), out=cum)
                     if exact:
                         by_lane = col.T.tolist()
                         for r, totals in exact.items():
@@ -310,8 +308,7 @@ def _play(table, index, budget, void, eta):
                                     totals[j] += Fraction(h)
             i = stop
 
-    return (out_candidates.T, closed_at, out_duals.transpose(2, 0, 1),
-            out_cum[1:].transpose(2, 0, 1))
+    return out_candidates.T, closed_at, out_duals.transpose(2, 0, 1)
 
 
 def run(instance: Instance, config: OgdConfig) -> Trajectory:
@@ -338,7 +335,7 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
     :func:`lane_key` differs from the first lane's (the cells of one source
     share it).  The lanes read one table, the row stacks of the instances,
     so no lane's T-round stacks are built.  The batch keeps only what the
-    loop computes (8 + 8M + 8n bytes per lane-round), and returns the lanes'
+    loop computes (8 + 8M bytes per lane-round), and returns the lanes'
     Trajectories lazily, in order, so a caller can handle one at a time;
     each looks its played rounds up in its own instance.
     """
@@ -358,7 +355,7 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
     parts = [(i.rows[0], i.unified_rows, i.rows[2]) for i in distinct]
     table = tuple(map(np.concatenate, zip(*parts)))  # (F, U, H)
     index = np.stack([offset[id(inst)] + inst.index for inst in instances])
-    candidates, closed_at, duals, totals = _play(
+    candidates, closed_at, duals = _play(
         table, index, first.budget, first.actions.void_index, config.eta)
-    return (Trajectory(inst, candidates[r], closed_at[r], duals[r], totals[r],
-                       config.eta, config.delta) for r, inst in enumerate(instances))
+    return (Trajectory(inst, candidates[r], closed_at[r], duals[r], config.eta, config.delta)
+            for r, inst in enumerate(instances))

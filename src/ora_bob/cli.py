@@ -34,7 +34,7 @@ from .dual_ogd import (
 )
 from .environments import build_generator
 from .lagrangian import penalties
-from .metrics import budget_feasible, run_summary
+from .metrics import budget_totals, run_summary
 from .oracles import (
     SizeGuardError,
     alpha,
@@ -594,11 +594,11 @@ def _deterministic_audits(trajectory) -> dict:
     M = trajectory.num_constraints
 
     if n:
-        final = trajectory.cumulative_consumption[-1]
+        totals = budget_totals(trajectory)
         audits["budget_exactness"] = {
-            "ok": budget_feasible(trajectory),
-            "final": final.tolist(),
-            "limits": trajectory.instance.budget.limits.tolist(),
+            "ok": all(total <= cap for total, cap in totals),
+            "final": [float(total) for total, _ in totals],
+            "limits": [float(cap) for _, cap in totals],
         }
     else:
         audits["budget_exactness"] = {"ok": None, "status": "not_applicable"}

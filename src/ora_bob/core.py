@@ -238,18 +238,17 @@ class Trajectory:
     ``candidates`` holds each round's best response, ``stopping_time`` the
     round the gate closed (T if it never did), ``duals`` lambda_1 ..
     lambda_{T+1} (shape (T+1, M); row t-1 is the dual state the round-t
-    decision saw) and ``cumulative_consumption`` the (T, n) totals through
-    each round.  ``actions`` are the candidates while the gate was open and
-    the void action after; ``rewards`` and ``unified_values`` are the played
-    actions' entries of the instance's rows, the latter the gradients fed to
-    the dual update.
+    decision saw).  ``actions`` are the candidates while the gate was open
+    and the void action after; ``rewards`` and ``unified_values`` are the
+    played actions' entries of the instance's rows, the latter the gradients
+    fed to the dual update, and ``cumulative_consumption`` the (T, n) totals
+    of the played consumptions through each round.
     """
 
     instance: Instance
     candidates: np.ndarray
     stopping_time: int
     duals: np.ndarray
-    cumulative_consumption: np.ndarray
     eta: float
     delta: float
 
@@ -262,8 +261,7 @@ class Trajectory:
             raise ValidationError(f"stopping_time {self.stopping_time} outside [0, {t}]")
         object.__setattr__(self, "candidates", _frozen(np.asarray(self.candidates, np.int64)))
         object.__setattr__(self, "stopping_time", int(self.stopping_time))
-        for name in ("duals", "cumulative_consumption"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        object.__setattr__(self, "duals", _readonly(self.duals))
 
     @cached_property
     def gate_open(self) -> np.ndarray:
@@ -280,6 +278,13 @@ class Trajectory:
     @cached_property
     def unified_values(self) -> np.ndarray:
         return _readonly(self.instance.unified_rows[self.instance.index, :, self.actions])
+
+    @cached_property
+    def cumulative_consumption(self) -> np.ndarray:
+        """The loop's running sums, from its 0.0: a first -0.0 totals 0.0."""
+        played = self.instance.rows[2][self.instance.index, :, self.actions]
+        totals = np.concatenate([np.zeros((1, self.num_resources)), played])
+        return _frozen(np.add.accumulate(totals, out=totals)[1:])
 
     @property
     def horizon(self) -> int:

@@ -91,16 +91,21 @@ def max_dual_l1(trajectory: Trajectory) -> float:
     return float(np.abs(trajectory.duals[:-1]).sum(axis=1).max())
 
 
-def budget_feasible(trajectory: Trajectory) -> bool | None:
-    """Hard-cap check: each resource's played consumptions sum to at most
-    beta_j * T, both in exact rational arithmetic (the float total and the
-    float cap fl(beta_j * T) can each round across the cap)."""
-    if trajectory.num_resources == 0:
-        return None
+def budget_totals(trajectory: Trajectory) -> list[tuple[Fraction, Fraction]]:
+    """Each resource's exact played total and exact cap beta_j * T (the
+    float total and the float cap fl(beta_j * T) can each round across the
+    cap)."""
     instance, T = trajectory.instance, trajectory.horizon
     h = instance.rows[2]
-    return all(exact_sum(h[instance.index, j, trajectory.actions]) <= Fraction(float(b)) * T
-               for j, b in enumerate(instance.budget.per_round_budget))
+    return [(exact_sum(h[instance.index, j, trajectory.actions]), Fraction(float(b)) * T)
+            for j, b in enumerate(instance.budget.per_round_budget)]
+
+
+def budget_feasible(trajectory: Trajectory) -> bool | None:
+    """Hard-cap check: every exact total is at most its exact cap; None
+    without resources."""
+    totals = budget_totals(trajectory)
+    return all(total <= cap for total, cap in totals) if totals else None
 
 
 def _check(value: float, satisfied: bool | None) -> dict:

@@ -18,16 +18,12 @@ buffer allocated once per solve.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 TOL = 1e-9
 PHASE1_FEASIBILITY_TOL = 1e-7
-
-#: Per-thread pivot work buffer, (2, rows, width), alive during one solve_lp.
-_scratch = threading.local()
 
 
 class SimplexError(RuntimeError):
@@ -43,16 +39,16 @@ class SimplexResult:
     iterations: int
 
 
-def _pivot(tab, red, basis, r, q):
+def _pivot(tab, red, basis, r, q, work):
     tab[r] /= tab[r, q]
     col = tab[:, q].copy()
     col[r] = 0.0
     # A row with a zero in the pivot column would only have zeros subtracted,
     # so skipping it leaves every value bit for bit as a full update would.
     rows = np.flatnonzero(col)
-    # Work rows from the buffer solve_lp holds for this solve, so pivots do
-    # not allocate and free tableau-sized temporaries.
-    taken, products = _scratch.work[:, : rows.size]
+    # Work rows from the (2, rows, width) buffer solve_lp allocates once per
+    # solve, so pivots do not allocate and free tableau-sized temporaries.
+    taken, products = work[:, : rows.size]
     np.take(tab, rows, axis=0, out=taken, mode="clip")  # mode "raise" copies via a temporary
     np.multiply(col[rows, None], tab[r], out=products)
     tab[rows] = np.subtract(taken, products, out=taken)
@@ -64,7 +60,7 @@ def _pivot(tab, red, basis, r, q):
     np.clip(rhs, 0.0, None, out=rhs)
 
 
-def _iterate(tab, basis, cost, barred, max_iterations, iterations_used):
+def _iterate(tab, basis, cost, barred, max_iterations, iterations_used, work):
     rows = tab.shape[0]
     red = cost - cost[basis] @ tab[:, :-1]
     stall_limit = 3 * rows + 20
@@ -96,7 +92,7 @@ def _iterate(tab, basis, cost, barred, max_iterations, iterations_used):
         rmin = ratios.min()
         ties = pos[ratios <= rmin]
         r = int(ties[np.argmin(basis[ties])])
-        _pivot(tab, red, basis, r, q)
+        _pivot(tab, red, basis, r, q, work)
         obj = float(cost[basis] @ tab[:, -1])
         if obj < best_obj - TOL * max(1.0, abs(best_obj)):
             best_obj = obj
@@ -162,14 +158,11 @@ def solve_lp(
     max_iterations = max(5000, 50 * (rows + width - 1))
 
     # Pages of the pivot work buffer are touched only as pivots use them.
-    _scratch.work = np.empty((2, rows, width))
-    try:
-        return _solve(tab, basis, c, n, mu, n_art, max_iterations)
-    finally:
-        del _scratch.work
+    work = np.empty((2, rows, width))
+    return _solve(tab, basis, c, n, mu, n_art, max_iterations, work)
 
 
-def _solve(tab, basis, c, n, mu, n_art, max_iterations) -> SimplexResult:
+def _solve(tab, basis, c, n, mu, n_art, max_iterations, work) -> SimplexResult:
     """Phases 1 and 2 on the initial tableau built by solve_lp."""
     rows = tab.shape[0]
     total_vars = n + mu + n_art
@@ -178,9 +171,8 @@ def _solve(tab, basis, c, n, mu, n_art, max_iterations) -> SimplexResult:
     if n_art:
         cost1 = np.zeros(total_vars)
         cost1[art_cols] = 1.0
-        iterations = _iterate(
-            tab, basis, cost1, np.zeros(total_vars, dtype=bool), max_iterations, iterations,
-        )
+        iterations = _iterate(tab, basis, cost1, np.zeros(total_vars, dtype=bool),
+                              max_iterations, iterations, work)
         infeas = float(cost1[basis] @ tab[:, -1])
         if infeas > PHASE1_FEASIBILITY_TOL:
             raise SimplexError(
@@ -196,13 +188,13 @@ def _solve(tab, basis, c, n, mu, n_art, max_iterations) -> SimplexResult:
             if basis[r] >= n + mu:
                 candidates = np.nonzero(np.abs(tab[r, : n + mu]) > TOL)[0]
                 if candidates.size:
-                    _pivot(tab, red_dummy, basis, r, int(candidates[0]))
+                    _pivot(tab, red_dummy, basis, r, int(candidates[0]), work)
     else:
         barred = np.zeros(total_vars, dtype=bool)
 
     cost2 = np.zeros(total_vars)
     cost2[:n] = -c  # maximize c.x == minimize -c.x
-    iterations = _iterate(tab, basis, cost2, barred, max_iterations, iterations)
+    iterations = _iterate(tab, basis, cost2, barred, max_iterations, iterations, work)
 
     x_full = np.zeros(total_vars)
     x_full[basis] = tab[:, -1]

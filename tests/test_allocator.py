@@ -26,7 +26,8 @@ from ora_bob.core import (
 from ora_bob.dual_ogd import OgdConfig, learning_rate
 from ora_bob.environments import build_generator, sample_instance
 from ora_bob.lagrangian import penalties
-from rowstacks import instance_of, model_of, rewards_stack, stacks, unified_stack
+from rowstacks import (consumption_stack, instance_of, model_of, rewards_stack, stacks,
+                       unified_stack)
 
 
 def draining_instance(T: int, beta: float = 0.5, consumption: float = 1.0) -> Instance:
@@ -294,7 +295,7 @@ def test_a_run_knows_its_instance():
     inst = ob.random_instance(3, T=40, K=4, m=1, n=2, feasibility_margin=0.2)
     tr = run(inst, OgdConfig(eta=0.05, delta=0.05))
     assert tr.instance is inst
-    for name in ("gate_open", "actions", "rewards", "unified_values"):
+    for name in ("gate_open", "actions", "rewards", "unified_values", "cumulative_consumption"):
         value = getattr(tr, name)
         assert getattr(tr, name) is value and not value.flags.writeable, name
     candidates = (tr.candidates + 1) % inst.num_actions
@@ -305,6 +306,8 @@ def test_a_run_knows_its_instance():
     assert other.actions.tobytes() == actions.tobytes()
     assert other.rewards.tobytes() == rewards_stack(inst)[rounds, actions].tobytes()
     assert other.unified_values.tobytes() == unified_stack(inst)[rounds, :, actions].tobytes()
+    played = consumption_stack(inst)[rounds, :, actions]
+    assert other.cumulative_consumption.tobytes() == np.cumsum(played, axis=0).tobytes()
     assert tr.actions.tobytes() != other.actions.tobytes()
     with pytest.raises(ValidationError, match="candidates shape"):
         dataclasses.replace(tr, candidates=candidates[:-1])
@@ -408,9 +411,9 @@ class TestRunBatch:
 
     def test_batch_holds_only_the_loop_state(self):
         """Once run_lanes returns, before a lane is consumed, a batch holds
-        each lane's candidates, duals and consumption totals, 8 + 8M + 8n
-        bytes a lane-round; each lane's record is built as it is yielded,
-        and is run()'s bit for bit."""
+        each lane's candidates and duals, 8 + 8M bytes a lane-round; each
+        lane's record, consumption totals included, is built as it is
+        yielded, and is run()'s bit for bit."""
         T, M, n = 2000, 4, 2
         model = ob.random_model(11, S=40, K=4, m=M - n, n=n, feasibility_margin=0.2,
                                 horizon=T)
@@ -424,7 +427,7 @@ class TestRunBatch:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held <= (8 + 8 * M + 8 * n) * len(instances) * T + 64 * 1024
+        assert held <= (8 + 8 * M) * len(instances) * T + 64 * 1024
         for inst, lane in zip(instances, lanes):
             assert_same_trajectory(lane, run(inst, config))
 
@@ -656,8 +659,10 @@ def test_exact_sum_random(values):
     assert exact_sum(np.array(values, dtype=np.float64)) == sum(map(Fraction, values), Fraction(0))
 
 
+# H holds -0.0, which validation accepts: a lane whose first played
+# consumption is -0.0 still totals 0.0, as the loop's sums start from 0.0.
 _GRID = {"F": [0.0, 0.25, 0.5, 0.75, 1.0], "G": [-1.0, -0.5, 0.0, 0.5, 1.0],
-         "H": [0.0, 0.25, 0.5, 1.0], "beta": [0.05, 0.1, 0.25, 1 / 3, 0.5, 1.0, 1.5]}
+         "H": [-0.0, 0.0, 0.25, 0.5, 1.0], "beta": [0.05, 0.1, 0.25, 1 / 3, 0.5, 1.0, 1.5]}
 
 
 @st.composite

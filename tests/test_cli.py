@@ -1079,7 +1079,8 @@ class TestAudit:
     def test_budget_met_exactly_is_feasible(self, tmp_path, capsys):
         """Twenty plays consuming 0.1 and one consuming 1.0 meet the cap
         30 * 0.1 exactly, though the float total 3.0000000000000004 is above
-        the float cap fl(30 * 0.1) = 3.0."""
+        the float cap fl(30 * 0.1) = 3.0; the audit reports the exact total
+        rounded once, 3.0."""
         h = np.array([0.1] * 20 + [1.0] * 10)
         rows = (np.tile([0.0, 1.0], (30, 1)), np.zeros((30, 0, 2)),
                 np.stack([np.zeros(30), h], axis=1)[:, None, :])
@@ -1093,7 +1094,7 @@ class TestAudit:
         code, out = run_cli(capsys, "audit", str(tmp_path / "cap_0.csv"), "--pairs", "5")
         assert code == 0
         assert json.loads(out)["traces"][0]["audits"]["budget_exactness"] == {
-            "ok": True, "final": [3.0000000000000004], "limits": [3.0]
+            "ok": True, "final": [3.0], "limits": [3.0]
         }
 
     def test_schema_version_mismatch_refused(self, tmp_path, capsys):

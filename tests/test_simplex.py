@@ -86,11 +86,13 @@ def test_iteration_cap_raises_with_count():
     tab = np.hstack([np.eye(3), np.eye(3), np.ones((3, 1))])
     cost = np.array([-1.0, -2.0, -3.0, 0.0, 0.0, 0.0])
     with pytest.raises(SimplexError, match="iterations"):
-        simplex._iterate(tab, np.arange(3, 6), cost, np.zeros(6, dtype=bool), 0, 0)
+        simplex._iterate(tab, np.arange(3, 6), cost, np.zeros(6, dtype=bool), 0, 0,
+                         np.empty((2, 3, 7)))
 
 
-def _full_update_pivot(tab, red, basis, r, q):
-    # the textbook pivot: every row is updated, zeros in the pivot column too
+def _full_update_pivot(tab, red, basis, r, q, work):
+    # the textbook pivot: every row is updated, zeros in the pivot column
+    # too, with no work buffer
     tab[r] /= tab[r, q]
     col = tab[:, q].copy()
     col[r] = 0.0
