@@ -14,15 +14,17 @@ written with Python's shortest round-trip representation, so save -> load
 reproduces bit-identical matrices.  An instance's hash streams its canonical
 text to sha256 a block of rounds at a time, and :func:`write_text_atomic`,
 the one write-to-temp-then-rename routine, takes the text as one string or
-as chunks, so neither holds a whole T-round text.
+as chunks, so neither holds a whole T-round text.  sha256 is the built-in
+one until a process has hashed OPENSSL_HASH_BYTES (see :func:`_sha256`).
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import importlib
 import json
 import os
+import sys
 from typing import Any, Iterable
 
 import numpy as np
@@ -30,6 +32,10 @@ import numpy as np
 from .core import (
     ROUND_BLOCK, ActionSet, BudgetSpec, Instance, StochasticModel, ValidationError,
 )
+
+OPENSSL_HASH_BYTES = 1 << 18
+_BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+_hashed_bytes = 0  # by this process; it picks the provider, never the digest
 
 
 class SchemaError(ValueError):
@@ -176,9 +182,21 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _sha256(nbytes: int):
+    """sha256 for ``nbytes`` more bytes: the built-in one until this process has hashed
+    OPENSSL_HASH_BYTES, as hashlib loads OpenSSL (ROADMAP); then, or lacking it, hashlib's."""
+    global _hashed_bytes
+    _hashed_bytes += nbytes
+    if _hashed_bytes < OPENSSL_HASH_BYTES:
+        with contextlib.suppress(ImportError):
+            return importlib.import_module(_BUILTIN_SHA256).sha256
+    return importlib.import_module("hashlib").sha256
+
+
 def content_hash(obj: Any) -> str:
     """Stable content hash of a JSON-serializable object."""
-    return f"sha256:{hashlib.sha256(canonical_json(obj).encode('utf-8')).hexdigest()}"
+    text = canonical_json(obj).encode("utf-8")
+    return f"sha256:{_sha256(len(text))(text).hexdigest()}"
 
 
 def instance_hash(instance: Instance) -> str:
@@ -189,8 +207,9 @@ def instance_hash(instance: Instance) -> str:
     parts = [canonical_json(d).encode("utf-8") for d in rows_to_dicts(instance.rows)]
     header = canonical_json({**_header(instance), "rounds": None})
     head, tail = header.split('"rounds":null')
-    digest = hashlib.sha256(f'{head}"rounds":['.encode("utf-8"))
     index = instance.index
+    nbytes = int(np.array([len(part) for part in parts], dtype=np.int64)[index].sum())
+    digest = _sha256(nbytes)(f'{head}"rounds":['.encode("utf-8"))
     for lo in range(0, len(index), ROUND_BLOCK):
         if lo:
             digest.update(b",")

@@ -11,7 +11,6 @@ rename routine, so it never holds the whole file text.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from typing import Iterator
 
@@ -93,15 +92,15 @@ def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:
     write_text_atomic(path, chunks())
 
 
-def _data_rows(path, lines, width: int) -> Iterator[str]:
-    """The non-empty ``lines`` of the trace at ``path`` without their
-    newline, each checked to have ``width`` fields."""
-    for k, row in enumerate(filter(None, (line.rstrip("\n") for line in lines)), start=1):
+def _row_width_error(fh, start: int, width: int) -> str | None:
+    """The first non-empty data line of ``fh`` from offset ``start`` that
+    does not have ``width`` fields, described; None if every one does."""
+    fh.seek(start)
+    rows = filter(None, (line.rstrip("\n") for line in fh))
+    for k, row in enumerate(rows, start=1):
         if row.count(",") != width - 1:
-            raise TraceFormatError(
-                f"{path}: data row {k} has {row.count(',') + 1} fields, expected {width}"
-            )
-        yield row
+            return f"data row {k} has {row.count(',') + 1} fields, expected {width}"
+    return None
 
 
 def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
@@ -110,8 +109,8 @@ def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     Raises TraceFormatError when a REQUIRED_HEADER_KEYS entry is missing, a
     data row's width differs from the column row's, or a cell does not parse
     as its column's type: int64 (strictly, as a base-10 integer) for the
-    t/action/candidate/gate_open columns, float64 for the others.  The data
-    lines stream into one parsed table, and the columns are its views.
+    t/action/candidate/gate_open columns, float64 for the others.  numpy
+    parses the data lines from the file into one table; the columns are its views.
     """
     header: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -129,23 +128,18 @@ def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         int_columns = ("t", "action", "candidate", "gate_open")
         dtype = [(f"c{c}", np.int64 if name in int_columns else np.float64)
                  for c, name in enumerate(names)]
-        data = _data_rows(path, fh, len(names))
-        first = next(data, None)  # np.loadtxt warns on empty input
-        if first is None:
-            table = np.empty(0, dtype=dtype)
-        else:
-            # numpy < 2 parses an int cell such as "1.0" through float, with
-            # only a DeprecationWarning; as an error it leaves every int cell
-            # strict.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                try:
-                    table = np.loadtxt(itertools.chain([first], data), dtype=dtype,
-                                       delimiter=",", comments=None, ndmin=1)
-                except TraceFormatError:  # a row's width, raised by _data_rows
-                    raise
-                except (ValueError, OverflowError, DeprecationWarning) as exc:
-                    raise TraceFormatError(f"{path}: {exc}") from None
+        start = fh.tell()
+        # numpy < 2 parses an int cell such as "1.0" through float, with only
+        # a DeprecationWarning; as an error it leaves every int cell strict.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            except (ValueError, OverflowError, DeprecationWarning) as exc:
+                # numpy's own width message numbers rows another way
+                why = _row_width_error(fh, start, len(names)) or exc
+                raise TraceFormatError(f"{path}: {why}") from None
     columns = {name: table[f"c{c}"] for c, name in enumerate(names)}
     return header, columns
 

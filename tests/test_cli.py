@@ -956,6 +956,41 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert result.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("gen", "--generator", "pacing", "--out", "pacing.json"), False),
+        (("sweep", "--instance", "model.json", "--T", "100,200", "--seeds", "0:1",
+          "--benchmark", "lp", "--out", "out"), False),
+        (("run", "--instance", "model.json", "--T", "2000", "--seeds", "0:8", "--out", "out"),
+         True),
+        (("run", "--instance", "model.json", "--T", "200", "--seeds", "0:50", "--out", "out"),
+         True),
+    ],
+    ids=["gen", "sweep_lp", "run_T2000", "run_50_cells"],
+)
+def test_openssl_loaded_only_past_the_hash_threshold(tmp_path, capsys, argv, loaded):
+    """A command that hashes less than OPENSSL_HASH_BYTES in all never loads
+    hashlib's OpenSSL module; one that hashes more keeps it.  Each command
+    runs in a fresh process, since pytest itself may have loaded it."""
+    run_cli(capsys, "gen", "--generator", "random_model", "--param", "S=40", "--param", "K=4",
+            "--param", "m=2", "--param", "n=2", "--param", "seed=2",
+            "--out", str(tmp_path / "model.json"))
+    src = os.path.dirname(os.path.dirname(ob.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys; from ora_bob import cli, serialization as ser; "
+             "before = '_hashlib' in sys.modules; code = cli.main(sys.argv[1:]); "
+             "print(code, ser._hashed_bytes >= ser.OPENSSL_HASH_BYTES, before, "
+             "'_hashlib' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, check=True)
+    code, past, before, after = result.stdout.split()[-4:]
+    assert (code, past) == ("0", str(loaded))
+    if before == "True" and not loaded:
+        pytest.skip("this numpy loads OpenSSL on import (numpy.random -> secrets -> hmac)")
+    assert after == str(loaded)
+
+
 class TestAudit:
     def make_trace(self, tmp_path, capsys, name="exp"):
         run_cli(capsys, *cli_run_args(tmp_path, name=name))

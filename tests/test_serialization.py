@@ -1,4 +1,7 @@
+import hashlib
+import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -111,6 +114,47 @@ def test_instance_hash_golden():
     assert ser.instance_hash(_sampled_instance()) == (
         "sha256:f22c3b1b54b2088b8964f6e0fb6e64eec47b3780829d16ed7c2789f9794c0dde"
     )
+
+
+def _hash_sources():
+    model = ob.random_model(2, S=40, K=4, m=2, n=2, feasibility_margin=0.2, horizon=2000)
+    return model, ob.sample_instance(model, 2000, 3)
+
+
+def _reference_hash(obj) -> str:
+    text = ser.canonical_json(ser.to_dict(obj)).encode("utf-8")
+    return f"sha256:{hashlib.sha256(text).hexdigest()}"
+
+
+@pytest.mark.parametrize("threshold", [1 << 40, 0], ids=["builtin", "openssl"])
+def test_hash_providers_give_equal_digests(monkeypatch, threshold):
+    """The provider never shows in a digest: with every text below the
+    threshold (the built-in sha256) or above it (OpenSSL's), each digest is
+    hashlib's of the canonical text."""
+    monkeypatch.setattr(ser, "OPENSSL_HASH_BYTES", threshold, raising=False)
+    monkeypatch.setattr(ser, "_hashed_bytes", 0, raising=False)
+    model, sampled = _hash_sources()
+    for obj in (model, sampled):
+        assert ser.content_hash(ser.to_dict(obj)) == _reference_hash(obj)
+    assert ser.instance_hash(sampled) == _reference_hash(sampled)
+
+
+def test_hash_provider_follows_the_running_total(monkeypatch):
+    builtin = importlib.import_module(ser._BUILTIN_SHA256).sha256
+    monkeypatch.setattr(ser, "_hashed_bytes", 0)
+    assert ser._sha256(ser.OPENSSL_HASH_BYTES - 1) is builtin
+    assert ser._sha256(1) is hashlib.sha256
+    assert ser._sha256(0) is hashlib.sha256
+
+
+def test_hash_falls_back_to_hashlib_without_a_builtin_module(monkeypatch):
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setattr(ser, "_hashed_bytes", 0)
+    assert ser._sha256(0) is hashlib.sha256
+    model, sampled = _hash_sources()
+    assert ser.instance_hash(sampled) == _reference_hash(sampled)
+    assert ser.content_hash(ser.to_dict(model)) == _reference_hash(model)
 
 
 def _per_cell_trace_text(trajectory, header):
