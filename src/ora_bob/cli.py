@@ -188,6 +188,16 @@ def cell_config(settings: dict, source, T: int, seed: int, name: str) -> dict:
     }
 
 
+def _run_header(config: dict, source) -> dict:
+    """The trace header lines, in file order, that a cell's ``config`` and
+    its ``source`` (the instance or model) determine: :func:`execute_cell`
+    writes them, and :func:`_read_trace` refuses a trace whose lines say
+    otherwise."""
+    return {"T": config.get("T"), "K": source.actions.count, "m": source.num_general,
+            "n": source.num_resources, "eta": repr(config.get("eta")),
+            "delta": repr(config.get("delta")), "seed": config.get("seed"), "rng": rng.ALGORITHM}
+
+
 def execute_cell(config: dict, out_dir: str, trajectory: Trajectory) -> str:
     """Write one cell's trace CSV and summary JSON.
 
@@ -209,14 +219,7 @@ def execute_cell(config: dict, out_dir: str, trajectory: Trajectory) -> str:
     ihash = serialization.instance_hash(instance)
     header = {
         "schema_version": traceio.SCHEMA_VERSION,
-        "T": config["T"],
-        "K": instance.num_actions,
-        "m": instance.num_general,
-        "n": instance.num_resources,
-        "eta": repr(config["eta"]),
-        "delta": repr(config["delta"]),
-        "seed": config["seed"],
-        "rng": rng.ALGORITHM,
+        **_run_header(config, instance),
         "instance_hash": ihash,
         "config": serialization.canonical_json(config),
     }
@@ -619,7 +622,7 @@ def _deterministic_audits(trajectory) -> dict:
     }
 
     if m:
-        sums = trajectory.unified_values[:tau, :m].sum(axis=0)
+        sums = trajectory.cumulative_general[tau - 1] if tau else np.zeros(m)
         caps = trajectory.duals[tau, :m] / eta
         audits["telescoped_violation"] = {
             "ok": bool(np.all(sums <= caps + AUDIT_SLACK)),
@@ -645,16 +648,28 @@ def _deterministic_audits(trajectory) -> dict:
     return audits
 
 
+def _header_value(path, header: dict, key: str, kind):
+    """The header's ``key`` line parsed as ``kind`` (int or float)."""
+    try:
+        return kind(header[key])
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise traceio.TraceFormatError(
+            f"{path}: header {key} {header[key]!r} is not {noun}") from None
+
+
 def _read_trace(path, instance_override, loaded: dict) -> tuple:
     """Read the trace at ``path`` and resolve the instance it ran on from its
     config's source, or ``instance_override`` in its place; ``loaded`` keeps
     the sources loaded so far, so a command loads each distinct one once.
-    Returns (seed, instance, config, columns); raises unless the instance
-    has the hash the trace records."""
+    Returns (seed, instance, config, columns); raises unless the header
+    lines are those :func:`_run_header` gives for its config and source,
+    and the instance has the hash the trace records."""
     header, columns = traceio.read_trace_csv(path)
-    if int(header.get("schema_version", -1)) != traceio.SCHEMA_VERSION:
+    version = _header_value(path, header, "schema_version", int)
+    if version != traceio.SCHEMA_VERSION:
         raise CliError(
-            f"{path}: trace schema_version {header.get('schema_version')!r} "
+            f"{path}: trace schema_version {header['schema_version']!r} "
             f"does not match {traceio.SCHEMA_VERSION}"
         )
     try:
@@ -663,10 +678,8 @@ def _read_trace(path, instance_override, loaded: dict) -> tuple:
         raise traceio.TraceFormatError(f"{path}: config header: {exc}") from None
     if not isinstance(config, dict) or not isinstance(config.get("source"), dict):
         raise traceio.TraceFormatError(f"{path}: the config header names no source")
-    seed = int(header["seed"])
-    T = int(header["T"])
-    eta = float(header["eta"])
-    delta = float(header["delta"])
+    seed, T = (_header_value(path, header, key, int) for key in ("seed", "T"))
+    eta, delta = (_header_value(path, header, key, float) for key in ("eta", "delta"))
     # T sizes the instance sampled below, so it must match the file first.
     rows = len(next(iter(columns.values())))
     if rows != T:
@@ -676,6 +689,11 @@ def _read_trace(path, instance_override, loaded: dict) -> tuple:
     key = serialization.canonical_json(source)
     if key not in loaded:
         loaded[key] = _load_source(source)
+    expected = _run_header(config, loaded[key])
+    stale = [f"{k}={header[k]} (expected {v})" for k, v in expected.items() if header[k] != str(v)]
+    if stale:
+        raise traceio.TraceFormatError(
+            f"{path}: header contradicts its config or source: {', '.join(stale)}")
     instance = _cell_instance(loaded[key], T, seed)
     ihash = serialization.instance_hash(instance)
     if ihash != header["instance_hash"]:

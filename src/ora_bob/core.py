@@ -241,8 +241,12 @@ class Trajectory:
     decision saw).  ``actions`` are the candidates while the gate was open
     and the void action after; ``rewards`` and ``unified_values`` are the
     played actions' entries of the instance's rows, the latter the gradients
-    fed to the dual update, and ``cumulative_consumption`` the (T, n) totals
-    of the played consumptions through each round.
+    fed to the dual update.  The running totals, which the summary, the
+    trace and the audits all read, are defined here once and summed in
+    round order: Rew(t) ``cumulative_reward`` (T,), the general costs
+    ``cumulative_general`` (T, m), whose row maxima are V_t, and the played
+    consumptions ``cumulative_consumption`` (T, n); ``dual_l1`` (T+1,) holds
+    ||lambda_t||_1.
     """
 
     instance: Instance
@@ -278,6 +282,19 @@ class Trajectory:
     @cached_property
     def unified_values(self) -> np.ndarray:
         return _readonly(self.instance.unified_rows[self.instance.index, :, self.actions])
+
+    @cached_property
+    def cumulative_reward(self) -> np.ndarray:
+        return _frozen(np.cumsum(self.rewards))
+
+    @cached_property
+    def cumulative_general(self) -> np.ndarray:
+        """The unified general rows are the raw costs g_t(x_t)."""
+        return _frozen(np.cumsum(self.unified_values[:, :self.num_general], axis=0))
+
+    @cached_property
+    def dual_l1(self) -> np.ndarray:
+        return _frozen(np.abs(self.duals).sum(axis=1))
 
     @cached_property
     def cumulative_consumption(self) -> np.ndarray:

@@ -3,9 +3,11 @@ trajectory audits that check its weak-adaptivity guarantees.
 
 The dual update lambda_{t+1} = max(0, lambda_t + eta * g~_t(x_t)),
 componentwise, is taken inline by the allocator's round loop; this module
-holds its learning-rate schedule.  The audits re-derive both sides of the
-interval-regret and drift inequalities from the raw recorded duals and
-gradients rather than any cached partial sums.
+holds its learning-rate schedule.  The interval-regret and penalty audits
+re-derive both sides of their inequalities from the recorded duals and
+gradients; the drift audit reads the run's dual norms from
+:attr:`~ora_bob.core.Trajectory.dual_l1`, the values the trace's lambda_l1
+column holds.
 """
 
 from __future__ import annotations
@@ -101,11 +103,7 @@ def interval_regret_audit(
     lams = trajectory.duals[t1 - 1 : t2]
     lhs = float(np.einsum("tm,tm->", lams, grads))
     diff = trajectory.duals[t1 - 1] - mu
-    rhs = (
-        float(mu @ grads.sum(axis=0))
-        - float(diff @ diff) / (2.0 * eta)
-        - 0.5 * eta * T * M
-    )
+    rhs = float(mu @ grads.sum(axis=0)) - float(diff @ diff) / (2.0 * eta) - 0.5 * eta * T * M
     return IntervalRegretResult(t1, t2, lhs, rhs, lhs >= rhs - AUDIT_SLACK)
 
 
@@ -115,8 +113,7 @@ def dual_drift_audit(trajectory: Trajectory) -> float:
     Callers assert the result against eta * M (+ DRIFT_SLACK); the bound is
     deterministic, not probabilistic.
     """
-    l1 = np.abs(trajectory.duals).sum(axis=1)
-    return float(np.max(np.abs(np.diff(l1))))
+    return float(np.max(np.abs(np.diff(trajectory.dual_l1))))
 
 
 class DualPenaltyResult(NamedTuple):
@@ -143,11 +140,7 @@ def dual_penalty_audit(
     tau = trajectory.stopping_time
     eta = trajectory.eta
     T, M = trajectory.horizon, trajectory.num_constraints
-    lhs = -float(
-        np.einsum(
-            "tm,tm->", trajectory.duals[:tau], trajectory.unified_values[:tau]
-        )
-    )
+    lhs = -float(np.einsum("tm,tm->", trajectory.duals[:tau], trajectory.unified_values[:tau]))
     rhs = 0.5 * eta * T * M
     if beta_min is not None:
         if beta_min <= 0.0:

@@ -10,30 +10,26 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .core import Trajectory, ValidationError, exact_sum
 from .dual_ogd import DRIFT_SLACK, AUDIT_SLACK, dual_drift_audit
 from .oracles import alpha
 
 
 def total_reward(trajectory: Trajectory) -> float:
-    """Rew(T): sequential accumulation, bit-identical to the trace's final
-    cum_reward cell."""
-    return float(np.cumsum(trajectory.rewards)[-1])
+    """Rew(T), the trace's final cum_reward cell."""
+    return float(trajectory.cumulative_reward[-1])
 
 
 def violation(trajectory: Trajectory) -> float:
-    """V_T: max over general constraints of the cumulative cost, signed.
+    """V_T: max over general constraints of the cumulative cost, signed, the
+    trace's final max_general_violation_cum cell.
 
     With no general constraints returns 0.0; the run summary flags that case
-    as not applicable.  The unified general rows equal the raw costs, so the
-    recorded gradients are exactly the g_{t,i}(x_t) values.
+    as not applicable.
     """
-    m = trajectory.num_general
-    if m == 0:
+    if trajectory.num_general == 0:
         return 0.0
-    return float(trajectory.unified_values[:, :m].sum(axis=0).max())
+    return float(trajectory.cumulative_general[-1].max())
 
 
 def regret(opt_stoc_value: float, trajectory: Trajectory) -> float:
@@ -87,8 +83,9 @@ def theorem_bounds(
 
 def max_dual_l1(trajectory: Trajectory) -> float:
     """max over t in [T] of ||lambda_t||_1 (the quantity the dual-norm bound
-    speaks about; lambda_{T+1} is excluded)."""
-    return float(np.abs(trajectory.duals[:-1]).sum(axis=1).max())
+    speaks about; lambda_{T+1} is excluded), the trace's largest lambda_l1
+    cell."""
+    return float(trajectory.dual_l1[:-1].max())
 
 
 def budget_totals(trajectory: Trajectory) -> list[tuple[Fraction, Fraction]]:
@@ -128,47 +125,28 @@ def run_summary(
     v = violation(trajectory)
     has_rho = rho is not None and rho > 0.0
     summary_regret = regret(benchmark, trajectory) if benchmark is not None else None
-    summary_alpha_regret = (
-        alpha_regret(alpha(rho), benchmark, trajectory)
-        if benchmark is not None and has_rho
-        else None
-    )
+    summary_alpha_regret = (alpha_regret(alpha(rho), benchmark, trajectory)
+                            if benchmark is not None and has_rho else None)
     dual_l1 = max_dual_l1(trajectory)
     drift = dual_drift_audit(trajectory)
-    M = trajectory.num_constraints
-    checks = {
-        "drift": _check(
-            trajectory.eta * M, bool(drift <= trajectory.eta * M + DRIFT_SLACK)
-        ),
-    }
+    M, eta = trajectory.num_constraints, trajectory.eta
+    checks = {"drift": _check(eta * M, bool(drift <= eta * M + DRIFT_SLACK))}
     if has_rho:
         beta = trajectory.instance.budget.per_round_budget
         beta_min = float(beta.min()) if beta.size else None
-        bounds = theorem_bounds(
-            trajectory.horizon, M, rho, trajectory.delta, beta_min
-        )
-        checks["dual_norm"] = _check(
-            bounds["dual_norm"], bool(dual_l1 <= bounds["dual_norm"])
-        )
+        bounds = theorem_bounds(trajectory.horizon, M, rho, trajectory.delta, beta_min)
+        checks["dual_norm"] = _check(bounds["dual_norm"], bool(dual_l1 <= bounds["dual_norm"]))
         checks["violation"] = _check(
             bounds["violation"],
-            bool(v <= bounds["violation"] + AUDIT_SLACK)
-            if trajectory.num_general
-            else None,
-        )
+            bool(v <= bounds["violation"] + AUDIT_SLACK) if trajectory.num_general else None)
         if "regret" in bounds:
             checks["regret"] = _check(
                 bounds["regret"],
-                bool(summary_regret <= bounds["regret"])
-                if summary_regret is not None
-                else None,
-            )
+                bool(summary_regret <= bounds["regret"]) if summary_regret is not None else None)
         # The analysis assumes eta <= 1/(rho M); the allocator cannot enforce
         # it (rho is unknown to it), so report whether the run satisfied it.
-        checks["eta_rho_compatible"] = _check(
-            1.0 / (rho * M) if M else math.inf,
-            bool(trajectory.eta <= 1.0 / (rho * M)) if M else None,
-        )
+        checks["eta_rho_compatible"] = _check(1.0 / (rho * M) if M else math.inf,
+                                              bool(eta <= 1.0 / (rho * M)) if M else None)
     return {
         "total_reward": total_reward(trajectory),
         "violation": v,

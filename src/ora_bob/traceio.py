@@ -21,51 +21,39 @@ from .serialization import dumps, write_text_atomic
 
 SCHEMA_VERSION = 1
 
-#: Header keys the audit needs to re-derive a run.
+#: The header keys a trace has, as the writer writes them; the audit
+#: refuses a trace that lacks one.
 REQUIRED_HEADER_KEYS = (
-    "schema_version", "T", "seed", "eta", "delta", "instance_hash", "config",
+    "schema_version", "T", "K", "m", "n", "eta", "delta", "seed", "rng", "instance_hash",
+    "config",
 )
 
 
 class TraceFormatError(ValueError):
-    """A damaged trace file: a required header key is missing, a row does
-    not have one field per column, or a cell does not parse."""
-
-
-def _running(values: np.ndarray, previous: np.ndarray | None) -> np.ndarray:
-    """``np.cumsum(values, axis=0)`` continued from the last row of the
-    previous block's running totals ``previous`` (None for the first
-    block): each row is added in round order, as one cumsum over all
-    rounds adds it, so the blocks join bitwise."""
-    if previous is None:
-        return np.cumsum(values, axis=0)
-    return np.cumsum(np.concatenate((previous[-1:], values)), axis=0)[1:]
+    """A damaged trace file: a required header key is missing, a header
+    value does not parse or contradicts the config, a row does not have one
+    field per column, or a cell does not parse."""
 
 
 def trace_column_blocks(trajectory: Trajectory) -> Iterator[dict[str, np.ndarray]]:
     """The per-round columns of the trace, in file order, one block of
-    ROUND_BLOCK rounds at a time."""
+    ROUND_BLOCK rounds at a time; the running columns are slices of the
+    trajectory's own totals."""
     T = trajectory.horizon
-    m = trajectory.num_general
-    cum_reward = running = None
     for lo in range(0, T, ROUND_BLOCK):
         hi = min(lo + ROUND_BLOCK, T)
         rounds = slice(lo, hi)
-        cum_reward = _running(trajectory.rewards[rounds], cum_reward)
         cols: dict[str, np.ndarray] = {
             "t": np.arange(lo + 1, hi + 1, dtype=np.int64),
             "action": trajectory.actions[rounds],
             "candidate": trajectory.candidates[rounds],
             "gate_open": trajectory.gate_open[rounds].astype(np.int64),
             "reward": trajectory.rewards[rounds],
-            "cum_reward": cum_reward,
-            "lambda_l1": np.abs(trajectory.duals[rounds]).sum(axis=1),
+            "cum_reward": trajectory.cumulative_reward[rounds],
+            "lambda_l1": trajectory.dual_l1[rounds],
+            "max_general_violation_cum": (trajectory.cumulative_general[rounds].max(axis=1)
+                                          if trajectory.num_general else np.zeros(hi - lo)),
         }
-        if m:
-            running = _running(trajectory.unified_values[rounds, :m], running)
-            cols["max_general_violation_cum"] = running.max(axis=1)
-        else:
-            cols["max_general_violation_cum"] = np.zeros(hi - lo)
         for j in range(trajectory.num_resources):
             cols[f"cum_consumption_{j + 1}"] = trajectory.cumulative_consumption[rounds, j]
         yield cols

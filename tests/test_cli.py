@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 
 import ora_bob as ob
 from ora_bob import cli, serialization
-from ora_bob.traceio import read_trace_csv
+from ora_bob.traceio import REQUIRED_HEADER_KEYS, read_trace_csv
 
 
 def run_cli(capsys, *argv):
@@ -772,16 +773,16 @@ RUN_CELL_SHA256 = {
     "pacing_0.csv": "e4d49d459750a8e5fb50f02d86062c6aa235632bb80dfd9caea274e0307345b7",
     "pacing_0.json": "244e476d0997427febd2eb09a71c7f8d0df8b9a4fae4d2c64e4ea7087f5cdf8c",
     "random_model_0.csv": "e0aec23f012207c4b6e8176ec8e5f48e40f1e5ef4c5d611f527dba828319c709",
-    "random_model_0.json": "97dc89fdbb9a2d024d31e2d0f411c61fa59f88b20f92ae125e610653f542b1d3",
+    "random_model_0.json": "f9a9b786c5320a6486f0d436cf588f318a7deba6048e857a927ab298ddbbb835",
     "sweep/sw_T100_0.csv": "3b9ffef623471d693a4e5e06ca0960c1c8be0656349eded81d8c4e81e3853d24",
     "sweep/sw_T100_0.json": "f0c4c05197faab2f7f09cf34595c71358492cd556bfd61ad076d8b6687d9cac6",
     "sweep/sw_T100_1.csv": "85aa8de3a31df40189dbe6559d8663ff4801eb791c80cb8231234f3f3f71cd1e",
-    "sweep/sw_T100_1.json": "67246c7d4e5488afd20b05cf8a7f5b772c847acb7337ef7a38ebabd52de5fc07",
+    "sweep/sw_T100_1.json": "f9c4233b0aec8bd1b2daf5568564011a38e88ee628f46b7fd57c2da8cec295b7",
     "sweep/sw_T200_0.csv": "09963933897bf6f9eeb5198e58626ece8cfca6d71ad0fbb7662bdc9dcfd7be44",
-    "sweep/sw_T200_0.json": "a03710c108a22151010e587316a7db22926147f21be1e6b5e57a5195febef4f9",
+    "sweep/sw_T200_0.json": "866dbc5443af3e99f3426b52463b0f887f32aefc9598b1546a912b9a79850d2c",
     "sweep/sw_T200_1.csv": "d970069a45fc26550d34733ca1d2c43d83dc7d0117f989410731f46c5ec99e88",
-    "sweep/sw_T200_1.json": "b7732922d2f1c9182a9b05f4dc56d6dcc3b489200c5a3d07f212fcdd6ba8e9aa",
-    "sweep/sw_sweep.csv": "ca71dfa8fa00d7b4eb2318319c812a87d027983699b00d6cb1d6116f689761d1",
+    "sweep/sw_T200_1.json": "2556a9ce2f27925e371d039593d1e2a2de5a1edd86be3b8c31acb1f24fb63f64",
+    "sweep/sw_sweep.csv": "673328024ff42b6eccb9f211a420d3ea5990220522e06b8704eb59cef8d5676b",
     "sweep/sw_sweep_fit.json": "daaef2a89773c72245cfedeb904446cc9e93e602a8cc0f2c0211dc24d3620177",
     "oracle/instance": "d7f3f4bbdb37d2919ed608022e781e2f182efe7eaf1b2122adb71d69f24ba0bc",
     "oracle/model": "ac3d93ebe2aca25fc085ba9a599f48fba0f2b0a0e2c8ea2ecc347154a6a609d2",
@@ -803,6 +804,40 @@ def test_run_cell_bytes_pinned(tmp_path, capsys, generator):
     assert code == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == {k: v for k, v in RUN_CELL_SHA256.items() if k.startswith(generator)}
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_summary_and_audit_read_the_trace_cells(tmp_path, capsys, m):
+    """A run's running totals have one definition: the summary's totals are
+    the trace's final cells and the audit's telescoped sums the run's
+    cumulative general costs at tau, bit for bit.  At m = 1 a pairwise sum
+    of the general column differs from the trace's in its last bits."""
+    argv = ("run", "--generator", "random_model", "--param", f"m={m}", "--param", "n=1",
+            "--seeds", "0", "--out", str(tmp_path), "--name", "c")
+    assert run_cli(capsys, *argv)[0] == 0
+    trace = tmp_path / "c_0.csv"
+    summary = json.loads((tmp_path / "c_0.json").read_text())["summary"]
+    _, columns = read_trace_csv(trace)
+    assert summary["total_reward"].hex() == float(columns["cum_reward"][-1]).hex()
+    assert summary["violation"].hex() == float(columns["max_general_violation_cum"][-1]).hex()
+    assert summary["max_dual_l1"].hex() == float(columns["lambda_l1"].max()).hex()
+
+    code, out = run_cli(capsys, "audit", str(trace), "--pairs", "0")
+    assert code == 0
+    telescoped = json.loads(out)["traces"][0]["audits"]["telescoped_violation"]
+    _, instance, config, _ = cli._read_trace(trace, None, {})
+    tr = ob.run(instance, config)
+    T, tau = tr.horizon, tr.stopping_time
+    if m:
+        assert [v.hex() for v in telescoped["cumulative"]] == [
+            v.hex() for v in tr.cumulative_general[tau - 1].tolist()]
+    else:
+        assert telescoped == {"ok": None, "status": "not_applicable"}
+    for name, shape in (("cumulative_reward", (T,)), ("cumulative_general", (T, m)),
+                        ("dual_l1", (T + 1,))):
+        value = getattr(tr, name)
+        assert getattr(tr, name) is value and not value.flags.writeable, name
+        assert value.shape == shape and value.dtype == np.float64, name
 
 
 def _sha256(data) -> str:
@@ -1139,6 +1174,70 @@ class TestAudit:
         code, out = run_cli(capsys, "audit", str(trace))
         assert code == 2
         assert "schema_version" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            ({"config": {"T": 7, "eta": 0.5, "seed": 99}}, ["T", "eta", "seed"]),
+            ({"config": {"delta": 0.1}}, ["delta"]),
+            ({"K": "4"}, ["K"]),
+            ({"m": "1"}, ["m"]),
+            ({"n": "1"}, ["n"]),
+            ({"eta": "0.5"}, ["eta"]),
+            ({"delta": "0.050"}, ["delta"]),
+            ({"seed": "8"}, ["seed"]),
+            ({"rng": "mt19937"}, ["rng"]),
+        ],
+    )
+    def test_header_contradicting_its_config_exits_2(self, tmp_path, capsys, edit, named):
+        """A header line that the config or the source contradicts, or an
+        ``rng`` other than the one that drew the run, refuses the trace and
+        names the lines."""
+        trace = self.make_trace(tmp_path, capsys)
+        lines = trace.read_text().splitlines()
+        for i, line in enumerate(lines):
+            key, _, value = line[2:].partition("=")
+            if line.startswith("# ") and key in edit:
+                if key == "config":
+                    value = json.dumps({**json.loads(value), **edit[key]}, sort_keys=True,
+                                       separators=(",", ":"))
+                else:
+                    value = edit[key]
+                lines[i] = f"# {key}={value}"
+        trace.write_text("\n".join(lines) + "\n")
+        code, out = run_cli(capsys, "audit", str(trace))
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "TraceFormatError"
+        assert err["message"].startswith(f"{trace}: header contradicts its config or source: ")
+        assert re.findall(r"(\w+)=\S+ \(expected ", err["message"]) == named
+
+    @pytest.mark.parametrize(
+        "key, noun",
+        [("schema_version", "an integer"), ("T", "an integer"), ("seed", "an integer"),
+         ("eta", "a number"), ("delta", "a number")],
+    )
+    def test_unparsable_header_value_names_its_trace(self, tmp_path, capsys, key, noun):
+        trace = self.make_trace(tmp_path, capsys)
+        lines = trace.read_text().splitlines()
+        lines = [f"# {key}=zero" if l.startswith(f"# {key}=") else l for l in lines]
+        trace.write_text("\n".join(lines) + "\n")
+        code, out = run_cli(capsys, "audit", str(trace))
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "TraceFormatError", "message": f"{trace}: header {key} 'zero' is not {noun}"
+        }
+
+    @pytest.mark.parametrize("key", REQUIRED_HEADER_KEYS)
+    def test_missing_header_line_exits_2(self, tmp_path, capsys, key):
+        trace = self.make_trace(tmp_path, capsys)
+        lines = [l for l in trace.read_text().splitlines() if not l.startswith(f"# {key}=")]
+        trace.write_text("\n".join(lines) + "\n")
+        code, out = run_cli(capsys, "audit", str(trace))
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "TraceFormatError", "message": f"{trace}: trace header lacks {key}"
+        }
 
     def test_instance_hash_mismatch_refused(self, tmp_path, capsys):
         inst = ob.random_instance(5, T=50, K=3, m=1, n=1, feasibility_margin=0.2)

@@ -132,10 +132,13 @@ def test_damaged_instance_or_model_file(corpus, data):
 
 @given(data=st.data())
 def test_damaged_trace(corpus, data):
+    """A damaged trace audits without a traceback; one whose ``# `` header
+    line is changed or deleted is refused, exit 2."""
     with open(corpus["trace"]) as fh:
         lines = fh.read().splitlines()
     i = data.draw(st.integers(0, len(lines) - 1))
     token = data.draw(st.sampled_from(TOKENS + ("<delete>",)))
+    line = lines[i]
     if token == "<delete>":
         del lines[i]
     elif lines[i].startswith("# "):
@@ -148,7 +151,9 @@ def test_damaged_trace(corpus, data):
     with scratch_dir(corpus["base"]):
         with open("trace.csv", "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        check_main(["audit", "trace.csv", "--pairs", "5"])
+        code = check_main(["audit", "trace.csv", "--pairs", "5"])
+    if line.startswith("# ") and (token == "<delete>" or lines[i] != line):
+        assert code == 2
 
 
 @given(data=st.data())

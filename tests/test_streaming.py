@@ -88,8 +88,8 @@ def _one_shot_dominance(trajectory):
 
 @pytest.mark.parametrize("T", BLOCK_EDGES)
 def test_streamed_outputs_match_one_shot(tmp_path, T):
-    header = {"schema_version": 1, "T": T, "seed": 0, "eta": 0.05, "delta": 0.05,
-              "instance_hash": "-", "config": "{}"}
+    header = {"schema_version": 1, "T": T, "K": "-", "m": "-", "n": "-", "seed": 0, "eta": 0.05,
+              "delta": 0.05, "rng": "-", "instance_hash": "-", "config": "{}"}
     for k, inst in enumerate(_instances(T)):
         assert ser.instance_hash(inst) == ser.content_hash(ser.to_dict(inst))
         tr = ob.run(inst, OgdConfig(eta=0.05, delta=0.05))  # the schedule needs T >= 2
@@ -161,8 +161,8 @@ def test_trace_read_peak_near_the_parsed_table(tmp_path):
     T = 16_000
     model = ob.random_model(3, S=40, K=4, m=2, n=2, feasibility_margin=0.2)
     inst = ob.sample_instance(model, T, 1)
-    header = {"schema_version": 1, "T": T, "seed": 1, "eta": 0.05, "delta": 0.05,
-              "instance_hash": "-", "config": "{}"}
+    header = {"schema_version": 1, "T": T, "K": "-", "m": "-", "n": "-", "seed": 1, "eta": 0.05,
+              "delta": 0.05, "rng": "-", "instance_hash": "-", "config": "{}"}
     path = tmp_path / "t.csv"
     traceio.write_trace_csv(path, ob.run(inst, OgdConfig(eta=0.05, delta=0.05)), header)
     tracemalloc.start()
