@@ -382,10 +382,10 @@ def aggregate_sweep(
     source,
 ) -> dict:
     """Aggregate per-cell JSONs (read back from disk) into the sweep CSV and
-    log-log fits.  Refuses to aggregate while any cell file is missing or
-    lacks a field the sweep row needs, or any cell's config differs from
-    the :func:`cell_config` of ``sweep_config`` on ``source`` at its
-    (T, seed)."""
+    log-log fits.  Refuses to aggregate while any cell file is missing, is
+    of schema_version 1 or lacks a field the sweep row needs, or any cell's
+    config differs from the :func:`cell_config` of ``sweep_config`` on
+    ``source`` at its (T, seed)."""
     rows = []
     cell_hashes = []
     for T in t_values:
@@ -399,7 +399,9 @@ def aggregate_sweep(
                 payload = serialization.parse_json(text)
             except SchemaError as exc:
                 raise CliError(f"damaged sweep cell {path}: {exc}", path=path) from None
-            config = payload.get("config") if isinstance(payload, dict) else None
+            fields = payload if isinstance(payload, dict) else {}
+            _refuse_schema_1(path, fields.get("schema_version"))
+            config = fields.get("config")
             want = cell_config(sweep_config, source, T, seed, f"{name}_T{T}")
             stale = [key for key, value in want.items()
                      if not isinstance(config, dict) or config.get(key) != value]
@@ -658,15 +660,26 @@ def _header_value(path, header: dict, key: str, kind):
             f"{path}: header {key} {header[key]!r} is not {noun}") from None
 
 
+def _refuse_schema_1(path, version) -> None:
+    """Refuse a file of schema_version 1 by name: its instance_hash is the
+    hash version 2 replaced, so no instance matches it and the file must be
+    re-run, not audited or aggregated."""
+    if version == 1 and type(version) is int:
+        raise CliError(f"{path}: schema_version 1 predates the instance-hash change of "
+                       "schema_version 2; re-run it to audit or aggregate it", path=path)
+
+
 def _read_trace(path, instance_override, loaded: dict) -> tuple:
     """Read the trace at ``path`` and resolve the instance it ran on from its
     config's source, or ``instance_override`` in its place; ``loaded`` keeps
     the sources loaded so far, so a command loads each distinct one once.
-    Returns (seed, instance, config, columns); raises unless the header
-    lines are those :func:`_run_header` gives for its config and source,
-    and the instance has the hash the trace records."""
+    Returns (seed, instance, config, columns); raises unless the trace is
+    of this schema_version, the header lines are those :func:`_run_header`
+    gives for its config and source, and the instance has the hash the
+    trace records."""
     header, columns = traceio.read_trace_csv(path)
     version = _header_value(path, header, "schema_version", int)
+    _refuse_schema_1(path, version)
     if version != traceio.SCHEMA_VERSION:
         raise CliError(
             f"{path}: trace schema_version {header['schema_version']!r} "

@@ -294,7 +294,10 @@ class Trajectory:
 
     @cached_property
     def dual_l1(self) -> np.ndarray:
-        return _frozen(np.abs(self.duals).sum(axis=1))
+        """The row sums of the duals, as each is +0.0 or positive: the loop
+        starts at 0.0, clips at 0.0, and a sum is -0.0 only if both terms
+        are."""
+        return _frozen(self.duals.sum(axis=1))
 
     @cached_property
     def cumulative_consumption(self) -> np.ndarray:

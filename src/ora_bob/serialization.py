@@ -11,11 +11,16 @@ Stochastic-model files replace "rounds" with "support" (same per-round shape)
 plus "probs"; :func:`to_dict` and :func:`from_dict` are the one codec for
 both.  Unknown fields are rejected with a JSON-pointer path.  Floats are
 written with Python's shortest round-trip representation, so save -> load
-reproduces bit-identical matrices.  An instance's hash streams its canonical
-text to sha256 a block of rounds at a time, and :func:`write_text_atomic`,
-the one write-to-temp-then-rename routine, takes the text as one string or
-as chunks, so neither holds a whole T-round text.  sha256 is the built-in
-one until a process has hashed OPENSSL_HASH_BYTES (see :func:`_sha256`).
+reproduces bit-identical matrices.
+
+An instance's hash (schema_version 2) is that of its compact canonical
+form, :func:`hash_form`: the header, its distinct played rows and a
+round-to-row index, so it depends on the round sequence only and encodes
+each distinct row once.  The index is streamed to sha256 a block of rounds
+at a time, and :func:`write_text_atomic`, the one write-to-temp-then-rename
+routine, takes the text as one string or as chunks, so neither holds a
+T-long text.  sha256 is the built-in one until a process has hashed
+OPENSSL_HASH_BYTES (see :func:`_sha256`).
 """
 
 from __future__ import annotations
@@ -199,22 +204,54 @@ def content_hash(obj: Any) -> str:
     return f"sha256:{_sha256(len(text))(text).hexdigest()}"
 
 
+def _played_rows(instance: Instance) -> tuple[list[str], list[int]]:
+    """The canonical texts of the instance's distinct played rows, in order
+    of first appearance over the rounds, and each pool row's position among
+    them; rows of equal text share one position."""
+    f, g, h = instance.rows
+    first: dict[int, None] = {}
+    for lo in range(0, instance.horizon, ROUND_BLOCK):
+        first.update(dict.fromkeys(instance.index[lo : lo + ROUND_BLOCK].tolist()))
+    texts: dict[str, int] = {}
+    position = [0] * len(f)
+    for k in first:
+        text = canonical_json({"f": f[k].tolist(), "g": g[k].tolist(), "h": h[k].tolist()})
+        position[k] = texts.setdefault(text, len(texts))
+    return list(texts), position
+
+
+def hash_form(instance: Instance) -> dict:
+    """The compact canonical form :func:`instance_hash` hashes: the header
+    fields of :func:`to_dict`, ``"rows"``, the distinct played row objects
+    in order of first appearance over the rounds, and ``"round_rows"``,
+    each round's 0-based position in ``"rows"``.  It depends on the round
+    sequence alone, not on how the pool stores it."""
+    texts, position = _played_rows(instance)
+    return {**_header(instance), "rows": [json.loads(text) for text in texts],
+            "round_rows": [position[k] for k in instance.index.tolist()]}
+
+
 def instance_hash(instance: Instance) -> str:
-    """``content_hash(to_dict(instance))``, encoding each row once:
-    a sampled instance's rounds are its model's few support rows.  The
-    canonical text is fed to sha256 one block of ROUND_BLOCK rounds at a
-    time, so the hash is the same and the text is never held whole."""
-    parts = [canonical_json(d).encode("utf-8") for d in rows_to_dicts(instance.rows)]
-    header = canonical_json({**_header(instance), "rounds": None})
-    head, tail = header.split('"rounds":null')
+    """``content_hash(hash_form(instance))``: each distinct played row is
+    encoded once, and ``"round_rows"`` is fed to sha256 one block of
+    ROUND_BLOCK rounds at a time, so no T-long text is ever held.  Equal
+    round sequences hash equal whatever the pool layout: a "rounds" file
+    and the sampled instance it was saved from, say."""
+    texts, position = _played_rows(instance)
+    labels = list(map(str, position))  # a pool row's "round_rows" entry
     index = instance.index
-    nbytes = int(np.array([len(part) for part in parts], dtype=np.int64)[index].sum())
-    digest = _sha256(nbytes)(f'{head}"rounds":['.encode("utf-8"))
+    header = canonical_json({**_header(instance), "round_rows": None, "rows": None})
+    head, tail = header.split('"round_rows":null,"rows":null')
+    head, tail = f'{head}"round_rows":[', f'],"rows":[{",".join(texts)}]{tail}'
+    uses = np.bincount(index, minlength=len(labels)).tolist()
+    entries = sum(u * len(label) for u, label in zip(uses, labels)) + len(index) - 1
+    digest = _sha256(len(head) + entries + len(tail))(head.encode("ascii"))
     for lo in range(0, len(index), ROUND_BLOCK):
         if lo:
             digest.update(b",")
-        digest.update(b",".join([parts[k] for k in index[lo : lo + ROUND_BLOCK].tolist()]))
-    digest.update(f"]{tail}".encode("utf-8"))
+        block = index[lo : lo + ROUND_BLOCK].tolist()
+        digest.update(",".join([labels[k] for k in block]).encode("ascii"))
+    digest.update(tail.encode("ascii"))
     return f"sha256:{digest.hexdigest()}"
 
 

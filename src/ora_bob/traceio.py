@@ -19,7 +19,10 @@ import numpy as np
 from .core import ROUND_BLOCK, Trajectory
 from .serialization import dumps, write_text_atomic
 
-SCHEMA_VERSION = 1
+#: The schema of every trace, cell JSON, sweep CSV and audit JSON.  Version 2
+#: hashes an instance by its compact form (serialization.hash_form), so the
+#: instance_hash of a version-1 file matches no instance any more.
+SCHEMA_VERSION = 2
 
 #: The header keys a trace has, as the writer writes them; the audit
 #: refuses a trace that lacks one.

@@ -703,3 +703,16 @@ def test_run_lanes_matches_the_reference_loop(lanes, eta):
             got = getattr(tr, key)
             assert got.shape == value.shape and got.dtype == value.dtype, key
             assert got.tobytes() == value.tobytes(), key
+
+
+@given(_lanes_on_a_grid(), st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e))
+def test_no_recorded_dual_has_its_sign_bit_set(lanes, eta):
+    """Trajectory.dual_l1 sums the duals as they are, which is their l1 norm
+    only while none is -0.0.  Every zero general cost here is -0.0, so the
+    dual step eta * g~ is -0.0 wherever it is zero."""
+    signed = [Instance(lane.actions, lane.budget,
+                       (lane.rows[0], np.where(lane.rows[1] == 0.0, -0.0, lane.rows[1]),
+                        lane.rows[2]), lane.index) for lane in lanes]
+    for tr in run_lanes(signed, OgdConfig(eta=eta, delta=0.05)):
+        assert not np.signbit(tr.duals).any()
+        assert tr.dual_l1.tobytes() == np.abs(tr.duals).sum(axis=1).tobytes()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ora_bob as ob
-from ora_bob import cli, serialization
+from ora_bob import cli, serialization, traceio
 from ora_bob.traceio import REQUIRED_HEADER_KEYS, read_trace_csv
 
 
@@ -45,7 +45,7 @@ class TestRun:
         assert (tmp_path / "exp_7.csv").exists()
         assert (tmp_path / "exp_7.json").exists()
         payload = json.loads((tmp_path / "exp_7.json").read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == traceio.SCHEMA_VERSION
         assert payload["summary"]["total_reward"] >= 0.0
         header, cols = read_trace_csv(tmp_path / "exp_7.csv")
         assert header["instance_hash"] == payload["instance_hash"]
@@ -770,19 +770,19 @@ def test_non_finite_probabilities_exit_2(tmp_path, capsys, probs):
 #: writes (keys "<record>/<file>"); a change to any of them is a change to
 #: the program's output.
 RUN_CELL_SHA256 = {
-    "pacing_0.csv": "e4d49d459750a8e5fb50f02d86062c6aa235632bb80dfd9caea274e0307345b7",
-    "pacing_0.json": "244e476d0997427febd2eb09a71c7f8d0df8b9a4fae4d2c64e4ea7087f5cdf8c",
-    "random_model_0.csv": "e0aec23f012207c4b6e8176ec8e5f48e40f1e5ef4c5d611f527dba828319c709",
-    "random_model_0.json": "f9a9b786c5320a6486f0d436cf588f318a7deba6048e857a927ab298ddbbb835",
-    "sweep/sw_T100_0.csv": "3b9ffef623471d693a4e5e06ca0960c1c8be0656349eded81d8c4e81e3853d24",
-    "sweep/sw_T100_0.json": "f0c4c05197faab2f7f09cf34595c71358492cd556bfd61ad076d8b6687d9cac6",
-    "sweep/sw_T100_1.csv": "85aa8de3a31df40189dbe6559d8663ff4801eb791c80cb8231234f3f3f71cd1e",
-    "sweep/sw_T100_1.json": "f9c4233b0aec8bd1b2daf5568564011a38e88ee628f46b7fd57c2da8cec295b7",
-    "sweep/sw_T200_0.csv": "09963933897bf6f9eeb5198e58626ece8cfca6d71ad0fbb7662bdc9dcfd7be44",
-    "sweep/sw_T200_0.json": "866dbc5443af3e99f3426b52463b0f887f32aefc9598b1546a912b9a79850d2c",
-    "sweep/sw_T200_1.csv": "d970069a45fc26550d34733ca1d2c43d83dc7d0117f989410731f46c5ec99e88",
-    "sweep/sw_T200_1.json": "2556a9ce2f27925e371d039593d1e2a2de5a1edd86be3b8c31acb1f24fb63f64",
-    "sweep/sw_sweep.csv": "673328024ff42b6eccb9f211a420d3ea5990220522e06b8704eb59cef8d5676b",
+    "pacing_0.csv": "81e44fc6bd00e4c304550e44b3002532fa44da800ef4a4b83a67006ef3c08279",
+    "pacing_0.json": "ff958ba6b4fb5f82d3c709137282c3858c407d4030470a42d8946528bdb3c90e",
+    "random_model_0.csv": "827076a166302b529188879a07fe2959da74b41dfc40585c0d7a1be50354b2e1",
+    "random_model_0.json": "75f1cf6891b269f05c1a167d2e5c35c3d217562f9591589f1266d0e4dfacfeb9",
+    "sweep/sw_T100_0.csv": "508ef03faeb4f0a3a9cbeed262687efcc0f96da589d52cfe32ae8539bcb8ee7b",
+    "sweep/sw_T100_0.json": "0fe971b84b627b201c2f5af9adf01617b3ea8c9850f82345668b063aaa5d5122",
+    "sweep/sw_T100_1.csv": "81d8188ecca319fae6acd2d470ae7f82fb62f3c2fcc855b6be8661d257cb97a4",
+    "sweep/sw_T100_1.json": "7879bd2940d526cc9557474a8bd3b2f5b80aef23648ad1a77dc20894cab9b197",
+    "sweep/sw_T200_0.csv": "82c7e60a72a98234c8f4892a6e888614b0fc9b2cf2b20f9517d80541fa123a7b",
+    "sweep/sw_T200_0.json": "42963921da034e13ac181270526023be007178aa5438be6b4fe5dfb98d8b56b9",
+    "sweep/sw_T200_1.csv": "52efa1fe3002c02f1097e68384f1324c122774845276b99baef0bd6da556eb67",
+    "sweep/sw_T200_1.json": "8d977103d5c4ac980ef79ff75c2725e316da2d887e4b6e20672828aaa42d9d19",
+    "sweep/sw_sweep.csv": "18706f30ac5c11c1f2092db4184e610386e7a67995aa277466bead73e0436a9f",
     "sweep/sw_sweep_fit.json": "daaef2a89773c72245cfedeb904446cc9e93e602a8cc0f2c0211dc24d3620177",
     "oracle/instance": "d7f3f4bbdb37d2919ed608022e781e2f182efe7eaf1b2122adb71d69f24ba0bc",
     "oracle/model": "ac3d93ebe2aca25fc085ba9a599f48fba0f2b0a0e2c8ea2ecc347154a6a609d2",
@@ -793,7 +793,7 @@ RUN_CELL_SHA256 = {
     "gen/push_pull.json": "f3926788abb989b4fe4fe9de4d8eb5e7e28299cf74a4393285f972a80765f3de",
     "gen/random.json": "38e21b93bbdb6d84c760c26dbd0612f61e429f16ac573304fbc78c061219e244",
     "gen/random_model.json": "a5faf1d202e8b057e63fe5817abc50c9c9e69d0ce2d6f88f913e6c2008f4b353",
-    "audit/audit.json": "7a942f16e8ede2bce5a55f43b45d5bf438d84ac86fab761a66419ea61b4e4526",
+    "audit/audit.json": "017f2fd1258f6faa69533924420fefdb653c5861e3a6ee663c2922356487c47e",
 }
 
 
@@ -998,19 +998,26 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         (("sweep", "--instance", "model.json", "--T", "100,200", "--seeds", "0:1",
           "--benchmark", "lp", "--out", "out"), False),
         (("run", "--instance", "model.json", "--T", "2000", "--seeds", "0:8", "--out", "out"),
-         True),
+         False),
+        (("audit", "traces/c_0.csv", "traces/c_1.csv", "--pairs", "200"), False),
         (("run", "--instance", "model.json", "--T", "200", "--seeds", "0:50", "--out", "out"),
          True),
     ],
-    ids=["gen", "sweep_lp", "run_T2000", "run_50_cells"],
+    ids=["gen", "sweep_lp", "run_T2000", "audit_T8000", "run_50_cells"],
 )
 def test_openssl_loaded_only_past_the_hash_threshold(tmp_path, capsys, argv, loaded):
     """A command that hashes less than OPENSSL_HASH_BYTES in all never loads
     hashlib's OpenSSL module; one that hashes more keeps it.  Each command
-    runs in a fresh process, since pytest itself may have loaded it."""
+    runs in a fresh process, since pytest itself may have loaded it.  An
+    instance hashes its distinct rows once, so eight S = 40 cells at
+    T = 2000 hash about 155 KB and an audit of two T = 8000 traces about
+    72 KB; fifty cells at T = 200 hash about 714 KB."""
     run_cli(capsys, "gen", "--generator", "random_model", "--param", "S=40", "--param", "K=4",
             "--param", "m=2", "--param", "n=2", "--param", "seed=2",
             "--out", str(tmp_path / "model.json"))
+    if argv[0] == "audit":
+        assert run_cli(capsys, "run", "--instance", str(tmp_path / "model.json"), "--T", "8000",
+                       "--seeds", "0:2", "--out", str(tmp_path / "traces"), "--name", "c")[0] == 0
     src = os.path.dirname(os.path.dirname(ob.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys; from ora_bob import cli, serialization as ser; "
@@ -1024,6 +1031,48 @@ def test_openssl_loaded_only_past_the_hash_threshold(tmp_path, capsys, argv, loa
     if before == "True" and not loaded:
         pytest.skip("this numpy loads OpenSSL on import (numpy.random -> secrets -> hmac)")
     assert after == str(loaded)
+
+
+#: Two files as the schema_version 1 program wrote them: the instance_hash
+#: each recorded and the file's SHA-256.  They differ from this version's
+#: only in schema_version and instance_hash.
+SCHEMA_1_FILES = {
+    "pacing_0.csv": ("sha256:8c59d82eba98a1b2725af61db97b4f09bbba699785eaaa5845072da65519476c",
+                     "e4d49d459750a8e5fb50f02d86062c6aa235632bb80dfd9caea274e0307345b7"),
+    "pc_T100_0.json": ("sha256:5337a186de2139b988ea97ae43d30d1ac8e7700926f7a48d9f1bed41b83b686e",
+                       "e4e0211f4e302980af99c59d0b57e67d97919745ef0d1e140fef8c20dafff328"),
+}
+
+
+@pytest.mark.parametrize("command", ["audit", "aggregate"])
+def test_schema_1_files_refused_by_name(tmp_path, capsys, command):
+    """A trace (audit) or a sweep cell (sweep --aggregate-only) of
+    schema_version 1 exits 2 with an error that names the instance-hash
+    change and asks for a re-run, not an instance hash mismatch."""
+    out = str(tmp_path)
+    if command == "audit":
+        argv = ("run", "--generator", "pacing", "--seeds", "0", "--out", out, "--name", "pacing")
+        path = tmp_path / "pacing_0.csv"
+        then = ("audit", str(path))
+    else:
+        argv = ("sweep", "--generator", "pacing", "--T", "100", "--seeds", "0", "--out", out,
+                "--name", "pc")
+        path = tmp_path / "pc_T100_0.json"
+        then = (*argv, "--aggregate-only")
+    assert run_cli(capsys, *argv)[0] == 0
+    v1_hash, v1_sha256 = SCHEMA_1_FILES[path.name]
+    text = re.sub(rf'(schema_version"?(?:=|: ?)){traceio.SCHEMA_VERSION}\b', r"\g<1>1",
+                  path.read_bytes().decode("utf-8"))
+    text = re.sub(r'(instance_hash"?(?:=|: "))sha256:[0-9a-f]{64}', rf"\g<1>{v1_hash}", text)
+    assert _sha256(text) == v1_sha256  # the file the version-1 program wrote
+    path.write_bytes(text.encode("utf-8"))
+    code, text = run_cli(capsys, *then)
+    assert code == 2
+    assert json.loads(text)["error"] == {
+        "type": "CliError", "path": str(path),
+        "message": f"{path}: schema_version 1 predates the instance-hash change of "
+                   "schema_version 2; re-run it to audit or aggregate it",
+    }
 
 
 class TestAudit:
@@ -1169,7 +1218,9 @@ class TestAudit:
 
     def test_schema_version_mismatch_refused(self, tmp_path, capsys):
         trace = self.make_trace(tmp_path, capsys)
-        text = trace.read_text().replace("# schema_version=1", "# schema_version=99")
+        version = f"# schema_version={traceio.SCHEMA_VERSION}\n"
+        assert version in trace.read_text()
+        text = trace.read_text().replace(version, "# schema_version=99\n")
         trace.write_text(text)
         code, out = run_cli(capsys, "audit", str(trace))
         assert code == 2

@@ -91,7 +91,7 @@ def test_streamed_outputs_match_one_shot(tmp_path, T):
     header = {"schema_version": 1, "T": T, "K": "-", "m": "-", "n": "-", "seed": 0, "eta": 0.05,
               "delta": 0.05, "rng": "-", "instance_hash": "-", "config": "{}"}
     for k, inst in enumerate(_instances(T)):
-        assert ser.instance_hash(inst) == ser.content_hash(ser.to_dict(inst))
+        assert ser.instance_hash(inst) == ser.content_hash(ser.hash_form(inst))
         tr = ob.run(inst, OgdConfig(eta=0.05, delta=0.05))  # the schedule needs T >= 2
         path = tmp_path / f"trace{k}.csv"
         traceio.write_trace_csv(path, tr, header)
