@@ -24,17 +24,13 @@ from . import environments, rng, serialization, traceio
 from .allocator import default_eta, lane_key, run as run_allocator, run_lanes
 from .core import ROUND_BLOCK, Instance, StochasticModel, Trajectory
 from .dual_ogd import (
-    AUDIT_SLACK,
-    DRIFT_SLACK,
+    DETERMINISTIC_AUDITS,
     OgdConfig,
-    dual_drift_audit,
-    dual_penalty_audit,
     interval_regret_audit,
     sample_comparator_pairs,
 )
 from .environments import build_generator
-from .lagrangian import penalties
-from .metrics import budget_totals, run_summary
+from .metrics import run_summary
 from .oracles import (
     SizeGuardError,
     alpha,
@@ -570,86 +566,6 @@ def _exactness_audit(trajectory, columns) -> dict:
     return {"ok": not mismatches, "mismatches": mismatches}
 
 
-def _dominance_audit(trajectory) -> dict:
-    """Whether every gate-open round's candidate maximizes its Lagrangian
-    values at the round's duals, by the allocator's own
-    :func:`~ora_bob.lagrangian.penalties`, so a replay compares bit for bit.
-    The rounds are checked one block of ROUND_BLOCK at a time, each block's
-    rows gathered through the instance's row index; ``failing_rounds`` are
-    the first ten failing rounds, 1-based."""
-    instance = trajectory.instance
-    F, U = instance.rows[0], instance.unified_rows
-    duals = trajectory.duals[:-1]
-    failing: list[int] = []
-    for lo in range(0, trajectory.horizon, ROUND_BLOCK):
-        rounds = slice(lo, lo + ROUND_BLOCK)
-        rows = instance.index[rounds]
-        values = F[rows] - penalties(U[rows].transpose(1, 0, 2), duals[rounds].T[:, :, None])
-        chosen = values[np.arange(len(rows)), trajectory.candidates[rounds]]
-        bad = np.flatnonzero(trajectory.gate_open[rounds] & (chosen < values.max(axis=1)))
-        failing += (bad[:10] + lo + 1).tolist()
-    return {"ok": not failing, "failing_rounds": failing[:10]}
-
-
-def _deterministic_audits(trajectory) -> dict:
-    audits: dict[str, dict] = {}
-    tau = trajectory.stopping_time
-    eta = trajectory.eta
-    m, n = trajectory.num_general, trajectory.num_resources
-    M = trajectory.num_constraints
-
-    if n:
-        totals = budget_totals(trajectory)
-        audits["budget_exactness"] = {
-            "ok": all(total <= cap for total, cap in totals),
-            "final": [float(total) for total, _ in totals],
-            "limits": [float(cap) for _, cap in totals],
-        }
-    else:
-        audits["budget_exactness"] = {"ok": None, "status": "not_applicable"}
-
-    drift = dual_drift_audit(trajectory)
-    audits["dual_drift"] = {
-        "ok": bool(drift <= eta * M + DRIFT_SLACK),
-        "max_drift": drift,
-        "bound": eta * M,
-    }
-
-    beta = trajectory.instance.budget.per_round_budget
-    penalty = dual_penalty_audit(trajectory, float(beta.min()) if n else None)
-    audits["dual_penalty"] = {
-        "ok": penalty.holds,
-        "lhs": penalty.lhs,
-        "rhs": penalty.rhs,
-    }
-
-    if m:
-        sums = trajectory.cumulative_general[tau - 1] if tau else np.zeros(m)
-        caps = trajectory.duals[tau, :m] / eta
-        audits["telescoped_violation"] = {
-            "ok": bool(np.all(sums <= caps + AUDIT_SLACK)),
-            "cumulative": sums.tolist(),
-            "caps": caps.tolist(),
-        }
-    else:
-        audits["telescoped_violation"] = {"ok": None, "status": "not_applicable"}
-
-    audits["dominance"] = _dominance_audit(trajectory)
-
-    post = slice(tau, trajectory.horizon)
-    void = trajectory.instance.actions.void_index
-    post_void = bool(np.all(trajectory.actions[post] == void))
-    post_mono = bool(
-        np.all(trajectory.duals[tau + 1 :] <= trajectory.duals[tau:-1] + 0.0)
-    )
-    audits["post_stopping_time"] = {
-        "ok": post_void and post_mono,
-        "void_only": post_void,
-        "duals_nonincreasing": post_mono,
-    }
-    return audits
-
-
 def _header_value(path, header: dict, key: str, kind):
     """The header's ``key`` line parsed as ``kind`` (int or float)."""
     try:
@@ -721,7 +637,7 @@ def audit_trace(path, seed: int, columns, trajectory, pairs: int) -> dict:
     """Audit the trace at ``path``, read as ``columns``, against
     ``trajectory``, the re-run of its instance under its config; the
     ``pairs`` comparator pairs derive from the trace's ``seed``."""
-    audits = _deterministic_audits(trajectory)
+    audits = {audit.__name__: audit(trajectory) for audit in DETERMINISTIC_AUDITS}
     exactness = _exactness_audit(trajectory, columns)
 
     pair_seed = rng.derive_seed(seed, _AUDIT_SEED_SALT)

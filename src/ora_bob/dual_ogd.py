@@ -3,22 +3,27 @@ trajectory audits that check its weak-adaptivity guarantees.
 
 The dual update lambda_{t+1} = max(0, lambda_t + eta * g~_t(x_t)),
 componentwise, is taken inline by the allocator's round loop; this module
-holds its learning-rate schedule.  The interval-regret and penalty audits
-re-derive both sides of their inequalities from the recorded duals and
-gradients; the drift audit reads the run's dual norms from
-:attr:`~ora_bob.core.Trajectory.dual_l1`, the values the trace's lambda_l1
-column holds.
+holds its learning-rate schedule.  Each deterministic audit is one function
+of a :class:`~ora_bob.core.Trajectory`, named after its audit-JSON key and
+returning that key's entry (``ok`` null where it does not apply):
+``budget_exactness``, ``dominance`` and ``post_stopping_time`` are exact;
+``dual_drift`` allows ``DRIFT_SLACK``; ``dual_penalty`` and
+``telescoped_violation`` allow ``AUDIT_SLACK``, as does the sampled
+``interval_regret_audit``.  The run summary's ``budget_feasible``,
+``max_drift`` and ``bounds.drift`` are read from the first two verdicts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_HORIZON, Trajectory, ValidationError
+from .core import MAX_HORIZON, ROUND_BLOCK, Trajectory, ValidationError, exact_sum
+from .lagrangian import penalties
 
 #: Absolute slack for audit inequalities, sized against double-precision
 #: accumulation over T <= 1e5 terms of magnitude <= 1.
@@ -110,21 +115,35 @@ def interval_regret_audit(
 def dual_drift_audit(trajectory: Trajectory) -> float:
     """Largest per-step change of ||lambda_t||_1 along the run.
 
-    Callers assert the result against eta * M (+ DRIFT_SLACK); the bound is
-    deterministic, not probabilistic.
+    :func:`dual_drift` checks it against eta * M; the bound is deterministic,
+    not probabilistic.
     """
     return float(np.max(np.abs(np.diff(trajectory.dual_l1))))
 
 
-class DualPenaltyResult(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
+def budget_exactness(trajectory: Trajectory) -> dict:
+    """Each resource's exact played total is at most its exact cap beta_j * T
+    (either float can round across the cap); ``final`` and ``limits`` are
+    those two rounded once."""
+    instance, T = trajectory.instance, trajectory.horizon
+    beta = instance.budget.per_round_budget
+    if not beta.size:
+        return {"ok": None, "status": "not_applicable"}
+    h = instance.rows[2]
+    totals = [exact_sum(h[instance.index, j, trajectory.actions]) for j in range(beta.size)]
+    caps = [Fraction(float(b)) * T for b in beta]
+    return {"ok": all(total <= cap for total, cap in zip(totals, caps)),
+            "final": [float(total) for total in totals], "limits": [float(cap) for cap in caps]}
 
 
-def dual_penalty_audit(
-    trajectory: Trajectory, beta_min: float | None = None
-) -> DualPenaltyResult:
+def dual_drift(trajectory: Trajectory) -> dict:
+    """||lambda_t||_1 moves by at most eta * M a round."""
+    drift = dual_drift_audit(trajectory)
+    bound = trajectory.eta * trajectory.num_constraints
+    return {"ok": bool(drift <= bound + DRIFT_SLACK), "max_drift": drift, "bound": bound}
+
+
+def dual_penalty(trajectory: Trajectory) -> dict:
     """Check the stopping-time bound on the cumulative dual penalty.
 
     On every run the recorded quantities must satisfy
@@ -132,21 +151,70 @@ def dual_penalty_audit(
         -sum_{t<=tau} <lambda_t, g~_t(x_t)>
             <= -(T - tau) + 1/beta_min + 1/(2 eta beta_min^2) + (eta/2) T M
 
-    within ``AUDIT_SLACK``.  With no budget resources tau = T and the budget
-    terms drop, leaving the zero-comparator interval bound (eta/2) T M.
-    The inequality is deterministic: when the gate closes, the exhausted
-    resource's cumulative consumption is the certificate.
+    within ``AUDIT_SLACK``, beta_min the instance's smallest per-round
+    budget.  With no budget resources tau = T and the budget terms drop,
+    leaving the zero-comparator interval bound (eta/2) T M.  The inequality
+    is deterministic: when the gate closes, the exhausted resource's
+    cumulative consumption is the certificate.
     """
     tau = trajectory.stopping_time
     eta = trajectory.eta
     T, M = trajectory.horizon, trajectory.num_constraints
     lhs = -float(np.einsum("tm,tm->", trajectory.duals[:tau], trajectory.unified_values[:tau]))
     rhs = 0.5 * eta * T * M
-    if beta_min is not None:
-        if beta_min <= 0.0:
-            raise ValidationError(f"beta_min must be > 0, got {beta_min!r}")
+    beta = trajectory.instance.budget.per_round_budget
+    if beta.size:
+        beta_min = float(beta.min())
         rhs += -(T - tau) + 1.0 / beta_min + 1.0 / (2.0 * eta * beta_min * beta_min)
-    return DualPenaltyResult(lhs, rhs, lhs <= rhs + AUDIT_SLACK)
+    return {"ok": lhs <= rhs + AUDIT_SLACK, "lhs": lhs, "rhs": rhs}
+
+
+def telescoped_violation(trajectory: Trajectory) -> dict:
+    """Each general constraint's cumulative cost up to tau is at most
+    lambda_tau / eta: the dual update telescopes, and clipping only adds."""
+    m, tau = trajectory.num_general, trajectory.stopping_time
+    if not m:
+        return {"ok": None, "status": "not_applicable"}
+    sums = trajectory.cumulative_general[tau - 1] if tau else np.zeros(m)
+    caps = trajectory.duals[tau, :m] / trajectory.eta
+    return {"ok": bool(np.all(sums <= caps + AUDIT_SLACK)), "cumulative": sums.tolist(),
+            "caps": caps.tolist()}
+
+
+def dominance(trajectory: Trajectory) -> dict:
+    """Whether every gate-open round's candidate maximizes its Lagrangian
+    values at the round's duals, by the allocator's own
+    :func:`~ora_bob.lagrangian.penalties`, so a replay compares bit for bit.
+    The rounds are checked one block of ROUND_BLOCK at a time, each block's
+    rows gathered through the instance's row index; ``failing_rounds`` are
+    the first ten failing rounds, 1-based."""
+    instance = trajectory.instance
+    F, U = instance.rows[0], instance.unified_rows
+    duals = trajectory.duals[:-1]
+    failing: list[int] = []
+    for lo in range(0, trajectory.horizon, ROUND_BLOCK):
+        rounds = slice(lo, lo + ROUND_BLOCK)
+        rows = instance.index[rounds]
+        values = F[rows] - penalties(U[rows].transpose(1, 0, 2), duals[rounds].T[:, :, None])
+        chosen = values[np.arange(len(rows)), trajectory.candidates[rounds]]
+        bad = np.flatnonzero(trajectory.gate_open[rounds] & (chosen < values.max(axis=1)))
+        failing += (bad[:10] + lo + 1).tolist()
+    return {"ok": not failing, "failing_rounds": failing[:10]}
+
+
+def post_stopping_time(trajectory: Trajectory) -> dict:
+    """After tau the run plays only the void action and no dual rises."""
+    tau = trajectory.stopping_time
+    void = trajectory.instance.actions.void_index
+    post_void = bool(np.all(trajectory.actions[tau:] == void))
+    post_mono = bool(np.all(trajectory.duals[tau + 1 :] <= trajectory.duals[tau:-1]))
+    return {"ok": post_void and post_mono, "void_only": post_void,
+            "duals_nonincreasing": post_mono}
+
+
+#: The deterministic audits in the audit JSON's key order.
+DETERMINISTIC_AUDITS = (budget_exactness, dual_drift, dual_penalty, telescoped_violation,
+                        dominance, post_stopping_time)
 
 
 _PAIR_STREAM_T = 0xA0D17

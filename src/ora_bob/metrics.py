@@ -8,10 +8,9 @@ rho and clearly separated from the run configuration.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .core import Trajectory, ValidationError, exact_sum
-from .dual_ogd import DRIFT_SLACK, AUDIT_SLACK, dual_drift_audit
+from .core import Trajectory, ValidationError
+from .dual_ogd import AUDIT_SLACK, budget_exactness, dual_drift
 from .oracles import alpha
 
 
@@ -88,23 +87,6 @@ def max_dual_l1(trajectory: Trajectory) -> float:
     return float(trajectory.dual_l1[:-1].max())
 
 
-def budget_totals(trajectory: Trajectory) -> list[tuple[Fraction, Fraction]]:
-    """Each resource's exact played total and exact cap beta_j * T (the
-    float total and the float cap fl(beta_j * T) can each round across the
-    cap)."""
-    instance, T = trajectory.instance, trajectory.horizon
-    h = instance.rows[2]
-    return [(exact_sum(h[instance.index, j, trajectory.actions]), Fraction(float(b)) * T)
-            for j, b in enumerate(instance.budget.per_round_budget)]
-
-
-def budget_feasible(trajectory: Trajectory) -> bool | None:
-    """Hard-cap check: every exact total is at most its exact cap; None
-    without resources."""
-    totals = budget_totals(trajectory)
-    return all(total <= cap for total, cap in totals) if totals else None
-
-
 def _check(value: float, satisfied: bool | None) -> dict:
     return {"value": value, "satisfied": satisfied}
 
@@ -121,16 +103,19 @@ def run_summary(
     ``value`` and whether the run ``satisfied`` it (null where it does not
     apply).  Given the Slater parameter ``rho`` > 0 it includes the bound
     checks; given the offline ``benchmark`` value it includes the regret
-    against it, and with both the alpha(rho)-regret."""
+    against it, and with both the alpha(rho)-regret.  ``budget_feasible``,
+    ``max_drift`` and ``bounds.drift`` are the audit's
+    :func:`~ora_bob.dual_ogd.budget_exactness` and
+    :func:`~ora_bob.dual_ogd.dual_drift` verdicts."""
     v = violation(trajectory)
     has_rho = rho is not None and rho > 0.0
     summary_regret = regret(benchmark, trajectory) if benchmark is not None else None
     summary_alpha_regret = (alpha_regret(alpha(rho), benchmark, trajectory)
                             if benchmark is not None and has_rho else None)
     dual_l1 = max_dual_l1(trajectory)
-    drift = dual_drift_audit(trajectory)
+    drift = dual_drift(trajectory)
     M, eta = trajectory.num_constraints, trajectory.eta
-    checks = {"drift": _check(eta * M, bool(drift <= eta * M + DRIFT_SLACK))}
+    checks = {"drift": _check(drift["bound"], drift["ok"])}
     if has_rho:
         beta = trajectory.instance.budget.per_round_budget
         beta_min = float(beta.min()) if beta.size else None
@@ -154,8 +139,8 @@ def run_summary(
         "violation_applicable": trajectory.num_general > 0,
         "tau": trajectory.stopping_time,
         "max_dual_l1": dual_l1,
-        "max_drift": drift,
-        "budget_feasible": budget_feasible(trajectory),
+        "max_drift": drift["max_drift"],
+        "budget_feasible": budget_exactness(trajectory)["ok"],
         "regret": summary_regret,
         "alpha_regret": summary_alpha_regret,
         "bounds": checks,

@@ -806,13 +806,16 @@ def test_run_cell_bytes_pinned(tmp_path, capsys, generator):
     assert written == {k: v for k, v in RUN_CELL_SHA256.items() if k.startswith(generator)}
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
-def test_summary_and_audit_read_the_trace_cells(tmp_path, capsys, m):
+@pytest.mark.parametrize("m, n", [pytest.param(0, 1, id="0"), pytest.param(1, 1, id="1"),
+                                  pytest.param(2, 1, id="2"), pytest.param(1, 0, id="1-n0")])
+def test_summary_and_audit_read_the_trace_cells(tmp_path, capsys, m, n):
     """A run's running totals have one definition: the summary's totals are
     the trace's final cells and the audit's telescoped sums the run's
     cumulative general costs at tau, bit for bit.  At m = 1 a pairwise sum
-    of the general column differs from the trace's in its last bits."""
-    argv = ("run", "--generator", "random_model", "--param", f"m={m}", "--param", "n=1",
+    of the general column differs from the trace's in its last bits.  Each
+    verdict has one definition too: the summary's budget and drift verdicts
+    are the audit's."""
+    argv = ("run", "--generator", "random_model", "--param", f"m={m}", "--param", f"n={n}",
             "--seeds", "0", "--out", str(tmp_path), "--name", "c")
     assert run_cli(capsys, *argv)[0] == 0
     trace = tmp_path / "c_0.csv"
@@ -824,7 +827,12 @@ def test_summary_and_audit_read_the_trace_cells(tmp_path, capsys, m):
 
     code, out = run_cli(capsys, "audit", str(trace), "--pairs", "0")
     assert code == 0
-    telescoped = json.loads(out)["traces"][0]["audits"]["telescoped_violation"]
+    audits = json.loads(out)["traces"][0]["audits"]
+    telescoped, drift = audits["telescoped_violation"], audits["dual_drift"]
+    assert summary["budget_feasible"] is audits["budget_exactness"]["ok"]
+    assert (summary["budget_feasible"] is None) == (n == 0)
+    assert summary["max_drift"].hex() == drift["max_drift"].hex()
+    assert summary["bounds"]["drift"] == {"value": drift["bound"], "satisfied": drift["ok"]}
     _, instance, config, _ = cli._read_trace(trace, None, {})
     tr = ob.run(instance, config)
     T, tau = tr.horizon, tr.stopping_time

@@ -13,7 +13,7 @@ import pytest
 import ora_bob as ob
 from ora_bob import cli, serialization as ser, traceio
 from ora_bob.core import ROUND_BLOCK
-from ora_bob.dual_ogd import OgdConfig
+from ora_bob.dual_ogd import OgdConfig, dominance
 from ora_bob.lagrangian import penalties
 from rowstacks import rewards_stack, trace_columns, unified_stack
 
@@ -102,7 +102,7 @@ def test_streamed_outputs_match_one_shot(tmp_path, T):
         for name, column in columns.items():
             assert column.dtype == expected[name].dtype
             assert column.tobytes() == expected[name].tobytes(), name
-        assert cli._dominance_audit(tr) == _one_shot_dominance(tr)
+        assert dominance(tr) == _one_shot_dominance(tr)
         # the last eleven rewards edited (across the block edge at
         # T = ROUND_BLOCK + 1), the last cum_reward edited and one column deleted
         _, read = traceio.read_trace_csv(path)
@@ -127,7 +127,7 @@ def test_streamed_dominance_reports_the_first_ten_failures():
     # from round ROUND_BLOCK - 2 on, the failures straddle the first block edge
     candidates[ROUND_BLOCK - 3 :] = values.argmin(axis=1)[ROUND_BLOCK - 3 :]
     damaged = dataclasses.replace(tr, candidates=candidates)
-    report = cli._dominance_audit(damaged)
+    report = dominance(damaged)
     assert report == _one_shot_dominance(damaged)
     assert report["failing_rounds"][0] == ROUND_BLOCK - 2 and len(report["failing_rounds"]) == 10
 
@@ -143,7 +143,7 @@ def test_streamed_routines_peak_bounded(tmp_path, T):
         "instance_hash": lambda: ser.instance_hash(inst),
         "write_trace_csv": lambda: traceio.write_trace_csv(tmp_path / "t.csv", tr, header),
         "exactness_audit": lambda: cli._exactness_audit(tr, columns),
-        "dominance_audit": lambda: cli._dominance_audit(tr),
+        "dominance_audit": lambda: dominance(tr),
     }
     for name, routine in routines.items():
         tracemalloc.start()
