@@ -194,6 +194,14 @@ def _run_header(config: dict, source) -> dict:
             "delta": repr(config.get("delta")), "seed": config.get("seed"), "rng": rng.ALGORITHM}
 
 
+#: Each ``--benchmark``: the offline value of a cell's instance its summary compares with.
+BENCHMARKS = {
+    "none": lambda instance: None,
+    "lp": lambda instance: opt_lp_relax(instance).opt_value,
+    "bruteforce": lambda instance: opt_bruteforce(instance).opt_value,
+}
+
+
 def execute_cell(config: dict, out_dir: str, trajectory: Trajectory) -> str:
     """Write one cell's trace CSV and summary JSON.
 
@@ -205,11 +213,7 @@ def execute_cell(config: dict, out_dir: str, trajectory: Trajectory) -> str:
     instance = trajectory.instance
     M = instance.num_constraints
     rho = slater_adv(instance) if M else None
-    opt_val = None
-    if config["benchmark"] == "lp":
-        opt_val = opt_lp_relax(instance).opt_value
-    elif config["benchmark"] == "bruteforce":
-        opt_val = opt_bruteforce(instance).opt_value
+    opt_val = BENCHMARKS[config["benchmark"]](instance)
     summary = run_summary(trajectory, rho=rho, benchmark=opt_val)
 
     ihash = serialization.instance_hash(instance)
@@ -722,7 +726,7 @@ def _add_cell_args(p):
     p.add_argument("--seeds", default="0")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--benchmark", choices=("none", "lp", "bruteforce"), default="none")
+    p.add_argument("--benchmark", choices=tuple(BENCHMARKS), default="none")
 
 
 class _Parser(argparse.ArgumentParser):

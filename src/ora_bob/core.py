@@ -10,9 +10,9 @@ diagnosed.
 Round inputs exist only as (F, G, H) row stacks: rewards (S, K), general
 costs (S, m, K) and consumptions (S, n, K).  :class:`RowStore` owns them
 and checks their shapes once per stack at construction.  The two row
-stores are an :class:`Instance`, the rows plus a (T,) row index (its rows
-are exactly those the index uses, and round t reads row ``index[t]``), and
-a :class:`StochasticModel`, the support rows plus their probabilities.
+stores are an :class:`Instance`, the distinct rows the rounds use, in order
+of first use, plus a (T,) row index (round t reads row ``index[t]``), and a
+:class:`StochasticModel`, the support rows plus their probabilities.
 Validation checks each row once and reports its issues at every round that
 uses it.
 
@@ -185,15 +185,33 @@ class RowStore:
         return _frozen(np.concatenate([general, consumption - beta[None, :, None]], axis=1))
 
 
+def _canonical(rows, index):
+    """The distinct rows of the (F, G, H) stacks ``rows`` that ``index``
+    uses, rows of equal bytes merged, in order of first use, and the index
+    into them."""
+    used, first = np.unique(index, return_index=True)
+    order = used[np.argsort(first)]  # the used rows, by first use
+    words = np.concatenate([r[order].reshape(order.size, -1) for r in rows], 1).view(np.uint64)
+    sort = np.argsort(words.view(f"V{8 * words.shape[1]}").ravel(), kind="stable")
+    new = np.concatenate(([True], (words[sort[1:]] != words[sort[:-1]]).any(axis=1)))
+    head = np.empty_like(sort)  # each used row's first equal row
+    head[sort] = sort[new][np.cumsum(new) - 1]
+    keep, label = np.unique(head, return_inverse=True)
+    position = np.zeros(rows[0].shape[0], dtype=np.int64)
+    position[order] = label.ravel()
+    return tuple(_frozen(r[order[keep]]) for r in rows), position[index]
+
+
 @dataclass(frozen=True, eq=False)
 class Instance(RowStore):
     """A fully specified adversarial run: action set, budget, and the input
     rows of every round.
 
     Round t's inputs are row ``index[t]`` of the stacks ``rows``; ``index``
-    is read-only, (T,) int64.  Only the rows some round uses are kept, in
-    row order (a sampled instance is its model's drawn support rows plus
-    the draws).
+    is read-only, (T,) int64.  Whatever pool it is given, an instance keeps
+    one canonical form: the distinct rows its rounds use (equal bytes in F,
+    G and H, so 0.0 and -0.0 differ), in order of first use.  Two instances
+    of one round sequence store the same arrays.
     """
 
     index: np.ndarray
@@ -205,14 +223,10 @@ class Instance(RowStore):
             raise ValidationError(
                 f"{index.size} rounds provided for horizon T={self.budget.horizon}"
             )
-        rows, size = self.rows, self.rows[0].shape[0]
+        size = self.rows[0].shape[0]
         if index.min() < 0 or index.max() >= size:
             raise ValidationError(f"round index outside the {size} rows")
-        used = np.flatnonzero(np.bincount(index, minlength=size))
-        if used.size < size:
-            position = np.zeros(size, dtype=np.int64)
-            position[used] = np.arange(used.size)
-            rows, index = tuple(_frozen(r[used]) for r in rows), position[index]
+        rows, index = _canonical(self.rows, index)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "index", _frozen(index))
 

@@ -33,8 +33,7 @@ def sample_support_indices(model: StochasticModel, T: int, seed: int) -> np.ndar
 
 
 def sample_instance(model: StochasticModel, T: int, seed: int) -> Instance:
-    """T i.i.d. draws as an instance: the support rows drawn plus the
-    draws."""
+    """T i.i.d. draws of ``model``'s support rows as an instance."""
     return Instance(
         model.actions,
         BudgetSpec(T, model.budget.per_round_budget),

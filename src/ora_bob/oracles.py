@@ -133,30 +133,6 @@ def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> Oracle
     return OracleReport(opt_value=best_value, method="brute_force", opt_actions=actions)
 
 
-def _grouped_rounds(instance: Instance):
-    """Group identical rounds (bitwise-equal rows) for the LP: each row is
-    keyed once, and a group's representative is its first round.
-
-    By symmetry the LP has an optimum that puts the same per-round
-    distribution on identical rounds, so aggregating them into one convexity
-    row with the group count as mass is exact, not an approximation.
-    """
-    rows, first, uses = np.unique(instance.index, return_index=True, return_counts=True)
-    groups: dict[bytes, int] = {}
-    counts: list[int] = []
-    reps: list[int] = []
-    for k in np.argsort(first).tolist():
-        key = b"".join(stack[rows[k]].tobytes() for stack in instance.rows)
-        g = groups.get(key)
-        if g is None:
-            groups[key] = len(counts)
-            counts.append(int(uses[k]))
-            reps.append(int(first[k]))
-        else:
-            counts[g] += int(uses[k])
-    return np.asarray(reps, dtype=np.int64), np.asarray(counts, dtype=np.float64)
-
-
 def opt_lp_relax(instance: Instance) -> OracleReport:
     """Upper bound on the dynamic optimum via per-round action distributions.
 
@@ -165,17 +141,15 @@ def opt_lp_relax(instance: Instance) -> OracleReport:
               sum_{t,x} g_{t,i}(x) z_{t,x} <= 0,
               sum_{t,x} h_{t,j}(x) z_{t,x} <= beta_j T.
 
-    Always at least the brute-force optimum.  Identical rounds are merged
-    exactly before solving (see _grouped_rounds).  Raises SizeGuardError
-    before allocating when the dense tableau would exceed
-    LP_TABLEAU_GUARD_MIB.
+    Always at least the brute-force optimum.  Each distinct row of the
+    instance has one convexity row, of mass the number of rounds playing it:
+    by symmetry the LP has an optimum with one distribution on identical
+    rounds, so the merge is exact.  Raises SizeGuardError before allocating
+    when the dense tableau would exceed LP_TABLEAU_GUARD_MIB.
     """
-    K = instance.num_actions
-    m, n = instance.num_general, instance.num_resources
-    reps, counts = _grouped_rounds(instance)
-    G = reps.shape[0]
-    nvars = G * K
-    M = m + n
+    f, g, h = instance.rows
+    (G, K), m, n = f.shape, g.shape[1], h.shape[1]
+    nvars, M = G * K, m + n
     # (M + G) rows x (variables, M slacks, G artificials, rhs) float64
     tableau_mib = 8 * (M + G) * (nvars + M + G + 1) / 2**20
     if tableau_mib > LP_TABLEAU_GUARD_MIB:
@@ -185,18 +159,13 @@ def opt_lp_relax(instance: Instance) -> OracleReport:
             f"{LP_TABLEAU_GUARD_MIB} MiB; refusing to allocate it"
         )
 
-    rows = instance.index[reps]
-    f, g, h = (stack[rows] for stack in instance.rows)
-    c = f.reshape(-1)
     A_eq = np.zeros((G, nvars))
     for k in range(G):
         A_eq[k, k * K : (k + 1) * K] = 1.0
-    b_eq = counts
-
+    b_eq = np.bincount(instance.index).astype(np.float64)
     A_ub = np.concatenate([g, h], axis=1).transpose(1, 0, 2).reshape(M, nvars)
     b_ub = np.concatenate([np.zeros(m), instance.budget.limits])
-
-    result = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    result = solve_lp(f.reshape(-1), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     return OracleReport(opt_value=result.value, method="lp_relaxation")
 
 
@@ -245,7 +214,7 @@ def slater_adv(instance: Instance) -> float:
     """
     _require_constraints(instance)
     per_row = instance.unified_rows.max(axis=1).min(axis=1)
-    return float(-per_row[instance.index].max())
+    return float(-per_row.max())  # every stored row is played
 
 
 def slater_adv_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> float:

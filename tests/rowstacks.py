@@ -14,7 +14,7 @@ def stacks(rounds):
 
 
 def instance_of(actions, budget, rounds):
-    """The instance playing ``rounds`` in order, one row per round."""
+    """The instance playing ``rounds`` in order, given one row per round."""
     return Instance(actions, budget, stacks(rounds), np.arange(len(rounds)))
 
 

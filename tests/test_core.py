@@ -291,14 +291,14 @@ class TestRoundStore:
             assert not got.flags.writeable
 
     def test_rounds_are_the_input_rows(self):
-        """Rows given one per round stay one per round, equal bytes or not,
+        """Rows given one per round are stored once if their bytes are equal,
         and a sampled round reads the support row it drew."""
         a = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))
         b = make_round([0.0, 1.0], np.zeros((0, 2)), np.zeros((0, 2)))  # equal bytes
         rounds = (a, b, a, a, b)
         inst = instance_of(ActionSet(2, 0), BudgetSpec(5, []), rounds)
-        assert inst.index.tolist() == [0, 1, 2, 3, 4]
-        assert inst.rows[0].shape[0] == 5
+        assert inst.index.tolist() == [0, 0, 0, 0, 0]
+        assert inst.rows[0].shape[0] == 1
         assert not inst.index.flags.writeable
         assert not any(r.flags.writeable for r in inst.rows)
         assert all(x[0].tobytes() == y[0].tobytes() for x, y in zip(rounds_of(inst), rounds))
@@ -329,8 +329,8 @@ class TestRoundStore:
         assert sorted(set(sampled.index.tolist())) == [0, 1, 2]
         rows = ([[0.0, 0.1], [0.0, 0.2], [0.0, 0.3]], np.zeros((3, 0, 2)), np.zeros((3, 0, 2)))
         inst = Instance(ActionSet(2, 0), BudgetSpec(3, []), rows, [2, 0, 2])
-        assert inst.rows[0].tolist() == [[0.0, 0.1], [0.0, 0.3]]  # in row order
-        assert inst.index.tolist() == [1, 0, 1]
+        assert inst.rows[0].tolist() == [[0.0, 0.3], [0.0, 0.1]]  # in order of first use
+        assert inst.index.tolist() == [0, 1, 0]
         assert rewards_stack(inst)[:, 1].tolist() == [0.3, 0.1, 0.3]
 
     def test_index_outside_pool_refused(self):
@@ -345,8 +345,60 @@ class TestRoundStore:
     def test_rebuilt_from_rounds_is_bitwise_the_same(self, tmp_path, name):
         inst = _store_instances(tmp_path)[name]
         rebuilt = instance_of(inst.actions, inst.budget, rounds_of(inst))
-        assert rebuilt.rows[0].shape[0] == inst.horizon  # one row per round
+        # given one row per round, stored in the same canonical form
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rebuilt.rows, inst.rows))
+        assert rebuilt.index.tobytes() == inst.index.tobytes()
         for attr in ("rewards_stack", "general_stack", "consumption_stack", "unified_stack"):
             assert STACKS[attr](rebuilt).tobytes() == STACKS[attr](inst).tobytes(), attr
         assert instance_hash(rebuilt) == instance_hash(inst)
         assert opt_lp_relax(rebuilt).opt_value == opt_lp_relax(inst).opt_value
+
+
+def _pool(flat, K, m, n):
+    """The (F, G, H) stacks whose row s is the flat (K (1 + m + n),) row
+    ``flat[s]``: rewards, then general costs, then consumptions."""
+    S, g, h = len(flat), flat[:, K : K * (1 + m)], flat[:, K * (1 + m) :]
+    return flat[:, :K], g.reshape(S, m, K), h.reshape(S, n, K)
+
+
+@given(st.data())
+def test_instance_is_stored_in_canonical_form(data):
+    """An instance stores the distinct rows its rounds use (equal bytes in
+    F, G and H, so 0.0 and -0.0 differ), in order of first use, whatever
+    pool it is given: permuted, with copies of rows, or with unused rows."""
+    K, m, n = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (0, 2), (0, 2)))
+    S, T = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 12))
+    cell = st.sampled_from([0.0, -0.0, 0.5, 1.0])  # few values, so rows collide
+    row = st.lists(cell, min_size=K * (1 + m + n), max_size=K * (1 + m + n))
+    flat = np.array(data.draw(st.lists(row, min_size=S, max_size=S)))
+    index = data.draw(st.lists(st.integers(0, S - 1), min_size=T, max_size=T))
+    actions, budget = ActionSet(K, 0), BudgetSpec(T, np.full(n, 0.5))
+    inst = Instance(actions, budget, _pool(flat, K, m, n), index)
+
+    # the reference: rows keyed by their bytes, in order of first use
+    keys = [flat[s].tobytes() for s in range(S)]
+    distinct = list(dict.fromkeys(keys[s] for s in index))
+    stored = [b"".join(r[k].tobytes() for r in inst.rows) for k in range(len(inst.rows[0]))]
+    assert stored == distinct
+    assert inst.index.tolist() == [distinct.index(keys[s]) for s in index]
+    assert len(set(stored)) == len(stored)  # pairwise distinct
+    assert list(dict.fromkeys(inst.index.tolist())) == list(range(len(stored)))
+
+    # the same rounds from a permuted pool with copies and unused rows
+    perm = data.draw(st.permutations(range(S)))
+    copies = data.draw(st.lists(st.integers(0, S - 1), max_size=4))
+    unused = np.array(data.draw(st.lists(row, max_size=3))).reshape(-1, flat.shape[1])
+    at = {s: [perm.index(s)] + [S + c for c, s2 in enumerate(copies) if s2 == s]
+          for s in range(S)}
+    other = [data.draw(st.sampled_from(at[s])) for s in index]
+    pool = _pool(np.concatenate([flat[perm], flat[copies], unused]), K, m, n)
+    again = Instance(actions, budget, pool, other)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again.rows, inst.rows))
+    assert again.index.tobytes() == inst.index.tobytes()
+
+    # a row and its copy with one cell 0.0 against -0.0 stay two rows
+    c = data.draw(st.integers(0, flat.shape[1] - 1))
+    signed = np.stack([flat[0], flat[0]])
+    signed[:, c] = [0.0, -0.0]
+    pair = Instance(actions, BudgetSpec(2, np.full(n, 0.5)), _pool(signed, K, m, n), [0, 1])
+    assert pair.rows[0].shape[0] == 2 and pair.index.tolist() == [0, 1]

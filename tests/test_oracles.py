@@ -17,8 +17,10 @@ from ora_bob.oracles import (
     slater_adv_bruteforce,
     slater_stoc,
 )
+from ora_bob.simplex import solve_lp
 from rowstacks import (
-    consumption_stack, general_stack, instance_of, model_of, rewards_stack, unified_stack,
+    consumption_stack, general_stack, instance_of, model_of, rewards_stack, stacks,
+    unified_stack,
 )
 
 
@@ -114,23 +116,21 @@ class TestOptLpRelax:
             assert lp >= bf - 1e-7 * max(1.0, abs(bf)), (seed, bf, lp)
 
     def test_grouping_is_exact(self):
-        # a sequence with many repeated rounds: grouped LP equals the LP on
-        # the same instance with every round forced into its own group
+        # a sequence with many repeated rounds: the LP over the distinct rows
+        # equals the LP with one convexity row per round
         fx = make_example1_instance(0.1, 0.2, horizon=20)
         inst = sample_instance(fx.general, 6, 0)
         grouped = opt_lp_relax(inst).opt_value
 
-        from ora_bob import oracles
-
-        original = oracles._grouped_rounds
-        try:
-            oracles._grouped_rounds = lambda ins: (
-                np.arange(ins.horizon, dtype=np.int64),
-                np.ones(ins.horizon),
-            )
-            ungrouped = opt_lp_relax(inst).opt_value
-        finally:
-            oracles._grouped_rounds = original
+        T, K = inst.horizon, inst.num_actions
+        coupling = np.concatenate([general_stack(inst), consumption_stack(inst)], axis=1)
+        ungrouped = solve_lp(
+            rewards_stack(inst).reshape(-1),
+            A_ub=coupling.transpose(1, 0, 2).reshape(-1, T * K),
+            b_ub=np.concatenate([np.zeros(inst.num_general), inst.budget.limits]),
+            A_eq=np.kron(np.eye(T), np.ones(K)),
+            b_eq=np.ones(T),
+        ).value
         assert grouped == pytest.approx(ungrouped, rel=1e-9, abs=1e-9)
 
     def test_size_guard_refuses_dense_tableau(self):
@@ -311,18 +311,16 @@ class TestCrossProperties:
 
 
 def test_equal_bytes_pool_rows_merge_in_lp():
-    """Distinct rows with equal bytes are one LP group, so the LP value is
-    bitwise the one over a single shared row."""
+    """Distinct pool rows with equal bytes are one stored row, so the LP
+    value is bitwise the one over a single shared row."""
     def tup():
         return ([0.0, 0.7, 0.4], [[0.0, 0.5, -0.25]], [[0.0, 0.9, 0.3]])
 
     a, b, c = tup(), tup(), ([0.0, 0.2, 0.9], [[0.0, -0.5, 0.5]], [[0.0, 0.1, 0.8]])
     budget = BudgetSpec(6, [0.4])
-    split = instance_of(ActionSet(3, 0), budget, (a, b, c, b, a, c))
-    shared = Instance(ActionSet(3, 0), budget, split.rows, [0, 0, 2, 0, 0, 2])
-    assert split.rows[0].shape[0] == 6 and shared.rows[0].shape[0] == 2
-    from ora_bob import oracles
-
-    reps, counts = oracles._grouped_rounds(split)
-    assert reps.tolist() == [0, 2] and counts.tolist() == [4.0, 2.0]
+    pool = stacks((a, b, c, b, a, c))
+    split = Instance(ActionSet(3, 0), budget, pool, np.arange(6))
+    shared = Instance(ActionSet(3, 0), budget, pool, [0, 0, 2, 0, 0, 2])
+    assert split.rows[0].shape[0] == 2 and shared.rows[0].shape[0] == 2
+    assert np.bincount(split.index).tolist() == [4, 2]
     assert opt_lp_relax(split).opt_value == opt_lp_relax(shared).opt_value
