@@ -189,8 +189,14 @@ def _canonical(rows, index):
     """The distinct rows of the (F, G, H) stacks ``rows`` that ``index``
     uses, rows of equal bytes merged, in order of first use, and the index
     into them."""
-    used, first = np.unique(index, return_index=True)
-    order = used[np.argsort(first)]  # the used rows, by first use
+    # Each row's first round, by a minimum (order-free, unlike repeated
+    # fancy-index writes); the used rows, by first use, are then the rows
+    # of the rounds that are some row's first.  O(T + S), no sort.
+    first = np.full(rows[0].shape[0], index.size)
+    np.minimum.at(first, index, np.arange(index.size))
+    starts = np.zeros(index.size, dtype=bool)
+    starts[first[first < index.size]] = True
+    order = index[starts]
     words = np.concatenate([r[order].reshape(order.size, -1) for r in rows], 1).view(np.uint64)
     sort = np.argsort(words.view(f"V{8 * words.shape[1]}").ravel(), kind="stable")
     new = np.concatenate(([True], (words[sort[1:]] != words[sort[:-1]]).any(axis=1)))

@@ -19,8 +19,9 @@ from .environments import sample_instance
 from .simplex import solve_lp
 
 ENUMERATION_GUARD = 10_000_000
-#: Largest dense simplex tableau opt_lp_relax may allocate, in MiB.  Its
-#: equality block and the solver's working copies are of the same size.
+#: Largest dense simplex tableau opt_lp_relax may allocate, in MiB.  The
+#: solver's pivot work buffer is twice its size, though pivots touch only
+#: the pages they use.
 LP_TABLEAU_GUARD_MIB = 256
 _CHUNK = 1 << 15
 
@@ -159,13 +160,10 @@ def opt_lp_relax(instance: Instance) -> OracleReport:
             f"{LP_TABLEAU_GUARD_MIB} MiB; refusing to allocate it"
         )
 
-    A_eq = np.zeros((G, nvars))
-    for k in range(G):
-        A_eq[k, k * K : (k + 1) * K] = 1.0
     b_eq = np.bincount(instance.index).astype(np.float64)
     A_ub = np.concatenate([g, h], axis=1).transpose(1, 0, 2).reshape(M, nvars)
     b_ub = np.concatenate([np.zeros(m), instance.budget.limits])
-    result = solve_lp(f.reshape(-1), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    result = solve_lp(f.reshape(-1), A_ub=A_ub, b_ub=b_ub, b_eq=b_eq, convexity_width=K)
     return OracleReport(opt_value=result.value, method="lp_relaxation")
 
 

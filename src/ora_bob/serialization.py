@@ -13,6 +13,14 @@ both.  Unknown fields are rejected with a JSON-pointer path.  Floats are
 written with Python's shortest round-trip representation, so save -> load
 reproduces bit-identical matrices.
 
+:func:`load_instance` packs each row object as the parser finishes it:
+one whose keys are "f", "g", "h" in that order and whose cells are all
+float literals, the rows of g and h as long as f, becomes a
+:class:`_PackedRow`, its cells in one float64 buffer.  So at most one
+row's Python floats are alive at a time, and a file never stands as a
+tree of nested lists.  Any other object stays as parsed and goes through
+the same checks, with the same messages, as a row of :func:`from_dict`.
+
 An instance's hash (schema_version 2) is that of its compact canonical
 form, :func:`hash_form`: the header, its rows and its row index as the
 instance stores them.  An instance is stored in canonical form (its
@@ -32,6 +40,7 @@ import importlib
 import json
 import os
 import sys
+from array import array
 from typing import Any, Iterable
 
 import numpy as np
@@ -91,6 +100,45 @@ def _as_real_list(value, length: int, pointer: str) -> list[float]:
     return out
 
 
+class _PackedRow:
+    """A ``{"f", "g", "h"}`` row object of float cells as
+    :func:`load_instance` parses it: f, then the m rows of g and the n rows
+    of h, in one float64 buffer.  Its repr is that of the dict it was
+    parsed from, so a misplaced row is reported as it would be unpacked."""
+
+    __slots__ = ("values", "m", "n")
+
+    def __init__(self, values: array, m: int, n: int):
+        self.values, self.m, self.n = values, m, n
+
+    def as_dict(self) -> dict:
+        cells = self.values.tolist()
+        k = len(cells) // (1 + self.m + self.n)
+        rows = [cells[i : i + k] for i in range(k, len(cells), k)]
+        return {"f": cells[:k], "g": rows[: self.m], "h": rows[self.m :]}
+
+    def __repr__(self) -> str:
+        return repr(self.as_dict())
+
+
+def _pack_row(d: dict):
+    """:func:`load_instance`'s ``object_hook``: ``d`` as a :class:`_PackedRow`
+    when it has the keys "f", "g", "h", in that order, and float cells
+    only, f not empty and each row of g and h as long as f; else ``d``
+    itself.  A row with an integer literal is left unpacked, so a message
+    that shows the row shows the literal as written."""
+    if list(d) != ["f", "g", "h"]:
+        return d
+    f, g, h = d["f"], d["g"], d["h"]
+    if not (type(f) is list and f and type(g) is list and type(h) is list):
+        return d
+    lists = [f, *g, *h]
+    if not all(type(cells) is list and len(cells) == len(f)
+               and all(type(v) is float for v in cells) for cells in lists):
+        return d
+    return _PackedRow(array("d", [v for cells in lists for v in cells]), len(g), len(h))
+
+
 def rows_to_dicts(rows) -> list[dict]:
     """One ``{"f", "g", "h"}`` object per row of the (F, G, H) stacks."""
     return [{"f": f.tolist(), "g": g.tolist(), "h": h.tolist()} for f, g, h in zip(*rows)]
@@ -101,6 +149,14 @@ def rows_from_dicts(items: list, k: int, m: int, n: int, pointer: str):
     each checked against (k, m, n) and located as ``pointer/i``."""
     f, g, h = np.empty((len(items), k)), np.empty((len(items), m, k)), np.empty((len(items), n, k))
     for i, d in enumerate(items):
+        if isinstance(d, _PackedRow):
+            if (d.m, d.n, len(d.values)) == (m, n, (1 + m + n) * k):
+                values = np.frombuffer(d.values)
+                f[i] = values[:k]
+                g[i] = values[k : (1 + m) * k].reshape(m, k)
+                h[i] = values[(1 + m) * k :].reshape(n, k)
+                continue
+            d = d.as_dict()  # a shape the checks below report
         at = f"{pointer}/{i}"
         _check_keys(d, ("f", "g", "h"), at)
         f[i] = _as_real_list(d["f"], k, f"{at}/f")
@@ -174,9 +230,9 @@ def from_dict(d: Any) -> Instance | StochasticModel:
         raise SchemaError(str(exc), "/probs") from exc
 
 
-def parse_json(text: str) -> Any:
+def parse_json(text: str, object_hook=None) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"parse error at byte offset {exc.pos}: {exc.msg}", ""
@@ -260,9 +316,11 @@ def write_text_atomic(path, text: str | Iterable[str]) -> None:
 
 def load_instance(path) -> Instance | StochasticModel:
     """The instance or model in the JSON file at ``path`` (see
-    :func:`from_dict`); a parse error is reported with its byte offset."""
+    :func:`from_dict`); a parse error is reported with its byte offset.
+    Row objects are packed as they are parsed (see :func:`_pack_row`)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_dict(parse_json(fh.read()))
+        tree = parse_json(fh.read(), object_hook=_pack_row)
+    return from_dict(tree.as_dict() if isinstance(tree, _PackedRow) else tree)
 
 
 def save_instance(obj: Instance | StochasticModel, path) -> None:

@@ -13,7 +13,10 @@ This is deliberately a small, auditable solver for the LP relaxation of
 ``LP_TABLEAU_GUARD_MIB`` (256 MiB): about 2,600 rows and 13,000 columns at
 K = 4.  A pivot updates only the rows with a nonzero entry in the pivot
 column, which on that sparse LP is a small share of them, through a work
-buffer allocated once per solve.
+buffer allocated once per solve.  A solve holds the tableau, that buffer
+and the inequality block: the relaxation's equality rows are convexity
+rows, which ``convexity_width`` writes straight into the tableau, so no
+dense equality block is built beside it.
 """
 
 from __future__ import annotations
@@ -109,9 +112,15 @@ def solve_lp(
     b_ub=None,
     A_eq=None,
     b_eq=None,
+    convexity_width=None,
 ) -> SimplexResult:
     """Maximize c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0, within
-    max(5000, 50 * (rows + tableau columns)) pivots."""
+    max(5000, 50 * (rows + tableau columns)) pivots.
+
+    ``convexity_width`` w stands for the A_eq of convexity rows: equality
+    row r has ones in columns r*w to (r+1)*w - 1 and zeros elsewhere, so
+    c has len(b_eq) * w entries.  The tableau gets the same cells as from
+    that dense A_eq, which is never built; pass A_eq or w, not both."""
     c = np.asarray(c, dtype=np.float64).reshape(-1)
     n = c.shape[0]
 
@@ -125,8 +134,18 @@ def solve_lp(
         return A, b
 
     A_ub, b_ub = _block(A_ub, b_ub, "A_ub")
-    A_eq, b_eq = _block(A_eq, b_eq, "A_eq")
-    mu, me = A_ub.shape[0], A_eq.shape[0]
+    if convexity_width is None:
+        A_eq, b_eq = _block(A_eq, b_eq, "A_eq")
+    else:
+        if A_eq is not None:
+            raise ValueError("pass A_eq or convexity_width, not both")
+        b_eq = np.asarray(b_eq, dtype=np.float64).reshape(-1)
+        if b_eq.shape[0] * convexity_width != n:
+            raise ValueError(
+                f"convexity_width: {b_eq.shape[0]} rows of {convexity_width} "
+                f"columns but {n} variables"
+            )
+    mu, me = A_ub.shape[0], b_eq.shape[0]
     rows = mu + me
 
     # Row order: inequality rows first, then equalities.  Rows with negative
@@ -145,7 +164,10 @@ def solve_lp(
     width = n + mu + n_art + 1
     tab = np.zeros((rows, width))
     tab[:mu, :n] = A_ub
-    tab[mu:, :n] = A_eq
+    if convexity_width is None:
+        tab[mu:, :n] = A_eq
+    else:
+        tab[mu + np.arange(n) // convexity_width, np.arange(n)] = 1.0
     tab[flip, :n] *= -1.0
     tab[np.arange(mu), n + np.arange(mu)] = slack_sign
     tab[art_rows, n + mu + np.arange(n_art)] = 1.0

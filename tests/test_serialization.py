@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,129 @@ def test_from_dict_file_level_errors(payload, message):
     with pytest.raises(SchemaError) as info:
         ser.from_dict(payload)
     assert str(info.value) == message and info.value.pointer == ""
+
+
+def _load_both(path):
+    """load_instance's packed rows, and the parsed tree through from_dict."""
+    with open(path, encoding="utf-8") as fh:
+        parsed = ser.from_dict(json.loads(fh.read()))
+    return ob.load_instance(path), parsed
+
+
+def _assert_bitwise_equal(a, b):
+    for x, y in zip(a.rows, b.rows):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert a.probs.tobytes() == b.probs.tobytes()
+
+
+def test_packed_rows_load_bitwise_as_parsed_rows(tmp_path):
+    """The S = 1000 model, and edge cells (-0.0, the least subnormal, 1e308,
+    integer literals, 2**53 + 1), load bitwise as from_dict of the parsed
+    tree; float-only rows are the ones packed."""
+    path = tmp_path / "model.json"
+    ob.save_instance(ob.random_model(5, S=1000, K=4, m=2, n=2, feasibility_margin=0.1), path)
+    packed, parsed = _load_both(path)
+    _assert_bitwise_equal(packed, parsed)
+    tree = json.loads(path.read_text(), object_hook=ser._pack_row)
+    assert all(isinstance(row, ser._PackedRow) for row in tree["support"])
+
+    edge = {"T": 10, "K": 3, "m": 1, "n": 1, "void_index": 0, "beta": [0.5],
+            "support": [{"f": [-0.0, 5e-324, 1e308], "g": [[0.0, -0.0, 5e-324]],
+                         "h": [[0.0, 1e308, 0.25]]},
+                        {"f": [0, 3, 2**53 + 1], "g": [[0, -1, 2**53 + 1]],
+                         "h": [[0, 2, 0.5]]}],
+            "probs": [0.25, 0.75]}
+    path.write_text(json.dumps(edge))
+    packed, parsed = _load_both(path)
+    _assert_bitwise_equal(packed, parsed)
+    assert packed.rows[0][1].tolist() == [0.0, 3.0, 2.0**53]
+    assert np.signbit(packed.rows[0][0, 0])
+    tree = json.loads(path.read_text(), object_hook=ser._pack_row)
+    assert [type(row) for row in tree["support"]] == [ser._PackedRow, dict]
+
+
+_ROW = {"f": [0.0, 0.5, 0.25], "g": [[0.0, -0.5, 0.5]], "h": [[0.0, 0.75, 0.125]]}
+_ROW_REPR = repr(_ROW)
+
+
+def _malformed(body: str, case: str) -> tuple[dict, str]:
+    """A one-row-per-entry "rounds" or "support" file with one defect, and
+    the message from_dict gives for it."""
+    items = [json.loads(json.dumps(_ROW)) for _ in range(2)]
+    d = {"T": 2, "K": 3, "m": 1, "n": 1, "void_index": 0, "beta": [0.5], body: items}
+    if body == "support":
+        d["probs"] = [0.5, 0.5]
+    row = items[1]
+    at = f"/{body}/1"
+    if case == "bool":
+        row["f"][1] = True
+        return d, f"{at}/f/1: expected real, got True"
+    if case == "string":
+        row["h"][0][2] = "high"
+        return d, f"{at}/h/0/2: expected real, got 'high'"
+    if case == "short_f":
+        row["f"].pop()
+        return d, f"{at}/f: expected list of 3 reals"
+    if case == "short_g_row":
+        row["g"][0].pop()
+        return d, f"{at}/g/0: expected list of 3 reals"
+    if case == "all_short":  # packs, then fails the header's K
+        for cells in (row["f"], *row["g"], *row["h"]):
+            cells.pop()
+        return d, f"{at}/f: expected list of 3 reals"
+    if case == "extra_g_row":  # packs, then fails the header's m
+        row["g"].append([0.0, 0.5, 0.5])
+        return d, f"{at}/g: expected 1 rows"
+    if case == "extra_key":
+        row["note"] = 1.0
+        return d, f"{at}/note: unknown field"
+    if case == "huge_int":
+        row["f"][2] = 10**400
+        return d, f"{at}/f/2: integer too large for a float"
+    if case == "row_in_beta":
+        d["beta"] = [_ROW]
+        return d, f"/beta/0: expected real, got {_ROW_REPR}"
+    if case == "row_in_probs":
+        d["probs"] = [_ROW, 0.5]  # an unknown field in a "rounds" file
+        return d, (f"/probs/0: expected real, got {_ROW_REPR}" if body == "support"
+                   else "/probs: unknown field")
+    if case == "row_as_file":
+        return _ROW, "/: file has neither 'rounds' nor 'support'"
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("body", ["rounds", "support"])
+@pytest.mark.parametrize(
+    "case",
+    ["bool", "string", "short_f", "short_g_row", "all_short", "extra_g_row",
+     "extra_key", "huge_int", "row_in_beta", "row_in_probs", "row_as_file"],
+)
+def test_malformed_rows_keep_their_message_and_pointer(tmp_path, body, case):
+    d, message = _malformed(body, case)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(SchemaError) as parsed:
+        ser.from_dict(json.loads(path.read_text()))
+    with pytest.raises(SchemaError) as packed:
+        ob.load_instance(path)
+    assert str(packed.value) == str(parsed.value) == message
+    assert packed.value.pointer == parsed.value.pointer
+
+
+def test_load_instance_traced_peak_is_bounded(tmp_path):
+    """Loading the S = 1000 model holds the file's text and the packed rows,
+    not a tree of Python floats: about 1.0 MiB traced, against 1.8 MiB when
+    every cell was a float in nested lists."""
+    path = tmp_path / "model.json"
+    ob.save_instance(ob.random_model(5, S=1000, K=4, m=2, n=2, feasibility_margin=0.1), path)
+    ob.load_instance(path)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        ob.load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -36,6 +36,24 @@ def test_distribution_rows_like_the_relaxation():
     b_ub = [1.0]
     res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     assert res.value == pytest.approx(1.0, abs=1e-9)
+    # the same rows given by their width: bitwise the same solve
+    rows = solve_lp(c, A_ub=A_ub, b_ub=b_ub, b_eq=b_eq, convexity_width=2)
+    assert (rows.value, rows.x.tobytes(), rows.iterations) == (
+        res.value, res.x.tobytes(), res.iterations)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"A_eq": [[1.0, 1.0, 0.0, 0.0]], "b_eq": [1.0], "convexity_width": 2},
+         "A_eq or convexity_width, not both"),
+        ({"b_eq": [1.0], "convexity_width": 2}, "1 rows of 2 columns but 4 variables"),
+    ],
+    ids=["both", "width_mismatch"],
+)
+def test_convexity_width_refuses_a_mismatch(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        solve_lp([1.0, 0.0, 0.8, 0.0], **kwargs)
 
 
 def test_beale_degenerate_cycle_terminates():
