@@ -19,9 +19,9 @@ from .environments import sample_instance
 from .simplex import solve_lp
 
 ENUMERATION_GUARD = 10_000_000
-#: Largest dense simplex tableau opt_lp_relax may allocate, in MiB.  The
-#: solver's pivot work buffer is twice its size, though pivots touch only
-#: the pages they use.
+#: Largest dense simplex tableau opt_lp_relax may allocate, in MiB.  It is
+#: nearly all a solve holds: the solver's pivot work buffer is two blocks
+#: of simplex.PIVOT_BLOCK_BYTES.
 LP_TABLEAU_GUARD_MIB = 256
 _CHUNK = 1 << 15
 

@@ -12,11 +12,12 @@ This is deliberately a small, auditable solver for the LP relaxation of
 ``oracles.opt_lp_relax``, whose tableau that module caps at
 ``LP_TABLEAU_GUARD_MIB`` (256 MiB): about 2,600 rows and 13,000 columns at
 K = 4.  A pivot updates only the rows with a nonzero entry in the pivot
-column, which on that sparse LP is a small share of them, through a work
-buffer allocated once per solve.  A solve holds the tableau, that buffer
-and the inequality block: the relaxation's equality rows are convexity
-rows, which ``convexity_width`` writes straight into the tableau, so no
-dense equality block is built beside it.
+column, which on that sparse LP is a small share of them, a block of rows
+at a time through a work buffer of two blocks allocated once per solve
+(``PIVOT_BLOCK_BYTES`` each, so it stays in cache).  A solve holds the
+tableau, that buffer and the inequality block: the relaxation's equality
+rows are convexity rows, which ``convexity_width`` writes straight into the
+tableau, so no dense equality block is built beside it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ import numpy as np
 
 TOL = 1e-9
 PHASE1_FEASIBILITY_TOL = 1e-7
+#: Bytes in each of the two blocks of a solve's pivot work buffer.  At
+#: 128 KiB the pair stays in L2 cache on large LPs; smaller blocks cost
+#: more numpy calls per pivot than they save on narrow tableaux.
+PIVOT_BLOCK_BYTES = 1 << 17
 
 
 class SimplexError(RuntimeError):
@@ -49,12 +54,18 @@ def _pivot(tab, red, basis, r, q, work):
     # A row with a zero in the pivot column would only have zeros subtracted,
     # so skipping it leaves every value bit for bit as a full update would.
     rows = np.flatnonzero(col)
-    # Work rows from the (2, rows, width) buffer solve_lp allocates once per
-    # solve, so pivots do not allocate and free tableau-sized temporaries.
-    taken, products = work[:, : rows.size]
-    np.take(tab, rows, axis=0, out=taken, mode="clip")  # mode "raise" copies via a temporary
-    np.multiply(col[rows, None], tab[r], out=products)
-    tab[rows] = np.subtract(taken, products, out=taken)
+    # The rows go through the two (block, width) halves of work a block at
+    # a time, so a pivot holds no row copies beyond those two blocks; each
+    # row gets the same two roundings as in one whole update.
+    taken, products = work
+    block = taken.shape[0]
+    factors, pivot_row = col[rows, None], tab[r]
+    for start in range(0, rows.size, block):
+        part = rows[start : start + block]
+        t, p = taken[: part.size], products[: part.size]
+        np.take(tab, part, axis=0, out=t, mode="clip")  # mode "raise" copies via a temporary
+        np.multiply(factors[start : start + block], pivot_row, out=p)
+        tab[part] = np.subtract(t, p, out=t)
     red -= red[q] * tab[r, :-1]
     red[q] = 0.0
     basis[r] = q
@@ -179,8 +190,8 @@ def solve_lp(
 
     max_iterations = max(5000, 50 * (rows + width - 1))
 
-    # Pages of the pivot work buffer are touched only as pivots use them.
-    work = np.empty((2, rows, width))
+    # the two blocks of rows through which _pivot updates the tableau
+    work = np.empty((2, max(1, PIVOT_BLOCK_BYTES // (8 * width)), width))
     return _solve(tab, basis, c, n, mu, n_art, max_iterations, work)
 
 

@@ -244,18 +244,16 @@ def test_c07_stochastic_regret(criterion):
     )
 
 
-def test_c08_adversarial_alpha_regret(criterion):
+def test_c08_adversarial_alpha_regret(criterion, c08_lp_solves):
     failures = 0
     worst_gap = -np.inf
-    for s in range(50):
-        inst = ob.random_instance(
-            rng.derive_seed(0x88, s), T=400, K=3, m=1, n=1, feasibility_margin=0.2
-        )
+    for solved in c08_lp_solves:
+        inst = solved.instance
         rho = slater_adv(inst)
         assert rho >= 0.2
         M = inst.num_constraints
         tr = ob.run(inst, OgdConfig(learning_rate(400, M, 0.05), 0.05))
-        lp = opt_lp_relax(inst).opt_value
+        lp = solved.report.opt_value
         a_reg = alpha(rho) * lp - float(tr.rewards.sum())
         bound = theorem_bounds(
             400, M, rho, 0.05, float(inst.budget.per_round_budget.min())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ora_bob as ob
-from ora_bob import oracles, rng
+from ora_bob import rng, simplex
 from ora_bob.core import ActionSet, BudgetSpec, Instance, ValidationError
 from ora_bob.environments import make_example1_instance, random_model, sample_instance
 from ora_bob.oracles import (
@@ -328,32 +328,18 @@ def test_equal_bytes_pool_rows_merge_in_lp():
     assert opt_lp_relax(split).opt_value == opt_lp_relax(shared).opt_value
 
 
-def _lp_instances():
-    """c08's 50 all-distinct instances and a sampled S = 1000, T = 200 one
-    (the sweep_lp shape)."""
-    for s in range(50):
-        yield ob.random_instance(
-            rng.derive_seed(0x88, s), T=400, K=3, m=1, n=1, feasibility_margin=0.2
-        )
+def _sweep_lp_instance():
+    """A sampled S = 1000, T = 200 instance: the sweep_lp shape."""
     model = random_model(7, S=1000, K=4, m=2, n=2, feasibility_margin=0.1)
-    yield sample_instance(model, 200, 3)
+    return sample_instance(model, 200, 3)
 
 
-def test_lp_relax_convexity_rows_match_the_dense_block(monkeypatch):
+def test_lp_relax_convexity_rows_match_the_dense_block(c08_lp_solves, lp_solve_recorded):
     """opt_lp_relax's convexity rows, written into the tableau by
     convexity_width, give bitwise the SimplexResult of the dense
-    kron(eye(G), ones(K)) equality block."""
-    solved = []
-
-    def spy(*args, **kwargs):
-        solved.append((args, kwargs, solve_lp(*args, **kwargs)))
-        return solved[-1][2]
-
-    monkeypatch.setattr(oracles, "solve_lp", spy)
-    for inst in _lp_instances():
-        solved.clear()
-        opt_lp_relax(inst)
-        (c,), kw, got = solved[0]
+    kron(eye(G), ones(K)) equality block, on c08's 50 all-distinct
+    instances and the sweep_lp shape."""
+    for inst, _, (c,), kw, got in (*c08_lp_solves, lp_solve_recorded(_sweep_lp_instance())):
         G, K = inst.rows[0].shape
         assert kw["convexity_width"] == K and "A_eq" not in kw
         dense = solve_lp(c, A_ub=kw["A_ub"], b_ub=kw["b_ub"],
@@ -363,19 +349,33 @@ def test_lp_relax_convexity_rows_match_the_dense_block(monkeypatch):
         assert got.iterations == dense.iterations
 
 
-def test_lp_relax_builds_no_dense_equality_block():
-    """The traced peak of opt_lp_relax is the tableau and the pivot work
-    buffer (three tableaux) plus small change, not a (G, G*K) float64
-    block beside them."""
-    inst = sample_instance(random_model(7, S=1000, K=4, m=2, n=2, feasibility_margin=0.1),
-                           200, 3)
-    (G, K), M = inst.rows[0].shape, inst.num_constraints
-    tableau = 8 * (M + G) * (G * K + M + G + 1)
-    opt_lp_relax(inst)  # lazy set-up outside the trace
-    tracemalloc.start()
-    try:
-        opt_lp_relax(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * tableau + 0.5 * (8 * G * G * K), (peak, tableau, G)
+def test_lp_relax_builds_no_dense_equality_block(monkeypatch):
+    """The traced peak of opt_lp_relax is one tableau, the two blocks of
+    the pivot work buffer and small change (numpy's 64 KiB ufunc iterator
+    buffers and the inequality block), though pivots update more rows than
+    a block holds: no tableau-sized work buffer and no (G, G*K) float64
+    block."""
+    c08 = ob.random_instance(rng.derive_seed(0x88, 3), T=400, K=3, m=1, n=1,
+                             feasibility_margin=0.2)
+    pivot = simplex._pivot
+    for inst, spans_blocks in ((_sweep_lp_instance(), False), (c08, True)):
+        (G, K), M = inst.rows[0].shape, inst.num_constraints
+        tableau = 8 * (M + G) * (G * K + M + G + 1)
+        beyond_block = []
+
+        def spy(tab, red, basis, r, q, work):
+            beyond_block.append(np.count_nonzero(tab[:, q]) - 1 - work.shape[1])
+            pivot(tab, red, basis, r, q, work)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex, "_pivot", spy)
+            opt_lp_relax(inst)  # lazy set-up outside the trace
+        if spans_blocks:
+            assert max(beyond_block) > 0
+        tracemalloc.start()
+        try:
+            opt_lp_relax(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tableau + 2 * simplex.PIVOT_BLOCK_BYTES + (384 << 10), (peak, tableau, G)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ora_bob import simplex
 from ora_bob.simplex import SimplexError, solve_lp
@@ -153,3 +154,55 @@ def test_row_skipping_pivot_is_bitwise_the_full_update(monkeypatch):
     skipping = [_outcome(*lp) for lp in lps]
     monkeypatch.setattr(simplex, "_pivot", _full_update_pivot)
     assert skipping == [_outcome(*lp) for lp in lps]
+
+
+def _one_shot_pivot(tab, red, basis, r, q):
+    # the rows with a nonzero in the pivot column, updated in one step
+    tab[r] /= tab[r, q]
+    col = tab[:, q].copy()
+    col[r] = 0.0
+    rows = np.flatnonzero(col)
+    tab[rows] = tab[rows] - col[rows, None] * tab[r]
+    red -= red[q] * tab[r, :-1]
+    red[q] = 0.0
+    basis[r] = q
+    rhs = tab[:, -1]
+    np.clip(rhs, 0.0, None, out=rhs)
+
+
+# signed zeros, subnormals and small integers beside arbitrary finite cells
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309]),
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3),
+)
+_PIVOTS = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+_NONZERO = st.sampled_from([5e-324, -1e-310, 1.0, -3.0]) | _PIVOTS
+
+
+@given(st.data())
+def test_blocked_pivot_is_bitwise_the_one_shot_update(data):
+    """_pivot through work blocks of 1, 2 and 3 rows, and of one as tall as
+    the tableau, leaves tab, red and basis bitwise as one update of every
+    row with a nonzero in the pivot column, which here outnumber a block."""
+    rows, width = data.draw(st.integers(5, 12)), data.draw(st.integers(2, 7))
+    q, r = data.draw(st.integers(0, width - 2)), data.draw(st.integers(0, rows - 1))
+    tab = np.array(data.draw(st.lists(_CELLS, min_size=rows * width, max_size=rows * width)))
+    tab = tab.reshape(rows, width)
+    col = data.draw(st.lists(_NONZERO | _CELLS, min_size=rows, max_size=rows))
+    tab[:, q] = col
+    others = [i for i in range(rows) if i != r]
+    for i in data.draw(st.permutations(others))[:4]:
+        tab[i, q] = data.draw(_NONZERO)  # more nonzero rows than a block of 3
+    tab[r, q] = data.draw(_PIVOTS)
+    red = np.array(data.draw(st.lists(_CELLS, min_size=width - 1, max_size=width - 1)))
+    basis = np.array(data.draw(st.lists(st.integers(0, width - 2), min_size=rows, max_size=rows)))
+
+    want = tab.copy(), red.copy(), basis.copy()
+    _one_shot_pivot(*want, r, q)
+    for height in (1, 2, 3, rows + data.draw(st.integers(0, 2))):
+        got = tab.copy(), red.copy(), basis.copy()
+        simplex._pivot(*got, r, q, np.full((2, height, width), np.nan))
+        for a, b in zip(got[:2], want[:2]):
+            assert a.view(np.uint64).tobytes() == b.view(np.uint64).tobytes(), height
+        assert got[2].tobytes() == want[2].tobytes(), height
