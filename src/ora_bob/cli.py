@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -184,16 +185,6 @@ def cell_config(settings: dict, source, T: int, seed: int, name: str) -> dict:
     }
 
 
-def _run_header(config: dict, source) -> dict:
-    """The trace header lines, in file order, that a cell's ``config`` and
-    its ``source`` (the instance or model) determine: :func:`execute_cell`
-    writes them, and :func:`_read_trace` refuses a trace whose lines say
-    otherwise."""
-    return {"T": config.get("T"), "K": source.actions.count, "m": source.num_general,
-            "n": source.num_resources, "eta": repr(config.get("eta")),
-            "delta": repr(config.get("delta")), "seed": config.get("seed"), "rng": rng.ALGORITHM}
-
-
 #: Each ``--benchmark``: the offline value of a cell's instance its summary compares with.
 BENCHMARKS = {
     "none": lambda instance: None,
@@ -219,7 +210,7 @@ def execute_cell(config: dict, out_dir: str, trajectory: Trajectory) -> str:
     ihash = serialization.instance_hash(instance)
     header = {
         "schema_version": traceio.SCHEMA_VERSION,
-        **_run_header(config, instance),
+        **traceio.run_header(config, instance),
         "instance_hash": ihash,
         "config": serialization.canonical_json(config),
     }
@@ -548,36 +539,29 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _exactness_audit(trajectory, columns) -> dict:
-    """Whether the read trace ``columns`` equal the re-run's bit for bit,
-    compared one block of ROUND_BLOCK rounds at a time, as the writer
-    computes them.  Per column, in file order: ``missing`` if it is absent
-    or not T long, else its first ten mismatching rounds, 1-based."""
+def _exactness_audit(trajectory, blocks) -> dict:
+    """Whether the read trace equals the re-run bit for bit, compared one
+    block of ROUND_BLOCK rounds at a time: each of ``blocks``, the trace's
+    parsed blocks (:func:`~ora_bob.traceio.read_trace_blocks`) of T rows in
+    all, with the block the writer computes.  Per column, in file order:
+    ``missing`` if it is absent, else its first ten mismatching rounds,
+    1-based."""
     T = trajectory.horizon
     found: dict[str, list] = {}  # column -> mismatching rounds, or [None] if missing
-    for lo, block in zip(range(0, T, ROUND_BLOCK), traceio.trace_column_blocks(trajectory)):
+    for lo, block, read_block in zip(range(0, T, ROUND_BLOCK),
+                                     traceio.trace_column_blocks(trajectory), blocks):
         for name, expected in block.items():
-            read = columns.get(name)
-            if read is None or read.shape != (T,):
+            read = read_block.get(name)
+            if read is None:
                 found[name] = [None]
             elif len(rounds := found.setdefault(name, [])) < 10:
-                bad = np.flatnonzero(read[lo : lo + len(expected)] != expected)
+                bad = np.flatnonzero(read != expected)
                 rounds += (bad[: 10 - len(rounds)] + lo + 1).tolist()
     mismatches = [
         {"column": name, "round": r, "reason": "missing" if r is None else "mismatch"}
         for name, rounds in found.items() for r in rounds
     ]
     return {"ok": not mismatches, "mismatches": mismatches}
-
-
-def _header_value(path, header: dict, key: str, kind):
-    """The header's ``key`` line parsed as ``kind`` (int or float)."""
-    try:
-        return kind(header[key])
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise traceio.TraceFormatError(
-            f"{path}: header {key} {header[key]!r} is not {noun}") from None
 
 
 def _refuse_schema_1(path, version) -> None:
@@ -590,15 +574,16 @@ def _refuse_schema_1(path, version) -> None:
 
 
 def _read_trace(path, instance_override, loaded: dict) -> tuple:
-    """Read the trace at ``path`` and resolve the instance it ran on from its
-    config's source, or ``instance_override`` in its place; ``loaded`` keeps
-    the sources loaded so far, so a command loads each distinct one once.
-    Returns (seed, instance, config, columns); raises unless the trace is
-    of this schema_version, the header lines are those :func:`_run_header`
-    gives for its config and source, and the instance has the hash the
-    trace records."""
-    header, columns = traceio.read_trace_csv(path)
-    version = _header_value(path, header, "schema_version", int)
+    """Read the header of the trace at ``path`` and resolve the instance it
+    ran on from its config's source, or ``instance_override`` in its place;
+    ``loaded`` keeps the sources loaded so far by key, so a command loads
+    each distinct one once.  Returns (seed, instance, config, source key);
+    raises unless the trace is of this schema_version, has T data rows, the
+    header lines are those :func:`~ora_bob.traceio.run_header` gives for
+    its config and source, and the instance has the hash the trace records.  No cell is
+    parsed."""
+    header, rows = traceio.read_trace_header(path)
+    version = traceio.header_value(path, header, "schema_version", int)
     _refuse_schema_1(path, version)
     if version != traceio.SCHEMA_VERSION:
         raise CliError(
@@ -611,10 +596,9 @@ def _read_trace(path, instance_override, loaded: dict) -> tuple:
         raise traceio.TraceFormatError(f"{path}: config header: {exc}") from None
     if not isinstance(config, dict) or not isinstance(config.get("source"), dict):
         raise traceio.TraceFormatError(f"{path}: the config header names no source")
-    seed, T = (_header_value(path, header, key, int) for key in ("seed", "T"))
-    eta, delta = (_header_value(path, header, key, float) for key in ("eta", "delta"))
+    seed, T = (traceio.header_value(path, header, key, int) for key in ("seed", "T"))
+    eta, delta = (traceio.header_value(path, header, key, float) for key in ("eta", "delta"))
     # T sizes the instance sampled below, so it must match the file first.
-    rows = len(next(iter(columns.values())))
     if rows != T:
         raise traceio.TraceFormatError(f"{path}: {rows} data rows, but the header says T={T}")
 
@@ -622,7 +606,7 @@ def _read_trace(path, instance_override, loaded: dict) -> tuple:
     key = serialization.canonical_json(source)
     if key not in loaded:
         loaded[key] = _load_source(source)
-    expected = _run_header(config, loaded[key])
+    expected = traceio.run_header(config, loaded[key])
     stale = [f"{k}={header[k]} (expected {v})" for k, v in expected.items() if header[k] != str(v)]
     if stale:
         raise traceio.TraceFormatError(
@@ -634,15 +618,15 @@ def _read_trace(path, instance_override, loaded: dict) -> tuple:
             f"{path}: instance hash mismatch (trace {header['instance_hash']}, "
             f"resolved {ihash}); refusing to audit"
         )
-    return seed, instance, OgdConfig(eta=eta, delta=delta), columns
+    return seed, instance, OgdConfig(eta=eta, delta=delta), key
 
 
-def audit_trace(path, seed: int, columns, trajectory, pairs: int) -> dict:
-    """Audit the trace at ``path``, read as ``columns``, against
+def audit_trace(path, seed: int, blocks, trajectory, pairs: int) -> dict:
+    """Audit the trace at ``path``, parsed as ``blocks``, against
     ``trajectory``, the re-run of its instance under its config; the
     ``pairs`` comparator pairs derive from the trace's ``seed``."""
     audits = {audit.__name__: audit(trajectory) for audit in DETERMINISTIC_AUDITS}
-    exactness = _exactness_audit(trajectory, columns)
+    exactness = _exactness_audit(trajectory, blocks)
 
     pair_seed = rng.derive_seed(seed, _AUDIT_SEED_SALT)
     records = []
@@ -672,40 +656,63 @@ def audit_trace(path, seed: int, columns, trajectory, pairs: int) -> dict:
     }
 
 
+def _audit_batch(batch: list, loaded: dict, config: OgdConfig, pairs: int):
+    """The report of each trace of one lockstep batch, in order: their
+    instances are sampled again and play as the lanes of one run_lanes call,
+    and a trace's cells are parsed a block at a time as its lane is
+    audited."""
+    instances = [_cell_instance(loaded[key], T, seed) for _, seed, key, T, _ in batch]
+    for (path, seed, *_), trajectory in zip(batch, run_lanes(instances, config)):
+        yield audit_trace(path, seed, traceio.read_trace_blocks(path), trajectory, pairs)
+
+
+def _audit_reports(traces: list, loaded: dict, pairs: int):
+    """The report of each of ``traces`` (see :func:`cmd_audit`), in order.
+    Consecutive traces that share a lane key and a config are cut into
+    lockstep batches (:func:`_lockstep_batches`), and no batch outlives its
+    reports."""
+    for (_, config), run in itertools.groupby(traces, key=lambda trace: trace[-1]):
+        run = list(run)
+        for batch in _lockstep_batches(run, run[0][3]):
+            yield from _audit_batch(batch, loaded, config, pairs)
+
+
 def cmd_audit(args) -> int:
-    """Read every trace, in argument order, then replay them: traces whose
-    instances share a :func:`~ora_bob.allocator.lane_key` and whose configs
-    are equal play as the lanes of one run_lanes call per lockstep batch
-    (:func:`_lockstep_batches`), and each lane is audited as it comes.
-    The reports keep the argument order."""
+    """Audit the traces in two passes, each in argument order.  The first
+    checks every trace's header, source, row count and instance hash (see
+    :func:`_read_trace`), and keeps no instance.  The second replays them
+    (:func:`_audit_reports`) and writes each report as it is built: the JSON
+    of ``json.dumps(payload, indent=1)``, with the top-level ``ok`` last.
+    A damaged cell found in the second pass exits 2 and leaves no ``--out``
+    file; without ``--out`` the JSON is printed once every trace is
+    audited."""
     if not 0 <= args.pairs <= MAX_LIST_LENGTH:
         raise CliError(f"--pairs must be >= 0 and at most {MAX_LIST_LENGTH}, got {args.pairs}")
     loaded: dict = {}
-    traces = [_read_trace(path, args.instance, loaded) for path in args.traces]
-    seeds, instances, configs, columns = zip(*traces)
-    # eta > 0 and delta in (0, 1) are finite and nonzero, so equal configs
-    # are bitwise equal.
-    groups: dict = {}
-    for i, (instance, config) in enumerate(zip(instances, configs)):
-        groups.setdefault((lane_key(instance), config), []).append(i)
-    results: list = [None] * len(traces)
-    for (_, config), members in groups.items():
-        for batch in _lockstep_batches(members, instances[members[0]].horizon):
-            for i, trajectory in zip(batch, run_lanes([instances[i] for i in batch], config)):
-                results[i] = audit_trace(args.traces[i], seeds[i], columns[i], trajectory,
-                                         args.pairs)
-    payload = {
-        "schema_version": traceio.SCHEMA_VERSION,
-        "traces": results,
-        "ok": all(r["ok"] for r in results),
-    }
-    text = json.dumps(payload, indent=1)
+
+    def checked(path) -> tuple:
+        seed, instance, config, key = _read_trace(path, args.instance, loaded)
+        # eta > 0 and delta in (0, 1) are finite and nonzero, so equal configs
+        # are bitwise equal.
+        return path, seed, key, instance.horizon, (lane_key(instance), config)
+
+    traces = list(map(checked, args.traces))
+    verdicts: list[bool] = []
+
+    def chunks():
+        yield f'{{\n "schema_version": {traceio.SCHEMA_VERSION},\n "traces": [\n  '
+        for i, report in enumerate(_audit_reports(traces, loaded, args.pairs)):
+            verdicts.append(report["ok"])
+            # JSON text holds no raw newline inside a string
+            yield (",\n  " if i else "") + json.dumps(report, indent=1).replace("\n", "\n  ")
+        yield f'\n ],\n "ok": {json.dumps(all(verdicts))}\n}}\n'
+
     if args.out:
-        serialization.write_text_atomic(args.out, text + "\n")
-        print(json.dumps({"written": str(args.out), "ok": payload["ok"]}, indent=1))
+        serialization.write_text_atomic(args.out, chunks())
+        print(json.dumps({"written": str(args.out), "ok": all(verdicts)}, indent=1))
     else:
-        print(text)
-    return EXIT_OK if payload["ok"] else EXIT_AUDIT_FAIL
+        print("".join(chunks()), end="")
+    return EXIT_OK if all(verdicts) else EXIT_AUDIT_FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,10 @@ def _pivot(tab, red, basis, r, q, work):
         part = rows[start : start + block]
         t, p = taken[: part.size], products[: part.size]
         np.take(tab, part, axis=0, out=t, mode="clip")  # mode "raise" copies via a temporary
-        np.multiply(factors[start : start + block], pivot_row, out=p)
+        # filled, then scaled in place: a broadcast multiply into p would
+        # make numpy buffer both inputs
+        p[...] = pivot_row
+        p *= factors[start : start + block]
         tab[part] = np.subtract(t, p, out=t)
     red -= red[q] * tab[r, :-1]
     red[q] = 0.0

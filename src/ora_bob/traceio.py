@@ -6,16 +6,22 @@ time, feeds the writer and the audit's exactness check, so any hand-edited
 cell shows up as a bitwise mismatch against the deterministic re-run.  The
 writer formats and writes one block of rows at a time, through
 :func:`ora_bob.serialization.write_text_atomic`, the one write-to-temp-then-
-rename routine, so it never holds the whole file text.
+rename routine, so it never holds the whole file text.  The reader is
+header-first: :func:`read_trace_header` checks the header and counts the
+data rows without parsing them, and :func:`read_trace_blocks` parses them a
+block at a time, so the audit never holds a trace's whole columns.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 import warnings
 from typing import Iterator
 
 import numpy as np
 
+from . import rng
 from .core import ROUND_BLOCK, Trajectory
 from .serialization import dumps, write_text_atomic
 
@@ -36,6 +42,24 @@ class TraceFormatError(ValueError):
     """A damaged trace file: a required header key is missing, a header
     value does not parse or contradicts the config, a row does not have one
     field per column, or a cell does not parse."""
+
+
+def run_header(config: dict, source) -> dict:
+    """The trace header lines, in file order, that a cell's ``config`` and
+    its ``source`` (the instance or model) determine: the writer writes
+    them, and the audit refuses a trace whose lines say otherwise."""
+    return {"T": config.get("T"), "K": source.actions.count, "m": source.num_general,
+            "n": source.num_resources, "eta": repr(config.get("eta")),
+            "delta": repr(config.get("delta")), "seed": config.get("seed"), "rng": rng.ALGORITHM}
+
+
+def header_value(path, header: dict, key: str, kind):
+    """The header's ``key`` line parsed as ``kind`` (int or float)."""
+    try:
+        return kind(header[key])
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise TraceFormatError(f"{path}: header {key} {header[key]!r} is not {noun}") from None
 
 
 def trace_column_blocks(trajectory: Trajectory) -> Iterator[dict[str, np.ndarray]]:
@@ -83,6 +107,33 @@ def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:
     write_text_atomic(path, chunks())
 
 
+def _read_header(fh, path) -> tuple[dict[str, str], list[str]]:
+    """The ``# key=value`` lines of the trace open as ``fh`` and its column
+    names, read up to the first data line; raises TraceFormatError when a
+    REQUIRED_HEADER_KEYS entry or the column row is missing."""
+    header: dict[str, str] = {}
+    line = fh.readline()
+    while line.startswith("#"):
+        key, _, value = line[1:].strip().partition("=")
+        header[key.strip()] = value
+        line = fh.readline()
+    missing = [key for key in REQUIRED_HEADER_KEYS if key not in header]
+    if missing:
+        raise TraceFormatError(f"{path}: trace header lacks {', '.join(missing)}")
+    if not line:
+        raise TraceFormatError(f"{path}: no column header row found")
+    return header, line.rstrip("\n").split(",")
+
+
+def read_trace_header(path) -> tuple[dict[str, str], int]:
+    """The trace's header dict and its number of data rows, counted without
+    parsing any: every line after the column row but the blank ones, which
+    :func:`read_trace_blocks` skips too."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header, _ = _read_header(fh, path)
+        return header, sum(line != "\n" for line in fh)
+
+
 def _row_width_error(fh, start: int, width: int) -> str | None:
     """The first non-empty data line of ``fh`` from offset ``start`` that
     does not have ``width`` fields, described; None if every one does."""
@@ -94,45 +145,59 @@ def _row_width_error(fh, start: int, width: int) -> str | None:
     return None
 
 
-def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """Parse a trace file into its header dict and typed column arrays.
+def read_trace_blocks(path) -> Iterator[dict[str, np.ndarray]]:
+    """The trace's typed data columns, in file order, ROUND_BLOCK rows at a
+    time (one empty block if it has no rows); the header is read as
+    :func:`read_trace_header` reads it.
 
-    Raises TraceFormatError when a REQUIRED_HEADER_KEYS entry is missing, a
-    data row's width differs from the column row's, or a cell does not parse
-    as its column's type: int64 (strictly, as a base-10 integer) for the
-    t/action/candidate/gate_open columns, float64 for the others.  numpy
-    parses the data lines from the file into one table; the columns are its views.
+    Raises TraceFormatError when a data row's width differs from the column
+    row's, or a cell does not parse as its column's type: int64 (strictly,
+    as a base-10 integer) for the t/action/candidate/gate_open columns,
+    float64 for the others.  Rows are numbered from the file's first data
+    row, and a width error anywhere in the file is the one reported.
     """
-    header: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            header[key.strip()] = value
-            line = fh.readline()
-        missing = [key for key in REQUIRED_HEADER_KEYS if key not in header]
-        if missing:
-            raise TraceFormatError(f"{path}: trace header lacks {', '.join(missing)}")
-        if not line:
-            raise TraceFormatError(f"{path}: no column header row found")
-        names = line.rstrip("\n").split(",")
+        _, names = _read_header(fh, path)
         int_columns = ("t", "action", "candidate", "gate_open")
         dtype = [(f"c{c}", np.int64 if name in int_columns else np.float64)
                  for c, name in enumerate(names)]
         start = fh.tell()
-        # numpy < 2 parses an int cell such as "1.0" through float, with only
-        # a DeprecationWarning; as an error it leaves every int cell strict.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            except (ValueError, OverflowError, DeprecationWarning) as exc:
-                # numpy's own width message numbers rows another way
-                why = _row_width_error(fh, start, len(names)) or exc
-                raise TraceFormatError(f"{path}: {why}") from None
-    columns = {name: table[f"c{c}"] for c, name in enumerate(names)}
-    return header, columns
+        rows = (line for line in fh if line != "\n")
+        for lo in itertools.count(0, ROUND_BLOCK):
+            # numpy < 2 parses an int cell such as "1.0" through float, with
+            # only a DeprecationWarning; as an error it leaves every int cell
+            # strict.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                try:
+                    table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
+                                       ndmin=1, max_rows=ROUND_BLOCK)
+                except (ValueError, OverflowError, DeprecationWarning) as exc:
+                    # numpy numbers the rows of this block, and reports a
+                    # width its own way
+                    why = _row_width_error(fh, start, len(names)) or re.sub(
+                        r"(.*at row )(\d+)", lambda m: f"{m[1]}{int(m[2]) + lo}", str(exc),
+                        count=1, flags=re.S)
+                    raise TraceFormatError(f"{path}: {why}") from None
+            if lo and not len(table):
+                return
+            last = len(table) < ROUND_BLOCK
+            block = {name: table[f"c{c}"] for c, name in enumerate(names)}
+            # the next block is parsed while only the caller may hold this one
+            del table
+            yield block
+            del block
+            if last:
+                return
+
+
+def read_trace_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """The trace's header dict and its whole columns: the blocks of
+    :func:`read_trace_blocks` joined."""
+    header, _ = read_trace_header(path)
+    blocks = list(read_trace_blocks(path))
+    return header, {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
 
 
 def write_json_atomic(path, payload) -> None:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1407,3 +1408,24 @@ class TestAudit:
         )
         assert code == 0
         assert json.loads(out_path.read_text())["ok"]
+
+    def test_audit_memory_bounded_by_one_batch(self, tmp_path, capsys):
+        """The audit holds the traces of one lockstep batch at a time, so
+        auditing 64 T = 2000 traces (four full batches) peaks within 1 MiB
+        of auditing 16 (one batch)."""
+        code, _ = run_cli(capsys, "run", "--generator", "random_model", "--T", "2000",
+                          "--seeds", "0:64", "--out", str(tmp_path), "--name", "s")
+        assert code == 0
+        peaks = []
+        for count in (16, 64):
+            traces = [str(tmp_path / f"s_{seed}.csv") for seed in range(count)]
+            tracemalloc.start()
+            try:
+                code = cli.main(["audit", *traces, "--pairs", "10",
+                                 "--out", str(tmp_path / "audit.json")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert len(json.loads((tmp_path / "audit.json").read_text())["traces"]) == count
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks

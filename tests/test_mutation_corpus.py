@@ -12,6 +12,7 @@ The examples run under the active hypothesis profile (tier1 by default;
 """
 
 import contextlib
+import glob
 import io
 import json
 import os
@@ -19,9 +20,10 @@ import shutil
 import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ora_bob import cli
+from ora_bob.core import ROUND_BLOCK
 
 #: What a JSON value may be replaced with.
 JSON_VALUES = (None, True, False, 2**64, 1e308, -1e308, 1e300, -1e300, float("nan"), "x",
@@ -29,6 +31,8 @@ JSON_VALUES = (None, True, False, 2**64, 1e308, -1e308, 1e300, -1e300, float("na
 #: What a trace cell, a trace header value or an argv token may become.
 TOKENS = ("", "nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "1e308", "-1e308",
           str(2**64), "abc", "1,2", "null", "[]", "{}")
+#: Trace cell tokens that parse in no column: empty, not a number, or two fields.
+UNPARSABLE_CELLS = ("", "abc", "x1", "null", "[]", "{}", "1,2")
 #: Further argv tokens: every command and a sample of options and choices,
 #: none of which asks for help (``-h`` exits 0 through SystemExit by design).
 ARGV_TOKENS = TOKENS + ("run", "sweep", "oracle", "audit", "gen", "--T", "--eta", "--delta",
@@ -192,3 +196,74 @@ def test_damaged_argv(corpus, data):
         argv[i : i + (op == "replace")] = [data.draw(st.sampled_from(ARGV_TOKENS))]
     with scratch_dir(corpus["base"]):
         check_main(argv)
+
+
+#: The horizon of a three-block trace, its last block a part one.
+LONG_T = 2 * ROUND_BLOCK + 300
+
+
+@pytest.fixture(scope="module")
+def long_traces(tmp_path_factory):
+    """Two clean traces, of LONG_T rounds each, of one small model."""
+    base = tmp_path_factory.mktemp("long")
+    argv = ["run", "--generator", "random_model", "--param", "S=3", "--param", "K=3",
+            "--T", str(LONG_T), "--seeds", "0:2", "--out", str(base), "--name", "long"]
+    assert cli.main(argv) == 0
+    return [str(base / f"long_{seed}.csv") for seed in (0, 1)]
+
+
+def damage_cell(lines: list[str], data, first_row: int) -> None:
+    """Replace one cell of a data row at or after ``first_row`` (0-based) in
+    the trace ``lines`` with a token that parses in no column."""
+    names = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    i = names + 1 + data.draw(st.integers(first_row, LONG_T - 1))
+    cells = lines[i].split(",")
+    cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(UNPARSABLE_CELLS))
+    lines[i] = ",".join(cells)
+
+
+def check_refused(argv: list[str]) -> None:
+    """The audit ``argv`` exits 2 with only the error JSON on stdout, and
+    with ``--out audit.json`` added leaves no report and no temp file in
+    the working directory."""
+    assert check_main(argv) == 2
+    assert check_main(argv + ["--out", "audit.json"]) == 2
+    assert not os.path.exists("audit.json")
+    assert not glob.glob("*.tmp*")
+
+
+@given(data=st.data())
+def test_bad_cell_in_the_last_block_leaves_no_report(corpus, long_traces, data):
+    """The cell is parsed only after the trace's first two blocks have been
+    compared, and still no report is written."""
+    with open(long_traces[0]) as fh:
+        lines = fh.read().splitlines()
+    damage_cell(lines, data, 2 * ROUND_BLOCK)
+    with scratch_dir(corpus["base"]):
+        with open("trace.csv", "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        check_refused(["audit", "trace.csv", "--pairs", "5"])
+
+
+@given(data=st.data())
+def test_damaged_second_trace_leaves_no_report(corpus, long_traces, data):
+    """A header line changed or deleted, or a cell that does not parse, in
+    the second trace is refused although the first is clean."""
+    with open(long_traces[1]) as fh:
+        lines = fh.read().splitlines()
+    header = [i for i, line in enumerate(lines) if line.startswith("# ")]
+    if data.draw(st.booleans()):
+        i = data.draw(st.sampled_from(header))
+        key, _, value = lines[i].partition("=")
+        token = data.draw(st.sampled_from(TOKENS + ("<delete>",)))
+        assume(token != value)
+        if token == "<delete>":
+            del lines[i]
+        else:
+            lines[i] = f"{key}={token}"
+    else:
+        damage_cell(lines, data, 0)
+    with scratch_dir(corpus["base"]):
+        with open("second.csv", "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        check_refused(["audit", long_traces[0], "second.csv", "--pairs", "5"])

@@ -33,6 +33,12 @@ def _instances(T):
             ob.random_instance(4, T=T, K=3, m=4, n=5, feasibility_margin=0.2)]
 
 
+def _header(T):
+    """A trace header with every key the reader requires."""
+    return {"schema_version": 1, "T": T, "K": "-", "m": "-", "n": "-", "seed": 0, "eta": 0.05,
+            "delta": 0.05, "rng": "-", "instance_hash": "-", "config": "{}"}
+
+
 def _one_shot_columns(trajectory):
     """The trace columns computed over all rounds at once."""
     T, m = trajectory.horizon, trajectory.num_general
@@ -86,10 +92,27 @@ def _one_shot_dominance(trajectory):
     return {"ok": not bad.size, "failing_rounds": (bad[:10] + 1).tolist()}
 
 
+def _edit_trace_text(path, header_lines):
+    """Edit the trace CSV at ``path`` as text: its last eleven rewards each
+    up by one ulp, its last cum_reward up by 1.0 and its lambda_l1 column
+    deleted."""
+    lines = path.read_text().splitlines()
+    names = lines[header_lines].split(",")
+    reward, cum, dual = (names.index(name) for name in ("reward", "cum_reward", "lambda_l1"))
+    rows = [line.split(",") for line in lines[header_lines:]]
+    for k, cells in enumerate(rows[1:], start=1):
+        if k > len(rows) - 12:
+            cells[reward] = repr(float(np.nextafter(float(cells[reward]), np.inf)))
+        if k == len(rows) - 1:
+            cells[cum] = repr(float(cells[cum]) + 1.0)
+    for cells in rows:
+        del cells[dual]
+    path.write_text("\n".join(lines[:header_lines] + [",".join(c) for c in rows]) + "\n")
+
+
 @pytest.mark.parametrize("T", BLOCK_EDGES)
 def test_streamed_outputs_match_one_shot(tmp_path, T):
-    header = {"schema_version": 1, "T": T, "K": "-", "m": "-", "n": "-", "seed": 0, "eta": 0.05,
-              "delta": 0.05, "rng": "-", "instance_hash": "-", "config": "{}"}
+    header = _header(T)
     for k, inst in enumerate(_instances(T)):
         assert ser.instance_hash(inst) == ser.content_hash(ser.hash_form(inst))
         tr = ob.run(inst, OgdConfig(eta=0.05, delta=0.05))  # the schedule needs T >= 2
@@ -103,17 +126,40 @@ def test_streamed_outputs_match_one_shot(tmp_path, T):
             assert column.dtype == expected[name].dtype
             assert column.tobytes() == expected[name].tobytes(), name
         assert dominance(tr) == _one_shot_dominance(tr)
+        blocks = traceio.read_trace_blocks(path)
+        assert cli._exactness_audit(tr, blocks) == {"ok": True, "mismatches": []}
         # the last eleven rewards edited (across the block edge at
         # T = ROUND_BLOCK + 1), the last cum_reward edited and one column deleted
-        _, read = traceio.read_trace_csv(path)
-        assert cli._exactness_audit(tr, read) == {"ok": True, "mismatches": []}
-        edited = {name: column.copy() for name, column in read.items()}
-        edited["reward"][-11:] = np.nextafter(edited["reward"][-11:], np.inf)
-        edited["cum_reward"][-1] += 1.0
-        del edited["lambda_l1"]
-        report = cli._exactness_audit(tr, edited)
+        _edit_trace_text(path, len(header))
+        _, edited = traceio.read_trace_csv(path)
+        assert "lambda_l1" not in edited
+        report = cli._exactness_audit(tr, traceio.read_trace_blocks(path))
         assert report == _one_shot_exactness(tr, edited)
         assert len(report["mismatches"]) == min(T, 10) + 2
+
+
+@pytest.mark.parametrize("row", [5, ROUND_BLOCK, 2 * ROUND_BLOCK + 7])
+def test_block_parse_error_is_the_one_shot_error(tmp_path, row):
+    """A cell that does not parse is reported as one np.loadtxt over all
+    the data lines reports it: its row is numbered from the file's first
+    data row, whichever block holds it."""
+    T = 2 * ROUND_BLOCK + 100
+    path = tmp_path / "t.csv"
+    traceio.write_trace_csv(path, ob.run(_instances(T)[0], OgdConfig(eta=0.05, delta=0.05)),
+                            _header(T))
+    lines = path.read_text().splitlines()
+    first = len(_header(T)) + 1
+    cells = lines[first + row].split(",")
+    cells[4] = "abc"  # the reward column
+    lines[first + row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    dtype = [(f"c{c}", np.int64 if c < 4 else np.float64) for c in range(len(cells))]
+    with pytest.raises(ValueError) as one_shot:
+        np.loadtxt(lines[first:], dtype=dtype, delimiter=",", comments=None)
+    with pytest.raises(traceio.TraceFormatError) as streamed:
+        list(traceio.read_trace_blocks(path))
+    assert str(streamed.value) == f"{path}: {one_shot.value}"
+    assert f"at row {row}," in str(streamed.value)
 
 
 def test_streamed_dominance_reports_the_first_ten_failures():
@@ -137,12 +183,12 @@ def test_streamed_routines_peak_bounded(tmp_path, T):
     model = ob.random_model(3, S=40, K=4, m=2, n=2, feasibility_margin=0.2)
     inst = ob.sample_instance(model, T, 1)
     tr = ob.run(inst, ob.default_config(inst))  # also caches inst.unified_rows
-    header = {"schema_version": 1, "T": T, "config": "{}"}
-    columns = trace_columns(tr)
+    trace_columns(tr)  # caches tr's running totals, as the run summary does before a write
+    path = tmp_path / "t.csv"
     routines = {
         "instance_hash": lambda: ser.instance_hash(inst),
-        "write_trace_csv": lambda: traceio.write_trace_csv(tmp_path / "t.csv", tr, header),
-        "exactness_audit": lambda: cli._exactness_audit(tr, columns),
+        "write_trace_csv": lambda: traceio.write_trace_csv(path, tr, _header(T)),
+        "exactness_audit": lambda: cli._exactness_audit(tr, traceio.read_trace_blocks(path)),
         "dominance_audit": lambda: dominance(tr),
     }
     for name, routine in routines.items():
@@ -155,24 +201,26 @@ def test_streamed_routines_peak_bounded(tmp_path, T):
         assert peak < PEAK_BOUND, (name, peak)
 
 
-def test_trace_read_peak_near_the_parsed_table(tmp_path):
-    """The reader streams the data lines into np.loadtxt and returns views
-    of the parsed table, so one read peaks at about the table's size."""
-    T = 16_000
+@pytest.mark.parametrize("T", [2_000, 64_000])
+def test_trace_block_read_peaks_near_one_block(tmp_path, T):
+    """The reader parses ROUND_BLOCK data lines at a time and keeps no
+    earlier block, so a read whose caller drops each block peaks at about
+    one block's table, whatever the horizon."""
     model = ob.random_model(3, S=40, K=4, m=2, n=2, feasibility_margin=0.2)
     inst = ob.sample_instance(model, T, 1)
-    header = {"schema_version": 1, "T": T, "K": "-", "m": "-", "n": "-", "seed": 1, "eta": 0.05,
-              "delta": 0.05, "rng": "-", "instance_hash": "-", "config": "{}"}
     path = tmp_path / "t.csv"
-    traceio.write_trace_csv(path, ob.run(inst, OgdConfig(eta=0.05, delta=0.05)), header)
+    traceio.write_trace_csv(path, ob.run(inst, OgdConfig(eta=0.05, delta=0.05)), _header(T))
     tracemalloc.start()
     try:
-        _, columns = traceio.read_trace_csv(path)
+        # map drops each block before it asks for the next
+        shapes = list(map(lambda block: (len(block), len(block["t"])),
+                          traceio.read_trace_blocks(path)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = 8 * T * len(columns)
-    assert len(columns) == 10 and peak <= 1.5 * table, peak / table
+    assert {width for width, _ in shapes} == {10} and sum(rows for _, rows in shapes) == T
+    table = 8 * ROUND_BLOCK * 10
+    assert peak < 1.5 * table, peak / table
 
 
 def test_failing_chunk_leaves_old_file_and_no_temp(tmp_path):
