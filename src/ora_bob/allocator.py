@@ -16,8 +16,8 @@ consumptions stay ordinary floats.
 
 One round loop, :func:`_play`, plays R independent runs ("lanes") in
 lockstep, each from lambda_1 = 0 over the whole horizon.  It reads each
-round's inputs by index from a row table (F (S, K), U (S, M, K),
-H (S, n, K)) through an (R, B) index of rows, and every operation in it is
+round's inputs by index from a row table (F (S, K), U (M, S, K),
+H (n, S, K)) through a (B, R) index of rows, and every operation in it is
 elementwise per lane, so each lane is bit for bit the run it would be on
 its own.  :func:`run_lanes` plays one lane per instance over one table of
 the instances' rows (an instance is (F, G, H) stacks of input rows plus a
@@ -47,6 +47,7 @@ are played one at a time.  Where segments fall changes no output value.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -77,39 +78,47 @@ def default_config(instance: Instance, delta: float = 0.05) -> OgdConfig:
 
 def _margins(F, U, eta, B):
     """(_BLOCK,) certification margins of a B-round run on the row table
-    (F, U): entry k bounds how far two actions' computed Lagrangian values
-    can move against each other between a segment's first round and the
-    k-th round after it (the derivation is in :func:`_play`)."""
-    M = U.shape[1]
+    (F (S, K), U (M, S, K)): entry k bounds how far two actions' computed
+    Lagrangian values can move against each other between a segment's first
+    round and the k-th round after it (the derivation is in :func:`_play`)."""
+    M = U.shape[0]
     if not M:
         return np.full(_BLOCK, -1.0)  # values without duals never move
     u = 2.0**-53
-    s_max = np.abs(eta * U).max(axis=(0, 2))
-    u_max = np.abs(U).max(axis=(0, 2))
-    delta = float(s_max @ u_max) * (1.0 + u * (2 * B + 1))
-    r = (M + 2) * u * (float(np.abs(F).max()) + 2.0 * B * float(s_max @ u_max))
+    # max |.| with no table-sized |.| temporary; rounding is monotone, so
+    # fl(eta * u_max) is the largest |fl(eta * g~)|
+    u_max = np.maximum(U.max(axis=(1, 2)), -U.min(axis=(1, 2)))
+    s_max = eta * u_max
+    # summed by fsum, not BLAS, so no CPU kernel picks the order
+    su = math.fsum((s_max * u_max).tolist())
+    delta = su * (1.0 + u * (2 * B + 1))
+    r = (M + 2) * u * (float(max(F.max(), -F.min())) + 2.0 * B * su)
     r += M * 2.0**-1074
     return (2.0 * delta * np.arange(_BLOCK) + 4.0 * r) * (1.0 + 2.0**-20)
 
 
 def _play(table, index, budget, void, eta):
     """Play R lanes in lockstep from lambda_1 = 0, zero consumption and an
-    open gate: lane r plays the rows ``index[r]`` of the (R, B) index from
-    ``table`` = (F (S, K), U (S, M, K), H (S, n, K)).
+    open gate: lane r plays the rows ``index[:, r]`` of the (B, R) index
+    from ``table`` = (F (S, K), U (M, S, K), H (n, S, K)).
 
-    Rows are gathered a block of up to ``_BLOCK`` rounds at a time, with
-    eta*U and H laid out (b, M or n, R*K) so that lane r's action x is flat
-    column r*K + x.  The block is played one segment at a time.  At a
-    segment's first round t the Lagrangian values F - penalties(U, lambda_t)
-    of the next w rounds are taken in one stacked call; round t's argmax is
-    its candidate, and round t+k's argmax is certified to be round t+k's
-    candidate while, in every lane, its top-two gap exceeds margins[k] (see
-    :func:`_margins`).  The segment is round t plus the certified rounds
-    after it, up to the first uncertified one.  Its actions are known, so
-    the played columns of the dual steps and consumptions are gathered once
-    per segment, and the running consumption totals advance by one
-    sequential ``np.add.accumulate`` seeded with them; only the clipped
-    dual recursion lambda <- max(0, lambda + eta*g~) runs per round.
+    Rows are gathered a block of up to ``_BLOCK`` rounds at a time into F
+    and U buffers allocated once per call, U's laid out (M, _BLOCK, R, K) as
+    :func:`~ora_bob.lagrangian.penalties` stacks it.  The dual steps eta*U
+    are formed once, on the table; a played dual step or consumption is read
+    straight from the (M or n, S*K) tables at flat column s*K + x for row s
+    and action x, so no block of either is built.  The block is played one
+    segment at a time.  At a segment's first round t the Lagrangian values
+    F - penalties(U, lambda_t) of the next w rounds are taken in one stacked
+    call; round t's argmax is its candidate, and round t+k's argmax is
+    certified to be round t+k's candidate while, in every lane, its top-two
+    gap exceeds margins[k] (see :func:`_margins`).  The segment is round t
+    plus the certified rounds after it, up to the first uncertified one.
+    Its actions are known, so the played columns of the dual steps and
+    consumptions are gathered once per segment, and the running consumption
+    totals advance by one sequential ``np.add.accumulate`` seeded with them;
+    only the clipped dual recursion lambda <- max(0, lambda + eta*g~) runs
+    per round.
 
     A segment skips the gate check, so it starts only where the block guard
     below shows that no lane can near a cutoff within it.  Where it cannot
@@ -132,9 +141,9 @@ def _play(table, index, budget, void, eta):
     closed) and the void action after; duals are lambda_1..lambda_{B+1}.
     """
     F, U, H = table
-    R, B = index.shape
-    K = F.shape[1]
-    M, n = U.shape[1], H.shape[1]
+    B, R = index.shape
+    S, K = F.shape
+    M, n = U.shape[0], H.shape[0]
     T = budget.horizon
     # The exact per-resource gate cutoffs beta_j * T - 1.
     thresholds = [Fraction(float(b)) * T - 1 for b in budget.per_round_budget]
@@ -189,6 +198,9 @@ def _play(table, index, budget, void, eta):
     # margin.  Closed lanes record candidates too, so the gap is the
     # minimum over every lane.
     margins = _margins(F, U, eta, B)
+    # Flat (M or n, S*K) tables, row s and action x at column s*K + x; each
+    # step is the one rounding fl(eta * g~) a dual step adds.
+    steps, H = (eta * U).reshape(M, S * K), H.reshape(n, S * K)
 
     exact = {}  # open lane -> its exact consumption totals, once it nears a cutoff
     is_open = np.ones(R, dtype=bool)
@@ -205,19 +217,20 @@ def _play(table, index, budget, void, eta):
     out_duals[0] = 0.0
     acc = np.zeros((_BLOCK + 1, n, R))
     lam, cum = out_duals[0], acc[0]
-    # Per-round scratch: the played column of every lane in the flat
-    # (lane, action) axis of a block, and the gathered dual step and
-    # consumptions.
-    lane_base = np.arange(R) * K
-    pick = np.empty(R, dtype=np.int64)
+    # Block buffers, filled in place: the flat offsets s*K of each round's
+    # rows, and the gathered F and U rows.
+    row_base = np.empty((_BLOCK, R), dtype=np.intp)
+    Fb = np.empty((_BLOCK, R, K))
+    Ub = np.empty((M, _BLOCK, R, K))
+    # Per-round scratch: the played column of every lane, and the gathered
+    # dual step and consumptions.
+    pick = np.empty(R, dtype=np.intp)
     step = np.empty((M, R))
     col = np.empty((n, R))
-    # Per-segment gathers: the flat offset in a block's eta*U and H of
-    # round i's row for constraint j, plus a played column, reads round i's
-    # values of every constraint in one take.
-    row_base = np.arange(_BLOCK)[:, None, None] * (R * K)
-    step_base = row_base * M + np.arange(M)[:, None] * (R * K)
-    cons_base = row_base * n + np.arange(n)[:, None] * (R * K)
+    # Per-segment gathers: constraint j's offset in the flat tables, plus a
+    # played column, reads a round's values of every constraint in one take.
+    step_base = np.arange(M)[:, None] * (S * K)
+    cons_base = np.arange(n)[:, None] * (S * K)
     # Segment schedule: ``window`` is the widest next segment, doubled after
     # a segment certified to its end and twice the certified length after
     # one cut short.  A try cut short under 4 rounds costs more than single
@@ -229,14 +242,13 @@ def _play(table, index, budget, void, eta):
     for t0 in range(0, B, _BLOCK):
         t1 = min(t0 + _BLOCK, B)
         b = t1 - t0
-        rows = index[:, t0:t1].T  # (b, R)
-        Fb = F[rows]  # (b, R, K)
-        Ub = np.ascontiguousarray(U[rows].transpose(0, 2, 1, 3))  # (b, M, R, K)
-        Ut = Ub.transpose(1, 0, 2, 3)  # (M, b, R, K), for stacked penalties
-        # eta * g~ of every action, the products the update adds, and the
-        # consumptions, each with lanes and actions on one flat axis
-        dual_steps = (eta * Ub).reshape(b, M, R * K)
-        Hb = np.ascontiguousarray(H[rows].transpose(0, 2, 1, 3)).reshape(b, n, R * K)
+        rows = index[t0:t1]  # (b, R)
+        np.multiply(rows, K, out=row_base[:b])
+        # mode="clip" lets take write into the buffers unbuffered; every row
+        # is in range
+        F.take(rows, axis=0, out=Fb[:b], mode="clip")
+        for j in range(M):
+            U[j].take(rows, axis=0, out=Ub[j, :b], mode="clip")
         check = n and not (guard and (cum + (b + 2) <= thr_lane).all())
         i = 0
         while i < b:
@@ -248,7 +260,7 @@ def _play(table, index, budget, void, eta):
                 if w > 1 and not (cum + (w + 2) <= thr_lane).all():
                     w = 0
             if w > 1:
-                values = Fb[i:i + w] - penalties(Ut[:, i:i + w], lam[:, None])  # (w, R, K)
+                values = Fb[i:i + w] - penalties(Ub[:, i:i + w], lam[:, None])  # (w, R, K)
                 cand = values.argmax(axis=2, out=out_candidates[t:t + w])
                 L = w
                 if K > 1:
@@ -263,14 +275,14 @@ def _play(table, index, budget, void, eta):
                 else:
                     backoff = 8
                 acts = cand[:L] if all_open else np.where(is_open, cand[:L], void)
-                picks = (lane_base + acts)[:, None, :]  # (L, 1, R)
-                steps = dual_steps.take(step_base[i:i + L] + picks)  # (L, M, R)
+                picks = (row_base[i:i + L] + acts)[:, None, :]  # (L, 1, R)
+                played = steps.take(step_base + picks)  # (L, M, R)
                 for k in range(L):
                     lam = out_duals[t + k + 1]
-                    np.add(out_duals[t + k], steps[k], out=lam)
+                    np.add(out_duals[t + k], played[k], out=lam)
                     np.maximum(0.0, lam, out=lam)
                 if n:
-                    Hb.take(cons_base[i:i + L] + picks, out=acc[1:L + 1])
+                    H.take(cons_base + picks, out=acc[1:L + 1])
                     np.add.accumulate(acc[:L + 1], axis=0, out=acc[:L + 1])
                     cum[...] = acc[L]
                 i += L
@@ -279,15 +291,15 @@ def _play(table, index, budget, void, eta):
             wait -= min(wait, stop - i)
             for i in range(i, stop):
                 t = t0 + i
-                values = Fb[i] - penalties(Ub[i], lam)
+                values = Fb[i] - penalties(Ub[:, i], lam)
                 candidate = values.argmax(axis=1, out=out_candidates[t])
                 if check and not (cum <= thr_lane).all():
                     near = is_open & ~(cum <= thr_fast).all(axis=0)
                     for r in np.flatnonzero(near):
                         if r not in exact:
                             # an open lane has played its candidates so far
-                            played = H[index[r, :t], :, out_candidates[:t, r]]  # (t, n)
-                            exact[r] = [exact_sum(played[:, j]) for j in range(n)]
+                            flat = index[:t, r] * K + out_candidates[:t, r]
+                            exact[r] = [exact_sum(h[flat]) for h in H]
                         if any(c > thr for c, thr in zip(exact[r], thresholds)):
                             is_open[r] = False
                             closed_at[r] = t
@@ -295,11 +307,11 @@ def _play(table, index, budget, void, eta):
                             all_open = False
                             del exact[r]  # nothing reads a closed lane's totals
                 action = candidate if all_open else np.where(is_open, candidate, void)
-                np.add(lane_base, action, out=pick)
-                np.add(lam, dual_steps[i].take(pick, axis=1, out=step), out=step)
+                np.add(row_base[i], action, out=pick)
+                np.add(lam, steps.take(pick, axis=1, out=step), out=step)
                 lam = np.maximum(0.0, step, out=out_duals[t + 1])
                 if n:
-                    np.add(cum, Hb[i].take(pick, axis=1, out=col), out=cum)
+                    np.add(cum, H.take(pick, axis=1, out=col), out=cum)
                     if exact:
                         by_lane = col.T.tolist()
                         for r, totals in exact.items():
@@ -309,6 +321,15 @@ def _play(table, index, budget, void, eta):
             i = stop
 
     return out_candidates.T, closed_at, out_duals.transpose(2, 0, 1)
+
+
+def _constraint_major(stacks):
+    """The (S, M, K) ``stacks`` joined on S into one C-contiguous (M, S, K)
+    table, so each constraint's rows are one (S, K) table.  (concatenate
+    would keep the transposed inputs' layout.)"""
+    _, M, K = stacks[0].shape
+    out = np.empty((M, sum(map(len, stacks)), K))
+    return np.concatenate([s.transpose(1, 0, 2) for s in stacks], axis=1, out=out)
 
 
 def run(instance: Instance, config: OgdConfig) -> Trajectory:
@@ -352,9 +373,10 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
             )
     start = np.cumsum([0] + [len(inst.rows[0]) for inst in distinct]).tolist()
     offset = dict(zip(map(id, distinct), start))
-    parts = [(i.rows[0], i.unified_rows, i.rows[2]) for i in distinct]
-    table = tuple(map(np.concatenate, zip(*parts)))  # (F, U, H)
-    index = np.stack([offset[id(inst)] + inst.index for inst in instances])
+    table = (np.concatenate([i.rows[0] for i in distinct]),
+             _constraint_major([i.unified_rows for i in distinct]),
+             _constraint_major([i.rows[2] for i in distinct]))
+    index = np.stack([offset[id(inst)] + inst.index for inst in instances], axis=1)
     candidates, closed_at, duals = _play(
         table, index, first.budget, first.actions.void_index, config.eta)
     return (Trajectory(inst, candidates[r], closed_at[r], duals[r], config.eta, config.delta)

@@ -4,12 +4,13 @@ A trace file is `# key=value` header lines followed by one CSV row per
 round.  The same column computation, a block of ROUND_BLOCK rounds at a
 time, feeds the writer and the audit's exactness check, so any hand-edited
 cell shows up as a bitwise mismatch against the deterministic re-run.  The
-writer formats and writes one block of rows at a time, through
-:func:`ora_bob.serialization.write_text_atomic`, the one write-to-temp-then-
-rename routine, so it never holds the whole file text.  The reader is
-header-first: :func:`read_trace_header` checks the header and counts the
-data rows without parsing them, and :func:`read_trace_blocks` parses them a
-block at a time, so the audit never holds a trace's whole columns.
+writer formats and writes a fixed slice of FORMAT_ROWS rows at a time,
+through :func:`ora_bob.serialization.write_text_atomic`, the one
+write-to-temp-then-rename routine, so the text it holds is one slice's.
+The reader is header-first: :func:`read_trace_header` checks the header
+and counts the data rows without parsing them, and
+:func:`read_trace_blocks` parses them a block at a time, so the audit
+never holds a trace's whole columns.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ REQUIRED_HEADER_KEYS = (
     "schema_version", "T", "K", "m", "n", "eta", "delta", "seed", "rng", "instance_hash",
     "config",
 )
+
+
+#: Rows the trace writer formats into one chunk of text: a slice of a
+#: column block, so the strings held at once do not grow with ROUND_BLOCK.
+FORMAT_ROWS = 128
 
 
 class TraceFormatError(ValueError):
@@ -86,23 +92,24 @@ def trace_column_blocks(trajectory: Trajectory) -> Iterator[dict[str, np.ndarray
         yield cols
 
 
-def _format_rows(cols: dict[str, np.ndarray]) -> str:
-    """The CSV rows of a block of columns: integers as ``str``, floats as
+def _format_rows(columns: list[np.ndarray]) -> str:
+    """The CSV rows of equal-length columns: integers as ``str``, floats as
     their shortest round-trip ``repr``."""
-    cells = [list(map(str if a.dtype.kind in "iu" else repr, a.tolist())) for a in cols.values()]
+    cells = [list(map(str if a.dtype.kind in "iu" else repr, a.tolist())) for a in columns]
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_trace_csv(path, trajectory: Trajectory, header: dict) -> None:
-    """Write the trace atomically, one block of ROUND_BLOCK rows formatted
-    and written at a time."""
+    """Write the trace atomically, FORMAT_ROWS rows formatted and written at
+    a time."""
 
     def chunks():
         for i, cols in enumerate(trace_column_blocks(trajectory)):
             if not i:
                 lines = [f"# {key}={value}" for key, value in header.items()]
                 yield "\n".join(lines + [",".join(cols)]) + "\n"
-            yield _format_rows(cols)
+            for lo in range(0, len(cols["t"]), FORMAT_ROWS):
+                yield _format_rows([a[lo : lo + FORMAT_ROWS] for a in cols.values()])
 
     write_text_atomic(path, chunks())
 

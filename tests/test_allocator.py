@@ -409,18 +409,24 @@ class TestRunBatch:
             with pytest.raises(ValidationError, match="lane 1 differs from lane 0"):
                 run_lanes([paced, other], config)
 
-    def test_batch_holds_only_the_loop_state(self):
-        """Once run_lanes returns, before a lane is consumed, a batch holds
-        each lane's candidates and duals, 8 + 8M bytes a lane-round; each
-        lane's record, consumption totals included, is built as it is
-        yielded, and is run()'s bit for bit."""
+    def sixteen_lanes(self):
+        """16 sampled S = 40, T = 2000 lanes (M = 4, n = 2), their unified
+        rows cached, and the schedule's config."""
         T, M, n = 2000, 4, 2
         model = ob.random_model(11, S=40, K=4, m=M - n, n=n, feasibility_margin=0.2,
                                 horizon=T)
         instances = [sample_instance(model, T, seed) for seed in range(16)]
         for inst in instances:
             inst.unified_rows  # cached outside the measurement
-        config = OgdConfig(eta=learning_rate(T, M, 0.05), delta=0.05)
+        return instances, OgdConfig(eta=learning_rate(T, M, 0.05), delta=0.05)
+
+    def test_batch_holds_only_the_loop_state(self):
+        """Once run_lanes returns, before a lane is consumed, a batch holds
+        each lane's candidates and duals, 8 + 8M bytes a lane-round; each
+        lane's record, consumption totals included, is built as it is
+        yielded, and is run()'s bit for bit."""
+        instances, config = self.sixteen_lanes()
+        T, M = instances[0].horizon, instances[0].num_constraints
         tracemalloc.start()
         try:
             lanes = run_lanes(instances, config)
@@ -430,6 +436,22 @@ class TestRunBatch:
         assert held <= (8 + 8 * M) * len(instances) * T + 64 * 1024
         for inst, lane in zip(instances, lanes):
             assert_same_trajectory(lane, run(inst, config))
+
+    def test_round_loop_working_set_is_fixed(self):
+        """The round loop fills block buffers allocated once per call and
+        reads its dual steps from one eta*U table, so above the outputs it
+        holds, run_lanes peaks at about 2.4 MiB here.  Building each block's
+        arrays afresh (the F and U rows, a transposed copy of U, eta*U and
+        two copies of the H rows) peaked at 3.0 MiB."""
+        instances, config = self.sixteen_lanes()
+        tracemalloc.start()
+        try:
+            lanes = run_lanes(instances, config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 2.75 * 2**20, (peak - held) / 2**20
+        assert len(list(lanes)) == len(instances)
 
     def test_single_lane(self):
         model = ob.random_model(9, S=7, K=4, m=1, n=2, feasibility_margin=0.2,
@@ -691,7 +713,14 @@ def _lanes_on_a_grid(draw):
     return [instances[p] for p in picks]
 
 
-@given(_lanes_on_a_grid(), st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e))
+#: Learning rates from 1e-4 to 1, and two at which eta * g~ is subnormal
+#: (1e-310) or rounds to +-0 (5e-324): the allocator must round each dual
+#: step exactly as the reference does.
+_ETAS = st.one_of(st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e),
+                  st.sampled_from([1e-310, 5e-324]))
+
+
+@given(_lanes_on_a_grid(), _ETAS)
 def test_run_lanes_matches_the_reference_loop(lanes, eta):
     config = OgdConfig(eta=eta, delta=0.05)
     for lane, tr in zip(lanes, run_lanes(lanes, config)):
@@ -705,7 +734,7 @@ def test_run_lanes_matches_the_reference_loop(lanes, eta):
             assert got.tobytes() == value.tobytes(), key
 
 
-@given(_lanes_on_a_grid(), st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e))
+@given(_lanes_on_a_grid(), _ETAS)
 def test_no_recorded_dual_has_its_sign_bit_set(lanes, eta):
     """Trajectory.dual_l1 sums the duals as they are, which is their l1 norm
     only while none is -0.0.  Every zero general cost here is -0.0, so the

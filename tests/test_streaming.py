@@ -12,7 +12,7 @@ import pytest
 
 import ora_bob as ob
 from ora_bob import cli, serialization as ser, traceio
-from ora_bob.core import ROUND_BLOCK
+from ora_bob.core import ROUND_BLOCK, ActionSet, BudgetSpec, Instance
 from ora_bob.dual_ogd import OgdConfig, dominance
 from ora_bob.lagrangian import penalties
 from rowstacks import rewards_stack, trace_columns, unified_stack
@@ -199,6 +199,38 @@ def test_streamed_routines_peak_bounded(tmp_path, T):
         finally:
             tracemalloc.stop()
         assert peak < PEAK_BOUND, (name, peak)
+
+
+def test_trace_writer_peak_is_one_slice_of_rows(tmp_path):
+    """The writer formats FORMAT_ROWS rows at a time.  Formatting a whole
+    ROUND_BLOCK of rows at once held about 1 MiB (its cells' repr strings,
+    the row strings and their join); a slice of 128 rows holds about
+    160 KiB, with the block's columns."""
+    model = ob.random_model(3, S=40, K=4, m=2, n=2, feasibility_margin=0.2)
+    inst = ob.sample_instance(model, 2000, 1)
+    tr = ob.run(inst, ob.default_config(inst))
+    trace_columns(tr)  # caches tr's running totals, as the run summary does before a write
+    tracemalloc.start()
+    try:
+        traceio.write_trace_csv(tmp_path / "t.csv", tr, _header(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
+
+
+def test_signed_zero_cells_keep_their_text(tmp_path):
+    """Rounds whose rewards are 0.0 and -0.0, in one slice of rows and
+    across slice edges, are written as "0.0" and "-0.0"."""
+    T = 2 * traceio.FORMAT_ROWS + 44
+    rewards = np.array([[0.0], [-0.0]])
+    inst = Instance(ActionSet(1, 0), BudgetSpec(T, []),
+                    (rewards, np.zeros((2, 0, 1)), np.zeros((2, 0, 1))), np.arange(T) % 2)
+    path = tmp_path / "t.csv"
+    traceio.write_trace_csv(path, ob.run(inst, OgdConfig(eta=0.05)), _header(T))
+    lines = path.read_text().splitlines()[len(_header(T)):]
+    column = lines[0].split(",").index("reward")
+    assert [row.split(",")[column] for row in lines[1:]] == ["0.0", "-0.0"] * (T // 2)
 
 
 @pytest.mark.parametrize("T", [2_000, 64_000])
