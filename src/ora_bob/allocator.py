@@ -8,9 +8,10 @@ play the void action; then update the duals with the unified constraint
 vector of the action actually played.  The -1 slack plus h <= 1 per round
 makes the hard caps beta_j*T unbreakable.
 
-The gate comparison is evaluated in exact rational arithmetic over the
-stored values (every float is an exact rational), so the hard caps hold in
-real arithmetic, not merely up to float rounding: otherwise a budget like
+The gate comparison is evaluated exactly over the stored values, in
+integers that count units of 2**-1074 (every float is a whole number of
+them, see :data:`~ora_bob.core.EXACT_BITS`), so the hard caps hold in real
+arithmetic, not merely up to float rounding: otherwise a budget like
 1/3 whose cap beta*T rounds upward could admit one play too many.  Recorded
 consumptions stay ordinary floats.
 
@@ -48,12 +49,11 @@ are played one at a time.  Where segments fall changes no output value.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .core import Instance, Trajectory, ValidationError, exact_sum
+from .core import EXACT_BITS, Instance, Trajectory, ValidationError, exact_sum, exact_value
 from .dual_ogd import OgdConfig, learning_rate
 from .lagrangian import penalties
 
@@ -128,8 +128,9 @@ def _play(table, index, budget, void, eta):
     2. check the gate, unless the block guard holds: the float totals are
        compared with a pre-filter, and only a lane past it has its totals
        summed exactly (once, by :func:`~ora_bob.core.exact_sum`, then kept
-       as Fractions until its gate closes) and compared with the exact cutoffs
-       beta_j*T - 1;
+       as integers in units of 2**-EXACT_BITS, adding each round's
+       :func:`~ora_bob.core.exact_value`, until its gate closes) and
+       compared with the exact cutoffs beta_j*T - 1 in the same units;
     3. play the candidate in open lanes and the void action in closed ones,
        gathering the played column of each lane with one flat index for both
        the dual step and the consumption totals.
@@ -145,14 +146,16 @@ def _play(table, index, budget, void, eta):
     S, K = F.shape
     M, n = U.shape[0], H.shape[0]
     T = budget.horizon
-    # The exact per-resource gate cutoffs beta_j * T - 1.
-    thresholds = [Fraction(float(b)) * T - 1 for b in budget.per_round_budget]
+    # The exact per-resource gate cutoffs beta_j * T - 1, in units of
+    # 2**-EXACT_BITS.
+    unit = 1 << EXACT_BITS
+    thresholds = [exact_value(b) * T - unit for b in budget.per_round_budget]
     # Float pre-filter for the gate: below thr_fast the exact comparison is
     # guaranteed to pass (band dominates the worst-case accumulation drift
     # of up to T float additions plus the threshold's own rounding), so the
-    # exact rational comparison only runs once a resource nears its cutoff.
+    # exact comparison only runs once a resource nears its cutoff.
     band = (4.0 * T + 8.0) * np.spacing(budget.limits + T)
-    thr_fast = (np.array([float(thr) for thr in thresholds]) - band)[:, None]
+    thr_fast = (np.array([thr / unit for thr in thresholds]) - band)[:, None]
 
     # Block guard.  Validation bounds every consumption to [0, 1], so a
     # lane's float total after k <= T rounds stays below 2T, and each float
@@ -317,7 +320,7 @@ def _play(table, index, budget, void, eta):
                         for r, totals in exact.items():
                             for j, h in enumerate(by_lane[r]):
                                 if h:
-                                    totals[j] += Fraction(h)
+                                    totals[j] += exact_value(h)
             i = stop
 
     return out_candidates.T, closed_at, out_duals.transpose(2, 0, 1)

@@ -25,7 +25,6 @@ duals as one (T+1, M) array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +40,9 @@ MAX_HORIZON = 2**53
 #: 2**117, and the allocator's margins stay finite (a beta near 1e300
 #: overflows them).
 MAX_BUDGET = 2**64
+#: Exact sums count in units of 2**-EXACT_BITS, the smallest subnormal: every
+#: finite float, and every exact sum of floats, is an integer number of them.
+EXACT_BITS = 1074
 
 
 class ValidationError(ValueError):
@@ -295,13 +297,15 @@ class Trajectory:
     def actions(self) -> np.ndarray:
         return _frozen(np.where(self.gate_open, self.candidates, self.instance.actions.void_index))
 
+    # A fancy-index gather is a fresh C-contiguous float64 array (its index
+    # dimensions lead), so each lookup freezes it as it is, with no copy.
     @cached_property
     def rewards(self) -> np.ndarray:
-        return _readonly(self.instance.rows[0][self.instance.index, self.actions])
+        return _frozen(self.instance.rows[0][self.instance.index, self.actions])
 
     @cached_property
     def unified_values(self) -> np.ndarray:
-        return _readonly(self.instance.unified_rows[self.instance.index, :, self.actions])
+        return _frozen(self.instance.unified_rows[self.instance.index, :, self.actions])
 
     @cached_property
     def cumulative_reward(self) -> np.ndarray:
@@ -343,18 +347,19 @@ class Trajectory:
         return self.instance.num_constraints
 
 
-def exact_sum(values: np.ndarray) -> Fraction:
-    """The exact rational sum of float ``values``.
+def exact_sum(values: np.ndarray) -> int:
+    """The exact sum of float ``values``, in units of 2**-EXACT_BITS.
 
     Every finite float is ``mant * 2**(e - 53)`` with ``mant = frac * 2**53``
     an integer below 2**53 (``frac, e = np.frexp(v)``, subnormals included).
     The floats are grouped by exponent with one stable sort, and each group's
     mantissas are summed in two 26-bit int64 halves, so no partial sum can
     overflow below 2**36 values; the group sums then meet in one Python
-    integer over the smallest power of two.
+    integer over the smallest power of two, which is rescaled to the unit.
+    The sum is a whole number of units, so the rescaling is exact.
     """
     if not values.size:
-        return Fraction(0)
+        return 0
     frac, exp = np.frexp(values)
     mant = (frac * 2.0**53).astype(np.int64)
     exp = exp.astype(np.int64)
@@ -366,7 +371,16 @@ def exact_sum(values: np.ndarray) -> Fraction:
     shifts = (exp[starts] - 53).tolist()
     base = shifts[0]
     num = sum(((h << 26) + lo) << (s - base) for h, lo, s in zip(high, low, shifts))
-    return Fraction(num, 1 << -base) if base < 0 else Fraction(num << base)
+    base += EXACT_BITS
+    return num << base if base >= 0 else num >> -base
+
+
+def exact_value(x: float) -> int:
+    """The finite float ``x`` in units of 2**-EXACT_BITS: its
+    ``as_integer_ratio`` denominator is a power of two no larger than
+    2**EXACT_BITS."""
+    num, den = float(x).as_integer_ratio()
+    return num << (EXACT_BITS + 1 - den.bit_length())
 
 
 PROB_SUM_TOL = 1e-12

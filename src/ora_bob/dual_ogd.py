@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_HORIZON, ROUND_BLOCK, Trajectory, ValidationError, exact_sum
+from .core import (
+    EXACT_BITS, MAX_HORIZON, ROUND_BLOCK, Trajectory, ValidationError, exact_sum, exact_value,
+)
 from .lagrangian import penalties
 
 #: Absolute slack for audit inequalities, sized against double-precision
@@ -123,17 +124,19 @@ def dual_drift_audit(trajectory: Trajectory) -> float:
 
 def budget_exactness(trajectory: Trajectory) -> dict:
     """Each resource's exact played total is at most its exact cap beta_j * T
-    (either float can round across the cap); ``final`` and ``limits`` are
-    those two rounded once."""
+    (either float can round across the cap), both counted as integers in
+    units of 2**-EXACT_BITS; ``final`` and ``limits`` are those two rounded
+    once, by integer true division, which is correctly rounded."""
     instance, T = trajectory.instance, trajectory.horizon
     beta = instance.budget.per_round_budget
     if not beta.size:
         return {"ok": None, "status": "not_applicable"}
     h = instance.rows[2]
     totals = [exact_sum(h[instance.index, j, trajectory.actions]) for j in range(beta.size)]
-    caps = [Fraction(float(b)) * T for b in beta]
+    caps = [exact_value(b) * T for b in beta]
+    unit = 1 << EXACT_BITS
     return {"ok": all(total <= cap for total, cap in zip(totals, caps)),
-            "final": [float(total) for total in totals], "limits": [float(cap) for cap in caps]}
+            "final": [total / unit for total in totals], "limits": [cap / unit for cap in caps]}
 
 
 def dual_drift(trajectory: Trajectory) -> dict:

@@ -29,8 +29,8 @@ round sequence only and encodes each distinct row once.  The index is
 streamed to sha256 a block of rounds at a time, and
 :func:`write_text_atomic`, the one write-to-temp-then-rename routine, takes
 the text as one string or as chunks, so neither holds a T-long text.
-sha256 is the built-in one until a process has hashed OPENSSL_HASH_BYTES
-(see :func:`_sha256`).
+sha256 is the built-in one for a text below OPENSSL_HASH_BYTES, unless
+OpenSSL is already loaded (see :func:`_sha256`).
 """
 
 from __future__ import annotations
@@ -49,9 +49,11 @@ from .core import (
     ROUND_BLOCK, ActionSet, BudgetSpec, Instance, StochasticModel, ValidationError,
 )
 
-OPENSSL_HASH_BYTES = 1 << 18
+#: The size of one text from which its hash repays loading OpenSSL, which
+#: costs about 3 ms and 3.5 MiB: OpenSSL's sha256 hashes about 1,400 MB/s and
+#: the built-in one about 250 (2-vCPU x86-64 VM), so they break even near 1 MB.
+OPENSSL_HASH_BYTES = 1 << 20
 _BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
-_hashed_bytes = 0  # by this process; it picks the provider, never the digest
 
 
 class SchemaError(ValueError):
@@ -246,11 +248,11 @@ def canonical_json(obj: Any) -> str:
 
 
 def _sha256(nbytes: int):
-    """sha256 for ``nbytes`` more bytes: the built-in one until this process has hashed
-    OPENSSL_HASH_BYTES, as hashlib loads OpenSSL (ROADMAP); then, or lacking it, hashlib's."""
-    global _hashed_bytes
-    _hashed_bytes += nbytes
-    if _hashed_bytes < OPENSSL_HASH_BYTES:
+    """sha256 for one text of ``nbytes`` bytes: the built-in one below
+    OPENSSL_HASH_BYTES, as hashlib loads OpenSSL (ROADMAP); hashlib's for a
+    larger text, once OpenSSL is loaded, or lacking a built-in one.  The
+    provider never shows in a digest."""
+    if nbytes < OPENSSL_HASH_BYTES and "_hashlib" not in sys.modules:
         with contextlib.suppress(ImportError):
             return importlib.import_module(_BUILTIN_SHA256).sha256
     return importlib.import_module("hashlib").sha256

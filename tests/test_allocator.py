@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,9 @@ from ora_bob.allocator import (
     run_lanes,
 )
 from ora_bob.core import (
+    EXACT_BITS,
+    MAX_BUDGET,
+    MAX_HORIZON,
     ActionSet,
     BudgetSpec,
     Instance,
@@ -22,6 +26,7 @@ from ora_bob.core import (
     StochasticModel,
     ValidationError,
     exact_sum,
+    exact_value,
 )
 from ora_bob.dual_ogd import OgdConfig, learning_rate
 from ora_bob.environments import build_generator, sample_instance
@@ -205,7 +210,7 @@ class TestReferenceEquivalence:
         [
             (lambda: ob.random_instance(
                 5, T=60, K=3, m=1, n=2, feasibility_margin=0.25), False),
-            # beta = 1/3: the gate is decided on the exact-Fraction path
+            # beta = 1/3: the gate is decided on the exact integer path
             (lambda: draining_instance(30, 1.0 / 3.0), True),
             (lambda: ob.random_instance(
                 13, T=60, K=3, m=1, n=2, feasibility_margin=0.25), True),
@@ -363,7 +368,7 @@ class TestRunBatch:
         assert max(taus) < 2000 and len(set(taus)) > 1
 
     def test_nondyadic_draining_lanes(self):
-        # beta = 1/3: the gate is decided on the exact-Fraction path, at a
+        # beta = 1/3: the gate is decided on the exact integer path, at a
         # different round in each lane
         config = OgdConfig(eta=1e-5, delta=0.05)
         lanes = self.check(draining_model(), 30, list(range(6)), config)
@@ -673,12 +678,33 @@ def test_round_loop_digests_frozen(case):
     np.where(np.arange(400) % 3 == 0, 0.0, np.random.default_rng(5).random(400)),
 ], ids=["empty", "subnormal_and_one", "exponents", "many_ones", "random_with_zeros"])
 def test_exact_sum_is_the_rational_sum(values):
-    assert exact_sum(values) == sum(map(Fraction, values.tolist()), Fraction(0))
+    total = Fraction(exact_sum(values), 2**EXACT_BITS)
+    assert total == sum(map(Fraction, values.tolist()), Fraction(0))
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(0.0), max_size=40))
 def test_exact_sum_random(values):
-    assert exact_sum(np.array(values, dtype=np.float64)) == sum(map(Fraction, values), Fraction(0))
+    total = Fraction(exact_sum(np.array(values, dtype=np.float64)), 2**EXACT_BITS)
+    assert total == sum(map(Fraction, values), Fraction(0))
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, 5e-324, 2.0**-1022 - 5e-324, 2.0**-1022, sys.float_info.max, float(MAX_BUDGET),
+    np.float64(1 / 3),
+], ids=["zero", "negative_zero", "smallest_subnormal", "largest_subnormal", "smallest_normal",
+        "largest_finite", "max_budget", "numpy_third"])
+def test_exact_value_is_the_float_in_units(x):
+    value = exact_value(x)
+    assert type(value) is int and Fraction(value, 2**EXACT_BITS) == Fraction(float(x))
+
+
+def test_gate_cutoff_at_the_largest_horizon():
+    """The allocator's cutoff beta*T - 1, in units, and the float it is
+    rounded to for the pre-filter, at beta = 1/3 and T = MAX_HORIZON."""
+    beta, T = 1 / 3, MAX_HORIZON
+    cutoff = exact_value(beta) * T - 2**EXACT_BITS
+    assert Fraction(cutoff, 2**EXACT_BITS) == Fraction(beta) * T - 1
+    assert cutoff / 2**EXACT_BITS == float(Fraction(beta) * T - 1)
 
 
 # H holds -0.0, which validation accepts: a lane whose first played

@@ -1000,27 +1000,22 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert result.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (("gen", "--generator", "pacing", "--out", "pacing.json"), False),
-        (("sweep", "--instance", "model.json", "--T", "100,200", "--seeds", "0:1",
-          "--benchmark", "lp", "--out", "out"), False),
-        (("run", "--instance", "model.json", "--T", "2000", "--seeds", "0:8", "--out", "out"),
-         False),
-        (("audit", "traces/c_0.csv", "traces/c_1.csv", "--pairs", "200"), False),
-        (("run", "--instance", "model.json", "--T", "200", "--seeds", "0:50", "--out", "out"),
-         True),
-    ],
-    ids=["gen", "sweep_lp", "run_T2000", "audit_T8000", "run_50_cells"],
-)
-def test_openssl_loaded_only_past_the_hash_threshold(tmp_path, capsys, argv, loaded):
-    """A command that hashes less than OPENSSL_HASH_BYTES in all never loads
-    hashlib's OpenSSL module; one that hashes more keeps it.  Each command
-    runs in a fresh process, since pytest itself may have loaded it.  An
-    instance hashes its distinct rows once, so eight S = 40 cells at
-    T = 2000 hash about 155 KB and an audit of two T = 8000 traces about
-    72 KB; fifty cells at T = 200 hash about 714 KB."""
+#: Commands each probe below runs in a fresh process, in a directory that
+#: holds an S = 40 model and, for the audit, two T = 8000 traces of it.
+FRESH_COMMANDS = {
+    "gen": ("gen", "--generator", "pacing", "--out", "pacing.json"),
+    "sweep_lp": ("sweep", "--instance", "model.json", "--T", "100,200", "--seeds", "0:1",
+                 "--benchmark", "lp", "--out", "out"),
+    "run_T2000": ("run", "--instance", "model.json", "--T", "2000", "--seeds", "0:8",
+                  "--out", "out"),
+    "audit_T8000": ("audit", "traces/c_0.csv", "traces/c_1.csv", "--pairs", "200"),
+}
+
+
+def _fresh_command(tmp_path, capsys, argv, probe):
+    """The words ``probe`` prints after it runs ``ora-bob argv`` (its
+    ``sys.argv[1:]``) in a fresh process, since pytest itself may have
+    loaded what the probe looks for."""
     run_cli(capsys, "gen", "--generator", "random_model", "--param", "S=40", "--param", "K=4",
             "--param", "m=2", "--param", "n=2", "--param", "seed=2",
             "--out", str(tmp_path / "model.json"))
@@ -1029,17 +1024,56 @@ def test_openssl_loaded_only_past_the_hash_threshold(tmp_path, capsys, argv, loa
                        "--seeds", "0:2", "--out", str(tmp_path / "traces"), "--name", "c")[0] == 0
     src = os.path.dirname(os.path.dirname(ob.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = ("import sys; from ora_bob import cli, serialization as ser; "
-             "before = '_hashlib' in sys.modules; code = cli.main(sys.argv[1:]); "
-             "print(code, ser._hashed_bytes >= ser.OPENSSL_HASH_BYTES, before, "
-             "'_hashlib' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
                             capture_output=True, text=True, check=True)
-    code, past, before, after = result.stdout.split()[-4:]
+    return result.stdout.split()
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        *((argv, False) for argv in FRESH_COMMANDS.values()),
+        (("run", "--instance", "model.json", "--T", "200", "--seeds", "0:50", "--out", "out"),
+         False),
+        (("gen", "--generator", "random_model", "--param", "S=4000", "--param", "K=4",
+          "--param", "m=2", "--param", "n=2", "--out", "model4000.json"), True),
+    ],
+    ids=[*FRESH_COMMANDS, "run_50_cells", "gen_S4000"],
+)
+def test_openssl_loaded_only_past_the_hash_threshold(tmp_path, capsys, argv, loaded):
+    """A command none of whose hashes reaches OPENSSL_HASH_BYTES never loads
+    hashlib's OpenSSL module, however much it hashes in all; one hash that
+    reaches it loads it.  An instance hashes its distinct rows once, so
+    eight S = 40 cells at T = 2000 hash about 155 KB, an audit of two
+    T = 8000 traces about 72 KB and fifty cells at T = 200 about 714 KB,
+    each cell below 20 KB; an S = 4000 model is one text of about 1.4 MB."""
+    probe = ("import sys; from ora_bob import cli, serialization as ser; "
+             "sizes, sha256 = [0], ser._sha256; "
+             "ser._sha256 = lambda nbytes: sizes.append(nbytes) or sha256(nbytes); "
+             "before = '_hashlib' in sys.modules; code = cli.main(sys.argv[1:]); "
+             "print(code, max(sizes) >= ser.OPENSSL_HASH_BYTES, before, "
+             "'_hashlib' in sys.modules)")
+    code, past, before, after = _fresh_command(tmp_path, capsys, argv, probe)[-4:]
     assert (code, past) == ("0", str(loaded))
     if before == "True" and not loaded:
         pytest.skip("this numpy loads OpenSSL on import (numpy.random -> secrets -> hmac)")
     assert after == str(loaded)
+
+
+@pytest.mark.parametrize("argv", FRESH_COMMANDS.values(), ids=list(FRESH_COMMANDS))
+def test_no_command_loads_fractions_or_decimal(tmp_path, capsys, argv):
+    """The budget gate and audit count in integers, so no command imports
+    fractions (which imports decimal); together they would add about
+    0.4 MiB to the command's peak memory."""
+    probe = ("import sys, numpy; names = {'fractions', 'decimal'}; "
+             "before = bool(names & set(sys.modules)); from ora_bob import cli; "
+             "code = cli.main(sys.argv[1:]); "
+             "print(code, before, ','.join(sorted(names & set(sys.modules))) or '-')")
+    code, before, loaded = _fresh_command(tmp_path, capsys, argv, probe)[-3:]
+    assert code == "0"
+    if before == "True":
+        pytest.skip("importing this numpy alone loads fractions or decimal")
+    assert loaded == "-"
 
 
 #: Two files as the schema_version 1 program wrote them: the instance_hash

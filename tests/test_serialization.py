@@ -329,29 +329,37 @@ def _hash_sources():
 @pytest.mark.parametrize("threshold", [1 << 40, 0], ids=["builtin", "openssl"])
 def test_hash_providers_give_equal_digests(monkeypatch, threshold):
     """The provider never shows in a digest: with every text below the
-    threshold (the built-in sha256) or above it (OpenSSL's), each digest is
-    hashlib's of the canonical text, and the running total counts its bytes."""
+    threshold and OpenSSL not loaded (the built-in sha256) or every text
+    above it (OpenSSL's), each digest is hashlib's of the canonical text,
+    and the size each hash is chosen by is its text's."""
     monkeypatch.setattr(ser, "OPENSSL_HASH_BYTES", threshold, raising=False)
-    monkeypatch.setattr(ser, "_hashed_bytes", 0, raising=False)
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    sizes, sha256 = [], ser._sha256
+    monkeypatch.setattr(ser, "_sha256", lambda nbytes: sizes.append(nbytes) or sha256(nbytes))
     model, sampled = _hash_sources()
     assert ser.content_hash(ser.to_dict(model)) == _reference_hash(ser.to_dict(model))
-    before = ser._hashed_bytes
     assert ser.instance_hash(sampled) == _reference_hash(ser.hash_form(sampled))
-    assert ser._hashed_bytes - before == len(ser.canonical_json(ser.hash_form(sampled)))
+    assert sizes == [len(ser.canonical_json(form))
+                     for form in (ser.to_dict(model), ser.hash_form(sampled))]
 
 
-def test_hash_provider_follows_the_running_total(monkeypatch):
+def test_hash_provider_follows_the_text_size(monkeypatch):
+    """Each hash picks its provider by its own size, so no number of small
+    hashes loads OpenSSL; once OpenSSL is loaded, every hash uses it."""
+    openssl = pytest.importorskip("_hashlib")
     builtin = importlib.import_module(ser._BUILTIN_SHA256).sha256
-    monkeypatch.setattr(ser, "_hashed_bytes", 0)
+    monkeypatch.delitem(sys.modules, "_hashlib")
     assert ser._sha256(ser.OPENSSL_HASH_BYTES - 1) is builtin
-    assert ser._sha256(1) is hashlib.sha256
+    assert ser._sha256(ser.OPENSSL_HASH_BYTES) is hashlib.sha256
+    assert ser._sha256(0) is builtin
+    monkeypatch.setitem(sys.modules, "_hashlib", openssl)
     assert ser._sha256(0) is hashlib.sha256
 
 
 def test_hash_falls_back_to_hashlib_without_a_builtin_module(monkeypatch):
     for name in ("_sha2", "_sha256"):
         monkeypatch.setitem(sys.modules, name, None)
-    monkeypatch.setattr(ser, "_hashed_bytes", 0)
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
     assert ser._sha256(0) is hashlib.sha256
     model, sampled = _hash_sources()
     assert ser.instance_hash(sampled) == _reference_hash(ser.hash_form(sampled))

@@ -219,6 +219,26 @@ def test_trace_writer_peak_is_one_slice_of_rows(tmp_path):
     assert peak < 256 * 1024, peak
 
 
+@pytest.mark.parametrize("name", ["rewards", "unified_values"])
+def test_trajectory_lookup_allocates_once(name):
+    """A played-value lookup is its fancy-index gather, frozen: its first
+    access peaks at its own size, where freezing a copy of the gather held
+    both (2x)."""
+    model = ob.random_model(3, S=40, K=4, m=2, n=2, feasibility_margin=0.2)
+    inst = ob.sample_instance(model, 8000, 1)
+    tr = ob.run(inst, ob.default_config(inst))
+    tr.actions, inst.unified_rows  # the cached inputs of the gathers
+    tracemalloc.start()
+    try:
+        values = getattr(tr, name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * values.nbytes, (peak, values.nbytes)
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert not values.flags.writeable
+
+
 def test_signed_zero_cells_keep_their_text(tmp_path):
     """Rounds whose rewards are 0.0 and -0.0, in one slice of rows and
     across slice edges, are written as "0.0" and "-0.0"."""
