@@ -1,12 +1,13 @@
 """Dense two-phase primal simplex for the desk-scale LPs in this package.
 
-Maximizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, on a dense
-tableau with an explicit reduced-cost row.  Pivoting uses Dantzig's rule
-(most negative reduced cost) and switches permanently to Bland's smallest-
-index rule after a stretch of pivots without objective improvement, which
-rules out cycling; the ratio test breaks ties toward the smallest basic
-variable index.  Reduced costs are compared against an absolute tolerance,
-TOL.
+Maximizes c.x subject to A_ub x <= b_ub, x >= 0 and convexity rows (each
+equality row sums its own block of consecutive variables to its b_eq entry)
+on a dense tableau with an explicit reduced-cost row.  Pivoting uses
+Dantzig's rule (most negative reduced cost) and switches permanently to
+Bland's smallest-index rule after a stretch of pivots without objective
+improvement, which rules out cycling; the ratio test breaks ties toward the
+smallest basic variable index.  Reduced costs are compared against an
+absolute tolerance, TOL.
 
 This is deliberately a small, auditable solver for the LP relaxation of
 ``oracles.opt_lp_relax``, whose tableau that module caps at
@@ -15,9 +16,9 @@ K = 4.  A pivot updates only the rows with a nonzero entry in the pivot
 column, which on that sparse LP is a small share of them, a block of rows
 at a time through a work buffer of two blocks allocated once per solve
 (``PIVOT_BLOCK_BYTES`` each, so it stays in cache).  A solve holds the
-tableau, that buffer and the inequality block: the relaxation's equality
-rows are convexity rows, which ``convexity_width`` writes straight into the
-tableau, so no dense equality block is built beside it.
+tableau, that buffer and the inequality block: ``convexity_width`` writes
+the equality rows straight into the tableau, so no dense equality block is
+built beside it.
 """
 
 from __future__ import annotations
@@ -120,45 +121,24 @@ def _iterate(tab, basis, cost, barred, max_iterations, iterations_used, work):
                 bland = True
 
 
-def solve_lp(
-    c,
-    A_ub=None,
-    b_ub=None,
-    A_eq=None,
-    b_eq=None,
-    convexity_width=None,
-) -> SimplexResult:
-    """Maximize c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0, within
-    max(5000, 50 * (rows + tableau columns)) pivots.
+def solve_lp(c, A_ub=None, b_ub=None, b_eq=None, convexity_width=None) -> SimplexResult:
+    """Maximize c.x s.t. A_ub x <= b_ub, x >= 0 and len(b_eq) convexity
+    rows, within max(5000, 50 * (rows + tableau columns)) pivots.
 
-    ``convexity_width`` w stands for the A_eq of convexity rows: equality
-    row r has ones in columns r*w to (r+1)*w - 1 and zeros elsewhere, so
-    c has len(b_eq) * w entries.  The tableau gets the same cells as from
-    that dense A_eq, which is never built; pass A_eq or w, not both."""
+    Convexity row r of width w = ``convexity_width`` has ones in columns
+    r*w to (r+1)*w - 1 and zeros elsewhere, and equals b_eq[r]; so c has
+    len(b_eq) * w entries.  Pass both b_eq and w, or neither."""
     c = np.asarray(c, dtype=np.float64).reshape(-1)
     n = c.shape[0]
-
-    def _block(A, b, name):
-        if A is None:
-            return np.zeros((0, n)), np.zeros(0)
-        A = np.asarray(A, dtype=np.float64).reshape(-1, n)
-        b = np.asarray(b, dtype=np.float64).reshape(-1)
-        if A.shape[0] != b.shape[0]:
-            raise ValueError(f"{name}: {A.shape[0]} rows but {b.shape[0]} rhs entries")
-        return A, b
-
-    A_ub, b_ub = _block(A_ub, b_ub, "A_ub")
-    if convexity_width is None:
-        A_eq, b_eq = _block(A_eq, b_eq, "A_eq")
-    else:
-        if A_eq is not None:
-            raise ValueError("pass A_eq or convexity_width, not both")
-        b_eq = np.asarray(b_eq, dtype=np.float64).reshape(-1)
-        if b_eq.shape[0] * convexity_width != n:
-            raise ValueError(
-                f"convexity_width: {b_eq.shape[0]} rows of {convexity_width} "
-                f"columns but {n} variables"
-            )
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=np.float64).reshape(-1, n)
+    b_ub = np.asarray([] if b_ub is None else b_ub, dtype=np.float64).reshape(-1)
+    if A_ub.shape[0] != b_ub.shape[0]:
+        raise ValueError(f"A_ub: {A_ub.shape[0]} rows but {b_ub.shape[0]} rhs entries")
+    b_eq = np.asarray([] if b_eq is None else b_eq, dtype=np.float64).reshape(-1)
+    if (b_eq.size or convexity_width is not None) and b_eq.size * (convexity_width or 0) != n:
+        raise ValueError(
+            f"convexity_width: {b_eq.size} rows of {convexity_width} columns but {n} variables"
+        )
     mu, me = A_ub.shape[0], b_eq.shape[0]
     rows = mu + me
 
@@ -178,9 +158,7 @@ def solve_lp(
     width = n + mu + n_art + 1
     tab = np.zeros((rows, width))
     tab[:mu, :n] = A_ub
-    if convexity_width is None:
-        tab[mu:, :n] = A_eq
-    else:
+    if me:
         tab[mu + np.arange(n) // convexity_width, np.arange(n)] = 1.0
     tab[flip, :n] *= -1.0
     tab[np.arange(mu), n + np.arange(mu)] = slack_sign

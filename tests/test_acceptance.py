@@ -175,10 +175,11 @@ def violation_sweep():
         eta = learning_rate(T, M, 0.05)
         bound = theorem_bounds(T, M, rho, 0.05)["violation"]
         vs = []
-        for s in range(30):
-            seed = rng.derive_seed(0x6E60, T * 1000 + s)
-            inst = ob.sample_instance(model, T, seed)
-            tr = ob.run(inst, OgdConfig(eta, 0.05))
+        # push_pull has no budget, so the 30 samples of one T share a
+        # lane_key and play as the lanes of one run_lanes call
+        insts = [ob.sample_instance(model, T, rng.derive_seed(0x6E60, T * 1000 + s))
+                 for s in range(30)]
+        for tr in ob.run_lanes(insts, OgdConfig(eta, 0.05)):
             v = violation(tr)
             vs.append(v)
             if not (v <= bound + AUDIT_SLACK and v <= tr.stopping_time):
@@ -215,9 +216,8 @@ def test_c07_stochastic_regret(criterion):
     T_tiny = 6
     eta = learning_rate(T_tiny, model.num_constraints, 0.05)
     regrets = []
-    for s in range(200):
-        inst = ob.sample_instance(model, T_tiny, rng.derive_seed(0x71, s))
-        tr = ob.run(inst, OgdConfig(eta, 0.05))
+    insts = [ob.sample_instance(model, T_tiny, rng.derive_seed(0x71, s)) for s in range(200)]
+    for inst, tr in zip(insts, ob.run_lanes(insts, OgdConfig(eta, 0.05))):
         regrets.append(opt_bruteforce(inst).opt_value - float(tr.rewards.sum()))
     bound = theorem_bounds(T_tiny, model.num_constraints, rho, 0.05, beta_min)["regret"]
     tiny_ok = float(np.mean(regrets)) <= bound
@@ -228,9 +228,9 @@ def test_c07_stochastic_regret(criterion):
     for T in (500, 2000, 8000):
         eta = learning_rate(T, pacing.num_constraints, 0.05)
         vals = []
-        for s in range(30):
-            inst = ob.sample_instance(pacing, T, rng.derive_seed(0x72, T * 100 + s))
-            tr = ob.run(inst, OgdConfig(eta, 0.05))
+        insts = [ob.sample_instance(pacing, T, rng.derive_seed(0x72, T * 100 + s))
+                 for s in range(30)]
+        for inst, tr in zip(insts, ob.run_lanes(insts, OgdConfig(eta, 0.05))):
             lp = opt_lp_relax(inst).opt_value
             vals.append((lp - float(tr.rewards.sum())) / T)
         means.append(float(np.mean(vals)))

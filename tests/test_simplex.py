@@ -21,9 +21,7 @@ def test_shared_capacity():
 
 def test_equality_constraints():
     # max x + y s.t. x + y = 1, x - y <= 0.5  ->  1
-    res = solve_lp(
-        [1.0, 1.0], A_ub=[[1.0, -1.0]], b_ub=[0.5], A_eq=[[1.0, 1.0]], b_eq=[1.0]
-    )
+    res = solve_lp([1.0, 1.0], A_ub=[[1.0, -1.0]], b_ub=[0.5], b_eq=[1.0], convexity_width=2)
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.x.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -31,26 +29,21 @@ def test_equality_constraints():
 def test_distribution_rows_like_the_relaxation():
     # two convexity rows, one coupling row: the structure opt_lp_relax builds
     c = [1.0, 0.0, 0.8, 0.0]
-    A_eq = [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]
-    b_eq = [1.0, 1.0]
     A_ub = [[1.0, 0.0, 1.0, 0.0]]  # picking both rewarding actions is capped
-    b_ub = [1.0]
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    res = solve_lp(c, A_ub=A_ub, b_ub=[1.0], b_eq=[1.0, 1.0], convexity_width=2)
     assert res.value == pytest.approx(1.0, abs=1e-9)
-    # the same rows given by their width: bitwise the same solve
-    rows = solve_lp(c, A_ub=A_ub, b_ub=b_ub, b_eq=b_eq, convexity_width=2)
-    assert (rows.value, rows.x.tobytes(), rows.iterations) == (
-        res.value, res.x.tobytes(), res.iterations)
+    assert res.x[:2].sum() == pytest.approx(1.0, abs=1e-9)
+    assert res.x[2:].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"A_eq": [[1.0, 1.0, 0.0, 0.0]], "b_eq": [1.0], "convexity_width": 2},
-         "A_eq or convexity_width, not both"),
         ({"b_eq": [1.0], "convexity_width": 2}, "1 rows of 2 columns but 4 variables"),
+        ({"b_eq": [1.0, 1.0]}, "2 rows of None columns but 4 variables"),
+        ({"convexity_width": 2}, "0 rows of 2 columns but 4 variables"),
     ],
-    ids=["both", "width_mismatch"],
+    ids=["width_mismatch", "b_eq_without_width", "width_without_b_eq"],
 )
 def test_convexity_width_refuses_a_mismatch(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -81,7 +74,7 @@ def test_unbounded_detected():
 def test_infeasible_detected():
     # x = -1 is impossible for x >= 0
     with pytest.raises(SimplexError, match="infeasible"):
-        solve_lp([1.0], A_eq=[[1.0]], b_eq=[-1.0])
+        solve_lp([1.0], b_eq=[-1.0], convexity_width=1)
 
 
 def test_negative_rhs_inequality_flips():
@@ -91,7 +84,7 @@ def test_negative_rhs_inequality_flips():
 
 
 def test_zero_objective_feasible():
-    res = solve_lp([0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
+    res = solve_lp([0.0, 0.0], b_eq=[1.0], convexity_width=2)
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -126,7 +119,8 @@ def _full_update_pivot(tab, red, basis, r, q, work):
 def _sparse_lps(count):
     gen = np.random.default_rng(7)
     for k in range(count):
-        n, mu, me = gen.integers(2, 20), gen.integers(0, 8), gen.integers(0, 4)
+        mu, me, w = gen.integers(0, 8), gen.integers(0, 4), gen.integers(2, 9)
+        n = me * w if me else gen.integers(2, 20)
 
         def mat(rows):
             # integer entries half the time, for ties and degenerate vertices
@@ -134,16 +128,18 @@ def _sparse_lps(count):
             a[gen.random((rows, n)) < 0.5] = 0.0
             return a
 
+        # me convexity rows of width w, met by x0 >= 0; the inequality rows
+        # are met by x0 or not at random
+        x0 = gen.random(n)
         A_ub = np.vstack([mat(mu), np.ones((1, n))])
-        b_ub = np.append(gen.normal(size=mu), 10.0)
-        A_eq = mat(me)
-        b_eq = A_eq @ np.abs(gen.normal(size=n))
-        yield mat(1)[0], A_ub, b_ub, A_eq, b_eq
+        b_ub = np.append(A_ub[:mu] @ x0 + gen.normal(size=mu), 10.0)
+        b_eq = x0.reshape(me, w).sum(axis=1) if me else None
+        yield mat(1)[0], A_ub, b_ub, b_eq, w if me else None
 
 
-def _outcome(c, A_ub, b_ub, A_eq, b_eq):
+def _outcome(c, A_ub, b_ub, b_eq, width):
     try:
-        res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+        res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, b_eq=b_eq, convexity_width=width)
     except SimplexError as e:
         return str(e), e.iterations
     return res.value.hex(), (res.x + 0.0).tobytes(), res.iterations
