@@ -24,7 +24,7 @@ from .core import (
 )
 from .dual_ogd import (
     OgdConfig,
-    dual_drift_audit,
+    dual_drift,
     dual_penalty,
     interval_regret_audit,
     learning_rate,

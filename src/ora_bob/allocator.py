@@ -18,7 +18,7 @@ consumptions stay ordinary floats.
 One round loop, :func:`_play`, plays R independent runs ("lanes") in
 lockstep, each from lambda_1 = 0 over the whole horizon.  It reads each
 round's inputs by index from a row table (F (S, K), U (M, S, K),
-H (n, S, K)) through a (B, R) index of rows, and every operation in it is
+H (n, S, K)) through a (T, R) index of rows, and every operation in it is
 elementwise per lane, so each lane is bit for bit the run it would be on
 its own.  :func:`run_lanes` plays one lane per instance over one table of
 the instances' rows (an instance is (F, G, H) stacks of input rows plus a
@@ -97,10 +97,11 @@ def _margins(F, U, eta, B):
     return (2.0 * delta * np.arange(_BLOCK) + 4.0 * r) * (1.0 + 2.0**-20)
 
 
-def _play(table, index, budget, void, eta):
+def _play(table, index, beta, void, eta):
     """Play R lanes in lockstep from lambda_1 = 0, zero consumption and an
-    open gate: lane r plays the rows ``index[:, r]`` of the (B, R) index
-    from ``table`` = (F (S, K), U (M, S, K), H (n, S, K)).
+    open gate: lane r plays the rows ``index[:, r]`` of the (T, R) index
+    from ``table`` = (F (S, K), U (M, S, K), H (n, S, K)) under the
+    per-round budgets ``beta[:, r]`` of the (n, R) ``beta``.
 
     Rows are gathered a block of up to ``_BLOCK`` rounds at a time into F
     and U buffers allocated once per call, U's laid out (M, _BLOCK, R, K) as
@@ -130,32 +131,33 @@ def _play(table, index, budget, void, eta):
        summed exactly (once, by :func:`~ora_bob.core.exact_sum`, then kept
        as integers in units of 2**-EXACT_BITS, adding each round's
        :func:`~ora_bob.core.exact_value`, until its gate closes) and
-       compared with the exact cutoffs beta_j*T - 1 in the same units;
+       compared with its own exact cutoffs beta_j*T - 1 in the same units;
     3. play the candidate in open lanes and the void action in closed ones,
        gathering the played column of each lane with one flat index for both
        the dual step and the consumption totals.
     Every value a segment writes is the one these single rounds would
     write, so the result does not depend on where segments fall.
 
-    Returns (candidates (R, B), closed_at (R,), duals (R, B+1, M)): lane r
-    played its candidate before round closed_at[r] (B if its gate never
-    closed) and the void action after; duals are lambda_1..lambda_{B+1}.
+    Returns (candidates (R, T), closed_at (R,), duals (R, T+1, M)): lane r
+    played its candidate before round closed_at[r] (T if its gate never
+    closed) and the void action after; duals are lambda_1..lambda_{T+1}.
     """
     F, U, H = table
-    B, R = index.shape
+    T, R = index.shape
     S, K = F.shape
     M, n = U.shape[0], H.shape[0]
-    T = budget.horizon
-    # The exact per-resource gate cutoffs beta_j * T - 1, in units of
-    # 2**-EXACT_BITS.
+    # Each lane's exact per-resource gate cutoffs beta_j * T - 1, in units
+    # of 2**-EXACT_BITS.
     unit = 1 << EXACT_BITS
-    thresholds = [exact_value(b) * T - unit for b in budget.per_round_budget]
-    # Float pre-filter for the gate: below thr_fast the exact comparison is
-    # guaranteed to pass (band dominates the worst-case accumulation drift
-    # of up to T float additions plus the threshold's own rounding), so the
-    # exact comparison only runs once a resource nears its cutoff.
-    band = (4.0 * T + 8.0) * np.spacing(budget.limits + T)
-    thr_fast = (np.array([thr / unit for thr in thresholds]) - band)[:, None]
+    thresholds = [[exact_value(b) * T - unit for b in lane] for lane in beta.T.tolist()]
+    # Float pre-filter for the gate, (n, R): below thr_fast the exact
+    # comparison is guaranteed to pass (band dominates the worst-case
+    # accumulation drift of up to T float additions plus the threshold's own
+    # rounding), so the exact comparison only runs once a resource nears its
+    # cutoff.
+    band = (4.0 * T + 8.0) * np.spacing(beta * T + T)
+    thr_fast = np.array([[thr / unit for thr in lane] for lane in thresholds])
+    thr_fast = thr_fast.reshape(R, n).T - band
 
     # Block guard.  Validation bounds every consumption to [0, 1], so a
     # lane's float total after k <= T rounds stays below 2T, and each float
@@ -181,15 +183,15 @@ def _play(table, index, budget, void, eta):
     # dual steps add) and u_i = max|U_i| over the table:
     # - Drift.  A dual step is lambda' = max(0, fl(lambda + s)).  lambda is
     #   a float |s| away from lambda + s, so the nearest float is within
-    #   2|s| of lambda and lambda_i <= 2B*s_i all run long; and
+    #   2|s| of lambda and lambda_i <= 2T*s_i all run long; and
     #   |fl(z) - z| <= u|z|, so one step moves lambda_i by at most
-    #   s_i + u(lambda_i + s_i) <= s_i(1 + u(2B + 1)) (the clip at 0 only
+    #   s_i + u(lambda_i + s_i) <= s_i(1 + u(2T + 1)) (the clip at 0 only
     #   shortens a move).  Over k steps the exact value F - <lambda, g~> of
     #   any action moves by at most k*Delta,
-    #   Delta = sum_i s_i(1 + u(2B + 1)) u_i.
+    #   Delta = sum_i s_i(1 + u(2T + 1)) u_i.
     # - Rounding.  penalties adds its M products in constraint order and the
     #   value subtracts the sum from F, so a computed value is within
-    #   r = (M + 2) u (max|F| + sum_i 2B s_i u_i) + M 2**-1074 of the exact
+    #   r = (M + 2) u (max|F| + sum_i 2T s_i u_i) + M 2**-1074 of the exact
     #   one (the dot-product bound gamma_M < (M + 1) u for M < 2**20, one u
     #   for the subtraction, and 2**-1075 for each product that underflows).
     # So if v^(x*) - v^(y) > 2k*Delta + 4r for every y != x*, then
@@ -200,23 +202,23 @@ def _play(table, index, budget, void, eta):
     # Round t itself (k = 0) is evaluated at its own duals, so needs no
     # margin.  Closed lanes record candidates too, so the gap is the
     # minimum over every lane.
-    margins = _margins(F, U, eta, B)
+    margins = _margins(F, U, eta, T)
     # Flat (M or n, S*K) tables, row s and action x at column s*K + x; each
     # step is the one rounding fl(eta * g~) a dual step adds.
     steps, H = (eta * U).reshape(M, S * K), H.reshape(n, S * K)
 
     exact = {}  # open lane -> its exact consumption totals, once it nears a cutoff
     is_open = np.ones(R, dtype=bool)
-    closed_at = np.full(R, B)  # the round each lane's gate closed, B while open
+    closed_at = np.full(R, T)  # the round each lane's gate closed, T while open
     all_open = True
     # A closed lane never reopens, so it is held to an infinite threshold and
     # the pre-filter stays one comparison while no open lane nears a cutoff.
-    thr_lane = thr_fast.repeat(R, axis=1)
+    thr_lane = thr_fast.copy()
 
     # Round-major buffers with lanes last; lam (M, R) views the current
     # round's duals, and cum (n, R) is row 0 of a segment's running totals.
-    out_candidates = np.empty((B, R), dtype=np.int64)
-    out_duals = np.empty((B + 1, M, R))
+    out_candidates = np.empty((T, R), dtype=np.int64)
+    out_duals = np.empty((T + 1, M, R))
     out_duals[0] = 0.0
     acc = np.zeros((_BLOCK + 1, n, R))
     lam, cum = out_duals[0], acc[0]
@@ -242,8 +244,8 @@ def _play(table, index, budget, void, eta):
     # near ties at an equilibrium then cost little more than single rounds.
     window, backoff, wait = 2, 8, 0
 
-    for t0 in range(0, B, _BLOCK):
-        t1 = min(t0 + _BLOCK, B)
+    for t0 in range(0, T, _BLOCK):
+        t1 = min(t0 + _BLOCK, T)
         b = t1 - t0
         rows = index[t0:t1]  # (b, R)
         np.multiply(rows, K, out=row_base[:b])
@@ -303,7 +305,7 @@ def _play(table, index, budget, void, eta):
                             # an open lane has played its candidates so far
                             flat = index[:t, r] * K + out_candidates[:t, r]
                             exact[r] = [exact_sum(h[flat]) for h in H]
-                        if any(c > thr for c, thr in zip(exact[r], thresholds)):
+                        if any(c > thr for c, thr in zip(exact[r], thresholds[r])):
                             is_open[r] = False
                             closed_at[r] = t
                             thr_lane[:, r] = np.inf
@@ -343,11 +345,11 @@ def run(instance: Instance, config: OgdConfig) -> Trajectory:
 
 
 def lane_key(instance: Instance) -> tuple:
-    """What the lanes of one :func:`run_lanes` call must share: the horizon,
-    the per-round budget (bitwise), the action set and (m, n)."""
-    budget = instance.budget
-    return (budget.horizon, budget.per_round_budget.tobytes(), instance.actions,
-            instance.num_general, instance.num_resources)
+    """What the lanes of one :func:`run_lanes` call must share, the shapes
+    of the round loop: the horizon, the action set and (m, n).  Each lane
+    keeps its own budget."""
+    return (instance.horizon, instance.actions, instance.num_general,
+            instance.num_resources)
 
 
 def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajectory]:
@@ -356,9 +358,9 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
 
     Each distinct instance validates itself, in order, and the first
     invalid one raises before any round is played; so does any lane whose
-    :func:`lane_key` differs from the first lane's (the cells of one source
-    share it).  The lanes read one table, the row stacks of the instances,
-    so no lane's T-round stacks are built.  The batch keeps only what the
+    :func:`lane_key` differs from the first lane's.  Each lane plays under
+    its own instance's budget.  The lanes read one table, the row stacks of
+    the instances, so no lane's T-round stacks are built.  The batch keeps only what the
     loop computes (8 + 8M bytes per lane-round), and returns the lanes'
     Trajectories lazily, in order, so a caller can handle one at a time;
     each looks its played rounds up in its own instance.
@@ -371,8 +373,8 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
     for r, inst in enumerate(instances):
         if lane_key(inst) != want:
             raise ValidationError(
-                f"lane {r} differs from lane 0 in its horizon, budget, action set "
-                "or (m, n); lanes must share them"
+                f"lane {r} differs from lane 0 in its horizon, action set or (m, n); "
+                "lanes must share them"
             )
     start = np.cumsum([0] + [len(inst.rows[0]) for inst in distinct]).tolist()
     offset = dict(zip(map(id, distinct), start))
@@ -380,7 +382,7 @@ def run_lanes(instances: list[Instance], config: OgdConfig) -> Iterator[Trajecto
              _constraint_major([i.unified_rows for i in distinct]),
              _constraint_major([i.rows[2] for i in distinct]))
     index = np.stack([offset[id(inst)] + inst.index for inst in instances], axis=1)
-    candidates, closed_at, duals = _play(
-        table, index, first.budget, first.actions.void_index, config.eta)
+    beta = np.stack([inst.budget.per_round_budget for inst in instances], axis=1)
+    candidates, closed_at, duals = _play(table, index, beta, first.actions.void_index, config.eta)
     return (Trajectory(inst, candidates[r], closed_at[r], duals[r], config.eta, config.delta)
             for r, inst in enumerate(instances))

@@ -461,12 +461,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _slater_report(source, oracle, *args) -> dict:
-    """rho = ``oracle(source, *args)`` and alpha(rho); not applicable to a
-    source with no constraints."""
+def _slater_report(source, oracle) -> dict:
+    """rho = ``oracle(source)`` and alpha(rho); not applicable to a source
+    with no constraints."""
     if not source.num_constraints:
         return {"status": "not_applicable"}
-    rho = oracle(source, *args)
+    rho = oracle(source)
     return {"rho": rho, "alpha": alpha(max(rho, 0.0))}
 
 
@@ -475,18 +475,16 @@ def _opt_stoc_report(model, args) -> dict:
         if args.which != "all":
             raise CliError("opt_stoc needs --T")
         return {"skipped": "needs --T"}
-    return opt_stoc_estimate(model, args.T, args.num_samples, args.seed, args.guard).to_dict()
+    return opt_stoc_estimate(model, args.T, args.num_samples, args.seed).to_dict()
 
 
 #: Each ``--which`` oracle: the source kind it applies to and its report on
 #: a source under the command's arguments.
 ORACLES = {
-    "opt_bruteforce": ("instance", lambda obj, args: opt_bruteforce(obj, args.guard).to_dict()),
+    "opt_bruteforce": ("instance", lambda obj, args: opt_bruteforce(obj).to_dict()),
     "opt_lp": ("instance", lambda obj, args: opt_lp_relax(obj).to_dict()),
     "slater_adv": ("instance", lambda obj, args: _slater_report(obj, slater_adv)),
-    "slater_stoc": (
-        "stochastic model", lambda obj, args: _slater_report(obj, slater_stoc, args.guard)
-    ),
+    "slater_stoc": ("stochastic model", lambda obj, args: _slater_report(obj, slater_stoc)),
     "opt_stoc": ("stochastic model", _opt_stoc_report),
 }
 
@@ -775,7 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--num-samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--guard", type=int, default=10_000_000)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("audit", help="re-run and audit recorded traces")

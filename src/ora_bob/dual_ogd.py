@@ -113,15 +113,6 @@ def interval_regret_audit(
     return IntervalRegretResult(t1, t2, lhs, rhs, lhs >= rhs - AUDIT_SLACK)
 
 
-def dual_drift_audit(trajectory: Trajectory) -> float:
-    """Largest per-step change of ||lambda_t||_1 along the run.
-
-    :func:`dual_drift` checks it against eta * M; the bound is deterministic,
-    not probabilistic.
-    """
-    return float(np.max(np.abs(np.diff(trajectory.dual_l1))))
-
-
 def budget_exactness(trajectory: Trajectory) -> dict:
     """Each resource's exact played total is at most its exact cap beta_j * T
     (either float can round across the cap), both counted as integers in
@@ -140,8 +131,10 @@ def budget_exactness(trajectory: Trajectory) -> dict:
 
 
 def dual_drift(trajectory: Trajectory) -> dict:
-    """||lambda_t||_1 moves by at most eta * M a round."""
-    drift = dual_drift_audit(trajectory)
+    """``max_drift``, the largest per-step change of ||lambda_t||_1 along
+    the run, is at most eta * M; the bound is deterministic, not
+    probabilistic."""
+    drift = float(np.max(np.abs(np.diff(trajectory.dual_l1))))
     bound = trajectory.eta * trajectory.num_constraints
     return {"ok": bool(drift <= bound + DRIFT_SLACK), "max_drift": drift, "bound": bound}
 

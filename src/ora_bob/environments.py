@@ -188,32 +188,30 @@ def random_model(
     return StochasticModel(ActionSet(K, 0), BudgetSpec(horizon, beta), rows, np.full(S, 1.0 / S))
 
 
-def make_push_pull_model(
-    levels: tuple[tuple[float, float], ...] = ((0.5, 0.02), (0.45, 0.022)),
-    unit_cost: float = 0.5,
-    horizon: int = 2000,
-) -> StochasticModel:
+#: push_pull's support tuples as (mid, gap) reward levels, and the cost
+#: +-PUSH_PULL_UNIT_COST of its push and pull actions.
+PUSH_PULL_LEVELS = ((0.5, 0.02), (0.45, 0.022))
+PUSH_PULL_UNIT_COST = 0.5
+#: pacing's support tuples as (burst, steady) rewards.
+PACING_REWARD_LEVELS = ((0.31, 0.30), (0.315, 0.305))
+
+
+def make_push_pull_model(horizon: int = 2000) -> StochasticModel:
     """One general constraint priced by two opposing actions.
 
-    Each support tuple has a 'push' action (reward mid + gap/2, cost
-    +unit_cost) and a 'pull' action (reward mid - gap/2, cost -unit_cost);
-    the dual price that equalizes them is gap / (2 * unit_cost).  With small
-    gaps the duals reach that price early in the horizon and the cumulative
-    violation then tracks price/eta ~ sqrt(T log T), which is what the
-    violation-scaling sweep measures.  The constant pull policy certifies a
-    stochastic Slater parameter of ``unit_cost``.
+    Each support tuple of PUSH_PULL_LEVELS has a 'push' action (reward
+    mid + gap/2, cost +PUSH_PULL_UNIT_COST) and a 'pull' action (reward
+    mid - gap/2, cost -PUSH_PULL_UNIT_COST); the dual price that equalizes
+    them is gap / (2 * PUSH_PULL_UNIT_COST).  With small gaps the duals
+    reach that price early in the horizon and the cumulative violation then
+    tracks price/eta ~ sqrt(T log T), which is what the violation-scaling
+    sweep measures.  The constant pull policy certifies a stochastic Slater
+    parameter of PUSH_PULL_UNIT_COST.
     """
-    if not 0.0 < unit_cost <= 1.0:
-        raise ValidationError(f"unit_cost must lie in (0, 1], got {unit_cost!r}")
-    rewards = []
-    for mid, gap in levels:
-        hi, lo = mid + gap / 2.0, mid - gap / 2.0
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValidationError(f"level (mid={mid}, gap={gap}) leaves [0, 1]")
-        rewards.append([0.0, hi, lo])
+    rewards = [[0.0, mid + gap / 2.0, mid - gap / 2.0] for mid, gap in PUSH_PULL_LEVELS]
     s = len(rewards)
     costs = np.zeros((s, 1, 3))
-    costs[:, 0, 1:] = unit_cost, -unit_cost
+    costs[:, 0, 1:] = PUSH_PULL_UNIT_COST, -PUSH_PULL_UNIT_COST
     return StochasticModel(
         ActionSet(3, 0),
         BudgetSpec(horizon, []),
@@ -222,24 +220,21 @@ def make_push_pull_model(
     )
 
 
-def make_pacing_model(
-    beta: float = 0.25,
-    reward_levels: tuple[tuple[float, float], ...] = ((0.31, 0.30), (0.315, 0.305)),
-    horizon: int = 2000,
-) -> StochasticModel:
+def make_pacing_model(beta: float = 0.25, horizon: int = 2000) -> StochasticModel:
     """Budget pacing with a 'burst' action and a budget-rate 'steady' action.
 
     The burst action consumes a full unit per round for slightly more reward
-    than the steady action, which consumes exactly the per-round budget.
+    than the steady action, which consumes exactly the per-round budget
+    (PACING_REWARD_LEVELS holds their rewards per support tuple).
     The offline optimum paces (plays steady throughout); the dual price that
     makes the allocator switch off bursting is tiny, so regret per round
     shrinks visibly across desk-scale horizons.
     """
     if not 0.0 < beta < 1.0:
         raise ValidationError(f"beta must lie in (0, 1), got {beta!r}")
-    s = len(reward_levels)
+    s = len(PACING_REWARD_LEVELS)
     rewards = np.zeros((s, 3))
-    rewards[:, 1:] = reward_levels
+    rewards[:, 1:] = PACING_REWARD_LEVELS
     consumptions = np.zeros((s, 1, 3))
     consumptions[:, 0, 1:] = 1.0, beta
     return StochasticModel(
@@ -274,11 +269,11 @@ GENERATORS = {
          "margin": (float, 0.2), "n": (int, 1), "seed": (int, 0)},
     ),
     "push_pull": (
-        lambda T: make_push_pull_model(horizon=T),
+        lambda T: make_push_pull_model(T),
         {"T": (int, 2000)},
     ),
     "pacing": (
-        lambda T, beta: make_pacing_model(beta=beta, horizon=T),
+        lambda T, beta: make_pacing_model(beta, T),
         {"T": (int, 2000), "beta": (float, 0.25)},
     ),
 }

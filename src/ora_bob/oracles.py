@@ -30,8 +30,8 @@ _MC_STREAM_SALT = 0x5EED
 
 
 class SizeGuardError(ValueError):
-    """Enumeration would exceed the configured node guard, or a dense LP its
-    memory guard."""
+    """Enumeration would exceed ENUMERATION_GUARD nodes, or a dense LP the
+    LP_TABLEAU_GUARD_MIB memory guard."""
 
 
 @dataclass(frozen=True)
@@ -54,35 +54,34 @@ class OracleReport:
         }
 
 
-def _exceeds_guard(K: int, T: int, guard: int) -> bool:
-    """Whether K**T > guard, without building K**T (which may have millions
-    of digits): the product stops once it passes guard, and for K <= 1,
-    which never grows, one factor decides."""
+def _exceeds_guard(K: int, T: int) -> bool:
+    """Whether K**T > ENUMERATION_GUARD, without building K**T (which may
+    have millions of digits): the product stops once it passes the guard,
+    and for K <= 1, which never grows, one factor decides."""
     power = 1
     for _ in range(T if K > 1 else 1):
         power *= K
-        if power > guard:
+        if power > ENUMERATION_GUARD:
             return True
     return False
 
 
-def _guard(K: int, T: int, guard: int, what: str):
-    if _exceeds_guard(K, T, guard):
+def _guard(K: int, T: int, what: str):
+    if _exceeds_guard(K, T):
         raise SizeGuardError(
-            f"{what} exceeds the guard of {guard} nodes; "
+            f"{what} exceeds the guard of {ENUMERATION_GUARD} nodes; "
             "refusing rather than silently approximating"
         )
 
 
 def _sequence_chunks(T: int, K: int):
-    """Yield (codes, digits) blocks covering all K^T sequences in
+    """Yield (rows, T) digit blocks covering all K^T sequences in
     lexicographic order; digit t is round t+1's action."""
     total = K**T
     place = K ** np.arange(T - 1, -1, -1, dtype=np.int64)
     for lo in range(0, total, _CHUNK):
         codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        digits = (codes[:, None] // place[None, :]) % K
-        yield codes, digits
+        yield (codes[:, None] // place[None, :]) % K
 
 
 def _require_constraints(source):
@@ -94,7 +93,7 @@ def _require_constraints(source):
         )
 
 
-def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> OracleReport:
+def opt_bruteforce(instance: Instance) -> OracleReport:
     """Exact dynamic optimum by enumeration of all K^T action sequences.
 
     Feasibility is sum_t g_{t,i}(x_t) <= 0 for every cost and
@@ -103,17 +102,17 @@ def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> Oracle
     always feasible, so the value is at least 0.
     """
     T, K = instance.horizon, instance.num_actions
-    _guard(K, T, guard, f"brute-force optimum over {K}^{T} sequences")
+    _guard(K, T, f"brute-force optimum over {K}^{T} sequences")
     m, n = instance.num_general, instance.num_resources
     F, G, H = instance.rows
     index = instance.index
     limits = instance.budget.limits
 
     best_value = -np.inf
-    best_code = -1
-    for codes, digits in _sequence_chunks(T, K):
+    best = None
+    for digits in _sequence_chunks(T, K):
         values = F[index, digits].sum(axis=1)
-        feasible = np.ones(codes.shape[0], dtype=bool)
+        feasible = np.ones(digits.shape[0], dtype=bool)
         for i in range(m):
             feasible &= G[index, i, digits].sum(axis=1) <= 0.0
         for j in range(n):
@@ -124,14 +123,12 @@ def opt_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> Oracle
         k = int(np.argmax(masked))
         if masked[k] > best_value:
             best_value = float(masked[k])
-            best_code = int(codes[k])
+            best = digits[k]
 
-    if best_code < 0:  # unreachable on validated instances (void is feasible)
+    if best is None:  # unreachable on validated instances (void is feasible)
         raise ValidationError("no feasible action sequence found")
-
-    place = K ** np.arange(T - 1, -1, -1, dtype=np.int64)
-    actions = tuple(int(d) for d in (best_code // place) % K)
-    return OracleReport(opt_value=best_value, method="brute_force", opt_actions=actions)
+    return OracleReport(opt_value=best_value, method="brute_force",
+                        opt_actions=tuple(best.tolist()))
 
 
 def opt_lp_relax(instance: Instance) -> OracleReport:
@@ -167,30 +164,25 @@ def opt_lp_relax(instance: Instance) -> OracleReport:
     return OracleReport(opt_value=result.value, method="lp_relaxation")
 
 
-def opt_stoc_estimate(
-    model: StochasticModel,
-    T: int,
-    num_samples: int,
-    seed: int,
-    guard: int = ENUMERATION_GUARD,
-) -> OracleReport:
+def opt_stoc_estimate(model: StochasticModel, T: int, num_samples: int, seed: int) -> OracleReport:
     """Monte Carlo estimate of E[OPT(gamma)] over sampled length-T sequences.
 
     Each sample i uses the seed derived from (seed, i), so growing
     num_samples extends the draw stream without changing earlier draws.
-    Per-draw optima are exact enumeration when K^T fits the guard and the LP
-    upper bound otherwise; the fallback is flagged in ``per_draw_method``.
+    Per-draw optima are exact enumeration when K^T fits ENUMERATION_GUARD
+    and the LP upper bound otherwise; the fallback is flagged in
+    ``per_draw_method``.
     """
     if num_samples < 1:
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
     K = model.actions.count
-    use_bruteforce = not _exceeds_guard(K, T, guard)
+    use_bruteforce = not _exceeds_guard(K, T)
     values = np.empty(num_samples)
     for i in range(num_samples):
         draw_seed = rng.derive_seed(seed, _MC_STREAM_SALT + i)
         inst = sample_instance(model, T, draw_seed)
         if use_bruteforce:
-            values[i] = opt_bruteforce(inst, guard).opt_value
+            values[i] = opt_bruteforce(inst).opt_value
         else:
             values[i] = opt_lp_relax(inst).opt_value
     stderr = (
@@ -215,7 +207,7 @@ def slater_adv(instance: Instance) -> float:
     return float(-per_row.max())  # every stored row is played
 
 
-def slater_adv_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) -> float:
+def slater_adv_bruteforce(instance: Instance) -> float:
     """Adversarial Slater parameter by enumeration over full sequences.
 
     Independent route for cross-validating the per-round decomposition:
@@ -223,16 +215,16 @@ def slater_adv_bruteforce(instance: Instance, guard: int = ENUMERATION_GUARD) ->
     """
     T, K = instance.horizon, instance.num_actions
     _require_constraints(instance)
-    _guard(K, T, guard, f"brute-force Slater over {K}^{T} sequences")
+    _guard(K, T, f"brute-force Slater over {K}^{T} sequences")
     colmax = instance.unified_rows.max(axis=1)  # (S, K)
     worst = np.inf
-    for _, digits in _sequence_chunks(T, K):
+    for digits in _sequence_chunks(T, K):
         seq_scores = colmax[instance.index, digits].max(axis=1)
         worst = min(worst, float(seq_scores.min()))
     return -worst
 
 
-def slater_stoc(model: StochasticModel, guard: int = ENUMERATION_GUARD) -> float:
+def slater_stoc(model: StochasticModel) -> float:
     """Stochastic Slater parameter by exact enumeration of deterministic
     policies pi: support -> actions.
 
@@ -241,11 +233,11 @@ def slater_stoc(model: StochasticModel, guard: int = ENUMERATION_GUARD) -> float
     """
     S, K = model.support_size, model.actions.count
     _require_constraints(model)
-    _guard(K, S, guard, f"policy enumeration over {K}^{S} policies")
+    _guard(K, S, f"policy enumeration over {K}^{S} policies")
     # weighted[s, x, i] = p_s * g~_i(x) under support tuple s
     weighted = model.probs[:, None, None] * model.unified_rows.transpose(0, 2, 1)
     best = np.inf
-    for _, digits in _sequence_chunks(S, K):
+    for digits in _sequence_chunks(S, K):
         expect = weighted[np.arange(S), digits].sum(axis=1)  # (chunk, M)
         scores = expect.max(axis=1)
         best = min(best, float(scores.min()))

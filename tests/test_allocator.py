@@ -404,15 +404,31 @@ class TestRunBatch:
         assert len(used) == len(seeds)
         self.check(model, 20, seeds, OgdConfig(eta=0.05, delta=0.05))
 
-    def test_lanes_of_another_budget_or_horizon_refused(self):
+    def test_lanes_of_another_horizon_refused(self):
+        config = OgdConfig(eta=0.01, delta=0.05)
+        lanes = [sample_instance(ob.make_pacing_model(0.25), T, 0) for T in (200, 100)]
+        with pytest.raises(ValidationError, match="lane 1 differs from lane 0"):
+            run_lanes(lanes, config)
+
+    def test_lanes_of_different_budgets_each_play_their_run(self):
         # played on lane 0's budget, the beta = 0.05 lane would consume 11.9
         # against its hard cap of 10
         config = OgdConfig(eta=0.01, delta=0.05)
-        paced = sample_instance(ob.make_pacing_model(beta=0.25), 200, 0)
-        for other in (sample_instance(ob.make_pacing_model(beta=0.05), 200, 0),
-                      sample_instance(ob.make_pacing_model(beta=0.25), 100, 0)):
-            with pytest.raises(ValidationError, match="lane 1 differs from lane 0"):
-                run_lanes([paced, other], config)
+        lanes = [sample_instance(ob.make_pacing_model(beta), 200, 0) for beta in (0.25, 0.05)]
+        for inst, lane in zip(lanes, run_lanes(lanes, config)):
+            assert_same_trajectory(lane, run(inst, config))
+        assert lane.stopping_time < 200 and lane.cumulative_consumption[-1, 0] <= 10.0
+
+    def test_nondyadic_draining_lane_beside_a_lane_that_never_closes(self):
+        # beta = 1/3 closes its gate on the exact integer path; beta = 1
+        # covers every round's consumption, so its gate stays open
+        config = OgdConfig(eta=1e-5, delta=0.05)
+        lanes = [sample_instance(draining_model(beta), 30, 2) for beta in (1.0 / 3.0, 1.0)]
+        played = list(run_lanes(lanes, config))
+        for inst, lane in zip(lanes, played):
+            assert_same_trajectory(lane, run(inst, config))
+        assert int(played[0].actions.sum()) == 9 and played[0].stopping_time < 30
+        assert played[1].stopping_time == 30
 
     def sixteen_lanes(self):
         """16 sampled S = 40, T = 2000 lanes (M = 4, n = 2), their unified
@@ -715,16 +731,16 @@ _GRID = {"F": [0.0, 0.25, 0.5, 0.75, 1.0], "G": [-1.0, -0.5, 0.0, 0.5, 1.0],
 
 @st.composite
 def _lanes_on_a_grid(draw):
-    """1-4 lanes sharing T, beta, K and (m, n), each with its own rows drawn
-    from a coarse grid, so exact ties between actions are common."""
+    """1-4 lanes sharing T, K and (m, n), each with its own beta and rows
+    drawn from a coarse grid, so exact ties between actions are common."""
     K = draw(st.integers(1, 4))
     m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     T = draw(st.integers(1, 600))
     void = draw(st.integers(0, K - 1))
-    beta = draw(st.lists(st.sampled_from(_GRID["beta"]), min_size=n, max_size=n))
-    budget = BudgetSpec(T, [b if b * T >= 1.0 else 1.0 for b in beta])  # a valid gate
     instances = []
     for _ in range(draw(st.integers(1, 3))):
+        beta = draw(st.lists(st.sampled_from(_GRID["beta"]), min_size=n, max_size=n))
+        budget = BudgetSpec(T, [b if b * T >= 1.0 else 1.0 for b in beta])  # a valid gate
         S = draw(st.integers(1, 4))
         grid = {}
         for name, shape in (("F", (S, K)), ("G", (S, m, K)), ("H", (S, n, K))):

@@ -536,6 +536,7 @@ class TestLpSizeGuard:
         assert code == 0
         reports = json.loads(out)["reports"]
         assert "guard" in reports["opt_lp"]["skipped"]
+        assert "10000000" in reports["opt_bruteforce"]["skipped"]
         assert reports["slater_adv"]["rho"] >= 0.2
 
 
@@ -660,8 +661,9 @@ def test_count_over_the_limit_exits_2(capsys, argv):
     ("sweep", "--generator", "pacing", "--jobs", "two", "--out", "out"),
     ("frobnicate",),
     (),
+    ("oracle", "--generator", "pacing", "--guard", "5"),
 ], ids=["bad_int", "unknown_option", "missing_out", "sweep_bad_int", "unknown_command",
-        "no_command"])
+        "no_command", "removed_guard"])
 def test_usage_error_prints_the_error_json(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code = cli.main(list(argv))
@@ -1197,6 +1199,26 @@ class TestAudit:
         code, out = run_cli(capsys, "audit", *traces, "--pairs", "5")
         assert code == 0
         assert calls == [2]
+
+    def test_traces_of_different_budgets_replay_in_one_call(self, tmp_path, capsys, monkeypatch):
+        traces = []
+        for beta in ("0.25", "0.05"):
+            run_args = ("--generator", "pacing", "--param", f"beta={beta}", "--T", "200")
+            assert run_cli(capsys, "run", *run_args, "--out", str(tmp_path), "--name", beta)[0] == 0
+            traces.append(str(tmp_path / f"{beta}_0.csv"))
+        calls = []
+        real = cli.run_lanes
+        monkeypatch.setattr(cli, "run_lanes", lambda inst, config: calls.append(len(inst))
+                            or real(inst, config))
+        code, out = run_cli(capsys, "audit", *traces, "--pairs", "5")
+        assert code == 0 and calls == [2]
+        reports = json.loads(out)["traces"]
+        for trace, report in zip(traces, reports):
+            code, alone = run_cli(capsys, "audit", trace, "--pairs", "5")
+            assert code == 0
+            assert json.dumps(report, indent=1) == json.dumps(
+                json.loads(alone)["traces"][0], indent=1
+            )
 
     def test_corrupted_lambda_cell_detected(self, tmp_path, capsys):
         trace = self.make_trace(tmp_path, capsys)

@@ -13,7 +13,7 @@ from ora_bob.dual_ogd import (
     AUDIT_SLACK,
     DETERMINISTIC_AUDITS,
     OgdConfig,
-    dual_drift_audit,
+    dual_drift,
     dual_penalty,
     interval_regret_audit,
     learning_rate,
@@ -178,9 +178,9 @@ class TestDualDrift:
         config = OgdConfig(eta=0.5, delta=0.5)
         tr = ob.run(inst, config)
         assert np.array_equal(tr.actions, np.zeros(8, dtype=np.int64))
-        drift = dual_drift_audit(tr)
-        assert drift <= config.eta * 0.5 + 1e-12  # eta * sum(beta)
-        assert drift <= config.eta * 2 + 1e-12  # eta * M
+        drift = dual_drift(tr)
+        assert drift["max_drift"] <= config.eta * 0.5 + 1e-12  # eta * sum(beta)
+        assert drift["ok"] and drift["bound"] == config.eta * 2  # eta * M
 
     def test_exact_equality_case(self):
         # single general constraint, gradient +1 while the action stays
@@ -189,11 +189,11 @@ class TestDualDrift:
         inst = instance_of(ob.ActionSet(2, 0), ob.BudgetSpec(6, []), (r,) * 6)
         tr = ob.run(inst, OgdConfig(eta=0.125, delta=0.5))
         assert np.array_equal(tr.actions, np.ones(6, dtype=np.int64))
-        assert dual_drift_audit(tr) == 0.125
+        assert dual_drift(tr)["max_drift"] == 0.125
 
     def test_random_run_within_bound(self, random_trajectory):
         tr = random_trajectory
-        assert dual_drift_audit(tr) <= tr.eta * tr.num_constraints + 1e-12
+        assert dual_drift(tr)["max_drift"] <= tr.eta * tr.num_constraints + 1e-12
 
 
 class TestUpdateExactness:

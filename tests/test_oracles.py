@@ -10,6 +10,7 @@ from ora_bob import rng, simplex
 from ora_bob.core import ActionSet, BudgetSpec, Instance, ValidationError
 from ora_bob.environments import make_example1_instance, random_model, sample_instance
 from ora_bob.oracles import (
+    ENUMERATION_GUARD,
     SizeGuardError,
     _exceeds_guard,
     alpha,
@@ -76,26 +77,27 @@ class TestOptBruteforce:
     def test_size_guard(self):
         inst = tiny_instance(0, T=30, K=4)
         with pytest.raises(SizeGuardError) as info:
-            opt_bruteforce(inst, guard=1000)
+            opt_bruteforce(inst)
         assert str(info.value) == (
-            "brute-force optimum over 4^30 sequences exceeds the guard of 1000 nodes; "
+            "brute-force optimum over 4^30 sequences exceeds the guard of 10000000 nodes; "
             "refusing rather than silently approximating"
         )
 
 
 class TestSizeGuard:
-    """K**T > guard is decided without building K**T."""
+    """K**T > ENUMERATION_GUARD (10**7) is decided without building K**T."""
 
     def test_exact_boundary(self):
-        assert not _exceeds_guard(10, 7, 10**7)
-        assert _exceeds_guard(10, 8, 10**7)
+        assert ENUMERATION_GUARD == 10**7
+        assert not _exceeds_guard(10, 7)
+        assert _exceeds_guard(10, 8)
 
     def test_single_action_never_exceeds(self):
-        assert not _exceeds_guard(1, 10**12, 10**7)
+        assert not _exceeds_guard(1, 10**12)
 
     def test_huge_power_refused_at_once(self):
         # 3**10**12 has about 4.8e11 digits; building it would not finish
-        assert _exceeds_guard(3, 10**12, 10**7)
+        assert _exceeds_guard(3, 10**12)
 
 
 class TestOptLpRelax:
@@ -252,7 +254,7 @@ class TestSlaterStoc:
     def test_policy_guard(self):
         model = random_model(2, S=20, K=5, m=1, n=1, feasibility_margin=0.2)
         with pytest.raises(SizeGuardError):
-            slater_stoc(model, guard=1000)
+            slater_stoc(model)
 
 
 def test_slater_oracles_refuse_an_empty_constraint_set():

@@ -93,6 +93,13 @@ def test_reports_iterations():
     assert res.iterations >= 1
 
 
+def test_ratio_ties_go_to_the_smallest_basic_variable_index():
+    # entering x0, both rows tie at ratio 1: leaving the smaller basic index
+    # (row 0's slack) takes 2 pivots; leaving row 1's slack would take 1
+    res = solve_lp([2.0, 2.0, 0.0], A_ub=[[2.0, 0.0, 2.0], [1.0, 2.0, 1.0]], b_ub=[2.0, 1.0])
+    assert (res.value, res.x.tolist(), res.iterations) == (2.0, [1.0, 0.0, 0.0], 2)
+
+
 def test_iteration_cap_raises_with_count():
     # max c.x s.t. x <= 1 in tableau form: slacks basic, one pivot needed
     tab = np.hstack([np.eye(3), np.eye(3), np.ones((3, 1))])
