@@ -28,6 +28,7 @@ from .dual_ogd import (
     dual_penalty,
     interval_regret_audit,
     learning_rate,
+    penalties,
 )
 from .environments import (
     Example1Fixture,
@@ -38,7 +39,6 @@ from .environments import (
     random_model,
     sample_instance,
 )
-from .lagrangian import penalties
 from .metrics import (
     alpha_regret,
     regret,
@@ -55,7 +55,6 @@ from .oracles import (
     opt_lp_relax,
     opt_stoc_estimate,
     slater_adv,
-    slater_adv_bruteforce,
     slater_stoc,
 )
 from .serialization import load_instance, save_instance

@@ -54,8 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import EXACT_BITS, Instance, Trajectory, ValidationError, exact_sum, exact_value
-from .dual_ogd import OgdConfig, learning_rate
-from .lagrangian import penalties
+from .dual_ogd import OgdConfig, learning_rate, penalties
 
 #: Rounds gathered from the row table at a time when lanes read it by index.
 _BLOCK = 256
@@ -105,7 +104,7 @@ def _play(table, index, beta, void, eta):
 
     Rows are gathered a block of up to ``_BLOCK`` rounds at a time into F
     and U buffers allocated once per call, U's laid out (M, _BLOCK, R, K) as
-    :func:`~ora_bob.lagrangian.penalties` stacks it.  The dual steps eta*U
+    :func:`~ora_bob.dual_ogd.penalties` stacks it.  The dual steps eta*U
     are formed once, on the table; a played dual step or consumption is read
     straight from the (M or n, S*K) tables at flat column s*K + x for row s
     and action x, so no block of either is built.  The block is played one

@@ -627,15 +627,9 @@ def audit_trace(path, seed: int, blocks, trajectory, pairs: int) -> dict:
     exactness = _exactness_audit(trajectory, blocks)
 
     pair_seed = rng.derive_seed(seed, _AUDIT_SEED_SALT)
-    records = []
-    failures = 0
-    for mu, t1, t2 in sample_comparator_pairs(trajectory, pairs, pair_seed):
-        res = interval_regret_audit(trajectory, mu, t1, t2)
-        records.append(
-            {"t1": res.t1, "t2": res.t2, "mu": mu.tolist(),
-             "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds}
-        )
-        failures += 0 if res.holds else 1
+    records = [interval_regret_audit(trajectory, mu, t1, t2)
+               for mu, t1, t2 in sample_comparator_pairs(trajectory, pairs, pair_seed)]
+    failures = sum(not record["holds"] for record in records)
 
     checks = [exactness["ok"]] + [
         a["ok"] for a in audits.values() if a["ok"] is not None

@@ -1,9 +1,11 @@
-"""Projected online gradient descent for the dual multipliers, plus the
-trajectory audits that check its weak-adaptivity guarantees.
+"""Projected online gradient descent for the dual multipliers: the dual
+penalty of the Lagrangian, the learning-rate schedule, and the trajectory
+audits that check its weak-adaptivity guarantees.
 
 The dual update lambda_{t+1} = max(0, lambda_t + eta * g~_t(x_t)),
 componentwise, is taken inline by the allocator's round loop; this module
-holds its learning-rate schedule.  Each deterministic audit is one function
+holds its schedule and :func:`penalties`, the penalty term the loop's
+argmax and the dominance audit both subtract.  Each deterministic audit is one function
 of a :class:`~ora_bob.core.Trajectory`, named after its audit-JSON key and
 returning that key's entry (``ok`` null where it does not apply):
 ``budget_exactness``, ``dominance`` and ``post_stopping_time`` are exact;
@@ -17,14 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     EXACT_BITS, MAX_HORIZON, ROUND_BLOCK, Trajectory, ValidationError, exact_sum, exact_value,
 )
-from .lagrangian import penalties
 
 #: Absolute slack for audit inequalities, sized against double-precision
 #: accumulation over T <= 1e5 terms of magnitude <= 1.
@@ -69,12 +69,35 @@ def learning_rate(T: int, M: int, delta: float) -> float:
     return 1.0 / (60.0 * M * math.sqrt(2.0 * T * math.log(T * T / delta)))
 
 
-class IntervalRegretResult(NamedTuple):
-    t1: int
-    t2: int
-    lhs: float
-    rhs: float
-    holds: bool
+def penalties(unified: np.ndarray, dual_values: np.ndarray) -> np.ndarray:
+    """<lambda, g~(x)> for every action x, accumulated in index order.
+
+    A round's Lagrangian values f_t(x) - <lambda_t, g~_t(x)> over all
+    actions are ``rewards - penalties(unified, duals)``.  ``unified`` is the
+    (M, K) unified constraint matrix, or any (M, ...) stack of them, and
+    ``dual_values`` (M, ...) matches its leading axes (``dual_values[i]``
+    broadcasts against ``unified[i]``); returns ``unified.shape[1:]``, all
+    zeros when M = 0.
+
+    The M products lambda_i * g~_i(x) are formed in one multiply and summed
+    with one ``np.add.accumulate`` over the constraint axis, which adds
+    strictly in constraint-index order with no reassociation: each output is
+    (...(lambda_1*g~_1 + lambda_2*g~_2) + ...) + lambda_M*g~_M.  So
+    evaluating the same (input, dual) pair twice, one round or a whole stack
+    of lanes at a time, is bit-identical on a platform; :func:`dominance`
+    relies on that exact equality.  The sum starts from the first product
+    rather than from 0.0, so where every product is zero and the first is
+    -0.0 the result is -0.0; that compares equal to 0.0, so no argmax or
+    value comparison can tell the two apart.  The allocator's argmax over
+    these values breaks ties toward the lowest action index, which keeps
+    traces reproducible.
+    """
+    if not len(unified):
+        return np.zeros(unified.shape[1:])
+    dual_values = np.asarray(dual_values)
+    extra = (1,) * (unified.ndim - dual_values.ndim)
+    products = dual_values.reshape(dual_values.shape + extra) * unified
+    return np.add.accumulate(products, axis=0)[-1]
 
 
 def interval_regret_audit(
@@ -82,7 +105,7 @@ def interval_regret_audit(
     comparator,
     t1: int,
     t2: int,
-) -> IntervalRegretResult:
+) -> dict:
     """Check the interval guarantee of OGD against a fixed comparator.
 
     For mu >= 0 and 1 <= t1 <= t2 <= T the recorded run must satisfy
@@ -92,7 +115,8 @@ def interval_regret_audit(
                - (eta / 2) * T * M
 
     within ``AUDIT_SLACK``.  Both sides are recomputed from the recorded
-    gradients and duals.
+    gradients and duals.  Returns the audit JSON's pair record,
+    ``{"t1", "t2", "mu", "lhs", "rhs", "holds"}`` in that key order.
     """
     T = trajectory.horizon
     if not (1 <= t1 <= t2 <= T):
@@ -110,7 +134,8 @@ def interval_regret_audit(
     lhs = float(np.einsum("tm,tm->", lams, grads))
     diff = trajectory.duals[t1 - 1] - mu
     rhs = float(mu @ grads.sum(axis=0)) - float(diff @ diff) / (2.0 * eta) - 0.5 * eta * T * M
-    return IntervalRegretResult(t1, t2, lhs, rhs, lhs >= rhs - AUDIT_SLACK)
+    return {"t1": t1, "t2": t2, "mu": mu.tolist(), "lhs": lhs, "rhs": rhs,
+            "holds": lhs >= rhs - AUDIT_SLACK}
 
 
 def budget_exactness(trajectory: Trajectory) -> dict:
@@ -180,7 +205,7 @@ def telescoped_violation(trajectory: Trajectory) -> dict:
 def dominance(trajectory: Trajectory) -> dict:
     """Whether every gate-open round's candidate maximizes its Lagrangian
     values at the round's duals, by the allocator's own
-    :func:`~ora_bob.lagrangian.penalties`, so a replay compares bit for bit.
+    :func:`penalties`, so a replay compares bit for bit.
     The rounds are checked one block of ROUND_BLOCK at a time, each block's
     rows gathered through the instance's row index; ``failing_rounds`` are
     the first ten failing rounds, 1-based."""

@@ -207,23 +207,6 @@ def slater_adv(instance: Instance) -> float:
     return float(-per_row.max())  # every stored row is played
 
 
-def slater_adv_bruteforce(instance: Instance) -> float:
-    """Adversarial Slater parameter by enumeration over full sequences.
-
-    Independent route for cross-validating the per-round decomposition:
-    rho_adv = -min over sequences of max over t of max_i g~_{t,i}(x_t).
-    """
-    T, K = instance.horizon, instance.num_actions
-    _require_constraints(instance)
-    _guard(K, T, f"brute-force Slater over {K}^{T} sequences")
-    colmax = instance.unified_rows.max(axis=1)  # (S, K)
-    worst = np.inf
-    for digits in _sequence_chunks(T, K):
-        seq_scores = colmax[instance.index, digits].max(axis=1)
-        worst = min(worst, float(seq_scores.min()))
-    return -worst
-
-
 def slater_stoc(model: StochasticModel) -> float:
     """Stochastic Slater parameter by exact enumeration of deterministic
     policies pi: support -> actions.

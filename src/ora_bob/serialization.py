@@ -21,11 +21,12 @@ row's Python floats are alive at a time, and a file never stands as a
 tree of nested lists.  Any other object stays as parsed and goes through
 the same checks, with the same messages, as a row of :func:`from_dict`.
 
-An instance's hash (schema_version 2) is that of its compact canonical
-form, :func:`hash_form`: the header, its rows and its row index as the
-instance stores them.  An instance is stored in canonical form (its
-distinct played rows, in order of first use), so the hash depends on the
-round sequence only and encodes each distinct row once.  The index is
+An instance's hash (schema_version 2) is the :func:`content_hash` of its
+compact canonical form: the header fields of :func:`to_dict`, ``"rows"``,
+its stored rows as ``{"f", "g", "h"}`` objects, and ``"round_rows"``, its
+row index.  An instance is stored in canonical form (its distinct played
+rows, in order of first use), so the hash depends on the round sequence
+only and encodes each distinct row once.  The index is
 streamed to sha256 a block of rounds at a time, and
 :func:`write_text_atomic`, the one write-to-temp-then-rename routine, takes
 the text as one string or as chunks, so neither holds a T-long text.
@@ -264,21 +265,11 @@ def content_hash(obj: Any) -> str:
     return f"sha256:{_sha256(len(text))(text).hexdigest()}"
 
 
-def hash_form(instance: Instance) -> dict:
-    """The compact canonical form :func:`instance_hash` hashes: the header
-    fields of :func:`to_dict`, ``"rows"``, the instance's stored rows (its
-    distinct played rows, in order of first use), and ``"round_rows"``,
-    its row index.  As the instance is stored in canonical form, this
-    depends on the round sequence alone, not on the pool it was built
-    from."""
-    return {**_header(instance), "rows": rows_to_dicts(instance.rows),
-            "round_rows": instance.index.tolist()}
-
-
 def instance_hash(instance: Instance) -> str:
-    """``content_hash(hash_form(instance))``: each distinct played row is
-    encoded once, and ``"round_rows"`` is fed to sha256 one block of
-    ROUND_BLOCK rounds at a time, so no T-long text is ever held.  Equal
+    """The :func:`content_hash` of the instance's compact canonical form
+    (see the module docstring): each distinct played row is encoded once,
+    and ``"round_rows"`` is fed to sha256 one block of ROUND_BLOCK rounds
+    at a time, so no T-long text is ever held.  Equal
     round sequences hash equal whatever the pool they were built from: a
     "rounds" file and the sampled instance it was saved from, say."""
     index = instance.index

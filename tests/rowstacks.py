@@ -1,9 +1,10 @@
 """Test helpers that build instances and models from per-round input lists,
-and read an instance or a run back round by round."""
+and read an instance or a run back round by round, and reference routes that
+the code under test must agree with."""
 
 import numpy as np
 
-from ora_bob import traceio
+from ora_bob import serialization, traceio
 from ora_bob.core import Instance, StochasticModel
 
 
@@ -66,3 +67,26 @@ def trace_columns(trajectory):
     blocks of :func:`ora_bob.traceio.trace_column_blocks` joined."""
     blocks = list(traceio.trace_column_blocks(trajectory))
     return {name: np.concatenate([cols[name] for cols in blocks]) for name in blocks[0]}
+
+
+def hash_form(instance):
+    """The compact canonical form whose content hash
+    :func:`ora_bob.serialization.instance_hash` streams: the header fields
+    of the instance's file form, ``"rows"``, its stored rows (its distinct
+    played rows, in order of first use), and ``"round_rows"``, its row
+    index, built whole."""
+    form = serialization.to_dict(instance)
+    del form["rounds"]
+    return {**form, "rows": serialization.rows_to_dicts(instance.rows),
+            "round_rows": instance.index.tolist()}
+
+
+def slater_adv_bruteforce(instance):
+    """The adversarial Slater parameter by enumerating all K^T action
+    sequences, the check of :func:`ora_bob.oracles.slater_adv`'s per-round
+    decomposition: rho_adv = -min over sequences of max over t of
+    max_i g~_{t,i}(x_t)."""
+    T, K = instance.horizon, instance.num_actions
+    sequences = np.indices((K,) * T).reshape(T, -1).T  # (K^T, T)
+    worst = unified_stack(instance).max(axis=1)  # (T, K): max_i g~_{t,i}(x)
+    return -float(worst[np.arange(T), sequences].max(axis=1).min())

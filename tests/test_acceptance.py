@@ -27,10 +27,9 @@ from ora_bob.oracles import (
     opt_bruteforce,
     opt_lp_relax,
     slater_adv,
-    slater_adv_bruteforce,
     slater_stoc,
 )
-from rowstacks import consumption_stack, rewards_stack, unified_stack
+from rowstacks import consumption_stack, rewards_stack, slater_adv_bruteforce, unified_stack
 
 BATCH_SALT = 0xACCE97
 BATCH_COUNT = 1000
@@ -155,7 +154,7 @@ def test_c05_interval_regret(batch, criterion):
         pairs = sample_comparator_pairs(tr, 100, seed=rng.derive_seed(0xC5, k))
         for mu, t1, t2 in pairs:
             total += 1
-            if not interval_regret_audit(tr, mu, t1, t2).holds:
+            if not interval_regret_audit(tr, mu, t1, t2)["holds"]:
                 failures += 1
     criterion(
         "05 interval-regret inequality",

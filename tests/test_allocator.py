@@ -28,9 +28,8 @@ from ora_bob.core import (
     exact_sum,
     exact_value,
 )
-from ora_bob.dual_ogd import OgdConfig, learning_rate
+from ora_bob.dual_ogd import OgdConfig, learning_rate, penalties
 from ora_bob.environments import build_generator, sample_instance
-from ora_bob.lagrangian import penalties
 from rowstacks import (consumption_stack, instance_of, model_of, rewards_stack, stacks,
                        unified_stack)
 

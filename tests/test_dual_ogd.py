@@ -129,21 +129,23 @@ class TestIntervalRegret:
         # quadratic term vanishes: rhs = sum <lambda_t1, g~_t> - (eta/2) T M
         grads = tr.unified_values[99:250].sum(axis=0)
         expected_rhs = float(tr.duals[99] @ grads) - 0.5 * tr.eta * tr.horizon * 3
-        assert res.rhs == pytest.approx(expected_rhs, rel=1e-12)
-        assert res.holds
+        assert res["rhs"] == pytest.approx(expected_rhs, rel=1e-12)
+        assert res["holds"]
+        assert list(res) == ["t1", "t2", "mu", "lhs", "rhs", "holds"]  # the audit JSON's record
+        assert (res["t1"], res["t2"], res["mu"]) == (100, 250, tr.duals[99].tolist())
 
     def test_zero_comparator_from_round_one(self, random_trajectory):
         tr = random_trajectory
         res = interval_regret_audit(tr, np.zeros(3), 1, tr.horizon)
-        assert res.holds
-        assert res.lhs >= -0.5 * tr.eta * tr.horizon * 3 - AUDIT_SLACK
+        assert res["holds"]
+        assert res["lhs"] >= -0.5 * tr.eta * tr.horizon * 3 - AUDIT_SLACK
 
     def test_hundred_random_pairs_hold_and_match_bruteforce(self, random_trajectory):
         tr = random_trajectory
         pairs = sample_comparator_pairs(tr, 100, seed=777)
         for mu, t1, t2 in pairs:
             res = interval_regret_audit(tr, mu, t1, t2)
-            assert res.holds, (t1, t2)
+            assert res["holds"], (t1, t2)
             # independent plain-python recomputation of both sides
             lhs = sum(
                 float(np.dot(tr.duals[t - 1], tr.unified_values[t - 1]))
@@ -158,8 +160,8 @@ class TestIntervalRegret:
                 / (2 * tr.eta)
                 - 0.5 * tr.eta * tr.horizon * tr.num_constraints
             )
-            assert res.lhs == pytest.approx(lhs, rel=1e-9, abs=1e-9)
-            assert res.rhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+            assert res["lhs"] == pytest.approx(lhs, rel=1e-9, abs=1e-9)
+            assert res["rhs"] == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
     def test_invalid_interval(self, random_trajectory):
         with pytest.raises(ValidationError):

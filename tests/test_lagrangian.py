@@ -4,9 +4,8 @@ from hypothesis import given, strategies as st
 
 from ora_bob.allocator import run
 from ora_bob.core import ActionSet, BudgetSpec
-from ora_bob.dual_ogd import OgdConfig
+from ora_bob.dual_ogd import OgdConfig, penalties
 from ora_bob.environments import make_example1_instance, sample_instance
-from ora_bob.lagrangian import penalties
 from rowstacks import instance_of, rewards_stack, unified_rows, unified_stack
 
 LAMBDA_2020 = np.array([20.0, 20.0])

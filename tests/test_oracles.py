@@ -18,13 +18,12 @@ from ora_bob.oracles import (
     opt_lp_relax,
     opt_stoc_estimate,
     slater_adv,
-    slater_adv_bruteforce,
     slater_stoc,
 )
 from ora_bob.simplex import solve_lp
 from rowstacks import (
-    consumption_stack, general_stack, instance_of, model_of, rewards_stack, stacks,
-    unified_stack,
+    consumption_stack, general_stack, instance_of, model_of, rewards_stack,
+    slater_adv_bruteforce, stacks, unified_stack,
 )
 
 
@@ -260,8 +259,7 @@ class TestSlaterStoc:
 def test_slater_oracles_refuse_an_empty_constraint_set():
     inst = tiny_instance(3, m=0, n=0)
     model = random_model(3, S=3, K=3, m=0, n=0, feasibility_margin=0.2)
-    for oracle, source in ((slater_adv, inst), (slater_adv_bruteforce, inst),
-                           (slater_stoc, model)):
+    for oracle, source in ((slater_adv, inst), (slater_stoc, model)):
         with pytest.raises(ValidationError, match="constraint set is empty"):
             oracle(source)
 

@@ -14,7 +14,7 @@ from ora_bob import traceio
 from ora_bob.core import ROUND_BLOCK
 from ora_bob.environments import random_instance
 from ora_bob.serialization import SchemaError
-from rowstacks import consumption_stack, general_stack, rewards_stack, trace_columns
+from rowstacks import consumption_stack, general_stack, hash_form, rewards_stack, trace_columns
 
 
 def test_instance_dict_schema_shape():
@@ -236,10 +236,10 @@ def test_instance_hash_is_content_hash_of_hash_form(tmp_path):
     assert loaded.index.tobytes() == sampled.index.tobytes()
     for inst in (sampled, loaded, random_instance(4, T=30, K=3, m=0, n=2,
                                                   feasibility_margin=0.2)):
-        form = ser.hash_form(inst)
+        form = hash_form(inst)
         assert list(form) == ["T", "K", "m", "n", "void_index", "beta", "rows", "round_rows"]
         assert ser.instance_hash(inst) == ser.content_hash(form) == _reference_hash(form)
-    assert ser.hash_form(loaded) == ser.hash_form(sampled)
+    assert hash_form(loaded) == hash_form(sampled)
     assert ser.instance_hash(loaded) == ser.instance_hash(sampled)
 
 
@@ -249,7 +249,7 @@ def test_hash_form_rows_in_order_of_first_appearance():
     f = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 1.0], [0.0, 3.0]])
     g, h = np.zeros((4, 0, 2)), np.array([[[0.0, 0.5]]] * 4)
     inst = ob.Instance(ob.ActionSet(2), ob.BudgetSpec(5, [0.3]), (f, g, h), [1, 2, 0, 1, 2])
-    form = ser.hash_form(inst)
+    form = hash_form(inst)
     assert [row["f"] for row in form["rows"]] == [[0.0, 2.0], [0.0, 1.0]]
     assert form["round_rows"] == [0, 1, 1, 0, 1]
 
@@ -338,9 +338,9 @@ def test_hash_providers_give_equal_digests(monkeypatch, threshold):
     monkeypatch.setattr(ser, "_sha256", lambda nbytes: sizes.append(nbytes) or sha256(nbytes))
     model, sampled = _hash_sources()
     assert ser.content_hash(ser.to_dict(model)) == _reference_hash(ser.to_dict(model))
-    assert ser.instance_hash(sampled) == _reference_hash(ser.hash_form(sampled))
+    assert ser.instance_hash(sampled) == _reference_hash(hash_form(sampled))
     assert sizes == [len(ser.canonical_json(form))
-                     for form in (ser.to_dict(model), ser.hash_form(sampled))]
+                     for form in (ser.to_dict(model), hash_form(sampled))]
 
 
 def test_hash_provider_follows_the_text_size(monkeypatch):
@@ -362,7 +362,7 @@ def test_hash_falls_back_to_hashlib_without_a_builtin_module(monkeypatch):
     monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
     assert ser._sha256(0) is hashlib.sha256
     model, sampled = _hash_sources()
-    assert ser.instance_hash(sampled) == _reference_hash(ser.hash_form(sampled))
+    assert ser.instance_hash(sampled) == _reference_hash(hash_form(sampled))
     assert ser.content_hash(ser.to_dict(model)) == _reference_hash(ser.to_dict(model))
 
 

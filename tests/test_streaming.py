@@ -13,9 +13,8 @@ import pytest
 import ora_bob as ob
 from ora_bob import cli, serialization as ser, traceio
 from ora_bob.core import ROUND_BLOCK, ActionSet, BudgetSpec, Instance
-from ora_bob.dual_ogd import OgdConfig, dominance
-from ora_bob.lagrangian import penalties
-from rowstacks import rewards_stack, trace_columns, unified_stack
+from ora_bob.dual_ogd import OgdConfig, dominance, penalties
+from rowstacks import hash_form, rewards_stack, trace_columns, unified_stack
 
 BLOCK_EDGES = (1, ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1)
 
@@ -114,7 +113,7 @@ def _edit_trace_text(path, header_lines):
 def test_streamed_outputs_match_one_shot(tmp_path, T):
     header = _header(T)
     for k, inst in enumerate(_instances(T)):
-        assert ser.instance_hash(inst) == ser.content_hash(ser.hash_form(inst))
+        assert ser.instance_hash(inst) == ser.content_hash(hash_form(inst))
         tr = ob.run(inst, OgdConfig(eta=0.05, delta=0.05))  # the schedule needs T >= 2
         path = tmp_path / f"trace{k}.csv"
         traceio.write_trace_csv(path, tr, header)
