@@ -133,7 +133,9 @@ def interval_regret_audit(
     lams = trajectory.duals[t1 - 1 : t2]
     lhs = float(np.einsum("tm,tm->", lams, grads))
     diff = trajectory.duals[t1 - 1] - mu
-    rhs = float(mu @ grads.sum(axis=0)) - float(diff @ diff) / (2.0 * eta) - 0.5 * eta * T * M
+    # fsum, not @: a BLAS dot sums in its CPU kernel's order, and rhs is stored
+    rhs = (math.fsum((mu * grads.sum(axis=0)).tolist())
+           - math.fsum((diff * diff).tolist()) / (2.0 * eta) - 0.5 * eta * T * M)
     return {"t1": t1, "t2": t2, "mu": mu.tolist(), "lhs": lhs, "rhs": rhs,
             "holds": lhs >= rhs - AUDIT_SLACK}
 

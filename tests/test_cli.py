@@ -796,7 +796,7 @@ RUN_CELL_SHA256 = {
     "gen/push_pull.json": "f3926788abb989b4fe4fe9de4d8eb5e7e28299cf74a4393285f972a80765f3de",
     "gen/random.json": "38e21b93bbdb6d84c760c26dbd0612f61e429f16ac573304fbc78c061219e244",
     "gen/random_model.json": "a5faf1d202e8b057e63fe5817abc50c9c9e69d0ce2d6f88f913e6c2008f4b353",
-    "audit/audit.json": "017f2fd1258f6faa69533924420fefdb653c5861e3a6ee663c2922356487c47e",
+    "audit/audit.json": "45e680b5415650417d6095534bf6f80ecde178859b662afa583099615505306e",
 }
 
 
