@@ -4,12 +4,12 @@ audits that check its weak-adaptivity guarantees.
 
 The dual update lambda_{t+1} = max(0, lambda_t + eta * g~_t(x_t)),
 componentwise, is taken inline by the allocator's round loop; this module
-holds its schedule and :func:`penalties`, the penalty term the loop's
-argmax and the dominance audit both subtract.  Each deterministic audit is one function
-of a :class:`~ora_bob.core.Trajectory`, named after its audit-JSON key and
-returning that key's entry (``ok`` null where it does not apply):
-``budget_exactness``, ``dominance`` and ``post_stopping_time`` are exact;
-``dual_drift`` allows ``DRIFT_SLACK``; ``dual_penalty`` and
+holds its schedule and :func:`penalties`, the penalty term that the loop's
+argmax and the dominance audit both subtract.  Each deterministic audit is
+one function of a :class:`~ora_bob.core.Trajectory`, named after its
+audit-JSON key and returning that key's entry (``ok`` null where it does
+not apply): ``budget_exactness``, ``dominance`` and ``post_stopping_time``
+are exact; ``dual_drift`` allows ``DRIFT_SLACK``; ``dual_penalty`` and
 ``telescoped_violation`` allow ``AUDIT_SLACK``, as does the sampled
 ``interval_regret_audit``.  The run summary's ``budget_feasible``,
 ``max_drift`` and ``bounds.drift`` are read from the first two verdicts.
