@@ -1,6 +1,6 @@
-"""Test helpers that build instances and models from per-round input lists,
-and read an instance or a run back round by round, and reference routes that
-the code under test must agree with."""
+"""Test helpers: instances and models built from per-round input lists, an
+instance or a run read back round by round, and reference routes that the
+code under test must agree with."""
 
 import numpy as np
 
